@@ -97,12 +97,20 @@ class ChartManifold:
             raise ValueError(f"{self.name}: point has dimension {p.dim}, expected {self.dim}")
         return p
 
-    def contains(self, p: ChartPoint, with_margin: bool = False) -> bool:
+    def contains(self, p, with_margin: bool = False):
+        """Whether points lie strictly inside the chart box.
+
+        ``p`` is a :class:`ChartPoint` (the answer is a bool) or an array of
+        coordinates with the chart axis last (the answer is a bool array over
+        its leading axes).
+        """
+        coords = p.coords if isinstance(p, ChartPoint) else np.asarray(p, dtype=float)
         lo, hi = self.chart_box[:, 0], self.chart_box[:, 1]
         if with_margin:
             w = (hi - lo) * self.margin
             lo, hi = lo + w, hi - w
-        return bool(np.all(p.coords > lo) and np.all(p.coords < hi))
+        inside = np.all((coords > lo) & (coords < hi), axis=-1)
+        return bool(inside) if isinstance(p, ChartPoint) else inside
 
     def sample_box(self) -> Array:
         """The chart box shrunk by the boundary margin."""
@@ -110,12 +118,33 @@ class ChartManifold:
         w = (hi - lo) * self.margin
         return np.stack([lo + w, hi - w], axis=1)
 
-    def jet(self, p: ChartPoint) -> MetricJet:
-        if not self.contains(p):
+    def jet(self, p) -> MetricJet:
+        """Metric jet at a point, or at every row of a coordinate block.
+
+        ``p`` is a :class:`ChartPoint`, or an array of shape ``(B, dim)``
+        whose rows' jets are evaluated once each and come stacked on a
+        leading axis.  A point outside the chart box raises
+        :class:`OutOfChartError` (for a block: its first such row).
+        """
+        if isinstance(p, ChartPoint):
+            if not self.contains(p):
+                raise OutOfChartError(
+                    f"{self.name}: point {p.coords} outside chart box"
+                )
+            return self.metric_jet(p.coords)
+        coords = np.asarray(p, dtype=float)
+        outside = ~self.contains(coords)
+        if outside.any():
             raise OutOfChartError(
-                f"{self.name}: point {p.coords} outside chart box"
-            )
-        return self.metric_jet(p.coords)
+                f"{self.name}: point {coords[np.argmax(outside)]} outside chart box")
+        return stack_metric_jets([self.metric_jet(x) for x in coords])
+
+
+def stack_metric_jets(jets: list[MetricJet]) -> MetricJet:
+    """One jet whose arrays carry the given jets along a leading axis."""
+    return MetricJet(np.stack([j.g for j in jets]),
+                     np.stack([j.dg for j in jets]),
+                     np.stack([j.d2g for j in jets]))
 
 
 # ---------------------------------------------------------------------------
@@ -167,6 +196,9 @@ def constant_metric_chart(dim: int, matrix=None, box_halfwidth: float = 50.0,
 # ---------------------------------------------------------------------------
 # Connection and curvature from a jet
 # ---------------------------------------------------------------------------
+#
+# Every function below broadcasts over leading axes: a jet whose arrays
+# carry a leading block axis gives one result per point of the block.
 
 def metric_inverse(g: Array) -> Array:
     try:
@@ -180,14 +212,14 @@ def metric_inverse(g: Array) -> Array:
 
 def _christoffel_numerator(dg: Array) -> Array:
     # T[i, j, l] = d_i g_jl + d_j g_il - d_l g_ij
-    return dg + np.transpose(dg, (1, 0, 2)) - np.transpose(dg, (1, 2, 0))
+    return dg + np.swapaxes(dg, -3, -2) - np.moveaxis(dg, -3, -1)
 
 
 def christoffel_from_jet(jet: MetricJet) -> Array:
     """Levi-Civita symbols ``Gamma^k_ij`` of the metric jet."""
     ginv = metric_inverse(jet.g)
     T = _christoffel_numerator(jet.dg)
-    return 0.5 * np.einsum("kl,ijl->kij", ginv, T)
+    return 0.5 * np.einsum("...kl,...ijl->...kij", ginv, T)
 
 
 def christoffel_derivative_from_jet(jet: MetricJet) -> Array:
@@ -196,10 +228,11 @@ def christoffel_derivative_from_jet(jet: MetricJet) -> Array:
     dg, d2g = jet.dg, jet.d2g
     T = _christoffel_numerator(dg)
     # dT[a, i, j, l] = d_a T[i, j, l]
-    dT = d2g + np.transpose(d2g, (0, 2, 1, 3)) - np.transpose(d2g, (0, 2, 3, 1))
-    dginv = -np.einsum("ma,kab,bs->kms", ginv, dg, ginv)  # dginv[k, m, s] = d_k g^{ms}
-    return 0.5 * (np.einsum("akl,ijl->akij", dginv, T)
-                  + np.einsum("kl,aijl->akij", ginv, dT))
+    dT = d2g + np.swapaxes(d2g, -3, -2) - np.moveaxis(d2g, -3, -1)
+    # dginv[k, m, s] = d_k g^{ms}
+    dginv = -np.einsum("...ma,...kab,...bs->...kms", ginv, dg, ginv)
+    return 0.5 * (np.einsum("...akl,...ijl->...akij", dginv, T)
+                  + np.einsum("...kl,...aijl->...akij", ginv, dT))
 
 
 def riemann_from_jet(jet: MetricJet) -> Array:
@@ -212,11 +245,11 @@ def riemann_from_jet(jet: MetricJet) -> Array:
     g = jet.g
     gamma = christoffel_from_jet(jet)
     dgamma = christoffel_derivative_from_jet(jet)
-    curv_op = (np.einsum("kmlj->mjkl", dgamma)
-               - np.einsum("lmkj->mjkl", dgamma)
-               + np.einsum("mks,slj->mjkl", gamma, gamma)
-               - np.einsum("mls,skj->mjkl", gamma, gamma))
-    return np.einsum("im,mjkl->ijkl", g, curv_op)
+    curv_op = (np.einsum("...kmlj->...mjkl", dgamma)
+               - np.einsum("...lmkj->...mjkl", dgamma)
+               + np.einsum("...mks,...slj->...mjkl", gamma, gamma)
+               - np.einsum("...mls,...skj->...mjkl", gamma, gamma))
+    return np.einsum("...im,...mjkl->...ijkl", g, curv_op)
 
 
 def ricci_from_jet(jet: MetricJet) -> tuple[Array, Array]:
@@ -228,7 +261,7 @@ def ricci_from_jet(jet: MetricJet) -> tuple[Array, Array]:
     """
     ginv = metric_inverse(jet.g)
     riem = riemann_from_jet(jet)
-    ric = np.einsum("ik,ijkl->jl", ginv, riem)
+    ric = np.einsum("...ik,...ijkl->...jl", ginv, riem)
     ric_op = ginv @ ric
     return ric, ric_op
 
@@ -247,23 +280,37 @@ def ricci_at(man: ChartManifold, p: ChartPoint) -> tuple[Array, Array]:
     return ricci_from_jet(man.jet(p))
 
 
-def sectional_from_data(riem: Array, g: Array, u: Array, v: Array) -> float:
-    """Sectional curvature of span(u, v) from precomputed tensors."""
-    uu = float(u @ g @ u)
-    vv = float(v @ g @ v)
-    uv = float(u @ g @ v)
+def quadratic_form(u: Array, g: Array, v: Array) -> Array:
+    """``u . g . v`` over leading axes, evaluated as the matrix product ``u @ g @ v``."""
+    return ((u[..., None, :] @ g) @ v[..., :, None])[..., 0, 0]
+
+
+def sectional_from_data(riem: Array, g: Array, u: Array,
+                        v: Array) -> np.ma.MaskedArray:
+    """Sectional curvatures of the planes span(u, v) from precomputed tensors.
+
+    Broadcasts over leading axes.  Pairs that span no plane (relative area
+    below :data:`PLANE_TOL`) come back masked; a NaN curvature stays
+    unmasked, so that it reaches every reduction over the result.
+    """
+    uu = quadratic_form(u, g, u)
+    vv = quadratic_form(v, g, v)
+    uv = quadratic_form(u, g, v)
     area2 = uu * vv - uv * uv
-    if area2 < PLANE_TOL * uu * vv or area2 <= 0.0:
-        raise DegeneratePlaneError("vectors span no plane")
-    num = float(np.einsum("ijkl,i,j,k,l->", riem, u, v, u, v))
-    return num / area2
+    degenerate = (area2 < PLANE_TOL * uu * vv) | (area2 <= 0.0)
+    num = np.einsum("...ijkl,...i,...j,...k,...l->...", riem, u, v, u, v)
+    return np.ma.masked_array(num / np.where(degenerate, 1.0, area2),
+                              mask=degenerate)
 
 
 def sectional_curvature(man: ChartManifold, p: ChartPoint,
                         u: Array, v: Array) -> float:
     jet = man.jet(p)
-    return sectional_from_data(riemann_from_jet(jet), jet.g, np.asarray(u, float),
-                               np.asarray(v, float))
+    sec = sectional_from_data(riemann_from_jet(jet), jet.g,
+                              np.asarray(u, float), np.asarray(v, float))
+    if sec.mask:
+        raise DegeneratePlaneError("vectors span no plane")
+    return float(sec)
 
 
 # ---------------------------------------------------------------------------
@@ -276,11 +323,13 @@ def sym_eigen(phi: Array, g: Array, tol: float = 1e-12,
 
     Solves ``phi v = lam g v`` for symmetric ``phi`` and positive definite
     ``g`` by congruence reduction (``g = L L^T``) followed by cyclic Jacobi
-    iteration on ``L^-1 phi L^-T``.  Dimensions here are tiny, so robustness
-    is preferred over speed.
+    iteration on ``L^-1 phi L^-T``.  Broadcasts over leading axes: each
+    ``(p, q)`` rotation is applied at once to every matrix of the stack that
+    has not converged and whose ``(p, q)`` entry is above the threshold.
 
-    Returns ``(vals, vecs)`` with ``vals`` ascending and ``vecs[:, i]`` the
-    eigenvector for ``vals[i]``; the basis satisfies ``v_i^T g v_j = delta_ij``.
+    Returns ``(vals, vecs)`` with ``vals`` ascending and ``vecs[..., :, i]``
+    the eigenvector for ``vals[..., i]``; the basis satisfies
+    ``v_i^T g v_j = delta_ij``.
     """
     phi = np.asarray(phi, dtype=float)
     g = np.asarray(g, dtype=float)
@@ -289,38 +338,55 @@ def sym_eigen(phi: Array, g: Array, tol: float = 1e-12,
     except np.linalg.LinAlgError as exc:
         raise DegenerateMetricError(
             f"metric not positive definite: {exc}") from exc
-    B = np.linalg.solve(L, np.linalg.solve(L, phi.T).T)
-    B = 0.5 * (B + B.T)
-    k = B.shape[0]
-    V = np.eye(k)
-    tol_eff = tol * max(1.0, float(np.linalg.norm(B)))
+    B = np.linalg.solve(L, np.swapaxes(
+        np.linalg.solve(L, np.swapaxes(phi, -1, -2)), -1, -2))
+    B = 0.5 * (B + np.swapaxes(B, -1, -2))
+    shape, k = B.shape[:-2], B.shape[-1]
+    B = B.reshape(-1, k, k)
+    V = np.broadcast_to(np.eye(k), B.shape).copy()
+    flat = B.reshape(-1, 1, k * k)
+    # Frobenius norm through the same dot product as np.linalg.norm
+    norm = np.sqrt((flat @ np.swapaxes(flat, -1, -2))[:, 0, 0])
+    tol_eff = tol * np.maximum(1.0, norm)
+    off_diag = ~np.eye(k, dtype=bool)
 
-    for _ in range(max_sweeps):
-        off = float(np.max(np.abs(B - np.diag(np.diag(B))))) if k > 1 else 0.0
-        if off <= tol_eff:
+    active = np.ones(len(B), dtype=bool)
+    for _ in range(max_sweeps if k > 1 else 0):
+        active &= np.abs(B[:, off_diag]).max(axis=-1) > tol_eff
+        if not active.any():
             break
         for p in range(k - 1):
             for q in range(p + 1, k):
-                apq = B[p, q]
-                if abs(apq) <= tol_eff:
-                    continue
-                tau = (B[q, q] - B[p, p]) / (2.0 * apq)
-                t = np.sign(tau) / (abs(tau) + np.hypot(1.0, tau)) if tau != 0.0 else 1.0
-                c = 1.0 / np.hypot(1.0, t)
-                s = t * c
-                # B <- J^T B J with J the rotation in the (p, q) plane
-                bp, bq = B[:, p].copy(), B[:, q].copy()
-                B[:, p] = c * bp - s * bq
-                B[:, q] = s * bp + c * bq
-                bp, bq = B[p, :].copy(), B[q, :].copy()
-                B[p, :] = c * bp - s * bq
-                B[q, :] = s * bp + c * bq
-                B[p, q] = B[q, p] = 0.0
-                vp, vq = V[:, p].copy(), V[:, q].copy()
-                V[:, p] = c * vp - s * vq
-                V[:, q] = s * vp + c * vq
+                rows = np.flatnonzero(active & (np.abs(B[:, p, q]) > tol_eff))
+                if rows.size:
+                    B[rows], V[rows] = _jacobi_rotation(B[rows], V[rows], p, q)
 
-    vals = np.diag(B).copy()
-    vecs = np.linalg.solve(L.T, V)
-    order = np.argsort(vals, kind="stable")
-    return vals[order], vecs[:, order]
+    vals = np.diagonal(B, axis1=-2, axis2=-1)
+    vecs = np.linalg.solve(np.swapaxes(L, -1, -2), V.reshape(*shape, k, k))
+    order = np.argsort(vals, axis=-1, kind="stable")
+    vals = np.take_along_axis(vals, order, axis=-1).reshape(*shape, k)
+    vecs = np.take_along_axis(vecs, order.reshape(*shape, 1, k), axis=-1)
+    return vals, vecs
+
+
+def _jacobi_rotation(B: Array, V: Array, p: int, q: int) -> tuple[Array, Array]:
+    """``B <- J^T B J`` and ``V <- V J`` with J the rotation that zeroes B[p, q]."""
+    apq = B[:, p, q]
+    tau = (B[:, q, q] - B[:, p, p]) / (2.0 * apq)
+    nonzero = tau != 0.0
+    t = np.ones_like(tau)
+    t[nonzero] = np.sign(tau[nonzero]) / (np.abs(tau[nonzero])
+                                          + np.hypot(1.0, tau[nonzero]))
+    c = (1.0 / np.hypot(1.0, t))[:, None]
+    s = t[:, None] * c
+    bp, bq = B[:, :, p].copy(), B[:, :, q].copy()
+    B[:, :, p] = c * bp - s * bq
+    B[:, :, q] = s * bp + c * bq
+    bp, bq = B[:, p, :].copy(), B[:, q, :].copy()
+    B[:, p, :] = c * bp - s * bq
+    B[:, q, :] = s * bp + c * bq
+    B[:, p, q] = B[:, q, p] = 0.0
+    vp, vq = V[:, :, p].copy(), V[:, :, q].copy()
+    V[:, :, p] = c * vp - s * vq
+    V[:, :, q] = s * vp + c * vq
+    return B, V

@@ -19,6 +19,7 @@ serialized as null.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 from dataclasses import dataclass, field, replace
@@ -63,14 +64,26 @@ class RunConfig:
     def validate(self) -> None:
         if self.grid is not None and any(r < 2 for r in self.grid):
             raise ValueError("grid resolution must be at least 2 per axis")
+        for name in ("h", "c", "sigma", "kappa_margin"):
+            value = getattr(self, name)
+            if value is not None and not _finite_number(value):
+                raise ValueError(f"{name} must be a finite number, got {value!r}")
         if self.h <= 0.0:
             raise ValueError("finite-difference step must be positive")
-        if any(v <= 0.0 for v in self.tolerances.values()):
-            raise ValueError("tolerances must be positive")
+        unknown = sorted(set(self.tolerances) - set(DEFAULT_TOLERANCES)
+                         - set(DEFAULT_IDENTITY_TOLERANCES))
+        if unknown:
+            raise ValueError(f"unknown tolerance names: {', '.join(unknown)}")
+        if not all(_finite_number(v) and v > 0.0 for v in self.tolerances.values()):
+            raise ValueError("tolerances must be positive finite numbers")
         if self.format not in ("json", "csv"):
             raise ValueError(f"unknown format {self.format!r}")
         if self.threads < 1:
             raise ValueError("threads must be at least 1")
+
+
+def _finite_number(value) -> bool:
+    return isinstance(value, (int, float)) and math.isfinite(value)
 
 
 def _parse_grid(text: str) -> tuple[int, ...]:
@@ -119,7 +132,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        metavar="NAME=VALUE", help="tolerance override (repeatable)")
         p.add_argument("--output", default=None)
         p.add_argument("--format", choices=["json", "csv"], default=None)
-        p.add_argument("--threads", type=int, default=None)
+        p.add_argument("--threads", type=int, default=None,
+                       help="accepted and echoed in the report; no effect")
     return parser
 
 
@@ -190,18 +204,15 @@ def _config_echo(cfg: RunConfig, scenario: scen.Scenario, box, shape,
 
 
 def _point_records(sweep) -> list[dict]:
-    records = []
-    for row in sweep.rows:
-        records.append({
-            "x": [float(v) for v in row.coords],
-            "lambda": [float(v) for v in row.lambdas],
-            "trace_s": row.trace_s,
-            "a_norm_sq": row.a_norm_sq,
-            "h_norm": row.h_norm,
-            "sec_m_min": row.sec_m_min,
-            "sec_n_max": row.sec_n_max,
-        })
-    return records
+    return [{
+        "x": [float(v) for v in sweep.coords[i]],
+        "lambda": [float(v) for v in sweep.lambdas[i]],
+        "trace_s": float(sweep.trace_s[i]),
+        "a_norm_sq": float(sweep.a_norm_sq[i]),
+        "h_norm": float(sweep.h_norm[i]),
+        "sec_m_min": float(sweep.sec_m_min[i]),
+        "sec_n_max": float(sweep.sec_n_max[i]) if sweep.has_sec_n[i] else None,
+    } for i in range(len(sweep))]
 
 
 def _identity_records(reports) -> list[dict]:
@@ -271,7 +282,7 @@ def cmd_report(cfg: RunConfig) -> int:
     sigma = cfg.sigma if cfg.sigma is not None else scenario.sigma
     t0 = time.monotonic()
 
-    sweep = sweep_geometry(scenario.f, grid, seed=cfg.seed, threads=cfg.threads)
+    sweep = sweep_geometry(scenario.f, grid, seed=cfg.seed)
     gate_tol = {k: v for k, v in cfg.tolerances.items() if k in DEFAULT_TOLERANCES}
     id_tol = {k: v for k, v in cfg.tolerances.items()
               if k in DEFAULT_IDENTITY_TOLERANCES}
@@ -323,7 +334,7 @@ def cmd_check_theorem(cfg: RunConfig) -> int:
     sigma = cfg.sigma if cfg.sigma is not None else scenario.sigma
     gate_tol = {k: v for k, v in cfg.tolerances.items() if k in DEFAULT_TOLERANCES}
 
-    sweep = sweep_geometry(scenario.f, grid, seed=cfg.seed, threads=cfg.threads)
+    sweep = sweep_geometry(scenario.f, grid, seed=cfg.seed)
     hyp = evaluate_hypotheses(scenario.f, sweep, sigma, cfg.kappa_margin, gate_tol)
     cls = classify(scenario.f, grid, sigma, cfg.kappa_margin, gate_tol,
                    seed=cfg.seed, sweep=sweep, hypotheses=hyp)

@@ -18,12 +18,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chart_manifold import ChartPoint, christoffel_from_jet
+from .chart_manifold import (
+    ChartPoint,
+    MetricJet,
+    christoffel_from_jet,
+    quadratic_form,
+)
 from .graph_map import (
     GraphFrameData,
+    GraphJets,
+    MapJet,
     SmoothMap,
     adapted_frames_at,
-    induced_metric_jet,
+    deficit_trace,
+    graph_jets,
+    induced_jet,
+    pullback_metric_jet,
+    verified_frame_block,
 )
 from .product_space import SplitVector
 
@@ -37,6 +48,11 @@ MINIMAL_TOL = 1e-6
 #: Default threshold on the second fundamental form for total geodesy.
 TOTALLY_GEODESIC_TOL = 1e-8
 
+#: Points per block of the grid engine.  Bounds the engine's working memory;
+#: larger blocks save little time once the per-block numpy calls are
+#: amortized.
+BLOCK_SIZE = 128
+
 
 @dataclass(frozen=True)
 class EmbeddingJet:
@@ -49,11 +65,12 @@ class EmbeddingJet:
 
 @dataclass(frozen=True)
 class ExtrinsicData:
-    """Second fundamental form data at one point.
+    """Second fundamental form data.
 
     ``a_frame_m`` / ``a_frame_n`` hold the factor components of
     ``A(e_i, e_j)`` in the adapted orthonormal frame (indices ``[i, j, :]``);
-    ``a_coord_m`` / ``a_coord_n`` the same in chart-basis slots.
+    ``a_coord_m`` / ``a_coord_n`` the same in chart-basis slots.  For a block
+    of points every field carries a leading block axis.
     """
 
     frames: GraphFrameData
@@ -62,9 +79,9 @@ class ExtrinsicData:
     a_coord_m: Array
     a_coord_n: Array
     mean_curvature: SplitVector
-    a_norm_sq: float
-    h_norm: float
-    tangency_residual: float
+    a_norm_sq: float | Array
+    h_norm: float | Array
+    tangency_residual: float | Array
 
     def a(self, i: int, j: int) -> SplitVector:
         return SplitVector(self.a_frame_m[i, j], self.a_frame_n[i, j])
@@ -74,6 +91,17 @@ class ExtrinsicData:
         return SplitVector(
             np.einsum("ijc,i,j->c", self.a_coord_m, u, v),
             np.einsum("ijc,i,j->c", self.a_coord_n, u, v))
+
+    def point(self, i: int) -> "ExtrinsicData":
+        """The data of point ``i`` of a block."""
+        H = self.mean_curvature
+        return ExtrinsicData(
+            frames=self.frames.point(i), a_frame_m=self.a_frame_m[i],
+            a_frame_n=self.a_frame_n[i], a_coord_m=self.a_coord_m[i],
+            a_coord_n=self.a_coord_n[i],
+            mean_curvature=SplitVector(H.m_part[i], H.n_part[i]),
+            a_norm_sq=float(self.a_norm_sq[i]), h_norm=float(self.h_norm[i]),
+            tangency_residual=float(self.tangency_residual[i]))
 
 
 def graph_embedding_jet(f: SmoothMap, p: ChartPoint) -> EmbeddingJet:
@@ -86,57 +114,108 @@ def graph_embedding_jet(f: SmoothMap, p: ChartPoint) -> EmbeddingJet:
     return EmbeddingJet(value, d1, d2)
 
 
-def second_fundamental_at(f: SmoothMap, p: ChartPoint,
-                          frames: GraphFrameData | None = None) -> ExtrinsicData:
-    """Second fundamental form, mean curvature and scalar invariants at ``p``."""
-    fjet = f.jet(p)
-    m, n = f.domain.dim, f.target.dim
-    image = ChartPoint(fjet.value)
+def second_fundamental_block(fjet: MapJet, gm_jet: MetricJet, gn_jet: MetricJet,
+                             induced: MetricJet,
+                             frames: GraphFrameData) -> ExtrinsicData:
+    """Second fundamental form, mean curvature and scalar invariants over a
+    block of points.
 
-    gm_jet = f.domain.jet(p)
-    gn_jet = f.target.jet(image)
+    ``induced`` is the (first-order) jet of the induced metric and
+    ``frames`` the adapted frames, both over the same block.
+    """
+    d1, d2 = fjet.d1, fjet.d2
     gamma_m = christoffel_from_jet(gm_jet)
     gamma_n = christoffel_from_jet(gn_jet)
-
-    induced = induced_metric_jet(f, p, order=1)
     gamma_g = christoffel_from_jet(induced)
 
     # Factor components of A in chart-basis slots.  The domain part carries
     # the connection difference; the target part is the map Hessian corrected
     # by the induced connection.
-    a_coord_m = np.einsum("kij->ijk", gamma_m - gamma_g)
-    a_coord_n = (np.einsum("aij->ija", fjet.d2)
-                 + np.einsum("abc,bi,cj->ija", gamma_n, fjet.d1, fjet.d1)
-                 - np.einsum("kij,ak->ija", gamma_g, fjet.d1))
+    a_coord_m = np.einsum("...kij->...ijk", gamma_m - gamma_g)
+    a_coord_n = (np.einsum("...aij->...ija", d2)
+                 + np.einsum("...abc,...bi,...cj->...ija", gamma_n, d1, d1)
+                 - np.einsum("...kij,...ak->...ija", gamma_g, d1))
 
-    if frames is None:
-        frames = adapted_frames_at(f, p)
+    # C order gives each point's slice the memory layout, and with it the
+    # summation order of the contractions below, of a single-point evaluation
     e = frames.e
-    a_frame_m = np.einsum("ijc,ip,jq->pqc", a_coord_m, e, e)
-    a_frame_n = np.einsum("ijc,ip,jq->pqc", a_coord_n, e, e)
+    a_frame_m = np.einsum("...ijc,...ip,...jq->...pqc", a_coord_m, e, e, order="C")
+    a_frame_n = np.einsum("...ijc,...ip,...jq->...pqc", a_coord_n, e, e, order="C")
 
-    H = SplitVector(np.einsum("iic->c", a_frame_m),
-                    np.einsum("iic->c", a_frame_n))
+    H = SplitVector(np.einsum("...iic->...c", a_frame_m),
+                    np.einsum("...iic->...c", a_frame_n))
 
     gm, gn = gm_jet.g, gn_jet.g
-    a_norm_sq = float(np.einsum("ijc,cd,ijd->", a_frame_m, gm, a_frame_m)
-                      + np.einsum("ijc,cd,ijd->", a_frame_n, gn, a_frame_n))
-    h_norm = float(np.sqrt(H.m_part @ gm @ H.m_part + H.n_part @ gn @ H.n_part))
+    a_norm_sq = (np.einsum("...ijc,...cd,...ijd->...", a_frame_m, gm, a_frame_m)
+                 + np.einsum("...ijc,...cd,...ijd->...", a_frame_n, gn, a_frame_n))
+    h_norm = np.sqrt(quadratic_form(H.m_part, gm, H.m_part)
+                     + quadratic_form(H.n_part, gn, H.n_part))
 
     # Gauss-formula diagnostic: A(e_i, e_j) must be product-orthogonal to
     # every tangent frame vector.
-    tang = 0.0
-    for k in range(m):
-        et = frames.e_tilde[k]
-        vals = (np.einsum("ijc,cd,d->ij", a_frame_m, gm, et.m_part)
-                + np.einsum("ijc,cd,d->ij", a_frame_n, gn, et.n_part))
-        tang = max(tang, float(np.abs(vals).max()))
+    m = gm.shape[-1]
+    E = frames.tangent
+    tang = np.max([np.abs(
+        np.einsum("...ijc,...cd,...d->...ij", a_frame_m, gm, E[..., :m, k])
+        + np.einsum("...ijc,...cd,...d->...ij", a_frame_n, gn, E[..., m:, k])
+    ).max(axis=(-2, -1)) for k in range(m)], axis=0)
 
     return ExtrinsicData(frames=frames, a_frame_m=a_frame_m,
                          a_frame_n=a_frame_n, a_coord_m=a_coord_m,
                          a_coord_n=a_coord_n, mean_curvature=H,
                          a_norm_sq=a_norm_sq, h_norm=h_norm,
                          tangency_residual=tang)
+
+
+def second_fundamental_at(f: SmoothMap, p: ChartPoint,
+                          frames: GraphFrameData | None = None) -> ExtrinsicData:
+    """Second fundamental form, mean curvature and scalar invariants at ``p``."""
+    jets = graph_jets(f, p.coords[None])
+    induced = induced_jet(jets.gm, pullback_metric_jet(jets.f, jets.gn, order=1))
+    if frames is None:
+        frames = adapted_frames_at(f, p)
+    return second_fundamental_block(jets.f, jets.gm, jets.gn, induced,
+                                    frames.block()).point(0)
+
+
+# ---------------------------------------------------------------------------
+# Grid engine: every pointwise quantity over blocks of points
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class GraphBlock:
+    """Pointwise graph geometry over a block of domain points.
+
+    Each point's map jet and its two metric jets are evaluated once; every
+    other field is computed from them for the whole block at a time.
+    """
+
+    jets: GraphJets
+    g: Array                # induced metric g_M + f*(g_N)
+    s: Array                # deficit tensor g_M - f*(g_N)
+    trace_s: Array          # tr_g s
+    frames: GraphFrameData  # verified adapted frames
+    ext: ExtrinsicData
+
+
+def graph_block(f: SmoothMap, coords: Array) -> GraphBlock:
+    """The graph geometry at the rows of ``coords`` (shape ``(B, m)``)."""
+    jets = graph_jets(f, coords)
+    pullback = pullback_metric_jet(jets.f, jets.gn, order=1)
+    induced = induced_jet(jets.gm, pullback)
+    P, gm = pullback[0], jets.gm.g
+    s = gm - P
+    frames = verified_frame_block(P, jets.f.d1, gm, jets.gn.g, induced.g,
+                                  jets.coords)
+    ext = second_fundamental_block(jets.f, jets.gm, jets.gn, induced, frames)
+    return GraphBlock(jets, induced.g, s, deficit_trace(induced.g, s), frames, ext)
+
+
+def graph_blocks(f: SmoothMap, coords: Array):
+    """Yield the :class:`GraphBlock` of each run of :data:`BLOCK_SIZE` rows
+    of ``coords``, in order."""
+    for start in range(0, len(coords), BLOCK_SIZE):
+        yield graph_block(f, coords[start:start + BLOCK_SIZE])
 
 
 @dataclass(frozen=True)
@@ -163,12 +242,10 @@ def minimality_report(f: SmoothMap, grid: list[ChartPoint],
     """Scan a grid and report minimality / total geodesy of the graph."""
     if not grid:
         raise ValueError("empty sample grid")
-    max_h = 0.0
-    max_a = 0.0
-    for p in grid:
-        ext = second_fundamental_at(f, p)
-        max_h = max(max_h, ext.h_norm)
-        max_a = max(max_a, np.sqrt(ext.a_norm_sq))
+    coords = np.array([p.coords for p in grid])
+    exts = [blk.ext for blk in graph_blocks(f, coords)]
+    max_h = float(np.max(np.concatenate([ext.h_norm for ext in exts])))
+    max_a = float(np.sqrt(np.max(np.concatenate([ext.a_norm_sq for ext in exts]))))
     return MinimalityReport(max_h_norm=max_h, max_a_norm=max_a,
                             minimal_tol=minimal_tol, geodesic_tol=geodesic_tol,
                             points_checked=len(grid))

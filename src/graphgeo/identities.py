@@ -25,12 +25,15 @@ from .chart_manifold import (
     sym_eigen,
 )
 from .errors import InvalidParameterError, PreconditionError
-from .extrinsic import MINIMAL_TOL, ExtrinsicData, second_fundamental_at
+from .extrinsic import MINIMAL_TOL, ExtrinsicData, graph_blocks, second_fundamental_at
 from .graph_map import (
     SmoothMap,
     adapted_frames_at,
+    deficit_trace,
+    frame_formula_residual,
     induced_metric_jet,
     pullback_metric_jet,
+    shift_deficit,
 )
 from .product_space import SplitVector
 
@@ -69,8 +72,12 @@ class PointData:
         return induced_metric_jet(self.f, self.p, order=2)
 
     @cached_property
+    def pullback(self) -> Array:
+        return pullback_metric_jet(self.fjet, self.gn_jet, order=0)[0]
+
+    @cached_property
     def g(self) -> Array:
-        return self.induced_jet.g
+        return self.gm_jet.g + self.pullback
 
     @cached_property
     def ginv(self) -> Array:
@@ -98,12 +105,11 @@ class PointData:
 
     @cached_property
     def s(self) -> Array:
-        P = np.einsum("ai,bj,ab->ij", self.fjet.d1, self.fjet.d1, self.gn_jet.g)
-        return self.gm_jet.g - P
+        return self.gm_jet.g - self.pullback
 
     @cached_property
     def trace_s(self) -> float:
-        return float(np.einsum("ij,ji->", self.ginv, self.s))
+        return float(deficit_trace(self.g, self.s))
 
     @property
     def m(self) -> int:
@@ -119,9 +125,7 @@ class PointData:
         return self.fjet.d1 @ self.frames.e
 
     def shifted_s(self, c: float) -> Array:
-        if c <= 0.0:
-            raise InvalidParameterError(f"shift parameter must be positive, got {c}")
-        return self.s - (1.0 - c) / (1.0 + c) * self.g
+        return shift_deficit(self.s, self.g, c)
 
     def shifted_s_jet(self, c: float) -> tuple[Array, Array]:
         """Value and exact first chart derivatives of the shifted tensor field."""
@@ -732,15 +736,17 @@ def extremum_derivative_probe(f: SmoothMap, grid: list[ChartPoint],
     if not grid:
         raise ValueError("empty probe grid")
     box = np.asarray(box, dtype=float)
-    datas = [PointData(f, p) for p in grid]
-    if max(d.ext.h_norm for d in datas) >= minimal_tol:
+    blocks = list(graph_blocks(f, np.array([p.coords for p in grid])))
+    if not np.max([np.max(blk.ext.h_norm) for blk in blocks]) < minimal_tol:
         raise PreconditionError("probe needs a minimal scenario")
 
     if c is None:
-        lam0_sq = max(float(d.frames.lambdas[-1] ** 2) for d in datas)
+        lam0_sq = float(np.max([np.max(blk.frames.lambdas[:, -1] ** 2)
+                                for blk in blocks]))
         c = lam0_sq if lam0_sq > 1e-12 else 1.0
 
-    top = np.array([sym_eigen(d.shifted_s(c), d.g)[0][-1] for d in datas])
+    top = np.concatenate([sym_eigen(shift_deficit(blk.s, blk.g, c), blk.g)[0][:, -1]
+                          for blk in blocks])
     best = float(top.max())
     near = np.nonzero(top >= best - 1e-12 * (1.0 + abs(best)))[0]
 
@@ -749,7 +755,7 @@ def extremum_derivative_probe(f: SmoothMap, grid: list[ChartPoint],
                                        box[:, 1] - p.coords)))
 
     idx = max(near, key=lambda i: boundary_distance(grid[i]))
-    d = datas[idx]
+    d = PointData(f, grid[idx])
     spacing = float(np.max((box[:, 1] - box[:, 0])
                            / (max(len(grid), 2) ** (1.0 / box.shape[0]))))
     if grad_tol is None:
@@ -894,9 +900,6 @@ def run_identity_suite(scenario, seed: int = 0, h: float = 1e-3,
     scenarios for the elliptic equation, dimensions other than two for the
     Jacobian identity) are reported as skipped, not failed.
     """
-    from .chart_manifold import sym_eigen as _sym_eigen
-    from .graph_map import frame_formula_residual
-
     tol = {**DEFAULT_IDENTITY_TOLERANCES, **(tolerances or {})}
     f = scenario.f
     sigma = scenario.sigma
@@ -906,17 +909,15 @@ def run_identity_suite(scenario, seed: int = 0, h: float = 1e-3,
     points = scenario.random_points(n_points, rng)
     datas = [PointData(f, p) for p in points]
 
-    res = max(frame_formula_residual(f, p, d.frames)
-              for p, d in zip(points, datas))
+    res = float(np.max([frame_formula_residual(f, p, d.frames)
+                        for p, d in zip(points, datas)]))
     reports.append(IdentityReport("frame-formulas", len(points), res,
                                   tol["frame"], {"seed": seed}))
 
-    res = 0.0
-    for d in datas:
-        vals, _ = _sym_eigen(d.s, d.g)
-        pred = np.sort((1.0 - d.frames.lambdas ** 2)
-                       / (1.0 + d.frames.lambdas ** 2))
-        res = max(res, float(np.abs(vals - pred).max()))
+    vals, _ = sym_eigen(np.array([d.s for d in datas]), np.array([d.g for d in datas]))
+    lam = np.array([d.frames.lambdas for d in datas])
+    pred = np.sort((1.0 - lam ** 2) / (1.0 + lam ** 2), axis=-1)
+    res = float(np.max(np.abs(vals - pred), initial=0.0))
     reports.append(IdentityReport("s-eigenvalue-formula", len(points), res,
                                   tol["s_eigenvalue"], {"seed": seed}))
 

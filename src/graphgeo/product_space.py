@@ -83,13 +83,13 @@ class ProductSpace:
 
     def metric_matrix(self, q: ProductPoint) -> Array:
         """Block-diagonal matrix of the product metric in split coordinates."""
-        return _block_diag(self.m_factor.jet(q.base).g,
-                           self.n_factor.jet(q.fiber).g)
+        return block_diag(self.m_factor.jet(q.base).g,
+                          self.n_factor.jet(q.fiber).g)
 
     def s_matrix(self, q: ProductPoint) -> Array:
         """Block-diagonal matrix diag(g_M, -g_N) of the split-signature form."""
-        return _block_diag(self.m_factor.jet(q.base).g,
-                           -self.n_factor.jet(q.fiber).g)
+        return block_diag(self.m_factor.jet(q.base).g,
+                          -self.n_factor.jet(q.fiber).g)
 
     def christoffel(self, q: ProductPoint) -> Array:
         """Product Christoffel symbols; mixed components are exactly zero."""
@@ -113,9 +113,10 @@ class ProductSpace:
         return float(val)
 
 
-def _block_diag(a: Array, b: Array) -> Array:
-    m, n = a.shape[0], b.shape[0]
-    out = np.zeros((m + n, m + n))
-    out[:m, :m] = a
-    out[m:, m:] = b
+def block_diag(a: Array, b: Array) -> Array:
+    """Block-diagonal matrix ``diag(a, b)``; broadcasts over leading axes."""
+    m, n = a.shape[-1], b.shape[-1]
+    out = np.zeros((*a.shape[:-2], m + n, m + n))
+    out[..., :m, :m] = a
+    out[..., m:, m:] = b
     return out

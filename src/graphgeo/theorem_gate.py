@@ -10,16 +10,14 @@ every verdict is box-local; no global claim is made.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chart_manifold import ChartPoint, sectional_from_data
-from .errors import DegeneratePlaneError
-from .extrinsic import MINIMAL_TOL
-from .graph_map import SmoothMap
-from .identities import PointData
+from .chart_manifold import ChartPoint, riemann_from_jet, sectional_from_data
+from .errors import DegeneratePlaneError, InvalidParameterError
+from .extrinsic import BLOCK_SIZE, MINIMAL_TOL, GraphBlock, graph_blocks
+from .graph_map import SmoothMap, graph_jets, induced_jet, pullback_metric_jet
 
 Array = np.ndarray
 
@@ -37,99 +35,113 @@ DEFAULT_TOLERANCES: dict[str, float] = {
 
 
 @dataclass(frozen=True)
-class PointGeometry:
-    """Measured graph geometry at one grid point."""
-
-    coords: Array
-    lambdas: Array
-    rank: int
-    trace_s: float
-    a_norm_sq: float
-    h_norm: float
-    sec_m_min: float
-    sec_m_max: float
-    sec_n_min: float | None
-    sec_n_max: float | None
-
-
-@dataclass(frozen=True)
 class GridSweep:
-    rows: tuple[PointGeometry, ...]
+    """Measured graph geometry over a sample grid, one column per quantity.
+
+    Row ``i`` of every column belongs to grid point ``i``.  ``sec_n_min`` /
+    ``sec_n_max`` are NaN where no target plane was sampled (the image of
+    the differential is less than two-dimensional there); ``has_sec_n``
+    marks the rows that hold target samples.
+    """
+
+    coords: Array       # (N, m)
+    lambdas: Array      # (N, m), ascending
+    rank: Array         # (N,)
+    trace_s: Array
+    a_norm_sq: Array
+    h_norm: Array
+    sec_m_min: Array
+    sec_m_max: Array
+    sec_n_min: Array
+    sec_n_max: Array
+    has_sec_n: Array
+
+    def __len__(self) -> int:
+        return len(self.trace_s)
 
     @property
     def lambda0_sq(self) -> float:
-        return max(float(r.lambdas[-1] ** 2) for r in self.rows)
+        return float(np.max(self.lambdas[:, -1] ** 2))
 
     @property
     def max_lambda(self) -> float:
-        return max(float(r.lambdas[-1]) for r in self.rows)
+        return float(np.max(self.lambdas[:, -1]))
 
     @property
     def max_h_norm(self) -> float:
-        return max(r.h_norm for r in self.rows)
+        return float(np.max(self.h_norm))
 
     @property
     def max_a_norm_sq(self) -> float:
-        return max(r.a_norm_sq for r in self.rows)
+        return float(np.max(self.a_norm_sq))
 
     @property
     def min_trace_s(self) -> float:
-        return min(r.trace_s for r in self.rows)
+        return float(np.min(self.trace_s))
 
 
-def _point_geometry(f: SmoothMap, p: ChartPoint, seed_seq: np.random.SeedSequence,
-                    planes: int) -> PointGeometry:
-    rng = np.random.default_rng(seed_seq)
-    d = PointData(f, p)
-    lam = d.frames.lambdas
-    m, n = d.m, d.n
-    gm = d.gm_jet.g
-    gn = d.gn_jet.g
+def _sectional_columns(blk: GraphBlock, planes_uv: Array) -> dict[str, Array]:
+    """Sectional curvature ranges of a block over its sampled planes.
 
-    sec_m_vals = []
-    sec_n_vals = []
-    for _ in range(planes):
-        u, v = rng.normal(size=m), rng.normal(size=m)
-        try:
-            sec_m_vals.append(sectional_from_data(d.riem_m, gm, u, v))
-        except DegeneratePlaneError:
-            continue
-        if n >= 2 and d.frames.rank >= 2:
-            du, dv = d.fjet.d1 @ u, d.fjet.d1 @ v
-            try:
-                sec_n_vals.append(sectional_from_data(d.riem_n, gn, du, dv))
-            except DegeneratePlaneError:
-                pass
+    ``planes_uv[b, k]`` holds the pair (u, v) of domain vectors of plane
+    ``k`` at point ``b``.  Target planes are the images ``(df u, df v)``,
+    sampled only where the domain plane is non-degenerate and the
+    differential has rank two or more.
+    """
+    jets = blk.jets
+    u, v = planes_uv[:, :, 0], planes_uv[:, :, 1]
+    sec_m = sectional_from_data(riemann_from_jet(jets.gm)[:, None],
+                                jets.gm.g[:, None], u, v)
+    no_plane = np.ma.getmaskarray(sec_m).all(axis=1)
+    if no_plane.any():
+        raise DegeneratePlaneError(
+            f"no sampled domain plane at {jets.coords[np.argmax(no_plane)]}")
 
-    return PointGeometry(
-        coords=p.coords,
-        lambdas=lam,
-        rank=d.frames.rank,
-        trace_s=d.trace_s,
-        a_norm_sq=d.ext.a_norm_sq,
-        h_norm=d.ext.h_norm,
-        sec_m_min=min(sec_m_vals),
-        sec_m_max=max(sec_m_vals),
-        sec_n_min=min(sec_n_vals) if sec_n_vals else None,
-        sec_n_max=max(sec_n_vals) if sec_n_vals else None,
-    )
+    n = jets.gn.g.shape[-1]
+    wanted = ~np.ma.getmaskarray(sec_m) & (blk.frames.rank >= 2)[:, None]
+    if n >= 2 and wanted.any():
+        d1 = jets.f.d1[:, None]
+        du, dv = (d1 @ u[..., None])[..., 0], (d1 @ v[..., None])[..., 0]
+        sec_n = sectional_from_data(riemann_from_jet(jets.gn)[:, None],
+                                    jets.gn.g[:, None], du, dv)
+        sec_n = np.ma.masked_array(sec_n.data,
+                                   mask=np.ma.getmaskarray(sec_n) | ~wanted)
+    else:
+        sec_n = np.ma.masked_all(u.shape[:2])
+    return {
+        "sec_m_min": sec_m.min(axis=1).filled(np.nan),
+        "sec_m_max": sec_m.max(axis=1).filled(np.nan),
+        "sec_n_min": sec_n.min(axis=1).filled(np.nan),
+        "sec_n_max": sec_n.max(axis=1).filled(np.nan),
+        "has_sec_n": ~np.ma.getmaskarray(sec_n).all(axis=1),
+    }
 
 
 def sweep_geometry(f: SmoothMap, grid: list[ChartPoint], seed: int = 0,
-                   planes: int = 4, threads: int = 1) -> GridSweep:
+                   planes: int = 4) -> GridSweep:
     """Measure the per-point geometry table over ``grid``.
 
-    Plane samples are drawn from per-point spawned seeds, so the result is
-    independent of evaluation order and of the thread count.
+    The grid is evaluated in blocks (see :func:`graph_blocks`).  Plane
+    samples are drawn from per-point spawned seeds, so the result does not
+    depend on how the grid is split into blocks.
     """
+    m = f.domain.dim
+    if m < 2:
+        raise InvalidParameterError("sectional curvature needs dim M >= 2")
+    coords = np.array([p.coords for p in grid], dtype=float).reshape(len(grid), m)
     seqs = np.random.SeedSequence(seed).spawn(len(grid))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(lambda args: _point_geometry(f, *args, planes),
-                                 zip(grid, seqs)))
-    else:
-        rows = [_point_geometry(f, p, s, planes) for p, s in zip(grid, seqs)]
-    return GridSweep(tuple(rows))
+    parts = []
+    for i, blk in enumerate(graph_blocks(f, coords)):
+        start = i * BLOCK_SIZE
+        planes_uv = np.stack([np.random.default_rng(seq).normal(size=(planes, 2, m))
+                              for seq in seqs[start:start + BLOCK_SIZE]])
+        parts.append({
+            "coords": blk.jets.coords, "lambdas": blk.frames.lambdas,
+            "rank": blk.frames.rank, "trace_s": blk.trace_s,
+            "a_norm_sq": blk.ext.a_norm_sq, "h_norm": blk.ext.h_norm,
+            **_sectional_columns(blk, planes_uv)})
+    return GridSweep(**{name: np.concatenate([part[name] for part in parts])
+                        for name in GridSweep.__dataclass_fields__})
 
 
 # ---------------------------------------------------------------------------
@@ -150,9 +162,9 @@ def curvature_pinching_check(sweep: GridSweep, sigma: float,
     Target planes are sampled inside the image of the differential; points
     where the image is less than two-dimensional contribute vacuously.
     """
-    dom = min(r.sec_m_min - sigma for r in sweep.rows)
-    tgt_vals = [sigma - r.sec_n_max for r in sweep.rows if r.sec_n_max is not None]
-    tgt = min(tgt_vals) if tgt_vals else None
+    dom = float(np.min(sweep.sec_m_min - sigma))
+    tgt = (float(np.min(sigma - sweep.sec_n_max[sweep.has_sec_n]))
+           if sweep.has_sec_n.any() else None)
     ok = dom >= -slack and (tgt is None or tgt >= -slack)
     return PinchingMargins(dom, tgt, ok)
 
@@ -162,15 +174,21 @@ def trace_condition_check(sweep: GridSweep) -> float:
     return sweep.min_trace_s
 
 
+def _kappa(sweep: GridSweep, margin: float) -> tuple[float, float]:
+    """``kappa^2 = max(1 + margin, (1 + margin) * lambda0^2)`` and its worst
+    pointwise slack over the squared top singular values."""
+    kappa_sq = float(np.maximum(1.0 + margin, (1.0 + margin) * sweep.lambda0_sq))
+    return kappa_sq, float(np.min(kappa_sq - sweep.lambdas[:, -1] ** 2))
+
+
 def kappa_estimate(sweep: GridSweep, margin: float = 0.01) -> float:
     """A valid strict bound ``kappa^2`` for the pullback metric.
 
     Returns ``max(1 + margin, (1 + margin) * lambda0^2)`` and re-verifies the
     strict pointwise inequality against the sweep.
     """
-    kappa_sq = max(1.0 + margin, (1.0 + margin) * sweep.lambda0_sq)
-    worst = min(kappa_sq - float(r.lambdas[-1] ** 2) for r in sweep.rows)
-    if worst < STRICT_MARGIN:
+    kappa_sq, worst = _kappa(sweep, margin)
+    if not worst >= STRICT_MARGIN:
         raise ValueError(
             f"kappa^2 = {kappa_sq} is not strictly above the pullback bound")
     return kappa_sq
@@ -186,7 +204,7 @@ def second_fundamental_bound_check(sweep: GridSweep, sigma: float,
     if kappa_sq <= 1.0:
         raise ValueError("the bound needs kappa^2 > 1")
     coeff = kappa_sq * sigma / (kappa_sq ** 2 - 1.0)
-    return min(coeff * r.trace_s - r.a_norm_sq for r in sweep.rows)
+    return float(np.min(coeff * sweep.trace_s - sweep.a_norm_sq))
 
 
 @dataclass(frozen=True)
@@ -208,8 +226,8 @@ def trace_rank_chain_check(f: SmoothMap, sweep: GridSweep) -> TraceChainReport:
     be strictly positive in that case.
     """
     m, n = f.domain.dim, f.target.dim
-    trace_margin = min(r.trace_s - (m - n - r.rank) for r in sweep.rows)
-    rank_margin = min(n - r.rank for r in sweep.rows)
+    trace_margin = float(np.min(sweep.trace_s - (m - n - sweep.rank)))
+    rank_margin = int(np.min(n - sweep.rank))
     dims_margin = m - 2 * n
     strict = sweep.min_trace_s > STRICT_MARGIN if dims_margin >= 0 else True
     ok = trace_margin > STRICT_MARGIN and rank_margin >= 0 and strict
@@ -253,8 +271,7 @@ def evaluate_hypotheses(f: SmoothMap, sweep: GridSweep, sigma: float,
 
     pinch = curvature_pinching_check(sweep, sigma, slack)
     trace_margin = trace_condition_check(sweep)
-    kappa_sq = max(1.0 + kappa_margin, (1.0 + kappa_margin) * sweep.lambda0_sq)
-    kappa_worst = min(kappa_sq - float(r.lambdas[-1] ** 2) for r in sweep.rows)
+    kappa_sq, kappa_worst = _kappa(sweep, kappa_margin)
     kappa_ok = kappa_sq > 1.0 + STRICT_MARGIN and kappa_worst >= STRICT_MARGIN
     cond4_margin = second_fundamental_bound_check(sweep, sigma, kappa_sq)
     h_max = sweep.max_h_norm
@@ -312,7 +329,7 @@ def classify(f: SmoothMap, grid: list[ChartPoint], sigma: float,
     if sweep.max_lambda < tol["classify_constant"]:
         return Classification("constant", {"max_lambda": sweep.max_lambda})
 
-    dev_one = max(float(np.abs(r.lambdas - 1.0).max()) for r in sweep.rows)
+    dev_one = float(np.max(np.abs(sweep.lambdas - 1.0)))
     max_a = float(np.sqrt(sweep.max_a_norm_sq))
     if dev_one < tol["classify_isometric"] and max_a < tol["classify_isometric"]:
         evidence: dict[str, object] = {
@@ -320,19 +337,18 @@ def classify(f: SmoothMap, grid: list[ChartPoint], sigma: float,
 
         # conclusion re-checks: induced metric doubles the domain metric,
         # and both curvature witnesses sit at the pinching level
-        factor_res = 0.0
-        for p in grid[:: max(1, len(grid) // 10)]:
-            d = PointData(f, p)
-            factor_res = max(factor_res, float(
-                np.abs(d.g - 2.0 * d.gm_jet.g).max()))
+        sample = grid[:: max(1, len(grid) // 10)]
+        jets = graph_jets(f, np.array([p.coords for p in sample]))
+        g = induced_jet(jets.gm, pullback_metric_jet(jets.f, jets.gn, order=0)).g
+        factor_res = float(np.max(np.abs(g - 2.0 * jets.gm.g)))
         evidence["induced_metric_factor_residual"] = factor_res
 
-        sec_m_dev = max(max(abs(r.sec_m_min - sigma), abs(r.sec_m_max - sigma))
-                        for r in sweep.rows)
-        sec_n_vals = [(r.sec_n_min, r.sec_n_max) for r in sweep.rows
-                      if r.sec_n_min is not None]
-        sec_n_dev = max((max(abs(lo - sigma), abs(hi - sigma))
-                         for lo, hi in sec_n_vals), default=0.0)
+        sec_m_dev = float(np.max(np.maximum(np.abs(sweep.sec_m_min - sigma),
+                                            np.abs(sweep.sec_m_max - sigma))))
+        has = sweep.has_sec_n
+        sec_n_dev = float(np.max(np.maximum(np.abs(sweep.sec_n_min[has] - sigma),
+                                            np.abs(sweep.sec_n_max[has] - sigma)),
+                                 initial=0.0))
         evidence["sec_m_witness_deviation"] = sec_m_dev
         evidence["sec_n_witness_deviation"] = sec_n_dev
 

@@ -229,10 +229,10 @@ def test_criterion_09_trace_chain(capsys):
     sweep = sweep_geometry(sc.f, sc.grid_points(), seed=SEED)
     chain = trace_rank_chain_check(sc.f, sweep)
     m, n = 3, 1
-    floor_margin = min(r.trace_s - (m - 2 * n) for r in sweep.rows)
+    floor_margin = float(np.min(sweep.trace_s - (m - 2 * n)))
     ok = chain.ok and floor_margin > 0.0 and chain.dims_margin == m - 2 * n
     announce(capsys, 9, ok,
-             f"trace chain holds at all {len(sweep.rows)} grid points; "
+             f"trace chain holds at all {len(sweep)} grid points; "
              f"margin over m-2n=1: {floor_margin:.3f}; margin over m-n-r: "
              f"{chain.min_trace_margin:.3f}")
 

@@ -107,8 +107,8 @@ def test_report_byte_determinism(tmp_path, capsys):
 
 
 def test_report_threads_do_not_change_results(tmp_path, capsys):
-    # results are reduced in grid order whatever the pool size; everything
-    # except the echoed thread count is byte-identical
+    # --threads is accepted and echoed but has no effect; everything except
+    # the echoed thread count is byte-identical
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     run(["report", "--scenario", "identity-s2", "--grid", "5x5",
          "--output", str(a), "--threads", "1"])
@@ -299,6 +299,28 @@ def test_bad_config_keys_rejected(tmp_path, capsys):
 def test_invalid_grid_rejected(capsys):
     assert run(["report", "--scenario", "identity-s2", "--grid", "1x1"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("extra", [
+    ["--h", "nan"], ["--h", "inf"], ["--c", "nan"], ["--c=-inf"],
+    ["--sigma", "nan"], ["--sigma", "inf"], ["--kappa-margin", "nan"],
+    ["--tol", "gate_slack=nan"], ["--tol", "elliptic=inf"],
+    ["--tol", "gate_slak=1e-3"],
+])
+@pytest.mark.parametrize("command", ["check-theorem", "verify-identities"])
+def test_non_finite_and_unknown_settings_rejected(command, extra, capsys):
+    code = run([command, "--scenario", "identity-s2", "--grid", "3x3", *extra])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith("error: ")
+
+
+def test_non_finite_config_value_rejected(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"scenario": "identity-s2", "sigma": NaN}')
+    assert run(["check-theorem", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 # ---------------------------------------------------------------------------

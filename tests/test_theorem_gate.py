@@ -124,7 +124,7 @@ def test_trace_chain_projection_scenario():
     assert chain.min_trace_margin > 0.0     # tr(s) > m - n - r everywhere
     assert chain.strict_positive
     # the chain bounds the trace below by m - 2n = 1 at every point
-    assert all(r.trace_s > 1.0 for r in sweep.rows)
+    assert np.all(sweep.trace_s > 1.0)
 
 
 def test_trace_chain_constant_map():
