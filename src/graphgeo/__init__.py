@@ -11,11 +11,11 @@ from .chart_manifold import (
     ChartManifold,
     ChartPoint,
     MetricJet,
-    christoffel_at,
+    christoffel_from_jet,
     constant_metric_chart,
-    ricci_at,
-    riemann_at,
-    sectional_curvature,
+    ricci_from_jet,
+    riemann_from_jet,
+    sectional_from_data,
     sphere_chart,
     sym_eigen,
 )
@@ -32,36 +32,28 @@ from .errors import (
 )
 from .extrinsic import (
     ExtrinsicData,
+    GraphBlock,
     MinimalityReport,
-    graph_embedding_jet,
+    adapted_frames_at,
+    graph_block,
     minimality_report,
     second_fundamental_at,
-)
-from .graph_map import (
-    GraphFrameData,
-    MapJet,
-    SmoothMap,
-    adapted_frames_at,
-    induced_manifold,
-    pullback_metric_at,
-    s_tensor_at,
-    shifted_s_at,
-    singular_values_at,
     trace_s_at,
 )
+from .graph_map import GraphFrameData, MapJet, SmoothMap
 from .identities import (
     IdentityReport,
     PointData,
-    curvature_decomposition_residual,
+    decomposition_sides,
     elliptic_equation_residual,
     log_jacobian_residual_2d,
     normal_estimate_check,
     null_eigenvector_probe,
+    point_rows,
     reaction_term_apply,
     run_identity_suite,
-    traced_decomposition_residual,
 )
-from .product_space import ProductPoint, ProductSpace, SplitVector
+from .product_space import SplitVector, product_metric
 from .scenarios import Scenario, get, jets_selftest, registry
 from .theorem_gate import (
     Classification,

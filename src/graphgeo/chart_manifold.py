@@ -23,11 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import (
-    DegenerateMetricError,
-    DegeneratePlaneError,
-    OutOfChartError,
-)
+from .errors import DegenerateMetricError, OutOfChartError
 
 Array = np.ndarray
 
@@ -61,13 +57,6 @@ class MetricJet:
     g: Array
     dg: Array
     d2g: Array
-
-    def validate(self, tol: float = 1e-12) -> None:
-        """Check the symmetry invariants; raises AssertionError on failure."""
-        assert np.allclose(self.g, self.g.T, atol=tol)
-        assert np.allclose(self.dg, np.swapaxes(self.dg, 1, 2), atol=tol)
-        assert np.allclose(self.d2g, np.swapaxes(self.d2g, 2, 3), atol=tol)
-        assert np.allclose(self.d2g, np.swapaxes(self.d2g, 0, 1), atol=tol)
 
 
 @dataclass(frozen=True)
@@ -119,25 +108,21 @@ class ChartManifold:
         return np.stack([lo + w, hi - w], axis=1)
 
     def jet(self, p) -> MetricJet:
-        """Metric jet at a point, or at every row of a coordinate block.
+        """Metric jet at every row of a coordinate block, or at a point.
 
-        ``p`` is a :class:`ChartPoint`, or an array of shape ``(B, dim)``
-        whose rows' jets are evaluated once each and come stacked on a
-        leading axis.  A point outside the chart box raises
-        :class:`OutOfChartError` (for a block: its first such row).
+        ``p`` is an array of shape ``(B, dim)``, whose rows' jets are
+        evaluated once each and come stacked on a leading axis, or a
+        :class:`ChartPoint`, evaluated as a block of one.  A point outside
+        the chart box raises :class:`OutOfChartError` (for a block: its
+        first such row).
         """
-        if isinstance(p, ChartPoint):
-            if not self.contains(p):
-                raise OutOfChartError(
-                    f"{self.name}: point {p.coords} outside chart box"
-                )
-            return self.metric_jet(p.coords)
-        coords = np.asarray(p, dtype=float)
+        coords = p.coords[None] if isinstance(p, ChartPoint) else np.asarray(p, dtype=float)
         outside = ~self.contains(coords)
         if outside.any():
             raise OutOfChartError(
                 f"{self.name}: point {coords[np.argmax(outside)]} outside chart box")
-        return stack_metric_jets([self.metric_jet(x) for x in coords])
+        jets = [self.metric_jet(x) for x in coords]
+        return jets[0] if isinstance(p, ChartPoint) else stack_metric_jets(jets)
 
 
 def stack_metric_jets(jets: list[MetricJet]) -> MetricJet:
@@ -266,20 +251,6 @@ def ricci_from_jet(jet: MetricJet) -> tuple[Array, Array]:
     return ric, ric_op
 
 
-# Point-level wrappers matching the operation map.
-
-def christoffel_at(man: ChartManifold, p: ChartPoint) -> Array:
-    return christoffel_from_jet(man.jet(p))
-
-
-def riemann_at(man: ChartManifold, p: ChartPoint) -> Array:
-    return riemann_from_jet(man.jet(p))
-
-
-def ricci_at(man: ChartManifold, p: ChartPoint) -> tuple[Array, Array]:
-    return ricci_from_jet(man.jet(p))
-
-
 def quadratic_form(u: Array, g: Array, v: Array) -> Array:
     """``u . g . v`` over leading axes, evaluated as the matrix product ``u @ g @ v``."""
     return ((u[..., None, :] @ g) @ v[..., :, None])[..., 0, 0]
@@ -301,16 +272,6 @@ def sectional_from_data(riem: Array, g: Array, u: Array,
     num = np.einsum("...ijkl,...i,...j,...k,...l->...", riem, u, v, u, v)
     return np.ma.masked_array(num / np.where(degenerate, 1.0, area2),
                               mask=degenerate)
-
-
-def sectional_curvature(man: ChartManifold, p: ChartPoint,
-                        u: Array, v: Array) -> float:
-    jet = man.jet(p)
-    sec = sectional_from_data(riemann_from_jet(jet), jet.g,
-                              np.asarray(u, float), np.asarray(v, float))
-    if sec.mask:
-        raise DegeneratePlaneError("vectors span no plane")
-    return float(sec)
 
 
 # ---------------------------------------------------------------------------

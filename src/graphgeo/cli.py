@@ -19,6 +19,7 @@ serialized as null.
 from __future__ import annotations
 
 import argparse
+import json
 import math
 import sys
 import time
@@ -62,28 +63,53 @@ class RunConfig:
     match: str | None = None
 
     def validate(self) -> None:
-        if self.grid is not None and any(r < 2 for r in self.grid):
+        for name in ("scenario", "output", "format", "match"):
+            value = getattr(self, name)
+            if value is not None and not isinstance(value, str):
+                raise ValueError(f"{name} must be a string, got {value!r}")
+        if not (_integer(self.seed) and self.seed >= 0):
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
+        if not (_integer(self.threads) and self.threads >= 1):
+            raise ValueError(f"threads must be an integer of at least 1, got {self.threads!r}")
+        if self.grid is not None and not (
+                isinstance(self.grid, (list, tuple)) and self.grid
+                and all(_integer(r) and r >= 2 for r in self.grid)):
             raise ValueError("grid resolution must be at least 2 per axis")
+        if self.box is not None and not (
+                isinstance(self.box, list) and self.box and all(
+                    isinstance(b, list) and len(b) == 2
+                    and all(_finite_number(v) for v in b) and b[0] < b[1]
+                    for b in self.box)):
+            raise ValueError("box must be a list of [low, high] pairs with low < high")
         for name in ("h", "c", "sigma", "kappa_margin"):
             value = getattr(self, name)
             if value is not None and not _finite_number(value):
                 raise ValueError(f"{name} must be a finite number, got {value!r}")
         if self.h <= 0.0:
             raise ValueError("finite-difference step must be positive")
+        if not isinstance(self.tolerances, dict):
+            raise ValueError("tolerances must be a mapping of names to values")
         unknown = sorted(set(self.tolerances) - set(DEFAULT_TOLERANCES)
                          - set(DEFAULT_IDENTITY_TOLERANCES))
         if unknown:
-            raise ValueError(f"unknown tolerance names: {', '.join(unknown)}")
+            raise ValueError(f"unknown tolerance names: {', '.join(map(repr, unknown))}")
         if not all(_finite_number(v) and v > 0.0 for v in self.tolerances.values()):
             raise ValueError("tolerances must be positive finite numbers")
         if self.format not in ("json", "csv"):
             raise ValueError(f"unknown format {self.format!r}")
-        if self.threads < 1:
-            raise ValueError("threads must be at least 1")
+
+
+def _integer(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _finite_number(value) -> bool:
-    return isinstance(value, (int, float)) and math.isfinite(value)
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:       # an int beyond the float range
+        return False
 
 
 def _parse_grid(text: str) -> tuple[int, ...]:
@@ -140,15 +166,15 @@ def _build_parser() -> argparse.ArgumentParser:
 def _load_config(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig()
     if getattr(args, "config", None):
-        raw = Path(args.config).read_text(encoding="utf-8")
-        import json as _json
-        data = _json.loads(raw)
-        known = set(RunConfig.__dataclass_fields__)
-        unknown = set(data) - known
+        try:
+            data = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        except OSError as exc:
+            raise ValueError(f"cannot read config file: {exc}") from exc
+        if not isinstance(data, dict):
+            raise ValueError("config file must hold a JSON object")
+        unknown = set(data) - set(RunConfig.__dataclass_fields__)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        if "grid" in data and data["grid"] is not None:
-            data["grid"] = tuple(data["grid"])
         cfg = replace(cfg, **data)
     # command line wins over the config file
     overrides = {}
@@ -176,9 +202,10 @@ def _grid_points(scenario: scen.Scenario, cfg: RunConfig):
     box = np.asarray(cfg.box, dtype=float) if cfg.box is not None \
         else scenario.sample_box
     shape = cfg.grid or scenario.grid_shape
-    if len(shape) != scenario.domain.dim:
-        raise ValueError(
-            f"grid has {len(shape)} axes, scenario needs {scenario.domain.dim}")
+    for name, axes in (("grid", len(shape)), ("box", len(box))):
+        if axes != scenario.domain.dim:
+            raise ValueError(
+                f"{name} has {axes} axes, scenario needs {scenario.domain.dim}")
     margin_box = scenario.domain.sample_box()
     if np.any(box[:, 0] < margin_box[:, 0]) or np.any(box[:, 1] > margin_box[:, 1]):
         raise OutOfChartError(

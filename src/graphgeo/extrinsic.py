@@ -6,30 +6,34 @@ Its second fundamental tensor is computed in product-chart components,
     A(d_i, d_j)^C = d_i d_j F^C + Gamma^C_AB d_i F^A d_j F^B
                     - Gamma^k_ij(g) d_k F^C,
 
-with the block product Christoffels and the Christoffels of the induced
-metric, then contracted with the adapted orthonormal frame.  No normal
-projection is applied; the tangential residual is reported as a diagnostic,
-since for a correct computation it must vanish identically.
+with the Christoffels of both factors (the product's Christoffels are
+their block sum) and of the induced metric, then contracted with the
+adapted orthonormal frame.  No normal projection is applied; the tangential
+residual is reported as a diagnostic, since for a correct computation it
+must vanish identically.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .chart_manifold import (
     ChartPoint,
     MetricJet,
+    christoffel_derivative_from_jet,
     christoffel_from_jet,
+    metric_inverse,
     quadratic_form,
+    ricci_from_jet,
+    riemann_from_jet,
 )
 from .graph_map import (
     GraphFrameData,
     GraphJets,
-    MapJet,
     SmoothMap,
-    adapted_frames_at,
     deficit_trace,
     graph_jets,
     induced_jet,
@@ -52,15 +56,6 @@ TOTALLY_GEODESIC_TOL = 1e-8
 #: larger blocks save little time once the per-block numpy calls are
 #: amortized.
 BLOCK_SIZE = 128
-
-
-@dataclass(frozen=True)
-class EmbeddingJet:
-    """Jet of the graph embedding in product-chart components."""
-
-    value: Array   # (m + n,)
-    d1: Array      # (m + n, m): identity block over d_i f^a
-    d2: Array      # (m + n, m, m): zero block over d_i d_j f^a
 
 
 @dataclass(frozen=True)
@@ -104,29 +99,14 @@ class ExtrinsicData:
             tangency_residual=float(self.tangency_residual[i]))
 
 
-def graph_embedding_jet(f: SmoothMap, p: ChartPoint) -> EmbeddingJet:
-    """Value, differential and Hessian of x -> (x, f(x)) in chart slots."""
-    jet = f.jet(p)
-    m, n = f.domain.dim, f.target.dim
-    value = np.concatenate([p.coords, jet.value])
-    d1 = np.vstack([np.eye(m), jet.d1])
-    d2 = np.concatenate([np.zeros((m, m, m)), jet.d2], axis=0)
-    return EmbeddingJet(value, d1, d2)
-
-
-def second_fundamental_block(fjet: MapJet, gm_jet: MetricJet, gn_jet: MetricJet,
-                             induced: MetricJet,
-                             frames: GraphFrameData) -> ExtrinsicData:
+def second_fundamental_block(blk: "GraphBlock") -> ExtrinsicData:
     """Second fundamental form, mean curvature and scalar invariants over a
-    block of points.
-
-    ``induced`` is the (first-order) jet of the induced metric and
-    ``frames`` the adapted frames, both over the same block.
-    """
+    block of points, from its jets, induced Christoffels and adapted frames."""
+    fjet, gm_jet, gn_jet, frames = blk.jets.f, blk.jets.gm, blk.jets.gn, blk.frames
     d1, d2 = fjet.d1, fjet.d2
     gamma_m = christoffel_from_jet(gm_jet)
     gamma_n = christoffel_from_jet(gn_jet)
-    gamma_g = christoffel_from_jet(induced)
+    gamma_g = blk.gamma_g
 
     # Factor components of A in chart-basis slots.  The domain part carries
     # the connection difference; the target part is the map Hessian corrected
@@ -167,17 +147,6 @@ def second_fundamental_block(fjet: MapJet, gm_jet: MetricJet, gn_jet: MetricJet,
                          tangency_residual=tang)
 
 
-def second_fundamental_at(f: SmoothMap, p: ChartPoint,
-                          frames: GraphFrameData | None = None) -> ExtrinsicData:
-    """Second fundamental form, mean curvature and scalar invariants at ``p``."""
-    jets = graph_jets(f, p.coords[None])
-    induced = induced_jet(jets.gm, pullback_metric_jet(jets.f, jets.gn, order=1))
-    if frames is None:
-        frames = adapted_frames_at(f, p)
-    return second_fundamental_block(jets.f, jets.gm, jets.gn, induced,
-                                    frames.block()).point(0)
-
-
 # ---------------------------------------------------------------------------
 # Grid engine: every pointwise quantity over blocks of points
 # ---------------------------------------------------------------------------
@@ -186,29 +155,96 @@ def second_fundamental_at(f: SmoothMap, p: ChartPoint,
 class GraphBlock:
     """Pointwise graph geometry over a block of domain points.
 
-    Each point's map jet and its two metric jets are evaluated once; every
-    other field is computed from them for the whole block at a time.
+    ``jets`` holds each point's map jet and its two metric jets, evaluated
+    once by :func:`graph_block`.  Every other field is computed from them on
+    first use, for the whole block at a time, and kept.
     """
 
+    f: SmoothMap
     jets: GraphJets
-    g: Array                # induced metric g_M + f*(g_N)
-    s: Array                # deficit tensor g_M - f*(g_N)
-    trace_s: Array          # tr_g s
-    frames: GraphFrameData  # verified adapted frames
-    ext: ExtrinsicData
+
+    @cached_property
+    def pullback(self) -> tuple:
+        """Pullback metric ``f*(g_N)`` with its first chart derivatives."""
+        return pullback_metric_jet(self.jets.f, self.jets.gn, order=1)
+
+    @cached_property
+    def induced(self) -> MetricJet:
+        """First-order jet of the induced metric ``g = g_M + f*(g_N)``."""
+        return induced_jet(self.jets.gm, self.pullback)
+
+    @cached_property
+    def induced2(self) -> MetricJet:
+        """Second-order jet of the induced metric; needs order-3 map jets."""
+        return induced_jet(self.jets.gm,
+                           pullback_metric_jet(self.jets.f, self.jets.gn, order=2))
+
+    @property
+    def g(self) -> Array:
+        return self.induced.g
+
+    @cached_property
+    def s(self) -> Array:
+        """The deficit tensor ``g_M - f*(g_N)``."""
+        return self.jets.gm.g - self.pullback[0]
+
+    @cached_property
+    def trace_s(self) -> Array:
+        return deficit_trace(self.g, self.s)
+
+    @cached_property
+    def ginv(self) -> Array:
+        return metric_inverse(self.g)
+
+    @cached_property
+    def gamma_g(self) -> Array:
+        return christoffel_from_jet(self.induced)
+
+    @cached_property
+    def dgamma_g(self) -> Array:
+        return christoffel_derivative_from_jet(self.induced2)
+
+    @cached_property
+    def riem_m(self) -> Array:
+        return riemann_from_jet(self.jets.gm)
+
+    @cached_property
+    def riem_n(self) -> Array:
+        return riemann_from_jet(self.jets.gn)
+
+    @cached_property
+    def ric_m(self) -> Array:
+        return ricci_from_jet(self.jets.gm)[0]
+
+    @cached_property
+    def ric_g_op(self) -> Array:
+        """Ricci operator of the induced metric."""
+        return ricci_from_jet(self.induced2)[1]
+
+    @cached_property
+    def frames(self) -> GraphFrameData:
+        """Adapted frames, verified (see :func:`verified_frame_block`)."""
+        jets = self.jets
+        return verified_frame_block(self.pullback[0], jets.f.d1, jets.gm.g,
+                                    jets.gn.g, self.g, jets.coords)
+
+    @cached_property
+    def ext(self) -> ExtrinsicData:
+        return second_fundamental_block(self)
+
+    def shifted_jet(self, c: float) -> tuple[Array, Array]:
+        """The shifted tensor ``s - ((1-c)/(1+c)) g``, written as
+        ``(1-nu) g_M - (1+nu) f*(g_N)`` with ``nu = (1-c)/(1+c)``, and its
+        exact first chart derivatives."""
+        nu = (1.0 - c) / (1.0 + c)
+        P, dP, _ = self.pullback
+        gm = self.jets.gm
+        return (1.0 - nu) * gm.g - (1.0 + nu) * P, (1.0 - nu) * gm.dg - (1.0 + nu) * dP
 
 
 def graph_block(f: SmoothMap, coords: Array) -> GraphBlock:
     """The graph geometry at the rows of ``coords`` (shape ``(B, m)``)."""
-    jets = graph_jets(f, coords)
-    pullback = pullback_metric_jet(jets.f, jets.gn, order=1)
-    induced = induced_jet(jets.gm, pullback)
-    P, gm = pullback[0], jets.gm.g
-    s = gm - P
-    frames = verified_frame_block(P, jets.f.d1, gm, jets.gn.g, induced.g,
-                                  jets.coords)
-    ext = second_fundamental_block(jets.f, jets.gm, jets.gn, induced, frames)
-    return GraphBlock(jets, induced.g, s, deficit_trace(induced.g, s), frames, ext)
+    return GraphBlock(f, graph_jets(f, coords))
 
 
 def graph_blocks(f: SmoothMap, coords: Array):
@@ -216,6 +252,33 @@ def graph_blocks(f: SmoothMap, coords: Array):
     of ``coords``, in order."""
     for start in range(0, len(coords), BLOCK_SIZE):
         yield graph_block(f, coords[start:start + BLOCK_SIZE])
+
+
+# ---------------------------------------------------------------------------
+# Point-level results: blocks of one
+# ---------------------------------------------------------------------------
+
+def adapted_frames_at(f: SmoothMap, p: ChartPoint) -> GraphFrameData:
+    """Complete adapted frames of the graph at ``p`` (see
+    :func:`~graphgeo.graph_map.frame_block`), verified against the
+    evaluation identities of the split-signature form; a residual above
+    :data:`~graphgeo.graph_map.FRAME_VERIFY_TOL`, or a NaN, raises
+    :class:`FrameConstructionError`."""
+    return graph_block(f, p.coords[None]).frames.point(0)
+
+
+def trace_s_at(f: SmoothMap, p: ChartPoint) -> float:
+    """Trace of the deficit tensor with respect to the induced metric.
+
+    Equals ``sum_i (1 - lambda_i^2) / (1 + lambda_i^2)`` over the singular
+    values.
+    """
+    return float(graph_block(f, p.coords[None]).trace_s[0])
+
+
+def second_fundamental_at(f: SmoothMap, p: ChartPoint) -> ExtrinsicData:
+    """Second fundamental form, mean curvature and scalar invariants at ``p``."""
+    return graph_block(f, p.coords[None]).ext.point(0)
 
 
 @dataclass(frozen=True)

@@ -10,8 +10,7 @@ Map jet layout: ``value[a]``, ``d1[a, i] = d_i f^a``, ``d2[a, i, j]``,
 ``d3[a, i, j, k]``, symmetric in all derivative indices.
 
 The formulas work on blocks of points: array arguments carry a leading
-block axis, and the point-level functions (``adapted_frames_at`` and the
-like) run them on a block of one.
+block axis.
 """
 
 from __future__ import annotations
@@ -36,7 +35,7 @@ from .errors import (
     InvalidParameterError,
     OutOfChartError,
 )
-from .product_space import ProductPoint, ProductSpace, SplitVector, block_diag
+from .product_space import SplitVector, block_diag
 
 Array = np.ndarray
 
@@ -44,7 +43,7 @@ Array = np.ndarray
 #: times ``(1 + lambda_max)``.
 RANK_TOL = 1e-8
 
-#: Default tolerance for the internal verification of adapted frames.
+#: Tolerance for the internal verification of adapted frames.
 FRAME_VERIFY_TOL = 1e-8
 
 
@@ -73,25 +72,16 @@ class SmoothMap:
     name: str = "map"
 
     def jet(self, p) -> MapJet:
-        """Map jet at a point, or at every row of a coordinate block.
+        """Map jet at every row of a coordinate block, or at a point.
 
-        ``p`` is a :class:`ChartPoint`, or an array of shape ``(B, m)`` whose
-        rows' jets are evaluated once each and come stacked on a leading
-        axis.  The chart boxes of a block are checked for the whole block at
-        once; the :class:`OutOfChartError` names the first offending point
-        in block order, as a point-by-point evaluation would.
+        ``p`` is an array of shape ``(B, m)``, whose rows' jets are evaluated
+        once each and come stacked on a leading axis, or a
+        :class:`ChartPoint`, evaluated as a block of one.  The chart boxes
+        are checked for the whole block at once; the :class:`OutOfChartError`
+        names the first offending point in block order, as a point-by-point
+        evaluation would.
         """
-        if isinstance(p, ChartPoint):
-            if not self.domain.contains(p):
-                raise OutOfChartError(
-                    f"{self.name}: point {p.coords} outside domain chart")
-            jet = self.jet_fn(p.coords)
-            image = ChartPoint(jet.value)
-            if not self.target.contains(image):
-                raise OutOfChartError(
-                    f"{self.name}: image {jet.value} outside target chart")
-            return jet
-        coords = np.asarray(p, dtype=float)
+        coords = p.coords[None] if isinstance(p, ChartPoint) else np.asarray(p, dtype=float)
         inside = self.domain.contains(coords)
         n_inside = len(coords) if inside.all() else int(np.argmin(inside))
         jets = [self.jet_fn(x) for x in coords[:n_inside]]
@@ -104,16 +94,7 @@ class SmoothMap:
         if n_inside < len(coords):
             raise OutOfChartError(
                 f"{self.name}: point {coords[n_inside]} outside domain chart")
-        return stack_map_jets(jets)
-
-    def image_point(self, p: ChartPoint) -> ChartPoint:
-        return ChartPoint(self.jet(p).value)
-
-    def product_space(self) -> ProductSpace:
-        return ProductSpace(self.domain, self.target)
-
-    def product_point(self, p: ChartPoint) -> ProductPoint:
-        return ProductPoint(p, self.image_point(p))
+        return jets[0] if isinstance(p, ChartPoint) else stack_map_jets(jets)
 
 
 @dataclass(frozen=True)
@@ -167,12 +148,6 @@ class GraphFrameData:
                               self.beta[i], self.e[i], self.tangent[i],
                               self.normal[i])
 
-    def block(self) -> "GraphFrameData":
-        """The frames of one point as a block of one."""
-        return GraphFrameData(self.lambdas[None], np.array([self.rank]),
-                              self.alpha[None], self.beta[None], self.e[None],
-                              self.tangent[None], self.normal[None])
-
 
 def _split_columns(cols: Array, m: int) -> tuple[SplitVector, ...]:
     return tuple(SplitVector(cols[:m, i], cols[m:, i]) for i in range(cols.shape[-1]))
@@ -181,13 +156,6 @@ def _split_columns(cols: Array, m: int) -> tuple[SplitVector, ...]:
 # ---------------------------------------------------------------------------
 # Pullback metric and its exact derivatives
 # ---------------------------------------------------------------------------
-
-def pullback_metric_at(f: SmoothMap, p: ChartPoint) -> Array:
-    """Components of the pullback of the target metric, ``d_i f^a d_j f^b h_ab``."""
-    jet = f.jet(p)
-    hjet = f.target.jet(ChartPoint(jet.value))
-    return pullback_metric_jet(jet, hjet, order=0)[0]
-
 
 def pullback_metric_jet(fjet: MapJet, hjet: MetricJet,
                         order: int = 2) -> tuple[Array, Array | None, Array | None]:
@@ -234,23 +202,6 @@ def induced_jet(gm: MetricJet, pullback: tuple) -> MetricJet:
     return MetricJet(gm.g + P,
                      gm.dg + dP if dP is not None else None,
                      gm.d2g + d2P if d2P is not None else None)
-
-
-def induced_metric_jet(f: SmoothMap, p: ChartPoint, order: int = 2) -> MetricJet:
-    """Jet of the graph-induced metric ``g_M + f*(g_N)`` at ``p``."""
-    fjet = f.jet(p)
-    hjet = f.target.jet(ChartPoint(fjet.value))
-    return induced_jet(f.domain.jet(p), pullback_metric_jet(fjet, hjet, order=order))
-
-
-def induced_manifold(f: SmoothMap) -> ChartManifold:
-    """The domain manifold re-equipped with the graph-induced metric."""
-
-    def jet(x: Array) -> MetricJet:
-        return induced_metric_jet(f, ChartPoint(x), order=2)
-
-    return ChartManifold(f.domain.dim, jet, f.domain.chart_box,
-                         name=f"graph({f.name})", margin=f.domain.margin)
 
 
 # ---------------------------------------------------------------------------
@@ -318,22 +269,7 @@ def _target_frames(d1: Array, alpha: Array, lam: Array, rank: Array,
     return beta
 
 
-def _singular_values(P: Array, d1: Array, gm: Array, h: Array,
-                     rank_tol: float) -> tuple[Array, Array, Array, Array]:
-    """``(lambdas, rank, alpha, beta)`` of a block from its pullback metric ``P``."""
-    m, n = gm.shape[-1], h.shape[-1]
-    mu, alpha = sym_eigen(P, gm)
-    lam = np.sqrt(np.maximum(mu, 0.0))
-    cut = rank_tol * (1.0 + lam[:, -1])
-    rank = np.sum(lam > cut[:, None], axis=-1)
-    if np.any(rank > min(m, n)):
-        raise FrameConstructionError(
-            f"rank {rank.max()} exceeds min(dim M, dim N) = {min(m, n)}")
-    return lam, rank, alpha, _target_frames(d1, alpha, lam, rank, h)
-
-
-def frame_block(P: Array, d1: Array, gm: Array, h: Array,
-                rank_tol: float = RANK_TOL) -> GraphFrameData:
+def frame_block(P: Array, d1: Array, gm: Array, h: Array) -> GraphFrameData:
     """Adapted frames of the graph over a block of points.
 
     Builds, from the singular value decomposition, the orthonormal frames
@@ -344,9 +280,18 @@ def frame_block(P: Array, d1: Array, gm: Array, h: Array,
     * ``xi_i = beta_i`` or
       ``(-lambda_{i+m-n} alpha_{i+m-n} (+) beta_i) / sqrt(1+lambda_{i+m-n}^2)``
       (graph normal space, product metric).
+
+    ``P`` is the pullback metric of the block; ``lambda_i^2`` are its
+    eigenvalues relative to ``g_M``.
     """
-    lam, rank, alpha, beta = _singular_values(P, d1, gm, h, rank_tol)
-    size, m, n = len(lam), gm.shape[-1], h.shape[-1]
+    size, m, n = len(P), gm.shape[-1], h.shape[-1]
+    mu, alpha = sym_eigen(P, gm)
+    lam = np.sqrt(np.maximum(mu, 0.0))
+    rank = np.sum(lam > (RANK_TOL * (1.0 + lam[:, -1]))[:, None], axis=-1)
+    if np.any(rank > min(m, n)):
+        raise FrameConstructionError(
+            f"rank {rank.max()} exceeds min(dim M, dim N) = {min(m, n)}")
+    beta = _target_frames(d1, alpha, lam, rank, h)
     scale = 1.0 / np.sqrt(1.0 + lam ** 2)
     e = alpha * scale[:, None, :]
 
@@ -404,67 +349,18 @@ def frame_residual_block(frames: GraphFrameData, gm: Array, h: Array,
 
 
 def verified_frame_block(P: Array, d1: Array, gm: Array, h: Array, g: Array,
-                         coords: Array, verify_tol: float = FRAME_VERIFY_TOL,
-                         rank_tol: float = RANK_TOL) -> GraphFrameData:
+                         coords: Array) -> GraphFrameData:
     """:func:`frame_block`, raising :class:`FrameConstructionError` at the
-    first point whose frame residual is not within ``verify_tol``."""
-    frames = frame_block(P, d1, gm, h, rank_tol)
+    first point whose frame residual is not within :data:`FRAME_VERIFY_TOL`."""
+    frames = frame_block(P, d1, gm, h)
     res = frame_residual_block(frames, gm, h, g)
-    bad = ~(res <= verify_tol)
+    bad = ~(res <= FRAME_VERIFY_TOL)
     if bad.any():
         k = int(np.argmax(bad))
         raise FrameConstructionError(
-            f"frame verification residual {res[k]:.3e} exceeds {verify_tol:.1e}"
-            f" at {coords[k]}")
+            f"frame verification residual {res[k]:.3e} exceeds "
+            f"{FRAME_VERIFY_TOL:.1e} at {coords[k]}")
     return frames
-
-
-# ---------------------------------------------------------------------------
-# Point-level frames: blocks of one
-# ---------------------------------------------------------------------------
-
-def _point_arrays(f: SmoothMap, p: ChartPoint):
-    """Differential, metrics and pullback at ``p``, each as a block of one."""
-    jets = graph_jets(f, p.coords[None])
-    P = pullback_metric_jet(jets.f, jets.gn, order=0)[0]
-    return jets.f.d1, jets.gm.g, jets.gn.g, P
-
-
-def singular_values_at(f: SmoothMap, p: ChartPoint,
-                       rank_tol: float = RANK_TOL) -> GraphFrameData:
-    """Singular value decomposition data of the differential at ``p``.
-
-    Only the ``lambdas``, ``rank``, ``alpha`` and ``beta`` fields are
-    populated; :func:`adapted_frames_at` fills in the graph frames.
-    """
-    d1, gm, h, P = _point_arrays(f, p)
-    lam, rank, alpha, beta = _singular_values(P, d1, gm, h, rank_tol)
-    m, n = f.domain.dim, f.target.dim
-    return GraphFrameData(lambdas=lam[0], rank=int(rank[0]), alpha=alpha[0],
-                          beta=beta[0], e=np.zeros((m, 0)),
-                          tangent=np.zeros((m + n, 0)), normal=np.zeros((m + n, 0)))
-
-
-def adapted_frames_at(f: SmoothMap, p: ChartPoint,
-                      verify_tol: float = FRAME_VERIFY_TOL,
-                      rank_tol: float = RANK_TOL) -> GraphFrameData:
-    """Complete adapted frames of the graph at ``p`` (see :func:`frame_block`).
-
-    The evaluation identities of the split-signature form are verified on
-    them; a residual above ``verify_tol``, or a NaN, raises
-    :class:`FrameConstructionError`.
-    """
-    d1, gm, h, P = _point_arrays(f, p)
-    return verified_frame_block(P, d1, gm, h, gm + P, p.coords[None],
-                                verify_tol, rank_tol).point(0)
-
-
-def frame_formula_residual(f: SmoothMap, p: ChartPoint,
-                           frames: GraphFrameData) -> float:
-    """Worst residual of the split-form evaluation identities on the frames
-    of ``p`` (see :func:`frame_residual_block`)."""
-    _, gm, h, P = _point_arrays(f, p)
-    return float(frame_residual_block(frames.block(), gm, h, gm + P)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -486,24 +382,3 @@ def shift_deficit(s: Array, g: Array, c: float) -> Array:
     if c <= 0.0:
         raise InvalidParameterError(f"shift parameter must be positive, got {c}")
     return s - (1.0 - c) / (1.0 + c) * g
-
-
-def s_tensor_at(f: SmoothMap, p: ChartPoint) -> Array:
-    """Chart components of the deficit tensor ``g_M - f*(g_N)``."""
-    return f.domain.jet(p).g - pullback_metric_at(f, p)
-
-
-def trace_s_at(f: SmoothMap, p: ChartPoint) -> float:
-    """Trace of the deficit tensor with respect to the induced metric.
-
-    Equals ``sum_i (1 - lambda_i^2) / (1 + lambda_i^2)`` over the singular
-    values.
-    """
-    g = induced_metric_jet(f, p, order=0).g
-    return float(deficit_trace(g, s_tensor_at(f, p)))
-
-
-def shifted_s_at(f: SmoothMap, p: ChartPoint, c: float) -> Array:
-    """The shifted tensor ``s - ((1-c)/(1+c)) g`` in chart components."""
-    g = induced_metric_jet(f, p, order=0).g
-    return shift_deficit(s_tensor_at(f, p), g, c)

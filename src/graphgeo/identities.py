@@ -5,37 +5,33 @@ inequality) of the graph geometry and returns the residual (or the worst
 slack).  The frame used for the frame-traced decompositions is always the
 adapted frame, which diagonalizes both the domain metric and the pullback
 metric; the curvature-to-sectional reductions are only valid there.
+
+Every operation reads one point of a :class:`GraphBlock` through
+:class:`PointData`; a single point is a block of one (:func:`point_rows`).
+Finite-difference stencils and parallel-field probes evaluate their
+neighbouring points as one block each.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import combinations
 
 import numpy as np
 
-from .chart_manifold import (
-    ChartPoint,
-    MetricJet,
-    christoffel_derivative_from_jet,
-    christoffel_from_jet,
-    metric_inverse,
-    ricci_from_jet,
-    riemann_from_jet,
-    sym_eigen,
-)
+from .chart_manifold import ChartPoint, sym_eigen
 from .errors import InvalidParameterError, PreconditionError
-from .extrinsic import MINIMAL_TOL, ExtrinsicData, graph_blocks, second_fundamental_at
-from .graph_map import (
-    SmoothMap,
-    adapted_frames_at,
-    deficit_trace,
-    frame_formula_residual,
-    induced_metric_jet,
-    pullback_metric_jet,
-    shift_deficit,
+from .extrinsic import (
+    BLOCK_SIZE,
+    MINIMAL_TOL,
+    ExtrinsicData,
+    GraphBlock,
+    graph_block,
+    graph_blocks,
 )
-from .product_space import SplitVector
+from .graph_map import GraphFrameData, SmoothMap, frame_residual_block, shift_deficit
+from .product_space import SplitVector, product_metric
 
 Array = np.ndarray
 
@@ -45,111 +41,48 @@ PARALLEL_TOL = 1e-10
 
 
 # ---------------------------------------------------------------------------
-# Shared per-point geometry
+# One point of a block
 # ---------------------------------------------------------------------------
 
 class PointData:
-    """Everything the identity checks need at one point, computed once."""
+    """Point ``i`` of a :class:`GraphBlock`, as the identity checks read it.
 
-    def __init__(self, f: SmoothMap, p: ChartPoint):
-        self.f = f
-        self.p = p
-        self.fjet = f.jet(p)
-        self.image = ChartPoint(self.fjet.value)
-        self.gm_jet = f.domain.jet(p)
-        self.gn_jet = f.target.jet(self.image)
+    ``d.x`` is row ``i`` of the block's column ``x`` (``g``, ``s``,
+    ``trace_s``, ``ginv``, ``gamma_g``, ``dgamma_g``, ``riem_m``,
+    ``riem_n``, ``ric_m``, ``ric_g_op``); the block computes each column
+    once for all its points.  Reading a row evaluates no jet.
+    """
+
+    def __init__(self, blk: GraphBlock, i: int):
+        self.blk, self.i, self.f = blk, i, blk.f
+        self.p = ChartPoint(blk.jets.coords[i])
+        self.m, self.n = self.f.domain.dim, self.f.target.dim
+        self.d1 = blk.jets.f.d1[i]
+        self.gm, self.gn = blk.jets.gm.g[i], blk.jets.gn.g[i]
+
+    def __getattr__(self, name: str):
+        if name.startswith("_"):
+            raise AttributeError(name)
+        return getattr(self.blk, name)[self.i]
 
     @cached_property
-    def frames(self):
-        return adapted_frames_at(self.f, self.p)
+    def frames(self) -> GraphFrameData:
+        return self.blk.frames.point(self.i)
 
     @cached_property
     def ext(self) -> ExtrinsicData:
-        return second_fundamental_at(self.f, self.p, frames=self.frames)
-
-    @cached_property
-    def induced_jet(self) -> MetricJet:
-        return induced_metric_jet(self.f, self.p, order=2)
-
-    @cached_property
-    def pullback(self) -> Array:
-        return pullback_metric_jet(self.fjet, self.gn_jet, order=0)[0]
-
-    @cached_property
-    def g(self) -> Array:
-        return self.gm_jet.g + self.pullback
-
-    @cached_property
-    def ginv(self) -> Array:
-        return metric_inverse(self.g)
-
-    @cached_property
-    def gamma_g(self) -> Array:
-        return christoffel_from_jet(self.induced_jet)
-
-    @cached_property
-    def riem_m(self) -> Array:
-        return riemann_from_jet(self.gm_jet)
-
-    @cached_property
-    def riem_n(self) -> Array:
-        return riemann_from_jet(self.gn_jet)
-
-    @cached_property
-    def ric_m(self) -> Array:
-        return ricci_from_jet(self.gm_jet)[0]
-
-    @cached_property
-    def ric_g_op(self) -> Array:
-        return ricci_from_jet(self.induced_jet)[1]
-
-    @cached_property
-    def s(self) -> Array:
-        return self.gm_jet.g - self.pullback
-
-    @cached_property
-    def trace_s(self) -> float:
-        return float(deficit_trace(self.g, self.s))
-
-    @property
-    def m(self) -> int:
-        return self.f.domain.dim
-
-    @property
-    def n(self) -> int:
-        return self.f.target.dim
-
-    @cached_property
-    def df_e(self) -> Array:
-        """Images of the adapted frame, ``df_e[:, k] = df(e_k)``."""
-        return self.fjet.d1 @ self.frames.e
+        return self.blk.ext.point(self.i)
 
     def shifted_s(self, c: float) -> Array:
         return shift_deficit(self.s, self.g, c)
 
-    def shifted_s_jet(self, c: float) -> tuple[Array, Array]:
+    def shifted_jet(self, c: float) -> tuple[Array, Array]:
         """Value and exact first chart derivatives of the shifted tensor field."""
-        nu = (1.0 - c) / (1.0 + c)
-        P, dP, _ = pullback_metric_jet(self.fjet, self.gn_jet, order=1)
-        phi = (1.0 - nu) * self.gm_jet.g - (1.0 + nu) * P
-        dphi = (1.0 - nu) * self.gm_jet.dg - (1.0 + nu) * dP
-        return phi, dphi
-
-    def product_inner(self, u: SplitVector, v: SplitVector) -> float:
-        return float(u.m_part @ self.gm_jet.g @ v.m_part
-                     + u.n_part @ self.gn_jet.g @ v.n_part)
-
-    def split_form(self, u: SplitVector, v: SplitVector) -> float:
-        return float(u.m_part @ self.gm_jet.g @ v.m_part
-                     - u.n_part @ self.gn_jet.g @ v.n_part)
-
-    def shifted_split_form(self, c: float, u: SplitVector, v: SplitVector) -> float:
-        """The form ``s_prod - ((1-c)/(1+c)) g_prod`` on split vectors."""
-        return self.split_form(u, v) - (1.0 - c) / (1.0 + c) * self.product_inner(u, v)
+        return tuple(x[self.i] for x in self.blk.shifted_jet(c))
 
     def pullback_curvature(self, u: Array, v: Array, w: Array, z: Array) -> float:
         """Target curvature pulled back: ``R_N(df u, df v, df w, df z)``."""
-        d1 = self.fjet.d1
+        d1 = self.d1
         return float(np.einsum("abcd,a,b,c,d->", self.riem_n,
                                d1 @ u, d1 @ v, d1 @ w, d1 @ z))
 
@@ -157,15 +90,20 @@ class PointData:
         return float(np.einsum("abcd,a,b,c,d->", self.riem_m, u, v, w, z))
 
 
+def point_rows(f: SmoothMap, points: list[ChartPoint]) -> list[PointData]:
+    """The points as the rows of one :class:`GraphBlock`."""
+    blk = graph_block(f, np.array([p.coords for p in points]))
+    return [PointData(blk, i) for i in range(len(points))]
+
+
 # ---------------------------------------------------------------------------
 # Normal estimate for the split-signature form
 # ---------------------------------------------------------------------------
 
-def normal_estimate_check(f: SmoothMap, p: ChartPoint, c: float,
+def normal_estimate_check(d: PointData, c: float,
                           rng: np.random.Generator | None = None,
-                          n_mixtures: int = 20,
-                          data: PointData | None = None) -> float:
-    """Worst slack of the normal-cone estimate at ``p``.
+                          n_mixtures: int = 20) -> float:
+    """Worst slack of the normal-cone estimate at ``d.p``.
 
     For every adapted normal frame vector, ``n_mixtures`` random normal
     combinations, and the second-fundamental-form vectors ``A(e_i, e_j)``,
@@ -174,9 +112,9 @@ def normal_estimate_check(f: SmoothMap, p: ChartPoint, c: float,
         slack = ((c-1)/(1+c)) |eta|^2 - s_prod(eta, eta)
 
     which must be non-negative whenever ``c >= lambda_max^2``.  Returns the
-    minimum slack (negative means the estimate failed).
+    minimum slack (negative means the estimate failed; NaN if any slack is
+    NaN).
     """
-    d = data or PointData(f, p)
     lam_max_sq = float(d.frames.lambdas[-1] ** 2)
     if c < lam_max_sq - 1e-12 * (1.0 + lam_max_sq):
         raise PreconditionError(
@@ -185,58 +123,62 @@ def normal_estimate_check(f: SmoothMap, p: ChartPoint, c: float,
     bound = (c - 1.0) / (1.0 + c)
 
     def slack(eta: SplitVector) -> float:
-        return bound * d.product_inner(eta, eta) - d.split_form(eta, eta)
+        return (bound * product_metric(d.gm, d.gn, eta, eta)
+                - product_metric(d.gm, -d.gn, eta, eta))
 
-    worst = np.inf
-    for xi in d.frames.xi:
-        worst = min(worst, slack(xi))
-    n = d.n
+    xi, n = d.frames.xi, d.n
+    slacks = [slack(v) for v in xi]
     for _ in range(n_mixtures):
         coeff = rng.normal(size=n)
-        eta = SplitVector(
-            sum(coeff[i] * d.frames.xi[i].m_part for i in range(n)),
-            sum(coeff[i] * d.frames.xi[i].n_part for i in range(n)))
-        worst = min(worst, slack(eta))
-    for i in range(d.m):
-        for j in range(d.m):
-            worst = min(worst, slack(d.ext.a(i, j)))
-    return float(worst)
+        slacks.append(slack(SplitVector(
+            sum(coeff[i] * xi[i].m_part for i in range(n)),
+            sum(coeff[i] * xi[i].n_part for i in range(n)))))
+    slacks += [slack(d.ext.a(i, j)) for i in range(d.m) for j in range(d.m)]
+    return float(np.min(slacks))
 
 
 # ---------------------------------------------------------------------------
 # Decompositions of the frame-traced curvature sum
 # ---------------------------------------------------------------------------
 
-def _decomposition_sides(d: PointData, c: float, sigma: float,
-                         l: int) -> tuple[float, float, float]:
-    """Left side and both decomposed right sides of the curvature-sum identity.
+@dataclass(frozen=True)
+class _FrameTerms:
+    """Frame-diagonal pieces of the curvature sum in direction ``e_l``."""
+
+    lhs: float            # 2 sum_k (R_N(df e_k, df e_l, ..) - c R_M(e_k, e_l, ..))
+    sec_n_sum: float      # sum_{k != l} (sigma - sec_N) |df e_k|^2 |df e_l|^2
+    grouped_sum: float    # the same plus sigma phi_ll |df e_k|^2 under the sum
+    term2: float          # -c g_M(e_l, e_l) sum_{k != l} phi_kk (sec_M - sigma)
+    term3: float          # the Ricci term of the domain
+    s_ll: float
+    phi_ll: float
+    tr_s: float
+    tr_phi: float
+    nu: float
+
+
+def _frame_terms(d: PointData, c: float, sigma: float, l: int) -> _FrameTerms:
+    """The pieces shared by the decompositions and the maximum-point terms.
 
     Valid in the adapted frame only: the reduction of the pulled-back
     curvature to sectional values uses that the frame diagonalizes the
     pullback metric.
     """
-    if c <= 0.0:
-        raise InvalidParameterError(f"decomposition needs c > 0, got {c}")
     m = d.m
     e = d.frames.e
-    gm = d.gm_jet.g
-    gn = d.gn_jet.g
-    df_e = d.df_e
+    df_e = d.d1 @ e                      # df_e[:, k] = df(e_k)
     nu = (1.0 - c) / (1.0 + c)
 
-    gm_ee = e.T @ gm @ e                 # domain metric on the frame
-    fgn_ee = df_e.T @ gn @ df_e          # pullback metric on the frame
+    gm_ee = e.T @ d.gm @ e               # domain metric on the frame
+    fgn_ee = df_e.T @ d.gn @ df_e        # pullback metric on the frame
     s_ee = np.diag(gm_ee) - np.diag(fgn_ee)
     phi_ee = s_ee - nu
     tr_s = d.trace_s
-    tr_phi = tr_s - m * nu
 
     fRN = np.array([d.pullback_curvature(e[:, k], e[:, l], e[:, k], e[:, l])
                     for k in range(m)])
     RM = np.array([d.domain_curvature(e[:, k], e[:, l], e[:, k], e[:, l])
                    for k in range(m)])
-
-    lhs = 2.0 * float(np.sum(fRN - c * RM))
 
     # (sigma - sec_N) f*g_N(e_k,e_k) f*g_N(e_l,e_l), written through the
     # curvature value to stay finite when df(e_k) or df(e_l) vanishes
@@ -246,63 +188,47 @@ def _decomposition_sides(d: PointData, c: float, sigma: float,
     area_m = np.array([
         gm_ee[k, k] * gm_ee[l, l] - gm_ee[k, l] ** 2 for k in range(m)])
     sec_m = np.array([RM[k] / area_m[k] if k != l else 0.0 for k in range(m)])
-
     ksum = [k for k in range(m) if k != l]
     ric_m_ll = float(e[:, l] @ d.ric_m @ e[:, l])
 
-    term1_grouped = -2.0 * sum(
-        sec_n_excess[k] + sigma * phi_ee[l] * fgn_ee[k, k] for k in ksum)
-    term1_traced = -2.0 * sum(sec_n_excess[k] for k in ksum)
-    term2 = -c * gm_ee[l, l] * sum(
-        phi_ee[k] * (sec_m[k] - sigma) for k in ksum)
-    term3 = -(2.0 * c / (1.0 + c)) * (ric_m_ll - (m - 1) * sigma * gm_ee[l, l])
-
-    rhs_grouped = (term1_grouped + term2 + term3
-                   - (2.0 * sigma * c / (1.0 + c)) * (tr_s - s_ee[l])
-                   - (sigma * (1.0 + c) / 2.0) * phi_ee[l] * (tr_phi - phi_ee[l]))
-
-    rhs_traced = (term1_traced + term2 + term3
-                  - (2.0 * c * sigma / (1.0 + c)) * tr_s
-                  + (sigma * (1.0 - c) / 2.0) * phi_ee[l] * (tr_phi - phi_ee[l])
-                  - (2.0 * c * sigma / (1.0 + c)) * ((m - 2) * phi_ee[l] - nu))
-
-    return lhs, rhs_grouped, rhs_traced
+    return _FrameTerms(
+        lhs=2.0 * float(np.sum(fRN - c * RM)),
+        sec_n_sum=sum(sec_n_excess[k] for k in ksum),
+        grouped_sum=sum(sec_n_excess[k] + sigma * phi_ee[l] * fgn_ee[k, k]
+                        for k in ksum),
+        term2=-c * gm_ee[l, l] * sum(phi_ee[k] * (sec_m[k] - sigma) for k in ksum),
+        term3=-(2.0 * c / (1.0 + c)) * (ric_m_ll - (m - 1) * sigma * gm_ee[l, l]),
+        s_ll=s_ee[l], phi_ll=phi_ee[l], tr_s=tr_s, tr_phi=tr_s - m * nu, nu=nu)
 
 
-def curvature_decomposition_residual(f: SmoothMap, p: ChartPoint, c: float,
-                                     sigma: float, l: int,
-                                     data: PointData | None = None) -> float:
-    """|LHS - RHS| for the grouped five-term decomposition."""
-    d = data or PointData(f, p)
-    lhs, rhs, _ = _decomposition_sides(d, c, sigma, l)
-    return abs(lhs - rhs)
+def decomposition_sides(d: PointData, c: float, sigma: float,
+                        l: int) -> tuple[float, float, float]:
+    """Left side and both decomposed right sides of the curvature-sum identity:
+    the grouped five-term form and the trace-isolating seven-term form.
 
-
-def traced_decomposition_residual(f: SmoothMap, p: ChartPoint, c: float,
-                                  sigma: float, l: int,
-                                  data: PointData | None = None) -> float:
-    """|LHS - RHS| for the trace-isolating seven-term decomposition."""
-    d = data or PointData(f, p)
-    lhs, _, rhs = _decomposition_sides(d, c, sigma, l)
-    return abs(lhs - rhs)
-
-
-def decomposition_forms_gap(f: SmoothMap, p: ChartPoint, c: float,
-                            sigma: float, l: int,
-                            data: PointData | None = None) -> float:
-    """|grouped RHS - traced RHS|; a purely algebraic rearrangement."""
-    d = data or PointData(f, p)
-    _, rhs_a, rhs_b = _decomposition_sides(d, c, sigma, l)
-    return abs(rhs_a - rhs_b)
+    Their differences are the decomposition residuals; the difference of the
+    two right sides is a purely algebraic rearrangement.
+    """
+    if c <= 0.0:
+        raise InvalidParameterError(f"decomposition needs c > 0, got {c}")
+    t = _frame_terms(d, c, sigma, l)
+    m = d.m
+    rhs_grouped = (-2.0 * t.grouped_sum + t.term2 + t.term3
+                   - (2.0 * sigma * c / (1.0 + c)) * (t.tr_s - t.s_ll)
+                   - (sigma * (1.0 + c) / 2.0) * t.phi_ll * (t.tr_phi - t.phi_ll))
+    rhs_traced = (-2.0 * t.sec_n_sum + t.term2 + t.term3
+                  - (2.0 * c * sigma / (1.0 + c)) * t.tr_s
+                  + (sigma * (1.0 - c) / 2.0) * t.phi_ll * (t.tr_phi - t.phi_ll)
+                  - (2.0 * c * sigma / (1.0 + c)) * ((m - 2) * t.phi_ll - t.nu))
+    return t.lhs, rhs_grouped, rhs_traced
 
 
 # ---------------------------------------------------------------------------
 # The reaction term
 # ---------------------------------------------------------------------------
 
-def reaction_term_apply(f: SmoothMap, p: ChartPoint, c: float, theta: Array,
-                        v: Array, w: Array,
-                        data: PointData | None = None) -> float:
+def reaction_term_apply(d: PointData, c: float, theta: Array, v: Array,
+                        w: Array) -> float:
     """Value of the fiberwise reaction term on ``theta`` at ``(v, w)``.
 
     ``theta`` is a symmetric 2-tensor in chart components; ``v``, ``w`` are
@@ -310,7 +236,6 @@ def reaction_term_apply(f: SmoothMap, p: ChartPoint, c: float, theta: Array,
     """
     if c <= -1.0:
         raise InvalidParameterError(f"reaction term needs c > -1, got {c}")
-    d = data or PointData(f, p)
     theta = np.asarray(theta, dtype=float)
     v = np.asarray(v, dtype=float)
     w = np.asarray(w, dtype=float)
@@ -320,10 +245,13 @@ def reaction_term_apply(f: SmoothMap, p: ChartPoint, c: float, theta: Array,
     value = -float(ric_v @ theta @ w) - float(ric_w @ theta @ v)
 
     e = d.frames.e
+    nu = (1.0 - c) / (1.0 + c)
     for k in range(d.m):
         a_kv = d.ext.a_coord(e[:, k], v)
         a_kw = d.ext.a_coord(e[:, k], w)
-        value -= 2.0 * d.shifted_split_form(c, a_kv, a_kw)
+        # the shifted split form s_prod - ((1-c)/(1+c)) g_prod
+        value -= 2.0 * (product_metric(d.gm, -d.gn, a_kv, a_kw)
+                        - nu * product_metric(d.gm, d.gn, a_kv, a_kw))
 
     curv = sum(d.pullback_curvature(e[:, k], v, e[:, k], w)
                - c * d.domain_curvature(e[:, k], v, e[:, k], w)
@@ -339,8 +267,7 @@ def _reaction_on_frame(d: PointData, c: float, theta: Array) -> Array:
     out = np.empty((m, m))
     for i in range(m):
         for j in range(i, m):
-            out[i, j] = out[j, i] = reaction_term_apply(
-                d.f, d.p, c, theta, e[:, i], e[:, j], data=d)
+            out[i, j] = out[j, i] = reaction_term_apply(d, c, theta, e[:, i], e[:, j])
     return out
 
 
@@ -348,51 +275,53 @@ def _reaction_on_frame(d: PointData, c: float, theta: Array) -> Array:
 # Finite-difference Laplacians
 # ---------------------------------------------------------------------------
 
-def _fd_tensor_derivatives(field_fn, x: Array, h: float) -> tuple[Array, Array, Array]:
-    """Central first and second differences of a matrix field."""
-    m = x.size
-    phi0 = field_fn(x)
-    shape = phi0.shape
-    dphi = np.zeros((m, *shape))
-    d2phi = np.zeros((m, m, *shape))
-    plus, minus = [], []
-    for k in range(m):
-        e = np.zeros(m)
-        e[k] = h
-        fp, fm = field_fn(x + e), field_fn(x - e)
-        plus.append(fp)
-        minus.append(fm)
-        dphi[k] = (fp - fm) / (2.0 * h)
-        d2phi[k, k] = (fp - 2.0 * phi0 + fm) / (h * h)
-    for k in range(m):
-        ek = np.zeros(m)
-        ek[k] = h
-        for l in range(k + 1, m):
-            el = np.zeros(m)
-            el[l] = h
-            mixed = (field_fn(x + ek + el) - field_fn(x + ek - el)
-                     - field_fn(x - ek + el) + field_fn(x - ek - el)) / (4.0 * h * h)
-            d2phi[k, l] = d2phi[l, k] = mixed
-    return phi0, dphi, d2phi
+def _stencil_steps(m: int) -> Array:
+    """Unit offsets of the central-difference stencil around a point, the
+    point itself left out: ``+e_k, -e_k`` for each axis ``k``, then
+    ``+e_k+e_l, +e_k-e_l, -e_k+e_l, -e_k-e_l`` for each ``k < l``."""
+    eye = np.eye(m)
+    axis = [sgn * eye[k] for k in range(m) for sgn in (1.0, -1.0)]
+    corner = [a * eye[k] + b * eye[l] for k, l in combinations(range(m), 2)
+              for a, b in ((1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0))]
+    return np.array(axis + corner)
+
+
+def _stencil_block(d: PointData, step: float, count: int) -> GraphBlock:
+    """The first ``count`` stencil neighbours of ``d.p`` at ``step``, as one block."""
+    return graph_block(d.f, d.p.coords + step * _stencil_steps(d.m)[:count])
+
+
+def _fd_partials(f0: Array, vals: Array, m: int, h: float) -> tuple[Array, Array]:
+    """Central first and second differences, over an ``m``-dimensional
+    chart, of a scalar or tensor field from its value ``f0`` at the point and
+    its values ``vals`` on the stencil of :func:`_stencil_steps` (leading
+    axis)."""
+    fp, fm = vals[0:2 * m:2], vals[1:2 * m:2]
+    du = (fp - fm) / (2.0 * h)
+    d2u = np.empty((m, m, *np.shape(f0)))
+    d2u[range(m), range(m)] = (fp - 2.0 * f0 + fm) / (h * h)
+    for i, (k, l) in enumerate(combinations(range(m), 2)):
+        pp, pm, mp, mm = vals[2 * m + 4 * i:2 * m + 4 * i + 4]
+        d2u[k, l] = d2u[l, k] = (pp - pm - mp + mm) / (4.0 * h * h)
+    return du, d2u
 
 
 def _covariant_derivative(phi: Array, dphi: Array, gamma: Array) -> Array:
-    """``T[l, i, j] = nabla_l phi_ij`` from chart partials and Christoffels."""
-    return (dphi - np.einsum("pli,pj->lij", gamma, phi)
-            - np.einsum("plj,ip->lij", gamma, phi))
+    """``T[l, i, j] = nabla_l phi_ij`` from chart partials and Christoffels;
+    broadcasts over leading axes."""
+    return (dphi - np.einsum("...pli,...pj->...lij", gamma, phi)
+            - np.einsum("...plj,...ip->...lij", gamma, phi))
 
 
-def rough_laplacian_fd(field_fn, p: ChartPoint, induced: MetricJet,
-                       h: float) -> Array:
-    """Rough Laplacian of a symmetric 2-tensor field at ``p``.
+def rough_laplacian_fd(d: PointData, phi: Array, vals: Array, h: float) -> Array:
+    """Rough Laplacian at ``d.p`` of a symmetric 2-tensor field with value
+    ``phi`` there and values ``vals`` on the stencil at step ``h``.
 
-    Chart partials of the field come from central differences at step ``h``;
-    the connection corrections use the exact jet of the induced metric.
+    Chart partials of the field come from central differences; the
+    connection corrections use the exact jet of the induced metric.
     """
-    gamma = christoffel_from_jet(induced)
-    dgamma = christoffel_derivative_from_jet(induced)
-    ginv = metric_inverse(induced.g)
-    phi, dphi, d2phi = _fd_tensor_derivatives(field_fn, p.coords, h)
+    gamma, dgamma = d.gamma_g, d.dgamma_g
+    dphi, d2phi = _fd_partials(phi, vals, d.m, h)
 
     T = _covariant_derivative(phi, dphi, gamma)
     dT = (d2phi
@@ -404,46 +333,22 @@ def rough_laplacian_fd(field_fn, p: ChartPoint, induced: MetricJet,
               - np.einsum("pkl,pij->klij", gamma, T)
               - np.einsum("pki,lpj->klij", gamma, T)
               - np.einsum("pkj,lip->klij", gamma, T))
-    return np.einsum("kl,klij->ij", ginv, nabla2)
+    return np.einsum("kl,klij->ij", d.ginv, nabla2)
 
 
-def scalar_laplacian_fd(fn, p: ChartPoint, induced: MetricJet, h: float) -> float:
-    """Laplace-Beltrami value of a scalar field at ``p`` (FD partials).
+def scalar_laplacian_fd(d: PointData, f0: float, vals: Array, h: float) -> float:
+    """Laplace-Beltrami value at ``d.p`` of a scalar field with value ``f0``
+    there and values ``vals`` on the stencil at step ``h`` (FD partials).
 
     A field whose stencil values agree to roundoff is treated as constant
     (zero Laplacian): dividing pure cancellation noise by ``h^2`` would
     otherwise masquerade as a derivative.
     """
-    gamma = christoffel_from_jet(induced)
-    ginv = metric_inverse(induced.g)
-    x = p.coords
-    m = x.size
-    f0 = fn(x)
-    du = np.zeros(m)
-    d2u = np.zeros((m, m))
-    spread = 0.0
-    for k in range(m):
-        e = np.zeros(m)
-        e[k] = h
-        fp, fm = fn(x + e), fn(x - e)
-        spread = max(spread, abs(fp - f0), abs(fm - f0))
-        du[k] = (fp - fm) / (2.0 * h)
-        d2u[k, k] = (fp - 2.0 * f0 + fm) / (h * h)
-    for k in range(m):
-        ek = np.zeros(m)
-        ek[k] = h
-        for l in range(k + 1, m):
-            el = np.zeros(m)
-            el[l] = h
-            corners = [fn(x + ek + el), fn(x + ek - el),
-                       fn(x - ek + el), fn(x - ek - el)]
-            spread = max(spread, max(abs(v - f0) for v in corners))
-            d2u[k, l] = d2u[l, k] = (corners[0] - corners[1]
-                                     - corners[2] + corners[3]) / (4 * h * h)
-    if spread < 5e-14 * (1.0 + abs(f0)):
+    if np.max(np.abs(vals - f0)) < 5e-14 * (1.0 + abs(f0)):
         return 0.0
-    hess = d2u - np.einsum("pkl,p->kl", gamma, du)
-    return float(np.einsum("kl,kl->", ginv, hess))
+    du, d2u = _fd_partials(f0, vals, d.m, h)
+    hess = d2u - np.einsum("pkl,p->kl", d.gamma_g, du)
+    return float(np.einsum("kl,kl->", d.ginv, hess))
 
 
 # ---------------------------------------------------------------------------
@@ -453,23 +358,17 @@ def scalar_laplacian_fd(fn, p: ChartPoint, induced: MetricJet, h: float) -> floa
 def _is_parallel_field(d: PointData, c: float, probe_step: float = 0.05) -> bool:
     """Whether the shifted tensor field is covariantly parallel near ``d.p``.
 
-    The exact covariant derivative is evaluated at the point and at axis
-    neighbors: a vanishing derivative at the point alone would also accept
-    isolated critical points of a non-parallel field.
+    The exact covariant derivative is evaluated at the point and at its axis
+    neighbours, one block: a vanishing derivative at the point alone would
+    also accept isolated critical points of a non-parallel field.
     """
-    probes = [d]
-    for k in range(d.m):
-        for sgn in (-1.0, 1.0):
-            x = d.p.coords.copy()
-            x[k] += sgn * probe_step
-            probes.append(PointData(d.f, ChartPoint(x)))
-    for data in probes:
-        phi, dphi = data.shifted_s_jet(c)
-        gamma = christoffel_from_jet(induced_metric_jet(data.f, data.p, order=1))
-        nabla = _covariant_derivative(phi, dphi, gamma)
-        if np.abs(nabla).max() >= PARALLEL_TOL * (1.0 + np.abs(phi).max()):
-            return False
-    return True
+    probes = _stencil_block(d, probe_step, 2 * d.m)
+    phi, dphi = (np.concatenate([at_p[None], near]) for at_p, near
+                 in zip(d.shifted_jet(c), probes.shifted_jet(c)))
+    gamma = np.concatenate([d.gamma_g[None], probes.gamma_g])
+    nabla = _covariant_derivative(phi, dphi, gamma)
+    return bool(np.all(np.abs(nabla).max(axis=(1, 2, 3))
+                       < PARALLEL_TOL * (1.0 + np.abs(phi).max(axis=(1, 2)))))
 
 
 def shifted_tensor_laplacian(d: PointData, c: float, h: float) -> Array:
@@ -481,28 +380,21 @@ def shifted_tensor_laplacian(d: PointData, c: float, h: float) -> Array:
     """
     if _is_parallel_field(d, c):
         return np.zeros_like(d.g)
-
-    def field(x: Array) -> Array:
-        pt = ChartPoint(x)
-        data = PointData(d.f, pt)
-        return data.shifted_s(c)
-
-    return rough_laplacian_fd(field, d.p, d.induced_jet, h)
+    stencil = _stencil_block(d, h, 2 * d.m * d.m)
+    return rough_laplacian_fd(d, d.shifted_s(c),
+                              shift_deficit(stencil.s, stencil.g, c), h)
 
 
-def elliptic_equation_residual(f: SmoothMap, p: ChartPoint, c: float,
-                               h: float = 1e-3,
-                               minimal_tol: float = MINIMAL_TOL,
-                               data: PointData | None = None) -> float:
-    """Residual of ``Lap(Phi) + Psi(Phi) = 0`` on the adapted frame at ``p``.
+def elliptic_equation_residual(d: PointData, c: float, h: float = 1e-3,
+                               minimal_tol: float = MINIMAL_TOL) -> float:
+    """Residual of ``Lap(Phi) + Psi(Phi) = 0`` on the adapted frame at ``d.p``.
 
     The equation in this homogeneous form holds for minimal maps only, so a
     point with mean curvature above ``minimal_tol`` is rejected.
     """
-    d = data or PointData(f, p)
     if d.ext.h_norm >= minimal_tol:
         raise PreconditionError(
-            f"map is not minimal at {p.coords} (|H| = {d.ext.h_norm:.3e})")
+            f"map is not minimal at {d.p.coords} (|H| = {d.ext.h_norm:.3e})")
     lap = shifted_tensor_laplacian(d, c, h)
     psi = _reaction_on_frame(d, c, d.shifted_s(c))
     e = d.frames.e
@@ -514,18 +406,17 @@ def elliptic_equation_residual(f: SmoothMap, p: ChartPoint, c: float,
 # Two-dimensional logarithmic Jacobian identity
 # ---------------------------------------------------------------------------
 
-def projection_jacobian(d: PointData) -> float:
-    """Jacobian of the graph-to-domain projection, ``sqrt(det g_M / det g)``."""
-    return float(np.sqrt(np.linalg.det(d.gm_jet.g) / np.linalg.det(d.g)))
+def projection_jacobian(gm: Array, g: Array) -> Array:
+    """Jacobian of the graph-to-domain projection, ``sqrt(det g_M / det g)``;
+    broadcasts over leading axes."""
+    return np.sqrt(np.linalg.det(gm) / np.linalg.det(g))
 
 
-def jacobian_consistency_2d(f: SmoothMap, p: ChartPoint,
-                            data: PointData | None = None) -> float:
+def jacobian_consistency_2d(d: PointData) -> float:
     """Gap between the determinant form and the singular-value closed form."""
-    d = data or PointData(f, p)
     lam = d.frames.lambdas
     closed = 1.0 / np.sqrt(float(np.prod(1.0 + lam ** 2)))
-    return abs(projection_jacobian(d) - closed)
+    return abs(float(projection_jacobian(d.gm, d.g)) - closed)
 
 
 def _normal_components_2d(d: PointData) -> Array:
@@ -535,53 +426,47 @@ def _normal_components_2d(d: PointData) -> Array:
         xi = d.frames.xi[g_idx]
         for i in range(2):
             for j in range(2):
-                out[g_idx, i, j] = d.product_inner(d.ext.a(i, j), xi)
+                out[g_idx, i, j] = product_metric(d.gm, d.gn, d.ext.a(i, j), xi)
     return out
 
 
-def minimality_relations_residual_2d(f: SmoothMap, p: ChartPoint,
-                                     data: PointData | None = None) -> float:
+def minimality_relations_residual_2d(d: PointData) -> float:
     """Residual of the trace relations between normal components of A.
 
     Minimality forces ``A^g_11 = -A^g_22`` for both normal directions.
     """
-    d = data or PointData(f, p)
     comp = _normal_components_2d(d)
-    return float(max(abs(comp[1, 0, 0] + comp[1, 1, 1]),
-                     abs(comp[0, 1, 1] + comp[0, 0, 0])))
+    return float(np.max([abs(comp[1, 0, 0] + comp[1, 1, 1]),
+                         abs(comp[0, 1, 1] + comp[0, 0, 0])]))
 
 
-def log_jacobian_residual_2d(f: SmoothMap, p: ChartPoint, h: float = 1e-3,
-                             minimal_tol: float = MINIMAL_TOL,
-                             data: PointData | None = None) -> float:
+def log_jacobian_residual_2d(d: PointData, h: float = 1e-3,
+                             minimal_tol: float = MINIMAL_TOL) -> float:
     """Residual of the two-dimensional equation for ``ln`` of the projection Jacobian.
 
-    Both dimensions must equal two and the map must be minimal at ``p``.
+    Both dimensions must equal two and the map must be minimal at ``d.p``.
     The left side is the Laplace-Beltrami value (induced metric, FD partials
     of the pointwise-exact Jacobian field); the right side combines the
     normal components of the second fundamental form with the sectional
     curvatures of domain and target.
     """
-    d = data or PointData(f, p)
     if d.m != 2 or d.n != 2:
         raise PreconditionError("identity needs dim M = dim N = 2")
     if d.ext.h_norm >= minimal_tol:
         raise PreconditionError(
-            f"map is not minimal at {p.coords} (|H| = {d.ext.h_norm:.3e})")
+            f"map is not minimal at {d.p.coords} (|H| = {d.ext.h_norm:.3e})")
 
-    def ln_v(x: Array) -> float:
-        data_x = PointData(d.f, ChartPoint(x))
-        return float(np.log(projection_jacobian(data_x)))
-
-    lhs = scalar_laplacian_fd(ln_v, d.p, d.induced_jet, h)
+    stencil = _stencil_block(d, h, 2 * d.m * d.m)
+    lhs = scalar_laplacian_fd(
+        d, float(np.log(projection_jacobian(d.gm, d.g))),
+        np.log(projection_jacobian(stencil.jets.gm.g, stencil.g)), h)
 
     lam = d.frames.lambdas
     l1, l2 = float(lam[0]), float(lam[1])
     comp = _normal_components_2d(d)
     a_norm_sq = float(np.sum(comp ** 2))
 
-    gm = d.gm_jet.g
-    gn = d.gn_jet.g
+    gm, gn = d.gm, d.gn
     sec_m = float(d.riem_m[0, 1, 0, 1] / (gm[0, 0] * gm[1, 1] - gm[0, 1] ** 2))
     sec_n = float(d.riem_n[0, 1, 0, 1] / (gn[0, 0] * gn[1, 1] - gn[0, 1] ** 2))
 
@@ -613,7 +498,7 @@ def _pointwise_pinching(d: PointData, sigma: float,
                         tol: float = 1e-9) -> str | None:
     """Check the curvature separation at one point; returns a reason on failure."""
     m, n = d.m, d.n
-    gm = d.gm_jet.g
+    gm = d.gm
     for _ in range(planes):
         u, v = rng.normal(size=m), rng.normal(size=m)
         area2 = (u @ gm @ u) * (v @ gm @ v) - (u @ gm @ v) ** 2
@@ -623,10 +508,9 @@ def _pointwise_pinching(d: PointData, sigma: float,
         if sec < sigma - tol:
             return f"domain sectional curvature {sec:.6g} below {sigma:.6g}"
     if n >= 2 and d.frames.rank >= 2:
-        gn = d.gn_jet.g
-        d1 = d.fjet.d1
+        gn = d.gn
         for _ in range(planes):
-            u, v = d1 @ rng.normal(size=m), d1 @ rng.normal(size=m)
+            u, v = d.d1 @ rng.normal(size=m), d.d1 @ rng.normal(size=m)
             area2 = (u @ gn @ u) * (v @ gn @ v) - (u @ gn @ v) ** 2
             if area2 < 1e-8 * max((u @ gn @ u) * (v @ gn @ v), 1e-300):
                 continue
@@ -636,12 +520,11 @@ def _pointwise_pinching(d: PointData, sigma: float,
     return None
 
 
-def null_eigenvector_probe(f: SmoothMap, p: ChartPoint, sigma: float,
-                           lambda0_sq: float, kappa_sq: float | None = None,
+def null_eigenvector_probe(d: PointData, sigma: float, lambda0_sq: float,
+                           kappa_sq: float | None = None,
                            rng: np.random.Generator | None = None,
-                           n_draws: int = 20, tol: float = 1e-10,
-                           data: PointData | None = None) -> NullProbeResult:
-    """Probe the null-eigenvector condition of the reaction term at ``p``.
+                           n_draws: int = 20, tol: float = 1e-10) -> NullProbeResult:
+    """Probe the null-eigenvector condition of the reaction term at ``d.p``.
 
     Draws random positive semi-definite tensors with a prescribed unit null
     direction v (built by projecting a random Gram matrix onto the
@@ -654,7 +537,6 @@ def null_eigenvector_probe(f: SmoothMap, p: ChartPoint, sigma: float,
     with ``kappa_sq`` and the second-fundamental-form bound.  A violated
     precondition yields a skipped result, not a failure.
     """
-    d = data or PointData(f, p)
     rng = rng or np.random.default_rng(0)
     if sigma <= 0.0:
         return NullProbeResult("skipped", "needs a positive pinching level",
@@ -684,8 +566,7 @@ def null_eigenvector_probe(f: SmoothMap, p: ChartPoint, sigma: float,
 
     m = d.m
     g = d.g
-    min_value = np.inf
-    max_ric = 0.0
+    values, ric_terms = [], []
     for _ in range(n_draws):
         v = rng.normal(size=m)
         v = v / np.sqrt(float(v @ g @ v))
@@ -696,12 +577,13 @@ def null_eigenvector_probe(f: SmoothMap, p: ChartPoint, sigma: float,
         scale = 1.0 + float(np.abs(theta).max())
 
         ric_v = d.ric_g_op @ v
-        max_ric = max(max_ric, abs(float(ric_v @ theta @ v)) / scale)
-        value = reaction_term_apply(d.f, d.p, lambda0_sq, theta, v, v, data=d)
-        min_value = min(min_value, value / scale)
+        ric_terms.append(abs(float(ric_v @ theta @ v)) / scale)
+        values.append(reaction_term_apply(d, lambda0_sq, theta, v, v) / scale)
 
+    min_value = float(np.min(values, initial=np.inf))
     status = "pass" if min_value >= -tol else "fail"
-    return NullProbeResult(status, "", float(min_value), n_draws, float(max_ric))
+    return NullProbeResult(status, "", min_value, n_draws,
+                           float(np.max(ric_terms, initial=0.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -755,7 +637,7 @@ def extremum_derivative_probe(f: SmoothMap, grid: list[ChartPoint],
                                        box[:, 1] - p.coords)))
 
     idx = max(near, key=lambda i: boundary_distance(grid[i]))
-    d = PointData(f, grid[idx])
+    d = PointData(blocks[idx // BLOCK_SIZE], idx % BLOCK_SIZE)
     spacing = float(np.max((box[:, 1] - box[:, 0])
                            / (max(len(grid), 2) ** (1.0 / box.shape[0]))))
     if grad_tol is None:
@@ -768,7 +650,7 @@ def extremum_derivative_probe(f: SmoothMap, grid: list[ChartPoint],
 
     vals, vecs = sym_eigen(d.shifted_s(c), d.g)
     v = vecs[:, -1]
-    phi, dphi = d.shifted_s_jet(c)
+    phi, dphi = d.shifted_jet(c)
     nabla = _covariant_derivative(phi, dphi, d.gamma_g)
     grad_vec = np.einsum("lij,i,j->l", nabla, v, v)
     grad_norm = float(np.sqrt(grad_vec @ d.ginv @ grad_vec))
@@ -785,9 +667,7 @@ def extremum_derivative_probe(f: SmoothMap, grid: list[ChartPoint],
 # Final-chain sign structure at the probed maximum
 # ---------------------------------------------------------------------------
 
-def max_point_term_values(f: SmoothMap, p: ChartPoint, sigma: float,
-                          lambda0_sq: float,
-                          data: PointData | None = None) -> Array:
+def max_point_term_values(d: PointData, sigma: float, lambda0_sq: float) -> Array:
     """The six grouped terms bounding ``Lap(Phi)(e_m, e_m)`` at a maximum point.
 
     Each term is non-positive when the full hypothesis gate holds at the
@@ -796,51 +676,22 @@ def max_point_term_values(f: SmoothMap, p: ChartPoint, sigma: float,
     grouping follows the exact regrouping of the decompositions together
     with the normal estimate applied to the second-fundamental-form sum.
     """
-    d = data or PointData(f, p)
     c = lambda0_sq
     if c < 0.0:
         raise InvalidParameterError("the squared top singular value cannot be negative")
     m = d.m
-    e = d.frames.e
-    l = m - 1                      # the top singular direction
-    gm = d.gm_jet.g
-    gn = d.gn_jet.g
-    df_e = d.df_e
-    nu = (1.0 - c) / (1.0 + c)
-
-    gm_ee = e.T @ gm @ e
-    fgn_ee = df_e.T @ gn @ df_e
-    s_ee = np.diag(gm_ee) - np.diag(fgn_ee)
-    phi_ee = s_ee - nu
-    tr_s = d.trace_s
-    tr_phi = tr_s - m * nu
-
-    fRN = np.array([d.pullback_curvature(e[:, k], e[:, l], e[:, k], e[:, l])
-                    for k in range(m)])
-    RM = np.array([d.domain_curvature(e[:, k], e[:, l], e[:, k], e[:, l])
-                   for k in range(m)])
-    ksum = [k for k in range(m) if k != l]
-    sec_n_excess = np.array([
-        sigma * fgn_ee[k, k] * fgn_ee[l, l] - fRN[k] for k in range(m)])
-    area_m = np.array([
-        gm_ee[k, k] * gm_ee[l, l] - gm_ee[k, l] ** 2 for k in range(m)])
-    sec_m = np.array([RM[k] / area_m[k] if k != l else 0.0 for k in range(m)])
-    ric_m_ll = float(e[:, l] @ d.ric_m @ e[:, l])
-
+    t = _frame_terms(d, c, sigma, m - 1)     # the top singular direction
     coeff = 2.0 / (1.0 + c)
-    terms = np.array([
+    return np.array([
         # normal estimate applied to the A-sum, plus the isolated trace part
         (4.0 / (1.0 + c)) * ((c - 1.0) * d.ext.a_norm_sq
-                             - (c / (1.0 + c)) * sigma * tr_s),
-        coeff * (-2.0) * sum(sec_n_excess[k] for k in ksum),
-        coeff * (-c) * gm_ee[l, l] * sum(phi_ee[k] * (sec_m[k] - sigma)
-                                         for k in ksum),
-        coeff * (-(2.0 * c / (1.0 + c))) * (ric_m_ll
-                                            - (m - 1) * sigma * gm_ee[l, l]),
-        coeff * (sigma * (1.0 - c) / 2.0) * phi_ee[l] * (tr_phi - phi_ee[l]),
-        coeff * (-(2.0 * c * sigma / (1.0 + c))) * ((m - 2) * phi_ee[l] - nu),
+                             - (c / (1.0 + c)) * sigma * t.tr_s),
+        coeff * -2.0 * t.sec_n_sum,
+        coeff * t.term2,
+        coeff * t.term3,
+        coeff * (sigma * (1.0 - c) / 2.0) * t.phi_ll * (t.tr_phi - t.phi_ll),
+        coeff * -(2.0 * c * sigma / (1.0 + c)) * ((m - 2) * t.phi_ll - t.nu),
     ])
-    return terms
 
 
 # ---------------------------------------------------------------------------
@@ -889,6 +740,12 @@ DEFAULT_IDENTITY_TOLERANCES: dict[str, float] = {
 }
 
 
+def _worst(values) -> float:
+    """Largest value and 0.0 (a zero of either sign gives 0.0); NaN if any
+    value is NaN."""
+    return float(np.maximum(np.max(values, initial=-np.inf), 0.0))
+
+
 def run_identity_suite(scenario, seed: int = 0, h: float = 1e-3,
                        c: float = 2.0,
                        tolerances: dict[str, float] | None = None,
@@ -896,9 +753,11 @@ def run_identity_suite(scenario, seed: int = 0, h: float = 1e-3,
                        n_tuples: int = 15) -> list[IdentityReport]:
     """Run every identity check applicable to the scenario's dimensions.
 
-    Checks whose preconditions the scenario does not meet (non-minimal
-    scenarios for the elliptic equation, dimensions other than two for the
-    Jacobian identity) are reported as skipped, not failed.
+    The sample points are one :class:`GraphBlock`.  Checks whose
+    preconditions the scenario does not meet (non-minimal scenarios for the
+    elliptic equation, dimensions other than two for the Jacobian identity)
+    are reported as skipped, not failed.  Every residual is reduced so that
+    a NaN anywhere makes it NaN, which never passes.
     """
     tol = {**DEFAULT_IDENTITY_TOLERANCES, **(tolerances or {})}
     f = scenario.f
@@ -906,57 +765,48 @@ def run_identity_suite(scenario, seed: int = 0, h: float = 1e-3,
     rng = np.random.default_rng(seed)
     reports: list[IdentityReport] = []
 
-    points = scenario.random_points(n_points, rng)
-    datas = [PointData(f, p) for p in points]
+    datas = point_rows(f, scenario.random_points(n_points, rng))
+    blk = datas[0].blk
+    frames = blk.frames
 
-    res = float(np.max([frame_formula_residual(f, p, d.frames)
-                        for p, d in zip(points, datas)]))
-    reports.append(IdentityReport("frame-formulas", len(points), res,
+    res = frame_residual_block(frames, blk.jets.gm.g, blk.jets.gn.g, blk.g)
+    reports.append(IdentityReport("frame-formulas", n_points, _worst(res),
                                   tol["frame"], {"seed": seed}))
 
-    vals, _ = sym_eigen(np.array([d.s for d in datas]), np.array([d.g for d in datas]))
-    lam = np.array([d.frames.lambdas for d in datas])
-    pred = np.sort((1.0 - lam ** 2) / (1.0 + lam ** 2), axis=-1)
-    res = float(np.max(np.abs(vals - pred), initial=0.0))
-    reports.append(IdentityReport("s-eigenvalue-formula", len(points), res,
+    vals, _ = sym_eigen(blk.s, blk.g)
+    pred = np.sort((1.0 - frames.lambdas ** 2) / (1.0 + frames.lambdas ** 2), axis=-1)
+    reports.append(IdentityReport("s-eigenvalue-formula", n_points,
+                                  _worst(np.abs(vals - pred)),
                                   tol["s_eigenvalue"], {"seed": seed}))
 
-    worst = np.inf
-    for p, d in zip(points, datas):
+    slacks = []
+    for d in datas:
         lam2 = float(d.frames.lambdas[-1] ** 2)
-        for cc in (lam2, lam2 + 1.0):
-            worst = min(worst, normal_estimate_check(f, p, cc, rng=rng, data=d))
+        slacks += [normal_estimate_check(d, cc, rng=rng) for cc in (lam2, lam2 + 1.0)]
+    worst = float(np.min(slacks))
     reports.append(IdentityReport(
-        "normal-estimate", 2 * len(points), max(0.0, -worst),
+        "normal-estimate", 2 * n_points, _worst([-worst]),
         tol["normal_estimate"], {"worst_slack": worst}))
 
-    res_grouped = res_traced = res_gap = 0.0
+    sides = []
     for _ in range(n_tuples):
-        idx = int(rng.integers(0, len(points)))
-        d = datas[idx]
+        d = datas[int(rng.integers(0, n_points))]
         cc = float(rng.uniform(0.05, 10.0))
         sg = float(rng.uniform(-2.0, 2.0))
-        l = int(rng.integers(0, d.m))
-        lhs, rhs_a, rhs_b = _decomposition_sides(d, cc, sg, l)
-        res_grouped = max(res_grouped, abs(lhs - rhs_a))
-        res_traced = max(res_traced, abs(lhs - rhs_b))
-        res_gap = max(res_gap, abs(rhs_a - rhs_b))
-    reports.append(IdentityReport("curvature-decomposition", n_tuples,
-                                  res_grouped, tol["decomposition"],
-                                  {"seed": seed}))
-    reports.append(IdentityReport("curvature-decomposition-traced", n_tuples,
-                                  res_traced, tol["decomposition"],
-                                  {"seed": seed}))
-    reports.append(IdentityReport("decomposition-forms-gap", n_tuples,
-                                  res_gap, tol["decomposition_gap"],
-                                  {"seed": seed}))
+        sides.append(decomposition_sides(d, cc, sg, int(rng.integers(0, d.m))))
+    lhs, rhs_grouped, rhs_traced = np.array(sides).reshape(n_tuples, 3).T
+    for name, gap, key in (
+            ("curvature-decomposition", lhs - rhs_grouped, "decomposition"),
+            ("curvature-decomposition-traced", lhs - rhs_traced, "decomposition"),
+            ("decomposition-forms-gap", rhs_grouped - rhs_traced, "decomposition_gap")):
+        reports.append(IdentityReport(name, n_tuples, _worst(np.abs(gap)), tol[key],
+                                      {"seed": seed}))
 
-    minimal_here = all(d.ext.h_norm < MINIMAL_TOL for d in datas)
+    minimal_here = bool(np.all(blk.ext.h_norm < MINIMAL_TOL))
+    sub = datas[: min(3, n_points)]
 
     if minimal_here:
-        sub = datas[: min(3, len(datas))]
-        res = max(elliptic_equation_residual(f, d.p, c, h=h, data=d)
-                  for d in sub)
+        res = _worst([elliptic_equation_residual(d, c, h=h) for d in sub])
         reports.append(IdentityReport("elliptic-equation", len(sub), res,
                                       tol["elliptic"], {"c": c, "h": h}))
     else:
@@ -966,16 +816,18 @@ def run_identity_suite(scenario, seed: int = 0, h: float = 1e-3,
 
     two_dim = f.domain.dim == 2 and f.target.dim == 2
     if two_dim and minimal_here:
-        sub = datas[: min(3, len(datas))]
-        res = max(log_jacobian_residual_2d(f, d.p, h=h, data=d) for d in sub)
-        rel = max(minimality_relations_residual_2d(f, d.p, data=d) for d in sub)
-        cons = max(jacobian_consistency_2d(f, d.p, data=d) for d in sub)
-        reports.append(IdentityReport("log-jacobian-2d", len(sub), res,
-                                      tol["log_jacobian"], {"h": h}))
-        reports.append(IdentityReport("minimality-relations-2d", len(sub), rel,
-                                      tol["minimality_relations"], {}))
-        reports.append(IdentityReport("jacobian-consistency-2d", len(sub), cons,
-                                      tol["jacobian_consistency"], {}))
+        reports.append(IdentityReport(
+            "log-jacobian-2d", len(sub),
+            _worst([log_jacobian_residual_2d(d, h=h) for d in sub]),
+            tol["log_jacobian"], {"h": h}))
+        reports.append(IdentityReport(
+            "minimality-relations-2d", len(sub),
+            _worst([minimality_relations_residual_2d(d) for d in sub]),
+            tol["minimality_relations"], {}))
+        reports.append(IdentityReport(
+            "jacobian-consistency-2d", len(sub),
+            _worst([jacobian_consistency_2d(d) for d in sub]),
+            tol["jacobian_consistency"], {}))
     else:
         reason = ("dimensions are not 2x2" if not two_dim
                   else "non-minimal scenario")
@@ -994,10 +846,10 @@ def run_identity_suite(scenario, seed: int = 0, h: float = 1e-3,
                                           tol["extremum"], {},
                                           skipped_reason=probe.reason))
         else:
-            ratio = max(probe.grad_norm / probe.grad_tol,
-                        probe.lap_value / probe.lap_tol)
+            ratio = _worst([probe.grad_norm / probe.grad_tol,
+                            probe.lap_value / probe.lap_tol])
             reports.append(IdentityReport(
-                "extremum-probe", len(grid), max(0.0, ratio), tol["extremum"],
+                "extremum-probe", len(grid), ratio, tol["extremum"],
                 {"point": probe.point.tolist(), "c": probe.c,
                  "grad_norm": probe.grad_norm, "lap_value": probe.lap_value}))
     else:
@@ -1005,28 +857,19 @@ def run_identity_suite(scenario, seed: int = 0, h: float = 1e-3,
                                       tol["extremum"], {},
                                       skipped_reason="non-minimal scenario"))
 
-    lam0_sq = max(float(d.frames.lambdas[-1] ** 2) for d in datas)
+    lam0_sq = float(np.max(frames.lambdas[:, -1] ** 2))
     kappa_sq = max(1.01, 1.01 * lam0_sq)
-    worst = np.inf
-    n_pass = n_skip = 0
-    skip_reason = ""
-    for d in datas[:6]:
-        pr = null_eigenvector_probe(f, d.p, sigma, lam0_sq, kappa_sq,
-                                    rng=rng, data=d)
-        if pr.status == "skipped":
-            n_skip += 1
-            skip_reason = pr.reason
-        else:
-            n_pass += 1
-            worst = min(worst, pr.min_value)
-    if n_pass == 0:
+    probes = [null_eigenvector_probe(d, sigma, lam0_sq, kappa_sq, rng=rng)
+              for d in datas[:6]]
+    ran = [pr.min_value for pr in probes if pr.status != "skipped"]
+    if not ran:
         reports.append(IdentityReport(
             "null-eigenvector-probe", 0, 0.0, tol["null_probe"], {},
-            skipped_reason=f"hypotheses fail at all probe points: {skip_reason}"))
+            skipped_reason=f"hypotheses fail at all probe points: {probes[-1].reason}"))
     else:
         reports.append(IdentityReport(
-            "null-eigenvector-probe", n_pass, max(0.0, -worst),
-            tol["null_probe"],
-            {"lambda0_sq": lam0_sq, "points_skipped": n_skip}))
+            "null-eigenvector-probe", len(ran),
+            _worst([-np.min(ran)]), tol["null_probe"],
+            {"lambda0_sq": lam0_sq, "points_skipped": len(probes) - len(ran)}))
 
     return reports

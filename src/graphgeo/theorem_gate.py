@@ -14,10 +14,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chart_manifold import ChartPoint, riemann_from_jet, sectional_from_data
+from .chart_manifold import ChartPoint, sectional_from_data
 from .errors import DegeneratePlaneError, InvalidParameterError
-from .extrinsic import BLOCK_SIZE, MINIMAL_TOL, GraphBlock, graph_blocks
-from .graph_map import SmoothMap, graph_jets, induced_jet, pullback_metric_jet
+from .extrinsic import BLOCK_SIZE, MINIMAL_TOL, GraphBlock, graph_block, graph_blocks
+from .graph_map import SmoothMap
 
 Array = np.ndarray
 
@@ -90,7 +90,7 @@ def _sectional_columns(blk: GraphBlock, planes_uv: Array) -> dict[str, Array]:
     """
     jets = blk.jets
     u, v = planes_uv[:, :, 0], planes_uv[:, :, 1]
-    sec_m = sectional_from_data(riemann_from_jet(jets.gm)[:, None],
+    sec_m = sectional_from_data(blk.riem_m[:, None],
                                 jets.gm.g[:, None], u, v)
     no_plane = np.ma.getmaskarray(sec_m).all(axis=1)
     if no_plane.any():
@@ -102,7 +102,7 @@ def _sectional_columns(blk: GraphBlock, planes_uv: Array) -> dict[str, Array]:
     if n >= 2 and wanted.any():
         d1 = jets.f.d1[:, None]
         du, dv = (d1 @ u[..., None])[..., 0], (d1 @ v[..., None])[..., 0]
-        sec_n = sectional_from_data(riemann_from_jet(jets.gn)[:, None],
+        sec_n = sectional_from_data(blk.riem_n[:, None],
                                     jets.gn.g[:, None], du, dv)
         sec_n = np.ma.masked_array(sec_n.data,
                                    mask=np.ma.getmaskarray(sec_n) | ~wanted)
@@ -169,29 +169,11 @@ def curvature_pinching_check(sweep: GridSweep, sigma: float,
     return PinchingMargins(dom, tgt, ok)
 
 
-def trace_condition_check(sweep: GridSweep) -> float:
-    """Worst value of the trace condition; pass means margin >= -slack."""
-    return sweep.min_trace_s
-
-
 def _kappa(sweep: GridSweep, margin: float) -> tuple[float, float]:
     """``kappa^2 = max(1 + margin, (1 + margin) * lambda0^2)`` and its worst
     pointwise slack over the squared top singular values."""
     kappa_sq = float(np.maximum(1.0 + margin, (1.0 + margin) * sweep.lambda0_sq))
     return kappa_sq, float(np.min(kappa_sq - sweep.lambdas[:, -1] ** 2))
-
-
-def kappa_estimate(sweep: GridSweep, margin: float = 0.01) -> float:
-    """A valid strict bound ``kappa^2`` for the pullback metric.
-
-    Returns ``max(1 + margin, (1 + margin) * lambda0^2)`` and re-verifies the
-    strict pointwise inequality against the sweep.
-    """
-    kappa_sq, worst = _kappa(sweep, margin)
-    if not worst >= STRICT_MARGIN:
-        raise ValueError(
-            f"kappa^2 = {kappa_sq} is not strictly above the pullback bound")
-    return kappa_sq
 
 
 def second_fundamental_bound_check(sweep: GridSweep, sigma: float,
@@ -270,7 +252,7 @@ def evaluate_hypotheses(f: SmoothMap, sweep: GridSweep, sigma: float,
     slack = tol["gate_slack"]
 
     pinch = curvature_pinching_check(sweep, sigma, slack)
-    trace_margin = trace_condition_check(sweep)
+    trace_margin = sweep.min_trace_s
     kappa_sq, kappa_worst = _kappa(sweep, kappa_margin)
     kappa_ok = kappa_sq > 1.0 + STRICT_MARGIN and kappa_worst >= STRICT_MARGIN
     cond4_margin = second_fundamental_bound_check(sweep, sigma, kappa_sq)
@@ -338,9 +320,8 @@ def classify(f: SmoothMap, grid: list[ChartPoint], sigma: float,
         # conclusion re-checks: induced metric doubles the domain metric,
         # and both curvature witnesses sit at the pinching level
         sample = grid[:: max(1, len(grid) // 10)]
-        jets = graph_jets(f, np.array([p.coords for p in sample]))
-        g = induced_jet(jets.gm, pullback_metric_jet(jets.f, jets.gn, order=0)).g
-        factor_res = float(np.max(np.abs(g - 2.0 * jets.gm.g)))
+        blk = graph_block(f, np.array([p.coords for p in sample]))
+        factor_res = float(np.max(np.abs(blk.g - 2.0 * blk.jets.gm.g)))
         evidence["induced_metric_factor_residual"] = factor_res
 
         sec_m_dev = float(np.max(np.maximum(np.abs(sweep.sec_m_min - sigma),

@@ -11,20 +11,21 @@ import numpy as np
 
 from graphgeo.chart_manifold import (
     constant_metric_chart,
-    sectional_curvature,
+    riemann_from_jet,
+    sectional_from_data,
     sphere_chart,
     sym_eigen,
 )
 from graphgeo.cli import main as cli_main
-from graphgeo.graph_map import frame_formula_residual
+from graphgeo.graph_map import frame_residual_block
 from graphgeo.identities import (
-    PointData,
-    _decomposition_sides,
+    decomposition_sides,
     elliptic_equation_residual,
     log_jacobian_residual_2d,
     minimality_relations_residual_2d,
     normal_estimate_check,
     null_eigenvector_probe,
+    point_rows,
 )
 from graphgeo.scenarios import get, registry
 from graphgeo.theorem_gate import (
@@ -41,6 +42,13 @@ def announce(capsys, number, passed, detail):
         flag = "PASS" if passed else "FAIL"
         print(f"[ACCEPTANCE {number:02d}] {flag}  {detail}")
     assert passed, detail
+
+
+def sectional_curvature(man, p, u, v):
+    jet = man.jet(p)
+    sec = sectional_from_data(riemann_from_jet(jet), jet.g, u, v)
+    assert not np.ma.is_masked(sec)
+    return float(sec)
 
 
 def test_criterion_01_curvature_ground_truth(capsys):
@@ -70,10 +78,11 @@ def test_criterion_02_frame_formulas(capsys):
     rng = np.random.default_rng(SEED + 1)
     worst_frame = worst_eig = 0.0
     for sc in registry().values():
-        for p in sc.random_points(100, rng):
-            d = PointData(sc.f, p)
-            worst_frame = max(worst_frame,
-                              frame_formula_residual(sc.f, p, d.frames))
+        rows = point_rows(sc.f, sc.random_points(100, rng))
+        blk = rows[0].blk
+        worst_frame = max(worst_frame, float(np.max(frame_residual_block(
+            blk.frames, blk.jets.gm.g, blk.jets.gn.g, blk.g))))
+        for d in rows:
             vals, _ = sym_eigen(d.s, d.g)
             pred = np.sort((1.0 - d.frames.lambdas ** 2)
                            / (1.0 + d.frames.lambdas ** 2))
@@ -90,8 +99,7 @@ def test_criterion_03_holomorphic_minimality(capsys):
     best_a = 0.0
     for name in ("holo-w2", "holo-w3"):
         sc = get(name)
-        for p in sc.random_points(100, rng):
-            d = PointData(sc.f, p)
+        for d in point_rows(sc.f, sc.random_points(100, rng)):
             worst_h = max(worst_h, d.ext.h_norm)
             best_a = max(best_a, d.ext.a_norm_sq)
     ok = worst_h < 1e-6 and best_a > 1e-4
@@ -104,12 +112,11 @@ def test_criterion_04_normal_estimate(capsys):
     rng = np.random.default_rng(SEED + 3)
     worst = np.inf
     for sc in registry().values():
-        for p in sc.random_points(20, rng):
-            d = PointData(sc.f, p)
+        for d in point_rows(sc.f, sc.random_points(20, rng)):
             lam2 = float(d.frames.lambdas[-1] ** 2)
             for c in (lam2, lam2 + 1.0):
                 worst = min(worst, normal_estimate_check(
-                    sc.f, p, c, rng=rng, n_mixtures=20, data=d))
+                    d, c, rng=rng, n_mixtures=20))
     ok = worst >= -1e-10
     announce(capsys, 4, ok,
              f"worst normal-estimate slack {worst:.2e} (>= -1e-10; frame "
@@ -122,18 +129,17 @@ def test_criterion_05_curvature_decompositions(capsys):
     worst_res = worst_gap = 0.0
     for _ in range(100):
         sc = get(names[int(rng.integers(0, len(names)))])
-        p = sc.random_points(1, rng)[0]
-        d = PointData(sc.f, p)
+        d = point_rows(sc.f, sc.random_points(1, rng))[0]
         c = float(rng.uniform(0.05, 10.0))
         sigma = float(rng.uniform(-2.0, 2.0))
         l = int(rng.integers(0, sc.domain.dim))
-        lhs, rhs_a, rhs_b = _decomposition_sides(d, c, sigma, l)
+        lhs, rhs_a, rhs_b = decomposition_sides(d, c, sigma, l)
         worst_res = max(worst_res, abs(lhs - rhs_a), abs(lhs - rhs_b))
         worst_gap = max(worst_gap, abs(rhs_a - rhs_b))
 
     sc = get("constant-s2")
-    d = PointData(sc.f, sc.domain.point([0.4, -0.1]))
-    lhs, rhs_a, rhs_b = _decomposition_sides(d, 2.0, 1.0, 0)
+    d = point_rows(sc.f, [sc.domain.point([0.4, -0.1])])[0]
+    lhs, rhs_a, rhs_b = decomposition_sides(d, 2.0, 1.0, 0)
     anchor = max(abs(lhs + 4.0), abs(rhs_a + 4.0), abs(rhs_b + 4.0))
 
     ok = worst_res < 1e-6 and worst_gap < 1e-8 and anchor < 1e-8
@@ -151,17 +157,16 @@ def test_criterion_06_elliptic_equation(capsys):
     worst = 0.0
     for name in minimal:
         sc = get(name)
-        for p in sc.random_points(3, rng):
-            worst = max(worst, elliptic_equation_residual(sc.f, p, 2.0, h=1e-3))
+        for d in point_rows(sc.f, sc.random_points(3, rng)):
+            worst = max(worst, elliptic_equation_residual(d, 2.0, h=1e-3))
 
     ratios = []
     for name in ("holo-w2", "holo-w3", "conformal-shrink"):
         sc = get(name)
         for coords in ([0.6, 0.3], [-0.4, 0.8]):
-            p = sc.domain.point(coords)
-            d = PointData(sc.f, p)
-            r_h = elliptic_equation_residual(sc.f, p, 2.0, h=1e-3, data=d)
-            r_half = elliptic_equation_residual(sc.f, p, 2.0, h=5e-4, data=d)
+            d = point_rows(sc.f, [sc.domain.point(coords)])[0]
+            r_h = elliptic_equation_residual(d, 2.0, h=1e-3)
+            r_half = elliptic_equation_residual(d, 2.0, h=5e-4)
             ratios.append(r_h / r_half)
     ok = worst < 1e-4 and all(3.5 <= r <= 4.5 for r in ratios)
     announce(capsys, 6, ok,
@@ -174,14 +179,12 @@ def test_criterion_07_log_jacobian_identity(capsys):
     rng = np.random.default_rng(SEED + 6)
     sc = get("holo-w2")
     worst = worst_rel = 0.0
-    for p in sc.random_points(50, rng):
-        d = PointData(sc.f, p)
-        worst = max(worst, log_jacobian_residual_2d(sc.f, p, h=1e-3, data=d))
-        worst_rel = max(worst_rel,
-                        minimality_relations_residual_2d(sc.f, p, data=d))
+    for d in point_rows(sc.f, sc.random_points(50, rng)):
+        worst = max(worst, log_jacobian_residual_2d(d, h=1e-3))
+        worst_rel = max(worst_rel, minimality_relations_residual_2d(d))
     sc_id = get("identity-s2")
-    worst_id = max(log_jacobian_residual_2d(sc_id.f, p)
-                   for p in sc_id.random_points(5, rng))
+    worst_id = max(log_jacobian_residual_2d(d)
+                   for d in point_rows(sc_id.f, sc_id.random_points(5, rng)))
     ok = worst < 1e-4 and worst_rel < 1e-6 and worst_id < 1e-10
     announce(capsys, 7, ok,
              f"2d jacobian residual {worst:.2e} (tol 1e-04), trace relations "
@@ -247,8 +250,8 @@ def test_criterion_10_null_eigenvector_probes(capsys):
     for name, n_pts in (("identity-s2", 10), ("identity-s3", 6),
                         ("rotation-s2", 10)):
         sc = get(name)
-        for p in sc.random_points(n_pts, rng):
-            res = null_eigenvector_probe(sc.f, p, sigma=1.0, lambda0_sq=1.0,
+        for d in point_rows(sc.f, sc.random_points(n_pts, rng)):
+            res = null_eigenvector_probe(d, sigma=1.0, lambda0_sq=1.0,
                                          kappa_sq=1.01, rng=rng, n_draws=20)
             assert res.status != "skipped", res.reason
             draws += res.draws
@@ -261,14 +264,12 @@ def test_criterion_10_null_eigenvector_probes(capsys):
                              ("conformal-shrink",
                               np.array([[-0.6, 0.6], [-0.6, 0.6]]), 10)):
         sc = get(name)
-        pts = sc.random_points(n_pts, rng, box=box)
-        lam0_sq = max(float(PointData(sc.f, p).frames.lambdas[-1] ** 2)
-                      for p in pts)
+        rows = point_rows(sc.f, sc.random_points(n_pts, rng, box=box))
+        lam0_sq = max(float(d.frames.lambdas[-1] ** 2) for d in rows)
         assert lam0_sq < 1.0
-        for p in pts:
-            res = null_eigenvector_probe(sc.f, p, sigma=1.0,
-                                         lambda0_sq=lam0_sq, rng=rng,
-                                         n_draws=20)
+        for d in rows:
+            res = null_eigenvector_probe(d, sigma=1.0, lambda0_sq=lam0_sq,
+                                         rng=rng, n_draws=20)
             assert res.status != "skipped", res.reason
             draws += res.draws
             worst = min(worst, res.min_value)

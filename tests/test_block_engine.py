@@ -1,13 +1,15 @@
 """The block-batched grid engine against point-by-point evaluation.
 
-The oracle below is the per-point sweep the block engine replaced: one
-``PointData`` per grid point, one sectional curvature per sampled plane.
+The oracle below is the per-point sweep the block engine replaced: each
+grid point's frames, second fundamental form and trace evaluated on their
+own, one sectional curvature per sampled plane.
 Every column of the block sweep must equal it bit for bit: sectional samples
 on near-degenerate planes and finite-difference stencils magnify a change in
 the last bit far beyond any tolerance.
 """
 
 import dataclasses
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -15,7 +17,9 @@ import pytest
 from graphgeo.chart_manifold import (
     PLANE_TOL,
     ChartManifold,
+    ChartPoint,
     constant_metric_chart,
+    riemann_from_jet,
     sym_eigen,
 )
 from graphgeo.errors import (
@@ -24,14 +28,15 @@ from graphgeo.errors import (
     FrameConstructionError,
     InvalidParameterError,
 )
-from graphgeo.extrinsic import BLOCK_SIZE
-from graphgeo.graph_map import (
-    MapJet,
-    SmoothMap,
+from graphgeo.extrinsic import (
+    BLOCK_SIZE,
     adapted_frames_at,
-    frame_formula_residual,
+    graph_block,
+    second_fundamental_at,
+    trace_s_at,
 )
-from graphgeo.identities import PointData
+from graphgeo.graph_map import MapJet, SmoothMap, frame_residual_block
+from graphgeo.identities import run_identity_suite
 from graphgeo.scenarios import get, linear_map
 from graphgeo.theorem_gate import GridSweep, evaluate_hypotheses, sweep_geometry
 
@@ -53,25 +58,28 @@ def scalar_sectional(riem, g, u, v):
 
 def point_geometry(f, p, seed_seq, planes):
     rng = np.random.default_rng(seed_seq)
-    d = PointData(f, p)
-    m, n = d.m, d.n
+    fjet = f.jet(p)
+    gm_jet, gn_jet = f.domain.jet(p), f.target.jet(ChartPoint(fjet.value))
+    riem_m, riem_n = riemann_from_jet(gm_jet), riemann_from_jet(gn_jet)
+    frames, ext = adapted_frames_at(f, p), second_fundamental_at(f, p)
+    m, n = f.domain.dim, f.target.dim
     sec_m_vals, sec_n_vals = [], []
     for _ in range(planes):
         u, v = rng.normal(size=m), rng.normal(size=m)
         try:
-            sec_m_vals.append(scalar_sectional(d.riem_m, d.gm_jet.g, u, v))
+            sec_m_vals.append(scalar_sectional(riem_m, gm_jet.g, u, v))
         except DegeneratePlaneError:
             continue
-        if n >= 2 and d.frames.rank >= 2:
-            du, dv = d.fjet.d1 @ u, d.fjet.d1 @ v
+        if n >= 2 and frames.rank >= 2:
+            du, dv = fjet.d1 @ u, fjet.d1 @ v
             try:
-                sec_n_vals.append(scalar_sectional(d.riem_n, d.gn_jet.g, du, dv))
+                sec_n_vals.append(scalar_sectional(riem_n, gn_jet.g, du, dv))
             except DegeneratePlaneError:
                 pass
     return {
-        "coords": p.coords, "lambdas": d.frames.lambdas, "rank": d.frames.rank,
-        "trace_s": d.trace_s, "a_norm_sq": d.ext.a_norm_sq,
-        "h_norm": d.ext.h_norm,
+        "coords": p.coords, "lambdas": frames.lambdas, "rank": frames.rank,
+        "trace_s": trace_s_at(f, p), "a_norm_sq": ext.a_norm_sq,
+        "h_norm": ext.h_norm,
         "sec_m_min": min(sec_m_vals), "sec_m_max": max(sec_m_vals),
         "sec_n_min": min(sec_n_vals) if sec_n_vals else np.nan,
         "sec_n_max": max(sec_n_vals) if sec_n_vals else np.nan,
@@ -211,9 +219,11 @@ def test_sym_eigen_block_rejects_one_indefinite_metric():
 # Work count: one map jet and two metric jets per grid point
 # ---------------------------------------------------------------------------
 
-def counting(fn, counter, key):
+def counting(fn, counter, key, seen=None):
     def wrapped(x):
         counter[key] += 1
+        if seen is not None:
+            seen[tuple(x)] += 1
         return fn(x)
     return wrapped
 
@@ -231,6 +241,40 @@ def test_sweep_evaluates_each_jet_once_per_point(name, shape):
     grid = [domain.point(p.coords) for p in sc.grid_points(shape)]
     sweep_geometry(f, grid, seed=0)
     assert counts == {"map": len(grid), "domain": len(grid), "target": len(grid)}
+
+
+class BlockCountingMap(SmoothMap):
+    """Records the size of every block the map jets are evaluated on."""
+
+    def jet(self, p):
+        self.blocks.append(1 if isinstance(p, ChartPoint) else len(p))
+        return super().jet(p)
+
+
+@pytest.mark.parametrize("name,stencils", [
+    # 3 elliptic and 3 log-Jacobian points, plus the extremum probe
+    ("holo-w2", 7),
+    ("proj-s3-s1", 0),      # not minimal: no finite differences
+])
+def test_identity_suite_evaluates_each_sample_jet_once(name, stencils):
+    sc = get(name)
+    counts, seen = {"map": 0}, Counter()
+    f = BlockCountingMap(sc.domain, sc.target,
+                         counting(sc.f.jet_fn, counts, "map", seen), sc.f.name)
+    object.__setattr__(f, "blocks", [])
+    seed = 4
+    run_identity_suite(dataclasses.replace(sc, f=f), seed=seed)
+
+    samples = sc.random_points(12, np.random.default_rng(seed))
+    assert [seen[tuple(p.coords)] for p in samples] == [1] * 12
+    # every map jet went through a block call: the samples as one block,
+    # then one block per finite-difference stencil (2 m^2 points around a
+    # sample) and one per parallel-field probe (2 m axis neighbours)
+    m = sc.domain.dim
+    assert f.blocks[0] == 12
+    assert counts["map"] == sum(f.blocks)
+    assert f.blocks.count(2 * m * m) == stencils
+    assert set(f.blocks[1:]) <= {2 * m * m, 2 * m, 7 ** m}
 
 
 # ---------------------------------------------------------------------------
@@ -255,11 +299,14 @@ def test_nan_differential_raises_in_frames():
 
 def test_frame_residual_propagates_nan():
     sc = get("holo-w2")
-    p = sc.domain.point([0.3, 0.2])
-    frames = adapted_frames_at(sc.f, p)
-    assert frame_formula_residual(sc.f, p, frames) < 1e-12
-    broken = dataclasses.replace(frames, e=np.full_like(frames.e, np.nan))
-    assert np.isnan(frame_formula_residual(sc.f, p, broken))
+    blk = graph_block(sc.f, np.array([[0.3, 0.2]]))
+
+    def residual(frames):
+        return frame_residual_block(frames, blk.jets.gm.g, blk.jets.gn.g, blk.g)[0]
+
+    assert residual(blk.frames) < 1e-12
+    broken = dataclasses.replace(blk.frames, e=np.full_like(blk.frames.e, np.nan))
+    assert np.isnan(residual(broken))
 
 
 def test_nan_differential_raises_in_sweep():

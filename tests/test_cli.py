@@ -2,8 +2,12 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from graphgeo.cli import main
+from graphgeo.identities import DEFAULT_IDENTITY_TOLERANCES
+from graphgeo.theorem_gate import DEFAULT_TOLERANCES
 from graphgeo.reporting import canonical_json, report_to_csv
 
 
@@ -313,6 +317,79 @@ def test_non_finite_and_unknown_settings_rejected(command, extra, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert len(err.strip().splitlines()) == 1
+    assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("doc", [
+    {"threads": "2"}, {"threads": 0}, {"grid": "20x20"}, {"grid": []},
+    {"seed": "a"}, {"seed": -1}, {"h": True},
+    {"box": [[-1.0, 1.0]]},                # one axis for a 2-d scenario
+    {"box": [[1.0, 0.0], [0.0, 1.0]]},     # inverted
+    {"tolerances": [1e-3]}, {"scenario": 7}, {"output": 5},
+    None,                                  # no such config file
+    [],                                    # not a JSON object
+])
+@pytest.mark.parametrize("command", ["report", "check-theorem"])
+def test_malformed_config_rejected(command, doc, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    if doc is not None:
+        cfg.write_text(json.dumps(
+            {"scenario": "identity-s2", **doc} if isinstance(doc, dict) else doc))
+    code = run([command, "--config", str(cfg)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith("error: ")
+
+
+def _bad_values():
+    text = st.text(max_size=6)
+    return {
+        "grid": st.one_of(text, st.integers(), st.just([]),
+                          st.lists(st.integers(max_value=1), min_size=1, max_size=3),
+                          st.lists(text, min_size=1, max_size=2)),
+        "seed": st.one_of(text, st.booleans(), st.floats(),
+                          st.integers(max_value=-1)),
+        "threads": st.one_of(text, st.booleans(), st.floats(),
+                             st.integers(max_value=0)),
+        "box": st.one_of(text, st.integers(),
+                         st.lists(st.lists(st.floats(), min_size=2, max_size=2),
+                                  min_size=1, max_size=1),
+                         st.lists(st.lists(st.floats(), min_size=2, max_size=2),
+                                  min_size=2, max_size=2).filter(
+                             lambda b: not all(lo < hi for lo, hi in b))),
+        "h": st.one_of(text, st.booleans(), st.floats(max_value=0.0),
+                       st.lists(st.floats(), max_size=2)),
+        "sigma": st.one_of(text, st.booleans(), st.just(float("nan"))),
+        "tolerances": st.one_of(text, st.lists(st.integers(), max_size=2),
+                                st.dictionaries(text.filter(
+                                    lambda k: k not in DEFAULT_TOLERANCES
+                                    and k not in DEFAULT_IDENTITY_TOLERANCES),
+                                    st.floats(min_value=1e-3, max_value=1.0),
+                                    min_size=1, max_size=2),
+                                st.dictionaries(st.sampled_from(["gate_slack", "frame"]),
+                                                st.floats(max_value=0.0), min_size=1)),
+        "format": text.filter(lambda v: v not in ("json", "csv")),
+        "scenario": st.one_of(st.integers(), st.lists(text, max_size=2), text),
+        "unknown": st.integers(),
+    }
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_fuzzed_malformed_config_exits_2(data, tmp_path, capsys):
+    key = data.draw(st.sampled_from(sorted(_bad_values())))
+    value = data.draw(_bad_values()[key])
+    doc = {"scenario": "identity-s2", "grid": [3, 3],
+           ("scneario" if key == "unknown" else key): value}
+    cfg = tmp_path / "fuzz.json"
+    cfg.write_text(json.dumps(doc))
+    capsys.readouterr()
+    code = run(["check-theorem", "--config", str(cfg)])
+    err = capsys.readouterr().err
+    assert code == 2, doc
+    assert len(err.strip().splitlines()) == 1, err
     assert err.startswith("error: ")
 
 

@@ -1,32 +1,41 @@
+import contextlib
+import io
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from graphgeo.extrinsic import (
-    graph_embedding_jet,
-    minimality_report,
-    second_fundamental_at,
-)
-from graphgeo.identities import PointData
+from graphgeo.extrinsic import minimality_report, second_fundamental_at
+from graphgeo.identities import point_rows
+from graphgeo.product_space import SplitVector, product_metric
 from graphgeo.scenarios import get, registry
 
 
 # ---------------------------------------------------------------------------
-# Embedding jet
+# Embedding jet x -> (x, f(x)): identity block over the map jet
 # ---------------------------------------------------------------------------
+
+def embedding_jet(f, p):
+    """Differential and Hessian of the graph embedding in product-chart slots."""
+    jet = f.jet(p)
+    m = f.domain.dim
+    return (np.vstack([np.eye(m), jet.d1]),
+            np.concatenate([np.zeros((m, m, m)), jet.d2], axis=0))
+
 
 def test_embedding_jet_constant_map():
     sc = get("constant-s2")
     p = sc.domain.point([0.4, -0.2])
-    jet = graph_embedding_jet(sc.f, p)
-    assert np.abs(jet.d1[:2] - np.eye(2)).max() == 0.0
-    assert np.abs(jet.d1[2:]).max() == 0.0
-    assert np.abs(jet.d2).max() == 0.0
+    d1, d2 = embedding_jet(sc.f, p)
+    assert np.abs(d1[:2] - np.eye(2)).max() == 0.0
+    assert np.abs(d1[2:]).max() == 0.0
+    assert np.abs(d2).max() == 0.0
 
 
 def test_embedding_jet_identity_map():
     sc = get("identity-s2")
-    jet = graph_embedding_jet(sc.f, sc.domain.point([0.1, 0.1]))
-    assert np.abs(jet.d1 - np.vstack([np.eye(2), np.eye(2)])).max() == 0.0
+    d1, _ = embedding_jet(sc.f, sc.domain.point([0.1, 0.1]))
+    assert np.abs(d1 - np.vstack([np.eye(2), np.eye(2)])).max() == 0.0
 
 
 def test_embedding_jet_fd_cross_check():
@@ -34,9 +43,9 @@ def test_embedding_jet_fd_cross_check():
     x = np.array([0.5, -0.3])
 
     def d1_at(y):
-        return graph_embedding_jet(sc.f, sc.domain.point(y)).d1
+        return embedding_jet(sc.f, sc.domain.point(y))[0]
 
-    exact = graph_embedding_jet(sc.f, sc.domain.point(x)).d2
+    exact = embedding_jet(sc.f, sc.domain.point(x))[1]
 
     def disc(h):
         fd = np.zeros_like(exact)
@@ -106,7 +115,7 @@ def test_scalar_invariants_are_frame_independent():
         sc = get(name)
         for p in sc.random_points(5, rng):
             ext = second_fundamental_at(sc.f, p)
-            d = PointData(sc.f, p)
+            d = point_rows(sc.f, [p])[0]
             E = _random_orthonormal_frame(d.g, rng)
             a_sq = 0.0
             h_m = np.zeros(sc.domain.dim)
@@ -114,13 +123,12 @@ def test_scalar_invariants_are_frame_independent():
             for i in range(sc.domain.dim):
                 for j in range(sc.domain.dim):
                     a = ext.a_coord(E[:, i], E[:, j])
-                    a_sq += d.product_inner(a, a)
+                    a_sq += product_metric(d.gm, d.gn, a, a)
                     if i == j:
                         h_m += a.m_part
                         h_n += a.n_part
-            from graphgeo.product_space import SplitVector
-            h_norm = np.sqrt(d.product_inner(SplitVector(h_m, h_n),
-                                             SplitVector(h_m, h_n)))
+            h_norm = np.sqrt(product_metric(d.gm, d.gn, SplitVector(h_m, h_n),
+                                            SplitVector(h_m, h_n)))
             assert abs(a_sq - ext.a_norm_sq) < 1e-8
             assert abs(h_norm - ext.h_norm) < 1e-8
 
@@ -129,14 +137,13 @@ def test_normal_estimate_on_frame_normals():
     # the split form on any normal direction is bounded by the shifted level
     rng = np.random.default_rng(24)
     for sc in registry().values():
-        for p in sc.random_points(5, rng):
-            d = PointData(sc.f, p)
+        for d in point_rows(sc.f, sc.random_points(5, rng)):
             lam_max_sq = float(d.frames.lambdas[-1] ** 2)
             for c in (lam_max_sq, lam_max_sq + 1.0):
                 bound = (c - 1.0) / (1.0 + c)
                 for xi in d.frames.xi:
-                    lhs = d.split_form(xi, xi)
-                    rhs = bound * d.product_inner(xi, xi)
+                    lhs = product_metric(d.gm, -d.gn, xi, xi)
+                    rhs = bound * product_metric(d.gm, d.gn, xi, xi)
                     assert lhs <= rhs + 1e-10
 
 
@@ -177,3 +184,22 @@ def test_minimality_report_empty_grid():
     sc = get("identity-s2")
     with pytest.raises(ValueError):
         minimality_report(sc.f, [])
+
+
+# ---------------------------------------------------------------------------
+# README library example
+# ---------------------------------------------------------------------------
+
+def test_readme_library_example_prints_documented_values():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = text.split("## Library example", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(code, "README.md", "exec"), {})
+    lambdas, trace_s, h_norm, a_norm_sq, a_norm_sq_half = out.getvalue().splitlines()
+    assert [float(x) for x in lambdas.strip("[]").split()] == [2.0, 2.0]
+    assert abs(float(trace_s) + 1.2) < 1e-12
+    assert float(h_norm) < 1e-12
+    assert abs(float(a_norm_sq)) < 1e-12
+    assert float(a_norm_sq_half) > 0.0

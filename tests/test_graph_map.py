@@ -1,27 +1,12 @@
 import numpy as np
 import pytest
 
-from graphgeo.chart_manifold import (
-    ChartPoint,
-    MetricJet,
-    ricci_from_jet,
-    sphere_chart,
-    sym_eigen,
-)
+from graphgeo.chart_manifold import MetricJet, ricci_from_jet, sphere_chart, sym_eigen
 from graphgeo.errors import CapabilityError, InvalidParameterError
-from graphgeo.graph_map import (
-    MapJet,
-    SmoothMap,
-    adapted_frames_at,
-    frame_formula_residual,
-    induced_manifold,
-    induced_metric_jet,
-    pullback_metric_at,
-    s_tensor_at,
-    shifted_s_at,
-    singular_values_at,
-    trace_s_at,
-)
+from graphgeo.extrinsic import adapted_frames_at, graph_block, trace_s_at
+from graphgeo.graph_map import MapJet, SmoothMap, frame_residual_block
+from graphgeo.identities import point_rows
+from graphgeo.product_space import product_metric
 from graphgeo.scenarios import (
     complex_power_map,
     constant_map,
@@ -36,6 +21,28 @@ from graphgeo.scenarios import (
 def conformal_lambda(k, w_abs):
     """Stretch factor of w -> w^k between unit spheres in stereographic charts."""
     return k * w_abs ** (k - 1) * (1 + w_abs ** 2) / (1 + w_abs ** (2 * k))
+
+
+def at(f, p):
+    """The geometry at ``p`` as a block of one."""
+    return graph_block(f, p.coords[None])
+
+
+def pullback_metric_at(f, p):
+    return at(f, p).pullback[0][0]
+
+
+def frame_residual(f, p):
+    """Worst split-form evaluation residual of the adapted frames at ``p``."""
+    blk = at(f, p)
+    return float(frame_residual_block(blk.frames, blk.jets.gm.g, blk.jets.gn.g,
+                                      blk.g)[0])
+
+
+def induced_metric_jet(f, x):
+    """Second-order jet of the induced metric at the coordinates ``x``."""
+    jet = graph_block(f, np.asarray(x, float)[None]).induced2
+    return MetricJet(jet.g[0], jet.dg[0], jet.d2g[0])
 
 
 # ---------------------------------------------------------------------------
@@ -70,14 +77,14 @@ def test_pullback_w2_at_one():
 
 def test_identity_singular_values():
     sc = get("identity-s2")
-    svd = singular_values_at(sc.f, sc.domain.point([0.2, 0.9]))
+    svd = adapted_frames_at(sc.f, sc.domain.point([0.2, 0.9]))
     assert np.abs(svd.lambdas - 1.0).max() < 1e-12
     assert svd.rank == 2
 
 
 def test_constant_singular_values():
     sc = get("constant-s3")
-    svd = singular_values_at(sc.f, sc.domain.point([0.2, -0.9, 0.4]))
+    svd = adapted_frames_at(sc.f, sc.domain.point([0.2, -0.9, 0.4]))
     assert np.abs(svd.lambdas).max() == 0.0
     assert svd.rank == 0
 
@@ -87,14 +94,14 @@ def test_holomorphic_singular_values_match_conformal_formula(name, k):
     sc = get(name)
     rng = np.random.default_rng(8)
     for p in sc.random_points(20, rng):
-        svd = singular_values_at(sc.f, p)
+        svd = adapted_frames_at(sc.f, p)
         lam = conformal_lambda(k, float(np.hypot(*p.coords)))
         assert np.abs(svd.lambdas - lam).max() < 1e-10
 
 
 def test_w2_singular_value_two_at_one():
     sc = get("holo-w2")
-    svd = singular_values_at(sc.f, sc.domain.point([1.0, 0.0]))
+    svd = adapted_frames_at(sc.f, sc.domain.point([1.0, 0.0]))
     assert np.abs(svd.lambdas - 2.0).max() < 1e-12
     assert svd.rank == 2
 
@@ -111,7 +118,7 @@ def test_rank_one_map_into_surface_frames():
         assert fr.rank == 1
         assert fr.lambdas[0] == 0.0
         assert fr.lambdas[1] > 0.1
-        assert frame_formula_residual(f, p, fr) < 1e-10
+        assert frame_residual(f, p) < 1e-10
         # kernel direction maps to zero; stretched direction to the pinned
         # target vector scaled by the singular value
         d1 = f.jet(p).d1
@@ -135,8 +142,8 @@ def test_singular_values_invariant_under_isometric_precomposition():
     rng = np.random.default_rng(9)
     for _ in range(25):
         x = rng.uniform(-0.8, 0.8, 2)
-        lam_f = singular_values_at(sc.f, sc.domain.point(Q @ x)).lambdas
-        lam_g = singular_values_at(g, sc.domain.point(x)).lambdas
+        lam_f = adapted_frames_at(sc.f, sc.domain.point(Q @ x)).lambdas
+        lam_g = adapted_frames_at(g, sc.domain.point(x)).lambdas
         assert np.abs(lam_f - lam_g).max() < 1e-8
 
 
@@ -149,9 +156,8 @@ def test_identity_mixed_frame_value():
     sc = get("identity-s2")
     p = sc.domain.point([0.4, 0.1])
     fr = adapted_frames_at(sc.f, p)
-    prod = sc.f.product_space()
-    q = sc.f.product_point(p)
-    val = prod.s_form(q, fr.e_tilde[1], fr.xi[1])
+    d = point_rows(sc.f, [p])[0]
+    val = product_metric(d.gm, -d.gn, fr.e_tilde[1], fr.xi[1])
     assert abs(val + 1.0) < 1e-12
 
 
@@ -159,10 +165,9 @@ def test_constant_map_normal_frame_values():
     sc = get("constant-s2")
     p = sc.domain.point([-0.3, 0.6])
     fr = adapted_frames_at(sc.f, p)
-    prod = sc.f.product_space()
-    q = sc.f.product_point(p)
+    d = point_rows(sc.f, [p])[0]
     for xi in fr.xi:
-        assert abs(prod.s_form(q, xi, xi) + 1.0) < 1e-12
+        assert abs(product_metric(d.gm, -d.gn, xi, xi) + 1.0) < 1e-12
         assert np.abs(xi.m_part).max() == 0.0
 
 
@@ -170,7 +175,7 @@ def test_w2_tangent_frame_value_at_one():
     sc = get("holo-w2")
     p = sc.domain.point([1.0, 0.0])
     fr = adapted_frames_at(sc.f, p)
-    s = s_tensor_at(sc.f, p)
+    s = point_rows(sc.f, [p])[0].s
     for i in range(2):
         val = float(fr.e[:, i] @ s @ fr.e[:, i])
         assert abs(val + 3.0 / 5.0) < 1e-12
@@ -180,8 +185,7 @@ def test_frame_orthonormality_all_scenarios():
     rng = np.random.default_rng(10)
     for sc in registry().values():
         for p in sc.random_points(20, rng):
-            fr = adapted_frames_at(sc.f, p)
-            assert frame_formula_residual(sc.f, p, fr) < 1e-8
+            assert frame_residual(sc.f, p) < 1e-8
 
 
 def test_graph_differential_maps_frame_to_tangent_frame():
@@ -221,9 +225,8 @@ def test_s_eigenvalues_match_singular_value_formula():
     for sc in registry().values():
         for p in sc.random_points(10, rng):
             fr = adapted_frames_at(sc.f, p)
-            s = s_tensor_at(sc.f, p)
-            g = induced_metric_jet(sc.f, p, order=0).g
-            vals, _ = sym_eigen(s, g)
+            d = point_rows(sc.f, [p])[0]
+            vals, _ = sym_eigen(d.s, d.g)
             # ascending s-eigenvalues pair with descending singular values
             pred = (1.0 - fr.lambdas[::-1] ** 2) / (1.0 + fr.lambdas[::-1] ** 2)
             assert np.abs(vals - pred).max() < 1e-10
@@ -235,7 +238,7 @@ def test_trace_via_frames_equals_trace_via_eigenvalues():
         sc = get(name)
         for p in sc.random_points(10, rng):
             fr = adapted_frames_at(sc.f, p)
-            s = s_tensor_at(sc.f, p)
+            s = point_rows(sc.f, [p])[0].s
             frame_sum = sum(float(fr.e[:, i] @ s @ fr.e[:, i])
                             for i in range(sc.domain.dim))
             assert abs(frame_sum - trace_s_at(sc.f, p)) < 1e-10
@@ -247,27 +250,26 @@ def test_trace_via_frames_equals_trace_via_eigenvalues():
 
 def test_shifted_tensor_identity_at_unit_shift_vanishes():
     sc = get("identity-s2")
-    phi = shifted_s_at(sc.f, sc.domain.point([0.3, 0.3]), 1.0)
+    phi = point_rows(sc.f, [sc.domain.point([0.3, 0.3])])[0].shifted_s(1.0)
     assert np.abs(phi).max() < 1e-14
 
 
 def test_shifted_tensor_constant_map_is_metric_multiple():
     sc = get("constant-s2")
     p = sc.domain.point([0.4, -0.6])
+    d = point_rows(sc.f, [p])[0]
     for c in (0.5, 2.0, 7.0):
-        phi = shifted_s_at(sc.f, p, c)
-        g = induced_metric_jet(sc.f, p, order=0).g
+        phi = d.shifted_s(c)
+        g = d.g
         assert np.abs(phi - (2.0 * c / (1.0 + c)) * g).max() < 1e-12
 
 
 def test_shifted_tensor_nonnegative_at_global_shift():
     sc = get("holo-w2")
     pts = sc.grid_points((12, 12))
-    lam0_sq = max(singular_values_at(sc.f, p).lambdas[-1] ** 2 for p in pts)
-    for p in pts:
-        phi = shifted_s_at(sc.f, p, float(lam0_sq))
-        g = induced_metric_jet(sc.f, p, order=0).g
-        vals, _ = sym_eigen(phi, g)
+    lam0_sq = max(adapted_frames_at(sc.f, p).lambdas[-1] ** 2 for p in pts)
+    for d in point_rows(sc.f, pts):
+        vals, _ = sym_eigen(d.shifted_s(float(lam0_sq)), d.g)
         assert vals[0] >= -1e-10
 
 
@@ -276,9 +278,8 @@ def test_shifted_tensor_eigenvalue_formula():
     p = sc.domain.point([0.6, -0.2])
     fr = adapted_frames_at(sc.f, p)
     c = 3.0
-    phi = shifted_s_at(sc.f, p, c)
-    g = induced_metric_jet(sc.f, p, order=0).g
-    vals, _ = sym_eigen(phi, g)
+    d = point_rows(sc.f, [p])[0]
+    vals, _ = sym_eigen(d.shifted_s(c), d.g)
     pred = ((1.0 - fr.lambdas[::-1] ** 2) / (1.0 + fr.lambdas[::-1] ** 2)
             - (1.0 - c) / (1.0 + c))
     assert np.abs(vals - pred).max() < 1e-10
@@ -287,17 +288,17 @@ def test_shifted_tensor_eigenvalue_formula():
 def test_shifted_tensor_rejects_nonpositive_shift():
     sc = get("identity-s2")
     with pytest.raises(InvalidParameterError):
-        shifted_s_at(sc.f, sc.domain.point([0.0, 0.0]), -0.5)
+        point_rows(sc.f, [sc.domain.point([0.0, 0.0])])[0].shifted_s(-0.5)
 
 
 # ---------------------------------------------------------------------------
-# Induced manifold
+# Induced metric jet
 # ---------------------------------------------------------------------------
 
 def test_induced_metric_constant_map_is_domain_metric():
     sc = get("constant-s2")
     p = sc.domain.point([0.7, 0.2])
-    jet = induced_metric_jet(sc.f, p)
+    jet = induced_metric_jet(sc.f, p.coords)
     gm = sc.domain.jet(p)
     assert np.abs(jet.g - gm.g).max() == 0.0
     assert np.abs(jet.dg - gm.dg).max() == 0.0
@@ -307,7 +308,7 @@ def test_induced_metric_constant_map_is_domain_metric():
 def test_induced_metric_identity_doubles_domain_metric():
     sc = get("identity-s3")
     p = sc.domain.point([0.1, -0.5, 0.3])
-    jet = induced_metric_jet(sc.f, p)
+    jet = induced_metric_jet(sc.f, p.coords)
     gm = sc.domain.jet(p)
     assert np.abs(jet.g - 2.0 * gm.g).max() < 1e-14
     assert np.abs(jet.dg - 2.0 * gm.dg).max() < 1e-14
@@ -316,17 +317,20 @@ def test_induced_metric_identity_doubles_domain_metric():
 
 def test_induced_jet_satisfies_symmetries():
     sc = get("holo-w3")
-    jet = induced_metric_jet(sc.f, sc.domain.point([0.5, 0.8]))
-    jet.validate()
+    jet = induced_metric_jet(sc.f, [0.5, 0.8])
+    tol = 1e-12
+    assert np.allclose(jet.g, jet.g.T, atol=tol)
+    assert np.allclose(jet.dg, np.swapaxes(jet.dg, 1, 2), atol=tol)
+    assert np.allclose(jet.d2g, np.swapaxes(jet.d2g, 2, 3), atol=tol)
+    assert np.allclose(jet.d2g, np.swapaxes(jet.d2g, 0, 1), atol=tol)
 
 
 def test_induced_metric_jet_fd_cross_check():
     # first and second derivatives of the induced metric against central
     # differences of the assembled field, with second-order convergence
     sc = get("holo-w2")
-    man = induced_manifold(sc.f)
     x = np.array([0.4, -0.3])
-    exact = man.metric_jet(x)
+    exact = induced_metric_jet(sc.f, x)
 
     def fd_disc(h):
         dim = 2
@@ -335,8 +339,10 @@ def test_induced_metric_jet_fd_cross_check():
         for k in range(dim):
             e = np.zeros(dim)
             e[k] = h
-            dg[k] = (man.metric_jet(x + e).g - man.metric_jet(x - e).g) / (2 * h)
-            d2g[k] = (man.metric_jet(x + e).dg - man.metric_jet(x - e).dg) / (2 * h)
+            dg[k] = (induced_metric_jet(sc.f, x + e).g
+                     - induced_metric_jet(sc.f, x - e).g) / (2 * h)
+            d2g[k] = (induced_metric_jet(sc.f, x + e).dg
+                      - induced_metric_jet(sc.f, x - e).dg) / (2 * h)
         return max(np.abs(dg - exact.dg).max(), np.abs(d2g - exact.d2g).max())
 
     d1, d2 = fd_disc(1e-4), fd_disc(5e-5)
@@ -346,21 +352,22 @@ def test_induced_metric_jet_fd_cross_check():
 
 def test_induced_ricci_fd_cross_check():
     sc = get("holo-w2")
-    man = induced_manifold(sc.f)
     x = np.array([0.6, 0.1])
-    ric_exact, _ = ricci_from_jet(man.metric_jet(x))
+    ric_exact, _ = ricci_from_jet(induced_metric_jet(sc.f, x))
 
     def ric_fd(h):
         # rebuild the Ricci tensor from a jet whose derivatives are FD
         dim = 2
-        g = man.metric_jet(x).g
+        g = induced_metric_jet(sc.f, x).g
         dg = np.zeros((dim, dim, dim))
         d2g = np.zeros((dim, dim, dim, dim))
         for k in range(dim):
             e = np.zeros(dim)
             e[k] = h
-            dg[k] = (man.metric_jet(x + e).g - man.metric_jet(x - e).g) / (2 * h)
-            d2g[k] = (man.metric_jet(x + e).dg - man.metric_jet(x - e).dg) / (2 * h)
+            dg[k] = (induced_metric_jet(sc.f, x + e).g
+                     - induced_metric_jet(sc.f, x - e).g) / (2 * h)
+            d2g[k] = (induced_metric_jet(sc.f, x + e).dg
+                      - induced_metric_jet(sc.f, x - e).dg) / (2 * h)
         ric, _ = ricci_from_jet(MetricJet(g, dg, d2g))
         return np.abs(ric - ric_exact).max()
 
@@ -376,6 +383,5 @@ def test_induced_manifold_needs_third_order_jets():
         return MapJet(x.copy(), np.eye(2), np.zeros((2, 2, 2)), None)
 
     f = SmoothMap(s2, s2, jet_no_d3, "id-no-d3")
-    man = induced_manifold(f)
     with pytest.raises(CapabilityError):
-        man.metric_jet(np.array([0.1, 0.2]))
+        induced_metric_jet(f, [0.1, 0.2])

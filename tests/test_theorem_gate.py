@@ -7,12 +7,22 @@ from graphgeo.theorem_gate import (
     classify,
     curvature_pinching_check,
     evaluate_hypotheses,
-    kappa_estimate,
     second_fundamental_bound_check,
     sweep_geometry,
-    trace_condition_check,
     trace_rank_chain_check,
 )
+
+
+def trace_condition_check(sweep):
+    """Worst value of the trace condition, as the gate reports it."""
+    return evaluate_hypotheses(None, sweep, 1.0).margins["trace"]
+
+
+def kappa_estimate(sweep, margin):
+    """The gate's strict bound ``kappa^2`` for the pullback metric."""
+    hyp = evaluate_hypotheses(None, sweep, 1.0, kappa_margin=margin)
+    assert hyp.kappa_ok      # strictly above every pullback value
+    return hyp.kappa_sq
 
 
 def sweep_of(name, shape=None, seed=0):
