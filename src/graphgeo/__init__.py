@@ -34,13 +34,12 @@ from .extrinsic import (
     ExtrinsicData,
     GraphBlock,
     MinimalityReport,
-    adapted_frames_at,
     graph_block,
     minimality_report,
     second_fundamental_at,
     trace_s_at,
 )
-from .graph_map import GraphFrameData, MapJet, SmoothMap
+from .graph_map import GraphFrameData, MapJet, SmoothMap, adapted_frames_at
 from .identities import (
     IdentityReport,
     PointData,

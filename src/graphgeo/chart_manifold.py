@@ -23,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DegenerateMetricError, OutOfChartError
+from .errors import DegenerateMetricError, DegeneratePlaneError, OutOfChartError
 
 Array = np.ndarray
 
@@ -107,22 +107,17 @@ class ChartManifold:
         w = (hi - lo) * self.margin
         return np.stack([lo + w, hi - w], axis=1)
 
-    def jet(self, p) -> MetricJet:
-        """Metric jet at every row of a coordinate block, or at a point.
-
-        ``p`` is an array of shape ``(B, dim)``, whose rows' jets are
-        evaluated once each and come stacked on a leading axis, or a
-        :class:`ChartPoint`, evaluated as a block of one.  A point outside
-        the chart box raises :class:`OutOfChartError` (for a block: its
-        first such row).
+    def jet(self, coords: Array) -> MetricJet:
+        """Metric jets at the rows of a coordinate block of shape ``(B, dim)``,
+        each evaluated once and stacked on a leading axis.  A point outside
+        the chart box raises :class:`OutOfChartError` (its first such row).
         """
-        coords = p.coords[None] if isinstance(p, ChartPoint) else np.asarray(p, dtype=float)
+        coords = np.asarray(coords, dtype=float)
         outside = ~self.contains(coords)
         if outside.any():
             raise OutOfChartError(
                 f"{self.name}: point {coords[np.argmax(outside)]} outside chart box")
-        jets = [self.metric_jet(x) for x in coords]
-        return jets[0] if isinstance(p, ChartPoint) else stack_metric_jets(jets)
+        return stack_metric_jets([self.metric_jet(x) for x in coords])
 
 
 def stack_metric_jets(jets: list[MetricJet]) -> MetricJet:
@@ -251,6 +246,21 @@ def ricci_from_jet(jet: MetricJet) -> tuple[Array, Array]:
     return ric, ric_op
 
 
+# Point-level curvature: a point is a block of one.
+
+def christoffel_at(man: ChartManifold, p: ChartPoint) -> Array:
+    return christoffel_from_jet(man.jet(p.coords[None]))[0]
+
+
+def riemann_at(man: ChartManifold, p: ChartPoint) -> Array:
+    return riemann_from_jet(man.jet(p.coords[None]))[0]
+
+
+def ricci_at(man: ChartManifold, p: ChartPoint) -> tuple[Array, Array]:
+    ric, ric_op = ricci_from_jet(man.jet(p.coords[None]))
+    return ric[0], ric_op[0]
+
+
 def quadratic_form(u: Array, g: Array, v: Array) -> Array:
     """``u . g . v`` over leading axes, evaluated as the matrix product ``u @ g @ v``."""
     return ((u[..., None, :] @ g) @ v[..., :, None])[..., 0, 0]
@@ -272,6 +282,18 @@ def sectional_from_data(riem: Array, g: Array, u: Array,
     num = np.einsum("...ijkl,...i,...j,...k,...l->...", riem, u, v, u, v)
     return np.ma.masked_array(num / np.where(degenerate, 1.0, area2),
                               mask=degenerate)
+
+
+def sectional_curvature(man: ChartManifold, p: ChartPoint,
+                        u: Array, v: Array) -> float:
+    """Sectional curvature of span(u, v) at ``p``; vectors that span no
+    plane raise :class:`DegeneratePlaneError`."""
+    jet = man.jet(p.coords[None])
+    sec = sectional_from_data(riemann_from_jet(jet)[0], jet.g[0],
+                              np.asarray(u, float), np.asarray(v, float))
+    if sec.mask:
+        raise DegeneratePlaneError("vectors span no plane")
+    return float(sec)
 
 
 # ---------------------------------------------------------------------------

@@ -178,13 +178,11 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
         cfg = replace(cfg, **data)
     # command line wins over the config file
     overrides = {}
-    for key in ("scenario", "grid", "seed", "h", "c", "sigma",
+    for key in ("scenario", "grid", "seed", "h", "c", "sigma", "kappa_margin",
                 "output", "format", "threads"):
         val = getattr(args, key, None)
         if val is not None:
             overrides[key] = val
-    if getattr(args, "kappa_margin", None) is not None:
-        overrides["kappa_margin"] = args.kappa_margin
     if getattr(args, "tol", None):
         overrides["tolerances"] = {**cfg.tolerances, **dict(args.tol)}
     cfg = replace(cfg, **overrides)

@@ -224,9 +224,7 @@ class GraphBlock:
     @cached_property
     def frames(self) -> GraphFrameData:
         """Adapted frames, verified (see :func:`verified_frame_block`)."""
-        jets = self.jets
-        return verified_frame_block(self.pullback[0], jets.f.d1, jets.gm.g,
-                                    jets.gn.g, self.g, jets.coords)
+        return verified_frame_block(self.jets, self.pullback[0])
 
     @cached_property
     def ext(self) -> ExtrinsicData:
@@ -257,15 +255,6 @@ def graph_blocks(f: SmoothMap, coords: Array):
 # ---------------------------------------------------------------------------
 # Point-level results: blocks of one
 # ---------------------------------------------------------------------------
-
-def adapted_frames_at(f: SmoothMap, p: ChartPoint) -> GraphFrameData:
-    """Complete adapted frames of the graph at ``p`` (see
-    :func:`~graphgeo.graph_map.frame_block`), verified against the
-    evaluation identities of the split-signature form; a residual above
-    :data:`~graphgeo.graph_map.FRAME_VERIFY_TOL`, or a NaN, raises
-    :class:`FrameConstructionError`."""
-    return graph_block(f, p.coords[None]).frames.point(0)
-
 
 def trace_s_at(f: SmoothMap, p: ChartPoint) -> float:
     """Trace of the deficit tensor with respect to the induced metric.

@@ -71,17 +71,15 @@ class SmoothMap:
     jet_fn: Callable[[Array], MapJet]
     name: str = "map"
 
-    def jet(self, p) -> MapJet:
-        """Map jet at every row of a coordinate block, or at a point.
+    def jet(self, coords: Array) -> MapJet:
+        """Map jets at the rows of a coordinate block of shape ``(B, m)``,
+        each evaluated once and stacked on a leading axis.
 
-        ``p`` is an array of shape ``(B, m)``, whose rows' jets are evaluated
-        once each and come stacked on a leading axis, or a
-        :class:`ChartPoint`, evaluated as a block of one.  The chart boxes
-        are checked for the whole block at once; the :class:`OutOfChartError`
-        names the first offending point in block order, as a point-by-point
-        evaluation would.
+        The chart boxes are checked for the whole block at once; the
+        :class:`OutOfChartError` names the first offending point in block
+        order, as a point-by-point evaluation would.
         """
-        coords = p.coords[None] if isinstance(p, ChartPoint) else np.asarray(p, dtype=float)
+        coords = np.asarray(coords, dtype=float)
         inside = self.domain.contains(coords)
         n_inside = len(coords) if inside.all() else int(np.argmin(inside))
         jets = [self.jet_fn(x) for x in coords[:n_inside]]
@@ -94,7 +92,7 @@ class SmoothMap:
         if n_inside < len(coords):
             raise OutOfChartError(
                 f"{self.name}: point {coords[n_inside]} outside domain chart")
-        return jets[0] if isinstance(p, ChartPoint) else stack_map_jets(jets)
+        return stack_map_jets(jets)
 
 
 @dataclass(frozen=True)
@@ -348,19 +346,66 @@ def frame_residual_block(frames: GraphFrameData, gm: Array, h: Array,
     return np.max([np.abs(gap).max(axis=(-2, -1)) for gap in gaps], axis=0)
 
 
-def verified_frame_block(P: Array, d1: Array, gm: Array, h: Array, g: Array,
-                         coords: Array) -> GraphFrameData:
-    """:func:`frame_block`, raising :class:`FrameConstructionError` at the
-    first point whose frame residual is not within :data:`FRAME_VERIFY_TOL`."""
-    frames = frame_block(P, d1, gm, h)
-    res = frame_residual_block(frames, gm, h, g)
+def verified_frame_block(jets: GraphJets, P: Array) -> GraphFrameData:
+    """:func:`frame_block` for the graph jets ``jets`` with pullback metric
+    ``P``, raising :class:`FrameConstructionError` at the first point whose
+    frame residual is not within :data:`FRAME_VERIFY_TOL`."""
+    gm, h = jets.gm.g, jets.gn.g
+    frames = frame_block(P, jets.f.d1, gm, h)
+    res = frame_residual_block(frames, gm, h, gm + P)
     bad = ~(res <= FRAME_VERIFY_TOL)
     if bad.any():
         k = int(np.argmax(bad))
         raise FrameConstructionError(
             f"frame verification residual {res[k]:.3e} exceeds "
-            f"{FRAME_VERIFY_TOL:.1e} at {coords[k]}")
+            f"{FRAME_VERIFY_TOL:.1e} at {jets.coords[k]}")
     return frames
+
+
+# ---------------------------------------------------------------------------
+# Point-level results: a point is a block of one
+# ---------------------------------------------------------------------------
+
+def _at(f: SmoothMap, p: ChartPoint) -> tuple[GraphJets, Array]:
+    """The graph jets at ``p`` as a block of one, and their pullback metric."""
+    jets = graph_jets(f, p.coords[None])
+    return jets, pullback_metric_jet(jets.f, jets.gn, order=0)[0]
+
+
+def pullback_metric_at(f: SmoothMap, p: ChartPoint) -> Array:
+    """Components of the pullback of the target metric, ``d_i f^a d_j f^b h_ab``."""
+    return _at(f, p)[1][0]
+
+
+def induced_metric_jet(f: SmoothMap, p: ChartPoint, order: int = 2) -> MetricJet:
+    """Jet of the graph-induced metric ``g_M + f*(g_N)`` at ``p``."""
+    jets = graph_jets(f, p.coords[None])
+    jet = induced_jet(jets.gm, pullback_metric_jet(jets.f, jets.gn, order=order))
+    return MetricJet(*(None if a is None else a[0] for a in (jet.g, jet.dg, jet.d2g)))
+
+
+def singular_values_at(f: SmoothMap, p: ChartPoint) -> GraphFrameData:
+    """Singular values (ascending), rank and singular bases of the
+    differential at ``p``, with the unverified frames of :func:`frame_block`."""
+    jets, P = _at(f, p)
+    return frame_block(P, jets.f.d1, jets.gm.g, jets.gn.g).point(0)
+
+
+def adapted_frames_at(f: SmoothMap, p: ChartPoint) -> GraphFrameData:
+    """Complete adapted frames of the graph at ``p`` (see :func:`frame_block`),
+    verified by :func:`verified_frame_block`: a residual above
+    :data:`FRAME_VERIFY_TOL`, or a NaN, raises :class:`FrameConstructionError`."""
+    return verified_frame_block(*_at(f, p)).point(0)
+
+
+def frame_formula_residual(f: SmoothMap, p: ChartPoint,
+                           frames: GraphFrameData) -> float:
+    """Worst residual of the split-form evaluation identities on the frames
+    of ``p`` (see :func:`frame_residual_block`)."""
+    jets, P = _at(f, p)
+    one = GraphFrameData(*(np.asarray(getattr(frames, k))[None]
+                           for k in GraphFrameData.__dataclass_fields__))
+    return float(frame_residual_block(one, jets.gm.g, jets.gn.g, jets.gm.g + P)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -619,7 +619,11 @@ def extremum_derivative_probe(f: SmoothMap, grid: list[ChartPoint],
         raise ValueError("empty probe grid")
     box = np.asarray(box, dtype=float)
     blocks = list(graph_blocks(f, np.array([p.coords for p in grid])))
-    if not np.max([np.max(blk.ext.h_norm) for blk in blocks]) < minimal_tol:
+    h_max = np.max([np.max(blk.ext.h_norm) for blk in blocks])
+    if np.isnan(h_max):
+        return ExtremumProbeResult("fail", "mean curvature is NaN", None, np.nan,
+                                   np.nan, np.nan, np.nan, lap_tol)
+    if not h_max < minimal_tol:
         raise PreconditionError("probe needs a minimal scenario")
 
     if c is None:
@@ -746,6 +750,16 @@ def _worst(values) -> float:
     return float(np.maximum(np.max(values, initial=-np.inf), 0.0))
 
 
+def _not_run(name: str, tolerance: float, reason: str,
+             nan_h: bool) -> IdentityReport:
+    """A check for minimal maps that was not run: skipped for ``reason``, or
+    failed with a NaN residual when a NaN mean curvature (``nan_h``) leaves
+    minimality undecided."""
+    if nan_h:
+        return IdentityReport(name, 0, np.nan, tolerance, {})
+    return IdentityReport(name, 0, 0.0, tolerance, {}, skipped_reason=reason)
+
+
 def run_identity_suite(scenario, seed: int = 0, h: float = 1e-3,
                        c: float = 2.0,
                        tolerances: dict[str, float] | None = None,
@@ -757,7 +771,8 @@ def run_identity_suite(scenario, seed: int = 0, h: float = 1e-3,
     preconditions the scenario does not meet (non-minimal scenarios for the
     elliptic equation, dimensions other than two for the Jacobian identity)
     are reported as skipped, not failed.  Every residual is reduced so that
-    a NaN anywhere makes it NaN, which never passes.
+    a NaN anywhere makes it NaN, which never passes; a NaN mean curvature
+    fails the checks for minimal maps instead of skipping them.
     """
     tol = {**DEFAULT_IDENTITY_TOLERANCES, **(tolerances or {})}
     f = scenario.f
@@ -803,6 +818,7 @@ def run_identity_suite(scenario, seed: int = 0, h: float = 1e-3,
                                       {"seed": seed}))
 
     minimal_here = bool(np.all(blk.ext.h_norm < MINIMAL_TOL))
+    nan_h = bool(np.isnan(blk.ext.h_norm).any())
     sub = datas[: min(3, n_points)]
 
     if minimal_here:
@@ -810,9 +826,8 @@ def run_identity_suite(scenario, seed: int = 0, h: float = 1e-3,
         reports.append(IdentityReport("elliptic-equation", len(sub), res,
                                       tol["elliptic"], {"c": c, "h": h}))
     else:
-        reports.append(IdentityReport("elliptic-equation", 0, 0.0,
-                                      tol["elliptic"], {},
-                                      skipped_reason="non-minimal scenario"))
+        reports.append(_not_run("elliptic-equation", tol["elliptic"],
+                                "non-minimal scenario", nan_h))
 
     two_dim = f.domain.dim == 2 and f.target.dim == 2
     if two_dim and minimal_here:
@@ -833,8 +848,8 @@ def run_identity_suite(scenario, seed: int = 0, h: float = 1e-3,
                   else "non-minimal scenario")
         for name in ("log-jacobian-2d", "minimality-relations-2d",
                      "jacobian-consistency-2d"):
-            reports.append(IdentityReport(name, 0, 0.0, tol["log_jacobian"],
-                                          {}, skipped_reason=reason))
+            reports.append(_not_run(name, tol["log_jacobian"], reason,
+                                    two_dim and nan_h))
 
     if minimal_here:
         shape = tuple(7 if f.domain.dim == 2 else 5
@@ -853,9 +868,8 @@ def run_identity_suite(scenario, seed: int = 0, h: float = 1e-3,
                 {"point": probe.point.tolist(), "c": probe.c,
                  "grad_norm": probe.grad_norm, "lap_value": probe.lap_value}))
     else:
-        reports.append(IdentityReport("extremum-probe", 0, 0.0,
-                                      tol["extremum"], {},
-                                      skipped_reason="non-minimal scenario"))
+        reports.append(_not_run("extremum-probe", tol["extremum"],
+                                "non-minimal scenario", nan_h))
 
     lam0_sq = float(np.max(frames.lambdas[:, -1] ** 2))
     kappa_sq = max(1.01, 1.01 * lam0_sq)

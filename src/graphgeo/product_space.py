@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .chart_manifold import ChartManifold, ChartPoint
+
 Array = np.ndarray
 
 
@@ -46,6 +48,33 @@ def product_metric(gm: Array, gn: Array, u: SplitVector, v: SplitVector) -> floa
     never inverted.
     """
     return float(u.m_part @ gm @ v.m_part + u.n_part @ gn @ v.n_part)
+
+
+@dataclass(frozen=True)
+class ProductPoint:
+    base: ChartPoint
+    fiber: ChartPoint
+
+
+@dataclass(frozen=True)
+class ProductSpace:
+    """The product (M x N, g_M x g_N) of two chart manifolds."""
+
+    m_factor: ChartManifold
+    n_factor: ChartManifold
+
+    def _factor_metrics(self, q: ProductPoint) -> tuple[Array, Array]:
+        return (self.m_factor.jet(q.base.coords[None]).g[0],
+                self.n_factor.jet(q.fiber.coords[None]).g[0])
+
+    def metric_matrix(self, q: ProductPoint) -> Array:
+        """Block-diagonal matrix of the product metric in split coordinates."""
+        return block_diag(*self._factor_metrics(q))
+
+    def s_matrix(self, q: ProductPoint) -> Array:
+        """Block-diagonal matrix diag(g_M, -g_N) of the split-signature form."""
+        gm, gn = self._factor_metrics(q)
+        return block_diag(gm, -gn)
 
 
 def block_diag(a: Array, b: Array) -> Array:

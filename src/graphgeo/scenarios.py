@@ -125,7 +125,6 @@ def complex_power_map(domain: ChartManifold, target: ChartManifold,
                            [6 * x * y, 3 * x * x - 3 * y * y]])
             d2 = np.array([[[6 * x, -6 * y], [-6 * y, -6 * x]],
                            [[6 * y, 6 * x], [6 * x, -6 * y]]])
-            d3 = np.zeros((2, 2, 2, 2))
             # f^1 = x^3 - 3xy^2: xxx = 6, xyy/yxy/yyx = -6
             d3[0, 0, 0, 0] = 6.0
             d3[0, 0, 1, 1] = d3[0, 1, 0, 1] = d3[0, 1, 1, 0] = -6.0
@@ -321,9 +320,6 @@ def jets_selftest(scenario: Scenario, h: float = 1e-4,
         points = scenario.random_points(3, rng)
     checks: list[JetCheck] = []
 
-    def jet_of(x):
-        return f.jet_fn(x)
-
     def disc(fn_val, fn_exact, x, step):
         fd = _central_diff(fn_val, x, step)
         return float(np.abs(fd - fn_exact(x)).max())
@@ -331,12 +327,12 @@ def jets_selftest(scenario: Scenario, h: float = 1e-4,
     for p in points:
         x = p.coords
         pairs = [
-            ("f:d1", lambda y: jet_of(y).value,
-             lambda y: jet_of(y).d1.T),
-            ("f:d2", lambda y: jet_of(y).d1,
-             lambda y: np.moveaxis(jet_of(y).d2, 1, 0)),
-            ("f:d3", lambda y: jet_of(y).d2,
-             lambda y: np.moveaxis(jet_of(y).d3, 1, 0)),
+            ("f:d1", lambda y: f.jet_fn(y).value,
+             lambda y: f.jet_fn(y).d1.T),
+            ("f:d2", lambda y: f.jet_fn(y).d1,
+             lambda y: np.moveaxis(f.jet_fn(y).d2, 1, 0)),
+            ("f:d3", lambda y: f.jet_fn(y).d2,
+             lambda y: np.moveaxis(f.jet_fn(y).d3, 1, 0)),
             ("gM:d1", lambda y: f.domain.metric_jet(y).g,
              lambda y: f.domain.metric_jet(y).dg),
             ("gM:d2", lambda y: f.domain.metric_jet(y).dg,

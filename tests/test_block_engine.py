@@ -17,7 +17,6 @@ import pytest
 from graphgeo.chart_manifold import (
     PLANE_TOL,
     ChartManifold,
-    ChartPoint,
     constant_metric_chart,
     riemann_from_jet,
     sym_eigen,
@@ -28,14 +27,8 @@ from graphgeo.errors import (
     FrameConstructionError,
     InvalidParameterError,
 )
-from graphgeo.extrinsic import (
-    BLOCK_SIZE,
-    adapted_frames_at,
-    graph_block,
-    second_fundamental_at,
-    trace_s_at,
-)
-from graphgeo.graph_map import MapJet, SmoothMap, frame_residual_block
+from graphgeo.extrinsic import BLOCK_SIZE, graph_block, second_fundamental_at, trace_s_at
+from graphgeo.graph_map import MapJet, SmoothMap, adapted_frames_at, frame_formula_residual
 from graphgeo.identities import run_identity_suite
 from graphgeo.scenarios import get, linear_map
 from graphgeo.theorem_gate import GridSweep, evaluate_hypotheses, sweep_geometry
@@ -58,8 +51,9 @@ def scalar_sectional(riem, g, u, v):
 
 def point_geometry(f, p, seed_seq, planes):
     rng = np.random.default_rng(seed_seq)
-    fjet = f.jet(p)
-    gm_jet, gn_jet = f.domain.jet(p), f.target.jet(ChartPoint(fjet.value))
+    fjet = f.jet_fn(p.coords)
+    gm_jet = f.domain.metric_jet(p.coords)
+    gn_jet = f.target.metric_jet(np.asarray(fjet.value, dtype=float))
     riem_m, riem_n = riemann_from_jet(gm_jet), riemann_from_jet(gn_jet)
     frames, ext = adapted_frames_at(f, p), second_fundamental_at(f, p)
     m, n = f.domain.dim, f.target.dim
@@ -246,9 +240,9 @@ def test_sweep_evaluates_each_jet_once_per_point(name, shape):
 class BlockCountingMap(SmoothMap):
     """Records the size of every block the map jets are evaluated on."""
 
-    def jet(self, p):
-        self.blocks.append(1 if isinstance(p, ChartPoint) else len(p))
-        return super().jet(p)
+    def jet(self, coords):
+        self.blocks.append(len(coords))
+        return super().jet(coords)
 
 
 @pytest.mark.parametrize("name,stencils", [
@@ -299,14 +293,11 @@ def test_nan_differential_raises_in_frames():
 
 def test_frame_residual_propagates_nan():
     sc = get("holo-w2")
-    blk = graph_block(sc.f, np.array([[0.3, 0.2]]))
-
-    def residual(frames):
-        return frame_residual_block(frames, blk.jets.gm.g, blk.jets.gn.g, blk.g)[0]
-
-    assert residual(blk.frames) < 1e-12
-    broken = dataclasses.replace(blk.frames, e=np.full_like(blk.frames.e, np.nan))
-    assert np.isnan(residual(broken))
+    p = sc.domain.point([0.3, 0.2])
+    frames = adapted_frames_at(sc.f, p)
+    assert frame_formula_residual(sc.f, p, frames) < 1e-12
+    broken = dataclasses.replace(frames, e=np.full_like(frames.e, np.nan))
+    assert np.isnan(frame_formula_residual(sc.f, p, broken))
 
 
 def test_nan_differential_raises_in_sweep():
@@ -378,5 +369,5 @@ def test_block_jets_stack_point_jets():
     coords = np.array([p.coords for p in grid])
     fjet, gm = sc.f.jet(coords), sc.domain.jet(coords)
     for i, p in enumerate(grid):
-        assert np.array_equal(fjet.d2[i], sc.f.jet(p).d2)
-        assert np.array_equal(gm.d2g[i], sc.domain.jet(p).d2g)
+        assert np.array_equal(fjet.d2[i], sc.f.jet_fn(p.coords).d2)
+        assert np.array_equal(gm.d2g[i], sc.domain.metric_jet(p.coords).d2g)

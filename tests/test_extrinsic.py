@@ -17,7 +17,7 @@ from graphgeo.scenarios import get, registry
 
 def embedding_jet(f, p):
     """Differential and Hessian of the graph embedding in product-chart slots."""
-    jet = f.jet(p)
+    jet = f.jet_fn(p.coords)
     m = f.domain.dim
     return (np.vstack([np.eye(m), jet.d1]),
             np.concatenate([np.zeros((m, m, m)), jet.d2], axis=0))

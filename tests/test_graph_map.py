@@ -1,10 +1,24 @@
 import numpy as np
 import pytest
 
-from graphgeo.chart_manifold import MetricJet, ricci_from_jet, sphere_chart, sym_eigen
+from graphgeo.chart_manifold import (
+    ChartPoint,
+    MetricJet,
+    ricci_from_jet,
+    sphere_chart,
+    sym_eigen,
+)
 from graphgeo.errors import CapabilityError, InvalidParameterError
-from graphgeo.extrinsic import adapted_frames_at, graph_block, trace_s_at
-from graphgeo.graph_map import MapJet, SmoothMap, frame_residual_block
+from graphgeo.extrinsic import trace_s_at
+from graphgeo.graph_map import (
+    MapJet,
+    SmoothMap,
+    adapted_frames_at,
+    frame_formula_residual,
+    induced_metric_jet,
+    pullback_metric_at,
+    singular_values_at,
+)
 from graphgeo.identities import point_rows
 from graphgeo.product_space import product_metric
 from graphgeo.scenarios import (
@@ -23,28 +37,6 @@ def conformal_lambda(k, w_abs):
     return k * w_abs ** (k - 1) * (1 + w_abs ** 2) / (1 + w_abs ** (2 * k))
 
 
-def at(f, p):
-    """The geometry at ``p`` as a block of one."""
-    return graph_block(f, p.coords[None])
-
-
-def pullback_metric_at(f, p):
-    return at(f, p).pullback[0][0]
-
-
-def frame_residual(f, p):
-    """Worst split-form evaluation residual of the adapted frames at ``p``."""
-    blk = at(f, p)
-    return float(frame_residual_block(blk.frames, blk.jets.gm.g, blk.jets.gn.g,
-                                      blk.g)[0])
-
-
-def induced_metric_jet(f, x):
-    """Second-order jet of the induced metric at the coordinates ``x``."""
-    jet = graph_block(f, np.asarray(x, float)[None]).induced2
-    return MetricJet(jet.g[0], jet.dg[0], jet.d2g[0])
-
-
 # ---------------------------------------------------------------------------
 # Pullback metric
 # ---------------------------------------------------------------------------
@@ -58,14 +50,14 @@ def test_pullback_constant_map_vanishes():
 def test_pullback_identity_equals_domain_metric():
     sc = get("identity-s2")
     p = sc.domain.point([0.5, -0.4])
-    assert np.abs(pullback_metric_at(sc.f, p) - sc.domain.jet(p).g).max() < 1e-15
+    assert np.abs(pullback_metric_at(sc.f, p) - sc.domain.metric_jet(p.coords).g).max() < 1e-15
 
 
 def test_pullback_w2_at_one():
     sc = get("holo-w2")
     p = sc.domain.point([1.0, 0.0])
     P = pullback_metric_at(sc.f, p)
-    gm = sc.domain.jet(p).g
+    gm = sc.domain.metric_jet(p.coords).g
     vals, _ = sym_eigen(P, gm)
     assert np.abs(vals - 4.0).max() < 1e-12
     assert np.abs(P - 4.0 * np.eye(2)).max() < 1e-12
@@ -77,14 +69,14 @@ def test_pullback_w2_at_one():
 
 def test_identity_singular_values():
     sc = get("identity-s2")
-    svd = adapted_frames_at(sc.f, sc.domain.point([0.2, 0.9]))
+    svd = singular_values_at(sc.f, sc.domain.point([0.2, 0.9]))
     assert np.abs(svd.lambdas - 1.0).max() < 1e-12
     assert svd.rank == 2
 
 
 def test_constant_singular_values():
     sc = get("constant-s3")
-    svd = adapted_frames_at(sc.f, sc.domain.point([0.2, -0.9, 0.4]))
+    svd = singular_values_at(sc.f, sc.domain.point([0.2, -0.9, 0.4]))
     assert np.abs(svd.lambdas).max() == 0.0
     assert svd.rank == 0
 
@@ -94,14 +86,14 @@ def test_holomorphic_singular_values_match_conformal_formula(name, k):
     sc = get(name)
     rng = np.random.default_rng(8)
     for p in sc.random_points(20, rng):
-        svd = adapted_frames_at(sc.f, p)
+        svd = singular_values_at(sc.f, p)
         lam = conformal_lambda(k, float(np.hypot(*p.coords)))
         assert np.abs(svd.lambdas - lam).max() < 1e-10
 
 
 def test_w2_singular_value_two_at_one():
     sc = get("holo-w2")
-    svd = adapted_frames_at(sc.f, sc.domain.point([1.0, 0.0]))
+    svd = singular_values_at(sc.f, sc.domain.point([1.0, 0.0]))
     assert np.abs(svd.lambdas - 2.0).max() < 1e-12
     assert svd.rank == 2
 
@@ -118,10 +110,10 @@ def test_rank_one_map_into_surface_frames():
         assert fr.rank == 1
         assert fr.lambdas[0] == 0.0
         assert fr.lambdas[1] > 0.1
-        assert frame_residual(f, p) < 1e-10
+        assert frame_formula_residual(f, p, fr) < 1e-10
         # kernel direction maps to zero; stretched direction to the pinned
         # target vector scaled by the singular value
-        d1 = f.jet(p).d1
+        d1 = f.jet(p.coords[None]).d1[0]
         assert np.abs(d1 @ fr.alpha[:, 0]).max() < 1e-12
         image = d1 @ fr.alpha[:, 1]
         assert np.abs(image - fr.lambdas[1] * fr.beta[:, 1]).max() < 1e-10
@@ -132,7 +124,7 @@ def test_image_outside_target_chart_raises():
     s2_small = sphere_chart(2, 1.0, box_halfwidth=2.0)
     f = linear_map(sphere_chart(2, 1.0), s2_small, 5.0 * np.eye(2), name="5x")
     with pytest.raises(OutOfChartError):
-        f.jet(f.domain.point([1.0, 1.0]))
+        f.jet(np.array([[1.0, 1.0]]))
 
 
 def test_singular_values_invariant_under_isometric_precomposition():
@@ -142,8 +134,8 @@ def test_singular_values_invariant_under_isometric_precomposition():
     rng = np.random.default_rng(9)
     for _ in range(25):
         x = rng.uniform(-0.8, 0.8, 2)
-        lam_f = adapted_frames_at(sc.f, sc.domain.point(Q @ x)).lambdas
-        lam_g = adapted_frames_at(g, sc.domain.point(x)).lambdas
+        lam_f = singular_values_at(sc.f, sc.domain.point(Q @ x)).lambdas
+        lam_g = singular_values_at(g, sc.domain.point(x)).lambdas
         assert np.abs(lam_f - lam_g).max() < 1e-8
 
 
@@ -185,7 +177,8 @@ def test_frame_orthonormality_all_scenarios():
     rng = np.random.default_rng(10)
     for sc in registry().values():
         for p in sc.random_points(20, rng):
-            assert frame_residual(sc.f, p) < 1e-8
+            fr = adapted_frames_at(sc.f, p)
+            assert frame_formula_residual(sc.f, p, fr) < 1e-8
 
 
 def test_graph_differential_maps_frame_to_tangent_frame():
@@ -194,7 +187,7 @@ def test_graph_differential_maps_frame_to_tangent_frame():
         sc = get(name)
         for p in sc.random_points(10, rng):
             fr = adapted_frames_at(sc.f, p)
-            d1 = sc.f.jet(p).d1
+            d1 = sc.f.jet(p.coords[None]).d1[0]
             for i, et in enumerate(fr.e_tilde):
                 e_i = fr.e[:, i]
                 assert np.abs(e_i - et.m_part).max() < 1e-8
@@ -267,7 +260,7 @@ def test_shifted_tensor_constant_map_is_metric_multiple():
 def test_shifted_tensor_nonnegative_at_global_shift():
     sc = get("holo-w2")
     pts = sc.grid_points((12, 12))
-    lam0_sq = max(adapted_frames_at(sc.f, p).lambdas[-1] ** 2 for p in pts)
+    lam0_sq = max(singular_values_at(sc.f, p).lambdas[-1] ** 2 for p in pts)
     for d in point_rows(sc.f, pts):
         vals, _ = sym_eigen(d.shifted_s(float(lam0_sq)), d.g)
         assert vals[0] >= -1e-10
@@ -298,8 +291,8 @@ def test_shifted_tensor_rejects_nonpositive_shift():
 def test_induced_metric_constant_map_is_domain_metric():
     sc = get("constant-s2")
     p = sc.domain.point([0.7, 0.2])
-    jet = induced_metric_jet(sc.f, p.coords)
-    gm = sc.domain.jet(p)
+    jet = induced_metric_jet(sc.f, p)
+    gm = sc.domain.metric_jet(p.coords)
     assert np.abs(jet.g - gm.g).max() == 0.0
     assert np.abs(jet.dg - gm.dg).max() == 0.0
     assert np.abs(jet.d2g - gm.d2g).max() == 0.0
@@ -308,8 +301,8 @@ def test_induced_metric_constant_map_is_domain_metric():
 def test_induced_metric_identity_doubles_domain_metric():
     sc = get("identity-s3")
     p = sc.domain.point([0.1, -0.5, 0.3])
-    jet = induced_metric_jet(sc.f, p.coords)
-    gm = sc.domain.jet(p)
+    jet = induced_metric_jet(sc.f, p)
+    gm = sc.domain.metric_jet(p.coords)
     assert np.abs(jet.g - 2.0 * gm.g).max() < 1e-14
     assert np.abs(jet.dg - 2.0 * gm.dg).max() < 1e-14
     assert np.abs(jet.d2g - 2.0 * gm.d2g).max() < 1e-14
@@ -317,7 +310,7 @@ def test_induced_metric_identity_doubles_domain_metric():
 
 def test_induced_jet_satisfies_symmetries():
     sc = get("holo-w3")
-    jet = induced_metric_jet(sc.f, [0.5, 0.8])
+    jet = induced_metric_jet(sc.f, ChartPoint([0.5, 0.8]))
     tol = 1e-12
     assert np.allclose(jet.g, jet.g.T, atol=tol)
     assert np.allclose(jet.dg, np.swapaxes(jet.dg, 1, 2), atol=tol)
@@ -330,7 +323,7 @@ def test_induced_metric_jet_fd_cross_check():
     # differences of the assembled field, with second-order convergence
     sc = get("holo-w2")
     x = np.array([0.4, -0.3])
-    exact = induced_metric_jet(sc.f, x)
+    exact = induced_metric_jet(sc.f, ChartPoint(x))
 
     def fd_disc(h):
         dim = 2
@@ -339,10 +332,10 @@ def test_induced_metric_jet_fd_cross_check():
         for k in range(dim):
             e = np.zeros(dim)
             e[k] = h
-            dg[k] = (induced_metric_jet(sc.f, x + e).g
-                     - induced_metric_jet(sc.f, x - e).g) / (2 * h)
-            d2g[k] = (induced_metric_jet(sc.f, x + e).dg
-                      - induced_metric_jet(sc.f, x - e).dg) / (2 * h)
+            dg[k] = (induced_metric_jet(sc.f, ChartPoint(x + e)).g
+                     - induced_metric_jet(sc.f, ChartPoint(x - e)).g) / (2 * h)
+            d2g[k] = (induced_metric_jet(sc.f, ChartPoint(x + e)).dg
+                      - induced_metric_jet(sc.f, ChartPoint(x - e)).dg) / (2 * h)
         return max(np.abs(dg - exact.dg).max(), np.abs(d2g - exact.d2g).max())
 
     d1, d2 = fd_disc(1e-4), fd_disc(5e-5)
@@ -353,21 +346,21 @@ def test_induced_metric_jet_fd_cross_check():
 def test_induced_ricci_fd_cross_check():
     sc = get("holo-w2")
     x = np.array([0.6, 0.1])
-    ric_exact, _ = ricci_from_jet(induced_metric_jet(sc.f, x))
+    ric_exact, _ = ricci_from_jet(induced_metric_jet(sc.f, ChartPoint(x)))
 
     def ric_fd(h):
         # rebuild the Ricci tensor from a jet whose derivatives are FD
         dim = 2
-        g = induced_metric_jet(sc.f, x).g
+        g = induced_metric_jet(sc.f, ChartPoint(x)).g
         dg = np.zeros((dim, dim, dim))
         d2g = np.zeros((dim, dim, dim, dim))
         for k in range(dim):
             e = np.zeros(dim)
             e[k] = h
-            dg[k] = (induced_metric_jet(sc.f, x + e).g
-                     - induced_metric_jet(sc.f, x - e).g) / (2 * h)
-            d2g[k] = (induced_metric_jet(sc.f, x + e).dg
-                      - induced_metric_jet(sc.f, x - e).dg) / (2 * h)
+            dg[k] = (induced_metric_jet(sc.f, ChartPoint(x + e)).g
+                     - induced_metric_jet(sc.f, ChartPoint(x - e)).g) / (2 * h)
+            d2g[k] = (induced_metric_jet(sc.f, ChartPoint(x + e)).dg
+                      - induced_metric_jet(sc.f, ChartPoint(x - e)).dg) / (2 * h)
         ric, _ = ricci_from_jet(MetricJet(g, dg, d2g))
         return np.abs(ric - ric_exact).max()
 
@@ -384,4 +377,4 @@ def test_induced_manifold_needs_third_order_jets():
 
     f = SmoothMap(s2, s2, jet_no_d3, "id-no-d3")
     with pytest.raises(CapabilityError):
-        induced_metric_jet(f, [0.1, 0.2])
+        induced_metric_jet(f, ChartPoint([0.1, 0.2]))

@@ -128,7 +128,7 @@ def test_reaction_term_constant_map_oracle():
     sc = get("constant-s2")
     p = sc.domain.point([0.3, 0.2])
     d = row(sc.f, p)
-    ric_m, _ = ricci_from_jet(sc.domain.jet(p))
+    ric_m, _ = ricci_from_jet(sc.domain.metric_jet(p.coords))
     e1 = d.frames.e[:, 0]
     theta = d.g.copy()
     for c in (0.0, 1.0, 2.0, 5.0):
@@ -289,6 +289,20 @@ def test_extremum_probe_boundary_is_inconclusive():
     assert "boundary" in res.reason
 
 
+def test_extremum_probe_fails_on_nan_mean_curvature():
+    # a NaN |H| is not "non-minimal": the probe fails instead of refusing
+    sc = get("holo-w2")
+
+    def jet(x):
+        j = sc.f.jet_fn(x)
+        return MapJet(j.value, j.d1, np.full_like(j.d2, np.nan), j.d3)
+
+    f = SmoothMap(sc.domain, sc.target, jet, "nan-d2")
+    res = extremum_derivative_probe(f, sc.grid_points((3, 3)), sc.sample_box)
+    assert res.status == "fail"
+    assert np.isnan(res.grad_norm) and np.isnan(res.lap_value)
+
+
 def test_extremum_probe_rejects_nonminimal():
     sc = get("proj-s3-s1")
     with pytest.raises(PreconditionError):
@@ -333,3 +347,10 @@ def test_nan_hessian_fails_the_normal_estimate():
     assert np.isnan(normal.max_residual)
     assert not normal.passed
     assert normal.line().startswith("[FAIL] normal-estimate")
+    # |H| is NaN too, so minimality is undecided: the checks that need a
+    # minimal map fail with a NaN residual instead of being skipped
+    for name in ("elliptic-equation", "log-jacobian-2d", "minimality-relations-2d",
+                 "jacobian-consistency-2d", "extremum-probe"):
+        assert not reports[name].skipped, name
+        assert np.isnan(reports[name].max_residual), name
+        assert not reports[name].passed, name

@@ -2,13 +2,20 @@ import numpy as np
 import pytest
 
 from graphgeo.chart_manifold import (
+    ChartPoint,
     MetricJet,
     christoffel_from_jet,
     riemann_from_jet,
     sphere_chart,
     sym_eigen,
 )
-from graphgeo.product_space import SplitVector, block_diag, product_metric
+from graphgeo.product_space import (
+    ProductPoint,
+    ProductSpace,
+    SplitVector,
+    block_diag,
+    product_metric,
+)
 
 M_FACTOR, N_FACTOR = sphere_chart(2, 1.0), sphere_chart(2, 2.0)
 
@@ -17,7 +24,8 @@ M_FACTOR, N_FACTOR = sphere_chart(2, 1.0), sphere_chart(2, 2.0)
 def s2xs2():
     """The factor metric jets at a point ``(x, y)`` of S2(1) x S2(2)."""
     def at(x, y):
-        return (M_FACTOR.jet(M_FACTOR.point(x)), N_FACTOR.jet(N_FACTOR.point(y)))
+        return (M_FACTOR.metric_jet(np.asarray(x, float)),
+                N_FACTOR.metric_jet(np.asarray(y, float)))
     return at
 
 
@@ -83,8 +91,9 @@ def test_split_form_signs(s2xs2):
 def test_split_form_signature(s2xs2):
     # eigenvalues of the split form relative to the product metric are
     # exactly m copies of +1 and n copies of -1
-    jm, jn = s2xs2([0.7, -0.4], [0.2, 0.9])
-    vals, _ = sym_eigen(block_diag(jm.g, -jn.g), block_diag(jm.g, jn.g))
+    space = ProductSpace(M_FACTOR, N_FACTOR)
+    q = ProductPoint(ChartPoint([0.7, -0.4]), ChartPoint([0.2, 0.9]))
+    vals, _ = sym_eigen(space.s_matrix(q), space.metric_matrix(q))
     assert np.abs(np.sort(vals) - np.array([-1.0, -1.0, 1.0, 1.0])).max() < 1e-10
 
 
