@@ -33,9 +33,7 @@ from .errors import (
 from .extrinsic import (
     ExtrinsicData,
     GraphBlock,
-    MinimalityReport,
     graph_block,
-    minimality_report,
     second_fundamental_at,
     trace_s_at,
 )
@@ -52,7 +50,7 @@ from .identities import (
     reaction_term_apply,
     run_identity_suite,
 )
-from .product_space import SplitVector, product_metric
+from .product_space import product_form
 from .scenarios import Scenario, get, jets_selftest, registry
 from .theorem_gate import (
     Classification,

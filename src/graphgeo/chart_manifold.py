@@ -86,20 +86,15 @@ class ChartManifold:
             raise ValueError(f"{self.name}: point has dimension {p.dim}, expected {self.dim}")
         return p
 
-    def contains(self, p, with_margin: bool = False):
-        """Whether points lie strictly inside the chart box.
-
-        ``p`` is a :class:`ChartPoint` (the answer is a bool) or an array of
-        coordinates with the chart axis last (the answer is a bool array over
-        its leading axes).
-        """
-        coords = p.coords if isinstance(p, ChartPoint) else np.asarray(p, dtype=float)
+    def contains(self, coords: Array, with_margin: bool = False) -> Array:
+        """Whether points lie strictly inside the chart box: a bool array over
+        the leading axes of ``coords`` (the chart axis last)."""
+        coords = np.asarray(coords, dtype=float)
         lo, hi = self.chart_box[:, 0], self.chart_box[:, 1]
         if with_margin:
             w = (hi - lo) * self.margin
             lo, hi = lo + w, hi - w
-        inside = np.all((coords > lo) & (coords < hi), axis=-1)
-        return bool(inside) if isinstance(p, ChartPoint) else inside
+        return np.all((coords > lo) & (coords < hi), axis=-1)
 
     def sample_box(self) -> Array:
         """The chart box shrunk by the boundary margin."""

@@ -269,14 +269,27 @@ def _classification_record(cls) -> dict:
     return {"verdict": cls.verdict, "evidence": cls.evidence, "scope": cls.scope}
 
 
-def _write_report(report: dict, cfg: RunConfig) -> None:
-    text = canonical_json(report) + "\n" if cfg.format == "json" \
-        else report_to_csv(report)
-    if cfg.output:
+def _split_tolerances(cfg: RunConfig) -> tuple[dict, dict]:
+    """The configured overrides of the gate and of the identity tolerances."""
+    return tuple({k: v for k, v in cfg.tolerances.items() if k in defaults}
+                 for defaults in (DEFAULT_TOLERANCES, DEFAULT_IDENTITY_TOLERANCES))
+
+
+def _encode(cfg: RunConfig, payload: dict, csv_payload: dict) -> str:
+    """``payload`` as canonical JSON or ``csv_payload`` as CSV, following
+    ``cfg.format``."""
+    if cfg.format == "json":
+        return canonical_json(payload) + "\n"
+    return report_to_csv(csv_payload)
+
+
+def _write_output(text: str, cfg: RunConfig) -> None:
+    """Write an artifact to ``cfg.output``; an unwritable path is bad
+    configuration."""
+    try:
         Path(cfg.output).write_text(text, encoding="utf-8")
-        print(f"report written to {cfg.output}", file=sys.stderr)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise ValueError(f"cannot write output file: {exc}") from exc
 
 
 def cmd_list(match: str | None) -> int:
@@ -308,10 +321,8 @@ def cmd_report(cfg: RunConfig) -> int:
     t0 = time.monotonic()
 
     sweep = sweep_geometry(scenario.f, grid, seed=cfg.seed)
-    gate_tol = {k: v for k, v in cfg.tolerances.items() if k in DEFAULT_TOLERANCES}
-    id_tol = {k: v for k, v in cfg.tolerances.items()
-              if k in DEFAULT_IDENTITY_TOLERANCES}
-    hyp = evaluate_hypotheses(scenario.f, sweep, sigma, cfg.kappa_margin, gate_tol)
+    gate_tol, id_tol = _split_tolerances(cfg)
+    hyp = evaluate_hypotheses(sweep, sigma, cfg.kappa_margin, gate_tol)
     cls = classify(scenario.f, grid, sigma, cfg.kappa_margin, gate_tol,
                    seed=cfg.seed, sweep=sweep, hypotheses=hyp)
     identities = run_identity_suite(scenario, seed=cfg.seed, h=cfg.h, c=cfg.c,
@@ -327,15 +338,19 @@ def cmd_report(cfg: RunConfig) -> int:
         # kept out of the deterministic artifact; see module docstring
         "runtime_seconds": None,
     }
-    _write_report(report, cfg)
+    text = _encode(cfg, report, report)
+    if cfg.output:
+        _write_output(text, cfg)
+        print(f"report written to {cfg.output}", file=sys.stderr)
+    else:
+        sys.stdout.write(text)
     print(f"runtime: {elapsed:.2f}s", file=sys.stderr)
     return EXIT_OK
 
 
 def cmd_verify(cfg: RunConfig) -> int:
     scenario = _resolve_scenario(cfg)
-    id_tol = {k: v for k, v in cfg.tolerances.items()
-              if k in DEFAULT_IDENTITY_TOLERANCES}
+    _, id_tol = _split_tolerances(cfg)
     t0 = time.monotonic()
     reports = run_identity_suite(scenario, seed=cfg.seed, h=cfg.h, c=cfg.c,
                                  tolerances=id_tol)
@@ -343,12 +358,10 @@ def cmd_verify(cfg: RunConfig) -> int:
         print(r.line())
     print(f"runtime: {time.monotonic() - t0:.2f}s", file=sys.stderr)
     if cfg.output:
-        payload = {"scenario": scenario.name,
-                   "identities": _identity_records(reports)}
-        text = canonical_json(payload) + "\n" if cfg.format == "json" \
-            else report_to_csv({"config": {"scenario": scenario.name},
-                                "identities": _identity_records(reports)})
-        Path(cfg.output).write_text(text, encoding="utf-8")
+        records = _identity_records(reports)
+        text = _encode(cfg, {"scenario": scenario.name, "identities": records},
+                       {"config": {"scenario": scenario.name}, "identities": records})
+        _write_output(text, cfg)
     failed = [r for r in reports if not r.skipped and not r.passed]
     return EXIT_FAIL if failed else EXIT_OK
 
@@ -357,10 +370,10 @@ def cmd_check_theorem(cfg: RunConfig) -> int:
     scenario = _resolve_scenario(cfg)
     grid, box, shape = _grid_points(scenario, cfg)
     sigma = cfg.sigma if cfg.sigma is not None else scenario.sigma
-    gate_tol = {k: v for k, v in cfg.tolerances.items() if k in DEFAULT_TOLERANCES}
+    gate_tol, _ = _split_tolerances(cfg)
 
     sweep = sweep_geometry(scenario.f, grid, seed=cfg.seed)
-    hyp = evaluate_hypotheses(scenario.f, sweep, sigma, cfg.kappa_margin, gate_tol)
+    hyp = evaluate_hypotheses(sweep, sigma, cfg.kappa_margin, gate_tol)
     cls = classify(scenario.f, grid, sigma, cfg.kappa_margin, gate_tol,
                    seed=cfg.seed, sweep=sweep, hypotheses=hyp)
 
@@ -368,9 +381,7 @@ def cmd_check_theorem(cfg: RunConfig) -> int:
                "hypotheses": _hypotheses_record(hyp),
                "classification": _classification_record(cls)}
     if cfg.output:
-        text = canonical_json(payload) + "\n" if cfg.format == "json" \
-            else report_to_csv(payload)
-        Path(cfg.output).write_text(text, encoding="utf-8")
+        _write_output(_encode(cfg, payload, payload), cfg)
     else:
         sys.stdout.write(canonical_json(payload) + "\n")
 

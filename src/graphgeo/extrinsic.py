@@ -26,7 +26,6 @@ from .chart_manifold import (
     christoffel_derivative_from_jet,
     christoffel_from_jet,
     metric_inverse,
-    quadratic_form,
     ricci_from_jet,
     riemann_from_jet,
 )
@@ -40,7 +39,7 @@ from .graph_map import (
     pullback_metric_jet,
     verified_frame_block,
 )
-from .product_space import SplitVector
+from .product_space import product_form
 
 Array = np.ndarray
 
@@ -62,39 +61,26 @@ BLOCK_SIZE = 128
 class ExtrinsicData:
     """Second fundamental form data.
 
-    ``a_frame_m`` / ``a_frame_n`` hold the factor components of
-    ``A(e_i, e_j)`` in the adapted orthonormal frame (indices ``[i, j, :]``);
-    ``a_coord_m`` / ``a_coord_n`` the same in chart-basis slots.  For a block
-    of points every field carries a leading block axis.
+    ``a_frame[i, j]`` is ``A(e_i, e_j)`` in the adapted orthonormal frame and
+    ``a_coord[i, j]`` is ``A`` on chart-basis slots, each a stacked product
+    vector (domain components over target components), as is the mean
+    curvature.  For a block of points every field carries a leading block
+    axis.
     """
 
     frames: GraphFrameData
-    a_frame_m: Array
-    a_frame_n: Array
-    a_coord_m: Array
-    a_coord_n: Array
-    mean_curvature: SplitVector
+    a_frame: Array
+    a_coord: Array
+    mean_curvature: Array
     a_norm_sq: float | Array
     h_norm: float | Array
     tangency_residual: float | Array
 
-    def a(self, i: int, j: int) -> SplitVector:
-        return SplitVector(self.a_frame_m[i, j], self.a_frame_n[i, j])
-
-    def a_coord(self, u: Array, v: Array) -> SplitVector:
-        """``A(u, v)`` for chart-component vectors ``u``, ``v``."""
-        return SplitVector(
-            np.einsum("ijc,i,j->c", self.a_coord_m, u, v),
-            np.einsum("ijc,i,j->c", self.a_coord_n, u, v))
-
     def point(self, i: int) -> "ExtrinsicData":
         """The data of point ``i`` of a block."""
-        H = self.mean_curvature
         return ExtrinsicData(
-            frames=self.frames.point(i), a_frame_m=self.a_frame_m[i],
-            a_frame_n=self.a_frame_n[i], a_coord_m=self.a_coord_m[i],
-            a_coord_n=self.a_coord_n[i],
-            mean_curvature=SplitVector(H.m_part[i], H.n_part[i]),
+            frames=self.frames.point(i), a_frame=self.a_frame[i],
+            a_coord=self.a_coord[i], mean_curvature=self.mean_curvature[i],
             a_norm_sq=float(self.a_norm_sq[i]), h_norm=float(self.h_norm[i]),
             tangency_residual=float(self.tangency_residual[i]))
 
@@ -108,42 +94,39 @@ def second_fundamental_block(blk: "GraphBlock") -> ExtrinsicData:
     gamma_n = christoffel_from_jet(gn_jet)
     gamma_g = blk.gamma_g
 
-    # Factor components of A in chart-basis slots.  The domain part carries
-    # the connection difference; the target part is the map Hessian corrected
-    # by the induced connection.
-    a_coord_m = np.einsum("...kij->...ijk", gamma_m - gamma_g)
-    a_coord_n = (np.einsum("...aij->...ija", d2)
-                 + np.einsum("...abc,...bi,...cj->...ija", gamma_n, d1, d1)
-                 - np.einsum("...kij,...ak->...ija", gamma_g, d1))
+    # A in chart-basis slots.  The domain components carry the connection
+    # difference; the target components are the map Hessian corrected by the
+    # induced connection.
+    a_coord = np.concatenate([
+        np.einsum("...kij->...ijk", gamma_m - gamma_g),
+        np.einsum("...aij->...ija", d2)
+        + np.einsum("...abc,...bi,...cj->...ija", gamma_n, d1, d1)
+        - np.einsum("...kij,...ak->...ija", gamma_g, d1)], axis=-1)
 
     # C order gives each point's slice the memory layout, and with it the
-    # summation order of the contractions below, of a single-point evaluation
+    # summation order of the contraction, of a single-point evaluation
     e = frames.e
-    a_frame_m = np.einsum("...ijc,...ip,...jq->...pqc", a_coord_m, e, e, order="C")
-    a_frame_n = np.einsum("...ijc,...ip,...jq->...pqc", a_coord_n, e, e, order="C")
-
-    H = SplitVector(np.einsum("...iic->...c", a_frame_m),
-                    np.einsum("...iic->...c", a_frame_n))
+    a_frame = np.einsum("...ijc,...ip,...jq->...pqc", a_coord, e, e, order="C")
+    H = np.einsum("...iic->...c", a_frame)
 
     gm, gn = gm_jet.g, gn_jet.g
-    a_norm_sq = (np.einsum("...ijc,...cd,...ijd->...", a_frame_m, gm, a_frame_m)
-                 + np.einsum("...ijc,...cd,...ijd->...", a_frame_n, gn, a_frame_n))
-    h_norm = np.sqrt(quadratic_form(H.m_part, gm, H.m_part)
-                     + quadratic_form(H.n_part, gn, H.n_part))
+    # |A|^2 sums each factor over all (i, j) in one contraction, the order in
+    # which the reported values were first computed
+    m = gm.shape[-1]
+    a_m, a_n = a_frame[..., :m], a_frame[..., m:]
+    a_norm_sq = (np.einsum("...ijc,...cd,...ijd->...", a_m, gm, a_m)
+                 + np.einsum("...ijc,...cd,...ijd->...", a_n, gn, a_n))
+    h_norm = np.sqrt(product_form(gm, gn, H, H))
 
     # Gauss-formula diagnostic: A(e_i, e_j) must be product-orthogonal to
-    # every tangent frame vector.
-    m = gm.shape[-1]
-    E = frames.tangent
-    tang = np.max([np.abs(
-        np.einsum("...ijc,...cd,...d->...ij", a_frame_m, gm, E[..., :m, k])
-        + np.einsum("...ijc,...cd,...d->...ij", a_frame_n, gn, E[..., m:, k])
-    ).max(axis=(-2, -1)) for k in range(m)], axis=0)
+    # every tangent frame vector; axes (point, i, j, tangent vector k).
+    tang = product_form(gm[:, None, None, None], gn[:, None, None, None],
+                        a_frame[..., None, :],
+                        np.swapaxes(frames.tangent, -1, -2)[:, None, None])
+    tang = np.abs(tang).max(axis=(-3, -2, -1))
 
-    return ExtrinsicData(frames=frames, a_frame_m=a_frame_m,
-                         a_frame_n=a_frame_n, a_coord_m=a_coord_m,
-                         a_coord_n=a_coord_n, mean_curvature=H,
-                         a_norm_sq=a_norm_sq, h_norm=h_norm,
+    return ExtrinsicData(frames=frames, a_frame=a_frame, a_coord=a_coord,
+                         mean_curvature=H, a_norm_sq=a_norm_sq, h_norm=h_norm,
                          tangency_residual=tang)
 
 
@@ -268,36 +251,3 @@ def trace_s_at(f: SmoothMap, p: ChartPoint) -> float:
 def second_fundamental_at(f: SmoothMap, p: ChartPoint) -> ExtrinsicData:
     """Second fundamental form, mean curvature and scalar invariants at ``p``."""
     return graph_block(f, p.coords[None]).ext.point(0)
-
-
-@dataclass(frozen=True)
-class MinimalityReport:
-    max_h_norm: float
-    max_a_norm: float
-    minimal_tol: float
-    geodesic_tol: float
-    points_checked: int
-
-    @property
-    def is_totally_geodesic(self) -> bool:
-        return self.max_a_norm < self.geodesic_tol
-
-    @property
-    def is_minimal(self) -> bool:
-        # total geodesy implies minimality regardless of the measured H
-        return self.max_h_norm < self.minimal_tol or self.is_totally_geodesic
-
-
-def minimality_report(f: SmoothMap, grid: list[ChartPoint],
-                      minimal_tol: float = MINIMAL_TOL,
-                      geodesic_tol: float = TOTALLY_GEODESIC_TOL) -> MinimalityReport:
-    """Scan a grid and report minimality / total geodesy of the graph."""
-    if not grid:
-        raise ValueError("empty sample grid")
-    coords = np.array([p.coords for p in grid])
-    exts = [blk.ext for blk in graph_blocks(f, coords)]
-    max_h = float(np.max(np.concatenate([ext.h_norm for ext in exts])))
-    max_a = float(np.sqrt(np.max(np.concatenate([ext.a_norm_sq for ext in exts]))))
-    return MinimalityReport(max_h_norm=max_h, max_a_norm=max_a,
-                            minimal_tol=minimal_tol, geodesic_tol=geodesic_tol,
-                            points_checked=len(grid))

@@ -16,7 +16,6 @@ block axis.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -35,7 +34,7 @@ from .errors import (
     InvalidParameterError,
     OutOfChartError,
 )
-from .product_space import SplitVector, block_diag
+from .product_space import block_diag
 
 Array = np.ndarray
 
@@ -118,10 +117,11 @@ class GraphFrameData:
 
     For one point: ``lambdas`` are ascending; ``alpha[:, i]`` / ``beta[:, i]``
     / ``e[:, i]`` are basis vectors in chart components; column ``i`` of
-    ``tangent`` (of ``normal``) stacks the domain and target components of
-    the product-orthonormal tangent frame vector ``e_tilde_i`` (normal frame
-    vector ``xi_i``) of the graph.  For a block of points every array carries
-    a leading block axis and ``rank`` is an integer array.
+    ``tangent`` (of ``normal``) is the product-orthonormal tangent frame
+    vector ``(e_i, df(e_i))`` (normal frame vector ``xi_i``) of the graph,
+    its domain components stacked over its target components.  For a block
+    of points every array carries a leading block axis and ``rank`` is an
+    integer array.
     """
 
     lambdas: Array
@@ -132,23 +132,11 @@ class GraphFrameData:
     tangent: Array
     normal: Array
 
-    @cached_property
-    def e_tilde(self) -> tuple[SplitVector, ...]:
-        return _split_columns(self.tangent, self.alpha.shape[-1])
-
-    @cached_property
-    def xi(self) -> tuple[SplitVector, ...]:
-        return _split_columns(self.normal, self.alpha.shape[-1])
-
     def point(self, i: int) -> "GraphFrameData":
         """The frames of point ``i`` of a block."""
         return GraphFrameData(self.lambdas[i], int(self.rank[i]), self.alpha[i],
                               self.beta[i], self.e[i], self.tangent[i],
                               self.normal[i])
-
-
-def _split_columns(cols: Array, m: int) -> tuple[SplitVector, ...]:
-    return tuple(SplitVector(cols[:m, i], cols[m:, i]) for i in range(cols.shape[-1]))
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +261,7 @@ def frame_block(P: Array, d1: Array, gm: Array, h: Array) -> GraphFrameData:
     Builds, from the singular value decomposition, the orthonormal frames
 
     * ``e_i = alpha_i / sqrt(1 + lambda_i^2)``  (domain, induced metric),
-    * ``e_tilde_i = (alpha_i (+) lambda_i beta_{n-m+i}) / sqrt(1+lambda_i^2)``
+    * ``(e_i, df(e_i)) = (alpha_i (+) lambda_i beta_{n-m+i}) / sqrt(1+lambda_i^2)``
       (graph tangent space, product metric),
     * ``xi_i = beta_i`` or
       ``(-lambda_{i+m-n} alpha_{i+m-n} (+) beta_i) / sqrt(1+lambda_{i+m-n}^2)``

@@ -31,7 +31,7 @@ from .extrinsic import (
     graph_blocks,
 )
 from .graph_map import GraphFrameData, SmoothMap, frame_residual_block, shift_deficit
-from .product_space import SplitVector, product_metric
+from .product_space import product_form
 
 Array = np.ndarray
 
@@ -122,18 +122,14 @@ def normal_estimate_check(d: PointData, c: float,
     rng = rng or np.random.default_rng(0)
     bound = (c - 1.0) / (1.0 + c)
 
-    def slack(eta: SplitVector) -> float:
-        return (bound * product_metric(d.gm, d.gn, eta, eta)
-                - product_metric(d.gm, -d.gn, eta, eta))
-
-    xi, n = d.frames.xi, d.n
-    slacks = [slack(v) for v in xi]
-    for _ in range(n_mixtures):
-        coeff = rng.normal(size=n)
-        slacks.append(slack(SplitVector(
-            sum(coeff[i] * xi[i].m_part for i in range(n)),
-            sum(coeff[i] * xi[i].n_part for i in range(n)))))
-    slacks += [slack(d.ext.a(i, j)) for i in range(d.m) for j in range(d.m)]
+    # the normal frame vectors, random mixtures of them (summed column by
+    # column) and the vectors A(e_i, e_j), as rows of one stack
+    xi = np.swapaxes(d.frames.normal, -1, -2)
+    coeff = rng.normal(size=(n_mixtures, d.n))
+    mixtures = sum(coeff[:, i, None] * xi[i] for i in range(d.n))
+    eta = np.concatenate([xi, mixtures, d.ext.a_frame.reshape(d.m * d.m, -1)])
+    slacks = (bound * product_form(d.gm, d.gn, eta, eta)
+              - product_form(d.gm, -d.gn, eta, eta))
     return float(np.min(slacks))
 
 
@@ -246,18 +242,19 @@ def reaction_term_apply(d: PointData, c: float, theta: Array, v: Array,
 
     e = d.frames.e
     nu = (1.0 - c) / (1.0 + c)
-    for k in range(d.m):
-        a_kv = d.ext.a_coord(e[:, k], v)
-        a_kw = d.ext.a_coord(e[:, k], w)
-        # the shifted split form s_prod - ((1-c)/(1+c)) g_prod
-        value -= 2.0 * (product_metric(d.gm, -d.gn, a_kv, a_kw)
-                        - nu * product_metric(d.gm, d.gn, a_kv, a_kw))
+    a_v = np.einsum("ijc,ik,j->kc", d.ext.a_coord, e, v)    # A(e_k, v)
+    a_w = np.einsum("ijc,ik,j->kc", d.ext.a_coord, e, w)
+    # the shifted split form s_prod - ((1-c)/(1+c)) g_prod on each pair,
+    # subtracted one at a time to keep the rounding of a running sum
+    for term in (product_form(d.gm, -d.gn, a_v, a_w)
+                 - nu * product_form(d.gm, d.gn, a_v, a_w)):
+        value -= 2.0 * term
 
     curv = sum(d.pullback_curvature(e[:, k], v, e[:, k], w)
                - c * d.domain_curvature(e[:, k], v, e[:, k], w)
                for k in range(d.m))
     value -= 4.0 / (1.0 + c) * curv
-    return value
+    return float(value)
 
 
 def _reaction_on_frame(d: PointData, c: float, theta: Array) -> Array:
@@ -421,13 +418,8 @@ def jacobian_consistency_2d(d: PointData) -> float:
 
 def _normal_components_2d(d: PointData) -> Array:
     """``comp[gamma, i, j] = <A(e_i, e_j), xi_gamma>`` in the product metric."""
-    out = np.zeros((2, 2, 2))
-    for g_idx in range(2):
-        xi = d.frames.xi[g_idx]
-        for i in range(2):
-            for j in range(2):
-                out[g_idx, i, j] = product_metric(d.gm, d.gn, d.ext.a(i, j), xi)
-    return out
+    xi = np.swapaxes(d.frames.normal, -1, -2)
+    return product_form(d.gm, d.gn, d.ext.a_frame, xi[:, None, None])
 
 
 def minimality_relations_residual_2d(d: PointData) -> float:

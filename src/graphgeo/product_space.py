@@ -1,9 +1,10 @@
 """Geometry of a two-factor Riemannian product.
 
-Tangent vectors of the product are kept as explicit (domain part, target
-part) pairs; the product metric and the split-signature form are evaluated
-block-wise from the two factor metrics, so mixed components are exactly
-zero by construction.
+A tangent vector of the product is one array whose last axis stacks its
+domain components (the first ``dim M``) over its target components.  The
+product metric and the split-signature form are evaluated factor by factor
+from the two factor metrics, so mixed components are exactly zero by
+construction.
 """
 
 from __future__ import annotations
@@ -12,42 +13,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chart_manifold import ChartManifold, ChartPoint
+from .chart_manifold import ChartManifold, ChartPoint, quadratic_form
 
 Array = np.ndarray
 
 
-@dataclass(frozen=True)
-class SplitVector:
-    """Tangent vector of M x N split into factor components."""
-
-    m_part: Array
-    n_part: Array
-
-    def __post_init__(self):
-        object.__setattr__(self, "m_part", np.asarray(self.m_part, dtype=float))
-        object.__setattr__(self, "n_part", np.asarray(self.n_part, dtype=float))
-
-    def __add__(self, other: "SplitVector") -> "SplitVector":
-        return SplitVector(self.m_part + other.m_part, self.n_part + other.n_part)
-
-    def __sub__(self, other: "SplitVector") -> "SplitVector":
-        return SplitVector(self.m_part - other.m_part, self.n_part - other.n_part)
-
-    def __mul__(self, a: float) -> "SplitVector":
-        return SplitVector(a * self.m_part, a * self.n_part)
-
-    __rmul__ = __mul__
-
-
-def product_metric(gm: Array, gn: Array, u: SplitVector, v: SplitVector) -> float:
-    """Product metric ``g_M(u_M, v_M) + g_N(u_N, v_N)`` from the factor metrics.
+def product_form(gm: Array, gn: Array, u: Array, v: Array) -> Array:
+    """Product metric ``g_M(u_M, v_M) + g_N(u_N, v_N)`` on stacked vectors
+    ``u``, ``v``; broadcasts over leading axes.
 
     With ``-g_N`` in place of ``g_N`` it is the split-signature form
     ``g_M - g_N``, a quadratic form of signature ``(dim M, dim N)`` that is
     never inverted.
     """
-    return float(u.m_part @ gm @ v.m_part + u.n_part @ gn @ v.n_part)
+    m = gm.shape[-1]
+    return (quadratic_form(u[..., :m], gm, v[..., :m])
+            + quadratic_form(u[..., m:], gn, v[..., m:]))
 
 
 @dataclass(frozen=True)

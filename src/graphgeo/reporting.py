@@ -36,9 +36,13 @@ def _normalize(obj: Any) -> Any:
     return obj
 
 
-def canonical_json(obj: Any, indent: int = 0) -> str:
+def canonical_json(obj: Any) -> str:
     """Serialize to JSON with deterministic float formatting."""
-    obj = _normalize(obj)
+    return _emit(_normalize(obj), 0)
+
+
+def _emit(obj: Any, indent: int) -> str:
+    """JSON text of a value already reduced to plain types by :func:`_normalize`."""
     pad = " " * indent
     child = " " * (indent + 2)
     if obj is None:
@@ -54,12 +58,12 @@ def canonical_json(obj: Any, indent: int = 0) -> str:
     if isinstance(obj, list):
         if not obj:
             return "[]"
-        items = [canonical_json(v, indent + 2) for v in obj]
+        items = [_emit(v, indent + 2) for v in obj]
         return "[\n" + ",\n".join(child + it for it in items) + "\n" + pad + "]"
     if isinstance(obj, dict):
         if not obj:
             return "{}"
-        items = [f"{json.dumps(str(k))}: {canonical_json(v, indent + 2)}"
+        items = [f"{json.dumps(str(k))}: {_emit(v, indent + 2)}"
                  for k, v in obj.items()]
         return "{\n" + ",\n".join(child + it for it in items) + "\n" + pad + "}"
     raise TypeError(f"cannot serialize {type(obj)!r}")

@@ -245,7 +245,7 @@ class HypothesisReport:
             ("condition4", self.condition4_ok)] if not ok]
 
 
-def evaluate_hypotheses(f: SmoothMap, sweep: GridSweep, sigma: float,
+def evaluate_hypotheses(sweep: GridSweep, sigma: float,
                         kappa_margin: float = 0.01,
                         tolerances: dict[str, float] | None = None) -> HypothesisReport:
     tol = {**DEFAULT_TOLERANCES, **(tolerances or {})}
@@ -301,7 +301,7 @@ def classify(f: SmoothMap, grid: list[ChartPoint], sigma: float,
     tol = {**DEFAULT_TOLERANCES, **(tolerances or {})}
     if sweep is None:
         sweep = sweep_geometry(f, grid, seed=seed)
-    hyp = hypotheses or evaluate_hypotheses(f, sweep, sigma, kappa_margin, tol)
+    hyp = hypotheses or evaluate_hypotheses(sweep, sigma, kappa_margin, tol)
 
     if not hyp.all_ok:
         return Classification("hypothesis-violated", {

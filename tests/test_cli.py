@@ -320,6 +320,19 @@ def test_non_finite_and_unknown_settings_rejected(command, extra, capsys):
     assert err.startswith("error: ")
 
 
+@pytest.mark.parametrize("command", ["report", "verify-identities", "check-theorem"])
+def test_unwritable_output_exits_2(command, tmp_path, capsys):
+    target = tmp_path / "missing_dir" / "out.json"
+    code = run([command, "--scenario", "identity-s2", "--grid", "3x3",
+                "--output", str(target)])
+    err = capsys.readouterr().err
+    assert code == 2
+    errors = [line for line in err.splitlines() if line.startswith("error: ")]
+    assert len(errors) == 1 and "cannot write output file" in errors[0]
+    assert "Traceback" not in err
+    assert not target.exists()
+
+
 @pytest.mark.parametrize("doc", [
     {"threads": "2"}, {"threads": 0}, {"grid": "20x20"}, {"grid": []},
     {"seed": "a"}, {"seed": -1}, {"h": True},

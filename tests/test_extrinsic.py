@@ -5,9 +5,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from graphgeo.extrinsic import minimality_report, second_fundamental_at
+from graphgeo.extrinsic import (
+    MINIMAL_TOL,
+    TOTALLY_GEODESIC_TOL,
+    graph_block,
+    second_fundamental_at,
+)
 from graphgeo.identities import point_rows
-from graphgeo.product_space import SplitVector, product_metric
+from graphgeo.product_space import product_form
 from graphgeo.scenarios import get, registry
 
 
@@ -118,17 +123,14 @@ def test_scalar_invariants_are_frame_independent():
             d = point_rows(sc.f, [p])[0]
             E = _random_orthonormal_frame(d.g, rng)
             a_sq = 0.0
-            h_m = np.zeros(sc.domain.dim)
-            h_n = np.zeros(sc.target.dim)
+            h = np.zeros(sc.domain.dim + sc.target.dim)
             for i in range(sc.domain.dim):
                 for j in range(sc.domain.dim):
-                    a = ext.a_coord(E[:, i], E[:, j])
-                    a_sq += product_metric(d.gm, d.gn, a, a)
+                    a = np.einsum("ijc,i,j->c", ext.a_coord, E[:, i], E[:, j])
+                    a_sq += product_form(d.gm, d.gn, a, a)
                     if i == j:
-                        h_m += a.m_part
-                        h_n += a.n_part
-            h_norm = np.sqrt(product_metric(d.gm, d.gn, SplitVector(h_m, h_n),
-                                            SplitVector(h_m, h_n)))
+                        h += a
+            h_norm = np.sqrt(product_form(d.gm, d.gn, h, h))
             assert abs(a_sq - ext.a_norm_sq) < 1e-8
             assert abs(h_norm - ext.h_norm) < 1e-8
 
@@ -141,49 +143,50 @@ def test_normal_estimate_on_frame_normals():
             lam_max_sq = float(d.frames.lambdas[-1] ** 2)
             for c in (lam_max_sq, lam_max_sq + 1.0):
                 bound = (c - 1.0) / (1.0 + c)
-                for xi in d.frames.xi:
-                    lhs = product_metric(d.gm, -d.gn, xi, xi)
-                    rhs = bound * product_metric(d.gm, d.gn, xi, xi)
+                for xi in d.frames.normal.T:
+                    lhs = product_form(d.gm, -d.gn, xi, xi)
+                    rhs = bound * product_form(d.gm, d.gn, xi, xi)
                     assert lhs <= rhs + 1e-10
 
 
 # ---------------------------------------------------------------------------
-# Minimality report
+# Minimality and total geodesy over a grid
 # ---------------------------------------------------------------------------
+
+def grid_norms(f, points):
+    """Largest ``|H|`` and ``|A|`` over the points, from one graph block."""
+    ext = graph_block(f, np.array([p.coords for p in points])).ext
+    return float(np.max(ext.h_norm)), float(np.sqrt(np.max(ext.a_norm_sq)))
+
 
 def test_minimality_report_identity():
     sc = get("identity-s2")
-    rep = minimality_report(sc.f, sc.grid_points((6, 6)))
-    assert rep.is_totally_geodesic
-    assert rep.is_minimal
+    max_h, max_a = grid_norms(sc.f, sc.grid_points((6, 6)))
+    assert max_a < TOTALLY_GEODESIC_TOL
+    # total geodesy implies minimality whatever the measured |H|
+    assert max_h < MINIMAL_TOL or max_a < TOTALLY_GEODESIC_TOL
 
 
 def test_minimality_report_w2():
     sc = get("holo-w2")
-    rep = minimality_report(sc.f, sc.grid_points((8, 8)))
-    assert rep.is_minimal
-    assert not rep.is_totally_geodesic
+    max_h, max_a = grid_norms(sc.f, sc.grid_points((8, 8)))
+    assert max_h < MINIMAL_TOL
+    assert not max_a < TOTALLY_GEODESIC_TOL
     # genuinely curved: certified well above the decision threshold
-    assert rep.max_a_norm > 10 * rep.geodesic_tol
+    assert max_a > 10 * TOTALLY_GEODESIC_TOL
 
 
 def test_minimality_report_projection_not_minimal():
     sc = get("proj-s3-s1")
-    rep = minimality_report(sc.f, sc.grid_points((4, 4, 4)))
-    assert not rep.is_minimal
-    assert rep.max_h_norm > 10 * rep.minimal_tol
+    max_h, max_a = grid_norms(sc.f, sc.grid_points((4, 4, 4)))
+    assert not (max_h < MINIMAL_TOL or max_a < TOTALLY_GEODESIC_TOL)
+    assert max_h > 10 * MINIMAL_TOL
 
 
 def test_minimality_report_torus_linear():
     sc = get("torus-linear")
-    rep = minimality_report(sc.f, sc.grid_points((5, 5)))
-    assert rep.is_totally_geodesic
-
-
-def test_minimality_report_empty_grid():
-    sc = get("identity-s2")
-    with pytest.raises(ValueError):
-        minimality_report(sc.f, [])
+    _, max_a = grid_norms(sc.f, sc.grid_points((5, 5)))
+    assert max_a < TOTALLY_GEODESIC_TOL
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from graphgeo.graph_map import (
     singular_values_at,
 )
 from graphgeo.identities import point_rows
-from graphgeo.product_space import product_metric
+from graphgeo.product_space import product_form
 from graphgeo.scenarios import (
     complex_power_map,
     constant_map,
@@ -149,7 +149,7 @@ def test_identity_mixed_frame_value():
     p = sc.domain.point([0.4, 0.1])
     fr = adapted_frames_at(sc.f, p)
     d = point_rows(sc.f, [p])[0]
-    val = product_metric(d.gm, -d.gn, fr.e_tilde[1], fr.xi[1])
+    val = product_form(d.gm, -d.gn, fr.tangent[:, 1], fr.normal[:, 1])
     assert abs(val + 1.0) < 1e-12
 
 
@@ -158,9 +158,9 @@ def test_constant_map_normal_frame_values():
     p = sc.domain.point([-0.3, 0.6])
     fr = adapted_frames_at(sc.f, p)
     d = point_rows(sc.f, [p])[0]
-    for xi in fr.xi:
-        assert abs(product_metric(d.gm, -d.gn, xi, xi) + 1.0) < 1e-12
-        assert np.abs(xi.m_part).max() == 0.0
+    for xi in fr.normal.T:
+        assert abs(product_form(d.gm, -d.gn, xi, xi) + 1.0) < 1e-12
+        assert np.abs(xi[:2]).max() == 0.0
 
 
 def test_w2_tangent_frame_value_at_one():
@@ -188,10 +188,11 @@ def test_graph_differential_maps_frame_to_tangent_frame():
         for p in sc.random_points(10, rng):
             fr = adapted_frames_at(sc.f, p)
             d1 = sc.f.jet(p.coords[None]).d1[0]
-            for i, et in enumerate(fr.e_tilde):
+            m = sc.domain.dim
+            for i, et in enumerate(fr.tangent.T):
                 e_i = fr.e[:, i]
-                assert np.abs(e_i - et.m_part).max() < 1e-8
-                assert np.abs(d1 @ e_i - et.n_part).max() < 1e-8
+                assert np.abs(e_i - et[:m]).max() < 1e-8
+                assert np.abs(d1 @ e_i - et[m:]).max() < 1e-8
 
 
 # ---------------------------------------------------------------------------

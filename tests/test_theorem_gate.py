@@ -15,12 +15,12 @@ from graphgeo.theorem_gate import (
 
 def trace_condition_check(sweep):
     """Worst value of the trace condition, as the gate reports it."""
-    return evaluate_hypotheses(None, sweep, 1.0).margins["trace"]
+    return evaluate_hypotheses(sweep, 1.0).margins["trace"]
 
 
 def kappa_estimate(sweep, margin):
     """The gate's strict bound ``kappa^2`` for the pullback metric."""
-    hyp = evaluate_hypotheses(None, sweep, 1.0, kappa_margin=margin)
+    hyp = evaluate_hypotheses(sweep, 1.0, kappa_margin=margin)
     assert hyp.kappa_ok      # strictly above every pullback value
     return hyp.kappa_sq
 
@@ -193,13 +193,13 @@ def test_identity_verdict_carries_sec_witnesses():
 def test_hypothesis_report_failures_named():
     sc = get("proj-s3-s1")
     sweep = sweep_geometry(sc.f, sc.grid_points((4, 4, 4)), seed=5)
-    hyp = evaluate_hypotheses(sc.f, sweep, sc.sigma)
+    hyp = evaluate_hypotheses(sweep, sc.sigma)
     assert hyp.failing() == ["minimal"]
     assert hyp.margins["max_h_norm"] > 1e-3
 
     sc = get("torus-linear")
     sweep = sweep_geometry(sc.f, sc.grid_points((6, 6)), seed=5)
-    hyp = evaluate_hypotheses(sc.f, sweep, sc.sigma)
+    hyp = evaluate_hypotheses(sweep, sc.sigma)
     assert "pinching" in hyp.failing()
 
 
