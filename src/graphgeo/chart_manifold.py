@@ -3,7 +3,9 @@
 Index conventions used throughout the package:
 
 * metric jets:      ``g[i, j]``, ``dg[k, i, j] = d_k g_ij``,
-                    ``d2g[l, k, i, j] = d_l d_k g_ij``
+                    ``d2g[l, k, i, j] = d_l d_k g_ij``; jet evaluators and
+                    the functions below add a leading block axis ``b``:
+                    ``g[b, i, j]`` belongs to the point ``coords[b]``
 * Christoffels:     ``gamma[k, i, j] = Gamma^k_ij``
 * curvature:        ``riem[i, j, k, l]`` is the fully covariant tensor,
                     normalized so that on a round sphere of radius r
@@ -63,9 +65,10 @@ class MetricJet:
 class ChartManifold:
     """A Riemannian manifold seen through one coordinate chart.
 
-    ``metric_jet`` maps chart coordinates to a :class:`MetricJet` and must be
-    smooth on ``chart_box`` (an array of shape ``(dim, 2)`` with the low/high
-    bounds per axis).
+    ``metric_jet`` maps a coordinate block of shape ``(B, dim)`` to one
+    :class:`MetricJet` of ``B`` stacked jets (a point is the block
+    ``x[None]``) and must be smooth on ``chart_box`` (an array of shape
+    ``(dim, 2)`` with the low/high bounds per axis).
     """
 
     dim: int
@@ -104,22 +107,21 @@ class ChartManifold:
 
     def jet(self, coords: Array) -> MetricJet:
         """Metric jets at the rows of a coordinate block of shape ``(B, dim)``,
-        each evaluated once and stacked on a leading axis.  A point outside
-        the chart box raises :class:`OutOfChartError` (its first such row).
-        """
+        from one evaluator call.  A point outside the chart box raises
+        :class:`OutOfChartError` (its first such row)."""
         coords = np.asarray(coords, dtype=float)
         outside = ~self.contains(coords)
         if outside.any():
             raise OutOfChartError(
                 f"{self.name}: point {coords[np.argmax(outside)]} outside chart box")
-        return stack_metric_jets([self.metric_jet(x) for x in coords])
+        return self.metric_jet(coords)
 
 
-def stack_metric_jets(jets: list[MetricJet]) -> MetricJet:
-    """One jet whose arrays carry the given jets along a leading axis."""
-    return MetricJet(np.stack([j.g for j in jets]),
-                     np.stack([j.dg for j in jets]),
-                     np.stack([j.d2g for j in jets]))
+def powers(a: Array, k: int) -> Array:
+    """``a ** k`` of a 1-d array, element by element through Python floats
+    (libm ``pow``): numpy's vectorized power differs from it in the last bit
+    on ~5% of elements."""
+    return np.array([v ** k for v in a.tolist()], dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -138,14 +140,17 @@ def sphere_chart(dim: int, radius: float = 1.0, box_halfwidth: float = 20.0,
     eye = np.eye(dim)
 
     def jet(x: Array) -> MetricJet:
-        q = r2 + float(x @ x)
+        # |x|^2 per row as the 1x1 matrix product x . x, which rounds like x @ x
+        q = r2 + (x[:, None, :] @ x[:, :, None])[:, 0, 0]
+        q3, q4 = powers(q, 3), powers(q, 4)
         u = 4.0 * r2 * r2 / (q * q)
-        du = -16.0 * r2 * r2 * x / q ** 3                      # du[k]
-        d2u = (-16.0 * r2 * r2 / q ** 3) * eye \
-            + (96.0 * r2 * r2 / q ** 4) * np.outer(x, x)       # d2u[l, k]
-        g = u * eye
-        dg = du[:, None, None] * eye[None, :, :]
-        d2g = d2u[:, :, None, None] * eye[None, None, :, :]
+        du = -16.0 * r2 * r2 * x / q3[:, None]                  # du[b, k]
+        d2u = (-16.0 * r2 * r2 / q3)[:, None, None] * eye \
+            + (96.0 * r2 * r2 / q4)[:, None, None] \
+            * (x[:, :, None] * x[:, None, :])                    # d2u[b, l, k]
+        g = u[:, None, None] * eye
+        dg = du[:, :, None, None] * eye
+        d2g = d2u[:, :, :, None, None] * eye
         return MetricJet(g, dg, d2g)
 
     box = np.array([[-box_halfwidth, box_halfwidth]] * dim)
@@ -158,11 +163,11 @@ def constant_metric_chart(dim: int, matrix=None, box_halfwidth: float = 50.0,
     g0 = np.eye(dim) if matrix is None else np.array(matrix, dtype=float)
     if g0.shape != (dim, dim):
         raise ValueError("metric matrix has wrong shape")
-    zeros1 = np.zeros((dim, dim, dim))
-    zeros2 = np.zeros((dim, dim, dim, dim))
 
     def jet(x: Array) -> MetricJet:
-        return MetricJet(g0, zeros1, zeros2)
+        b = len(x)
+        return MetricJet(np.repeat(g0[None], b, axis=0), np.zeros((b, dim, dim, dim)),
+                         np.zeros((b, dim, dim, dim, dim)))
 
     box = np.array([[-box_halfwidth, box_halfwidth]] * dim)
     return ChartManifold(dim, jet, box, name)

@@ -284,8 +284,11 @@ def _encode(cfg: RunConfig, payload: dict, csv_payload: dict) -> str:
 
 
 def _write_output(text: str, cfg: RunConfig) -> None:
-    """Write an artifact to ``cfg.output``; an unwritable path is bad
-    configuration."""
+    """Write an artifact to ``cfg.output``, or to stdout without one; an
+    unwritable path is bad configuration."""
+    if not cfg.output:
+        sys.stdout.write(text)
+        return
     try:
         Path(cfg.output).write_text(text, encoding="utf-8")
     except OSError as exc:
@@ -338,12 +341,9 @@ def cmd_report(cfg: RunConfig) -> int:
         # kept out of the deterministic artifact; see module docstring
         "runtime_seconds": None,
     }
-    text = _encode(cfg, report, report)
+    _write_output(_encode(cfg, report, report), cfg)
     if cfg.output:
-        _write_output(text, cfg)
         print(f"report written to {cfg.output}", file=sys.stderr)
-    else:
-        sys.stdout.write(text)
     print(f"runtime: {elapsed:.2f}s", file=sys.stderr)
     return EXIT_OK
 
@@ -380,10 +380,7 @@ def cmd_check_theorem(cfg: RunConfig) -> int:
     payload = {"config": _config_echo(cfg, scenario, box, shape, sigma),
                "hypotheses": _hypotheses_record(hyp),
                "classification": _classification_record(cls)}
-    if cfg.output:
-        _write_output(_encode(cfg, payload, payload), cfg)
-    else:
-        sys.stdout.write(canonical_json(payload) + "\n")
+    _write_output(_encode(cfg, payload, payload), cfg)
 
     if cls.verdict in ("constant", "totally-geodesic-isometric-immersion"):
         return EXIT_OK

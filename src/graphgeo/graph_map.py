@@ -54,16 +54,11 @@ class MapJet:
     d3: Array | None = None
 
 
-def stack_map_jets(jets: list[MapJet]) -> MapJet:
-    """One map jet whose arrays carry the given jets along a leading axis."""
-    d3 = None if any(j.d3 is None for j in jets) else np.stack([j.d3 for j in jets])
-    return MapJet(np.stack([j.value for j in jets]), np.stack([j.d1 for j in jets]),
-                  np.stack([j.d2 for j in jets]), d3)
-
-
 @dataclass(frozen=True)
 class SmoothMap:
-    """A chart-to-chart map with an exact jet evaluator up to order three."""
+    """A chart-to-chart map with an exact jet evaluator up to order three:
+    ``jet_fn`` maps a coordinate block of shape ``(B, m)`` to one
+    :class:`MapJet` of ``B`` stacked jets (a point is the block ``x[None]``)."""
 
     domain: ChartManifold
     target: ChartManifold
@@ -72,26 +67,22 @@ class SmoothMap:
 
     def jet(self, coords: Array) -> MapJet:
         """Map jets at the rows of a coordinate block of shape ``(B, m)``,
-        each evaluated once and stacked on a leading axis.
-
-        The chart boxes are checked for the whole block at once; the
-        :class:`OutOfChartError` names the first offending point in block
-        order, as a point-by-point evaluation would.
+        from one evaluator call on the rows before the first point outside
+        the domain.  The :class:`OutOfChartError` names the first offending
+        point in block order, as a point-by-point evaluation would.
         """
         coords = np.asarray(coords, dtype=float)
         inside = self.domain.contains(coords)
         n_inside = len(coords) if inside.all() else int(np.argmin(inside))
-        jets = [self.jet_fn(x) for x in coords[:n_inside]]
-        images = np.array([j.value for j in jets], dtype=float).reshape(
-            n_inside, self.target.dim)
-        outside = ~self.target.contains(images)
+        jet = self.jet_fn(coords[:n_inside])
+        outside = ~self.target.contains(jet.value)
         if outside.any():
             raise OutOfChartError(
-                f"{self.name}: image {images[np.argmax(outside)]} outside target chart")
+                f"{self.name}: image {jet.value[np.argmax(outside)]} outside target chart")
         if n_inside < len(coords):
             raise OutOfChartError(
                 f"{self.name}: point {coords[n_inside]} outside domain chart")
-        return stack_map_jets(jets)
+        return jet
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,8 @@ from itertools import product as iter_product
 
 import numpy as np
 
-from .chart_manifold import ChartManifold, ChartPoint, constant_metric_chart, sphere_chart
+from .chart_manifold import (ChartManifold, ChartPoint, constant_metric_chart,
+                             powers, sphere_chart)
 from .errors import UnknownScenarioError
 from .graph_map import MapJet, SmoothMap
 
@@ -70,10 +71,11 @@ def constant_map(domain: ChartManifold, target: ChartManifold,
                  value, name: str = "constant") -> SmoothMap:
     value = np.asarray(value, dtype=float)
     m, n = domain.dim, target.dim
-    z2, z3 = np.zeros((n, m, m)), np.zeros((n, m, m, m))
 
     def jet(x: Array) -> MapJet:
-        return MapJet(value.copy(), np.zeros((n, m)), z2, z3)
+        b = len(x)
+        return MapJet(np.repeat(value[None], b, axis=0), np.zeros((b, n, m)),
+                      np.zeros((b, n, m, m)), np.zeros((b, n, m, m, m)))
 
     return SmoothMap(domain, target, jet, name)
 
@@ -85,12 +87,18 @@ def linear_map(domain: ChartManifold, target: ChartManifold, matrix,
     if Q.shape != (n, m):
         raise ValueError(f"matrix must have shape ({n}, {m})")
     b = np.zeros(n) if shift is None else np.asarray(shift, dtype=float)
-    z2, z3 = np.zeros((n, m, m)), np.zeros((n, m, m, m))
 
     def jet(x: Array) -> MapJet:
-        return MapJet(Q @ x + b, Q.copy(), z2, z3)
+        rows = len(x)
+        return MapJet(_apply(Q, x) + b, np.repeat(Q[None], rows, axis=0),
+                      np.zeros((rows, n, m, m)), np.zeros((rows, n, m, m, m)))
 
     return SmoothMap(domain, target, jet, name)
+
+
+def _apply(Q: Array, x: Array) -> Array:
+    """``Q @ x`` per row, as matrix-vector products (``x @ Q.T`` rounds differently)."""
+    return (Q @ x[:, :, None])[:, :, 0]
 
 
 def complex_power_map(domain: ChartManifold, target: ChartManifold,
@@ -107,31 +115,37 @@ def complex_power_map(domain: ChartManifold, target: ChartManifold,
         raise ValueError("only powers 1, 2, 3 are implemented")
     t = float(scale)
 
+    def stacked(entries) -> Array:
+        """``t`` times nested lists of per-row entries, block axis first, C order."""
+        return t * np.ascontiguousarray(np.moveaxis(np.array(entries), -1, 0))
+
     def jet(xy: Array) -> MapJet:
-        x, y = xy
-        d3 = np.zeros((2, 2, 2, 2))
+        x, y = xy[:, 0], xy[:, 1]
+        one, zero = np.ones_like(x), np.zeros_like(x)
+        d3 = np.zeros((len(xy), 2, 2, 2, 2))
         if k == 1:
-            val = np.array([x, y])
-            d1 = np.array([[1.0, 0.0], [0.0, 1.0]])
-            d2 = np.zeros((2, 2, 2))
+            val = [x, y]
+            d1 = [[one, zero], [zero, one]]
+            d2 = [[[zero, zero], [zero, zero]]] * 2
         elif k == 2:
-            val = np.array([x * x - y * y, 2.0 * x * y])
-            d1 = np.array([[2 * x, -2 * y], [2 * y, 2 * x]])
-            d2 = np.array([[[2.0, 0.0], [0.0, -2.0]],
-                           [[0.0, 2.0], [2.0, 0.0]]])
+            val = [x * x - y * y, 2.0 * x * y]
+            d1 = [[2 * x, -2 * y], [2 * y, 2 * x]]
+            d2 = [[[2.0 * one, zero], [zero, -2.0 * one]],
+                  [[zero, 2.0 * one], [2.0 * one, zero]]]
         else:
-            val = np.array([x ** 3 - 3 * x * y * y, 3 * x * x * y - y ** 3])
-            d1 = np.array([[3 * x * x - 3 * y * y, -6 * x * y],
-                           [6 * x * y, 3 * x * x - 3 * y * y]])
-            d2 = np.array([[[6 * x, -6 * y], [-6 * y, -6 * x]],
-                           [[6 * y, 6 * x], [6 * x, -6 * y]]])
+            x3, y3 = powers(x, 3), powers(y, 3)
+            val = [x3 - 3 * x * y * y, 3 * x * x * y - y3]
+            d1 = [[3 * x * x - 3 * y * y, -6 * x * y],
+                  [6 * x * y, 3 * x * x - 3 * y * y]]
+            d2 = [[[6 * x, -6 * y], [-6 * y, -6 * x]],
+                  [[6 * y, 6 * x], [6 * x, -6 * y]]]
             # f^1 = x^3 - 3xy^2: xxx = 6, xyy/yxy/yyx = -6
-            d3[0, 0, 0, 0] = 6.0
-            d3[0, 0, 1, 1] = d3[0, 1, 0, 1] = d3[0, 1, 1, 0] = -6.0
+            d3[:, 0, 0, 0, 0] = 6.0
+            d3[:, 0, 0, 1, 1] = d3[:, 0, 1, 0, 1] = d3[:, 0, 1, 1, 0] = -6.0
             # f^2 = 3x^2y - y^3: xxy perms = 6, yyy = -6
-            d3[1, 0, 0, 1] = d3[1, 0, 1, 0] = d3[1, 1, 0, 0] = 6.0
-            d3[1, 1, 1, 1] = -6.0
-        return MapJet(t * val, t * d1, t * d2, t * d3)
+            d3[:, 1, 0, 0, 1] = d3[:, 1, 0, 1, 0] = d3[:, 1, 1, 0, 0] = 6.0
+            d3[:, 1, 1, 1, 1] = -6.0
+        return MapJet(stacked(val), stacked(d1), stacked(d2), t * d3)
 
     return SmoothMap(domain, target, jet, name or f"w^{k}" + (f"*{t:g}" if t != 1.0 else ""))
 
@@ -141,12 +155,12 @@ def precompose_linear(f: SmoothMap, matrix, name: str | None = None) -> SmoothMa
     Q = np.asarray(matrix, dtype=float)
 
     def jet(x: Array) -> MapJet:
-        inner = f.jet_fn(Q @ x)
-        d1 = np.einsum("ab,bi->ai", inner.d1, Q)
-        d2 = np.einsum("abc,bi,cj->aij", inner.d2, Q, Q)
+        inner = f.jet_fn(_apply(Q, x))
+        d1 = np.einsum("...ab,bi->...ai", inner.d1, Q)
+        d2 = np.einsum("...abc,bi,cj->...aij", inner.d2, Q, Q)
         d3 = None
         if inner.d3 is not None:
-            d3 = np.einsum("abcd,bi,cj,dk->aijk", inner.d3, Q, Q, Q)
+            d3 = np.einsum("...abcd,bi,cj,dk->...aijk", inner.d3, Q, Q, Q)
         return MapJet(inner.value, d1, d2, d3)
 
     return SmoothMap(f.domain, f.target, jet, name or f"{f.name}∘linear")
@@ -298,13 +312,32 @@ class JetCheck:
         return self.exact or 3.5 <= self.ratio <= 4.5
 
 
-def _central_diff(fn, x: Array, h: float) -> Array:
-    out = []
-    for k in range(x.size):
-        e = np.zeros_like(x)
-        e[k] = h
-        out.append((fn(x + e) - fn(x - e)) / (2.0 * h))
-    return np.stack(out, axis=0)
+def _fd_gaps(evaluate, fields, x: Array, step: float) -> dict[str, Array]:
+    """Per field ``(name, lower, exact)`` and row of ``x``: the worst gap of
+    the exact jet to central differences of ``lower``, from one evaluator
+    call on the ``2 dim`` points ``x + step e_k``, ``x - step e_k`` of every row."""
+    rows, dim = x.shape
+    shift = step * np.eye(dim)
+    shifted = evaluate(np.concatenate([x[:, None] + shift, x[:, None] - shift],
+                                      axis=1).reshape(-1, dim))
+    exact = evaluate(x)
+    gaps = {}
+    for name, lower, upper in fields:
+        vals = lower(shifted).reshape(rows, 2, dim, -1)
+        fd = (vals[:, 0] - vals[:, 1]) / (2.0 * step)
+        gaps[name] = np.abs(fd - upper(exact).reshape(fd.shape)).max(axis=(1, 2))
+    return gaps
+
+
+_MAP_FIELDS = [
+    ("d1", lambda j: j.value, lambda j: np.swapaxes(j.d1, 1, 2)),
+    ("d2", lambda j: j.d1, lambda j: np.moveaxis(j.d2, 2, 1)),
+    ("d3", lambda j: j.d2, lambda j: np.moveaxis(j.d3, 2, 1)),
+]
+_METRIC_FIELDS = [
+    ("d1", lambda j: j.g, lambda j: j.dg),
+    ("d2", lambda j: j.dg, lambda j: j.d2g),
+]
 
 
 def jets_selftest(scenario: Scenario, h: float = 1e-4,
@@ -318,41 +351,15 @@ def jets_selftest(scenario: Scenario, h: float = 1e-4,
     if points is None:
         rng = np.random.default_rng(7)
         points = scenario.random_points(3, rng)
-    checks: list[JetCheck] = []
-
-    def disc(fn_val, fn_exact, x, step):
-        fd = _central_diff(fn_val, x, step)
-        return float(np.abs(fd - fn_exact(x)).max())
-
-    for p in points:
-        x = p.coords
-        pairs = [
-            ("f:d1", lambda y: f.jet_fn(y).value,
-             lambda y: f.jet_fn(y).d1.T),
-            ("f:d2", lambda y: f.jet_fn(y).d1,
-             lambda y: np.moveaxis(f.jet_fn(y).d2, 1, 0)),
-            ("f:d3", lambda y: f.jet_fn(y).d2,
-             lambda y: np.moveaxis(f.jet_fn(y).d3, 1, 0)),
-            ("gM:d1", lambda y: f.domain.metric_jet(y).g,
-             lambda y: f.domain.metric_jet(y).dg),
-            ("gM:d2", lambda y: f.domain.metric_jet(y).dg,
-             lambda y: f.domain.metric_jet(y).d2g),
-        ]
-        for label, val_fn, exact_fn in pairs:
-            checks.append(JetCheck(
-                label=f"{label}@{np.round(x, 3)}",
-                disc_h=disc(val_fn, exact_fn, x, h),
-                disc_half=disc(val_fn, exact_fn, x, h / 2.0)))
-
-        img = f.jet_fn(x).value
-        for label, val_fn, exact_fn in [
-            ("gN:d1", lambda y: f.target.metric_jet(y).g,
-             lambda y: f.target.metric_jet(y).dg),
-            ("gN:d2", lambda y: f.target.metric_jet(y).dg,
-             lambda y: f.target.metric_jet(y).d2g),
-        ]:
-            checks.append(JetCheck(
-                label=f"{label}@{np.round(img, 3)}",
-                disc_h=disc(val_fn, exact_fn, img, h),
-                disc_half=disc(val_fn, exact_fn, img, h / 2.0)))
-    return checks
+    x = np.array([p.coords for p in points])
+    img = f.jet_fn(x).value
+    groups = [("f", x, f.jet_fn, _MAP_FIELDS),
+              ("gM", x, f.domain.metric_jet, _METRIC_FIELDS),
+              ("gN", img, f.target.metric_jet, _METRIC_FIELDS)]
+    gaps = [[_fd_gaps(evaluate, fields, at, step) for step in (h, h / 2.0)]
+            for _, at, evaluate, fields in groups]
+    return [JetCheck(f"{label}:{name}@{np.round(at[i], 3)}",
+                     float(full[name][i]), float(half[name][i]))
+            for i in range(len(x))
+            for (label, at, _, fields), (full, half) in zip(groups, gaps)
+            for name, _, _ in fields]

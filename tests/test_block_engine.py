@@ -51,23 +51,24 @@ def scalar_sectional(riem, g, u, v):
 
 def point_geometry(f, p, seed_seq, planes):
     rng = np.random.default_rng(seed_seq)
-    fjet = f.jet_fn(p.coords)
-    gm_jet = f.domain.metric_jet(p.coords)
+    fjet = f.jet_fn(p.coords[None])
+    gm_jet = f.domain.metric_jet(p.coords[None])
     gn_jet = f.target.metric_jet(np.asarray(fjet.value, dtype=float))
-    riem_m, riem_n = riemann_from_jet(gm_jet), riemann_from_jet(gn_jet)
+    riem_m, riem_n = riemann_from_jet(gm_jet)[0], riemann_from_jet(gn_jet)[0]
+    d1, g_m, g_n = fjet.d1[0], gm_jet.g[0], gn_jet.g[0]
     frames, ext = adapted_frames_at(f, p), second_fundamental_at(f, p)
     m, n = f.domain.dim, f.target.dim
     sec_m_vals, sec_n_vals = [], []
     for _ in range(planes):
         u, v = rng.normal(size=m), rng.normal(size=m)
         try:
-            sec_m_vals.append(scalar_sectional(riem_m, gm_jet.g, u, v))
+            sec_m_vals.append(scalar_sectional(riem_m, g_m, u, v))
         except DegeneratePlaneError:
             continue
         if n >= 2 and frames.rank >= 2:
-            du, dv = fjet.d1 @ u, fjet.d1 @ v
+            du, dv = d1 @ u, d1 @ v
             try:
-                sec_n_vals.append(scalar_sectional(riem_n, gn_jet.g, du, dv))
+                sec_n_vals.append(scalar_sectional(riem_n, g_n, du, dv))
             except DegeneratePlaneError:
                 pass
     return {
@@ -213,11 +214,13 @@ def test_sym_eigen_block_rejects_one_indefinite_metric():
 # Work count: one map jet and two metric jets per grid point
 # ---------------------------------------------------------------------------
 
-def counting(fn, counter, key, seen=None):
+def counting(fn, rows, calls, key, seen=None):
+    """``fn`` counting its calls and the coordinate rows it evaluates."""
     def wrapped(x):
-        counter[key] += 1
+        rows[key] += len(x)
+        calls[key] += 1
         if seen is not None:
-            seen[tuple(x)] += 1
+            seen.update(map(tuple, x))
         return fn(x)
     return wrapped
 
@@ -226,15 +229,18 @@ def counting(fn, counter, key, seen=None):
                                         ("proj-s3-s1", (5, 4, 3))])
 def test_sweep_evaluates_each_jet_once_per_point(name, shape):
     sc = get(name)
-    counts = {"map": 0, "domain": 0, "target": 0}
+    rows, calls = Counter(), Counter()
     domain = dataclasses.replace(
-        sc.domain, metric_jet=counting(sc.domain.metric_jet, counts, "domain"))
+        sc.domain, metric_jet=counting(sc.domain.metric_jet, rows, calls, "domain"))
     target = dataclasses.replace(
-        sc.target, metric_jet=counting(sc.target.metric_jet, counts, "target"))
-    f = SmoothMap(domain, target, counting(sc.f.jet_fn, counts, "map"), sc.f.name)
+        sc.target, metric_jet=counting(sc.target.metric_jet, rows, calls, "target"))
+    f = SmoothMap(domain, target, counting(sc.f.jet_fn, rows, calls, "map"), sc.f.name)
     grid = [domain.point(p.coords) for p in sc.grid_points(shape)]
     sweep_geometry(f, grid, seed=0)
-    assert counts == {"map": len(grid), "domain": len(grid), "target": len(grid)}
+    assert rows == {"map": len(grid), "domain": len(grid), "target": len(grid)}
+    # one evaluator call per block of the sweep
+    blocks = -(-len(grid) // BLOCK_SIZE)
+    assert calls == {"map": blocks, "domain": blocks, "target": blocks}
 
 
 class BlockCountingMap(SmoothMap):
@@ -252,9 +258,9 @@ class BlockCountingMap(SmoothMap):
 ])
 def test_identity_suite_evaluates_each_sample_jet_once(name, stencils):
     sc = get(name)
-    counts, seen = {"map": 0}, Counter()
+    rows, calls, seen = Counter(), Counter(), Counter()
     f = BlockCountingMap(sc.domain, sc.target,
-                         counting(sc.f.jet_fn, counts, "map", seen), sc.f.name)
+                         counting(sc.f.jet_fn, rows, calls, "map", seen), sc.f.name)
     object.__setattr__(f, "blocks", [])
     seed = 4
     run_identity_suite(dataclasses.replace(sc, f=f), seed=seed)
@@ -266,7 +272,8 @@ def test_identity_suite_evaluates_each_sample_jet_once(name, stencils):
     # sample) and one per parallel-field probe (2 m axis neighbours)
     m = sc.domain.dim
     assert f.blocks[0] == 12
-    assert counts["map"] == sum(f.blocks)
+    assert rows["map"] == sum(f.blocks)
+    assert calls["map"] == len(f.blocks)
     assert f.blocks.count(2 * m * m) == stencils
     assert set(f.blocks[1:]) <= {2 * m * m, 2 * m, 7 ** m}
 
@@ -279,8 +286,9 @@ def nan_differential_map():
     s2 = get("identity-s2").domain
 
     def jet(x):
-        return MapJet(x.copy(), np.full((2, 2), np.nan), np.zeros((2, 2, 2)),
-                      np.zeros((2, 2, 2, 2)))
+        b = len(x)
+        return MapJet(x.copy(), np.full((b, 2, 2), np.nan), np.zeros((b, 2, 2, 2)),
+                      np.zeros((b, 2, 2, 2, 2)))
 
     return SmoothMap(s2, s2, jet, "nan-differential")
 
@@ -359,8 +367,15 @@ def test_block_jets_raise_for_the_first_offending_point_in_order():
     coords = np.array([[0.1, 0.0], [1.0, 1.0], [30.0, 0.0]])
     with pytest.raises(OutOfChartError, match="image"):
         f.jet(coords)
+    # no jet is evaluated at or past the first point outside the domain
+    rows, calls = Counter(), Counter()
+    f = SmoothMap(f.domain, f.target, counting(f.jet_fn, rows, calls, "map"), f.name)
     with pytest.raises(OutOfChartError, match="domain"):
-        f.jet(coords[[0, 2]])
+        f.jet(coords[[0, 2, 1]])
+    assert rows == {"map": 1} and calls == {"map": 1}
+    with pytest.raises(OutOfChartError, match=r"point \[30\.  0\.\] outside domain"):
+        f.jet(coords[[2, 0]])
+    assert rows == {"map": 1}
 
 
 def test_block_jets_stack_point_jets():
@@ -369,5 +384,5 @@ def test_block_jets_stack_point_jets():
     coords = np.array([p.coords for p in grid])
     fjet, gm = sc.f.jet(coords), sc.domain.jet(coords)
     for i, p in enumerate(grid):
-        assert np.array_equal(fjet.d2[i], sc.f.jet_fn(p.coords).d2)
-        assert np.array_equal(gm.d2g[i], sc.domain.metric_jet(p.coords).d2g)
+        assert np.array_equal(fjet.d2[i], sc.f.jet_fn(p.coords[None]).d2[0])
+        assert np.array_equal(gm.d2g[i], sc.domain.metric_jet(p.coords[None]).d2g[0])

@@ -240,17 +240,18 @@ def test_sym_eigen_rejects_indefinite_metric():
 # ---------------------------------------------------------------------------
 
 def _fd_jet(man, coords, h):
-    """MetricJet with dg, d2g recomputed by central differences of g, dg."""
+    """MetricJet (a block of one) with dg, d2g recomputed by central
+    differences of g, dg."""
     dim = man.dim
-    g = man.metric_jet(coords).g
-    dg = np.zeros((dim, dim, dim))
-    d2g = np.zeros((dim, dim, dim, dim))
+    g = man.metric_jet(coords[None]).g
+    dg = np.zeros((1, dim, dim, dim))
+    d2g = np.zeros((1, dim, dim, dim, dim))
     for k in range(dim):
         e = np.zeros(dim)
         e[k] = h
-        dg[k] = (man.metric_jet(coords + e).g - man.metric_jet(coords - e).g) / (2 * h)
-        d2g[k] = (man.metric_jet(coords + e).dg
-                  - man.metric_jet(coords - e).dg) / (2 * h)
+        plus, minus = man.metric_jet((coords + e)[None]), man.metric_jet((coords - e)[None])
+        dg[:, k] = (plus.g - minus.g) / (2 * h)
+        d2g[:, k] = (plus.dg - minus.dg) / (2 * h)
     return MetricJet(g, dg, d2g)
 
 
@@ -258,7 +259,7 @@ def _fd_jet(man, coords, h):
 def test_fd_cross_check_converges_at_second_order(quantity):
     man = sphere_chart(2, 1.0)
     coords = np.array([0.4, -0.6])
-    exact = quantity(man.metric_jet(coords))
+    exact = quantity(man.metric_jet(coords[None]))
 
     def disc(h):
         return np.abs(quantity(_fd_jet(man, coords, h)) - exact).max()

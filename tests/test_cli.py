@@ -252,6 +252,27 @@ def test_check_theorem_indeterminate_exit_4(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_check_theorem_csv_to_stdout(capsys):
+    argv = ["check-theorem", "--scenario", "identity-s2", "--grid", "3x3"]
+    assert run(argv) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert run(argv + ["--format", "csv"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "section,name,field,value"
+    compared = 0
+    for line in lines[1:]:
+        section, _, field, value = line.split(",", 3)
+        if section not in ("hypotheses", "classification"):
+            continue
+        leaf = payload[section]
+        for key in field.split("."):
+            leaf = leaf[key]
+        if isinstance(leaf, (int, float)) and not isinstance(leaf, bool):
+            assert float(value) == leaf, field
+            compared += 1
+    assert compared == 14
+
+
 def test_check_theorem_cli_overrides_config(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"scenario": "torus-linear", "grid": [5, 5]}))

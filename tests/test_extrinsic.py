@@ -22,10 +22,10 @@ from graphgeo.scenarios import get, registry
 
 def embedding_jet(f, p):
     """Differential and Hessian of the graph embedding in product-chart slots."""
-    jet = f.jet_fn(p.coords)
+    jet = f.jet_fn(p.coords[None])
     m = f.domain.dim
-    return (np.vstack([np.eye(m), jet.d1]),
-            np.concatenate([np.zeros((m, m, m)), jet.d2], axis=0))
+    return (np.vstack([np.eye(m), jet.d1[0]]),
+            np.concatenate([np.zeros((m, m, m)), jet.d2[0]], axis=0))
 
 
 def test_embedding_jet_constant_map():
@@ -206,3 +206,19 @@ def test_readme_library_example_prints_documented_values():
     assert float(h_norm) < 1e-12
     assert abs(float(a_norm_sq)) < 1e-12
     assert float(a_norm_sq_half) > 0.0
+
+
+def test_readme_user_evaluator_example_runs_on_blocks():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = text.split("## Your own charts and maps", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    out, scope = io.StringIO(), {}
+    with contextlib.redirect_stdout(out):
+        exec(compile(code, "README.md", "exec"), scope)
+    assert out.getvalue().split() == ["[[1.", "2.]", "[0.", "1.]]"]
+    # the example's map runs through the block engine like a built-in one
+    f = scope["f"]
+    coords = np.array([[0.5, 1.0], [-0.3, 0.2], [0.0, 0.0]])
+    blk = graph_block(f, coords)
+    assert np.isfinite(blk.ext.h_norm).all()
+    assert np.array_equal(f.jet(coords).d1[1], [[1.0, 0.4], [0.0, 1.0]])

@@ -50,14 +50,15 @@ def test_pullback_constant_map_vanishes():
 def test_pullback_identity_equals_domain_metric():
     sc = get("identity-s2")
     p = sc.domain.point([0.5, -0.4])
-    assert np.abs(pullback_metric_at(sc.f, p) - sc.domain.metric_jet(p.coords).g).max() < 1e-15
+    gm = sc.domain.metric_jet(p.coords[None]).g[0]
+    assert np.abs(pullback_metric_at(sc.f, p) - gm).max() < 1e-15
 
 
 def test_pullback_w2_at_one():
     sc = get("holo-w2")
     p = sc.domain.point([1.0, 0.0])
     P = pullback_metric_at(sc.f, p)
-    gm = sc.domain.metric_jet(p.coords).g
+    gm = sc.domain.metric_jet(p.coords[None]).g[0]
     vals, _ = sym_eigen(P, gm)
     assert np.abs(vals - 4.0).max() < 1e-12
     assert np.abs(P - 4.0 * np.eye(2)).max() < 1e-12
@@ -293,20 +294,20 @@ def test_induced_metric_constant_map_is_domain_metric():
     sc = get("constant-s2")
     p = sc.domain.point([0.7, 0.2])
     jet = induced_metric_jet(sc.f, p)
-    gm = sc.domain.metric_jet(p.coords)
-    assert np.abs(jet.g - gm.g).max() == 0.0
-    assert np.abs(jet.dg - gm.dg).max() == 0.0
-    assert np.abs(jet.d2g - gm.d2g).max() == 0.0
+    gm = sc.domain.metric_jet(p.coords[None])
+    assert np.abs(jet.g - gm.g[0]).max() == 0.0
+    assert np.abs(jet.dg - gm.dg[0]).max() == 0.0
+    assert np.abs(jet.d2g - gm.d2g[0]).max() == 0.0
 
 
 def test_induced_metric_identity_doubles_domain_metric():
     sc = get("identity-s3")
     p = sc.domain.point([0.1, -0.5, 0.3])
     jet = induced_metric_jet(sc.f, p)
-    gm = sc.domain.metric_jet(p.coords)
-    assert np.abs(jet.g - 2.0 * gm.g).max() < 1e-14
-    assert np.abs(jet.dg - 2.0 * gm.dg).max() < 1e-14
-    assert np.abs(jet.d2g - 2.0 * gm.d2g).max() < 1e-14
+    gm = sc.domain.metric_jet(p.coords[None])
+    assert np.abs(jet.g - 2.0 * gm.g[0]).max() < 1e-14
+    assert np.abs(jet.dg - 2.0 * gm.dg[0]).max() < 1e-14
+    assert np.abs(jet.d2g - 2.0 * gm.d2g[0]).max() < 1e-14
 
 
 def test_induced_jet_satisfies_symmetries():
@@ -374,7 +375,9 @@ def test_induced_manifold_needs_third_order_jets():
     s2 = sphere_chart(2, 1.0)
 
     def jet_no_d3(x):
-        return MapJet(x.copy(), np.eye(2), np.zeros((2, 2, 2)), None)
+        b = len(x)
+        return MapJet(x.copy(), np.repeat(np.eye(2)[None], b, axis=0),
+                      np.zeros((b, 2, 2, 2)), None)
 
     f = SmoothMap(s2, s2, jet_no_d3, "id-no-d3")
     with pytest.raises(CapabilityError):

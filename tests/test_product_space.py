@@ -26,9 +26,14 @@ M_FACTOR, N_FACTOR = sphere_chart(2, 1.0), sphere_chart(2, 2.0)
 def s2xs2():
     """The factor metric jets at a point ``(x, y)`` of S2(1) x S2(2)."""
     def at(x, y):
-        return (M_FACTOR.metric_jet(np.asarray(x, float)),
-                N_FACTOR.metric_jet(np.asarray(y, float)))
+        return (point_jet(M_FACTOR.metric_jet(np.asarray(x, float)[None])),
+                point_jet(N_FACTOR.metric_jet(np.asarray(y, float)[None])))
     return at
+
+
+def point_jet(jet):
+    """The one point of a block-of-one metric jet."""
+    return MetricJet(jet.g[0], jet.dg[0], jet.d2g[0])
 
 
 def product_jet(jm, jn):

@@ -1,8 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from graphgeo.errors import UnknownScenarioError
 from graphgeo.extrinsic import MINIMAL_TOL, TOTALLY_GEODESIC_TOL, graph_block
+from graphgeo.graph_map import SmoothMap
 from graphgeo.scenarios import get, jets_selftest, registry
 
 
@@ -56,6 +59,33 @@ def test_jets_selftest_torus_linear_higher_jets_exact():
     for c in checks:
         if c.label.startswith(("f:d2", "f:d3", "gM", "gN")):
             assert c.exact
+
+
+def test_jets_selftest_differences_each_step_in_one_block():
+    # the central differences of one step are one evaluator call on the
+    # 2 dim points x +- h e_k of every point; exact jets are one block of
+    # the points themselves
+    sc = get("proj-s3-s1")
+    blocks = {"map": [], "domain": [], "target": []}
+
+    def recording(fn, key):
+        def wrapped(x):
+            blocks[key].append(len(x))
+            return fn(x)
+        return wrapped
+
+    domain = dataclasses.replace(
+        sc.domain, metric_jet=recording(sc.domain.metric_jet, "domain"))
+    target = dataclasses.replace(
+        sc.target, metric_jet=recording(sc.target.metric_jet, "target"))
+    f = SmoothMap(domain, target, recording(sc.f.jet_fn, "map"), sc.f.name)
+    points = [sc.domain.point([0.2, -0.1, 0.3]), sc.domain.point([-0.4, 0.5, 0.1])]
+    checks = jets_selftest(dataclasses.replace(sc, f=f), h=1e-4, points=points)
+    assert checks == jets_selftest(sc, h=1e-4, points=points)
+    assert len(checks) == 14 and all(c.ok for c in checks)
+    for key, dim in [("map", 3), ("domain", 3), ("target", 1)]:
+        assert set(blocks[key]) == {2, 2 * 2 * dim}, key
+        assert blocks[key].count(2 * 2 * dim) == 2, key
 
 
 def test_expected_properties_reproduced():
