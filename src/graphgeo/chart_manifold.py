@@ -21,6 +21,7 @@ differences appear only in tests as an independent cross-check.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -178,7 +179,10 @@ def constant_metric_chart(dim: int, matrix=None, box_halfwidth: float = 50.0,
 # ---------------------------------------------------------------------------
 #
 # Every function below broadcasts over leading axes: a jet whose arrays
-# carry a leading block axis gives one result per point of the block.
+# carry a leading block axis gives one result per point of the block.  The
+# formulas take a jet or its :class:`Curvature`; given the latter, they read
+# the inverse metric and the lower-order quantities from it, so that each is
+# computed once per jet.
 
 def metric_inverse(g: Array) -> Array:
     try:
@@ -195,17 +199,50 @@ def _christoffel_numerator(dg: Array) -> Array:
     return dg + np.swapaxes(dg, -3, -2) - np.moveaxis(dg, -3, -1)
 
 
-def christoffel_from_jet(jet: MetricJet) -> Array:
+class Curvature:
+    """Connection and curvature of one metric jet: ``ginv``, ``gamma``,
+    ``dgamma``, ``riem`` and ``ricci`` are each computed by the formula
+    functions below on first use, and kept."""
+
+    def __init__(self, jet: MetricJet):
+        self.jet = jet
+
+    @cached_property
+    def ginv(self) -> Array:
+        return metric_inverse(self.jet.g)
+
+    @cached_property
+    def gamma(self) -> Array:
+        return christoffel_from_jet(self)
+
+    @cached_property
+    def dgamma(self) -> Array:
+        return christoffel_derivative_from_jet(self)
+
+    @cached_property
+    def riem(self) -> Array:
+        return riemann_from_jet(self)
+
+    @cached_property
+    def ricci(self) -> tuple[Array, Array]:
+        return ricci_from_jet(self)
+
+
+def _curvature(jet: MetricJet | Curvature) -> Curvature:
+    return jet if isinstance(jet, Curvature) else Curvature(jet)
+
+
+def christoffel_from_jet(jet: MetricJet | Curvature) -> Array:
     """Levi-Civita symbols ``Gamma^k_ij`` of the metric jet."""
-    ginv = metric_inverse(jet.g)
-    T = _christoffel_numerator(jet.dg)
-    return 0.5 * np.einsum("...kl,...ijl->...kij", ginv, T)
+    curv = _curvature(jet)
+    T = _christoffel_numerator(curv.jet.dg)
+    return 0.5 * np.einsum("...kl,...ijl->...kij", curv.ginv, T)
 
 
-def christoffel_derivative_from_jet(jet: MetricJet) -> Array:
+def christoffel_derivative_from_jet(jet: MetricJet | Curvature) -> Array:
     """Exact partials ``dgamma[a, k, i, j] = d_a Gamma^k_ij``."""
-    ginv = metric_inverse(jet.g)
-    dg, d2g = jet.dg, jet.d2g
+    curv = _curvature(jet)
+    ginv, dg, d2g = curv.ginv, curv.jet.dg, curv.jet.d2g
     T = _christoffel_numerator(dg)
     # dT[a, i, j, l] = d_a T[i, j, l]
     dT = d2g + np.swapaxes(d2g, -3, -2) - np.moveaxis(d2g, -3, -1)
@@ -215,33 +252,32 @@ def christoffel_derivative_from_jet(jet: MetricJet) -> Array:
                   + np.einsum("...kl,...aijl->...akij", ginv, dT))
 
 
-def riemann_from_jet(jet: MetricJet) -> Array:
+def riemann_from_jet(jet: MetricJet | Curvature) -> Array:
     """Fully covariant curvature tensor ``riem[i, j, k, l]``.
 
     Sign convention: ``riem[i,j,k,l] = g_im (d_k Gamma^m_lj - d_l Gamma^m_kj
     + Gamma^m_ks Gamma^s_lj - Gamma^m_ls Gamma^s_kj)``, which gives
     ``R(u,v,u,v) > 0`` on round spheres.
     """
-    g = jet.g
-    gamma = christoffel_from_jet(jet)
-    dgamma = christoffel_derivative_from_jet(jet)
+    curv = _curvature(jet)
+    gamma, dgamma = curv.gamma, curv.dgamma
     curv_op = (np.einsum("...kmlj->...mjkl", dgamma)
                - np.einsum("...lmkj->...mjkl", dgamma)
                + np.einsum("...mks,...slj->...mjkl", gamma, gamma)
                - np.einsum("...mls,...skj->...mjkl", gamma, gamma))
-    return np.einsum("...im,...mjkl->...ijkl", g, curv_op)
+    return np.einsum("...im,...mjkl->...ijkl", curv.jet.g, curv_op)
 
 
-def ricci_from_jet(jet: MetricJet) -> tuple[Array, Array]:
+def ricci_from_jet(jet: MetricJet | Curvature) -> tuple[Array, Array]:
     """Ricci data ``(bilinear form, operator)`` of the metric jet.
 
     The bilinear form is ``Ric[j, l] = g^{ik} riem[i, j, k, l]`` (positive on
     spheres); the operator raises its first index with the metric, so that
     ``Ric(v, w) = g(ric_op v, w)``.
     """
-    ginv = metric_inverse(jet.g)
-    riem = riemann_from_jet(jet)
-    ric = np.einsum("...ik,...ijkl->...jl", ginv, riem)
+    curv = _curvature(jet)
+    ginv = curv.ginv
+    ric = np.einsum("...ik,...ijkl->...jl", ginv, curv.riem)
     ric_op = ginv @ ric
     return ric, ric_op
 
@@ -267,21 +303,21 @@ def quadratic_form(u: Array, g: Array, v: Array) -> Array:
 
 
 def sectional_from_data(riem: Array, g: Array, u: Array,
-                        v: Array) -> np.ma.MaskedArray:
+                        v: Array) -> tuple[Array, Array]:
     """Sectional curvatures of the planes span(u, v) from precomputed tensors.
 
-    Broadcasts over leading axes.  Pairs that span no plane (relative area
-    below :data:`PLANE_TOL`) come back masked; a NaN curvature stays
-    unmasked, so that it reaches every reduction over the result.
+    Broadcasts over leading axes.  Returns ``(sec, spans)``: ``spans`` is
+    False for the pairs that span no plane (relative area below
+    :data:`PLANE_TOL`), whose ``sec`` entry is meaningless.  A NaN curvature
+    spans a plane, so that it reaches every reduction over the planes.
     """
     uu = quadratic_form(u, g, u)
     vv = quadratic_form(v, g, v)
     uv = quadratic_form(u, g, v)
     area2 = uu * vv - uv * uv
-    degenerate = (area2 < PLANE_TOL * uu * vv) | (area2 <= 0.0)
+    spans = ~((area2 < PLANE_TOL * uu * vv) | (area2 <= 0.0))
     num = np.einsum("...ijkl,...i,...j,...k,...l->...", riem, u, v, u, v)
-    return np.ma.masked_array(num / np.where(degenerate, 1.0, area2),
-                              mask=degenerate)
+    return num / np.where(spans, area2, 1.0), spans
 
 
 def sectional_curvature(man: ChartManifold, p: ChartPoint,
@@ -289,9 +325,9 @@ def sectional_curvature(man: ChartManifold, p: ChartPoint,
     """Sectional curvature of span(u, v) at ``p``; vectors that span no
     plane raise :class:`DegeneratePlaneError`."""
     jet = man.jet(p.coords[None])
-    sec = sectional_from_data(riemann_from_jet(jet)[0], jet.g[0],
-                              np.asarray(u, float), np.asarray(v, float))
-    if sec.mask:
+    sec, spans = sectional_from_data(riemann_from_jet(jet)[0], jet.g[0],
+                                     np.asarray(u, float), np.asarray(v, float))
+    if not spans:
         raise DegeneratePlaneError("vectors span no plane")
     return float(sec)
 

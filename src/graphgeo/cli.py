@@ -31,7 +31,7 @@ import numpy as np
 from . import scenarios as scen
 from .errors import GraphGeoError, OutOfChartError, UnknownScenarioError
 from .identities import DEFAULT_IDENTITY_TOLERANCES, run_identity_suite
-from .reporting import canonical_json, report_to_csv
+from .reporting import Table, canonical_json, report_to_csv
 from .theorem_gate import (
     DEFAULT_TOLERANCES,
     classify,
@@ -228,16 +228,18 @@ def _config_echo(cfg: RunConfig, scenario: scen.Scenario, box, shape,
     }
 
 
-def _point_records(sweep) -> list[dict]:
-    return [{
-        "x": [float(v) for v in sweep.coords[i]],
-        "lambda": [float(v) for v in sweep.lambdas[i]],
-        "trace_s": float(sweep.trace_s[i]),
-        "a_norm_sq": float(sweep.a_norm_sq[i]),
-        "h_norm": float(sweep.h_norm[i]),
-        "sec_m_min": float(sweep.sec_m_min[i]),
-        "sec_n_max": float(sweep.sec_n_max[i]) if sweep.has_sec_n[i] else None,
-    } for i in range(len(sweep))]
+def _point_table(sweep) -> Table:
+    """The report's per-point records, one column each; ``sec_n_max`` is
+    None where no target plane was sampled."""
+    return Table({
+        "x": sweep.coords,
+        "lambda": sweep.lambdas,
+        "trace_s": sweep.trace_s,
+        "a_norm_sq": sweep.a_norm_sq,
+        "h_norm": sweep.h_norm,
+        "sec_m_min": sweep.sec_m_min,
+        "sec_n_max": np.where(sweep.has_sec_n, sweep.sec_n_max, None),
+    })
 
 
 def _identity_records(reports) -> list[dict]:
@@ -334,7 +336,7 @@ def cmd_report(cfg: RunConfig) -> int:
 
     report = {
         "config": _config_echo(cfg, scenario, box, shape, sigma),
-        "points": _point_records(sweep),
+        "points": _point_table(sweep),
         "identities": _identity_records(identities),
         "hypotheses": _hypotheses_record(hyp),
         "classification": _classification_record(cls),

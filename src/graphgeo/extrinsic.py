@@ -9,7 +9,7 @@ Its second fundamental tensor is computed in product-chart components,
 with the Christoffels of both factors (the product's Christoffels are
 their block sum) and of the induced metric, then contracted with the
 adapted orthonormal frame.  No normal projection is applied; the tangential
-residual is reported as a diagnostic, since for a correct computation it
+residual is available as a diagnostic, since for a correct computation it
 must vanish identically.
 """
 
@@ -20,20 +20,11 @@ from functools import cached_property
 
 import numpy as np
 
-from .chart_manifold import (
-    ChartPoint,
-    MetricJet,
-    christoffel_derivative_from_jet,
-    christoffel_from_jet,
-    metric_inverse,
-    ricci_from_jet,
-    riemann_from_jet,
-)
+from .chart_manifold import ChartPoint, Curvature, MetricJet
 from .graph_map import (
     GraphFrameData,
     GraphJets,
     SmoothMap,
-    deficit_trace,
     graph_jets,
     induced_jet,
     pullback_metric_jet,
@@ -64,8 +55,8 @@ class ExtrinsicData:
     ``a_frame[i, j]`` is ``A(e_i, e_j)`` in the adapted orthonormal frame and
     ``a_coord[i, j]`` is ``A`` on chart-basis slots, each a stacked product
     vector (domain components over target components), as is the mean
-    curvature.  For a block of points every field carries a leading block
-    axis.
+    curvature.  ``gm`` and ``gn`` are the factor metrics.  For a block of
+    points every field carries a leading block axis.
     """
 
     frames: GraphFrameData
@@ -74,7 +65,8 @@ class ExtrinsicData:
     mean_curvature: Array
     a_norm_sq: float | Array
     h_norm: float | Array
-    tangency_residual: float | Array
+    gm: Array
+    gn: Array
 
     def point(self, i: int) -> "ExtrinsicData":
         """The data of point ``i`` of a block."""
@@ -82,17 +74,26 @@ class ExtrinsicData:
             frames=self.frames.point(i), a_frame=self.a_frame[i],
             a_coord=self.a_coord[i], mean_curvature=self.mean_curvature[i],
             a_norm_sq=float(self.a_norm_sq[i]), h_norm=float(self.h_norm[i]),
-            tangency_residual=float(self.tangency_residual[i]))
+            gm=self.gm[i], gn=self.gn[i])
+
+    @property
+    def tangency_residual(self) -> float | Array:
+        """Gauss-formula diagnostic: the largest product inner product of an
+        ``A(e_i, e_j)`` with a tangent frame vector, which must vanish."""
+        # axes (i, j, tangent vector k) after any block axis
+        tang = product_form(self.gm[..., None, None, None, :, :],
+                            self.gn[..., None, None, None, :, :],
+                            self.a_frame[..., None, :],
+                            np.swapaxes(self.frames.tangent, -1, -2)[..., None, None, :, :])
+        return np.abs(tang).max(axis=(-3, -2, -1))
 
 
 def second_fundamental_block(blk: "GraphBlock") -> ExtrinsicData:
     """Second fundamental form, mean curvature and scalar invariants over a
-    block of points, from its jets, induced Christoffels and adapted frames."""
-    fjet, gm_jet, gn_jet, frames = blk.jets.f, blk.jets.gm, blk.jets.gn, blk.frames
+    block of points, from its jets, Christoffels and adapted frames."""
+    fjet, frames = blk.jets.f, blk.frames
     d1, d2 = fjet.d1, fjet.d2
-    gamma_m = christoffel_from_jet(gm_jet)
-    gamma_n = christoffel_from_jet(gn_jet)
-    gamma_g = blk.gamma_g
+    gamma_m, gamma_n, gamma_g = blk.curv_m.gamma, blk.curv_n.gamma, blk.gamma_g
 
     # A in chart-basis slots.  The domain components carry the connection
     # difference; the target components are the map Hessian corrected by the
@@ -109,7 +110,7 @@ def second_fundamental_block(blk: "GraphBlock") -> ExtrinsicData:
     a_frame = np.einsum("...ijc,...ip,...jq->...pqc", a_coord, e, e, order="C")
     H = np.einsum("...iic->...c", a_frame)
 
-    gm, gn = gm_jet.g, gn_jet.g
+    gm, gn = blk.jets.gm.g, blk.jets.gn.g
     # |A|^2 sums each factor over all (i, j) in one contraction, the order in
     # which the reported values were first computed
     m = gm.shape[-1]
@@ -117,17 +118,9 @@ def second_fundamental_block(blk: "GraphBlock") -> ExtrinsicData:
     a_norm_sq = (np.einsum("...ijc,...cd,...ijd->...", a_m, gm, a_m)
                  + np.einsum("...ijc,...cd,...ijd->...", a_n, gn, a_n))
     h_norm = np.sqrt(product_form(gm, gn, H, H))
-
-    # Gauss-formula diagnostic: A(e_i, e_j) must be product-orthogonal to
-    # every tangent frame vector; axes (point, i, j, tangent vector k).
-    tang = product_form(gm[:, None, None, None], gn[:, None, None, None],
-                        a_frame[..., None, :],
-                        np.swapaxes(frames.tangent, -1, -2)[:, None, None])
-    tang = np.abs(tang).max(axis=(-3, -2, -1))
-
     return ExtrinsicData(frames=frames, a_frame=a_frame, a_coord=a_coord,
                          mean_curvature=H, a_norm_sq=a_norm_sq, h_norm=h_norm,
-                         tangency_residual=tang)
+                         gm=gm, gn=gn)
 
 
 # ---------------------------------------------------------------------------
@@ -173,36 +166,58 @@ class GraphBlock:
 
     @cached_property
     def trace_s(self) -> Array:
-        return deficit_trace(self.g, self.s)
+        """Trace of the deficit tensor with respect to the induced metric."""
+        return np.einsum("...ij,...ji->...", self.ginv, self.s)
+
+    # One Curvature per metric jet: each inverse, connection and curvature
+    # tensor of the block is computed at most once.
 
     @cached_property
+    def curv_m(self) -> Curvature:
+        return Curvature(self.jets.gm)
+
+    @cached_property
+    def curv_n(self) -> Curvature:
+        return Curvature(self.jets.gn)
+
+    @cached_property
+    def curv_g(self) -> Curvature:
+        """Curvature data of the first-order induced jet."""
+        return Curvature(self.induced)
+
+    @cached_property
+    def curv_g2(self) -> Curvature:
+        """Curvature data of the second-order induced jet."""
+        return Curvature(self.induced2)
+
+    @property
     def ginv(self) -> Array:
-        return metric_inverse(self.g)
+        return self.curv_g.ginv
 
-    @cached_property
+    @property
     def gamma_g(self) -> Array:
-        return christoffel_from_jet(self.induced)
+        return self.curv_g.gamma
 
-    @cached_property
+    @property
     def dgamma_g(self) -> Array:
-        return christoffel_derivative_from_jet(self.induced2)
+        return self.curv_g2.dgamma
 
-    @cached_property
+    @property
     def riem_m(self) -> Array:
-        return riemann_from_jet(self.jets.gm)
+        return self.curv_m.riem
 
-    @cached_property
+    @property
     def riem_n(self) -> Array:
-        return riemann_from_jet(self.jets.gn)
+        return self.curv_n.riem
 
-    @cached_property
+    @property
     def ric_m(self) -> Array:
-        return ricci_from_jet(self.jets.gm)[0]
+        return self.curv_m.ricci[0]
 
-    @cached_property
+    @property
     def ric_g_op(self) -> Array:
         """Ricci operator of the induced metric."""
-        return ricci_from_jet(self.induced2)[1]
+        return self.curv_g2.ricci[1]
 
     @cached_property
     def frames(self) -> GraphFrameData:

@@ -24,7 +24,6 @@ from .chart_manifold import (
     ChartManifold,
     ChartPoint,
     MetricJet,
-    metric_inverse,
     quadratic_form,
     sym_eigen,
 )
@@ -388,13 +387,8 @@ def frame_formula_residual(f: SmoothMap, p: ChartPoint,
 
 
 # ---------------------------------------------------------------------------
-# The deficit tensor s = g_M - f*(g_N) and its shifted variant
+# The shifted deficit tensor
 # ---------------------------------------------------------------------------
-
-def deficit_trace(g: Array, s: Array) -> Array:
-    """Trace of ``s`` with respect to ``g``; broadcasts over leading axes."""
-    return np.einsum("...ij,...ji->...", metric_inverse(g), s)
-
 
 def shift_deficit(s: Array, g: Array, c: float) -> Array:
     """The shifted tensor ``s - ((1-c)/(1+c)) g``.

@@ -594,23 +594,24 @@ class ExtremumProbeResult:
     lap_tol: float
 
 
-def extremum_derivative_probe(f: SmoothMap, grid: list[ChartPoint],
+def extremum_derivative_probe(f: SmoothMap, grid: Array,
                               box: Array, c: float | None = None,
                               h: float = 1e-3, grad_tol: float | None = None,
                               lap_tol: float = 1e-4,
                               minimal_tol: float = MINIMAL_TOL) -> ExtremumProbeResult:
-    """Locate the grid maximum of the top eigenvalue of the shifted tensor
-    and check the first/second derivative criteria there.
+    """Locate the maximum of the top eigenvalue of the shifted tensor over
+    the rows of ``grid`` and check the first/second derivative criteria there.
 
     At an interior maximum of the largest eigenvalue, the covariant
     derivative of the field must vanish on the top eigenvector (up to grid
     resolution) and the rough Laplacian must be non-positive there.  A
     maximum attained on the sampling-box boundary is inconclusive.
     """
-    if not grid:
+    grid = np.asarray(grid, dtype=float)
+    if not len(grid):
         raise ValueError("empty probe grid")
     box = np.asarray(box, dtype=float)
-    blocks = list(graph_blocks(f, np.array([p.coords for p in grid])))
+    blocks = list(graph_blocks(f, grid))
     h_max = np.max([np.max(blk.ext.h_norm) for blk in blocks])
     if np.isnan(h_max):
         return ExtremumProbeResult("fail", "mean curvature is NaN", None, np.nan,
@@ -628,9 +629,8 @@ def extremum_derivative_probe(f: SmoothMap, grid: list[ChartPoint],
     best = float(top.max())
     near = np.nonzero(top >= best - 1e-12 * (1.0 + abs(best)))[0]
 
-    def boundary_distance(p: ChartPoint) -> float:
-        return float(np.min(np.minimum(p.coords - box[:, 0],
-                                       box[:, 1] - p.coords)))
+    def boundary_distance(x: Array) -> float:
+        return float(np.min(np.minimum(x - box[:, 0], box[:, 1] - x)))
 
     idx = max(near, key=lambda i: boundary_distance(grid[i]))
     d = PointData(blocks[idx // BLOCK_SIZE], idx % BLOCK_SIZE)
@@ -642,7 +642,7 @@ def extremum_derivative_probe(f: SmoothMap, grid: list[ChartPoint],
     if boundary_distance(grid[idx]) <= 0.45 * spacing:
         return ExtremumProbeResult(
             "inconclusive", "maximum attained on the sampling-box boundary",
-            grid[idx].coords, c, np.nan, np.nan, grad_tol, lap_tol)
+            grid[idx], c, np.nan, np.nan, grad_tol, lap_tol)
 
     vals, vecs = sym_eigen(d.shifted_s(c), d.g)
     v = vecs[:, -1]
@@ -655,7 +655,7 @@ def extremum_derivative_probe(f: SmoothMap, grid: list[ChartPoint],
 
     ok = grad_norm < grad_tol and lap_vv < lap_tol
     return ExtremumProbeResult("pass" if ok else "fail", "",
-                               grid[idx].coords, c, grad_norm, lap_vv,
+                               grid[idx], c, grad_norm, lap_vv,
                                grad_tol, lap_tol)
 
 

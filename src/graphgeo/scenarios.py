@@ -8,7 +8,6 @@ suite re-verifies each declaration numerically, and properties listed as
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product as iter_product
 
 import numpy as np
 
@@ -48,13 +47,15 @@ class Scenario:
         return self.f.target
 
     def grid_points(self, shape: tuple[int, ...] | None = None,
-                    box: Array | None = None) -> list[ChartPoint]:
-        """Deterministic rectangular grid of chart points over the sample box."""
+                    box: Array | None = None) -> Array:
+        """Deterministic rectangular grid over the sample box: an ``(N, m)``
+        array of chart coordinates, the last axis varying fastest."""
         shape = shape or self.grid_shape
         box = self.sample_box if box is None else np.asarray(box, dtype=float)
         axes = [np.linspace(box[i, 0], box[i, 1], shape[i])
                 for i in range(self.domain.dim)]
-        return [self.domain.point(np.array(c)) for c in iter_product(*axes)]
+        return np.stack(np.meshgrid(*axes, indexing="ij"),
+                        axis=-1).reshape(-1, self.domain.dim)
 
     def random_points(self, count: int, rng: np.random.Generator,
                       box: Array | None = None) -> list[ChartPoint]:

@@ -10,11 +10,12 @@ every verdict is box-local; no global claim is made.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chart_manifold import ChartPoint, sectional_from_data
+from .chart_manifold import sectional_from_data
 from .errors import DegeneratePlaneError, InvalidParameterError
 from .extrinsic import BLOCK_SIZE, MINIMAL_TOL, GraphBlock, graph_block, graph_blocks
 from .graph_map import SmoothMap
@@ -80,6 +81,15 @@ class GridSweep:
         return float(np.min(self.trace_s))
 
 
+def _plane_range(sec: Array, spans: Array) -> tuple[Array, Array, Array]:
+    """Per row of ``sec``, the min and max over the planes that ``spans``
+    marks, NaN for rows with none, and whether each row has one."""
+    has = spans.any(axis=1)
+    lo = np.min(np.where(spans, sec, np.inf), axis=1)
+    hi = np.max(np.where(spans, sec, -np.inf), axis=1)
+    return np.where(has, lo, np.nan), np.where(has, hi, np.nan), has
+
+
 def _sectional_columns(blk: GraphBlock, planes_uv: Array) -> dict[str, Array]:
     """Sectional curvature ranges of a block over its sampled planes.
 
@@ -90,56 +100,141 @@ def _sectional_columns(blk: GraphBlock, planes_uv: Array) -> dict[str, Array]:
     """
     jets = blk.jets
     u, v = planes_uv[:, :, 0], planes_uv[:, :, 1]
-    sec_m = sectional_from_data(blk.riem_m[:, None],
-                                jets.gm.g[:, None], u, v)
-    no_plane = np.ma.getmaskarray(sec_m).all(axis=1)
-    if no_plane.any():
+    sec_m, spans_m = sectional_from_data(blk.riem_m[:, None],
+                                         jets.gm.g[:, None], u, v)
+    sec_m_min, sec_m_max, has_sec_m = _plane_range(sec_m, spans_m)
+    if not has_sec_m.all():
         raise DegeneratePlaneError(
-            f"no sampled domain plane at {jets.coords[np.argmax(no_plane)]}")
+            f"no sampled domain plane at {jets.coords[np.argmin(has_sec_m)]}")
 
     n = jets.gn.g.shape[-1]
-    wanted = ~np.ma.getmaskarray(sec_m) & (blk.frames.rank >= 2)[:, None]
+    wanted = spans_m & (blk.frames.rank >= 2)[:, None]
     if n >= 2 and wanted.any():
         d1 = jets.f.d1[:, None]
         du, dv = (d1 @ u[..., None])[..., 0], (d1 @ v[..., None])[..., 0]
-        sec_n = sectional_from_data(blk.riem_n[:, None],
-                                    jets.gn.g[:, None], du, dv)
-        sec_n = np.ma.masked_array(sec_n.data,
-                                   mask=np.ma.getmaskarray(sec_n) | ~wanted)
+        sec_n, spans_n = sectional_from_data(blk.riem_n[:, None],
+                                             jets.gn.g[:, None], du, dv)
+        spans_n &= wanted
     else:
-        sec_n = np.ma.masked_all(u.shape[:2])
-    return {
-        "sec_m_min": sec_m.min(axis=1).filled(np.nan),
-        "sec_m_max": sec_m.max(axis=1).filled(np.nan),
-        "sec_n_min": sec_n.min(axis=1).filled(np.nan),
-        "sec_n_max": sec_n.max(axis=1).filled(np.nan),
-        "has_sec_n": ~np.ma.getmaskarray(sec_n).all(axis=1),
-    }
+        sec_n, spans_n = np.zeros(u.shape[:2]), np.zeros(u.shape[:2], dtype=bool)
+    sec_n_min, sec_n_max, has_sec_n = _plane_range(sec_n, spans_n)
+    return {"sec_m_min": sec_m_min, "sec_m_max": sec_m_max,
+            "sec_n_min": sec_n_min, "sec_n_max": sec_n_max,
+            "has_sec_n": has_sec_n}
 
 
-def sweep_geometry(f: SmoothMap, grid: list[ChartPoint], seed: int = 0,
+# Constants of numpy's ``SeedSequence`` (hash and mix steps of its entropy
+# pool and state output) and of PCG64's 128-bit linear congruential step.
+_MASK32 = 0xFFFFFFFF
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
+
+
+def _hasher(init: int, mult: int):
+    """``SeedSequence``'s hash step on uint32 arrays, with its multiplier
+    advancing from ``init`` by ``mult`` at every call whatever the data."""
+    const = init
+
+    def step(value: Array) -> Array:
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = (const * mult) & _MASK32
+        value = value * np.uint32(const)
+        return value ^ (value >> np.uint32(16))
+
+    return step
+
+
+def _spawned_pcg_seeds(seed: int, count: int) -> list[Array]:
+    """The four 64-bit words with which ``PCG64`` seeds itself from each child
+    of ``SeedSequence(seed).spawn(count)``: one ``(count,)`` array per word.
+
+    Child ``i`` hashes the entropy words of ``seed`` (zero-padded to the pool
+    size) followed by the spawn key ``i``.  The hash constants advance
+    independently of the data, so every child is the same uint32 arithmetic
+    on a different last word, done here for all children at once.
+    """
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
+    if count >= 1 << 32:
+        raise InvalidParameterError("too many grid points for one plane stream")
+    words = [(seed >> s) & _MASK32 for s in range(0, max(seed.bit_length(), 1), 32)]
+    words += [0] * (_POOL_SIZE - len(words))
+    entropy = [np.full(count, w, dtype=np.uint32) for w in words]
+    entropy.append(np.arange(count, dtype=np.uint32))
+
+    def mix(x: Array, y: Array) -> Array:
+        out = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+        return out ^ (out >> np.uint32(16))
+
+    hashmix = _hasher(_INIT_A, _MULT_A)
+    pool = [hashmix(word) for word in entropy[:_POOL_SIZE]]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(word))
+
+    # generate_state(4, np.uint64): eight uint32 words cycling over the pool,
+    # paired little-endian into 64-bit words
+    output = _hasher(_INIT_B, _MULT_B)
+    state = [output(pool[k % _POOL_SIZE]).astype(np.uint64) for k in range(8)]
+    return [state[2 * k] | (state[2 * k + 1] << np.uint64(32)) for k in range(4)]
+
+
+def spawned_normals(seed: int, count: int, shape: tuple[int, ...]) -> Array:
+    """Row ``i`` is ``default_rng(SeedSequence(seed).spawn(count)[i])
+    .normal(size=shape)``, bit for bit.
+
+    The children's PCG64 seeds come from :func:`_spawned_pcg_seeds`; one
+    generator then takes each child's seeded state in turn (the 128-bit
+    ``srandom`` step: ``inc = 2 seq + 1``, ``state = (inc + s) * mult + inc``)
+    and draws its row.
+    """
+    bits = np.random.PCG64()
+    gen = np.random.Generator(bits)
+    doc = {"bit_generator": "PCG64", "state": {"state": 0, "inc": 0},
+           "has_uint32": 0, "uinteger": 0}
+    out = np.empty((count, *shape))
+    words = zip(*(w.tolist() for w in _spawned_pcg_seeds(seed, count)))
+    for i, (s_hi, s_lo, q_hi, q_lo) in enumerate(words):
+        inc = ((((q_hi << 64) | q_lo) << 1) | 1) & _MASK128
+        doc["state"]["state"] = ((inc + ((s_hi << 64) | s_lo)) * _PCG_MULT + inc) & _MASK128
+        doc["state"]["inc"] = inc
+        bits.state = doc
+        out[i] = gen.normal(size=shape)
+    return out
+
+
+def sweep_geometry(f: SmoothMap, grid: Array, seed: int = 0,
                    planes: int = 4) -> GridSweep:
-    """Measure the per-point geometry table over ``grid``.
+    """Measure the per-point geometry table over the rows of ``grid``
+    (shape ``(N, m)``).
 
-    The grid is evaluated in blocks (see :func:`graph_blocks`).  Plane
-    samples are drawn from per-point spawned seeds, so the result does not
-    depend on how the grid is split into blocks.
+    The grid is evaluated in blocks (see :func:`graph_blocks`).  Point ``i``
+    draws its planes from child ``i`` of ``SeedSequence(seed).spawn(N)``
+    (see :func:`spawned_normals`), so the result does not depend on how the
+    grid is split into blocks.
     """
     m = f.domain.dim
     if m < 2:
         raise InvalidParameterError("sectional curvature needs dim M >= 2")
-    coords = np.array([p.coords for p in grid], dtype=float).reshape(len(grid), m)
-    seqs = np.random.SeedSequence(seed).spawn(len(grid))
+    coords = np.asarray(grid, dtype=float).reshape(len(grid), m)
+    samples = spawned_normals(seed, len(coords), (planes, 2, m))
     parts = []
     for i, blk in enumerate(graph_blocks(f, coords)):
-        start = i * BLOCK_SIZE
-        planes_uv = np.stack([np.random.default_rng(seq).normal(size=(planes, 2, m))
-                              for seq in seqs[start:start + BLOCK_SIZE]])
         parts.append({
             "coords": blk.jets.coords, "lambdas": blk.frames.lambdas,
             "rank": blk.frames.rank, "trace_s": blk.trace_s,
             "a_norm_sq": blk.ext.a_norm_sq, "h_norm": blk.ext.h_norm,
-            **_sectional_columns(blk, planes_uv)})
+            **_sectional_columns(blk, samples[i * BLOCK_SIZE:(i + 1) * BLOCK_SIZE])})
     return GridSweep(**{name: np.concatenate([part[name] for part in parts])
                         for name in GridSweep.__dataclass_fields__})
 
@@ -284,12 +379,13 @@ class Classification:
     scope: str = "box-local"
 
 
-def classify(f: SmoothMap, grid: list[ChartPoint], sigma: float,
+def classify(f: SmoothMap, grid: Array, sigma: float,
              kappa_margin: float = 0.01,
              tolerances: dict[str, float] | None = None,
              seed: int = 0, sweep: GridSweep | None = None,
              hypotheses: HypothesisReport | None = None) -> Classification:
-    """Classify the map against the rigidity dichotomy on the sample grid.
+    """Classify the map against the rigidity dichotomy on the sample grid
+    (the rows of ``grid``).
 
     A failed hypothesis wins over everything else; with all hypotheses in
     place the verdict is ``constant`` when every singular value vanishes,
@@ -319,8 +415,7 @@ def classify(f: SmoothMap, grid: list[ChartPoint], sigma: float,
 
         # conclusion re-checks: induced metric doubles the domain metric,
         # and both curvature witnesses sit at the pinching level
-        sample = grid[:: max(1, len(grid) // 10)]
-        blk = graph_block(f, np.array([p.coords for p in sample]))
+        blk = graph_block(f, grid[:: max(1, len(grid) // 10)])
         factor_res = float(np.max(np.abs(blk.g - 2.0 * blk.jets.gm.g)))
         evidence["induced_metric_factor_residual"] = factor_res
 

@@ -84,7 +84,7 @@ def point_geometry(f, p, seed_seq, planes):
 
 def point_sweep(f, grid, seed=0, planes=4):
     seqs = np.random.SeedSequence(seed).spawn(len(grid))
-    rows = [point_geometry(f, p, s, planes) for p, s in zip(grid, seqs)]
+    rows = [point_geometry(f, f.domain.point(x), s, planes) for x, s in zip(grid, seqs)]
     return {name: np.array([r[name] for r in rows]) for name in rows[0]}
 
 
@@ -152,7 +152,7 @@ def test_sweep_columns_match_point_oracle(name, shape, seed):
 @pytest.mark.parametrize("name", ["holo-w2", "identity-s3"])
 def test_single_point_sweep_matches_point_oracle(name):
     sc = get(name)
-    grid = sc.random_points(1, np.random.default_rng(5))
+    grid = np.array([p.coords for p in sc.random_points(1, np.random.default_rng(5))])
     sweep = sweep_geometry(sc.f, grid, seed=8)
     oracle = point_sweep(sc.f, grid, seed=8)
     for column in GridSweep.__dataclass_fields__:
@@ -235,7 +235,7 @@ def test_sweep_evaluates_each_jet_once_per_point(name, shape):
     target = dataclasses.replace(
         sc.target, metric_jet=counting(sc.target.metric_jet, rows, calls, "target"))
     f = SmoothMap(domain, target, counting(sc.f.jet_fn, rows, calls, "map"), sc.f.name)
-    grid = [domain.point(p.coords) for p in sc.grid_points(shape)]
+    grid = sc.grid_points(shape)
     sweep_geometry(f, grid, seed=0)
     assert rows == {"map": len(grid), "domain": len(grid), "target": len(grid)}
     # one evaluator call per block of the sweep
@@ -310,7 +310,7 @@ def test_frame_residual_propagates_nan():
 
 def test_nan_differential_raises_in_sweep():
     f = nan_differential_map()
-    grid = [f.domain.point([x, 0.1]) for x in np.linspace(-0.5, 0.5, 5)]
+    grid = np.array([[x, 0.1] for x in np.linspace(-0.5, 0.5, 5)])
     with pytest.raises(FrameConstructionError):
         sweep_geometry(f, grid)
 
@@ -351,8 +351,7 @@ def test_contains_accepts_points_and_blocks():
 def test_block_names_first_point_outside_the_domain():
     from graphgeo.errors import OutOfChartError
     sc = get("identity-s2")
-    grid = [sc.domain.point([0.0, 0.0]), sc.domain.point([25.0, 0.0]),
-            sc.domain.point([30.0, 0.0])]
+    grid = np.array([[0.0, 0.0], [25.0, 0.0], [30.0, 0.0]])
     with pytest.raises(OutOfChartError, match=r"point \[25\.  0\.\]"):
         sweep_geometry(sc.f, grid)
 
@@ -380,9 +379,8 @@ def test_block_jets_raise_for_the_first_offending_point_in_order():
 
 def test_block_jets_stack_point_jets():
     sc = get("holo-w3")
-    grid = sc.grid_points((3, 4))
-    coords = np.array([p.coords for p in grid])
+    coords = sc.grid_points((3, 4))
     fjet, gm = sc.f.jet(coords), sc.domain.jet(coords)
-    for i, p in enumerate(grid):
-        assert np.array_equal(fjet.d2[i], sc.f.jet_fn(p.coords[None]).d2[0])
-        assert np.array_equal(gm.d2g[i], sc.domain.metric_jet(p.coords[None]).d2g[0])
+    for i, x in enumerate(coords):
+        assert np.array_equal(fjet.d2[i], sc.f.jet_fn(x[None]).d2[0])
+        assert np.array_equal(gm.d2g[i], sc.domain.metric_jet(x[None]).d2g[0])

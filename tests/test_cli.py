@@ -5,10 +5,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from graphgeo.cli import main
+from graphgeo.cli import _point_table, main
 from graphgeo.identities import DEFAULT_IDENTITY_TOLERANCES
-from graphgeo.theorem_gate import DEFAULT_TOLERANCES
-from graphgeo.reporting import canonical_json, report_to_csv
+from graphgeo.theorem_gate import DEFAULT_TOLERANCES, GridSweep
+from graphgeo.reporting import _csv_cell, canonical_json, report_to_csv
 
 
 def run(argv):
@@ -456,3 +456,65 @@ def test_csv_emits_17_digit_floats():
               "hypotheses": {}, "classification": {}, "runtime_seconds": None}
     text = report_to_csv(report)
     assert "0.33333333333333331" in text
+
+
+# The report's point records as one dict per grid point: the form the
+# columnar table must serialize to, byte for byte.
+def point_records(sweep) -> list[dict]:
+    return [{
+        "x": [float(v) for v in sweep.coords[i]],
+        "lambda": [float(v) for v in sweep.lambdas[i]],
+        "trace_s": float(sweep.trace_s[i]),
+        "a_norm_sq": float(sweep.a_norm_sq[i]),
+        "h_norm": float(sweep.h_norm[i]),
+        "sec_m_min": float(sweep.sec_m_min[i]),
+        "sec_n_max": float(sweep.sec_n_max[i]) if sweep.has_sec_n[i] else None,
+    } for i in range(len(sweep))]
+
+
+SPECIAL_FLOATS = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1.0, 1e16, 1e17,
+                  0.37 - 1e-16, 1.0 / 3.0]
+any_float = st.one_of(st.floats(), st.sampled_from(SPECIAL_FLOATS))
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), rows=st.one_of(st.sampled_from([0, 1]), st.integers(0, 12)),
+       m=st.sampled_from([2, 3]))
+def test_point_table_serializes_as_point_records(data, rows, m):
+    def column(*shape):
+        size = int(np.prod(shape))
+        values = data.draw(st.lists(any_float, min_size=size, max_size=size))
+        return np.array(values, dtype=float).reshape(shape)
+
+    sweep = GridSweep(
+        coords=column(rows, m), lambdas=column(rows, m),
+        rank=np.zeros(rows, dtype=int), trace_s=column(rows),
+        a_norm_sq=column(rows), h_norm=column(rows), sec_m_min=column(rows),
+        sec_m_max=column(rows), sec_n_min=column(rows), sec_n_max=column(rows),
+        has_sec_n=np.array(data.draw(st.lists(st.booleans(), min_size=rows,
+                                              max_size=rows)), dtype=bool))
+    table, records = _point_table(sweep), point_records(sweep)
+    assert canonical_json(table) == canonical_json(records)
+    assert (canonical_json({"config": {}, "points": table, "runtime_seconds": None})
+            == canonical_json({"config": {}, "points": records, "runtime_seconds": None}))
+    assert report_to_csv({"points": table}) == report_to_csv({"points": records})
+
+
+nested_values = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(-10 ** 20, 10 ** 20), any_float,
+              st.text(alphabet='ab,;" ', max_size=4)),
+    lambda inner: st.one_of(st.lists(inner, max_size=3),
+                            st.dictionaries(st.text(alphabet="k,", max_size=2),
+                                            inner, max_size=3)),
+    max_leaves=8)
+
+
+@settings(max_examples=150, deadline=None)
+@given(value=st.one_of(st.lists(nested_values, max_size=3),
+                       st.dictionaries(st.text(alphabet="k,", max_size=2),
+                                       nested_values, max_size=3)))
+def test_nested_csv_cell_is_the_parsed_json_text(value):
+    # a nested cell holds the values its canonical JSON text parses back to
+    want = json.dumps(json.loads(canonical_json(value)),
+                      separators=(";", ":")).replace(",", ";")
+    assert _csv_cell(value) == want

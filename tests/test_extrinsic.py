@@ -153,9 +153,9 @@ def test_normal_estimate_on_frame_normals():
 # Minimality and total geodesy over a grid
 # ---------------------------------------------------------------------------
 
-def grid_norms(f, points):
-    """Largest ``|H|`` and ``|A|`` over the points, from one graph block."""
-    ext = graph_block(f, np.array([p.coords for p in points])).ext
+def grid_norms(f, grid):
+    """Largest ``|H|`` and ``|A|`` over the grid rows, from one graph block."""
+    ext = graph_block(f, grid).ext
     return float(np.max(ext.h_norm)), float(np.sqrt(np.max(ext.a_norm_sq)))
 
 

@@ -261,7 +261,7 @@ def test_shifted_tensor_constant_map_is_metric_multiple():
 
 def test_shifted_tensor_nonnegative_at_global_shift():
     sc = get("holo-w2")
-    pts = sc.grid_points((12, 12))
+    pts = [sc.domain.point(x) for x in sc.grid_points((12, 12))]
     lam0_sq = max(singular_values_at(sc.f, p).lambdas[-1] ** 2 for p in pts)
     for d in point_rows(sc.f, pts):
         vals, _ = sym_eigen(d.shifted_s(float(lam0_sq)), d.g)

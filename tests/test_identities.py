@@ -319,7 +319,7 @@ def test_term_signs_at_probed_maximum(name):
     # on scenarios meeting the full gate, each grouped term is non-positive
     # at the point where the top singular value attains its grid maximum
     sc = get(name)
-    pts = sc.grid_points((5,) * sc.domain.dim)
+    pts = [sc.domain.point(x) for x in sc.grid_points((5,) * sc.domain.dim)]
     datas = point_rows(sc.f, pts)
     lam0_sq = max(float(d.frames.lambdas[-1] ** 2) for d in datas)
     best = max(range(len(pts)),

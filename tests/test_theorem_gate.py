@@ -1,13 +1,19 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from graphgeo.scenarios import get, linear_map, registry
-from graphgeo.chart_manifold import sphere_chart
+from graphgeo.chart_manifold import MetricJet, sphere_chart
 from graphgeo.theorem_gate import (
+    _plane_range,
     classify,
     curvature_pinching_check,
     evaluate_hypotheses,
     second_fundamental_bound_check,
+    spawned_normals,
     sweep_geometry,
     trace_rank_chain_check,
 )
@@ -61,7 +67,7 @@ def test_pinching_fails_for_flat_domain():
 def test_pinching_fails_for_low_curvature_domain():
     s2_big = sphere_chart(2, 2.0)
     f = linear_map(s2_big, s2_big, np.eye(2), name="id")
-    pts = [s2_big.point(c) for c in ([0.1, 0.1], [0.5, -0.3], [-0.7, 0.2])]
+    pts = np.array([[0.1, 0.1], [0.5, -0.3], [-0.7, 0.2]])
     sweep = sweep_geometry(f, pts, seed=1)
     pinch = curvature_pinching_check(sweep, 1.0)
     assert not pinch.ok
@@ -220,3 +226,61 @@ def test_conformal_shrink_gate_passes_on_shrinking_subbox():
     grid = sc.grid_points((8, 8), box)
     cls = classify(sc.f, grid, sc.sigma, seed=7)
     assert cls.verdict == "indeterminate"
+
+
+# ---------------------------------------------------------------------------
+# Sectional columns: unspanned planes are skipped, NaN is not
+# ---------------------------------------------------------------------------
+
+def test_plane_range_skips_unspanned_planes_and_keeps_nan():
+    sec = np.array([[1.0, np.nan, 3.0], [np.nan, 2.0, 5.0], [4.0, 4.0, 4.0]])
+    spans = np.array([[True, False, True], [True, True, False], [False] * 3])
+    lo, hi, has = _plane_range(sec, spans)
+    assert np.array_equal(lo, [1.0, np.nan, np.nan], equal_nan=True)
+    assert np.array_equal(hi, [3.0, np.nan, np.nan], equal_nan=True)
+    assert has.tolist() == [True, True, False]
+
+
+def test_nan_curvature_reaches_the_sectional_columns():
+    s2 = sphere_chart(2, 1.0)
+
+    def jet(x):
+        j = s2.metric_jet(x)
+        nan_rows = (x[:, 0] > 0.0)[:, None, None, None, None]
+        return MetricJet(j.g, j.dg, np.where(nan_rows, np.nan, j.d2g))
+
+    chart = dataclasses.replace(s2, metric_jet=jet)
+    f = linear_map(chart, chart, np.eye(2), name="id")
+    sweep = sweep_geometry(f, np.array([[-0.5, 0.1], [0.5, 0.1]]), seed=0)
+    assert sweep.has_sec_n.all()
+    for column in (sweep.sec_m_min, sweep.sec_m_max, sweep.sec_n_min, sweep.sec_n_max):
+        assert np.isfinite(column[0]) and np.isnan(column[1])
+    pinch = curvature_pinching_check(sweep, 1.0)
+    assert np.isnan(pinch.domain_margin) and not pinch.ok
+
+
+# ---------------------------------------------------------------------------
+# Plane sample streams
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2 ** 200),
+       count=st.sampled_from([0, 1, 127, 128, 129]),
+       planes=st.sampled_from([1, 4]), m=st.sampled_from([2, 3]))
+@example(seed=0, count=129, planes=4, m=2)
+@example(seed=2 ** 32 - 1, count=128, planes=4, m=3)    # one entropy word
+@example(seed=2 ** 32, count=127, planes=4, m=2)        # two words
+@example(seed=2 ** 128, count=129, planes=1, m=3)       # five words: past the pool
+@example(seed=2 ** 200, count=129, planes=4, m=3)       # seven words
+def test_spawned_normals_equal_seed_sequence_children(seed, count, planes, m):
+    children = np.random.SeedSequence(seed).spawn(count)
+    want = np.array([np.random.default_rng(child).normal(size=(planes, 2, m))
+                     for child in children]).reshape(count, planes, 2, m)
+    got = spawned_normals(seed, count, (planes, 2, m))
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+
+
+def test_spawned_normals_reject_a_negative_seed():
+    with pytest.raises(ValueError):
+        spawned_normals(-1, 3, (4, 2, 2))
