@@ -227,6 +227,12 @@ class Curvature:
     def ricci(self) -> tuple[Array, Array]:
         return ricci_from_jet(self)
 
+    def completed(self, d2g: Array) -> "Curvature":
+        """This jet's data with second derivatives ``d2g``; shares ginv and gamma."""
+        curv = Curvature(MetricJet(self.jet.g, self.jet.dg, d2g))
+        curv.ginv, curv.gamma = self.ginv, self.gamma
+        return curv
+
 
 def _curvature(jet: MetricJet | Curvature) -> Curvature:
     return jet if isinstance(jet, Curvature) else Curvature(jet)
@@ -297,9 +303,19 @@ def ricci_at(man: ChartManifold, p: ChartPoint) -> tuple[Array, Array]:
     return ric[0], ric_op[0]
 
 
+def matvec(a: Array, x: Array) -> Array:
+    """``a @ x`` per vector of the stack ``x`` (``x @ a.T`` rounds differently)."""
+    return (a @ x[..., None])[..., 0]
+
+
 def quadratic_form(u: Array, g: Array, v: Array) -> Array:
     """``u . g . v`` over leading axes, evaluated as the matrix product ``u @ g @ v``."""
     return ((u[..., None, :] @ g) @ v[..., :, None])[..., 0, 0]
+
+
+def curvature_form(riem: Array, u: Array, v: Array, w: Array, z: Array) -> Array:
+    """``R(u, v, w, z)`` of a covariant curvature tensor; broadcasts over leading axes."""
+    return np.einsum("...ijkl,...i,...j,...k,...l->...", riem, u, v, w, z)
 
 
 def sectional_from_data(riem: Array, g: Array, u: Array,
@@ -316,8 +332,7 @@ def sectional_from_data(riem: Array, g: Array, u: Array,
     uv = quadratic_form(u, g, v)
     area2 = uu * vv - uv * uv
     spans = ~((area2 < PLANE_TOL * uu * vv) | (area2 <= 0.0))
-    num = np.einsum("...ijkl,...i,...j,...k,...l->...", riem, u, v, u, v)
-    return num / np.where(spans, area2, 1.0), spans
+    return curvature_form(riem, u, v, u, v) / np.where(spans, area2, 1.0), spans
 
 
 def sectional_curvature(man: ChartManifold, p: ChartPoint,

@@ -87,6 +87,8 @@ class RunConfig:
                 raise ValueError(f"{name} must be a finite number, got {value!r}")
         if self.h <= 0.0:
             raise ValueError("finite-difference step must be positive")
+        if self.c <= 0.0:
+            raise ValueError("shift parameter c must be positive")
         if not isinstance(self.tolerances, dict):
             raise ValueError("tolerances must be a mapping of names to values")
         unknown = sorted(set(self.tolerances) - set(DEFAULT_TOLERANCES)

@@ -27,6 +27,7 @@ from .graph_map import (
     SmoothMap,
     graph_jets,
     induced_jet,
+    pullback_metric_d2,
     pullback_metric_jet,
     verified_frame_block,
 )
@@ -149,12 +150,6 @@ class GraphBlock:
         """First-order jet of the induced metric ``g = g_M + f*(g_N)``."""
         return induced_jet(self.jets.gm, self.pullback)
 
-    @cached_property
-    def induced2(self) -> MetricJet:
-        """Second-order jet of the induced metric; needs order-3 map jets."""
-        return induced_jet(self.jets.gm,
-                           pullback_metric_jet(self.jets.f, self.jets.gn, order=2))
-
     @property
     def g(self) -> Array:
         return self.induced.g
@@ -187,8 +182,9 @@ class GraphBlock:
 
     @cached_property
     def curv_g2(self) -> Curvature:
-        """Curvature data of the second-order induced jet."""
-        return Curvature(self.induced2)
+        """:attr:`curv_g` completed by second derivatives (order-3 map jets)."""
+        d2P = pullback_metric_d2(self.jets.f, self.jets.gn)
+        return self.curv_g.completed(self.jets.gm.d2g + d2P)
 
     @property
     def ginv(self) -> Array:

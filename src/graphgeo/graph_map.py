@@ -141,8 +141,8 @@ def pullback_metric_jet(fjet: MapJet, hjet: MetricJet,
     jet of the target metric; pass ``order=1`` when only first derivatives
     are needed.  Broadcasts over leading axes.
     """
-    d1, d2, d3 = fjet.d1, fjet.d2, fjet.d3
-    h, dh, d2h = hjet.g, hjet.dg, hjet.d2g
+    d1, d2 = fjet.d1, fjet.d2
+    h, dh = hjet.g, hjet.dg
 
     P = np.einsum("...ai,...bj,...ab->...ij", d1, d1, h)
     if order < 1:
@@ -154,22 +154,26 @@ def pullback_metric_jet(fjet: MapJet, hjet: MetricJet,
           + np.einsum("...ai,...bj,...cab,...ck->...kij", d1, d1, dh, d1))
     if order < 2:
         return P, dP, None
+    return P, dP, pullback_metric_d2(fjet, hjet)
 
+
+def pullback_metric_d2(fjet: MapJet, hjet: MetricJet) -> Array:
+    """``d2P[l, k, i, j] = d_l d_k P_ij``: order 2 of :func:`pullback_metric_jet`."""
+    d1, d2, d3 = fjet.d1, fjet.d2, fjet.d3
+    h, dh, d2h = hjet.g, hjet.dg, hjet.d2g
     if d3 is None:
         raise CapabilityError("second pullback derivatives need order-3 map jets")
-    # d2P[l, k, i, j] = d_l d_k P_ij, by product and chain rule
-    d2P = (np.einsum("...alki,...bj,...ab->...lkij", d3, d1, h)
-           + np.einsum("...aki,...blj,...ab->...lkij", d2, d2, h)
-           + np.einsum("...aki,...bj,...cab,...cl->...lkij", d2, d1, dh, d1)
-           + np.einsum("...ali,...bkj,...ab->...lkij", d2, d2, h)
-           + np.einsum("...ai,...blkj,...ab->...lkij", d1, d3, h)
-           + np.einsum("...ai,...bkj,...cab,...cl->...lkij", d1, d2, dh, d1)
-           + np.einsum("...ali,...bj,...cab,...ck->...lkij", d2, d1, dh, d1)
-           + np.einsum("...ai,...blj,...cab,...ck->...lkij", d1, d2, dh, d1)
-           + np.einsum("...ai,...bj,...dcab,...dl,...ck->...lkij",
-                       d1, d1, d2h, d1, d1)
-           + np.einsum("...ai,...bj,...cab,...clk->...lkij", d1, d1, dh, d2))
-    return P, dP, d2P
+    return (np.einsum("...alki,...bj,...ab->...lkij", d3, d1, h)
+            + np.einsum("...aki,...blj,...ab->...lkij", d2, d2, h)
+            + np.einsum("...aki,...bj,...cab,...cl->...lkij", d2, d1, dh, d1)
+            + np.einsum("...ali,...bkj,...ab->...lkij", d2, d2, h)
+            + np.einsum("...ai,...blkj,...ab->...lkij", d1, d3, h)
+            + np.einsum("...ai,...bkj,...cab,...cl->...lkij", d1, d2, dh, d1)
+            + np.einsum("...ali,...bj,...cab,...ck->...lkij", d2, d1, dh, d1)
+            + np.einsum("...ai,...blj,...cab,...ck->...lkij", d1, d2, dh, d1)
+            + np.einsum("...ai,...bj,...dcab,...dl,...ck->...lkij",
+                        d1, d1, d2h, d1, d1)
+            + np.einsum("...ai,...bj,...cab,...clk->...lkij", d1, d1, dh, d2))
 
 
 def induced_jet(gm: MetricJet, pullback: tuple) -> MetricJet:

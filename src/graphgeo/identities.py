@@ -7,9 +7,9 @@ adapted frame, which diagonalizes both the domain metric and the pullback
 metric; the curvature-to-sectional reductions are only valid there.
 
 Every operation reads one point of a :class:`GraphBlock` through
-:class:`PointData`; a single point is a block of one (:func:`point_rows`).
-Finite-difference stencils and parallel-field probes evaluate their
-neighbouring points as one block each.
+:class:`PointData` (a block of one: :func:`point_rows`) and evaluates the
+vectors and tensors it probes there as stacks.  Finite-difference stencils
+and parallel-field probes evaluate their neighbouring points as one block.
 """
 
 from __future__ import annotations
@@ -20,7 +20,8 @@ from itertools import combinations
 
 import numpy as np
 
-from .chart_manifold import ChartPoint, sym_eigen
+from .chart_manifold import (ChartPoint, curvature_form, matvec, powers,
+                             quadratic_form, sym_eigen)
 from .errors import InvalidParameterError, PreconditionError
 from .extrinsic import (
     BLOCK_SIZE,
@@ -80,14 +81,11 @@ class PointData:
         """Value and exact first chart derivatives of the shifted tensor field."""
         return tuple(x[self.i] for x in self.blk.shifted_jet(c))
 
-    def pullback_curvature(self, u: Array, v: Array, w: Array, z: Array) -> float:
-        """Target curvature pulled back: ``R_N(df u, df v, df w, df z)``."""
-        d1 = self.d1
-        return float(np.einsum("abcd,a,b,c,d->", self.riem_n,
-                               d1 @ u, d1 @ v, d1 @ w, d1 @ z))
 
-    def domain_curvature(self, u: Array, v: Array, w: Array, z: Array) -> float:
-        return float(np.einsum("abcd,a,b,c,d->", self.riem_m, u, v, w, z))
+def _curvatures(d: PointData, u: Array, v: Array, w: Array, z: Array) -> tuple:
+    """``R_N(df u, df v, df w, df z)`` and ``R_M(u, v, w, z)`` on stacks."""
+    pushed = (matvec(d.d1, x) for x in (u, v, w, z))
+    return curvature_form(d.riem_n, *pushed), curvature_form(d.riem_m, u, v, w, z)
 
 
 def point_rows(f: SmoothMap, points: list[ChartPoint]) -> list[PointData]:
@@ -171,28 +169,22 @@ def _frame_terms(d: PointData, c: float, sigma: float, l: int) -> _FrameTerms:
     phi_ee = s_ee - nu
     tr_s = d.trace_s
 
-    fRN = np.array([d.pullback_curvature(e[:, k], e[:, l], e[:, k], e[:, l])
-                    for k in range(m)])
-    RM = np.array([d.domain_curvature(e[:, k], e[:, l], e[:, k], e[:, l])
-                   for k in range(m)])
+    fRN, RM = _curvatures(d, e.T, e[:, l], e.T, e[:, l])
 
+    others = np.arange(m) != l          # the sums run over k != l, in order
     # (sigma - sec_N) f*g_N(e_k,e_k) f*g_N(e_l,e_l), written through the
     # curvature value to stay finite when df(e_k) or df(e_l) vanishes
-    sec_n_excess = np.array([
-        sigma * fgn_ee[k, k] * fgn_ee[l, l] - fRN[k] for k in range(m)])
+    sec_n_excess = (sigma * np.diag(fgn_ee) * fgn_ee[l, l] - fRN)[others]
     # sec_M(e_k ^ e_l) is always defined: the frame vectors are independent
-    area_m = np.array([
-        gm_ee[k, k] * gm_ee[l, l] - gm_ee[k, l] ** 2 for k in range(m)])
-    sec_m = np.array([RM[k] / area_m[k] if k != l else 0.0 for k in range(m)])
-    ksum = [k for k in range(m) if k != l]
+    area_m = np.diag(gm_ee) * gm_ee[l, l] - powers(gm_ee[:, l], 2)
+    sec_m = RM[others] / area_m[others]
     ric_m_ll = float(e[:, l] @ d.ric_m @ e[:, l])
 
     return _FrameTerms(
         lhs=2.0 * float(np.sum(fRN - c * RM)),
-        sec_n_sum=sum(sec_n_excess[k] for k in ksum),
-        grouped_sum=sum(sec_n_excess[k] + sigma * phi_ee[l] * fgn_ee[k, k]
-                        for k in ksum),
-        term2=-c * gm_ee[l, l] * sum(phi_ee[k] * (sec_m[k] - sigma) for k in ksum),
+        sec_n_sum=sum(sec_n_excess),
+        grouped_sum=sum(sec_n_excess + sigma * phi_ee[l] * np.diag(fgn_ee)[others]),
+        term2=-c * gm_ee[l, l] * sum(phi_ee[others] * (sec_m - sigma)),
         term3=-(2.0 * c / (1.0 + c)) * (ric_m_ll - (m - 1) * sigma * gm_ee[l, l]),
         s_ll=s_ee[l], phi_ll=phi_ee[l], tr_s=tr_s, tr_phi=tr_s - m * nu, nu=nu)
 
@@ -224,11 +216,13 @@ def decomposition_sides(d: PointData, c: float, sigma: float,
 # ---------------------------------------------------------------------------
 
 def reaction_term_apply(d: PointData, c: float, theta: Array, v: Array,
-                        w: Array) -> float:
+                        w: Array) -> float | Array:
     """Value of the fiberwise reaction term on ``theta`` at ``(v, w)``.
 
     ``theta`` is a symmetric 2-tensor in chart components; ``v``, ``w`` are
     chart vectors.  The Ricci operator is the one of the induced metric.
+    Broadcasts over leading axes of ``theta``, ``v`` and ``w``: one value per
+    element of the stack, each rounded as a single evaluation is.
     """
     if c <= -1.0:
         raise InvalidParameterError(f"reaction term needs c > -1, got {c}")
@@ -236,36 +230,25 @@ def reaction_term_apply(d: PointData, c: float, theta: Array, v: Array,
     v = np.asarray(v, dtype=float)
     w = np.asarray(w, dtype=float)
 
-    ric_v = d.ric_g_op @ v
-    ric_w = d.ric_g_op @ w
-    value = -float(ric_v @ theta @ w) - float(ric_w @ theta @ v)
+    ric_v = matvec(d.ric_g_op, v)
+    ric_w = matvec(d.ric_g_op, w)
+    value = -quadratic_form(ric_v, theta, w) - quadratic_form(ric_w, theta, v)
 
     e = d.frames.e
     nu = (1.0 - c) / (1.0 + c)
-    a_v = np.einsum("ijc,ik,j->kc", d.ext.a_coord, e, v)    # A(e_k, v)
-    a_w = np.einsum("ijc,ik,j->kc", d.ext.a_coord, e, w)
+    a_v = np.einsum("ijc,ik,...j->...kc", d.ext.a_coord, e, v)    # A(e_k, v)
+    a_w = np.einsum("ijc,ik,...j->...kc", d.ext.a_coord, e, w)
     # the shifted split form s_prod - ((1-c)/(1+c)) g_prod on each pair,
     # subtracted one at a time to keep the rounding of a running sum
-    for term in (product_form(d.gm, -d.gn, a_v, a_w)
-                 - nu * product_form(d.gm, d.gn, a_v, a_w)):
+    for term in np.moveaxis(product_form(d.gm, -d.gn, a_v, a_w)
+                            - nu * product_form(d.gm, d.gn, a_v, a_w), -1, 0):
         value -= 2.0 * term
 
-    curv = sum(d.pullback_curvature(e[:, k], v, e[:, k], w)
-               - c * d.domain_curvature(e[:, k], v, e[:, k], w)
-               for k in range(d.m))
+    # frame vector e_k on the last axis, summed over k as a running sum
+    fRN, RM = _curvatures(d, e.T, v[..., None, :], e.T, w[..., None, :])
+    curv = sum(np.moveaxis(fRN - c * RM, -1, 0))
     value -= 4.0 / (1.0 + c) * curv
-    return float(value)
-
-
-def _reaction_on_frame(d: PointData, c: float, theta: Array) -> Array:
-    """Reaction term evaluated on all adapted frame pairs."""
-    m = d.m
-    e = d.frames.e
-    out = np.empty((m, m))
-    for i in range(m):
-        for j in range(i, m):
-            out[i, j] = out[j, i] = reaction_term_apply(d, c, theta, e[:, i], e[:, j])
-    return out
+    return float(value) if np.ndim(value) == 0 else value
 
 
 # ---------------------------------------------------------------------------
@@ -393,8 +376,10 @@ def elliptic_equation_residual(d: PointData, c: float, h: float = 1e-3,
         raise PreconditionError(
             f"map is not minimal at {d.p.coords} (|H| = {d.ext.h_norm:.3e})")
     lap = shifted_tensor_laplacian(d, c, h)
-    psi = _reaction_on_frame(d, c, d.shifted_s(c))
     e = d.frames.e
+    i, j = np.triu_indices(d.m)
+    psi = np.empty((d.m, d.m))
+    psi[i, j] = psi[j, i] = reaction_term_apply(d, c, d.shifted_s(c), e.T[i], e.T[j])
     lap_frame = e.T @ lap @ e
     return float(np.abs(lap_frame + psi).max())
 
@@ -489,26 +474,29 @@ def _pointwise_pinching(d: PointData, sigma: float,
                         rng: np.random.Generator, planes: int = 4,
                         tol: float = 1e-9) -> str | None:
     """Check the curvature separation at one point; returns a reason on failure."""
-    m, n = d.m, d.n
-    gm = d.gm
-    for _ in range(planes):
-        u, v = rng.normal(size=m), rng.normal(size=m)
-        area2 = (u @ gm @ u) * (v @ gm @ v) - (u @ gm @ v) ** 2
-        if area2 < 1e-8 * (u @ gm @ u) * (v @ gm @ v):
-            continue
-        sec = d.domain_curvature(u, v, u, v) / area2
-        if sec < sigma - tol:
-            return f"domain sectional curvature {sec:.6g} below {sigma:.6g}"
-    if n >= 2 and d.frames.rank >= 2:
-        gn = d.gn
+    def cases():
+        # (metric, curvature, push-forward, area floor, violation); the
+        # target planes are images under df, probed where df has rank two
+        yield (d.gm, d.riem_m, lambda x: x, lambda uu, vv: 1e-8 * uu * vv,
+               lambda sec: sec < sigma - tol
+               and f"domain sectional curvature {sec:.6g} below {sigma:.6g}")
+        if d.n >= 2 and d.frames.rank >= 2:
+            yield (d.gn, d.riem_n, lambda x: d.d1 @ x,
+                   lambda uu, vv: 1e-8 * max(uu * vv, 1e-300),
+                   lambda sec: sec > sigma + tol
+                   and f"target sectional curvature {sec:.6g} above {sigma:.6g}")
+
+    # planes are drawn one at a time: the first violation ends the draws
+    for g, riem, push, floor, violation in cases():
         for _ in range(planes):
-            u, v = d.d1 @ rng.normal(size=m), d.d1 @ rng.normal(size=m)
-            area2 = (u @ gn @ u) * (v @ gn @ v) - (u @ gn @ v) ** 2
-            if area2 < 1e-8 * max((u @ gn @ u) * (v @ gn @ v), 1e-300):
+            u, v = push(rng.normal(size=d.m)), push(rng.normal(size=d.m))
+            uu, vv = u @ g @ u, v @ g @ v
+            area2 = uu * vv - (u @ g @ v) ** 2
+            if area2 < floor(uu, vv):
                 continue
-            sec = float(np.einsum("abcd,a,b,c,d->", d.riem_n, u, v, u, v)) / area2
-            if sec > sigma + tol:
-                return f"target sectional curvature {sec:.6g} above {sigma:.6g}"
+            reason = violation(float(curvature_form(riem, u, v, u, v)) / area2)
+            if reason:
+                return reason
     return None
 
 
@@ -556,21 +544,20 @@ def null_eigenvector_probe(d: PointData, sigma: float, lambda0_sq: float,
                 "skipped", "second-fundamental-form bound fails "
                 f"({d.ext.a_norm_sq:.6g} > {bound:.6g})", np.inf, 0, 0.0)
 
+    # all draws at once: each row holds one draw's v, then its Gram factor W
     m = d.m
     g = d.g
-    values, ric_terms = [], []
-    for _ in range(n_draws):
-        v = rng.normal(size=m)
-        v = v / np.sqrt(float(v @ g @ v))
-        proj = np.eye(m) - np.outer(v, g @ v)   # kills v, g-orthogonally
-        W = rng.normal(size=(m, m))
-        theta = proj.T @ (W.T @ W) @ proj
-        theta = 0.5 * (theta + theta.T)
-        scale = 1.0 + float(np.abs(theta).max())
+    draws = rng.normal(size=(n_draws, m + m * m))
+    v = draws[:, :m]
+    v = v / np.sqrt(quadratic_form(v, g, v))[:, None]
+    proj = np.eye(m) - v[:, :, None] * matvec(g, v)[:, None, :]  # kills v, g-orthogonally
+    W = draws[:, m:].reshape(n_draws, m, m)
+    theta = np.swapaxes(proj, 1, 2) @ (np.swapaxes(W, 1, 2) @ W) @ proj
+    theta = 0.5 * (theta + np.swapaxes(theta, 1, 2))
+    scale = 1.0 + np.abs(theta).max(axis=(1, 2))
 
-        ric_v = d.ric_g_op @ v
-        ric_terms.append(abs(float(ric_v @ theta @ v)) / scale)
-        values.append(reaction_term_apply(d, lambda0_sq, theta, v, v) / scale)
+    ric_terms = np.abs(quadratic_form(matvec(d.ric_g_op, v), theta, v)) / scale
+    values = reaction_term_apply(d, lambda0_sq, theta, v, v) / scale
 
     min_value = float(np.min(values, initial=np.inf))
     status = "pass" if min_value >= -tol else "fail"

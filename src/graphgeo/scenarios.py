@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chart_manifold import (ChartManifold, ChartPoint, constant_metric_chart,
-                             powers, sphere_chart)
+                             matvec, powers, sphere_chart)
 from .errors import UnknownScenarioError
 from .graph_map import MapJet, SmoothMap
 
@@ -91,15 +91,10 @@ def linear_map(domain: ChartManifold, target: ChartManifold, matrix,
 
     def jet(x: Array) -> MapJet:
         rows = len(x)
-        return MapJet(_apply(Q, x) + b, np.repeat(Q[None], rows, axis=0),
+        return MapJet(matvec(Q, x) + b, np.repeat(Q[None], rows, axis=0),
                       np.zeros((rows, n, m, m)), np.zeros((rows, n, m, m, m)))
 
     return SmoothMap(domain, target, jet, name)
-
-
-def _apply(Q: Array, x: Array) -> Array:
-    """``Q @ x`` per row, as matrix-vector products (``x @ Q.T`` rounds differently)."""
-    return (Q @ x[:, :, None])[:, :, 0]
 
 
 def complex_power_map(domain: ChartManifold, target: ChartManifold,
@@ -156,7 +151,7 @@ def precompose_linear(f: SmoothMap, matrix, name: str | None = None) -> SmoothMa
     Q = np.asarray(matrix, dtype=float)
 
     def jet(x: Array) -> MapJet:
-        inner = f.jet_fn(_apply(Q, x))
+        inner = f.jet_fn(matvec(Q, x))
         d1 = np.einsum("...ab,bi->...ai", inner.d1, Q)
         d2 = np.einsum("...abc,bi,cj->...aij", inner.d2, Q, Q)
         d3 = None

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chart_manifold import sectional_from_data
+from .chart_manifold import matvec, sectional_from_data
 from .errors import DegeneratePlaneError, InvalidParameterError
 from .extrinsic import BLOCK_SIZE, MINIMAL_TOL, GraphBlock, graph_block, graph_blocks
 from .graph_map import SmoothMap
@@ -111,7 +111,7 @@ def _sectional_columns(blk: GraphBlock, planes_uv: Array) -> dict[str, Array]:
     wanted = spans_m & (blk.frames.rank >= 2)[:, None]
     if n >= 2 and wanted.any():
         d1 = jets.f.d1[:, None]
-        du, dv = (d1 @ u[..., None])[..., 0], (d1 @ v[..., None])[..., 0]
+        du, dv = matvec(d1, u), matvec(d1, v)
         sec_n, spans_n = sectional_from_data(blk.riem_n[:, None],
                                              jets.gn.g[:, None], du, dv)
         spans_n &= wanted

@@ -330,7 +330,9 @@ def test_invalid_grid_rejected(capsys):
     ["--h", "nan"], ["--h", "inf"], ["--c", "nan"], ["--c=-inf"],
     ["--sigma", "nan"], ["--sigma", "inf"], ["--kappa-margin", "nan"],
     ["--tol", "gate_slack=nan"], ["--tol", "elliptic=inf"],
-    ["--tol", "gate_slak=1e-3"],
+    ["--tol", "gate_slak=1e-3"], ["--c=-1"], ["--c", "0"],
+    # non-minimal: the elliptic check, the suite's only use of c, never runs
+    ["--scenario", "proj-s3-s1", "--grid", "3x3x3", "--c", "-0.5"],
 ])
 @pytest.mark.parametrize("command", ["check-theorem", "verify-identities"])
 def test_non_finite_and_unknown_settings_rejected(command, extra, capsys):

@@ -2,8 +2,10 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from graphgeo.chart_manifold import ricci_from_jet
+from graphgeo.chart_manifold import curvature_form, matvec, ricci_from_jet
 from graphgeo.errors import PreconditionError
 from graphgeo.graph_map import MapJet, SmoothMap
 from graphgeo.identities import (
@@ -136,6 +138,77 @@ def test_reaction_term_constant_map_oracle():
                   + 4.0 * c / (1.0 + c) * float(e1 @ ric_m @ e1))
         val = reaction_term_apply(d, c, theta, e1, e1)
         assert abs(val - oracle) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# Stacks against their elements
+# ---------------------------------------------------------------------------
+#
+# The checks evaluate stacks of vectors and tensors in one call.  Each value
+# of a stack must equal the call on that element alone, bit for bit: the
+# identity residuals are differences of nearly equal terms, so a moved last
+# bit shows in the reported numbers.
+
+def same_bits(stacked, elements) -> bool:
+    return (np.asarray(stacked, dtype=float).tobytes()
+            == np.array(elements, dtype=float).tobytes())
+
+
+@st.composite
+def stacked_point(draw):
+    """A registry scenario's row at a random point, and a random generator."""
+    sc = get(draw(st.sampled_from(sorted(registry()))))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    return row(sc.f, sc.random_points(1, rng)[0]), rng
+
+
+def vector_stack(d, rng, k, frame):
+    """The frame vectors ``e.T`` (a strided view, as the checks use them) or
+    ``k`` random chart vectors."""
+    return d.frames.e.T if frame else rng.normal(size=(k, d.m))
+
+
+@settings(max_examples=40, deadline=None)
+@given(point=stacked_point(), k=st.integers(1, 6), c=st.floats(-0.9, 10.0),
+       shared_theta=st.booleans(), frame=st.booleans())
+def test_stacked_reaction_term_equals_each_element(point, k, c, shared_theta, frame):
+    d, rng = point
+    v = vector_stack(d, rng, k, frame)
+    k, m = v.shape
+    theta = rng.normal(size=(m, m) if shared_theta else (k, m, m))
+    theta = theta + np.swapaxes(theta, -1, -2)
+    w = rng.normal(size=(k, m))
+    stacked = reaction_term_apply(d, c, theta, v, w)
+    thetas = [theta if shared_theta else theta[i] for i in range(k)]
+    assert same_bits(stacked, [reaction_term_apply(d, c, thetas[i], v[i], w[i])
+                               for i in range(k)])
+
+
+@settings(max_examples=40, deadline=None)
+@given(point=stacked_point(), k=st.integers(1, 6), frame=st.booleans())
+def test_stacked_curvature_terms_equal_each_element(point, k, frame):
+    # the stacked calls of the frame terms: push-forward of the vectors, then
+    # R(u_k, u_l, u_k, z_k) with u_l shared across the stack
+    d, rng = point
+    vectors = vector_stack(d, rng, k, frame)
+    pushed = matvec(d.d1, vectors)
+    assert same_bits(pushed, [d.d1 @ u for u in vectors])
+    for riem, u in ((d.riem_m, vectors), (d.riem_n, pushed)):
+        z = rng.normal(size=u.shape)
+        stacked = curvature_form(riem, u, u[-1], u, z)
+        assert same_bits(stacked, [curvature_form(riem, u[i], u[-1], u[i], z[i])
+                                   for i in range(len(u))])
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1), k=st.integers(0, 25),
+       a=st.integers(1, 4), b=st.integers(1, 16))
+def test_one_normal_block_equals_alternating_draws(seed, k, a, b):
+    # the null probe takes its draws of v (size a) and W (size b) as one block
+    alternating = np.random.default_rng(seed)
+    expected = [np.concatenate([alternating.normal(size=a), alternating.normal(size=b)])
+                for _ in range(k)]
+    block = np.random.default_rng(seed).normal(size=(k, a + b))
+    assert same_bits(block, np.reshape(expected, (k, a + b)))
 
 
 # ---------------------------------------------------------------------------
