@@ -13,6 +13,18 @@ Index conventions used throughout the package:
                     ``sec(u, v) = R(u,v,u,v) / |u ^ v|^2`` and the Ricci form
                     ``Ric[j, l] = g^{ik} riem[i, j, k, l]`` is positive on
                     spheres.
+* memory layout:    block arrays are stored with the block axis innermost
+                    (stride one element) and the component axes in C order
+                    (:func:`block_innermost`), so that each einsum's inner
+                    loop runs over the block's rows.  :meth:`ChartManifold.jet`,
+                    ``SmoothMap.jet``, :func:`metric_inverse`, the plane
+                    samples and the adapted frames ``e`` lay out their
+                    results so, and einsum outputs inherit the layout.
+                    :class:`Curvature` lays out any jet it is given, so the
+                    curvature formulas give the same bits for any input
+                    layout.  :func:`matvec` and :func:`quadratic_form` copy
+                    their matrix to C order: matmul rounds differently on
+                    matrices without a unit stride.
 
 All derivative data is exact (supplied by the chart's jet evaluator); finite
 differences appear only in tests as an independent cross-check.
@@ -115,7 +127,20 @@ class ChartManifold:
         if outside.any():
             raise OutOfChartError(
                 f"{self.name}: point {coords[np.argmax(outside)]} outside chart box")
-        return self.metric_jet(coords)
+        return _laid_out(self.metric_jet(coords))
+
+
+def block_innermost(a: Array) -> Array:
+    """``a`` stored with its leading (block) axis innermost in memory and its
+    other axes in C order; same shape and values, no copy if already so."""
+    last = a.ndim - 1
+    laid_out = np.ascontiguousarray(a.transpose(*range(1, a.ndim), 0))
+    return laid_out.transpose(last, *range(last))
+
+
+def _laid_out(jet: MetricJet) -> MetricJet:
+    return MetricJet(*(None if a is None else block_innermost(a)
+                       for a in (jet.g, jet.dg, jet.d2g)))
 
 
 def powers(a: Array, k: int) -> Array:
@@ -186,7 +211,7 @@ def constant_metric_chart(dim: int, matrix=None, box_halfwidth: float = 50.0,
 
 def metric_inverse(g: Array) -> Array:
     try:
-        ginv = np.linalg.inv(g)
+        ginv = block_innermost(np.linalg.inv(g))
     except np.linalg.LinAlgError as exc:
         raise DegenerateMetricError(f"singular metric: {exc}") from exc
     if not np.all(np.isfinite(ginv)):
@@ -205,7 +230,7 @@ class Curvature:
     functions below on first use, and kept."""
 
     def __init__(self, jet: MetricJet):
-        self.jet = jet
+        self.jet = _laid_out(jet)
 
     @cached_property
     def ginv(self) -> Array:
@@ -304,13 +329,17 @@ def ricci_at(man: ChartManifold, p: ChartPoint) -> tuple[Array, Array]:
 
 
 def matvec(a: Array, x: Array) -> Array:
-    """``a @ x`` per vector of the stack ``x`` (``x @ a.T`` rounds differently)."""
-    return (a @ x[..., None])[..., 0]
+    """``a @ x`` per vector of the stack ``x`` (``x @ a.T`` rounds differently).
+
+    ``a`` is copied to C order first: matmul takes a different code path, and
+    rounds differently, for matrices without a unit stride."""
+    return (np.ascontiguousarray(a) @ x[..., None])[..., 0]
 
 
 def quadratic_form(u: Array, g: Array, v: Array) -> Array:
-    """``u . g . v`` over leading axes, evaluated as the matrix product ``u @ g @ v``."""
-    return ((u[..., None, :] @ g) @ v[..., :, None])[..., 0, 0]
+    """``u . g . v`` over leading axes, evaluated as the matrix product
+    ``u @ g @ v`` with ``g`` in C order (see :func:`matvec`)."""
+    return ((u[..., None, :] @ np.ascontiguousarray(g)) @ v[..., :, None])[..., 0, 0]
 
 
 def curvature_form(riem: Array, u: Array, v: Array, w: Array, z: Array) -> Array:

@@ -8,8 +8,9 @@ Commands:
 * ``check-theorem``      hypothesis gate and dichotomy classification
 
 Exit codes: 0 success (for ``check-theorem``: a dichotomy verdict), 1 failed
-checks or a violated hypothesis gate, 2 unknown scenario or bad
-configuration, 3 out-of-chart sampling, 4 indeterminate classification.
+checks or a violated hypothesis gate, 2 unknown scenario, bad
+configuration or out of memory, 3 out-of-chart sampling, 4 indeterminate
+classification.
 
 All report output is deterministic for a fixed (config, seed): wall-clock
 timing goes to stderr and the ``runtime_seconds`` field of the artifact is
@@ -34,6 +35,7 @@ from .identities import DEFAULT_IDENTITY_TOLERANCES, run_identity_suite
 from .reporting import Table, canonical_json, report_to_csv
 from .theorem_gate import (
     DEFAULT_TOLERANCES,
+    MAX_GRID_POINTS,
     classify,
     evaluate_hypotheses,
     sweep_geometry,
@@ -75,6 +77,10 @@ class RunConfig:
                 isinstance(self.grid, (list, tuple)) and self.grid
                 and all(_integer(r) and r >= 2 for r in self.grid)):
             raise ValueError("grid resolution must be at least 2 per axis")
+        # refused before the grid is built
+        if self.grid is not None and math.prod(self.grid) >= MAX_GRID_POINTS:
+            raise ValueError(f"grid has {math.prod(self.grid)} points, "
+                             f"more than the {MAX_GRID_POINTS - 1} supported")
         if self.box is not None and not (
                 isinstance(self.box, list) and self.box and all(
                     isinstance(b, list) and len(b) == 2
@@ -415,6 +421,10 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_OUT_OF_CHART
     except (ValueError, GraphGeoError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as exc:
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: out of memory{detail}", file=sys.stderr)
         return EXIT_USAGE
     return EXIT_USAGE
 

@@ -24,6 +24,7 @@ from .chart_manifold import (
     ChartManifold,
     ChartPoint,
     MetricJet,
+    block_innermost,
     quadratic_form,
     sym_eigen,
 )
@@ -81,7 +82,9 @@ class SmoothMap:
         if n_inside < len(coords):
             raise OutOfChartError(
                 f"{self.name}: point {coords[n_inside]} outside domain chart")
-        return jet
+        return MapJet(np.ascontiguousarray(jet.value), block_innermost(jet.d1),
+                      block_innermost(jet.d2),
+                      None if jet.d3 is None else block_innermost(jet.d3))
 
 
 @dataclass(frozen=True)
@@ -273,7 +276,7 @@ def frame_block(P: Array, d1: Array, gm: Array, h: Array) -> GraphFrameData:
             f"rank {rank.max()} exceeds min(dim M, dim N) = {min(m, n)}")
     beta = _target_frames(d1, alpha, lam, rank, h)
     scale = 1.0 / np.sqrt(1.0 + lam ** 2)
-    e = alpha * scale[:, None, :]
+    e = block_innermost(alpha * scale[:, None, :])
 
     i, k, paired = _pairs(m, n, rank)
     paired = paired[:, None, :]
@@ -394,6 +397,14 @@ def frame_formula_residual(f: SmoothMap, p: ChartPoint,
 # The shifted deficit tensor
 # ---------------------------------------------------------------------------
 
+def shift_level(c: float) -> float:
+    """``nu = (1-c)/(1+c)`` of a positive shift parameter ``c``; any other
+    ``c`` raises :class:`InvalidParameterError`."""
+    if not c > 0.0:
+        raise InvalidParameterError(f"shift parameter must be positive, got {c}")
+    return (1.0 - c) / (1.0 + c)
+
+
 def shift_deficit(s: Array, g: Array, c: float) -> Array:
     """The shifted tensor ``s - ((1-c)/(1+c)) g``.
 
@@ -401,6 +412,4 @@ def shift_deficit(s: Array, g: Array, c: float) -> Array:
     ``(1-lambda_i^2)/(1+lambda_i^2) - (1-c)/(1+c)``, so non-negativity
     encodes the bound ``lambda_max^2 <= c``.
     """
-    if c <= 0.0:
-        raise InvalidParameterError(f"shift parameter must be positive, got {c}")
-    return s - (1.0 - c) / (1.0 + c) * g
+    return s - shift_level(c) * g

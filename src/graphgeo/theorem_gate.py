@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chart_manifold import matvec, sectional_from_data
+from .chart_manifold import block_innermost, matvec, sectional_from_data
 from .errors import DegeneratePlaneError, InvalidParameterError
 from .extrinsic import BLOCK_SIZE, MINIMAL_TOL, GraphBlock, graph_block, graph_blocks
 from .graph_map import SmoothMap
@@ -133,6 +133,9 @@ _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MASK128 = (1 << 128) - 1
 
+#: Grid points a plane stream can index: the spawn keys are 32-bit words.
+MAX_GRID_POINTS = 1 << 32
+
 
 def _hasher(init: int, mult: int):
     """``SeedSequence``'s hash step on uint32 arrays, with its multiplier
@@ -161,7 +164,7 @@ def _spawned_pcg_seeds(seed: int, count: int) -> list[Array]:
     seed = operator.index(seed)
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
-    if count >= 1 << 32:
+    if count >= MAX_GRID_POINTS:
         raise InvalidParameterError("too many grid points for one plane stream")
     words = [(seed >> s) & _MASK32 for s in range(0, max(seed.bit_length(), 1), 32)]
     words += [0] * (_POOL_SIZE - len(words))
@@ -210,7 +213,7 @@ def spawned_normals(seed: int, count: int, shape: tuple[int, ...]) -> Array:
         doc["state"]["inc"] = inc
         bits.state = doc
         out[i] = gen.normal(size=shape)
-    return out
+    return block_innermost(out)
 
 
 def sweep_geometry(f: SmoothMap, grid: Array, seed: int = 0,

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from graphgeo import cli
+from graphgeo import scenarios as scen
 from graphgeo.cli import _point_table, main
 from graphgeo.identities import DEFAULT_IDENTITY_TOLERANCES
 from graphgeo.theorem_gate import DEFAULT_TOLERANCES, GridSweep
@@ -324,6 +326,30 @@ def test_bad_config_keys_rejected(tmp_path, capsys):
 def test_invalid_grid_rejected(capsys):
     assert run(["report", "--scenario", "identity-s2", "--grid", "1x1"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", ["report", "check-theorem"])
+def test_oversized_grid_rejected_before_any_allocation(command, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the grid was built")
+
+    monkeypatch.setattr(scen.Scenario, "grid_points", refuse)
+    code = run([command, "--scenario", "holo-w2", "--grid", "100000x100000"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("command", ["report", "check-theorem"])
+def test_out_of_memory_exits_2_with_one_line(command, capsys, monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 149. GiB")
+
+    monkeypatch.setattr(cli, "sweep_geometry", exhausted)
+    code = run([command, "--scenario", "identity-s2", "--grid", "3x3"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == "error: out of memory: Unable to allocate 149. GiB\n"
 
 
 @pytest.mark.parametrize("extra", [

@@ -19,7 +19,7 @@ from graphgeo.graph_map import (
     pullback_metric_at,
     singular_values_at,
 )
-from graphgeo.identities import point_rows
+from graphgeo.identities import elliptic_equation_residual, point_rows
 from graphgeo.product_space import product_form
 from graphgeo.scenarios import (
     complex_power_map,
@@ -284,6 +284,16 @@ def test_shifted_tensor_rejects_nonpositive_shift():
     sc = get("identity-s2")
     with pytest.raises(InvalidParameterError):
         point_rows(sc.f, [sc.domain.point([0.0, 0.0])])[0].shifted_s(-0.5)
+
+
+@pytest.mark.parametrize("c", [-1.0, -0.5, 0.0, float("nan")])
+def test_shifted_jet_rejects_nonpositive_shift_before_dividing(c):
+    sc = get("holo-w2")
+    d = point_rows(sc.f, [sc.domain.point([0.3, -0.2])])[0]
+    with pytest.raises(InvalidParameterError, match="must be positive"):
+        d.blk.shifted_jet(c)
+    with pytest.raises(InvalidParameterError, match="must be positive"):
+        elliptic_equation_residual(d, c)
 
 
 # ---------------------------------------------------------------------------
