@@ -44,11 +44,17 @@ MINIMAL_TOL = 1e-6
 #: Default threshold on the second fundamental form for total geodesy.
 TOTALLY_GEODESIC_TOL = 1e-8
 
-#: Points per block of the grid engine.  Bounds the engine's working memory.
-#: Each einsum's inner loop runs over a block's rows, so larger blocks are
-#: still faster: 1024 rows took 20-40% less time than 128 on the 12x12x12
-#: identity-s3 and 60x60 holo-w2 sweeps (2-vCPU host), at a cost in peak memory.
-BLOCK_SIZE = 128
+#: Elements per block of the grid engine's largest arrays: the fourth-order
+#: tensors of both metrics (``d2g``, ``dgamma``, ``riem``), ``m**4`` and
+#: ``n**4`` per row.  :func:`block_bounds` divides it by that row size, so a
+#: block's working memory is about the same for every dimension pair.  Each
+#: einsum's inner loop runs over a block's rows, so longer blocks are faster
+#: until the time levels off.  Sweep time relative to 128-row blocks (2-vCPU
+#: host, medians of 12 interleaved runs): holo-w2 60x60 0.80, 0.70, 0.64 and
+#: 0.61 at 256, 512, 1024 and 2048 rows; identity-s3 12x12x12 0.85 at 202
+#: rows and 0.79-0.83 from 256 to 1728; proj-s3-s1 12x12x12 0.85-0.92 at 202
+#: to 399 rows.  This budget gives 1024, 202 and 399 rows.
+BLOCK_BUDGET = 2 ** 15
 
 
 @dataclass(frozen=True)
@@ -241,11 +247,31 @@ def graph_block(f: SmoothMap, coords: Array) -> GraphBlock:
     return GraphBlock(f, graph_jets(f, coords))
 
 
+def block_bounds(count: int, m: int, n: int) -> list[int]:
+    """The grid engine's partition of ``count`` rows for a map from an
+    ``m``- to an ``n``-dimensional manifold: block ``k`` holds rows
+    ``bounds[k]:bounds[k + 1]``.
+
+    A block has ``BLOCK_BUDGET // (m**4 + n**4)`` rows, at least 2, except
+    the last, which takes any remainder.  A one-row remainder joins the
+    block before it: einsum's inner loop then runs over a component axis,
+    which moves general (non-diagonal) metrics' curvatures in the last bits.
+    """
+    rows = max(BLOCK_BUDGET // (m ** 4 + n ** 4), 2)
+    bounds = list(range(0, count, rows)) + [count]
+    if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
+        del bounds[-2]
+    return bounds
+
+
 def graph_blocks(f: SmoothMap, coords: Array):
-    """Yield the :class:`GraphBlock` of each run of :data:`BLOCK_SIZE` rows
-    of ``coords``, in order."""
-    for start in range(0, len(coords), BLOCK_SIZE):
-        yield graph_block(f, coords[start:start + BLOCK_SIZE])
+    """Yield ``(rows, block)``: the :class:`GraphBlock` of each block of
+    :func:`block_bounds` over the rows of ``coords``, in order, with the
+    slice of ``coords`` it covers."""
+    bounds = block_bounds(len(coords), f.domain.dim, f.target.dim)
+    for start, stop in zip(bounds[:-1], bounds[1:]):
+        rows = slice(start, stop)
+        yield rows, graph_block(f, coords[rows])
 
 
 # ---------------------------------------------------------------------------

@@ -38,8 +38,8 @@ from .product_space import block_diag
 
 Array = np.ndarray
 
-#: A singular value counts toward the rank iff it exceeds this tolerance
-#: times ``(1 + lambda_max)``.
+#: One of the ``min(m, n)`` largest singular values counts toward the rank
+#: iff it exceeds this tolerance times ``(1 + lambda_max)``.
 RANK_TOL = 1e-8
 
 #: Tolerance for the internal verification of adapted frames.
@@ -270,10 +270,11 @@ def frame_block(P: Array, d1: Array, gm: Array, h: Array) -> GraphFrameData:
     size, m, n = len(P), gm.shape[-1], h.shape[-1]
     mu, alpha = sym_eigen(P, gm)
     lam = np.sqrt(np.maximum(mu, 0.0))
-    rank = np.sum(lam > (RANK_TOL * (1.0 + lam[:, -1]))[:, None], axis=-1)
-    if np.any(rank > min(m, n)):
-        raise FrameConstructionError(
-            f"rank {rank.max()} exceeds min(dim M, dim N) = {min(m, n)}")
+    # P = d1^T h d1 has rank at most n: only the min(m, n) largest singular
+    # values can count, since the square root lifts a roundoff mu ~ 1e-15 of
+    # a zero one to ~3e-8, past the tolerance
+    top = lam[:, m - min(m, n):]
+    rank = np.sum(top > (RANK_TOL * (1.0 + lam[:, -1]))[:, None], axis=-1)
     beta = _target_frames(d1, alpha, lam, rank, h)
     scale = 1.0 / np.sqrt(1.0 + lam ** 2)
     e = block_innermost(alpha * scale[:, None, :])

@@ -24,7 +24,6 @@ from .chart_manifold import (ChartPoint, curvature_form, matvec, powers,
                              quadratic_form, sym_eigen)
 from .errors import InvalidParameterError, PreconditionError
 from .extrinsic import (
-    BLOCK_SIZE,
     MINIMAL_TOL,
     ExtrinsicData,
     GraphBlock,
@@ -599,7 +598,7 @@ def extremum_derivative_probe(f: SmoothMap, grid: Array,
         raise ValueError("empty probe grid")
     box = np.asarray(box, dtype=float)
     blocks = list(graph_blocks(f, grid))
-    h_max = np.max([np.max(blk.ext.h_norm) for blk in blocks])
+    h_max = np.max([np.max(blk.ext.h_norm) for _, blk in blocks])
     if np.isnan(h_max):
         return ExtremumProbeResult("fail", "mean curvature is NaN", None, np.nan,
                                    np.nan, np.nan, np.nan, lap_tol)
@@ -608,11 +607,11 @@ def extremum_derivative_probe(f: SmoothMap, grid: Array,
 
     if c is None:
         lam0_sq = float(np.max([np.max(blk.frames.lambdas[:, -1] ** 2)
-                                for blk in blocks]))
+                                for _, blk in blocks]))
         c = lam0_sq if lam0_sq > 1e-12 else 1.0
 
     top = np.concatenate([sym_eigen(shift_deficit(blk.s, blk.g, c), blk.g)[0][:, -1]
-                          for blk in blocks])
+                          for _, blk in blocks])
     best = float(top.max())
     near = np.nonzero(top >= best - 1e-12 * (1.0 + abs(best)))[0]
 
@@ -620,7 +619,8 @@ def extremum_derivative_probe(f: SmoothMap, grid: Array,
         return float(np.min(np.minimum(x - box[:, 0], box[:, 1] - x)))
 
     idx = max(near, key=lambda i: boundary_distance(grid[i]))
-    d = PointData(blocks[idx // BLOCK_SIZE], idx % BLOCK_SIZE)
+    rows, blk = next((rows, blk) for rows, blk in blocks if idx < rows.stop)
+    d = PointData(blk, idx - rows.start)
     spacing = float(np.max((box[:, 1] - box[:, 0])
                            / (max(len(grid), 2) ** (1.0 / box.shape[0]))))
     if grad_tol is None:

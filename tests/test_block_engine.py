@@ -14,6 +14,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from graphgeo import extrinsic
 from graphgeo.chart_manifold import (
     PLANE_TOL,
     ChartManifold,
@@ -27,7 +28,7 @@ from graphgeo.errors import (
     FrameConstructionError,
     InvalidParameterError,
 )
-from graphgeo.extrinsic import BLOCK_SIZE, graph_block, second_fundamental_at, trace_s_at
+from graphgeo.extrinsic import block_bounds, graph_block, second_fundamental_at, trace_s_at
 from graphgeo.graph_map import MapJet, SmoothMap, adapted_frames_at, frame_formula_residual
 from graphgeo.identities import run_identity_suite
 from graphgeo.scenarios import get, linear_map
@@ -128,20 +129,33 @@ def scalar_sym_eigen(phi, g, tol=1e-12, max_sweeps=100):
 # Bit parity of the sweep columns
 # ---------------------------------------------------------------------------
 
+def spans_blocks_with_partial_tail(f, grid):
+    """Whether the engine's partition of ``grid`` has two or more blocks and
+    a last block of another size than the first."""
+    bounds = block_bounds(len(grid), f.domain.dim, f.target.dim)
+    return len(bounds) > 2 and bounds[-1] - bounds[-2] != bounds[1]
+
+
 PARITY_CASES = [
     ("constant-s2", (13, 11), 0),     # rank 0: frame completion only
     ("proj-s3-s1", (6, 5, 5), 1),     # rank 1, n = 1: no target sample
-    ("identity-s3", (6, 5, 5), 2),
-    ("holo-w2", (13, 11), 3),         # passes the origin, where rank is 0
+    ("identity-s3", (8, 6, 5), 2),
+    ("holo-w2", (35, 31), 3),         # passes the origin, where rank is 0
     ("torus-linear", (13, 11), 4),
 ]
 
+#: element budgets that split the smaller grids into several blocks; the
+#: holo-w2 and identity-s3 grids span two blocks at the engine's own budget
+PARITY_BUDGETS = {"constant-s2": 2 ** 10, "proj-s3-s1": 2 ** 12, "torus-linear": 2 ** 10}
+
 
 @pytest.mark.parametrize("name,shape,seed", PARITY_CASES)
-def test_sweep_columns_match_point_oracle(name, shape, seed):
+def test_sweep_columns_match_point_oracle(name, shape, seed, monkeypatch):
+    if name in PARITY_BUDGETS:
+        monkeypatch.setattr(extrinsic, "BLOCK_BUDGET", PARITY_BUDGETS[name])
     sc = get(name)
     grid = sc.grid_points(shape)
-    assert len(grid) % BLOCK_SIZE != 0 and len(grid) > BLOCK_SIZE
+    assert spans_blocks_with_partial_tail(sc.f, grid)
     sweep = sweep_geometry(sc.f, grid, seed=seed)
     oracle = point_sweep(sc.f, grid, seed=seed)
     for column in GridSweep.__dataclass_fields__:
@@ -225,8 +239,8 @@ def counting(fn, rows, calls, key, seen=None):
     return wrapped
 
 
-@pytest.mark.parametrize("name,shape", [("holo-w2", (13, 11)),
-                                        ("proj-s3-s1", (5, 4, 3))])
+@pytest.mark.parametrize("name,shape", [("holo-w2", (13, 11)), ("proj-s3-s1", (5, 4, 3)),
+                                        ("holo-w2", (35, 31)), ("proj-s3-s1", (9, 9, 5))])
 def test_sweep_evaluates_each_jet_once_per_point(name, shape):
     sc = get(name)
     rows, calls = Counter(), Counter()
@@ -239,7 +253,7 @@ def test_sweep_evaluates_each_jet_once_per_point(name, shape):
     sweep_geometry(f, grid, seed=0)
     assert rows == {"map": len(grid), "domain": len(grid), "target": len(grid)}
     # one evaluator call per block of the sweep
-    blocks = -(-len(grid) // BLOCK_SIZE)
+    blocks = len(block_bounds(len(grid), sc.domain.dim, sc.target.dim)) - 1
     assert calls == {"map": blocks, "domain": blocks, "target": blocks}
 
 

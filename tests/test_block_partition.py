@@ -1,0 +1,178 @@
+"""The grid engine's partition of a grid into blocks.
+
+Rows per block come from an element budget over the size of a row's
+largest arrays (:func:`graphgeo.extrinsic.block_bounds`).  No result may
+depend on the partition: the sweep, its plane samples and the extremum
+probe must all read the same blocks, and a row must give the same bits in
+any block it lands in.
+"""
+
+import tracemalloc
+from itertools import product
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from graphgeo import extrinsic, identities
+from graphgeo.chart_manifold import ChartManifold, MetricJet
+from graphgeo.extrinsic import block_bounds
+from graphgeo.graph_map import MapJet, SmoothMap
+from graphgeo.identities import extremum_derivative_probe
+from graphgeo.scenarios import get
+from graphgeo.theorem_gate import GridSweep, sweep_geometry
+
+# ---------------------------------------------------------------------------
+# The partition
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("m,n,rows", [(2, 2, 1024), (3, 3, 202), (3, 1, 399),
+                                      (3, 2, 337), (12, 12, 2)])
+def test_rows_per_block_follow_the_jet_sizes(m, n, rows):
+    assert np.diff(block_bounds(5000, m, n))[0] == rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(count=st.integers(0, 3000), m=st.integers(1, 4), n=st.integers(1, 4),
+       budget=st.integers(1, 2 ** 16))
+def test_partition_covers_the_rows_in_blocks_of_two_or_more(count, m, n, budget):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(extrinsic, "BLOCK_BUDGET", budget)
+        bounds = block_bounds(count, m, n)
+    sizes = np.diff(bounds)
+    assert bounds[0] == 0 and bounds[-1] == count
+    assert np.all(sizes > 0)
+    assert count < 2 or sizes.min() >= 2
+    # every block but the last has the same size
+    assert len(set(sizes[:-1].tolist())) <= 1
+
+
+# ---------------------------------------------------------------------------
+# A row gives the same bits in any block
+# ---------------------------------------------------------------------------
+
+def polynomial_chart(rng, dim, scale):
+    """The chart of ``g(x) = G0 + sum_k x_k G1[k] + sum_kl x_k x_l G2[k, l]``
+    on ``[-4, 4]^dim``: a non-diagonal metric, no component of it or of its
+    derivatives zero.  Each row's sums run in a fixed order, so a row's jet
+    does not depend on the block it is evaluated in."""
+    w = rng.normal(size=(dim, dim))
+    g0 = w @ w.T + dim * np.eye(dim)
+    g1 = rng.normal(size=(dim, dim, dim))
+    g1 = scale * (g1 + np.swapaxes(g1, -1, -2))
+    g2 = rng.normal(size=(dim, dim, dim, dim))
+    g2 = g2 + np.swapaxes(g2, -1, -2)
+    g2 = scale * (g2 + np.swapaxes(g2, 0, 1))
+    axes = range(dim)
+
+    def jet(x):
+        xs = [x[:, k, None, None] for k in axes]
+        g = (g0 + sum(xs[k] * g1[k] for k in axes)
+             + sum(xs[k] * xs[l] * g2[k, l] for k, l in product(axes, axes)))
+        dg = np.stack([g1[k] + 2.0 * sum(xs[l] * g2[k, l] for l in axes)
+                       for k in axes], axis=1)
+        d2g = np.broadcast_to(2.0 * g2, (len(x), *g2.shape)).copy()
+        return MetricJet(g, dg, d2g)
+
+    return ChartManifold(dim, jet, np.tile([-4.0, 4.0], (dim, 1)))
+
+
+def quadratic_map(rng, domain, target):
+    """``f(x) = A x + Q(x, x) / 2`` with every row's sums in a fixed order."""
+    m, n = domain.dim, target.dim
+    A = 0.5 * rng.normal(size=(n, m))
+    Q = rng.normal(size=(n, m, m))
+    Q = 0.1 * (Q + np.swapaxes(Q, -1, -2))
+
+    def jet(x):
+        value = sum(x[:, i, None] * (A[:, i] + 0.5 * sum(x[:, j, None] * Q[:, i, j]
+                                                          for j in range(m)))
+                    for i in range(m))
+        d1 = A + sum(x[:, j, None, None] * Q[:, :, j] for j in range(m))
+        d2 = np.broadcast_to(Q, (len(x), n, m, m)).copy()
+        return MapJet(value, d1, d2, np.zeros((len(x), n, m, m, m)))
+
+    return SmoothMap(domain, target, jet, "quadratic")
+
+
+def sweep_with_rows(f, grid, rows):
+    m, n = f.domain.dim, f.target.dim
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(extrinsic, "BLOCK_BUDGET", rows * (m ** 4 + n ** 4))
+        assert np.diff(block_bounds(len(grid), m, n)).min() >= 2
+        return sweep_geometry(f, grid, seed=7)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), m=st.sampled_from([2, 3]),
+       n=st.sampled_from([2, 3]), count=st.integers(2, 23))
+@example(seed=0, m=3, n=3, count=11)     # a one-row remainder under every cap
+@example(seed=1, m=2, n=3, count=21)
+def test_sweep_columns_ignore_the_row_cap(seed, m, n, count):
+    rng = np.random.default_rng(seed)
+    f = quadratic_map(rng, polynomial_chart(rng, m, 0.02), polynomial_chart(rng, n, 0.02))
+    grid = rng.uniform(-0.5, 0.5, size=(count, m))
+    want = sweep_with_rows(f, grid, count)
+    for rows in (2, 3, 5):
+        got = sweep_with_rows(f, grid, rows)
+        for column in GridSweep.__dataclass_fields__:
+            assert np.array_equal(getattr(got, column), getattr(want, column),
+                                  equal_nan=True), (rows, column)
+
+
+# ---------------------------------------------------------------------------
+# The extremum probe reads its row through the same partition
+# ---------------------------------------------------------------------------
+
+def test_extremum_probe_finds_its_row_across_blocks(monkeypatch):
+    sc = get("holo-w2")
+    grid = sc.grid_points((9, 9))
+    want = extremum_derivative_probe(sc.f, grid, sc.sample_box)
+    assert len(block_bounds(len(grid), 2, 2)) == 2      # one block
+
+    read = []
+
+    class RecordingPointData(identities.PointData):
+        def __init__(self, blk, i):
+            super().__init__(blk, i)
+            read.append(self)
+
+    monkeypatch.setattr(identities, "PointData", RecordingPointData)
+    monkeypatch.setattr(extrinsic, "BLOCK_BUDGET", 8 * 32)     # 8 rows
+    got = extremum_derivative_probe(sc.f, grid, sc.sample_box)
+
+    # the probe's first row is the maximum's, read past the first block
+    idx = int(np.flatnonzero((grid == got.point).all(axis=1))[0])
+    assert idx >= block_bounds(len(grid), 2, 2)[1]
+    assert np.array_equal(read[0].p.coords, grid[idx])
+    for field in ("point", "c", "grad_norm", "lap_value", "grad_tol", "lap_tol"):
+        assert np.array_equal(getattr(got, field), getattr(want, field)), field
+    assert (got.status, got.reason) == (want.status, want.reason) == ("pass", "")
+
+
+# ---------------------------------------------------------------------------
+# Memory
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("name,shape", [("holo-w2", (60, 60)),
+                                        ("identity-s3", (12, 12, 12)),
+                                        ("proj-s3-s1", (12, 12, 12))])
+def test_multi_block_sweep_memory_is_bounded_by_the_budget(name, shape):
+    sc = get(name)
+    grid = sc.grid_points(shape)
+    assert len(block_bounds(len(grid), sc.domain.dim, sc.target.dim)) > 3
+    sweep_geometry(sc.f, grid[:2], seed=1)      # one-time allocations
+    tracemalloc.start()
+    try:
+        sweep = sweep_geometry(sc.f, grid, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the sweep keeps its plane samples and, while it joins the blocks'
+    # columns, two copies of each column; what a block holds besides them is
+    # a bounded multiple of the element budget (7-10 here, 15-19 with twice
+    # the rows per block)
+    columns = sum(getattr(sweep, c).nbytes for c in GridSweep.__dataclass_fields__)
+    samples = len(grid) * 4 * 2 * sc.domain.dim * 8
+    assert peak - 2 * columns - samples < 12 * extrinsic.BLOCK_BUDGET * 8, peak

@@ -125,7 +125,7 @@ ORACLES = {
 # Coordinate blocks
 # ---------------------------------------------------------------------------
 
-#: around the sweep's block of 128 rows, and the single point
+#: around a power of two, and the single point
 BLOCK_ROWS = [1, 2, 127, 128, 129]
 
 COORD = st.one_of(st.floats(-3.0, 3.0, allow_subnormal=True),

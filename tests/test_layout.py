@@ -11,7 +11,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from graphgeo.chart_manifold import (
@@ -33,7 +33,7 @@ from graphgeo.graph_map import GraphJets, MapJet, SmoothMap, pullback_metric_jet
 from graphgeo.scenarios import get
 from graphgeo.theorem_gate import GridSweep, spawned_normals, sweep_geometry
 
-#: around the sweep's block of 128 rows, and the single point
+#: around a power of two, and the single point
 BLOCK_ROWS = [1, 2, 127, 128, 129]
 
 
@@ -132,6 +132,8 @@ def test_pullback_jet_ignores_the_layout(block):
 
 @settings(max_examples=20, deadline=None)
 @given(block=blocks())
+# a rank-2 map from a 3-d domain whose zero singular value came out ~3e-8
+@example(block=(np.random.default_rng(1), 127, 3, 2))
 def test_second_fundamental_form_ignores_the_layout(block):
     rng, rows, m, n = block
     coords = rng.normal(size=(rows, m))
