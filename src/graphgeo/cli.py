@@ -328,10 +328,10 @@ def cmd_list(match: str | None) -> int:
 
 
 def cmd_report(cfg: RunConfig) -> int:
+    t0 = time.monotonic()
     scenario = _resolve_scenario(cfg)
     grid, box, shape = _grid_points(scenario, cfg)
     sigma = cfg.sigma if cfg.sigma is not None else scenario.sigma
-    t0 = time.monotonic()
 
     sweep = sweep_geometry(scenario.f, grid, seed=cfg.seed)
     gate_tol, id_tol = _split_tolerances(cfg)
@@ -340,8 +340,8 @@ def cmd_report(cfg: RunConfig) -> int:
                    seed=cfg.seed, sweep=sweep, hypotheses=hyp)
     identities = run_identity_suite(scenario, seed=cfg.seed, h=cfg.h, c=cfg.c,
                                     tolerances=id_tol)
-    elapsed = time.monotonic() - t0
 
+    t1 = time.monotonic()
     report = {
         "config": _config_echo(cfg, scenario, box, shape, sigma),
         "points": _point_table(sweep),
@@ -352,9 +352,11 @@ def cmd_report(cfg: RunConfig) -> int:
         "runtime_seconds": None,
     }
     _write_output(_encode(cfg, report, report), cfg)
+    t2 = time.monotonic()
     if cfg.output:
         print(f"report written to {cfg.output}", file=sys.stderr)
-    print(f"runtime: {elapsed:.2f}s", file=sys.stderr)
+    print(f"serialize: {t2 - t1:.2f}s", file=sys.stderr)
+    print(f"runtime: {t2 - t0:.2f}s", file=sys.stderr)
     return EXIT_OK
 
 

@@ -597,8 +597,14 @@ def extremum_derivative_probe(f: SmoothMap, grid: Array,
     if not len(grid):
         raise ValueError("empty probe grid")
     box = np.asarray(box, dtype=float)
-    blocks = list(graph_blocks(f, grid))
-    h_max = np.max([np.max(blk.ext.h_norm) for _, blk in blocks])
+    # keep only the columns the probe reduces, one block alive at a time
+    h_max, lam0_sq, tensors = [], [], []
+    for rows, blk in graph_blocks(f, grid):
+        h_max.append(np.max(blk.ext.h_norm))
+        lam0_sq.append(np.max(blk.frames.lambdas[:, -1] ** 2))
+        tensors.append((rows, blk.s, blk.g))
+        del blk
+    h_max = np.max(h_max)
     if np.isnan(h_max):
         return ExtremumProbeResult("fail", "mean curvature is NaN", None, np.nan,
                                    np.nan, np.nan, np.nan, lap_tol)
@@ -606,12 +612,11 @@ def extremum_derivative_probe(f: SmoothMap, grid: Array,
         raise PreconditionError("probe needs a minimal scenario")
 
     if c is None:
-        lam0_sq = float(np.max([np.max(blk.frames.lambdas[:, -1] ** 2)
-                                for _, blk in blocks]))
+        lam0_sq = float(np.max(lam0_sq))
         c = lam0_sq if lam0_sq > 1e-12 else 1.0
 
-    top = np.concatenate([sym_eigen(shift_deficit(blk.s, blk.g, c), blk.g)[0][:, -1]
-                          for _, blk in blocks])
+    top = np.concatenate([sym_eigen(shift_deficit(s, g, c), g)[0][:, -1]
+                          for _, s, g in tensors])
     best = float(top.max())
     near = np.nonzero(top >= best - 1e-12 * (1.0 + abs(best)))[0]
 
@@ -619,8 +624,9 @@ def extremum_derivative_probe(f: SmoothMap, grid: Array,
         return float(np.min(np.minimum(x - box[:, 0], box[:, 1] - x)))
 
     idx = max(near, key=lambda i: boundary_distance(grid[i]))
-    rows, blk = next((rows, blk) for rows, blk in blocks if idx < rows.stop)
-    d = PointData(blk, idx - rows.start)
+    # the block that holds idx, rebuilt from the same rows: the same bits
+    rows = next(rows for rows, _, _ in tensors if idx < rows.stop)
+    d = PointData(graph_block(f, grid[rows]), idx - rows.start)
     spacing = float(np.max((box[:, 1] - box[:, 0])
                            / (max(len(grid), 2) ** (1.0 / box.shape[0]))))
     if grad_tol is None:

@@ -176,3 +176,24 @@ def test_multi_block_sweep_memory_is_bounded_by_the_budget(name, shape):
     columns = sum(getattr(sweep, c).nbytes for c in GridSweep.__dataclass_fields__)
     samples = len(grid) * 4 * 2 * sc.domain.dim * 8
     assert peak - 2 * columns - samples < 12 * extrinsic.BLOCK_BUDGET * 8, peak
+
+
+@pytest.mark.parametrize("name,shape", [("holo-w2", (60, 60)),
+                                        ("identity-s3", (12, 12, 12))])
+def test_extremum_probe_memory_is_bounded_by_the_budget(name, shape):
+    sc = get(name)
+    grid = sc.grid_points(shape)
+    m = sc.domain.dim
+    assert len(block_bounds(len(grid), m, sc.target.dim)) > 3
+    extremum_derivative_probe(sc.f, grid[:9], sc.sample_box)   # one-time allocations
+    tracemalloc.start()
+    try:
+        extremum_derivative_probe(sc.f, grid, sc.sample_box)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the probe keeps s, g and the top eigenvalue per point; besides them it
+    # holds one block at a time: 5-8 times the budget's bytes here, where
+    # holding every block read 27 and 39
+    columns = len(grid) * (2 * m * m + 1) * 8
+    assert peak - columns < 12 * extrinsic.BLOCK_BUDGET * 8, peak

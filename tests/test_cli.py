@@ -1,4 +1,5 @@
 import json
+import time
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from graphgeo import scenarios as scen
 from graphgeo.cli import _point_table, main
 from graphgeo.identities import DEFAULT_IDENTITY_TOLERANCES
 from graphgeo.theorem_gate import DEFAULT_TOLERANCES, GridSweep
-from graphgeo.reporting import _csv_cell, canonical_json, report_to_csv
+from graphgeo.reporting import Table, _csv_cell, canonical_json, report_to_csv
 
 
 def run(argv):
@@ -110,6 +111,35 @@ def test_report_byte_determinism(tmp_path, capsys):
          "--output", str(b)])
     capsys.readouterr()
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_report_timing_lines_cover_serialization(tmp_path, capsys, monkeypatch):
+    # stderr times the whole command and its serialization; the artifact
+    # carries no timing
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    argv = ["report", "--scenario", "holo-w2", "--grid", "5x5", "--seed", "7"]
+    assert run([*argv, "--output", str(a)]) == 0
+    capsys.readouterr()
+
+    encode = cli._encode
+
+    def slow_encode(*args):
+        time.sleep(0.2)
+        return encode(*args)
+
+    monkeypatch.setattr(cli, "_encode", slow_encode)
+    assert run([*argv, "--output", str(b)]) == 0
+    lines = capsys.readouterr().err.splitlines()
+    seconds = {}
+    for line in lines[1:]:
+        label, value = line.split(": ")
+        assert value.endswith("s")
+        seconds[label] = float(value[:-1])
+    assert lines[0] == f"report written to {b}"
+    assert list(seconds) == ["serialize", "runtime"]
+    assert 0.2 <= seconds["serialize"] <= seconds["runtime"]
+    assert a.read_bytes() == b.read_bytes()
+    assert json.loads(b.read_text())["runtime_seconds"] is None
 
 
 def test_report_threads_do_not_change_results(tmp_path, capsys):
@@ -526,6 +556,90 @@ def test_point_table_serializes_as_point_records(data, rows, m):
     assert (canonical_json({"config": {}, "points": table, "runtime_seconds": None})
             == canonical_json({"config": {}, "points": records, "runtime_seconds": None}))
     assert report_to_csv({"points": table}) == report_to_csv({"points": records})
+
+
+# Tables whose columns are not all floats: each kind of column with the
+# Python value of its row ``i``, the form its record must serialize to.
+def column_kinds(data, rows):
+    def floats(*shape):
+        size = int(np.prod(shape))
+        values = data.draw(st.lists(any_float, min_size=size, max_size=size))
+        return np.array(values, dtype=float).reshape(shape)
+
+    width = data.draw(st.integers(0, 3))
+    ints = data.draw(st.lists(st.integers(-10 ** 20, 10 ** 20), min_size=rows,
+                              max_size=rows))
+    texts = data.draw(st.lists(st.text(alphabet='ab,%"\n', max_size=3),
+                               min_size=rows, max_size=rows))
+    nested = data.draw(st.lists(st.lists(st.lists(any_float, max_size=2), max_size=2),
+                                min_size=rows, max_size=rows))
+    mixed = data.draw(st.lists(st.one_of(st.none(), any_float), min_size=rows,
+                               max_size=rows))
+    f1, f2 = floats(rows), floats(rows, width)
+    return {
+        "float": (f1, lambda i: float(f1[i])),
+        "rows": (f2, lambda i: [float(v) for v in f2[i]]),
+        "int": (np.array(ints, dtype=object) if data.draw(st.booleans()) else ints,
+                lambda i: ints[i]),
+        "small-int": (np.arange(rows), lambda i: i),
+        "str": (texts, lambda i: texts[i]),
+        "nested": (nested, lambda i: nested[i]),
+        "mixed": (np.array(mixed, dtype=object) if data.draw(st.booleans()) else mixed,
+                  lambda i: mixed[i]),
+    }
+
+
+def assert_table_serializes_as_records(table, records):
+    assert canonical_json(table) == canonical_json(records)
+    assert (canonical_json({"config": {}, "points": table, "runtime_seconds": None})
+            == canonical_json({"config": {}, "points": records, "runtime_seconds": None}))
+    assert report_to_csv({"points": table}) == report_to_csv({"points": records})
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data(), rows=st.one_of(st.sampled_from([0, 1]), st.integers(0, 6)))
+def test_any_table_serializes_as_its_records(data, rows):
+    kinds = column_kinds(data, rows)
+    chosen = data.draw(st.lists(st.sampled_from(sorted(kinds)), min_size=1,
+                                max_size=4, unique=True))
+    keys = data.draw(st.lists(st.text(alphabet='k%,"', min_size=1, max_size=3),
+                              min_size=len(chosen), max_size=len(chosen), unique=True))
+    table = Table({key: kinds[kind][0] for key, kind in zip(keys, chosen)})
+    records = [{key: kinds[kind][1](i) for key, kind in zip(keys, chosen)}
+               for i in range(rows)]
+    assert_table_serializes_as_records(table, records)
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("columns,records", [
+    # one row
+    ({"x": np.array([[0.1, -0.0]]), "t": np.array([np.inf]),
+      "n%s": np.array([None], dtype=object)},
+     [{"x": [0.1, -0.0], "t": np.inf, "n%s": None}]),
+    # every row null in one column: the constant maps' sec_n_max
+    ({"x": np.array([[1.0], [2.0], [3.0]]), "t": np.array([1 / 3, 5e-324, 1e17]),
+      "n": np.array([None, None, None], dtype=object)},
+     [{"x": [1.0], "t": 1 / 3, "n": None}, {"x": [2.0], "t": 5e-324, "n": None},
+      {"x": [3.0], "t": 1e17, "n": None}]),
+    # None, NaN and a number in one column, an empty row in another
+    ({"e": np.zeros((3, 0)), "n": [None, NAN, 2.5]},
+     [{"e": [], "n": None}, {"e": [], "n": NAN}, {"e": [], "n": 2.5}]),
+])
+def test_table_examples_serialize_as_their_records(columns, records):
+    assert_table_serializes_as_records(Table(columns), records)
+
+
+def test_one_row_table_text():
+    table = Table({"x": np.array([[0.5, np.nan]]), "n": np.array([None], dtype=object),
+                   "t": np.array([-0.0])})
+    assert canonical_json({"points": table}) == (
+        '{\n  "points": [\n    {\n      "x": [\n        0.5,\n        null\n      ],\n'
+        '      "n": null,\n      "t": -0\n    }\n  ]\n}')
+    assert report_to_csv({"points": table}) == (
+        "section,name,field,value\npoint,0,x_0,0.5\npoint,0,x_1,null\n"
+        "point,0,n,\npoint,0,t,-0\nruntime,,runtime_seconds,\n")
 
 
 nested_values = st.recursive(
