@@ -20,10 +20,12 @@ serialized as null.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -134,6 +136,7 @@ def _parse_tol(text: str) -> tuple[str, float]:
     return name, float(value)
 
 
+@functools.cache     # built once per process; each parse fills a new namespace
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="graphgeo",
@@ -327,8 +330,16 @@ def cmd_list(match: str | None) -> int:
     return EXIT_OK
 
 
-def cmd_report(cfg: RunConfig) -> int:
+@contextmanager
+def _stage(name: str):
+    """Print the wall time of the block to stderr as ``name: X.XXs`` once
+    it has run; a block that raises prints nothing."""
     t0 = time.monotonic()
+    yield
+    print(f"{name}: {time.monotonic() - t0:.2f}s", file=sys.stderr)
+
+
+def cmd_report(cfg: RunConfig) -> int:
     scenario = _resolve_scenario(cfg)
     grid, box, shape = _grid_points(scenario, cfg)
     sigma = cfg.sigma if cfg.sigma is not None else scenario.sigma
@@ -341,34 +352,29 @@ def cmd_report(cfg: RunConfig) -> int:
     identities = run_identity_suite(scenario, seed=cfg.seed, h=cfg.h, c=cfg.c,
                                     tolerances=id_tol)
 
-    t1 = time.monotonic()
-    report = {
-        "config": _config_echo(cfg, scenario, box, shape, sigma),
-        "points": _point_table(sweep),
-        "identities": _identity_records(identities),
-        "hypotheses": _hypotheses_record(hyp),
-        "classification": _classification_record(cls),
-        # kept out of the deterministic artifact; see module docstring
-        "runtime_seconds": None,
-    }
-    _write_output(_encode(cfg, report, report), cfg)
-    t2 = time.monotonic()
-    if cfg.output:
-        print(f"report written to {cfg.output}", file=sys.stderr)
-    print(f"serialize: {t2 - t1:.2f}s", file=sys.stderr)
-    print(f"runtime: {t2 - t0:.2f}s", file=sys.stderr)
+    with _stage("serialize"):
+        report = {
+            "config": _config_echo(cfg, scenario, box, shape, sigma),
+            "points": _point_table(sweep),
+            "identities": _identity_records(identities),
+            "hypotheses": _hypotheses_record(hyp),
+            "classification": _classification_record(cls),
+            # kept out of the deterministic artifact; see module docstring
+            "runtime_seconds": None,
+        }
+        _write_output(_encode(cfg, report, report), cfg)
+        if cfg.output:
+            print(f"report written to {cfg.output}", file=sys.stderr)
     return EXIT_OK
 
 
 def cmd_verify(cfg: RunConfig) -> int:
     scenario = _resolve_scenario(cfg)
     _, id_tol = _split_tolerances(cfg)
-    t0 = time.monotonic()
     reports = run_identity_suite(scenario, seed=cfg.seed, h=cfg.h, c=cfg.c,
                                  tolerances=id_tol)
     for r in reports:
         print(r.line())
-    print(f"runtime: {time.monotonic() - t0:.2f}s", file=sys.stderr)
     if cfg.output:
         records = _identity_records(reports)
         text = _encode(cfg, {"scenario": scenario.name, "identities": records},
@@ -408,13 +414,11 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "list":
             return cmd_list(args.match)
         cfg = _load_config(args)
-        if args.command == "report":
-            return cmd_report(cfg)
-        if args.command == "verify-identities":
-            return cmd_verify(cfg)
-        if args.command == "check-theorem":
-            return cmd_check_theorem(cfg)
-        parser.error(f"unknown command {args.command!r}")
+        command = {"report": cmd_report, "verify-identities": cmd_verify,
+                   "check-theorem": cmd_check_theorem}[args.command]
+        # every command's stderr ends with its wall time, artifact written
+        with _stage("runtime"):
+            return command(cfg)
     except UnknownScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -148,6 +148,11 @@ class GraphBlock:
     f: SmoothMap
     jets: GraphJets
 
+    coords = property(lambda self: self.jets.coords)
+    d1 = property(lambda self: self.jets.f.d1)
+    gm = property(lambda self: self.jets.gm.g)
+    gn = property(lambda self: self.jets.gn.g)
+
     @cached_property
     def pullback(self) -> tuple:
         """Pullback metric ``f*(g_N)`` with its first chart derivatives."""

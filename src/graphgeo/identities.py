@@ -6,31 +6,23 @@ slack).  The frame used for the frame-traced decompositions is always the
 adapted frame, which diagonalizes both the domain metric and the pullback
 metric; the curvature-to-sectional reductions are only valid there.
 
-Every operation reads one point of a :class:`GraphBlock` through
-:class:`PointData` (a block of one: :func:`point_rows`) and evaluates the
-vectors and tensors it probes there as stacks.  Finite-difference stencils
-and parallel-field probes evaluate their neighbouring points as one block.
+Every operation evaluates a stack of rows of a :class:`GraphBlock`
+(:class:`PointData`; a point is the stack ``rows=[i]``) in one call, one
+value per row, each with the bits of a single-point evaluation.  The
+stencils and parallel-field probes of all rows are one block each.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import combinations
 
 import numpy as np
 
-from .chart_manifold import (ChartPoint, curvature_form, matvec, powers,
-                             quadratic_form, sym_eigen)
+from .chart_manifold import curvature_form, matvec, powers, quadratic_form, sym_eigen
 from .errors import InvalidParameterError, PreconditionError
-from .extrinsic import (
-    MINIMAL_TOL,
-    ExtrinsicData,
-    GraphBlock,
-    graph_block,
-    graph_blocks,
-)
-from .graph_map import GraphFrameData, SmoothMap, frame_residual_block, shift_deficit
+from .extrinsic import MINIMAL_TOL, GraphBlock, graph_block, graph_blocks
+from .graph_map import SmoothMap, frame_residual_block, shift_deficit
 from .product_space import product_form
 
 Array = np.ndarray
@@ -41,173 +33,203 @@ PARALLEL_TOL = 1e-10
 
 
 # ---------------------------------------------------------------------------
-# One point of a block
+# Rows of a block
 # ---------------------------------------------------------------------------
 
-class PointData:
-    """Point ``i`` of a :class:`GraphBlock`, as the identity checks read it.
+def _rows(a: Array, rows: Array) -> Array:
+    """Rows ``rows`` of a block column, rows outermost in memory and each
+    row's components laid out as in a row view of the block: einsum's
+    summation order and matmul's choice of BLAS follow the strides."""
+    row = a[0]
+    if row.flags.c_contiguous:
+        return a[rows]
+    order = sorted(range(row.ndim), key=lambda i: (row.strides[i], i), reverse=True)
+    buf = np.empty((len(rows), *[row.shape[i] for i in order], 2), dtype=a.dtype)
+    out = buf[..., 0].transpose(0, *[1 + order.index(i) for i in range(row.ndim)])
+    out[...] = a[rows]
+    return out
 
-    ``d.x`` is row ``i`` of the block's column ``x`` (``g``, ``s``,
-    ``trace_s``, ``ginv``, ``gamma_g``, ``dgamma_g``, ``riem_m``,
-    ``riem_n``, ``ric_m``, ``ric_g_op``); the block computes each column
-    once for all its points.  Reading a row evaluates no jet.
+
+def _expand(a: Array, k: int) -> Array:
+    """A per-row array with ``k`` unit axes after the row axis."""
+    return a.reshape(a.shape[0], *(1,) * k, *a.shape[1:])
+
+
+class PointData:
+    """Rows ``rows`` of a :class:`GraphBlock`, as the identity checks read them.
+
+    ``d.x`` stacks the rows of the block's column ``x`` (``g``, ``s``,
+    ``trace_s``, ``ginv``, ``gamma_g``, ``dgamma_g``, ``riem_m``, ``riem_n``,
+    ``ric_m``, ``ric_g_op``, ``coords``, ``d1``, ``gm``, ``gn``), of its
+    adapted frames (``lambdas``, ``rank``, ``e``, ``normal``) or of its
+    second fundamental form (``a_frame``, ``a_coord``, ``a_norm_sq``,
+    ``h_norm``).  The block computes each column once for all its points.
     """
 
-    def __init__(self, blk: GraphBlock, i: int):
-        self.blk, self.i, self.f = blk, i, blk.f
-        self.p = ChartPoint(blk.jets.coords[i])
+    def __init__(self, blk: GraphBlock, rows):
+        self.blk, self.f = blk, blk.f
+        self.rows = np.asarray(rows, dtype=np.intp).reshape(-1)
         self.m, self.n = self.f.domain.dim, self.f.target.dim
-        self.d1 = blk.jets.f.d1[i]
-        self.gm, self.gn = blk.jets.gm.g[i], blk.jets.gn.g[i]
+
+    def __len__(self) -> int:
+        return len(self.rows)
 
     def __getattr__(self, name: str):
         if name.startswith("_"):
             raise AttributeError(name)
-        return getattr(self.blk, name)[self.i]
+        blk = self.blk
+        record = (blk if hasattr(blk, name) else blk.frames if hasattr(blk.frames, name)
+                  else blk.ext)
+        self.__dict__[name] = value = _rows(getattr(record, name), self.rows)
+        return value
 
-    @cached_property
-    def frames(self) -> GraphFrameData:
-        return self.blk.frames.point(self.i)
-
-    @cached_property
-    def ext(self) -> ExtrinsicData:
-        return self.blk.ext.point(self.i)
+    def take(self, which) -> "PointData":
+        """The rows ``which`` of this stack."""
+        return PointData(self.blk, self.rows[which])
 
     def shifted_s(self, c: float) -> Array:
         return shift_deficit(self.s, self.g, c)
 
     def shifted_jet(self, c: float) -> tuple[Array, Array]:
         """Value and exact first chart derivatives of the shifted tensor field."""
-        return tuple(x[self.i] for x in self.blk.shifted_jet(c))
+        return tuple(_rows(x, self.rows) for x in self.blk.shifted_jet(c))
+
+
+def point_rows(f: SmoothMap, points) -> PointData:
+    """The points (chart points or coordinate rows) as the rows of one block."""
+    coords = np.array([getattr(p, "coords", p) for p in points], dtype=float)
+    return PointData(graph_block(f, coords), np.arange(len(coords)))
 
 
 def _curvatures(d: PointData, u: Array, v: Array, w: Array, z: Array) -> tuple:
-    """``R_N(df u, df v, df w, df z)`` and ``R_M(u, v, w, z)`` on stacks."""
-    pushed = (matvec(d.d1, x) for x in (u, v, w, z))
-    return curvature_form(d.riem_n, *pushed), curvature_form(d.riem_m, u, v, w, z)
+    """``R_N(df u, df v, df w, df z)`` and ``R_M(u, v, w, z)`` on stacks of
+    vectors whose first axis is the row."""
+    d1, riem_n, riem_m = (_expand(x, u.ndim - 2) for x in (d.d1, d.riem_n, d.riem_m))
+    pushed = (matvec(d1, x) for x in (u, v, w, z))
+    return curvature_form(riem_n, *pushed), curvature_form(riem_m, u, v, w, z)
 
 
-def point_rows(f: SmoothMap, points: list[ChartPoint]) -> list[PointData]:
-    """The points as the rows of one :class:`GraphBlock`."""
-    blk = graph_block(f, np.array([p.coords for p in points]))
-    return [PointData(blk, i) for i in range(len(points))]
+def _require_minimal(d: PointData, minimal_tol: float) -> None:
+    bad = np.flatnonzero(d.h_norm >= minimal_tol)
+    if len(bad):
+        raise PreconditionError(f"map is not minimal at {d.coords[bad[0]]} "
+                                f"(|H| = {d.h_norm[bad[0]]:.3e})")
 
 
 # ---------------------------------------------------------------------------
 # Normal estimate for the split-signature form
 # ---------------------------------------------------------------------------
 
-def normal_estimate_check(d: PointData, c: float,
-                          rng: np.random.Generator | None = None,
-                          n_mixtures: int = 20) -> float:
-    """Worst slack of the normal-cone estimate at ``d.p``.
-
-    For every adapted normal frame vector, ``n_mixtures`` random normal
-    combinations, and the second-fundamental-form vectors ``A(e_i, e_j)``,
-    evaluates::
-
-        slack = ((c-1)/(1+c)) |eta|^2 - s_prod(eta, eta)
-
-    which must be non-negative whenever ``c >= lambda_max^2``.  Returns the
-    minimum slack (negative means the estimate failed; NaN if any slack is
-    NaN).
+def normal_estimate_check(d: PointData, c, rng: np.random.Generator | None = None,
+                          n_mixtures: int = 20) -> Array:
+    """Worst slack of the normal-cone estimate ``((c-1)/(1+c)) |eta|^2 -
+    s_prod(eta, eta) >= 0`` (for ``c >= lambda_max^2``) over the adapted
+    normal frame vectors, ``n_mixtures`` random normal combinations (drawn
+    row by row, shift by shift) and the vectors ``A(e_i, e_j)``.  The shift
+    ``c`` is shared or per row (first axis; further axes: more shifts); the
+    result has its shape, and is NaN where a slack is.
     """
-    lam_max_sq = float(d.frames.lambdas[-1] ** 2)
-    if c < lam_max_sq - 1e-12 * (1.0 + lam_max_sq):
-        raise PreconditionError(
-            f"estimate needs c >= lambda_max^2 = {lam_max_sq:.6g}, got {c:.6g}")
+    c = np.asarray(c, dtype=float)
+    c = np.full(len(d), c) if c.ndim == 0 else c
+    k = c.ndim
+    lam_max_sq = _expand(d.lambdas[:, -1] ** 2, k - 1)
+    if np.any(c < lam_max_sq - 1e-12 * (1.0 + lam_max_sq)):
+        raise PreconditionError(f"estimate needs c >= lambda_max^2 = "
+                                f"{np.max(lam_max_sq):.6g}, got {np.min(c):.6g}")
     rng = rng or np.random.default_rng(0)
     bound = (c - 1.0) / (1.0 + c)
 
     # the normal frame vectors, random mixtures of them (summed column by
-    # column) and the vectors A(e_i, e_j), as rows of one stack
-    xi = np.swapaxes(d.frames.normal, -1, -2)
-    coeff = rng.normal(size=(n_mixtures, d.n))
-    mixtures = sum(coeff[:, i, None] * xi[i] for i in range(d.n))
-    eta = np.concatenate([xi, mixtures, d.ext.a_frame.reshape(d.m * d.m, -1)])
-    slacks = (bound * product_form(d.gm, d.gn, eta, eta)
-              - product_form(d.gm, -d.gn, eta, eta))
-    return float(np.min(slacks))
+    # column) and the vectors A(e_i, e_j), as rows of one stack per shift
+    xi = _expand(np.swapaxes(d.normal, -1, -2), k - 1)
+    coeff = rng.normal(size=(*c.shape, n_mixtures, d.n))
+    mixtures = sum(coeff[..., i, None] * xi[..., i, None, :] for i in range(d.n))
+    a = _expand(d.a_frame.reshape(len(d), d.m * d.m, -1), k - 1)
+    eta = np.concatenate([np.broadcast_to(x, (*c.shape, *x.shape[k:]))
+                          for x in (xi, mixtures, a)], axis=-2)
+    gm, gn = (_expand(x, k) for x in (d.gm, d.gn))
+    slacks = (bound[..., None] * product_form(gm, gn, eta, eta)
+              - product_form(gm, -gn, eta, eta))
+    return np.min(slacks, axis=-1)
 
 
 # ---------------------------------------------------------------------------
 # Decompositions of the frame-traced curvature sum
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class _FrameTerms:
-    """Frame-diagonal pieces of the curvature sum in direction ``e_l``."""
-
-    lhs: float            # 2 sum_k (R_N(df e_k, df e_l, ..) - c R_M(e_k, e_l, ..))
-    sec_n_sum: float      # sum_{k != l} (sigma - sec_N) |df e_k|^2 |df e_l|^2
-    grouped_sum: float    # the same plus sigma phi_ll |df e_k|^2 under the sum
-    term2: float          # -c g_M(e_l, e_l) sum_{k != l} phi_kk (sec_M - sigma)
-    term3: float          # the Ricci term of the domain
-    s_ll: float
-    phi_ll: float
-    tr_s: float
-    tr_phi: float
-    nu: float
+def _running_sum(x: Array, keep: Array) -> Array:
+    """Python's ``sum`` of the entries ``keep`` selects on the last axis."""
+    total = np.zeros(x.shape[:-1])
+    for k in range(x.shape[-1]):
+        total = total + np.where(keep[..., k], x[..., k], 0.0)
+    return total
 
 
-def _frame_terms(d: PointData, c: float, sigma: float, l: int) -> _FrameTerms:
-    """The pieces shared by the decompositions and the maximum-point terms.
+def _frame_terms(d: PointData, c, sigma, l) -> tuple:
+    """Per-row pieces of the curvature sum in direction ``e_l`` (``c``,
+    ``sigma``, ``l`` per row or shared), valid in the adapted frame only:
 
-    Valid in the adapted frame only: the reduction of the pulled-back
-    curvature to sectional values uses that the frame diagonalizes the
-    pullback metric.
+    * ``lhs = 2 sum_k (R_N(df e_k, df e_l, ..) - c R_M(e_k, e_l, ..))``;
+    * ``sec_n_sum = sum_{k != l} (sigma - sec_N) |df e_k|^2 |df e_l|^2``;
+    * ``grouped_sum``, the same plus ``sigma phi_ll |df e_k|^2`` under it;
+    * ``term2 = -c g_M(e_l, e_l) sum_{k != l} phi_kk (sec_M - sigma)``;
+    * ``term3``, the Ricci term of the domain; ``s_ll``, ``phi_ll``,
+      ``tr_s``, ``tr_phi`` and ``nu``.
     """
-    m = d.m
-    e = d.frames.e
-    df_e = d.d1 @ e                      # df_e[:, k] = df(e_k)
+    m, at = d.m, np.arange(len(d))
+    c, sigma, l = (np.broadcast_to(x, (len(d),)) for x in (c, sigma, l))
+    e = d.e
+    e_t = np.swapaxes(e, -1, -2)
+    df_e = d.d1 @ e                      # df_e[:, :, k] = df(e_k)
     nu = (1.0 - c) / (1.0 + c)
 
-    gm_ee = e.T @ d.gm @ e               # domain metric on the frame
-    fgn_ee = df_e.T @ d.gn @ df_e        # pullback metric on the frame
-    s_ee = np.diag(gm_ee) - np.diag(fgn_ee)
-    phi_ee = s_ee - nu
+    gm_ee = e_t @ d.gm @ e               # domain metric on the frame
+    fgn_ee = np.swapaxes(df_e, -1, -2) @ d.gn @ df_e    # pullback metric on the frame
+    gm_kk, fgn_kk = (np.diagonal(x, axis1=-2, axis2=-1) for x in (gm_ee, fgn_ee))
+    gm_ll, fgn_ll = gm_kk[at, l], fgn_kk[at, l]
+    s_ee = gm_kk - fgn_kk
+    phi_ee = s_ee - nu[:, None]
+    phi_ll = phi_ee[at, l]
     tr_s = d.trace_s
 
-    fRN, RM = _curvatures(d, e.T, e[:, l], e.T, e[:, l])
+    e_l = e[at, :, l][:, None]
+    fRN, RM = _curvatures(d, e_t, e_l, e_t, e_l)
 
-    others = np.arange(m) != l          # the sums run over k != l, in order
+    others = np.arange(m) != l[:, None]  # the sums run over k != l, in order
     # (sigma - sec_N) f*g_N(e_k,e_k) f*g_N(e_l,e_l), written through the
     # curvature value to stay finite when df(e_k) or df(e_l) vanishes
-    sec_n_excess = (sigma * np.diag(fgn_ee) * fgn_ee[l, l] - fRN)[others]
+    sec_n_excess = sigma[:, None] * fgn_kk * fgn_ll[:, None] - fRN
     # sec_M(e_k ^ e_l) is always defined: the frame vectors are independent
-    area_m = np.diag(gm_ee) * gm_ee[l, l] - powers(gm_ee[:, l], 2)
-    sec_m = RM[others] / area_m[others]
-    ric_m_ll = float(e[:, l] @ d.ric_m @ e[:, l])
+    area_m = (gm_kk * gm_ll[:, None]
+              - powers(gm_ee[at, :, l].ravel(), 2).reshape(len(d), m))
+    sec_m = RM / np.where(others, area_m, 1.0)
+    ric_m_ll = (e_l @ d.ric_m @ np.swapaxes(e_l, -1, -2))[:, 0, 0]
 
-    return _FrameTerms(
-        lhs=2.0 * float(np.sum(fRN - c * RM)),
-        sec_n_sum=sum(sec_n_excess),
-        grouped_sum=sum(sec_n_excess + sigma * phi_ee[l] * np.diag(fgn_ee)[others]),
-        term2=-c * gm_ee[l, l] * sum(phi_ee[others] * (sec_m - sigma)),
-        term3=-(2.0 * c / (1.0 + c)) * (ric_m_ll - (m - 1) * sigma * gm_ee[l, l]),
-        s_ll=s_ee[l], phi_ll=phi_ee[l], tr_s=tr_s, tr_phi=tr_s - m * nu, nu=nu)
+    return (2.0 * np.sum(fRN - c[:, None] * RM, axis=-1),
+            _running_sum(sec_n_excess, others),
+            _running_sum(sec_n_excess + sigma[:, None] * phi_ll[:, None] * fgn_kk, others),
+            -c * gm_ll * _running_sum(phi_ee * (sec_m - sigma[:, None]), others),
+            -(2.0 * c / (1.0 + c)) * (ric_m_ll - (m - 1) * sigma * gm_ll),
+            s_ee[at, l], phi_ll, tr_s, tr_s - m * nu, nu)
 
 
-def decomposition_sides(d: PointData, c: float, sigma: float,
-                        l: int) -> tuple[float, float, float]:
-    """Left side and both decomposed right sides of the curvature-sum identity:
-    the grouped five-term form and the trace-isolating seven-term form.
-
-    Their differences are the decomposition residuals; the difference of the
-    two right sides is a purely algebraic rearrangement.
-    """
-    if c <= 0.0:
+def decomposition_sides(d: PointData, c, sigma, l) -> tuple[Array, Array, Array]:
+    """Left side and both decomposed right sides (grouped five-term and
+    trace-isolating seven-term forms) of the curvature-sum identity at each
+    row, for ``c``, ``sigma`` and ``l`` per row or shared; the two right
+    sides differ by a purely algebraic rearrangement."""
+    if np.any(np.asarray(c) <= 0.0):
         raise InvalidParameterError(f"decomposition needs c > 0, got {c}")
-    t = _frame_terms(d, c, sigma, l)
-    m = d.m
-    rhs_grouped = (-2.0 * t.grouped_sum + t.term2 + t.term3
-                   - (2.0 * sigma * c / (1.0 + c)) * (t.tr_s - t.s_ll)
-                   - (sigma * (1.0 + c) / 2.0) * t.phi_ll * (t.tr_phi - t.phi_ll))
-    rhs_traced = (-2.0 * t.sec_n_sum + t.term2 + t.term3
-                  - (2.0 * c * sigma / (1.0 + c)) * t.tr_s
-                  + (sigma * (1.0 - c) / 2.0) * t.phi_ll * (t.tr_phi - t.phi_ll)
-                  - (2.0 * c * sigma / (1.0 + c)) * ((m - 2) * t.phi_ll - t.nu))
-    return t.lhs, rhs_grouped, rhs_traced
+    (lhs, sec_n_sum, grouped_sum, term2, term3,
+     s_ll, phi_ll, tr_s, tr_phi, nu) = _frame_terms(d, c, sigma, l)
+    rhs_grouped = (-2.0 * grouped_sum + term2 + term3
+                   - (2.0 * sigma * c / (1.0 + c)) * (tr_s - s_ll)
+                   - (sigma * (1.0 + c) / 2.0) * phi_ll * (tr_phi - phi_ll))
+    rhs_traced = (-2.0 * sec_n_sum + term2 + term3
+                  - (2.0 * c * sigma / (1.0 + c)) * tr_s
+                  + (sigma * (1.0 - c) / 2.0) * phi_ll * (tr_phi - phi_ll)
+                  - (2.0 * c * sigma / (1.0 + c)) * ((d.m - 2) * phi_ll - nu))
+    return lhs, rhs_grouped, rhs_traced
 
 
 # ---------------------------------------------------------------------------
@@ -215,39 +237,40 @@ def decomposition_sides(d: PointData, c: float, sigma: float,
 # ---------------------------------------------------------------------------
 
 def reaction_term_apply(d: PointData, c: float, theta: Array, v: Array,
-                        w: Array) -> float | Array:
+                        w: Array) -> Array:
     """Value of the fiberwise reaction term on ``theta`` at ``(v, w)``.
 
     ``theta`` is a symmetric 2-tensor in chart components; ``v``, ``w`` are
     chart vectors.  The Ricci operator is the one of the induced metric.
-    Broadcasts over leading axes of ``theta``, ``v`` and ``w``: one value per
-    element of the stack, each rounded as a single evaluation is.
+    Their first axis is the row of ``d``, and they broadcast over further
+    leading axes: one value per element, rounded as a single evaluation is.
     """
     if c <= -1.0:
         raise InvalidParameterError(f"reaction term needs c > -1, got {c}")
-    theta = np.asarray(theta, dtype=float)
-    v = np.asarray(v, dtype=float)
-    w = np.asarray(w, dtype=float)
+    theta, v, w = (np.asarray(x, dtype=float) for x in (theta, v, w))
+    k = v.ndim - 2
 
-    ric_v = matvec(d.ric_g_op, v)
-    ric_w = matvec(d.ric_g_op, w)
+    ric_g_op = _expand(d.ric_g_op, k)
+    ric_v, ric_w = matvec(ric_g_op, v), matvec(ric_g_op, w)
     value = -quadratic_form(ric_v, theta, w) - quadratic_form(ric_w, theta, v)
 
-    e = d.frames.e
+    e = _expand(d.e, k)
     nu = (1.0 - c) / (1.0 + c)
-    a_v = np.einsum("ijc,ik,...j->...kc", d.ext.a_coord, e, v)    # A(e_k, v)
-    a_w = np.einsum("ijc,ik,...j->...kc", d.ext.a_coord, e, w)
+    a_coord = _expand(d.a_coord, k)
+    a_v = np.einsum("...ijc,...ik,...j->...kc", a_coord, e, v)    # A(e_k, v)
+    a_w = np.einsum("...ijc,...ik,...j->...kc", a_coord, e, w)
     # the shifted split form s_prod - ((1-c)/(1+c)) g_prod on each pair,
     # subtracted one at a time to keep the rounding of a running sum
-    for term in np.moveaxis(product_form(d.gm, -d.gn, a_v, a_w)
-                            - nu * product_form(d.gm, d.gn, a_v, a_w), -1, 0):
+    gm, gn = (_expand(x, k + 1) for x in (d.gm, d.gn))
+    for term in np.moveaxis(product_form(gm, -gn, a_v, a_w)
+                            - nu * product_form(gm, gn, a_v, a_w), -1, 0):
         value -= 2.0 * term
 
     # frame vector e_k on the last axis, summed over k as a running sum
-    fRN, RM = _curvatures(d, e.T, v[..., None, :], e.T, w[..., None, :])
-    curv = sum(np.moveaxis(fRN - c * RM, -1, 0))
-    value -= 4.0 / (1.0 + c) * curv
-    return float(value) if np.ndim(value) == 0 else value
+    e_t = np.swapaxes(e, -1, -2)
+    fRN, RM = _curvatures(d, e_t, v[..., None, :], e_t, w[..., None, :])
+    value -= 4.0 / (1.0 + c) * sum(np.moveaxis(fRN - c * RM, -1, 0))
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -266,22 +289,29 @@ def _stencil_steps(m: int) -> Array:
 
 
 def _stencil_block(d: PointData, step: float, count: int) -> GraphBlock:
-    """The first ``count`` stencil neighbours of ``d.p`` at ``step``, as one block."""
-    return graph_block(d.f, d.p.coords + step * _stencil_steps(d.m)[:count])
+    """Every row's first ``count`` stencil neighbours at ``step``, as one block."""
+    near = d.coords[:, None] + step * _stencil_steps(d.m)[:count]
+    return graph_block(d.f, near.reshape(-1, d.m))
+
+
+def _per_row(values: Array, count: int) -> Array:
+    """Stencil-block values as ``(row, count, ...)``, each row's neighbours
+    laid out as a block of their own."""
+    values = values.reshape(-1, count, *values.shape[1:])
+    return np.moveaxis(np.ascontiguousarray(np.moveaxis(values, 1, -1)), -1, 1)
 
 
 def _fd_partials(f0: Array, vals: Array, m: int, h: float) -> tuple[Array, Array]:
-    """Central first and second differences, over an ``m``-dimensional
-    chart, of a scalar or tensor field from its value ``f0`` at the point and
-    its values ``vals`` on the stencil of :func:`_stencil_steps` (leading
-    axis)."""
-    fp, fm = vals[0:2 * m:2], vals[1:2 * m:2]
+    """Central first and second differences of a scalar or tensor field per
+    row, from its value ``f0`` at the point and its values ``vals`` on the
+    stencil of :func:`_stencil_steps` (second axis)."""
+    fp, fm = vals[:, 0:2 * m:2], vals[:, 1:2 * m:2]
     du = (fp - fm) / (2.0 * h)
-    d2u = np.empty((m, m, *np.shape(f0)))
-    d2u[range(m), range(m)] = (fp - 2.0 * f0 + fm) / (h * h)
+    d2u = np.empty((len(f0), m, m, *np.shape(f0)[1:]))
+    d2u[:, range(m), range(m)] = (fp - 2.0 * _expand(f0, 1) + fm) / (h * h)
     for i, (k, l) in enumerate(combinations(range(m), 2)):
-        pp, pm, mp, mm = vals[2 * m + 4 * i:2 * m + 4 * i + 4]
-        d2u[k, l] = d2u[l, k] = (pp - pm - mp + mm) / (4.0 * h * h)
+        pp, pm, mp, mm = np.moveaxis(vals[:, 2 * m + 4 * i:2 * m + 4 * i + 4], 1, 0)
+        d2u[:, k, l] = d2u[:, l, k] = (pp - pm - mp + mm) / (4.0 * h * h)
     return du, d2u
 
 
@@ -293,94 +323,82 @@ def _covariant_derivative(phi: Array, dphi: Array, gamma: Array) -> Array:
 
 
 def rough_laplacian_fd(d: PointData, phi: Array, vals: Array, h: float) -> Array:
-    """Rough Laplacian at ``d.p`` of a symmetric 2-tensor field with value
-    ``phi`` there and values ``vals`` on the stencil at step ``h``.
-
-    Chart partials of the field come from central differences; the
-    connection corrections use the exact jet of the induced metric.
-    """
+    """Rough Laplacian at each row of a symmetric 2-tensor field with value
+    ``phi`` there and values ``vals`` on the row's stencil at step ``h``:
+    chart partials from central differences, connection corrections from
+    the exact jet of the induced metric."""
     gamma, dgamma = d.gamma_g, d.dgamma_g
     dphi, d2phi = _fd_partials(phi, vals, d.m, h)
 
     T = _covariant_derivative(phi, dphi, gamma)
     dT = (d2phi
-          - np.einsum("kpli,pj->klij", dgamma, phi)
-          - np.einsum("pli,kpj->klij", gamma, dphi)
-          - np.einsum("kplj,ip->klij", dgamma, phi)
-          - np.einsum("plj,kip->klij", gamma, dphi))
+          - np.einsum("...kpli,...pj->...klij", dgamma, phi)
+          - np.einsum("...pli,...kpj->...klij", gamma, dphi)
+          - np.einsum("...kplj,...ip->...klij", dgamma, phi)
+          - np.einsum("...plj,...kip->...klij", gamma, dphi))
     nabla2 = (dT
-              - np.einsum("pkl,pij->klij", gamma, T)
-              - np.einsum("pki,lpj->klij", gamma, T)
-              - np.einsum("pkj,lip->klij", gamma, T))
-    return np.einsum("kl,klij->ij", d.ginv, nabla2)
+              - np.einsum("...pkl,...pij->...klij", gamma, T)
+              - np.einsum("...pki,...lpj->...klij", gamma, T)
+              - np.einsum("...pkj,...lip->...klij", gamma, T))
+    return np.einsum("...kl,...klij->...ij", d.ginv, nabla2)
 
 
-def scalar_laplacian_fd(d: PointData, f0: float, vals: Array, h: float) -> float:
-    """Laplace-Beltrami value at ``d.p`` of a scalar field with value ``f0``
-    there and values ``vals`` on the stencil at step ``h`` (FD partials).
+def scalar_laplacian_fd(d: PointData, f0: Array, vals: Array, h: float) -> Array:
+    """Laplace-Beltrami value at each row of a scalar field with value ``f0``
+    there and values ``vals`` on the row's stencil at step ``h``.
 
     A field whose stencil values agree to roundoff is treated as constant
     (zero Laplacian): dividing pure cancellation noise by ``h^2`` would
     otherwise masquerade as a derivative.
     """
-    if np.max(np.abs(vals - f0)) < 5e-14 * (1.0 + abs(f0)):
-        return 0.0
+    constant = np.max(np.abs(vals - f0[:, None]), axis=1) < 5e-14 * (1.0 + np.abs(f0))
     du, d2u = _fd_partials(f0, vals, d.m, h)
-    hess = d2u - np.einsum("pkl,p->kl", d.gamma_g, du)
-    return float(np.einsum("kl,kl->", d.ginv, hess))
+    hess = d2u - np.einsum("...pkl,...p->...kl", d.gamma_g, du)
+    return np.where(constant, 0.0, np.einsum("...kl,...kl->...", d.ginv, hess))
 
 
 # ---------------------------------------------------------------------------
 # The elliptic equation for the shifted tensor
 # ---------------------------------------------------------------------------
 
-def _is_parallel_field(d: PointData, c: float, probe_step: float = 0.05) -> bool:
-    """Whether the shifted tensor field is covariantly parallel near ``d.p``.
-
-    The exact covariant derivative is evaluated at the point and at its axis
-    neighbours, one block: a vanishing derivative at the point alone would
-    also accept isolated critical points of a non-parallel field.
-    """
-    probes = _stencil_block(d, probe_step, 2 * d.m)
-    phi, dphi = (np.concatenate([at_p[None], near]) for at_p, near
-                 in zip(d.shifted_jet(c), probes.shifted_jet(c)))
-    gamma = np.concatenate([d.gamma_g[None], probes.gamma_g])
+def shifted_tensor_laplacian(d: PointData, c: float, h: float,
+                             probe_step: float = 0.05) -> Array:
+    """Rough Laplacian of the shifted tensor field at each row: zero where
+    the field is parallel (exact covariant derivative vanishing at the point
+    and at its axis neighbours at ``probe_step``, not at an isolated
+    critical point alone), else from one stencil block for those rows."""
+    count = 2 * d.m
+    probes = _stencil_block(d, probe_step, count)
+    phi, dphi, gamma = (
+        np.concatenate([_expand(at_p, 1), _per_row(near, count)], axis=1)
+        for at_p, near in zip((*d.shifted_jet(c), d.gamma_g),
+                              (*probes.shifted_jet(c), probes.gamma_g)))
     nabla = _covariant_derivative(phi, dphi, gamma)
-    return bool(np.all(np.abs(nabla).max(axis=(1, 2, 3))
-                       < PARALLEL_TOL * (1.0 + np.abs(phi).max(axis=(1, 2)))))
-
-
-def shifted_tensor_laplacian(d: PointData, c: float, h: float) -> Array:
-    """Rough Laplacian of the shifted tensor field at ``d.p``.
-
-    If the field is covariantly parallel (detected through its exact first
-    chart derivatives at the point and nearby), the Laplacian vanishes
-    identically and no finite differences are taken.
-    """
-    if _is_parallel_field(d, c):
-        return np.zeros_like(d.g)
-    stencil = _stencil_block(d, h, 2 * d.m * d.m)
-    return rough_laplacian_fd(d, d.shifted_s(c),
-                              shift_deficit(stencil.s, stencil.g, c), h)
+    rough = ~np.all(np.abs(nabla).max(axis=(2, 3, 4))
+                    < PARALLEL_TOL * (1.0 + np.abs(phi).max(axis=(2, 3))), axis=1)
+    lap = np.zeros((len(d), d.m, d.m))
+    if rough.any():
+        sub, count = d.take(rough), 2 * d.m * d.m
+        stencil = _stencil_block(sub, h, count)
+        vals = _per_row(shift_deficit(stencil.s, stencil.g, c), count)
+        lap[rough] = rough_laplacian_fd(sub, sub.shifted_s(c), vals, h)
+    return lap
 
 
 def elliptic_equation_residual(d: PointData, c: float, h: float = 1e-3,
-                               minimal_tol: float = MINIMAL_TOL) -> float:
-    """Residual of ``Lap(Phi) + Psi(Phi) = 0`` on the adapted frame at ``d.p``.
-
-    The equation in this homogeneous form holds for minimal maps only, so a
-    point with mean curvature above ``minimal_tol`` is rejected.
-    """
-    if d.ext.h_norm >= minimal_tol:
-        raise PreconditionError(
-            f"map is not minimal at {d.p.coords} (|H| = {d.ext.h_norm:.3e})")
+                               minimal_tol: float = MINIMAL_TOL) -> Array:
+    """Residual of ``Lap(Phi) + Psi(Phi) = 0`` on the adapted frame at each
+    row.  The equation in this homogeneous form holds for minimal maps only,
+    so a point with mean curvature above ``minimal_tol`` is rejected."""
+    _require_minimal(d, minimal_tol)
     lap = shifted_tensor_laplacian(d, c, h)
-    e = d.frames.e
+    e_t = np.swapaxes(d.e, -1, -2)
     i, j = np.triu_indices(d.m)
-    psi = np.empty((d.m, d.m))
-    psi[i, j] = psi[j, i] = reaction_term_apply(d, c, d.shifted_s(c), e.T[i], e.T[j])
-    lap_frame = e.T @ lap @ e
-    return float(np.abs(lap_frame + psi).max())
+    psi = np.empty((len(d), d.m, d.m))
+    psi[:, i, j] = psi[:, j, i] = reaction_term_apply(
+        d, c, _expand(d.shifted_s(c), 1), np.ascontiguousarray(e_t[:, i]),
+        np.ascontiguousarray(e_t[:, j]))
+    return np.abs(e_t @ lap @ d.e + psi).max(axis=(1, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -393,67 +411,57 @@ def projection_jacobian(gm: Array, g: Array) -> Array:
     return np.sqrt(np.linalg.det(gm) / np.linalg.det(g))
 
 
-def jacobian_consistency_2d(d: PointData) -> float:
+def jacobian_consistency_2d(d: PointData) -> Array:
     """Gap between the determinant form and the singular-value closed form."""
-    lam = d.frames.lambdas
-    closed = 1.0 / np.sqrt(float(np.prod(1.0 + lam ** 2)))
-    return abs(float(projection_jacobian(d.gm, d.g)) - closed)
+    closed = 1.0 / np.sqrt(np.prod(1.0 + d.lambdas ** 2, axis=-1))
+    return np.abs(projection_jacobian(d.gm, d.g) - closed)
 
 
 def _normal_components_2d(d: PointData) -> Array:
-    """``comp[gamma, i, j] = <A(e_i, e_j), xi_gamma>`` in the product metric."""
-    xi = np.swapaxes(d.frames.normal, -1, -2)
-    return product_form(d.gm, d.gn, d.ext.a_frame, xi[:, None, None])
+    """``comp[:, gamma, i, j] = <A(e_i, e_j), xi_gamma>`` in the product metric."""
+    xi = np.swapaxes(d.normal, -1, -2)
+    return product_form(_expand(d.gm, 3), _expand(d.gn, 3), _expand(d.a_frame, 1),
+                        xi[:, :, None, None])
 
 
-def minimality_relations_residual_2d(d: PointData) -> float:
-    """Residual of the trace relations between normal components of A.
-
-    Minimality forces ``A^g_11 = -A^g_22`` for both normal directions.
-    """
+def minimality_relations_residual_2d(d: PointData) -> Array:
+    """Residual of the trace relations between normal components of A:
+    minimality forces ``A^g_11 = -A^g_22`` for both normal directions."""
     comp = _normal_components_2d(d)
-    return float(np.max([abs(comp[1, 0, 0] + comp[1, 1, 1]),
-                         abs(comp[0, 1, 1] + comp[0, 0, 0])]))
+    return np.maximum(np.abs(comp[:, 1, 0, 0] + comp[:, 1, 1, 1]),
+                      np.abs(comp[:, 0, 1, 1] + comp[:, 0, 0, 0]))
 
 
 def log_jacobian_residual_2d(d: PointData, h: float = 1e-3,
-                             minimal_tol: float = MINIMAL_TOL) -> float:
-    """Residual of the two-dimensional equation for ``ln`` of the projection Jacobian.
-
-    Both dimensions must equal two and the map must be minimal at ``d.p``.
-    The left side is the Laplace-Beltrami value (induced metric, FD partials
-    of the pointwise-exact Jacobian field); the right side combines the
-    normal components of the second fundamental form with the sectional
-    curvatures of domain and target.
-    """
+                             minimal_tol: float = MINIMAL_TOL) -> Array:
+    """Residual at each row of the 2x2-dimensional equation for ``ln`` of the
+    projection Jacobian of a minimal map: the Laplace-Beltrami value (FD
+    partials of the exact Jacobian field) against the normal components of
+    the second fundamental form and the sectional curvatures."""
     if d.m != 2 or d.n != 2:
         raise PreconditionError("identity needs dim M = dim N = 2")
-    if d.ext.h_norm >= minimal_tol:
-        raise PreconditionError(
-            f"map is not minimal at {d.p.coords} (|H| = {d.ext.h_norm:.3e})")
+    _require_minimal(d, minimal_tol)
 
-    stencil = _stencil_block(d, h, 2 * d.m * d.m)
+    count = 2 * d.m * d.m
+    stencil = _stencil_block(d, h, count)
     lhs = scalar_laplacian_fd(
-        d, float(np.log(projection_jacobian(d.gm, d.g))),
-        np.log(projection_jacobian(stencil.jets.gm.g, stencil.g)), h)
+        d, np.log(projection_jacobian(d.gm, d.g)),
+        _per_row(np.log(projection_jacobian(stencil.gm, stencil.g)), count), h)
 
-    lam = d.frames.lambdas
-    l1, l2 = float(lam[0]), float(lam[1])
+    l1, l2 = d.lambdas.T
     comp = _normal_components_2d(d)
-    a_norm_sq = float(np.sum(comp ** 2))
-
+    c = comp.reshape(len(d), 8)          # comp[:, g, i, j] is c[:, 4 g + 2 i + j]
+    # the squares of single values, rounded as libm pow rounds them
+    l1s, l2s, c2 = (powers(x.ravel(), 2).reshape(x.shape) for x in (l1, l2, c))
     gm, gn = d.gm, d.gn
-    sec_m = float(d.riem_m[0, 1, 0, 1] / (gm[0, 0] * gm[1, 1] - gm[0, 1] ** 2))
-    sec_n = float(d.riem_n[0, 1, 0, 1] / (gn[0, 0] * gn[1, 1] - gn[0, 1] ** 2))
-
-    rhs = (-a_norm_sq
-           - l1 ** 2 * (comp[0, 0, 0] ** 2 + comp[0, 0, 1] ** 2)
-           - l2 ** 2 * (comp[1, 0, 1] ** 2 + comp[1, 1, 1] ** 2)
-           - 2.0 * l1 * l2 * (comp[1, 0, 0] * comp[0, 1, 0]
-                              + comp[1, 0, 1] * comp[0, 1, 1])
-           - ((l1 ** 2 + l2 ** 2) * sec_m - 2.0 * l1 ** 2 * l2 ** 2 * sec_n)
-           / ((1.0 + l1 ** 2) * (1.0 + l2 ** 2)))
-    return abs(lhs - rhs)
+    sec_m = d.riem_m[:, 0, 1, 0, 1] / (gm[:, 0, 0] * gm[:, 1, 1] - powers(gm[:, 0, 1], 2))
+    sec_n = d.riem_n[:, 0, 1, 0, 1] / (gn[:, 0, 0] * gn[:, 1, 1] - powers(gn[:, 0, 1], 2))
+    rhs = (-np.sum(comp ** 2, axis=(1, 2, 3))
+           - l1s * (c2[:, 0] + c2[:, 1]) - l2s * (c2[:, 5] + c2[:, 7])
+           - 2.0 * l1 * l2 * (c[:, 4] * c[:, 2] + c[:, 5] * c[:, 3])
+           - ((l1s + l2s) * sec_m - 2.0 * l1s * l2s * sec_n)
+           / ((1.0 + l1s) * (1.0 + l2s)))
+    return np.abs(lhs - rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -469,99 +477,96 @@ class NullProbeResult:
     max_ric_term: float
 
 
-def _pointwise_pinching(d: PointData, sigma: float,
-                        rng: np.random.Generator, planes: int = 4,
-                        tol: float = 1e-9) -> str | None:
-    """Check the curvature separation at one point; returns a reason on failure."""
-    def cases():
-        # (metric, curvature, push-forward, area floor, violation); the
-        # target planes are images under df, probed where df has rank two
-        yield (d.gm, d.riem_m, lambda x: x, lambda uu, vv: 1e-8 * uu * vv,
-               lambda sec: sec < sigma - tol
-               and f"domain sectional curvature {sec:.6g} below {sigma:.6g}")
-        if d.n >= 2 and d.frames.rank >= 2:
-            yield (d.gn, d.riem_n, lambda x: d.d1 @ x,
-                   lambda uu, vv: 1e-8 * max(uu * vv, 1e-300),
-                   lambda sec: sec > sigma + tol
-                   and f"target sectional curvature {sec:.6g} above {sigma:.6g}")
-
-    # planes are drawn one at a time: the first violation ends the draws
-    for g, riem, push, floor, violation in cases():
+def _skip_reason(d: PointData, r: int, sigma: float, lambda0_sq: float,
+                 kappa_sq: float | None, rng: np.random.Generator, planes: int = 4,
+                 tol: float = 1e-9) -> str | None:
+    """Why the null probe does not run at row ``r``, or None if it does: the
+    curvature separation, then for ``lambda0_sq >= 1`` the other hypotheses."""
+    # planes are drawn one at a time, the first violation ends the draws;
+    # target planes are images under df, probed where df has rank two
+    target = d.n >= 2 and d.rank[r] >= 2
+    for side in ("domain", "target")[:1 + target]:
+        g, riem = (d.gm[r], d.riem_m[r]) if side == "domain" else (d.gn[r], d.riem_n[r])
         for _ in range(planes):
-            u, v = push(rng.normal(size=d.m)), push(rng.normal(size=d.m))
+            u, v = rng.normal(size=d.m), rng.normal(size=d.m)
+            if side == "target":
+                u, v = d.d1[r] @ u, d.d1[r] @ v
             uu, vv = u @ g @ u, v @ g @ v
             area2 = uu * vv - (u @ g @ v) ** 2
-            if area2 < floor(uu, vv):
+            if area2 < (1e-8 * uu * vv if side == "domain" else 1e-8 * max(uu * vv, 1e-300)):
                 continue
-            reason = violation(float(curvature_form(riem, u, v, u, v)) / area2)
-            if reason:
-                return reason
+            sec = float(curvature_form(riem, u, v, u, v)) / area2
+            if sec < sigma - tol if side == "domain" else sec > sigma + tol:
+                return (f"{side} sectional curvature {sec:.6g} "
+                        f"{'below' if side == 'domain' else 'above'} {sigma:.6g}")
+    if lambda0_sq < 1.0:
+        return None
+    trace_s = d.trace_s[r]
+    if trace_s < -1e-9:
+        return f"trace condition fails ({trace_s:.6g} < 0)"
+    if kappa_sq is None:
+        raise PreconditionError("kappa_sq is required when lambda0_sq >= 1")
+    lam_max_sq = float(d.lambdas[r, -1] ** 2)
+    if not (kappa_sq > 1.0 + 1e-9 and lam_max_sq < kappa_sq - 1e-9):
+        return (f"pullback bound fails (lambda^2 = {lam_max_sq:.6g},"
+                f" kappa^2 = {kappa_sq:.6g})")
+    bound = kappa_sq * sigma / (kappa_sq ** 2 - 1.0) * trace_s
+    a_norm_sq = d.a_norm_sq[r]
+    if a_norm_sq > bound + 1e-9:
+        return f"second-fundamental-form bound fails ({a_norm_sq:.6g} > {bound:.6g})"
     return None
 
 
 def null_eigenvector_probe(d: PointData, sigma: float, lambda0_sq: float,
                            kappa_sq: float | None = None,
                            rng: np.random.Generator | None = None,
-                           n_draws: int = 20, tol: float = 1e-10) -> NullProbeResult:
-    """Probe the null-eigenvector condition of the reaction term at ``d.p``.
+                           n_draws: int = 20,
+                           tol: float = 1e-10) -> list[NullProbeResult]:
+    """Probe the null-eigenvector condition of the reaction term at each row.
 
     Draws random positive semi-definite tensors with a prescribed unit null
     direction v (built by projecting a random Gram matrix onto the
     g-orthogonal complement of v) and checks that the reaction term at shift
     ``lambda0_sq`` is non-negative on (v, v).
 
-    Preconditions mirror the two branches of the rigidity argument: for
-    ``lambda0_sq < 1`` only the curvature separation is needed; for
-    ``lambda0_sq >= 1`` also the trace condition, the strict pullback bound
-    with ``kappa_sq`` and the second-fundamental-form bound.  A violated
-    precondition yields a skipped result, not a failure.
+    A row whose preconditions (the two branches of the rigidity argument,
+    see :func:`_skip_reason`) fail is skipped.  The rows are checked, and
+    their draws taken, in turn; the reaction term then runs once.
     """
     rng = rng or np.random.default_rng(0)
     if sigma <= 0.0:
-        return NullProbeResult("skipped", "needs a positive pinching level",
-                               np.inf, 0, 0.0)
-
-    reason = _pointwise_pinching(d, sigma, rng)
-    if reason is not None:
-        return NullProbeResult("skipped", reason, np.inf, 0, 0.0)
-
-    if lambda0_sq >= 1.0:
-        if d.trace_s < -1e-9:
-            return NullProbeResult(
-                "skipped", f"trace condition fails ({d.trace_s:.6g} < 0)",
-                np.inf, 0, 0.0)
-        if kappa_sq is None:
-            raise PreconditionError("kappa_sq is required when lambda0_sq >= 1")
-        lam_max_sq = float(d.frames.lambdas[-1] ** 2)
-        if not (kappa_sq > 1.0 + 1e-9 and lam_max_sq < kappa_sq - 1e-9):
-            return NullProbeResult(
-                "skipped", f"pullback bound fails (lambda^2 = {lam_max_sq:.6g},"
-                f" kappa^2 = {kappa_sq:.6g})", np.inf, 0, 0.0)
-        bound = kappa_sq * sigma / (kappa_sq ** 2 - 1.0) * d.trace_s
-        if d.ext.a_norm_sq > bound + 1e-9:
-            return NullProbeResult(
-                "skipped", "second-fundamental-form bound fails "
-                f"({d.ext.a_norm_sq:.6g} > {bound:.6g})", np.inf, 0, 0.0)
-
-    # all draws at once: each row holds one draw's v, then its Gram factor W
+        return [NullProbeResult("skipped", "needs a positive pinching level",
+                                np.inf, 0, 0.0)] * len(d)
     m = d.m
-    g = d.g
-    draws = rng.normal(size=(n_draws, m + m * m))
-    v = draws[:, :m]
-    v = v / np.sqrt(quadratic_form(v, g, v))[:, None]
-    proj = np.eye(m) - v[:, :, None] * matvec(g, v)[:, None, :]  # kills v, g-orthogonally
-    W = draws[:, m:].reshape(n_draws, m, m)
-    theta = np.swapaxes(proj, 1, 2) @ (np.swapaxes(W, 1, 2) @ W) @ proj
-    theta = 0.5 * (theta + np.swapaxes(theta, 1, 2))
-    scale = 1.0 + np.abs(theta).max(axis=(1, 2))
+    reasons, draws = [], []
+    for r in range(len(d)):
+        reasons.append(_skip_reason(d, r, sigma, lambda0_sq, kappa_sq, rng))
+        if reasons[-1] is None:
+            # each row holds one draw's v, then its Gram factor W
+            draws.append(rng.normal(size=(n_draws, m + m * m)))
 
-    ric_terms = np.abs(quadratic_form(matvec(d.ric_g_op, v), theta, v)) / scale
-    values = reaction_term_apply(d, lambda0_sq, theta, v, v) / scale
+    ran = d.take([r for r, reason in enumerate(reasons) if reason is None])
+    draws = np.reshape(draws, (len(ran), n_draws, m + m * m))
+    g = _expand(ran.g, 1)
+    v = draws[..., :m]
+    v = v / np.sqrt(quadratic_form(v, g, v))[..., None]
+    proj = np.eye(m) - v[..., :, None] * matvec(g, v)[..., None, :]  # kills v, g-orthogonally
+    W = draws[..., m:].reshape(len(ran), n_draws, m, m)
+    theta = np.swapaxes(proj, -1, -2) @ (np.swapaxes(W, -1, -2) @ W) @ proj
+    theta = 0.5 * (theta + np.swapaxes(theta, -1, -2))
+    scale = 1.0 + np.abs(theta).max(axis=(-2, -1))
 
-    min_value = float(np.min(values, initial=np.inf))
-    status = "pass" if min_value >= -tol else "fail"
-    return NullProbeResult(status, "", min_value, n_draws,
-                           float(np.max(ric_terms, initial=0.0)))
+    ric_terms = np.abs(quadratic_form(matvec(_expand(ran.ric_g_op, 1), v), theta, v)) / scale
+    values = reaction_term_apply(ran, lambda0_sq, theta, v, v) / scale
+    per_row = iter(zip(np.min(values, axis=-1, initial=np.inf).tolist(),
+                       np.max(ric_terms, axis=-1, initial=0.0).tolist()))
+    results = []
+    for reason in reasons:
+        low, ric = (np.inf, 0.0) if reason else next(per_row)
+        status = "skipped" if reason else "pass" if low >= -tol else "fail"
+        results.append(NullProbeResult(status, reason or "", low,
+                                       0 if reason else n_draws, ric))
+    return results
 
 
 # ---------------------------------------------------------------------------
@@ -620,13 +625,11 @@ def extremum_derivative_probe(f: SmoothMap, grid: Array,
     best = float(top.max())
     near = np.nonzero(top >= best - 1e-12 * (1.0 + abs(best)))[0]
 
-    def boundary_distance(x: Array) -> float:
-        return float(np.min(np.minimum(x - box[:, 0], box[:, 1] - x)))
+    def boundary_distance(x: Array) -> Array:
+        return np.min(np.minimum(x - box[:, 0], box[:, 1] - x), axis=-1)
 
-    idx = max(near, key=lambda i: boundary_distance(grid[i]))
-    # the block that holds idx, rebuilt from the same rows: the same bits
-    rows = next(rows for rows, _, _ in tensors if idx < rows.stop)
-    d = PointData(graph_block(f, grid[rows]), idx - rows.start)
+    # the first of the nearly maximal rows farthest from the boundary
+    idx = near[np.argmax(boundary_distance(grid[near]))]
     spacing = float(np.max((box[:, 1] - box[:, 0])
                            / (max(len(grid), 2) ** (1.0 / box.shape[0]))))
     if grad_tol is None:
@@ -637,19 +640,21 @@ def extremum_derivative_probe(f: SmoothMap, grid: Array,
             "inconclusive", "maximum attained on the sampling-box boundary",
             grid[idx], c, np.nan, np.nan, grad_tol, lap_tol)
 
-    vals, vecs = sym_eigen(d.shifted_s(c), d.g)
-    v = vecs[:, -1]
-    phi, dphi = d.shifted_jet(c)
-    nabla = _covariant_derivative(phi, dphi, d.gamma_g)
-    grad_vec = np.einsum("lij,i,j->l", nabla, v, v)
-    grad_norm = float(np.sqrt(grad_vec @ d.ginv @ grad_vec))
+    # the maximum's row with a neighbour from its block's slice: a block of
+    # two or more rows gives a row the bits it has in its grid block
+    rows = next(rows for rows, _, _ in tensors if idx < rows.stop)
+    pair = [idx, idx + 1 if idx + 1 < rows.stop else max(idx - 1, rows.start)]
+    d = PointData(graph_block(f, grid[pair]), [0])
+    v = sym_eigen(d.shifted_s(c), d.g)[1][..., -1]
+    nabla = _covariant_derivative(*d.shifted_jet(c), d.gamma_g)
+    grad_vec = np.einsum("...lij,...i,...j->...l", nabla, v, v)
+    grad_norm = float(np.sqrt(grad_vec @ d.ginv @ grad_vec[..., None])[0, 0, 0])
     lap = shifted_tensor_laplacian(d, c, h)
-    lap_vv = float(v @ lap @ v)
+    lap_vv = float((v[:, None] @ lap @ v[..., None])[0, 0, 0])
 
     ok = grad_norm < grad_tol and lap_vv < lap_tol
-    return ExtremumProbeResult("pass" if ok else "fail", "",
-                               grid[idx], c, grad_norm, lap_vv,
-                               grad_tol, lap_tol)
+    return ExtremumProbeResult("pass" if ok else "fail", "", grid[idx], c,
+                               grad_norm, lap_vv, grad_tol, lap_tol)
 
 
 # ---------------------------------------------------------------------------
@@ -657,30 +662,26 @@ def extremum_derivative_probe(f: SmoothMap, grid: Array,
 # ---------------------------------------------------------------------------
 
 def max_point_term_values(d: PointData, sigma: float, lambda0_sq: float) -> Array:
-    """The six grouped terms bounding ``Lap(Phi)(e_m, e_m)`` at a maximum point.
-
-    Each term is non-positive when the full hypothesis gate holds at the
-    probed maximum of the top singular value; their sum bounds the Laplacian
-    value from above, which forces every term to vanish there.  Term
-    grouping follows the exact regrouping of the decompositions together
-    with the normal estimate applied to the second-fundamental-form sum.
-    """
+    """The six grouped terms bounding ``Lap(Phi)(e_m, e_m)`` at a maximum
+    point, per row: each is non-positive where the full hypothesis gate
+    holds, and their sum bounds the Laplacian from above.  The grouping is
+    the decompositions' with the normal estimate applied to the A-sum."""
     c = lambda0_sq
     if c < 0.0:
         raise InvalidParameterError("the squared top singular value cannot be negative")
     m = d.m
-    t = _frame_terms(d, c, sigma, m - 1)     # the top singular direction
+    _, sec_n_sum, _, term2, term3, _, phi_ll, tr_s, tr_phi, nu = _frame_terms(
+        d, c, sigma, m - 1)                  # the top singular direction
     coeff = 2.0 / (1.0 + c)
-    return np.array([
+    return np.stack([
         # normal estimate applied to the A-sum, plus the isolated trace part
-        (4.0 / (1.0 + c)) * ((c - 1.0) * d.ext.a_norm_sq
-                             - (c / (1.0 + c)) * sigma * t.tr_s),
-        coeff * -2.0 * t.sec_n_sum,
-        coeff * t.term2,
-        coeff * t.term3,
-        coeff * (sigma * (1.0 - c) / 2.0) * t.phi_ll * (t.tr_phi - t.phi_ll),
-        coeff * -(2.0 * c * sigma / (1.0 + c)) * ((m - 2) * t.phi_ll - t.nu),
-    ])
+        (4.0 / (1.0 + c)) * ((c - 1.0) * d.a_norm_sq - (c / (1.0 + c)) * sigma * tr_s),
+        coeff * -2.0 * sec_n_sum,
+        coeff * term2,
+        coeff * term3,
+        coeff * (sigma * (1.0 - c) / 2.0) * phi_ll * (tr_phi - phi_ll),
+        coeff * -(2.0 * c * sigma / (1.0 + c)) * ((m - 2) * phi_ll - nu),
+    ], axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -737,9 +738,8 @@ def _worst(values) -> float:
 
 def _not_run(name: str, tolerance: float, reason: str,
              nan_h: bool) -> IdentityReport:
-    """A check for minimal maps that was not run: skipped for ``reason``, or
-    failed with a NaN residual when a NaN mean curvature (``nan_h``) leaves
-    minimality undecided."""
+    """A check for minimal maps not run: skipped for ``reason``, or failed
+    (NaN) where a NaN mean curvature (``nan_h``) leaves minimality open."""
     if nan_h:
         return IdentityReport(name, 0, np.nan, tolerance, {})
     return IdentityReport(name, 0, 0.0, tolerance, {}, skipped_reason=reason)
@@ -752,12 +752,11 @@ def run_identity_suite(scenario, seed: int = 0, h: float = 1e-3,
                        n_tuples: int = 15) -> list[IdentityReport]:
     """Run every identity check applicable to the scenario's dimensions.
 
-    The sample points are one :class:`GraphBlock`.  Checks whose
-    preconditions the scenario does not meet (non-minimal scenarios for the
-    elliptic equation, dimensions other than two for the Jacobian identity)
-    are reported as skipped, not failed.  Every residual is reduced so that
-    a NaN anywhere makes it NaN, which never passes; a NaN mean curvature
-    fails the checks for minimal maps instead of skipping them.
+    The sample points are one :class:`GraphBlock`; each check evaluates all
+    its rows (or tuples) in one call, after the draws it needs.  A check
+    whose preconditions fail (a non-minimal map, dimensions other than two)
+    is skipped, not failed.  A NaN residual never passes; a NaN mean
+    curvature fails the checks for minimal maps instead of skipping them.
     """
     tol = {**DEFAULT_IDENTITY_TOLERANCES, **(tolerances or {})}
     f = scenario.f
@@ -765,11 +764,11 @@ def run_identity_suite(scenario, seed: int = 0, h: float = 1e-3,
     rng = np.random.default_rng(seed)
     reports: list[IdentityReport] = []
 
-    datas = point_rows(f, scenario.random_points(n_points, rng))
-    blk = datas[0].blk
+    d = point_rows(f, scenario.random_points(n_points, rng))
+    blk = d.blk
     frames = blk.frames
 
-    res = frame_residual_block(frames, blk.jets.gm.g, blk.jets.gn.g, blk.g)
+    res = frame_residual_block(frames, blk.gm, blk.gn, blk.g)
     reports.append(IdentityReport("frame-formulas", n_points, _worst(res),
                                   tol["frame"], {"seed": seed}))
 
@@ -779,22 +778,19 @@ def run_identity_suite(scenario, seed: int = 0, h: float = 1e-3,
                                   _worst(np.abs(vals - pred)),
                                   tol["s_eigenvalue"], {"seed": seed}))
 
-    slacks = []
-    for d in datas:
-        lam2 = float(d.frames.lambdas[-1] ** 2)
-        slacks += [normal_estimate_check(d, cc, rng=rng) for cc in (lam2, lam2 + 1.0)]
-    worst = float(np.min(slacks))
+    lam2 = powers(frames.lambdas[:, -1], 2)
+    worst = float(np.min(normal_estimate_check(
+        d, np.stack([lam2, lam2 + 1.0], axis=-1), rng=rng)))
     reports.append(IdentityReport(
         "normal-estimate", 2 * n_points, _worst([-worst]),
         tol["normal_estimate"], {"worst_slack": worst}))
 
-    sides = []
-    for _ in range(n_tuples):
-        d = datas[int(rng.integers(0, n_points))]
-        cc = float(rng.uniform(0.05, 10.0))
-        sg = float(rng.uniform(-2.0, 2.0))
-        sides.append(decomposition_sides(d, cc, sg, int(rng.integers(0, d.m))))
-    lhs, rhs_grouped, rhs_traced = np.array(sides).reshape(n_tuples, 3).T
+    # each tuple draws its point, c, sigma and direction in turn
+    at, cc, sg, ll = np.array([
+        (rng.integers(0, n_points), rng.uniform(0.05, 10.0), rng.uniform(-2.0, 2.0),
+         rng.integers(0, f.domain.dim)) for _ in range(n_tuples)]).reshape(-1, 4).T
+    lhs, rhs_grouped, rhs_traced = decomposition_sides(
+        d.take(at.astype(np.intp)), cc, sg, ll.astype(np.intp))
     for name, gap, key in (
             ("curvature-decomposition", lhs - rhs_grouped, "decomposition"),
             ("curvature-decomposition-traced", lhs - rhs_traced, "decomposition"),
@@ -804,10 +800,10 @@ def run_identity_suite(scenario, seed: int = 0, h: float = 1e-3,
 
     minimal_here = bool(np.all(blk.ext.h_norm < MINIMAL_TOL))
     nan_h = bool(np.isnan(blk.ext.h_norm).any())
-    sub = datas[: min(3, n_points)]
+    sub = d.take(slice(0, 3))
 
     if minimal_here:
-        res = _worst([elliptic_equation_residual(d, c, h=h) for d in sub])
+        res = _worst(elliptic_equation_residual(sub, c, h=h))
         reports.append(IdentityReport("elliptic-equation", len(sub), res,
                                       tol["elliptic"], {"c": c, "h": h}))
     else:
@@ -816,18 +812,14 @@ def run_identity_suite(scenario, seed: int = 0, h: float = 1e-3,
 
     two_dim = f.domain.dim == 2 and f.target.dim == 2
     if two_dim and minimal_here:
-        reports.append(IdentityReport(
-            "log-jacobian-2d", len(sub),
-            _worst([log_jacobian_residual_2d(d, h=h) for d in sub]),
-            tol["log_jacobian"], {"h": h}))
-        reports.append(IdentityReport(
-            "minimality-relations-2d", len(sub),
-            _worst([minimality_relations_residual_2d(d) for d in sub]),
-            tol["minimality_relations"], {}))
-        reports.append(IdentityReport(
-            "jacobian-consistency-2d", len(sub),
-            _worst([jacobian_consistency_2d(d) for d in sub]),
-            tol["jacobian_consistency"], {}))
+        for name, res, key, params in (
+                ("log-jacobian-2d", log_jacobian_residual_2d(sub, h=h), "log_jacobian",
+                 {"h": h}),
+                ("minimality-relations-2d", minimality_relations_residual_2d(sub),
+                 "minimality_relations", {}),
+                ("jacobian-consistency-2d", jacobian_consistency_2d(sub),
+                 "jacobian_consistency", {})):
+            reports.append(IdentityReport(name, len(sub), _worst(res), tol[key], params))
     else:
         reason = ("dimensions are not 2x2" if not two_dim
                   else "non-minimal scenario")
@@ -837,9 +829,7 @@ def run_identity_suite(scenario, seed: int = 0, h: float = 1e-3,
                                     two_dim and nan_h))
 
     if minimal_here:
-        shape = tuple(7 if f.domain.dim == 2 else 5
-                      for _ in range(f.domain.dim))
-        grid = scenario.grid_points(shape)
+        grid = scenario.grid_points((7 if f.domain.dim == 2 else 5,) * f.domain.dim)
         probe = extremum_derivative_probe(f, grid, scenario.sample_box, h=h)
         if probe.status == "inconclusive":
             reports.append(IdentityReport("extremum-probe", len(grid), 0.0,
@@ -858,8 +848,8 @@ def run_identity_suite(scenario, seed: int = 0, h: float = 1e-3,
 
     lam0_sq = float(np.max(frames.lambdas[:, -1] ** 2))
     kappa_sq = max(1.01, 1.01 * lam0_sq)
-    probes = [null_eigenvector_probe(d, sigma, lam0_sq, kappa_sq, rng=rng)
-              for d in datas[:6]]
+    probes = null_eigenvector_probe(d.take(slice(0, 6)), sigma, lam0_sq, kappa_sq,
+                                    rng=rng)
     ran = [pr.min_value for pr in probes if pr.status != "skipped"]
     if not ran:
         reports.append(IdentityReport(

@@ -10,7 +10,9 @@ import json
 import numpy as np
 
 from graphgeo.chart_manifold import (
+    ChartPoint,
     constant_metric_chart,
+    powers,
     sectional_curvature,
     sphere_chart,
     sym_eigen,
@@ -70,13 +72,13 @@ def test_criterion_02_frame_formulas(capsys):
     rng = np.random.default_rng(SEED + 1)
     worst_frame = worst_eig = 0.0
     for sc in registry().values():
-        for d in point_rows(sc.f, sc.random_points(100, rng)):
-            worst_frame = max(worst_frame,
-                              frame_formula_residual(sc.f, d.p, d.frames))
-            vals, _ = sym_eigen(d.s, d.g)
-            pred = np.sort((1.0 - d.frames.lambdas ** 2)
-                           / (1.0 + d.frames.lambdas ** 2))
-            worst_eig = max(worst_eig, float(np.abs(vals - pred).max()))
+        d = point_rows(sc.f, sc.random_points(100, rng))
+        for i, x in enumerate(d.coords):
+            worst_frame = max(worst_frame, frame_formula_residual(
+                sc.f, ChartPoint(x), d.blk.frames.point(i)))
+        vals, _ = sym_eigen(d.s, d.g)
+        pred = np.sort((1.0 - d.lambdas ** 2) / (1.0 + d.lambdas ** 2), axis=-1)
+        worst_eig = max(worst_eig, float(np.abs(vals - pred).max()))
     ok = worst_frame < 1e-8 and worst_eig < 1e-8
     announce(capsys, 2, ok,
              f"frame evaluation residual {worst_frame:.2e}, eigenvalue "
@@ -89,9 +91,9 @@ def test_criterion_03_holomorphic_minimality(capsys):
     best_a = 0.0
     for name in ("holo-w2", "holo-w3"):
         sc = get(name)
-        for d in point_rows(sc.f, sc.random_points(100, rng)):
-            worst_h = max(worst_h, d.ext.h_norm)
-            best_a = max(best_a, d.ext.a_norm_sq)
+        d = point_rows(sc.f, sc.random_points(100, rng))
+        worst_h = max(worst_h, float(np.max(d.h_norm)))
+        best_a = max(best_a, float(np.max(d.a_norm_sq)))
     ok = worst_h < 1e-6 and best_a > 1e-4
     announce(capsys, 3, ok,
              f"max |H| {worst_h:.2e} (tol 1e-06), max |A|^2 {best_a:.2e} "
@@ -102,11 +104,11 @@ def test_criterion_04_normal_estimate(capsys):
     rng = np.random.default_rng(SEED + 3)
     worst = np.inf
     for sc in registry().values():
-        for d in point_rows(sc.f, sc.random_points(20, rng)):
-            lam2 = float(d.frames.lambdas[-1] ** 2)
-            for c in (lam2, lam2 + 1.0):
-                worst = min(worst, normal_estimate_check(
-                    d, c, rng=rng, n_mixtures=20))
+        d = point_rows(sc.f, sc.random_points(20, rng))
+        lam2 = powers(d.lambdas[:, -1], 2)
+        # both shift levels at every point, drawn point by point
+        worst = min(worst, float(np.min(normal_estimate_check(
+            d, np.stack([lam2, lam2 + 1.0], axis=-1), rng=rng, n_mixtures=20))))
     ok = worst >= -1e-10
     announce(capsys, 4, ok,
              f"worst normal-estimate slack {worst:.2e} (>= -1e-10; frame "
@@ -119,17 +121,17 @@ def test_criterion_05_curvature_decompositions(capsys):
     worst_res = worst_gap = 0.0
     for _ in range(100):
         sc = get(names[int(rng.integers(0, len(names)))])
-        d = point_rows(sc.f, sc.random_points(1, rng))[0]
+        d = point_rows(sc.f, sc.random_points(1, rng))
         c = float(rng.uniform(0.05, 10.0))
         sigma = float(rng.uniform(-2.0, 2.0))
         l = int(rng.integers(0, sc.domain.dim))
-        lhs, rhs_a, rhs_b = decomposition_sides(d, c, sigma, l)
+        (lhs,), (rhs_a,), (rhs_b,) = decomposition_sides(d, c, sigma, l)
         worst_res = max(worst_res, abs(lhs - rhs_a), abs(lhs - rhs_b))
         worst_gap = max(worst_gap, abs(rhs_a - rhs_b))
 
     sc = get("constant-s2")
-    d = point_rows(sc.f, [sc.domain.point([0.4, -0.1])])[0]
-    lhs, rhs_a, rhs_b = decomposition_sides(d, 2.0, 1.0, 0)
+    d = point_rows(sc.f, [sc.domain.point([0.4, -0.1])])
+    (lhs,), (rhs_a,), (rhs_b,) = decomposition_sides(d, 2.0, 1.0, 0)
     anchor = max(abs(lhs + 4.0), abs(rhs_a + 4.0), abs(rhs_b + 4.0))
 
     ok = worst_res < 1e-6 and worst_gap < 1e-8 and anchor < 1e-8
@@ -147,17 +149,15 @@ def test_criterion_06_elliptic_equation(capsys):
     worst = 0.0
     for name in minimal:
         sc = get(name)
-        for d in point_rows(sc.f, sc.random_points(3, rng)):
-            worst = max(worst, elliptic_equation_residual(d, 2.0, h=1e-3))
+        d = point_rows(sc.f, sc.random_points(3, rng))
+        worst = max(worst, float(np.max(elliptic_equation_residual(d, 2.0, h=1e-3))))
 
     ratios = []
     for name in ("holo-w2", "holo-w3", "conformal-shrink"):
-        sc = get(name)
-        for coords in ([0.6, 0.3], [-0.4, 0.8]):
-            d = point_rows(sc.f, [sc.domain.point(coords)])[0]
-            r_h = elliptic_equation_residual(d, 2.0, h=1e-3)
-            r_half = elliptic_equation_residual(d, 2.0, h=5e-4)
-            ratios.append(r_h / r_half)
+        d = point_rows(get(name).f, [[0.6, 0.3], [-0.4, 0.8]])
+        r_h = elliptic_equation_residual(d, 2.0, h=1e-3)
+        r_half = elliptic_equation_residual(d, 2.0, h=5e-4)
+        ratios += (r_h / r_half).tolist()
     ok = worst < 1e-4 and all(3.5 <= r <= 4.5 for r in ratios)
     announce(capsys, 6, ok,
              f"elliptic residual {worst:.2e} (tol 1e-04 at h=1e-03) on all "
@@ -169,12 +169,12 @@ def test_criterion_07_log_jacobian_identity(capsys):
     rng = np.random.default_rng(SEED + 6)
     sc = get("holo-w2")
     worst = worst_rel = 0.0
-    for d in point_rows(sc.f, sc.random_points(50, rng)):
-        worst = max(worst, log_jacobian_residual_2d(d, h=1e-3))
-        worst_rel = max(worst_rel, minimality_relations_residual_2d(d))
+    d = point_rows(sc.f, sc.random_points(50, rng))
+    worst = max(worst, float(np.max(log_jacobian_residual_2d(d, h=1e-3))))
+    worst_rel = max(worst_rel, float(np.max(minimality_relations_residual_2d(d))))
     sc_id = get("identity-s2")
-    worst_id = max(log_jacobian_residual_2d(d)
-                   for d in point_rows(sc_id.f, sc_id.random_points(5, rng)))
+    worst_id = float(np.max(log_jacobian_residual_2d(
+        point_rows(sc_id.f, sc_id.random_points(5, rng)))))
     ok = worst < 1e-4 and worst_rel < 1e-6 and worst_id < 1e-10
     announce(capsys, 7, ok,
              f"2d jacobian residual {worst:.2e} (tol 1e-04), trace relations "
@@ -240,9 +240,9 @@ def test_criterion_10_null_eigenvector_probes(capsys):
     for name, n_pts in (("identity-s2", 10), ("identity-s3", 6),
                         ("rotation-s2", 10)):
         sc = get(name)
-        for d in point_rows(sc.f, sc.random_points(n_pts, rng)):
-            res = null_eigenvector_probe(d, sigma=1.0, lambda0_sq=1.0,
-                                         kappa_sq=1.01, rng=rng, n_draws=20)
+        for res in null_eigenvector_probe(point_rows(sc.f, sc.random_points(n_pts, rng)),
+                                          sigma=1.0, lambda0_sq=1.0, kappa_sq=1.01,
+                                          rng=rng, n_draws=20):
             assert res.status != "skipped", res.reason
             draws += res.draws
             worst = min(worst, res.min_value)
@@ -255,11 +255,10 @@ def test_criterion_10_null_eigenvector_probes(capsys):
                               np.array([[-0.6, 0.6], [-0.6, 0.6]]), 10)):
         sc = get(name)
         rows = point_rows(sc.f, sc.random_points(n_pts, rng, box=box))
-        lam0_sq = max(float(d.frames.lambdas[-1] ** 2) for d in rows)
+        lam0_sq = float(powers(rows.lambdas[:, -1], 2).max())
         assert lam0_sq < 1.0
-        for d in rows:
-            res = null_eigenvector_probe(d, sigma=1.0, lambda0_sq=lam0_sq,
-                                         rng=rng, n_draws=20)
+        for res in null_eigenvector_probe(rows, sigma=1.0, lambda0_sq=lam0_sq,
+                                          rng=rng, n_draws=20):
             assert res.status != "skipped", res.reason
             draws += res.draws
             worst = min(worst, res.min_value)

@@ -134,8 +134,8 @@ def test_extremum_probe_finds_its_row_across_blocks(monkeypatch):
     read = []
 
     class RecordingPointData(identities.PointData):
-        def __init__(self, blk, i):
-            super().__init__(blk, i)
+        def __init__(self, blk, rows):
+            super().__init__(blk, rows)
             read.append(self)
 
     monkeypatch.setattr(identities, "PointData", RecordingPointData)
@@ -145,10 +145,52 @@ def test_extremum_probe_finds_its_row_across_blocks(monkeypatch):
     # the probe's first row is the maximum's, read past the first block
     idx = int(np.flatnonzero((grid == got.point).all(axis=1))[0])
     assert idx >= block_bounds(len(grid), 2, 2)[1]
-    assert np.array_equal(read[0].p.coords, grid[idx])
+    assert np.array_equal(read[0].coords, grid[idx][None])
     for field in ("point", "c", "grad_norm", "lap_value", "grad_tol", "lap_tol"):
         assert np.array_equal(getattr(got, field), getattr(want, field)), field
     assert (got.status, got.reason) == (want.status, want.reason) == ("pass", "")
+
+
+@pytest.mark.parametrize("m,rows", [(2, None), (3, None), (2, 8), (3, 5)])
+def test_extremum_probe_reads_the_bits_of_its_full_grid_block(monkeypatch, m, rows):
+    # the probe reads the maximum's row from a block of two rows; rebuilding
+    # the whole grid block that holds it, and reading the row in its place
+    # there, gives the same result on a non-diagonal chart
+    rng = np.random.default_rng(4)
+    f = quadratic_map(rng, polynomial_chart(rng, m, 0.05), polynomial_chart(rng, m, 0.05))
+    box = np.tile([-1.0, 1.0], (m, 1))
+    grid = np.stack(np.meshgrid(*[np.linspace(-1.0, 1.0, 7 if m == 2 else 5)] * m,
+                                indexing="ij"), axis=-1).reshape(-1, m)
+    if rows:
+        monkeypatch.setattr(extrinsic, "BLOCK_BUDGET", rows * (2 * m ** 4))
+    got = extremum_derivative_probe(f, grid, box, minimal_tol=np.inf)
+    assert got.status == "pass"
+
+    bounds = block_bounds(len(grid), m, m)
+    full = {}
+
+    def graph_block(f, coords):
+        if len(coords) != 2:                # a stencil or probe block
+            return extrinsic.graph_block(f, coords)
+        idx = int(np.flatnonzero((grid == coords[0]).all(axis=1))[0])
+        k = np.searchsorted(bounds, idx, side="right") - 1
+        full["blk"] = extrinsic.graph_block(f, grid[bounds[k]:bounds[k + 1]])
+        full["row"] = idx - bounds[k]
+        return full["blk"]
+
+    class AtItsRow(identities.PointData):
+        def __init__(self, blk, rows):
+            if blk is full.get("blk"):
+                rows = [full["row"]]
+            super().__init__(blk, rows)
+
+    monkeypatch.setattr(identities, "graph_block", graph_block)
+    monkeypatch.setattr(identities, "PointData", AtItsRow)
+    want = extremum_derivative_probe(f, grid, box, minimal_tol=np.inf)
+    assert len(full["blk"].coords) > 2
+    for field in ("point", "c", "grad_norm", "lap_value", "grad_tol", "lap_tol"):
+        assert np.array_equal(getattr(got, field), getattr(want, field)), field
+    assert (got.status, got.reason) == (want.status, want.reason)
 
 
 # ---------------------------------------------------------------------------

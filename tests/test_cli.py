@@ -142,6 +142,31 @@ def test_report_timing_lines_cover_serialization(tmp_path, capsys, monkeypatch):
     assert json.loads(b.read_text())["runtime_seconds"] is None
 
 
+@pytest.mark.parametrize("argv", [
+    ["report", "--scenario", "holo-w2", "--grid", "5x5"],
+    ["verify-identities", "--scenario", "holo-w2"],
+    ["check-theorem", "--scenario", "identity-s2", "--grid", "5x5"],
+])
+def test_runtime_line_covers_the_artifact_write(argv, tmp_path, capsys, monkeypatch):
+    # every command ends its stderr with the wall time of the whole command,
+    # printed after the artifact is written
+    write = cli._write_output
+
+    def slow_write(*args):
+        time.sleep(0.2)
+        return write(*args)
+
+    monkeypatch.setattr(cli, "_write_output", slow_write)
+    out = tmp_path / "out"
+    run([*argv, "--output", str(out)])
+    lines = capsys.readouterr().err.splitlines()
+    label, value = lines[-1].split(": ")
+    assert label == "runtime" and value.endswith("s")
+    assert float(value[:-1]) >= 0.2
+    assert out.stat().st_size > 0
+    assert sum(line.startswith("runtime: ") for line in lines) == 1
+
+
 def test_report_threads_do_not_change_results(tmp_path, capsys):
     # --threads is accepted and echoed but has no effect; everything except
     # the echoed thread count is byte-identical
@@ -245,6 +270,31 @@ def test_verify_halved_step_shrinks_residual(capsys):
     r1 = residual(out_h, "elliptic-equation")
     r2 = residual(out_half, "elliptic-equation")
     assert r1 / r2 >= 3.5
+
+
+def test_consecutive_calls_share_one_parser_and_no_state(tmp_path, capsys):
+    # the parser is built once per process; a call's options never reach the
+    # next call
+    assert cli._build_parser() is cli._build_parser()
+
+    def artifact(name, argv):
+        path = tmp_path / name
+        code = run([*argv, "--output", str(path)])
+        capsys.readouterr()
+        return code, path.read_bytes()
+
+    verify = ["verify-identities", "--scenario", "holo-w2"]
+    plain = artifact("plain", verify)
+    assert artifact("tol", [*verify, "--tol", "elliptic=1"]) != plain
+    assert artifact("plain-after-tol", verify) == plain
+    assert artifact("c3", [*verify, "--c", "3"]) != plain
+    assert artifact("plain-after-c3", verify) == plain
+
+    gate = ["check-theorem", "--scenario", "identity-s2", "--grid", "5x5"]
+    before = artifact("gate", gate)
+    artifact("report", ["report", "--scenario", "holo-w2", "--grid", "4x4", "--seed",
+                        "7", "--c", "3", "--tol", "elliptic=1", "--format", "csv"])
+    assert artifact("gate-after-report", gate) == before
 
 
 # ---------------------------------------------------------------------------

@@ -120,17 +120,18 @@ def test_scalar_invariants_are_frame_independent():
         sc = get(name)
         for p in sc.random_points(5, rng):
             ext = second_fundamental_at(sc.f, p)
-            d = point_rows(sc.f, [p])[0]
-            E = _random_orthonormal_frame(d.g, rng)
+            d = point_rows(sc.f, [p])
+            gm, gn = d.gm[0], d.gn[0]
+            E = _random_orthonormal_frame(d.g[0], rng)
             a_sq = 0.0
             h = np.zeros(sc.domain.dim + sc.target.dim)
             for i in range(sc.domain.dim):
                 for j in range(sc.domain.dim):
                     a = np.einsum("ijc,i,j->c", ext.a_coord, E[:, i], E[:, j])
-                    a_sq += product_form(d.gm, d.gn, a, a)
+                    a_sq += product_form(gm, gn, a, a)
                     if i == j:
                         h += a
-            h_norm = np.sqrt(product_form(d.gm, d.gn, h, h))
+            h_norm = np.sqrt(product_form(gm, gn, h, h))
             assert abs(a_sq - ext.a_norm_sq) < 1e-8
             assert abs(h_norm - ext.h_norm) < 1e-8
 
@@ -139,14 +140,15 @@ def test_normal_estimate_on_frame_normals():
     # the split form on any normal direction is bounded by the shifted level
     rng = np.random.default_rng(24)
     for sc in registry().values():
-        for d in point_rows(sc.f, sc.random_points(5, rng)):
-            lam_max_sq = float(d.frames.lambdas[-1] ** 2)
-            for c in (lam_max_sq, lam_max_sq + 1.0):
-                bound = (c - 1.0) / (1.0 + c)
-                for xi in d.frames.normal.T:
-                    lhs = product_form(d.gm, -d.gn, xi, xi)
-                    rhs = bound * product_form(d.gm, d.gn, xi, xi)
-                    assert lhs <= rhs + 1e-10
+        d = point_rows(sc.f, sc.random_points(5, rng))
+        xi = np.swapaxes(d.normal, -1, -2)          # (point, normal vector, components)
+        gm, gn = d.gm[:, None], d.gn[:, None]
+        lam_max_sq = d.lambdas[:, -1, None] ** 2
+        for c in (lam_max_sq, lam_max_sq + 1.0):
+            bound = (c - 1.0) / (1.0 + c)
+            lhs = product_form(gm, -gn, xi, xi)
+            rhs = bound * product_form(gm, gn, xi, xi)
+            assert np.all(lhs <= rhs + 1e-10)
 
 
 # ---------------------------------------------------------------------------

@@ -149,8 +149,8 @@ def test_identity_mixed_frame_value():
     sc = get("identity-s2")
     p = sc.domain.point([0.4, 0.1])
     fr = adapted_frames_at(sc.f, p)
-    d = point_rows(sc.f, [p])[0]
-    val = product_form(d.gm, -d.gn, fr.tangent[:, 1], fr.normal[:, 1])
+    d = point_rows(sc.f, [p])
+    val = product_form(d.gm[0], -d.gn[0], fr.tangent[:, 1], fr.normal[:, 1])
     assert abs(val + 1.0) < 1e-12
 
 
@@ -158,9 +158,9 @@ def test_constant_map_normal_frame_values():
     sc = get("constant-s2")
     p = sc.domain.point([-0.3, 0.6])
     fr = adapted_frames_at(sc.f, p)
-    d = point_rows(sc.f, [p])[0]
+    d = point_rows(sc.f, [p])
     for xi in fr.normal.T:
-        assert abs(product_form(d.gm, -d.gn, xi, xi) + 1.0) < 1e-12
+        assert abs(product_form(d.gm[0], -d.gn[0], xi, xi) + 1.0) < 1e-12
         assert np.abs(xi[:2]).max() == 0.0
 
 
@@ -168,7 +168,7 @@ def test_w2_tangent_frame_value_at_one():
     sc = get("holo-w2")
     p = sc.domain.point([1.0, 0.0])
     fr = adapted_frames_at(sc.f, p)
-    s = point_rows(sc.f, [p])[0].s
+    s = point_rows(sc.f, [p]).s[0]
     for i in range(2):
         val = float(fr.e[:, i] @ s @ fr.e[:, i])
         assert abs(val + 3.0 / 5.0) < 1e-12
@@ -220,8 +220,8 @@ def test_s_eigenvalues_match_singular_value_formula():
     for sc in registry().values():
         for p in sc.random_points(10, rng):
             fr = adapted_frames_at(sc.f, p)
-            d = point_rows(sc.f, [p])[0]
-            vals, _ = sym_eigen(d.s, d.g)
+            d = point_rows(sc.f, [p])
+            vals, _ = sym_eigen(d.s[0], d.g[0])
             # ascending s-eigenvalues pair with descending singular values
             pred = (1.0 - fr.lambdas[::-1] ** 2) / (1.0 + fr.lambdas[::-1] ** 2)
             assert np.abs(vals - pred).max() < 1e-10
@@ -233,7 +233,7 @@ def test_trace_via_frames_equals_trace_via_eigenvalues():
         sc = get(name)
         for p in sc.random_points(10, rng):
             fr = adapted_frames_at(sc.f, p)
-            s = point_rows(sc.f, [p])[0].s
+            s = point_rows(sc.f, [p]).s[0]
             frame_sum = sum(float(fr.e[:, i] @ s @ fr.e[:, i])
                             for i in range(sc.domain.dim))
             assert abs(frame_sum - trace_s_at(sc.f, p)) < 1e-10
@@ -245,14 +245,14 @@ def test_trace_via_frames_equals_trace_via_eigenvalues():
 
 def test_shifted_tensor_identity_at_unit_shift_vanishes():
     sc = get("identity-s2")
-    phi = point_rows(sc.f, [sc.domain.point([0.3, 0.3])])[0].shifted_s(1.0)
+    phi = point_rows(sc.f, [sc.domain.point([0.3, 0.3])]).shifted_s(1.0)
     assert np.abs(phi).max() < 1e-14
 
 
 def test_shifted_tensor_constant_map_is_metric_multiple():
     sc = get("constant-s2")
     p = sc.domain.point([0.4, -0.6])
-    d = point_rows(sc.f, [p])[0]
+    d = point_rows(sc.f, [p])
     for c in (0.5, 2.0, 7.0):
         phi = d.shifted_s(c)
         g = d.g
@@ -263,9 +263,9 @@ def test_shifted_tensor_nonnegative_at_global_shift():
     sc = get("holo-w2")
     pts = [sc.domain.point(x) for x in sc.grid_points((12, 12))]
     lam0_sq = max(singular_values_at(sc.f, p).lambdas[-1] ** 2 for p in pts)
-    for d in point_rows(sc.f, pts):
-        vals, _ = sym_eigen(d.shifted_s(float(lam0_sq)), d.g)
-        assert vals[0] >= -1e-10
+    d = point_rows(sc.f, pts)
+    vals, _ = sym_eigen(d.shifted_s(float(lam0_sq)), d.g)
+    assert np.all(vals[:, 0] >= -1e-10)
 
 
 def test_shifted_tensor_eigenvalue_formula():
@@ -273,8 +273,8 @@ def test_shifted_tensor_eigenvalue_formula():
     p = sc.domain.point([0.6, -0.2])
     fr = adapted_frames_at(sc.f, p)
     c = 3.0
-    d = point_rows(sc.f, [p])[0]
-    vals, _ = sym_eigen(d.shifted_s(c), d.g)
+    d = point_rows(sc.f, [p])
+    vals, _ = sym_eigen(d.shifted_s(c)[0], d.g[0])
     pred = ((1.0 - fr.lambdas[::-1] ** 2) / (1.0 + fr.lambdas[::-1] ** 2)
             - (1.0 - c) / (1.0 + c))
     assert np.abs(vals - pred).max() < 1e-10
@@ -283,13 +283,13 @@ def test_shifted_tensor_eigenvalue_formula():
 def test_shifted_tensor_rejects_nonpositive_shift():
     sc = get("identity-s2")
     with pytest.raises(InvalidParameterError):
-        point_rows(sc.f, [sc.domain.point([0.0, 0.0])])[0].shifted_s(-0.5)
+        point_rows(sc.f, [sc.domain.point([0.0, 0.0])]).shifted_s(-0.5)
 
 
 @pytest.mark.parametrize("c", [-1.0, -0.5, 0.0, float("nan")])
 def test_shifted_jet_rejects_nonpositive_shift_before_dividing(c):
     sc = get("holo-w2")
-    d = point_rows(sc.f, [sc.domain.point([0.3, -0.2])])[0]
+    d = point_rows(sc.f, [sc.domain.point([0.3, -0.2])])
     with pytest.raises(InvalidParameterError, match="must be positive"):
         d.blk.shifted_jet(c)
     with pytest.raises(InvalidParameterError, match="must be positive"):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphgeo.chart_manifold import curvature_form, matvec, ricci_from_jet
+from graphgeo.chart_manifold import curvature_form, matvec, powers, ricci_from_jet
 from graphgeo.errors import PreconditionError
 from graphgeo.graph_map import MapJet, SmoothMap
 from graphgeo.identities import (
@@ -23,11 +23,12 @@ from graphgeo.identities import (
     run_identity_suite,
 )
 from graphgeo.scenarios import get, registry
+from test_block_partition import polynomial_chart, quadratic_map
 
 
 def row(f, p):
-    """The identity checks' view of one point: a block of one."""
-    return point_rows(f, [p])[0]
+    """The identity checks' view of one point: a stack of one row."""
+    return point_rows(f, [p])
 
 
 # ---------------------------------------------------------------------------
@@ -39,21 +40,20 @@ def test_constant_map_closed_form_anchor():
     # on the unit sphere, independent of the pinching level
     sc = get("constant-s2")
     d = row(sc.f, sc.domain.point([0.4, -0.1]))
-    for sigma in (1.0, 0.3, -1.5):
-        lhs, rhs_a, rhs_b = decomposition_sides(d, 2.0, sigma, 0)
-        assert abs(lhs + 4.0) < 1e-8
-        assert abs(rhs_a + 4.0) < 1e-8
-        assert abs(rhs_b + 4.0) < 1e-8
+    sigmas = np.array([1.0, 0.3, -1.5])
+    lhs, rhs_a, rhs_b = decomposition_sides(d.take([0, 0, 0]), 2.0, sigmas, 0)
+    assert np.all(abs(lhs + 4.0) < 1e-8)
+    assert np.all(abs(rhs_a + 4.0) < 1e-8)
+    assert np.all(abs(rhs_b + 4.0) < 1e-8)
 
 
 def test_identity_map_decomposition_vanishes():
     sc = get("identity-s2")
     d = row(sc.f, sc.domain.point([0.2, 0.5]))
-    for l in range(2):
-        lhs, rhs_a, rhs_b = decomposition_sides(d, 1.0, 1.0, l)
-        assert abs(lhs) < 1e-12
-        assert abs(rhs_a) < 1e-12
-        assert abs(rhs_b) < 1e-12
+    lhs, rhs_a, rhs_b = decomposition_sides(d.take([0, 0]), 1.0, 1.0, np.arange(2))
+    assert np.all(abs(lhs) < 1e-12)
+    assert np.all(abs(rhs_a) < 1e-12)
+    assert np.all(abs(rhs_b) < 1e-12)
 
 
 def test_decomposition_residuals_random_sweep():
@@ -67,7 +67,7 @@ def test_decomposition_residuals_random_sweep():
         c = float(rng.uniform(0.05, 10.0))
         sigma = float(rng.uniform(-2.0, 2.0))
         l = int(rng.integers(0, sc.domain.dim))
-        lhs, rhs_a, rhs_b = decomposition_sides(d, c, sigma, l)
+        (lhs,), (rhs_a,), (rhs_b,) = decomposition_sides(d, c, sigma, l)
         worst_a = max(worst_a, abs(lhs - rhs_a))
         worst_b = max(worst_b, abs(lhs - rhs_b))
         worst_gap = max(worst_gap, abs(rhs_a - rhs_b))
@@ -84,24 +84,24 @@ def test_normal_estimate_identity_is_equality():
     # stretch one, shift one: both sides vanish on every normal direction
     sc = get("identity-s2")
     p = sc.domain.point([0.7, 0.0])
-    slack = normal_estimate_check(row(sc.f, p), 1.0, rng=np.random.default_rng(0))
+    (slack,) = normal_estimate_check(row(sc.f, p), 1.0, rng=np.random.default_rng(0))
     assert abs(slack) < 1e-12
 
 
 def test_normal_estimate_constant_map_at_zero_shift():
     sc = get("constant-s2")
     p = sc.domain.point([0.1, 0.9])
-    slack = normal_estimate_check(row(sc.f, p), 0.0, rng=np.random.default_rng(0))
+    (slack,) = normal_estimate_check(row(sc.f, p), 0.0, rng=np.random.default_rng(0))
     assert abs(slack) < 1e-12
 
 
 def test_normal_estimate_sweep_w2():
     sc = get("holo-w2")
     rng = np.random.default_rng(31)
-    for d in point_rows(sc.f, sc.random_points(50, rng)):
-        lam2 = float(d.frames.lambdas[-1] ** 2)
-        slack = normal_estimate_check(d, lam2, rng=rng)
-        assert slack > -1e-10
+    d = point_rows(sc.f, sc.random_points(50, rng))
+    slacks = normal_estimate_check(d, d.lambdas[:, -1] ** 2, rng=rng)
+    assert slacks.shape == (50,)
+    assert np.all(slacks > -1e-10)
 
 
 def test_normal_estimate_precondition():
@@ -118,8 +118,8 @@ def test_normal_estimate_precondition():
 def test_reaction_term_zero_tensor():
     sc = get("torus-linear")
     p = sc.domain.point([0.5, -0.5])
-    val = reaction_term_apply(row(sc.f, p), 2.0, np.zeros((2, 2)),
-                              np.array([1.0, 0.0]), np.array([1.0, 0.0]))
+    (val,) = reaction_term_apply(row(sc.f, p), 2.0, np.zeros((1, 2, 2)),
+                                 np.array([[1.0, 0.0]]), np.array([[1.0, 0.0]]))
     assert abs(val) < 1e-14
 
 
@@ -131,12 +131,12 @@ def test_reaction_term_constant_map_oracle():
     p = sc.domain.point([0.3, 0.2])
     d = row(sc.f, p)
     ric_m = ricci_from_jet(sc.domain.metric_jet(p.coords[None]))[0][0]
-    e1 = d.frames.e[:, 0]
+    e1 = d.e[0][:, 0]
     theta = d.g.copy()
     for c in (0.0, 1.0, 2.0, 5.0):
         oracle = (-2.0 * float(e1 @ ric_m @ e1)
                   + 4.0 * c / (1.0 + c) * float(e1 @ ric_m @ e1))
-        val = reaction_term_apply(d, c, theta, e1, e1)
+        (val,) = reaction_term_apply(d, c, theta, e1[None], e1[None])
         assert abs(val - oracle) < 1e-12
 
 
@@ -144,10 +144,10 @@ def test_reaction_term_constant_map_oracle():
 # Stacks against their elements
 # ---------------------------------------------------------------------------
 #
-# The checks evaluate stacks of vectors and tensors in one call.  Each value
-# of a stack must equal the call on that element alone, bit for bit: the
-# identity residuals are differences of nearly equal terms, so a moved last
-# bit shows in the reported numbers.
+# The checks evaluate stacks of rows, vectors and tensors in one call.  Each
+# value of a stack must equal the call on that element alone, bit for bit:
+# the identity residuals are differences of nearly equal terms, so a moved
+# last bit shows in the reported numbers.
 
 def same_bits(stacked, elements) -> bool:
     return (np.asarray(stacked, dtype=float).tobytes()
@@ -165,7 +165,7 @@ def stacked_point(draw):
 def vector_stack(d, rng, k, frame):
     """The frame vectors ``e.T`` (a strided view, as the checks use them) or
     ``k`` random chart vectors."""
-    return d.frames.e.T if frame else rng.normal(size=(k, d.m))
+    return d.e[0].T if frame else rng.normal(size=(k, d.m))
 
 
 @settings(max_examples=40, deadline=None)
@@ -178,10 +178,11 @@ def test_stacked_reaction_term_equals_each_element(point, k, c, shared_theta, fr
     theta = rng.normal(size=(m, m) if shared_theta else (k, m, m))
     theta = theta + np.swapaxes(theta, -1, -2)
     w = rng.normal(size=(k, m))
-    stacked = reaction_term_apply(d, c, theta, v, w)
+    stacked = reaction_term_apply(d, c, theta[None, None] if shared_theta else theta[None],
+                                  v[None], w[None])[0]
     thetas = [theta if shared_theta else theta[i] for i in range(k)]
-    assert same_bits(stacked, [reaction_term_apply(d, c, thetas[i], v[i], w[i])
-                               for i in range(k)])
+    assert same_bits(stacked, [reaction_term_apply(d, c, thetas[i][None], v[i][None],
+                                                   w[i][None])[0] for i in range(k)])
 
 
 @settings(max_examples=40, deadline=None)
@@ -191,9 +192,10 @@ def test_stacked_curvature_terms_equal_each_element(point, k, frame):
     # R(u_k, u_l, u_k, z_k) with u_l shared across the stack
     d, rng = point
     vectors = vector_stack(d, rng, k, frame)
-    pushed = matvec(d.d1, vectors)
-    assert same_bits(pushed, [d.d1 @ u for u in vectors])
-    for riem, u in ((d.riem_m, vectors), (d.riem_n, pushed)):
+    d1 = d.d1[0]
+    pushed = matvec(d1, vectors)
+    assert same_bits(pushed, [d1 @ u for u in vectors])
+    for riem, u in ((d.riem_m[0], vectors), (d.riem_n[0], pushed)):
         z = rng.normal(size=u.shape)
         stacked = curvature_form(riem, u, u[-1], u, z)
         assert same_bits(stacked, [curvature_form(riem, u[i], u[-1], u[i], z[i])
@@ -211,6 +213,93 @@ def test_one_normal_block_equals_alternating_draws(seed, k, a, b):
     assert same_bits(block, np.reshape(expected, (k, a + b)))
 
 
+@settings(max_examples=30, deadline=None)
+@given(name=st.sampled_from(sorted(registry())), seed=st.integers(0, 2 ** 32 - 1),
+       count=st.integers(2, 7), take=st.lists(st.integers(0, 6), min_size=1, max_size=5))
+def test_stack_rows_keep_the_layout_of_block_rows(name, seed, count, take):
+    # a stacked row keeps the strides' order, and their lack of a unit
+    # stride, of a row view of its block: einsum sums and matmul picks BLAS
+    # by the strides, so this is what gives a row the bits it has alone
+    sc = get(name)
+    d = point_rows(sc.f, sc.random_points(count, np.random.default_rng(seed)))
+    rows = [i % count for i in take]
+    stack = d.take(rows)
+    for column in ("g", "ginv", "gamma_g", "riem_m", "riem_n", "ric_m", "ric_g_op",
+                   "d1", "e", "normal", "a_frame", "a_coord"):
+        block = getattr(d.blk, column, None)
+        block = getattr(d.blk.frames, column, None) if block is None else block
+        block = getattr(d.blk.ext, column) if block is None else block
+        got = getattr(stack, column)
+        for k, i in enumerate(rows):
+            alone = block[i]
+            assert np.array_equal(got[k], alone), column
+            assert (np.argsort(got[k].strides, kind="stable").tolist()
+                    == np.argsort(alone.strides, kind="stable").tolist()), column
+            assert (got[k].itemsize in got[k].strides) == (alone.itemsize in alone.strides)
+
+
+@st.composite
+def block_rows(draw):
+    """Rows of one block, at random points of a registry scenario or of a
+    quadratic map between non-diagonal polynomial charts (m, n in {2, 3}),
+    and a seed."""
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    rng = np.random.default_rng(seed)
+    count = draw(st.integers(2, 6))
+    if draw(st.booleans()):
+        sc = get(draw(st.sampled_from(sorted(registry()))))
+        return point_rows(sc.f, sc.random_points(count, rng)), seed
+    m, n = draw(st.sampled_from([2, 3])), draw(st.sampled_from([2, 3]))
+    f = quadratic_map(rng, polynomial_chart(rng, m, 0.05), polynomial_chart(rng, n, 0.05))
+    return point_rows(f, rng.uniform(-0.5, 0.5, size=(count, m))), seed
+
+
+@settings(max_examples=30, deadline=None)
+@given(rows=block_rows())
+def test_stacked_checks_equal_their_one_row_evaluations(rows):
+    # every check on a stack of rows gives each row the bits of the same
+    # check on that row alone (rows=[i]), draws included
+    d, seed = rows
+    rng = np.random.default_rng(seed)
+    alone = [d.take([i]) for i in range(len(d))]
+    lam2 = powers(d.lambdas[:, -1], 2)
+    shifts = np.stack([lam2, lam2 + 1.0], axis=-1)
+    stacked = normal_estimate_check(d, shifts, rng=np.random.default_rng(seed))
+    one_rng = np.random.default_rng(seed)
+    assert same_bits(stacked, [normal_estimate_check(r, shifts[i:i + 1], rng=one_rng)[0]
+                               for i, r in enumerate(alone)])
+
+    at = rng.integers(0, len(d), size=8)
+    c, sigma = rng.uniform(0.05, 10.0, size=8), rng.uniform(-2.0, 2.0, size=8)
+    l = rng.integers(0, d.m, size=8)
+    stacked = decomposition_sides(d.take(at), c, sigma, l)
+    assert same_bits(np.transpose(stacked), [
+        [x[0] for x in decomposition_sides(alone[at[t]], c[t], sigma[t], l[t])]
+        for t in range(8)])
+    assert same_bits(max_point_term_values(d, 0.7, 1.3),
+                     [max_point_term_values(r, 0.7, 1.3)[0] for r in alone])
+
+    # the residuals' formulas hold for minimal maps; their bits do not care
+    assert same_bits(elliptic_equation_residual(d, 1.5, minimal_tol=np.inf),
+                     [elliptic_equation_residual(r, 1.5, minimal_tol=np.inf)[0]
+                      for r in alone])
+    if d.m == d.n == 2:
+        assert same_bits(log_jacobian_residual_2d(d, minimal_tol=np.inf),
+                         [log_jacobian_residual_2d(r, minimal_tol=np.inf)[0]
+                          for r in alone])
+
+    # the null probe's reaction values: (v, v) on projected Gram tensors
+    theta = rng.normal(size=(len(d), 5, d.m, d.m))
+    theta = theta + np.swapaxes(theta, -1, -2)
+    v = rng.normal(size=(len(d), 5, d.m))
+    assert same_bits(reaction_term_apply(d, 0.8, theta, v, v),
+                     [reaction_term_apply(r, 0.8, theta[i:i + 1], v[i:i + 1], v[i:i + 1])[0]
+                      for i, r in enumerate(alone)])
+    stacked = null_eigenvector_probe(d, 0.5, 0.8, rng=np.random.default_rng(seed))
+    one_rng = np.random.default_rng(seed)
+    assert stacked == [null_eigenvector_probe(r, 0.5, 0.8, rng=one_rng)[0] for r in alone]
+
+
 # ---------------------------------------------------------------------------
 # Elliptic equation
 # ---------------------------------------------------------------------------
@@ -223,18 +312,17 @@ def test_one_normal_block_equals_alternating_draws(seed, k, a, b):
 def test_elliptic_equation_parallel_scenarios(name, c):
     sc = get(name)
     p = sc.domain.point(np.array([0.3, -0.2, 0.1][: sc.domain.dim]))
-    assert elliptic_equation_residual(row(sc.f, p), c) < 1e-8
+    assert elliptic_equation_residual(row(sc.f, p), c)[0] < 1e-8
 
 
 @pytest.mark.parametrize("name", ["holo-w2", "holo-w3", "conformal-shrink"])
 def test_elliptic_equation_fd_path(name):
     sc = get(name)
-    for coords in ([0.6, 0.3], [-0.4, 0.8]):
-        d = row(sc.f, sc.domain.point(coords))
-        r_h = elliptic_equation_residual(d, 2.0, h=1e-3)
-        r_half = elliptic_equation_residual(d, 2.0, h=5e-4)
-        assert r_h < 1e-4
-        assert 3.5 <= r_h / r_half <= 4.5
+    d = point_rows(sc.f, [[0.6, 0.3], [-0.4, 0.8]])
+    r_h = elliptic_equation_residual(d, 2.0, h=1e-3)
+    r_half = elliptic_equation_residual(d, 2.0, h=5e-4)
+    assert np.all(r_h < 1e-4)
+    assert np.all((3.5 <= r_h / r_half) & (r_h / r_half <= 4.5))
 
 
 def test_elliptic_equation_rejects_nonminimal():
@@ -250,29 +338,29 @@ def test_elliptic_equation_rejects_nonminimal():
 def test_log_jacobian_identity_scenario_exact():
     # the Jacobian field is the constant 1/2: both sides vanish
     sc = get("identity-s2")
-    for coords in ([0.25, -0.45], [0.0, 0.6]):
-        assert log_jacobian_residual_2d(row(sc.f, sc.domain.point(coords))) < 1e-10
+    d = point_rows(sc.f, [[0.25, -0.45], [0.0, 0.6]])
+    assert np.all(log_jacobian_residual_2d(d) < 1e-10)
 
 
 def test_log_jacobian_constant_map_trivial():
     sc = get("constant-s2")
-    assert log_jacobian_residual_2d(row(sc.f, sc.domain.point([0.5, 0.1]))) < 1e-10
+    assert log_jacobian_residual_2d(row(sc.f, sc.domain.point([0.5, 0.1])))[0] < 1e-10
 
 
 def test_log_jacobian_w2_sweep():
     sc = get("holo-w2")
     rng = np.random.default_rng(32)
-    for d in point_rows(sc.f, sc.random_points(50, rng)):
-        assert log_jacobian_residual_2d(d, h=1e-3) < 1e-4
-        assert minimality_relations_residual_2d(d) < 1e-6
-        assert jacobian_consistency_2d(d) < 1e-12
+    d = point_rows(sc.f, sc.random_points(50, rng))
+    assert np.all(log_jacobian_residual_2d(d, h=1e-3) < 1e-4)
+    assert np.all(minimality_relations_residual_2d(d) < 1e-6)
+    assert np.all(jacobian_consistency_2d(d) < 1e-12)
 
 
 def test_log_jacobian_w2_convergence():
     sc = get("holo-w2")
     d = row(sc.f, sc.domain.point([0.7, -0.2]))
-    r_h = log_jacobian_residual_2d(d, h=1e-3)
-    r_half = log_jacobian_residual_2d(d, h=5e-4)
+    (r_h,) = log_jacobian_residual_2d(d, h=1e-3)
+    (r_half,) = log_jacobian_residual_2d(d, h=5e-4)
     assert 3.5 <= r_h / r_half <= 4.5
 
 
@@ -289,9 +377,10 @@ def test_log_jacobian_rejects_wrong_dimensions():
 def test_null_probe_identity_branch_at_least_one():
     sc = get("identity-s2")
     rng = np.random.default_rng(33)
-    for d in point_rows(sc.f, sc.random_points(5, rng)):
-        res = null_eigenvector_probe(d, sigma=1.0, lambda0_sq=1.0,
-                                     kappa_sq=1.01, rng=rng)
+    d = point_rows(sc.f, sc.random_points(5, rng))
+    results = null_eigenvector_probe(d, sigma=1.0, lambda0_sq=1.0, kappa_sq=1.01, rng=rng)
+    assert len(results) == 5
+    for res in results:
         assert res.status == "pass"
         assert res.min_value > -1e-10
         assert res.max_ric_term < 1e-12
@@ -300,8 +389,8 @@ def test_null_probe_identity_branch_at_least_one():
 def test_null_probe_constant_branch_below_one():
     sc = get("constant-s3")
     rng = np.random.default_rng(34)
-    for d in point_rows(sc.f, sc.random_points(5, rng)):
-        res = null_eigenvector_probe(d, sigma=1.0, lambda0_sq=0.0, rng=rng)
+    d = point_rows(sc.f, sc.random_points(5, rng))
+    for res in null_eigenvector_probe(d, sigma=1.0, lambda0_sq=0.0, rng=rng):
         assert res.status == "pass"
         assert res.min_value > -1e-10
 
@@ -313,25 +402,39 @@ def test_null_probe_strictly_length_decreasing_branch():
     box = np.array([[-0.6, 0.6], [-0.6, 0.6]])
     rng = np.random.default_rng(35)
     rows = point_rows(sc.f, sc.random_points(8, rng, box=box))
-    lam0_sq = max(float(d.frames.lambdas[-1] ** 2) for d in rows)
+    lam0_sq = float(powers(rows.lambdas[:, -1], 2).max())
     assert lam0_sq < 1.0
-    for d in rows:
-        res = null_eigenvector_probe(d, sigma=1.0, lambda0_sq=lam0_sq, rng=rng)
+    for res in null_eigenvector_probe(rows, sigma=1.0, lambda0_sq=lam0_sq, rng=rng):
         assert res.status == "pass"
         assert res.min_value > -1e-10
+
+
+@pytest.mark.parametrize("name,lambda0_sq", [("identity-s3", 0.8), ("rotation-s2", 1.0),
+                                              ("constant-s2", 0.0)])
+def test_null_probe_stack_equals_its_rows_probed_in_turn(name, lambda0_sq):
+    # each row's plane and tensor draws follow the previous row's in the
+    # stream, as if the rows were probed one at a time
+    sc = get(name)
+    d = point_rows(sc.f, sc.random_points(6, np.random.default_rng(37)))
+    stacked = null_eigenvector_probe(d, sc.sigma, lambda0_sq, kappa_sq=1.01,
+                                     rng=np.random.default_rng(38))
+    rng = np.random.default_rng(38)
+    assert stacked == [null_eigenvector_probe(d.take([i]), sc.sigma, lambda0_sq,
+                                              kappa_sq=1.01, rng=rng)[0] for i in range(6)]
+    assert sum(res.status != "skipped" for res in stacked) >= 2
 
 
 def test_null_probe_skips_on_violated_hypotheses():
     rng = np.random.default_rng(36)
     sc = get("holo-w2")
-    res = null_eigenvector_probe(row(sc.f, sc.domain.point([1.0, 0.2])),
-                                 sigma=1.0, lambda0_sq=4.7, kappa_sq=5.0, rng=rng)
+    (res,) = null_eigenvector_probe(row(sc.f, sc.domain.point([1.0, 0.2])),
+                                    sigma=1.0, lambda0_sq=4.7, kappa_sq=5.0, rng=rng)
     assert res.status == "skipped"
     assert "trace" in res.reason
 
     sc = get("torus-linear")
-    res = null_eigenvector_probe(row(sc.f, sc.domain.point([0.3, 0.3])),
-                                 sigma=1.0, lambda0_sq=6.9, kappa_sq=7.5, rng=rng)
+    (res,) = null_eigenvector_probe(row(sc.f, sc.domain.point([0.3, 0.3])),
+                                    sigma=1.0, lambda0_sq=6.9, kappa_sq=7.5, rng=rng)
     assert res.status == "skipped"
     assert "curvature" in res.reason
 
@@ -392,12 +495,11 @@ def test_term_signs_at_probed_maximum(name):
     # on scenarios meeting the full gate, each grouped term is non-positive
     # at the point where the top singular value attains its grid maximum
     sc = get(name)
-    pts = [sc.domain.point(x) for x in sc.grid_points((5,) * sc.domain.dim)]
-    datas = point_rows(sc.f, pts)
-    lam0_sq = max(float(d.frames.lambdas[-1] ** 2) for d in datas)
-    best = max(range(len(pts)),
-               key=lambda i: float(datas[i].frames.lambdas[-1]))
-    terms = max_point_term_values(datas[best], sigma=sc.sigma, lambda0_sq=lam0_sq)
+    datas = point_rows(sc.f, sc.grid_points((5,) * sc.domain.dim))
+    lam0_sq = float(powers(datas.lambdas[:, -1], 2).max())
+    best = int(np.argmax(datas.lambdas[:, -1]))
+    terms = max_point_term_values(datas.take([best]), sigma=sc.sigma, lambda0_sq=lam0_sq)
+    assert terms.shape == (1, 6)
     assert terms.max() <= 1e-8
 
 
