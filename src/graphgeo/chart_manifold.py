@@ -30,15 +30,13 @@ All derivative data is exact (supplied by the chart's jet evaluator); finite
 differences appear only in tests as an independent cross-check.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .errors import DegenerateMetricError, DegeneratePlaneError, OutOfChartError
+from .records import Frozen
 
 Array = np.ndarray
 
@@ -49,24 +47,20 @@ PLANE_TOL = 1e-12
 DEFAULT_MARGIN = 0.1
 
 
-@dataclass(frozen=True)
-class ChartPoint:
-    """A point given by its chart coordinates."""
+class ChartPoint(Frozen):
+    """A point given by its chart coordinates (a copy, as floats)."""
 
-    coords: Array
+    __slots__ = ("coords",)
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "coords", np.array(self.coords, dtype=float, copy=True)
-        )
+    def __init__(self, coords):
+        super().__init__(np.array(coords, dtype=float, copy=True))
 
     @property
     def dim(self) -> int:
         return self.coords.shape[0]
 
 
-@dataclass(frozen=True)
-class MetricJet:
+class MetricJet(NamedTuple):
     """Metric components with exact first and second chart derivatives."""
 
     g: Array
@@ -74,27 +68,38 @@ class MetricJet:
     d2g: Array
 
 
-@dataclass(frozen=True)
-class ChartManifold:
-    """A Riemannian manifold seen through one coordinate chart.
-
-    ``metric_jet`` maps a coordinate block of shape ``(B, dim)`` to one
-    :class:`MetricJet` of ``B`` stacked jets (a point is the block
-    ``x[None]``) and must be smooth on ``chart_box`` (an array of shape
-    ``(dim, 2)`` with the low/high bounds per axis).
-    """
-
+class _ChartFields(NamedTuple):
     dim: int
     metric_jet: Callable[[Array], MetricJet]
     chart_box: Array
     name: str = "chart"
     margin: float = DEFAULT_MARGIN
 
-    def __post_init__(self):
-        box = np.array(self.chart_box, dtype=float)
-        if box.shape != (self.dim, 2):
-            raise ValueError(f"chart_box must have shape ({self.dim}, 2)")
-        object.__setattr__(self, "chart_box", box)
+
+class ChartManifold(_ChartFields):
+    """A Riemannian manifold seen through one coordinate chart.
+
+    ``metric_jet`` maps a coordinate block of shape ``(B, dim)`` to one
+    :class:`MetricJet` of ``B`` stacked jets (a point is the block
+    ``x[None]``) and must be smooth on ``chart_box`` (an array of shape
+    ``(dim, 2)`` with the low/high bounds per axis; stored as a read-only
+    copy).
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, dim, metric_jet, chart_box, name="chart", margin=DEFAULT_MARGIN):
+        box = np.array(chart_box, dtype=float)
+        if box.shape != (dim, 2):
+            raise ValueError(f"chart_box must have shape ({dim}, 2)")
+        box.flags.writeable = False
+        return super().__new__(cls, dim, metric_jet, box, name, margin)
+
+    @classmethod
+    def _make(cls, fields) -> "ChartManifold":
+        """The chart of ``fields``, validated as by the constructor (and so
+        by ``_replace``)."""
+        return cls(*fields)
 
     def point(self, coords) -> ChartPoint:
         p = ChartPoint(np.asarray(coords, dtype=float))
@@ -139,8 +144,7 @@ def block_innermost(a: Array) -> Array:
 
 
 def _laid_out(jet: MetricJet) -> MetricJet:
-    return MetricJet(*(None if a is None else block_innermost(a)
-                       for a in (jet.g, jet.dg, jet.d2g)))
+    return MetricJet(*(None if a is None else block_innermost(a) for a in jet))
 
 
 def powers(a: Array, k: int) -> Array:

@@ -17,17 +17,17 @@ timing goes to stderr and the ``runtime_seconds`` field of the artifact is
 serialized as null.
 """
 
-from __future__ import annotations
-
 import argparse
 import functools
 import json
 import math
 import sys
 import time
+from collections.abc import Mapping
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
 from pathlib import Path
+from types import MappingProxyType
+from typing import NamedTuple
 
 import numpy as np
 
@@ -50,8 +50,7 @@ EXIT_OUT_OF_CHART = 3
 EXIT_INDETERMINATE = 4
 
 
-@dataclass
-class RunConfig:
+class RunConfig(NamedTuple):
     scenario: str | None = None
     grid: tuple[int, ...] | None = None
     box: list | None = None
@@ -60,7 +59,7 @@ class RunConfig:
     c: float = 2.0
     sigma: float | None = None
     kappa_margin: float = 0.01
-    tolerances: dict[str, float] = field(default_factory=dict)
+    tolerances: Mapping[str, float] = MappingProxyType({})   # read-only
     output: str | None = None
     format: str = "json"
     threads: int = 1
@@ -97,7 +96,9 @@ class RunConfig:
             raise ValueError("finite-difference step must be positive")
         if self.c <= 0.0:
             raise ValueError("shift parameter c must be positive")
-        if not isinstance(self.tolerances, dict):
+        if self.sigma is not None and self.sigma <= 0.0:
+            raise ValueError(f"pinching level sigma must be positive, got {self.sigma!r}")
+        if not isinstance(self.tolerances, Mapping):
             raise ValueError("tolerances must be a mapping of names to values")
         unknown = sorted(set(self.tolerances) - set(DEFAULT_TOLERANCES)
                          - set(DEFAULT_IDENTITY_TOLERANCES))
@@ -183,10 +184,10 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
             raise ValueError(f"cannot read config file: {exc}") from exc
         if not isinstance(data, dict):
             raise ValueError("config file must hold a JSON object")
-        unknown = set(data) - set(RunConfig.__dataclass_fields__)
+        unknown = set(data) - set(RunConfig._fields)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        cfg = replace(cfg, **data)
+        cfg = cfg._replace(**data)
     # command line wins over the config file
     overrides = {}
     for key in ("scenario", "grid", "seed", "h", "c", "sigma", "kappa_margin",
@@ -196,7 +197,7 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
             overrides[key] = val
     if getattr(args, "tol", None):
         overrides["tolerances"] = {**cfg.tolerances, **dict(args.tol)}
-    cfg = replace(cfg, **overrides)
+    cfg = cfg._replace(**overrides)
     cfg.validate()
     return cfg
 

@@ -13,10 +13,8 @@ residual is available as a diagnostic, since for a correct computation it
 must vanish identically.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,6 +31,7 @@ from .graph_map import (
     verified_frame_block,
 )
 from .product_space import product_form
+from .records import Frozen
 
 Array = np.ndarray
 
@@ -57,8 +56,7 @@ TOTALLY_GEODESIC_TOL = 1e-8
 BLOCK_BUDGET = 2 ** 15
 
 
-@dataclass(frozen=True)
-class ExtrinsicData:
+class ExtrinsicData(NamedTuple):
     """Second fundamental form data.
 
     ``a_frame[i, j]`` is ``A(e_i, e_j)`` in the adapted orthonormal frame and
@@ -136,8 +134,7 @@ def second_fundamental_block(blk: "GraphBlock") -> ExtrinsicData:
 # Grid engine: every pointwise quantity over blocks of points
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GraphBlock:
+class GraphBlock(Frozen):
     """Pointwise graph geometry over a block of domain points.
 
     ``jets`` holds each point's map jet and its two metric jets, evaluated
@@ -145,8 +142,8 @@ class GraphBlock:
     first use, for the whole block at a time, and kept.
     """
 
-    f: SmoothMap
-    jets: GraphJets
+    def __init__(self, f: SmoothMap, jets: GraphJets):
+        self.__dict__.update(f=f, jets=jets)     # the cached columns join them
 
     coords = property(lambda self: self.jets.coords)
     d1 = property(lambda self: self.jets.f.d1)

@@ -13,10 +13,7 @@ The formulas work on blocks of points: array arguments carry a leading
 block axis.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -46,16 +43,14 @@ RANK_TOL = 1e-8
 FRAME_VERIFY_TOL = 1e-8
 
 
-@dataclass(frozen=True)
-class MapJet:
+class MapJet(NamedTuple):
     value: Array
     d1: Array
     d2: Array
     d3: Array | None = None
 
 
-@dataclass(frozen=True)
-class SmoothMap:
+class SmoothMap(NamedTuple):
     """A chart-to-chart map with an exact jet evaluator up to order three:
     ``jet_fn`` maps a coordinate block of shape ``(B, m)`` to one
     :class:`MapJet` of ``B`` stacked jets (a point is the block ``x[None]``)."""
@@ -87,8 +82,7 @@ class SmoothMap:
                       None if jet.d3 is None else block_innermost(jet.d3))
 
 
-@dataclass(frozen=True)
-class GraphJets:
+class GraphJets(NamedTuple):
     """Map jets and both metric jets over a block of domain points."""
 
     coords: Array     # (B, m)
@@ -104,8 +98,7 @@ def graph_jets(f: SmoothMap, coords: Array) -> GraphJets:
     return GraphJets(coords, fjet, f.domain.jet(coords), f.target.jet(fjet.value))
 
 
-@dataclass(frozen=True)
-class GraphFrameData:
+class GraphFrameData(NamedTuple):
     """Singular values and adapted frames of the graph.
 
     For one point: ``lambdas`` are ascending; ``alpha[:, i]`` / ``beta[:, i]``
@@ -367,7 +360,7 @@ def induced_metric_jet(f: SmoothMap, p: ChartPoint, order: int = 2) -> MetricJet
     """Jet of the graph-induced metric ``g_M + f*(g_N)`` at ``p``."""
     jets = graph_jets(f, p.coords[None])
     jet = induced_jet(jets.gm, pullback_metric_jet(jets.f, jets.gn, order=order))
-    return MetricJet(*(None if a is None else a[0] for a in (jet.g, jet.dg, jet.d2g)))
+    return MetricJet(*(None if a is None else a[0] for a in jet))
 
 
 def singular_values_at(f: SmoothMap, p: ChartPoint) -> GraphFrameData:
@@ -389,8 +382,7 @@ def frame_formula_residual(f: SmoothMap, p: ChartPoint,
     """Worst residual of the split-form evaluation identities on the frames
     of ``p`` (see :func:`frame_residual_block`)."""
     jets, P = _at(f, p)
-    one = GraphFrameData(*(np.asarray(getattr(frames, k))[None]
-                           for k in GraphFrameData.__dataclass_fields__))
+    one = GraphFrameData(*(np.asarray(a)[None] for a in frames))
     return float(frame_residual_block(one, jets.gm.g, jets.gn.g, jets.gm.g + P)[0])
 
 

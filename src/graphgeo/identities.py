@@ -9,13 +9,12 @@ metric; the curvature-to-sectional reductions are only valid there.
 Every operation evaluates a stack of rows of a :class:`GraphBlock`
 (:class:`PointData`; a point is the stack ``rows=[i]``) in one call, one
 value per row, each with the bits of a single-point evaluation.  The
-stencils and parallel-field probes of all rows are one block each.
+stencils and parallel-field probes of all rows are one block each; the
+suite's elliptic and log-Jacobian checks share their stencil block.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 import numpy as np
 
@@ -120,7 +119,7 @@ def _require_minimal(d: PointData, minimal_tol: float) -> None:
 # Normal estimate for the split-signature form
 # ---------------------------------------------------------------------------
 
-def normal_estimate_check(d: PointData, c, rng: np.random.Generator | None = None,
+def normal_estimate_check(d: PointData, c, rng: "np.random.Generator | None" = None,
                           n_mixtures: int = 20) -> Array:
     """Worst slack of the normal-cone estimate ``((c-1)/(1+c)) |eta|^2 -
     s_prod(eta, eta) >= 0`` (for ``c >= lambda_max^2``) over the adapted
@@ -362,11 +361,14 @@ def scalar_laplacian_fd(d: PointData, f0: Array, vals: Array, h: float) -> Array
 # ---------------------------------------------------------------------------
 
 def shifted_tensor_laplacian(d: PointData, c: float, h: float,
-                             probe_step: float = 0.05) -> Array:
+                             probe_step: float = 0.05,
+                             stencil: GraphBlock | None = None) -> Array:
     """Rough Laplacian of the shifted tensor field at each row: zero where
     the field is parallel (exact covariant derivative vanishing at the point
     and at its axis neighbours at ``probe_step``, not at an isolated
-    critical point alone), else from one stencil block for those rows."""
+    critical point alone), else from one stencil block for those rows, or
+    from their rows of ``stencil``, the stencil block of every row of ``d``
+    at step ``h``."""
     count = 2 * d.m
     probes = _stencil_block(d, probe_step, count)
     phi, dphi, gamma = (
@@ -379,19 +381,23 @@ def shifted_tensor_laplacian(d: PointData, c: float, h: float,
     lap = np.zeros((len(d), d.m, d.m))
     if rough.any():
         sub, count = d.take(rough), 2 * d.m * d.m
-        stencil = _stencil_block(sub, h, count)
-        vals = _per_row(shift_deficit(stencil.s, stencil.g, c), count)
+        stencil, picked = ((_stencil_block(sub, h, count), slice(None)) if stencil is None
+                           else (stencil, rough))
+        near = shift_deficit(stencil.s, stencil.g, c).reshape(-1, count, d.m, d.m)
+        vals = _per_row(near[picked].reshape(-1, d.m, d.m), count)
         lap[rough] = rough_laplacian_fd(sub, sub.shifted_s(c), vals, h)
     return lap
 
 
 def elliptic_equation_residual(d: PointData, c: float, h: float = 1e-3,
-                               minimal_tol: float = MINIMAL_TOL) -> Array:
+                               minimal_tol: float = MINIMAL_TOL,
+                               stencil: GraphBlock | None = None) -> Array:
     """Residual of ``Lap(Phi) + Psi(Phi) = 0`` on the adapted frame at each
-    row.  The equation in this homogeneous form holds for minimal maps only,
-    so a point with mean curvature above ``minimal_tol`` is rejected."""
+    row (``stencil``: see :func:`shifted_tensor_laplacian`).  The equation
+    in this homogeneous form holds for minimal maps only, so a point with
+    mean curvature above ``minimal_tol`` is rejected."""
     _require_minimal(d, minimal_tol)
-    lap = shifted_tensor_laplacian(d, c, h)
+    lap = shifted_tensor_laplacian(d, c, h, stencil=stencil)
     e_t = np.swapaxes(d.e, -1, -2)
     i, j = np.triu_indices(d.m)
     psi = np.empty((len(d), d.m, d.m))
@@ -433,17 +439,19 @@ def minimality_relations_residual_2d(d: PointData) -> Array:
 
 
 def log_jacobian_residual_2d(d: PointData, h: float = 1e-3,
-                             minimal_tol: float = MINIMAL_TOL) -> Array:
+                             minimal_tol: float = MINIMAL_TOL,
+                             stencil: GraphBlock | None = None) -> Array:
     """Residual at each row of the 2x2-dimensional equation for ``ln`` of the
     projection Jacobian of a minimal map: the Laplace-Beltrami value (FD
-    partials of the exact Jacobian field) against the normal components of
-    the second fundamental form and the sectional curvatures."""
+    partials of the exact Jacobian field, on ``stencil``, the stencil block
+    of the rows at step ``h``, built if not given) against the normal
+    components of the second fundamental form and the sectional curvatures."""
     if d.m != 2 or d.n != 2:
         raise PreconditionError("identity needs dim M = dim N = 2")
     _require_minimal(d, minimal_tol)
 
     count = 2 * d.m * d.m
-    stencil = _stencil_block(d, h, count)
+    stencil = _stencil_block(d, h, count) if stencil is None else stencil
     lhs = scalar_laplacian_fd(
         d, np.log(projection_jacobian(d.gm, d.g)),
         _per_row(np.log(projection_jacobian(stencil.gm, stencil.g)), count), h)
@@ -468,8 +476,7 @@ def log_jacobian_residual_2d(d: PointData, h: float = 1e-3,
 # Null-eigenvector probe of the reaction term
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class NullProbeResult:
+class NullProbeResult(NamedTuple):
     status: str                # "pass", "fail" or "skipped"
     reason: str
     min_value: float
@@ -478,7 +485,7 @@ class NullProbeResult:
 
 
 def _skip_reason(d: PointData, r: int, sigma: float, lambda0_sq: float,
-                 kappa_sq: float | None, rng: np.random.Generator, planes: int = 4,
+                 kappa_sq: float | None, rng: "np.random.Generator", planes: int = 4,
                  tol: float = 1e-9) -> str | None:
     """Why the null probe does not run at row ``r``, or None if it does: the
     curvature separation, then for ``lambda0_sq >= 1`` the other hypotheses."""
@@ -519,7 +526,7 @@ def _skip_reason(d: PointData, r: int, sigma: float, lambda0_sq: float,
 
 def null_eigenvector_probe(d: PointData, sigma: float, lambda0_sq: float,
                            kappa_sq: float | None = None,
-                           rng: np.random.Generator | None = None,
+                           rng: "np.random.Generator | None" = None,
                            n_draws: int = 20,
                            tol: float = 1e-10) -> list[NullProbeResult]:
     """Probe the null-eigenvector condition of the reaction term at each row.
@@ -573,8 +580,7 @@ def null_eigenvector_probe(d: PointData, sigma: float, lambda0_sq: float,
 # Second-derivative probe at the maximum of the top eigenvalue
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ExtremumProbeResult:
+class ExtremumProbeResult(NamedTuple):
     status: str                # "pass", "fail" or "inconclusive"
     reason: str
     point: Array | None
@@ -688,8 +694,7 @@ def max_point_term_values(d: PointData, sigma: float, lambda0_sq: float) -> Arra
 # Identity suite
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class IdentityReport:
+class IdentityReport(NamedTuple):
     """Named residual with its tolerance and pass flag."""
 
     name: str
@@ -801,20 +806,23 @@ def run_identity_suite(scenario, seed: int = 0, h: float = 1e-3,
     minimal_here = bool(np.all(blk.ext.h_norm < MINIMAL_TOL))
     nan_h = bool(np.isnan(blk.ext.h_norm).any())
     sub = d.take(slice(0, 3))
+    two_dim = f.domain.dim == 2 and f.target.dim == 2
+    # the elliptic and log-Jacobian checks share one stencil block when both run
+    stencil = (_stencil_block(sub, h, 2 * sub.m * sub.m) if two_dim and minimal_here
+               else None)
 
     if minimal_here:
-        res = _worst(elliptic_equation_residual(sub, c, h=h))
+        res = _worst(elliptic_equation_residual(sub, c, h=h, stencil=stencil))
         reports.append(IdentityReport("elliptic-equation", len(sub), res,
                                       tol["elliptic"], {"c": c, "h": h}))
     else:
         reports.append(_not_run("elliptic-equation", tol["elliptic"],
                                 "non-minimal scenario", nan_h))
 
-    two_dim = f.domain.dim == 2 and f.target.dim == 2
     if two_dim and minimal_here:
         for name, res, key, params in (
-                ("log-jacobian-2d", log_jacobian_residual_2d(sub, h=h), "log_jacobian",
-                 {"h": h}),
+                ("log-jacobian-2d", log_jacobian_residual_2d(sub, h=h, stencil=stencil),
+                 "log_jacobian", {"h": h}),
                 ("minimality-relations-2d", minimality_relations_residual_2d(sub),
                  "minimality_relations", {}),
                 ("jacobian-consistency-2d", jacobian_consistency_2d(sub),

@@ -7,9 +7,7 @@ from the two factor metrics, so mixed components are exactly zero by
 construction.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,14 +29,12 @@ def product_form(gm: Array, gn: Array, u: Array, v: Array) -> Array:
             + quadratic_form(u[..., m:], gn, v[..., m:]))
 
 
-@dataclass(frozen=True)
-class ProductPoint:
+class ProductPoint(NamedTuple):
     base: ChartPoint
     fiber: ChartPoint
 
 
-@dataclass(frozen=True)
-class ProductSpace:
+class ProductSpace(NamedTuple):
     """The product (M x N, g_M x g_N) of two chart manifolds."""
 
     m_factor: ChartManifold

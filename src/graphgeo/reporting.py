@@ -16,14 +16,14 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
 
+from .records import Frozen
 
-@dataclass(frozen=True)
-class Table:
+
+class Table(Frozen):
     """Same-keyed records held as columns.
 
     Record ``i`` maps every key to row ``i`` of its column (an array, or a
@@ -36,7 +36,7 @@ class Table:
     written record by record.
     """
 
-    columns: dict[str, Any]
+    __slots__ = ("columns",)      # dict[str, Any]
 
     def __len__(self) -> int:
         return len(next(iter(self.columns.values()), ()))

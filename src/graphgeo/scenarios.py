@@ -5,9 +5,8 @@ suite re-verifies each declaration numerically, and properties listed as
 ``None`` are measured rather than asserted.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
+import functools
+from typing import NamedTuple
 
 import numpy as np
 
@@ -19,8 +18,7 @@ from .graph_map import MapJet, SmoothMap
 Array = np.ndarray
 
 
-@dataclass(frozen=True)
-class ExpectedProperties:
+class ExpectedProperties(NamedTuple):
     """Declared behavior of a scenario; ``None`` means measured only."""
 
     minimal: bool | None
@@ -29,8 +27,7 @@ class ExpectedProperties:
     isometric: bool = False
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(NamedTuple):
     name: str
     f: SmoothMap
     expected: ExpectedProperties
@@ -57,7 +54,7 @@ class Scenario:
         return np.stack(np.meshgrid(*axes, indexing="ij"),
                         axis=-1).reshape(-1, self.domain.dim)
 
-    def random_points(self, count: int, rng: np.random.Generator,
+    def random_points(self, count: int, rng: "np.random.Generator",
                       box: Array | None = None) -> list[ChartPoint]:
         box = self.sample_box if box is None else np.asarray(box, dtype=float)
         lo, hi = box[:, 0], box[:, 1]
@@ -172,109 +169,65 @@ def rotation_matrix_2d(angle: float) -> Array:
 # ---------------------------------------------------------------------------
 
 def _box(halfwidth: float, dim: int) -> Array:
-    return np.array([[-halfwidth, halfwidth]] * dim)
+    box = np.array([[-halfwidth, halfwidth]] * dim)
+    box.flags.writeable = False       # shared by every use of the scenario
+    return box
 
 
 def registry() -> dict[str, Scenario]:
-    """All built-in scenarios, keyed by name."""
-    scenarios: list[Scenario] = []
+    """All built-in scenarios, keyed by name: a new dict of the scenarios
+    built once per process."""
+    return dict(_built())
 
-    s2 = sphere_chart(2, 1.0)
-    s3 = sphere_chart(3, 1.0)
-    s2_half = sphere_chart(2, 0.5)
-    s2_double = sphere_chart(2, 2.0)
+
+@functools.cache
+def _built() -> dict[str, Scenario]:
+    s2, s3 = sphere_chart(2, 1.0), sphere_chart(3, 1.0)
+    s2_half, s2_double = sphere_chart(2, 0.5), sphere_chart(2, 2.0)
     torus = constant_metric_chart(2, name="T2")
     circle = constant_metric_chart(1, name="S1")
-
-    scenarios.append(Scenario(
-        name="constant-s2",
-        f=constant_map(s2, s2, [0.3, -0.2], name="const"),
-        expected=ExpectedProperties(minimal=True, totally_geodesic=True,
-                                    lambda_field="all zero"),
-        sample_box=_box(1.2, 2), grid_shape=(20, 20), sigma=1.0))
-
-    scenarios.append(Scenario(
-        name="constant-s3",
-        f=constant_map(s3, s2_double, [0.2, 0.1], name="const"),
-        expected=ExpectedProperties(minimal=True, totally_geodesic=True,
-                                    lambda_field="all zero"),
-        sample_box=_box(1.0, 3), grid_shape=(6, 6, 6), sigma=1.0))
-
-    scenarios.append(Scenario(
-        name="identity-s2",
-        f=linear_map(s2, s2, np.eye(2), name="id"),
-        expected=ExpectedProperties(minimal=True, totally_geodesic=True,
-                                    lambda_field="all one", isometric=True),
-        sample_box=_box(1.2, 2), grid_shape=(20, 20), sigma=1.0))
-
-    scenarios.append(Scenario(
-        name="identity-s3",
-        f=linear_map(s3, s3, np.eye(3), name="id"),
-        expected=ExpectedProperties(minimal=True, totally_geodesic=True,
-                                    lambda_field="all one", isometric=True),
-        sample_box=_box(1.0, 3), grid_shape=(6, 6, 6), sigma=1.0))
-
-    scenarios.append(Scenario(
-        name="rotation-s2",
-        f=linear_map(s2, s2, rotation_matrix_2d(np.pi / 5), name="rot"),
-        expected=ExpectedProperties(minimal=True, totally_geodesic=True,
-                                    lambda_field="all one", isometric=True),
-        sample_box=_box(1.2, 2), grid_shape=(20, 20), sigma=1.0))
-
-    scenarios.append(Scenario(
-        name="holo-w2",
-        f=complex_power_map(s2, s2, 2),
-        expected=ExpectedProperties(minimal=True, totally_geodesic=False,
-                                    lambda_field="conformal, 2|w|(1+|w|^2)/(1+|w|^4)"),
-        sample_box=_box(1.2, 2), grid_shape=(20, 20), sigma=1.0))
-
-    scenarios.append(Scenario(
-        name="holo-w3",
-        f=complex_power_map(s2, s2, 3),
-        expected=ExpectedProperties(minimal=True, totally_geodesic=False,
-                                    lambda_field="conformal, 3|w|^2(1+|w|^2)/(1+|w|^6)"),
-        sample_box=_box(1.1, 2), grid_shape=(20, 20), sigma=1.0))
-
-    scenarios.append(Scenario(
-        name="conformal-shrink",
-        f=complex_power_map(s2, s2, 1, scale=0.5, name="w/2"),
-        expected=ExpectedProperties(minimal=True, totally_geodesic=False,
-                                    lambda_field="conformal, <1 for |w|^2<2, >1 past it"),
-        sample_box=_box(1.8, 2), grid_shape=(20, 20), sigma=1.0))
-
-    scenarios.append(Scenario(
-        name="torus-linear",
-        f=linear_map(torus, torus, [[2.0, 1.0], [1.0, 1.0]], name="Qx"),
-        expected=ExpectedProperties(minimal=True, totally_geodesic=True,
-                                    lambda_field="constant, det-1 pair"),
-        sample_box=_box(2.0, 2), grid_shape=(20, 20), sigma=1.0))
-
-    scenarios.append(Scenario(
-        name="proj-s3-s1",
-        f=linear_map(s3, circle, [[0.4, 0.0, 0.0]], name="0.4*x1"),
-        expected=ExpectedProperties(minimal=False, totally_geodesic=False,
-                                    lambda_field="rank one"),
-        sample_box=_box(1.0, 3), grid_shape=(6, 6, 6), sigma=1.0))
-
-    scenarios.append(Scenario(
-        name="scaled-sphere-0.5",
-        f=linear_map(s2, s2_half, 0.5 * np.eye(2), name="0.5x"),
-        expected=ExpectedProperties(minimal=None, totally_geodesic=None,
-                                    lambda_field="constant 0.5"),
-        sample_box=_box(1.2, 2), grid_shape=(20, 20), sigma=1.0))
-
-    scenarios.append(Scenario(
-        name="scaled-sphere-2.0",
-        f=linear_map(s2, s2_double, 2.0 * np.eye(2), name="2x"),
-        expected=ExpectedProperties(minimal=None, totally_geodesic=None,
-                                    lambda_field="constant 2"),
-        sample_box=_box(1.2, 2), grid_shape=(20, 20), sigma=1.0))
-
-    return {s.name: s for s in scenarios}
+    # name, map, half-width of the sample box, declared properties; every
+    # scenario pinches at sigma = 1 and samples a 20x20 or 6x6x6 grid
+    table = [
+        ("constant-s2", constant_map(s2, s2, [0.3, -0.2], name="const"), 1.2,
+         ExpectedProperties(minimal=True, totally_geodesic=True, lambda_field="all zero")),
+        ("constant-s3", constant_map(s3, s2_double, [0.2, 0.1], name="const"), 1.0,
+         ExpectedProperties(minimal=True, totally_geodesic=True, lambda_field="all zero")),
+        ("identity-s2", linear_map(s2, s2, np.eye(2), name="id"), 1.2,
+         ExpectedProperties(minimal=True, totally_geodesic=True, lambda_field="all one",
+                            isometric=True)),
+        ("identity-s3", linear_map(s3, s3, np.eye(3), name="id"), 1.0,
+         ExpectedProperties(minimal=True, totally_geodesic=True, lambda_field="all one",
+                            isometric=True)),
+        ("rotation-s2", linear_map(s2, s2, rotation_matrix_2d(np.pi / 5), name="rot"), 1.2,
+         ExpectedProperties(minimal=True, totally_geodesic=True, lambda_field="all one",
+                            isometric=True)),
+        ("holo-w2", complex_power_map(s2, s2, 2), 1.2,
+         ExpectedProperties(minimal=True, totally_geodesic=False,
+                            lambda_field="conformal, 2|w|(1+|w|^2)/(1+|w|^4)")),
+        ("holo-w3", complex_power_map(s2, s2, 3), 1.1,
+         ExpectedProperties(minimal=True, totally_geodesic=False,
+                            lambda_field="conformal, 3|w|^2(1+|w|^2)/(1+|w|^6)")),
+        ("conformal-shrink", complex_power_map(s2, s2, 1, scale=0.5, name="w/2"), 1.8,
+         ExpectedProperties(minimal=True, totally_geodesic=False,
+                            lambda_field="conformal, <1 for |w|^2<2, >1 past it")),
+        ("torus-linear", linear_map(torus, torus, [[2.0, 1.0], [1.0, 1.0]], name="Qx"), 2.0,
+         ExpectedProperties(minimal=True, totally_geodesic=True,
+                            lambda_field="constant, det-1 pair")),
+        ("proj-s3-s1", linear_map(s3, circle, [[0.4, 0.0, 0.0]], name="0.4*x1"), 1.0,
+         ExpectedProperties(minimal=False, totally_geodesic=False, lambda_field="rank one")),
+        ("scaled-sphere-0.5", linear_map(s2, s2_half, 0.5 * np.eye(2), name="0.5x"), 1.2,
+         ExpectedProperties(minimal=None, totally_geodesic=None, lambda_field="constant 0.5")),
+        ("scaled-sphere-2.0", linear_map(s2, s2_double, 2.0 * np.eye(2), name="2x"), 1.2,
+         ExpectedProperties(minimal=None, totally_geodesic=None, lambda_field="constant 2")),
+    ]
+    return {name: Scenario(name, f, expected, _box(half, f.domain.dim),
+                           (20, 20) if f.domain.dim == 2 else (6, 6, 6), 1.0)
+            for name, f, half, expected in table}
 
 
 def get(name: str) -> Scenario:
-    reg = registry()
+    reg = _built()
     if name not in reg:
         raise UnknownScenarioError(
             f"unknown scenario {name!r}; available: {', '.join(sorted(reg))}")
@@ -285,8 +238,7 @@ def get(name: str) -> Scenario:
 # Jet self-test
 # ---------------------------------------------------------------------------
 
-@dataclass
-class JetCheck:
+class JetCheck(NamedTuple):
     label: str
     disc_h: float
     disc_half: float

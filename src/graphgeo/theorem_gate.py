@@ -8,10 +8,10 @@ dichotomy.  All maxima are taken over the sample grid of the chart box, so
 every verdict is box-local; no global claim is made.
 """
 
-from __future__ import annotations
-
 import operator
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from types import MappingProxyType
+from typing import NamedTuple
 
 import numpy as np
 
@@ -19,6 +19,7 @@ from .chart_manifold import block_innermost, matvec, sectional_from_data
 from .errors import DegeneratePlaneError, InvalidParameterError
 from .extrinsic import MINIMAL_TOL, GraphBlock, graph_block, graph_blocks
 from .graph_map import SmoothMap
+from .records import Frozen
 
 Array = np.ndarray
 
@@ -35,27 +36,19 @@ DEFAULT_TOLERANCES: dict[str, float] = {
 }
 
 
-@dataclass(frozen=True)
-class GridSweep:
+class GridSweep(Frozen):
     """Measured graph geometry over a sample grid, one column per quantity.
 
-    Row ``i`` of every column belongs to grid point ``i``.  ``sec_n_min`` /
-    ``sec_n_max`` are NaN where no target plane was sampled (the image of
-    the differential is less than two-dimensional there); ``has_sec_n``
-    marks the rows that hold target samples.
+    Row ``i`` of every column belongs to grid point ``i``: ``coords`` is
+    ``(N, m)``, ``lambdas`` ``(N, m)`` (ascending), the others ``(N,)``.
+    ``sec_n_min`` / ``sec_n_max`` are NaN where no target plane was sampled
+    (the image of the differential is less than two-dimensional there);
+    ``has_sec_n`` marks the rows that hold target samples.
     """
 
-    coords: Array       # (N, m)
-    lambdas: Array      # (N, m), ascending
-    rank: Array         # (N,)
-    trace_s: Array
-    a_norm_sq: Array
-    h_norm: Array
-    sec_m_min: Array
-    sec_m_max: Array
-    sec_n_min: Array
-    sec_n_max: Array
-    has_sec_n: Array
+    __slots__ = _fields = (
+        "coords", "lambdas", "rank", "trace_s", "a_norm_sq", "h_norm",
+        "sec_m_min", "sec_m_max", "sec_n_min", "sec_n_max", "has_sec_n")
 
     def __len__(self) -> int:
         return len(self.trace_s)
@@ -242,15 +235,14 @@ def sweep_geometry(f: SmoothMap, grid: Array, seed: int = 0,
         # raised the peak RSS of the holo-w2 60x60 report by 2-3 MB
         del blk
     return GridSweep(**{name: np.concatenate([part[name] for part in parts])
-                        for name in GridSweep.__dataclass_fields__})
+                        for name in GridSweep._fields})
 
 
 # ---------------------------------------------------------------------------
 # Individual hypothesis checks
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PinchingMargins:
+class PinchingMargins(NamedTuple):
     domain_margin: float          # min (sec_M - sigma)
     target_margin: float | None   # min (sigma - sec_N), None when vacuous
     ok: bool
@@ -290,8 +282,7 @@ def second_fundamental_bound_check(sweep: GridSweep, sigma: float,
     return float(np.min(coeff * sweep.trace_s - sweep.a_norm_sq))
 
 
-@dataclass(frozen=True)
-class TraceChainReport:
+class TraceChainReport(NamedTuple):
     """Pointwise trace chain for the half-dimension reduction."""
 
     min_trace_margin: float       # min over points of tr(s) - (m - n - r)
@@ -321,8 +312,7 @@ def trace_rank_chain_check(f: SmoothMap, sweep: GridSweep) -> TraceChainReport:
 # Hypothesis report and classification
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class HypothesisReport:
+class HypothesisReport(NamedTuple):
     sigma: float
     kappa_sq: float
     lambda0_sq: float
@@ -331,7 +321,7 @@ class HypothesisReport:
     trace_ok: bool
     kappa_ok: bool
     condition4_ok: bool
-    margins: dict[str, float | None] = field(default_factory=dict)
+    margins: Mapping[str, float | None] = MappingProxyType({})   # read-only
     scope: str = "box-local"
 
     @property
@@ -378,8 +368,7 @@ def evaluate_hypotheses(sweep: GridSweep, sigma: float,
         })
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(NamedTuple):
     verdict: str                   # constant | totally-geodesic-isometric-immersion
     evidence: dict[str, object]    # | hypothesis-violated | indeterminate
     scope: str = "box-local"

@@ -8,7 +8,6 @@ on near-degenerate planes and finite-difference stencils magnify a change in
 the last bit far beyond any tolerance.
 """
 
-import dataclasses
 from collections import Counter
 
 import numpy as np
@@ -158,7 +157,7 @@ def test_sweep_columns_match_point_oracle(name, shape, seed, monkeypatch):
     assert spans_blocks_with_partial_tail(sc.f, grid)
     sweep = sweep_geometry(sc.f, grid, seed=seed)
     oracle = point_sweep(sc.f, grid, seed=seed)
-    for column in GridSweep.__dataclass_fields__:
+    for column in GridSweep._fields:
         got, want = getattr(sweep, column), oracle[column]
         assert np.array_equal(got, want, equal_nan=True), column
 
@@ -169,7 +168,7 @@ def test_single_point_sweep_matches_point_oracle(name):
     grid = np.array([p.coords for p in sc.random_points(1, np.random.default_rng(5))])
     sweep = sweep_geometry(sc.f, grid, seed=8)
     oracle = point_sweep(sc.f, grid, seed=8)
-    for column in GridSweep.__dataclass_fields__:
+    for column in GridSweep._fields:
         assert np.array_equal(getattr(sweep, column), oracle[column],
                               equal_nan=True), column
 
@@ -244,10 +243,10 @@ def counting(fn, rows, calls, key, seen=None):
 def test_sweep_evaluates_each_jet_once_per_point(name, shape):
     sc = get(name)
     rows, calls = Counter(), Counter()
-    domain = dataclasses.replace(
-        sc.domain, metric_jet=counting(sc.domain.metric_jet, rows, calls, "domain"))
-    target = dataclasses.replace(
-        sc.target, metric_jet=counting(sc.target.metric_jet, rows, calls, "target"))
+    domain = sc.domain._replace(
+        metric_jet=counting(sc.domain.metric_jet, rows, calls, "domain"))
+    target = sc.target._replace(
+        metric_jet=counting(sc.target.metric_jet, rows, calls, "target"))
     f = SmoothMap(domain, target, counting(sc.f.jet_fn, rows, calls, "map"), sc.f.name)
     grid = sc.grid_points(shape)
     sweep_geometry(f, grid, seed=0)
@@ -266,8 +265,9 @@ class BlockCountingMap(SmoothMap):
 
 
 @pytest.mark.parametrize("name,stencils", [
-    # 3 elliptic and 3 log-Jacobian points, plus the extremum probe's
-    ("holo-w2", 7),
+    # 3 points whose stencils the elliptic and log-Jacobian checks share,
+    # plus the extremum probe's
+    ("holo-w2", 4), ("holo-w3", 4), ("conformal-shrink", 4),
     ("proj-s3-s1", 0),      # not minimal: no finite differences
 ])
 def test_identity_suite_evaluates_each_sample_jet_once(name, stencils):
@@ -277,14 +277,14 @@ def test_identity_suite_evaluates_each_sample_jet_once(name, stencils):
                          counting(sc.f.jet_fn, rows, calls, "map", seen), sc.f.name)
     object.__setattr__(f, "blocks", [])
     seed = 4
-    run_identity_suite(dataclasses.replace(sc, f=f), seed=seed)
+    run_identity_suite(sc._replace(f=f), seed=seed)
 
     samples = sc.random_points(12, np.random.default_rng(seed))
     assert [seen[tuple(p.coords)] for p in samples] == [1] * 12
     # every map jet went through a block call: the samples as one block,
-    # then one block per check for all its points' finite-difference
-    # stencils (2 m^2 points around a sample) and one for their
-    # parallel-field probes (2 m axis neighbours)
+    # then one block for all the points' finite-difference stencils (2 m^2
+    # points around a sample), shared by the checks that use them, and one
+    # for their parallel-field probes (2 m axis neighbours)
     m = sc.domain.dim
     assert f.blocks[0] == 12
     assert rows["map"] == sum(f.blocks)
@@ -292,10 +292,9 @@ def test_identity_suite_evaluates_each_sample_jet_once(name, stencils):
     stencil = 2 * m * m
     assert sum(b // stencil for b in f.blocks[1:] if b % stencil == 0) == stencils
     if stencils:
-        # elliptic probes and stencils, log-Jacobian stencils, then the
-        # extremum probe's grid, its maximum's two-row block, probes, stencil
-        assert f.blocks[1:] == [3 * 2 * m, 3 * stencil, 3 * stencil,
-                                7 ** m, 2, 2 * m, stencil]
+        # the shared stencils, the elliptic probes, then the extremum
+        # probe's grid, its maximum's two-row block, probes, stencil
+        assert f.blocks[1:] == [3 * stencil, 3 * 2 * m, 7 ** m, 2, 2 * m, stencil]
     else:
         assert f.blocks == [12]
 
@@ -326,7 +325,7 @@ def test_frame_residual_propagates_nan():
     p = sc.domain.point([0.3, 0.2])
     frames = adapted_frames_at(sc.f, p)
     assert frame_formula_residual(sc.f, p, frames) < 1e-12
-    broken = dataclasses.replace(frames, e=np.full_like(frames.e, np.nan))
+    broken = frames._replace(e=np.full_like(frames.e, np.nan))
     assert np.isnan(frame_formula_residual(sc.f, p, broken))
 
 
@@ -343,7 +342,7 @@ def test_nan_trace_never_passes_the_gate():
     assert evaluate_hypotheses(sweep, sc.sigma).trace_ok
     trace = sweep.trace_s.copy()
     trace[7] = np.nan
-    hyp = evaluate_hypotheses(dataclasses.replace(sweep, trace_s=trace),
+    hyp = evaluate_hypotheses(sweep._replace(trace_s=trace),
                               sc.sigma)
     assert not hyp.trace_ok
     assert not hyp.all_ok

@@ -116,7 +116,7 @@ def test_sweep_columns_ignore_the_row_cap(seed, m, n, count):
     want = sweep_with_rows(f, grid, count)
     for rows in (2, 3, 5):
         got = sweep_with_rows(f, grid, rows)
-        for column in GridSweep.__dataclass_fields__:
+        for column in GridSweep._fields:
             assert np.array_equal(getattr(got, column), getattr(want, column),
                                   equal_nan=True), (rows, column)
 
@@ -215,7 +215,7 @@ def test_multi_block_sweep_memory_is_bounded_by_the_budget(name, shape):
     # columns, two copies of each column; what a block holds besides them is
     # a bounded multiple of the element budget (7-10 here, 15-19 with twice
     # the rows per block)
-    columns = sum(getattr(sweep, c).nbytes for c in GridSweep.__dataclass_fields__)
+    columns = sum(getattr(sweep, c).nbytes for c in GridSweep._fields)
     samples = len(grid) * 4 * 2 * sc.domain.dim * 8
     assert peak - 2 * columns - samples < 12 * extrinsic.BLOCK_BUDGET * 8, peak
 

@@ -113,6 +113,25 @@ def test_report_byte_determinism(tmp_path, capsys):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_artifacts_do_not_depend_on_the_order_of_scenarios(tmp_path, capsys):
+    # the registry is built once per process and its scenarios are shared:
+    # every scenario forward, then in reverse, gives the same bytes
+    names = list(scen.registry())
+    runs = []
+    for order in (names, names[::-1]):
+        results = {}
+        for name in order:
+            dim = scen.get(name).domain.dim
+            for command, extra in (("verify-identities", []),
+                                   ("report", ["--grid", "x".join(["9"] * dim)])):
+                out = tmp_path / f"{command}-{name}.json"
+                code = run([command, "--scenario", name, *extra, "--output", str(out)])
+                results[command, name] = code, capsys.readouterr().out, out.read_bytes()
+        runs.append(results)
+    assert runs[0] == runs[1]
+    assert {code for code, _, _ in runs[0].values()} <= {0, 1}
+
+
 def test_report_timing_lines_cover_serialization(tmp_path, capsys, monkeypatch):
     # stderr times the whole command and its serialization; the artifact
     # carries no timing
@@ -439,8 +458,10 @@ def test_out_of_memory_exits_2_with_one_line(command, capsys, monkeypatch):
     ["--tol", "gate_slak=1e-3"], ["--c=-1"], ["--c", "0"],
     # non-minimal: the elliptic check, the suite's only use of c, never runs
     ["--scenario", "proj-s3-s1", "--grid", "3x3x3", "--c", "-0.5"],
+    # the pinching level is positive (sigma > 0 in the rigidity statement)
+    ["--sigma", "0"], ["--sigma=-1"],
 ])
-@pytest.mark.parametrize("command", ["check-theorem", "verify-identities"])
+@pytest.mark.parametrize("command", ["check-theorem", "verify-identities", "report"])
 def test_non_finite_and_unknown_settings_rejected(command, extra, capsys):
     code = run([command, "--scenario", "identity-s2", "--grid", "3x3", *extra])
     err = capsys.readouterr().err
@@ -470,6 +491,7 @@ def test_unwritable_output_exits_2(command, tmp_path, capsys):
     {"tolerances": [1e-3]}, {"scenario": 7}, {"output": 5},
     None,                                  # no such config file
     [],                                    # not a JSON object
+    {"sigma": 0}, {"sigma": -1.5},         # the pinching level is positive
 ])
 @pytest.mark.parametrize("command", ["report", "check-theorem"])
 def test_malformed_config_rejected(command, doc, tmp_path, capsys):
@@ -502,7 +524,8 @@ def _bad_values():
                              lambda b: not all(lo < hi for lo, hi in b))),
         "h": st.one_of(text, st.booleans(), st.floats(max_value=0.0),
                        st.lists(st.floats(), max_size=2)),
-        "sigma": st.one_of(text, st.booleans(), st.just(float("nan"))),
+        "sigma": st.one_of(text, st.booleans(), st.just(float("nan")),
+                           st.floats(max_value=0.0)),
         "tolerances": st.one_of(text, st.lists(st.integers(), max_size=2),
                                 st.dictionaries(text.filter(
                                     lambda k: k not in DEFAULT_TOLERANCES

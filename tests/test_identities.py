@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +7,7 @@ from graphgeo.chart_manifold import curvature_form, matvec, powers, ricci_from_j
 from graphgeo.errors import PreconditionError
 from graphgeo.graph_map import MapJet, SmoothMap
 from graphgeo.identities import (
+    _stencil_block,
     decomposition_sides,
     elliptic_equation_residual,
     extremum_derivative_probe,
@@ -21,6 +20,7 @@ from graphgeo.identities import (
     point_rows,
     reaction_term_apply,
     run_identity_suite,
+    shifted_tensor_laplacian,
 )
 from graphgeo.scenarios import get, registry
 from test_block_partition import polynomial_chart, quadratic_map
@@ -279,14 +279,20 @@ def test_stacked_checks_equal_their_one_row_evaluations(rows):
     assert same_bits(max_point_term_values(d, 0.7, 1.3),
                      [max_point_term_values(r, 0.7, 1.3)[0] for r in alone])
 
-    # the residuals' formulas hold for minimal maps; their bits do not care
+    # the residuals' formulas hold for minimal maps; their bits do not care,
+    # nor whether the checks share one stencil block
     assert same_bits(elliptic_equation_residual(d, 1.5, minimal_tol=np.inf),
                      [elliptic_equation_residual(r, 1.5, minimal_tol=np.inf)[0]
                       for r in alone])
+    stencil = _stencil_block(d, 1e-3, 2 * d.m * d.m)
+    assert same_bits(elliptic_equation_residual(d, 1.5, minimal_tol=np.inf),
+                     elliptic_equation_residual(d, 1.5, minimal_tol=np.inf, stencil=stencil))
     if d.m == d.n == 2:
         assert same_bits(log_jacobian_residual_2d(d, minimal_tol=np.inf),
                          [log_jacobian_residual_2d(r, minimal_tol=np.inf)[0]
                           for r in alone])
+        assert same_bits(log_jacobian_residual_2d(d, minimal_tol=np.inf),
+                         log_jacobian_residual_2d(d, minimal_tol=np.inf, stencil=stencil))
 
     # the null probe's reaction values: (v, v) on projected Gram tensors
     theta = rng.normal(size=(len(d), 5, d.m, d.m))
@@ -329,6 +335,33 @@ def test_elliptic_equation_rejects_nonminimal():
     sc = get("proj-s3-s1")
     with pytest.raises(PreconditionError):
         elliptic_equation_residual(row(sc.f, sc.domain.point([0.3, 0.2, -0.6])), 2.0)
+
+
+def piecewise_map() -> SmoothMap:
+    """identity-s2 left of the axis x = 0 and holo-w2 right of it: a map whose
+    shifted tensor field is parallel at some points and not at others."""
+    ident, holo = get("identity-s2").f, get("holo-w2").f
+
+    def jet(x):
+        left = x[:, 0] < 0.0
+        return MapJet(*(np.where(left.reshape(-1, *[1] * (a.ndim - 1)), a, b)
+                        for a, b in zip(ident.jet_fn(x), holo.jet_fn(x))))
+
+    return SmoothMap(ident.domain, ident.target, jet, "piecewise")
+
+
+def test_shared_stencil_block_gives_each_check_its_own_bits():
+    # the suite builds the stencil block of its elliptic rows once for both
+    # checks; the elliptic check takes the rows of those whose field is not
+    # parallel (here 1 and 3)
+    d = point_rows(piecewise_map(), [[-0.5, 0.2], [0.6, 0.3], [-0.3, -0.4], [0.4, -0.8]])
+    stencil = _stencil_block(d, 1e-3, 8)
+    lap = shifted_tensor_laplacian(d, 2.0, 1e-3, stencil=stencil)
+    assert same_bits(lap, shifted_tensor_laplacian(d, 2.0, 1e-3))
+    assert np.all(lap[[0, 2]] == 0.0) and np.all(np.abs(lap[[1, 3]]).max(axis=(1, 2)) > 0.0)
+    assert same_bits(elliptic_equation_residual(d, 2.0, stencil=stencil),
+                     elliptic_equation_residual(d, 2.0))
+    assert same_bits(log_jacobian_residual_2d(d, stencil=stencil), log_jacobian_residual_2d(d))
 
 
 # ---------------------------------------------------------------------------
@@ -516,7 +549,7 @@ def test_nan_hessian_fails_the_normal_estimate():
         j = sc.f.jet_fn(x)
         return MapJet(j.value, j.d1, np.full_like(j.d2, np.nan), j.d3)
 
-    broken = dataclasses.replace(sc, f=SmoothMap(sc.domain, sc.target, jet, "nan-d2"))
+    broken = sc._replace(f=SmoothMap(sc.domain, sc.target, jet, "nan-d2"))
     reports = {r.name: r for r in run_identity_suite(broken, seed=0)}
     normal = reports["normal-estimate"]
     assert np.isnan(normal.max_residual)

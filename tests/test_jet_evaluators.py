@@ -148,7 +148,7 @@ def coordinate_blocks(draw, dim):
 
 def assert_stacks_point_jets(block_jet, point_jet, x):
     want = [point_jet(row) for row in x]
-    for field in type(block_jet).__dataclass_fields__:
+    for field in block_jet._fields:
         got = getattr(block_jet, field)
         expected = np.stack([getattr(j, field) for j in want])
         assert got.shape == expected.shape, field

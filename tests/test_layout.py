@@ -7,8 +7,6 @@ benchmark otherwise), and no formula may give different bits for C-ordered
 and block-innermost inputs.
 """
 
-import dataclasses
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -78,7 +76,7 @@ def random_map_jet(rng, rows, m, n):
 
 
 def jet_layouts(jet):
-    c, b = layouts(*(getattr(jet, k) for k in type(jet).__dataclass_fields__))
+    c, b = layouts(*(getattr(jet, k) for k in jet._fields))
     return type(jet)(*c), type(jet)(*b)
 
 
@@ -154,7 +152,7 @@ def test_evaluator_layout_changes_no_sweep_column():
         def jet(x):
             out = evaluate(x)
             return type(out)(*(np.asfortranarray(getattr(out, k))
-                               for k in type(out).__dataclass_fields__))
+                               for k in out._fields))
         return jet
 
     def chart(man):
@@ -163,7 +161,7 @@ def test_evaluator_layout_changes_no_sweep_column():
     f = SmoothMap(chart(sc.domain), chart(sc.target), fortran(sc.f.jet_fn), sc.f.name)
     grid = sc.grid_points((17, 11))
     want, got = sweep_geometry(sc.f, grid, seed=4), sweep_geometry(f, grid, seed=4)
-    for column in GridSweep.__dataclass_fields__:
+    for column in GridSweep._fields:
         assert np.array_equal(getattr(got, column), getattr(want, column),
                               equal_nan=True), column
 
@@ -178,9 +176,9 @@ def test_sources_lay_out_the_block_axis_innermost(name):
     x = sc.grid_points((5,) * sc.domain.dim)[:37]
     fjet = sc.f.jet(x)
     for jet in (fjet, sc.domain.jet(x), sc.target.jet(fjet.value)):
-        for field in dataclasses.fields(jet):
-            if field.name != "value":
-                assert_block_innermost(getattr(jet, field.name))
+        for field in jet._fields:
+            if field != "value":
+                assert_block_innermost(getattr(jet, field))
     assert_block_innermost(metric_inverse(sc.domain.metric_jet(x).g))
     assert_block_innermost(spawned_normals(3, len(x), (4, 2, sc.domain.dim)))
     assert_block_innermost(graph_block(sc.f, x).frames.e)

@@ -1,0 +1,165 @@
+"""graphgeo's records: immutable, and cheap to define at import.
+
+No record is a dataclass: a frozen dataclass generates and ``exec``s five
+methods when its class is defined, which made building the classes the
+largest part of ``import graphgeo``.  Records are ``NamedTuple`` classes or
+:class:`graphgeo.records.Frozen` slotted classes, and these tests check that
+each is still immutable and copied with changes by ``_replace``.  All of it
+is deterministic: no timing.
+"""
+
+import dataclasses
+import importlib
+import inspect
+import os
+import pkgutil
+import subprocess
+import sys
+import typing
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import graphgeo
+from graphgeo.chart_manifold import ChartPoint, sphere_chart
+from graphgeo.cli import RunConfig
+from graphgeo.extrinsic import GraphBlock, graph_block
+from graphgeo.identities import ExtremumProbeResult, IdentityReport, NullProbeResult
+from graphgeo.product_space import ProductPoint, ProductSpace
+from graphgeo.reporting import Table
+from graphgeo.scenarios import JetCheck, get
+from graphgeo.theorem_gate import (
+    classify,
+    curvature_pinching_check,
+    evaluate_hypotheses,
+    sweep_geometry,
+    trace_rank_chain_check,
+)
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def graphgeo_classes():
+    for info in pkgutil.iter_modules(graphgeo.__path__):
+        module = importlib.import_module(f"graphgeo.{info.name}")
+        for value in vars(module).values():
+            if inspect.isclass(value) and value.__module__ == module.__name__:
+                yield value
+
+
+def test_no_graphgeo_class_is_a_dataclass():
+    classes = list(graphgeo_classes())
+    assert len(classes) > 20
+    assert [c.__qualname__ for c in classes if dataclasses.is_dataclass(c)] == []
+
+
+def test_named_tuple_annotations_are_not_strings():
+    # typing.NamedTuple compiles every string annotation of its fields into
+    # a ForwardRef when the class is defined, so the modules of records do
+    # without ``from __future__ import annotations``
+    records = [c for c in graphgeo_classes() if issubclass(c, tuple)]
+    assert len(records) > 15
+    for cls in records:
+        assert not any(isinstance(a, (str, typing.ForwardRef))
+                       for a in cls.__annotations__.values()), cls
+
+
+def test_import_leaves_numpy_random_unloaded():
+    # an evaluated annotation such as ``np.random.Generator`` imports
+    # numpy.random, which costs more than all of graphgeo's own modules
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, graphgeo.cli; print(sorted(m for m in sys.modules"
+         " if m.startswith('numpy.random')))"],
+        env=env, capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "[]"
+
+
+def formerly_frozen_records():
+    """One instance of each record that was a frozen dataclass, by name."""
+    sc = get("holo-w2")
+    blk = graph_block(sc.f, sc.grid_points((3, 3)))
+    sweep = sweep_geometry(sc.f, sc.grid_points((3, 3)), seed=0)
+    hyp = evaluate_hypotheses(sweep, 1.0)
+    p = sc.domain.point([0.1, 0.2])
+    return {
+        "ChartPoint": p, "MetricJet": blk.jets.gm, "ChartManifold": sc.domain,
+        "MapJet": blk.jets.f, "SmoothMap": sc.f, "GraphJets": blk.jets,
+        "GraphFrameData": blk.frames, "ProductPoint": ProductPoint(p, p),
+        "ProductSpace": ProductSpace(sc.domain, sc.target),
+        "ExpectedProperties": sc.expected, "Scenario": sc,
+        "Table": Table({"x": np.zeros(2)}), "ExtrinsicData": blk.ext,
+        "GraphBlock": blk,
+        "NullProbeResult": NullProbeResult("pass", "", 0.0, 20, 0.0),
+        "ExtremumProbeResult": ExtremumProbeResult("pass", "", None, 1.0, 0.0, 0.0,
+                                                   1.0, 1.0),
+        "IdentityReport": IdentityReport("frame-formulas", 1, 0.0, 1e-8),
+        "GridSweep": sweep, "PinchingMargins": curvature_pinching_check(sweep, 1.0),
+        "TraceChainReport": trace_rank_chain_check(sc.f, sweep),
+        "HypothesisReport": hyp,
+        "Classification": classify(sc.f, None, 1.0, sweep=sweep, hypotheses=hyp),
+    }
+
+
+def first_field(record) -> str:
+    if isinstance(record, GraphBlock):
+        return "f"
+    return (record._fields if isinstance(record, tuple) else record.__slots__)[0]
+
+
+@pytest.mark.parametrize("name", sorted(formerly_frozen_records()))
+def test_formerly_frozen_records_refuse_assignment(name):
+    record = formerly_frozen_records()[name]
+    assert type(record).__name__ == name
+    field = first_field(record)
+    before = getattr(record, field)
+    with pytest.raises(AttributeError):
+        setattr(record, field, None)
+    with pytest.raises(AttributeError):
+        record.not_a_field = 1
+    with pytest.raises(AttributeError):
+        delattr(record, field)
+    assert getattr(record, field) is before
+
+
+def test_config_and_jet_checks_are_immutable_too():
+    for record in (RunConfig(), JetCheck("f:d1", 1e-8, 2.5e-9)):
+        with pytest.raises(AttributeError):
+            setattr(record, record._fields[0], None)
+
+
+def test_mutable_defaults_are_not_shared_dicts():
+    # a config's tolerances and a hypothesis report's margins default to a
+    # read-only empty mapping, never to one dict shared by every instance
+    for default in (RunConfig().tolerances,
+                    graphgeo.HypothesisReport(1.0, 2.0, 1.0, *[True] * 5).margins):
+        assert len(default) == 0
+        with pytest.raises(TypeError):
+            default["gate_slack"] = 1.0
+
+
+def test_replace_derives_changed_copies():
+    sc = get("identity-s2")
+    sweep = sweep_geometry(sc.f, sc.grid_points((3, 3)), seed=0)
+    trace = np.zeros(len(sweep))
+    changed = sweep._replace(trace_s=trace)
+    assert changed.trace_s is trace and sweep.trace_s is not trace
+    assert all(getattr(changed, k) is getattr(sweep, k) for k in sweep._fields
+               if k != "trace_s")
+    assert ChartPoint([1, 2])._replace(coords=[3, 4]).coords.tolist() == [3.0, 4.0]
+    with pytest.raises(TypeError):
+        sweep._replace(not_a_column=trace)
+    with pytest.raises(TypeError):
+        Table()
+
+
+def test_chart_replace_validates_and_keeps_the_box_read_only():
+    chart = sphere_chart(2)
+    assert not chart.chart_box.flags.writeable
+    moved = chart._replace(chart_box=[[-1, 1], [-2, 2]])
+    assert moved.chart_box.tolist() == [[-1.0, 1.0], [-2.0, 2.0]]
+    assert not moved.chart_box.flags.writeable and chart.chart_box[0, 1] == 20.0
+    with pytest.raises(ValueError):
+        chart._replace(chart_box=[[-1, 1]])

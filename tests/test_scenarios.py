@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -26,6 +24,24 @@ def test_lookup():
     assert sc.expected.totally_geodesic is False
     sc = get("scaled-sphere-0.5")
     assert sc.expected.minimal is None   # measured, not asserted
+
+
+def test_registry_is_built_once_and_returned_as_a_new_dict():
+    reg = registry()
+    assert registry() is not reg and registry() == reg
+    holo = get("holo-w2")
+    assert get("holo-w2") is holo and reg["holo-w2"] is holo
+    # changing the returned dict changes neither get nor the next registry()
+    reg["holo-w2"] = get("identity-s2")
+    del reg["identity-s3"]
+    reg.clear()
+    assert get("holo-w2") is holo and get("identity-s3").name == "identity-s3"
+    assert len(registry()) == 12
+    # the arrays every use of a scenario shares are read-only
+    for sc in registry().values():
+        for box in (sc.sample_box, sc.domain.chart_box, sc.target.chart_box):
+            with pytest.raises(ValueError):
+                box[0, 0] = 0.0
 
 
 def test_unknown_scenario_raises():
@@ -74,13 +90,11 @@ def test_jets_selftest_differences_each_step_in_one_block():
             return fn(x)
         return wrapped
 
-    domain = dataclasses.replace(
-        sc.domain, metric_jet=recording(sc.domain.metric_jet, "domain"))
-    target = dataclasses.replace(
-        sc.target, metric_jet=recording(sc.target.metric_jet, "target"))
+    domain = sc.domain._replace(metric_jet=recording(sc.domain.metric_jet, "domain"))
+    target = sc.target._replace(metric_jet=recording(sc.target.metric_jet, "target"))
     f = SmoothMap(domain, target, recording(sc.f.jet_fn, "map"), sc.f.name)
     points = [sc.domain.point([0.2, -0.1, 0.3]), sc.domain.point([-0.4, 0.5, 0.1])]
-    checks = jets_selftest(dataclasses.replace(sc, f=f), h=1e-4, points=points)
+    checks = jets_selftest(sc._replace(f=f), h=1e-4, points=points)
     assert checks == jets_selftest(sc, h=1e-4, points=points)
     assert len(checks) == 14 and all(c.ok for c in checks)
     for key, dim in [("map", 3), ("domain", 3), ("target", 1)]:

@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -249,7 +247,7 @@ def test_nan_curvature_reaches_the_sectional_columns():
         nan_rows = (x[:, 0] > 0.0)[:, None, None, None, None]
         return MetricJet(j.g, j.dg, np.where(nan_rows, np.nan, j.d2g))
 
-    chart = dataclasses.replace(s2, metric_jet=jet)
+    chart = s2._replace(metric_jet=jet)
     f = linear_map(chart, chart, np.eye(2), name="id")
     sweep = sweep_geometry(f, np.array([[-0.5, 0.1], [0.5, 0.1]]), seed=0)
     assert sweep.has_sec_n.all()
