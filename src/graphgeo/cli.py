@@ -21,6 +21,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 import time
 from collections.abc import Mapping
@@ -289,22 +290,32 @@ def _split_tolerances(cfg: RunConfig) -> tuple[dict, dict]:
                  for defaults in (DEFAULT_TOLERANCES, DEFAULT_IDENTITY_TOLERANCES))
 
 
-def _encode(cfg: RunConfig, payload: dict, csv_payload: dict) -> str:
-    """``payload`` as canonical JSON or ``csv_payload`` as CSV, following
-    ``cfg.format``."""
-    if cfg.format == "json":
-        return canonical_json(payload) + "\n"
-    return report_to_csv(csv_payload)
+def _write_artifact(cfg: RunConfig, payload: dict, csv_payload: dict) -> None:
+    """Stream ``payload`` as canonical JSON, or ``csv_payload`` as CSV,
+    following ``cfg.format``, to ``cfg.output`` or to stdout without one.
+    A path that cannot be opened or written, or a stdout that cannot be
+    written (a closed pipe, a full disk), is bad configuration; a write that
+    fails part-way leaves an incomplete artifact."""
+    def write(out) -> None:
+        if cfg.format == "json":
+            canonical_json(payload, out)
+            out.write("\n")
+        else:
+            report_to_csv(csv_payload, out)
 
-
-def _write_output(text: str, cfg: RunConfig) -> None:
-    """Write an artifact to ``cfg.output``, or to stdout without one; an
-    unwritable path is bad configuration."""
     if not cfg.output:
-        sys.stdout.write(text)
+        try:
+            write(sys.stdout)
+            sys.stdout.flush()
+        except OSError as exc:
+            # the rest of the buffer would fail again when Python flushes
+            # stdout at exit, with a second message
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            raise ValueError(f"cannot write to stdout: {exc}") from exc
         return
     try:
-        Path(cfg.output).write_text(text, encoding="utf-8")
+        with open(cfg.output, "w", encoding="utf-8") as out:
+            write(out)
     except OSError as exc:
         raise ValueError(f"cannot write output file: {exc}") from exc
 
@@ -363,7 +374,7 @@ def cmd_report(cfg: RunConfig) -> int:
             # kept out of the deterministic artifact; see module docstring
             "runtime_seconds": None,
         }
-        _write_output(_encode(cfg, report, report), cfg)
+        _write_artifact(cfg, report, report)
         if cfg.output:
             print(f"report written to {cfg.output}", file=sys.stderr)
     return EXIT_OK
@@ -378,9 +389,8 @@ def cmd_verify(cfg: RunConfig) -> int:
         print(r.line())
     if cfg.output:
         records = _identity_records(reports)
-        text = _encode(cfg, {"scenario": scenario.name, "identities": records},
-                       {"config": {"scenario": scenario.name}, "identities": records})
-        _write_output(text, cfg)
+        _write_artifact(cfg, {"scenario": scenario.name, "identities": records},
+                        {"config": {"scenario": scenario.name}, "identities": records})
     failed = [r for r in reports if not r.skipped and not r.passed]
     return EXIT_FAIL if failed else EXIT_OK
 
@@ -399,7 +409,7 @@ def cmd_check_theorem(cfg: RunConfig) -> int:
     payload = {"config": _config_echo(cfg, scenario, box, shape, sigma),
                "hypotheses": _hypotheses_record(hyp),
                "classification": _classification_record(cls)}
-    _write_output(_encode(cfg, payload, payload), cfg)
+    _write_artifact(cfg, payload, payload)
 
     if cls.verdict in ("constant", "totally-geodesic-isometric-immersion"):
         return EXIT_OK

@@ -5,22 +5,34 @@ seed, so serialization is done by a small deterministic emitter rather than
 a library whose float formatting might drift: JSON floats are written with
 17 significant digits (lossless for doubles), keys keep insertion order.
 
+The emitter writes through a ``write`` callable: :func:`canonical_json`
+and :func:`report_to_csv` stream an artifact to an open text file as it is
+encoded, or collect the same pieces and return their text.  No copy of the
+whole text is built on the way to a file.
+
 A :class:`Table` of numbers (a report's per-point records) is formatted in
-one pass: every record whose cells are null in the same places shares one
-``%``-template, with a ``%.17g`` slot per number and a literal ``null`` (in
-CSV: ``null`` for NaN or inf, an empty cell for None) for the others, and
-one ``%`` over the joined templates fills every slot of the table.
+pieces of :data:`ROWS_PER_PIECE` records; there is no one ``%`` over the
+whole table.  Every record whose cells are null in the same places shares
+one ``%``-template, built once per pattern for the whole table, with a
+``%.17g`` slot per number and a literal ``null`` (in CSV: ``null`` for NaN
+or inf, an empty cell for None) for the others; one ``%`` per piece fills
+the slots of its records.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from typing import Any
+from typing import Any, TextIO
 
 import numpy as np
 
 from .records import Frozen
+
+#: Records formatted by one ``%``: a piece of a holo-w2 report's point table
+#: is ~85 KB of JSON.  Chosen by measurement (CHANGES.md): fewer rows cost
+#: time per piece, more rows raise peak memory and gain no time.
+ROWS_PER_PIECE = 256
 
 
 class Table(Frozen):
@@ -31,9 +43,9 @@ class Table(Frozen):
     list of its records, and iterating it yields them.
 
     Columns of floats (1-d, or 2-d for rows of lists) and of floats and
-    Nones are written by one ``%``-template per pattern of null cells, in
-    one formatting pass over the table; a table with any other column is
-    written record by record.
+    Nones are written by one ``%``-template per pattern of null cells, a
+    piece of rows at a time; a table with any other column is written
+    record by record.
     """
 
     __slots__ = ("columns",)      # dict[str, Any]
@@ -72,63 +84,87 @@ def _scalar(obj: Any) -> str:
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
-def canonical_json(obj: Any) -> str:
-    """Serialize to JSON with deterministic float formatting."""
-    return _emit(obj, 0)
+def canonical_json(obj: Any, out: TextIO | None = None) -> str | None:
+    """Serialize to JSON with deterministic float formatting: written to the
+    open text file ``out`` piece by piece, or returned as text without one."""
+    return _stream(out, lambda write: _emit(obj, 0, write))
 
 
-def _emit(obj: Any, indent: int) -> str:
+def _stream(out: TextIO | None, emit) -> str | None:
+    """Run ``emit(write)`` writing to ``out``; without ``out``, collect the
+    pieces it writes and return their text."""
+    if out is not None:
+        emit(out.write)
+        return None
+    pieces: list[str] = []
+    emit(pieces.append)
+    return "".join(pieces)
+
+
+def _emit(obj: Any, indent: int, write) -> None:
     if isinstance(obj, float):
-        return format_float(obj)
-    if isinstance(obj, np.ndarray):
-        obj = obj.tolist()
-    pad = " " * indent
-    child = " " * (indent + 2)
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        items = [_emit(v, indent + 2) for v in obj]
-        return "[\n" + ",\n".join(child + it for it in items) + "\n" + pad + "]"
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = [f"{json.dumps(str(k))}: {_emit(v, indent + 2)}"
-                 for k, v in obj.items()]
-        return "{\n" + ",\n".join(child + it for it in items) + "\n" + pad + "}"
-    if isinstance(obj, Table):
-        return _emit_table(obj, indent)
-    return _scalar(obj)
+        write(format_float(obj))
+    elif isinstance(obj, np.ndarray):
+        _emit(obj.tolist(), indent, write)
+    elif isinstance(obj, (list, tuple)):
+        _emit_items("[]", [("", v) for v in obj], indent, write)
+    elif isinstance(obj, dict):
+        _emit_items("{}", [(f"{json.dumps(str(k))}: ", v) for k, v in obj.items()],
+                    indent, write)
+    elif isinstance(obj, Table):
+        _emit_table(obj, indent, write)
+    else:
+        write(_scalar(obj))
 
 
-def _emit_table(table: Table, indent: int) -> str:
-    """The text of the list of ``table``'s records, in one formatting pass
-    when its cells are numbers and Nones (see :func:`_slots`), else record
-    by record."""
+def _emit_items(brackets: str, items: list, indent: int, write) -> None:
+    """A JSON list or object: one ``prefix`` and value per line at ``indent
+    + 2`` for each ``(prefix, value)`` of ``items``."""
+    if not items:
+        write(brackets)
+        return
+    pad = " " * (indent + 2)
+    lead = brackets[0] + "\n" + pad
+    for prefix, value in items:
+        write(lead + prefix)
+        _emit(value, indent + 2, write)
+        lead = ",\n" + pad
+    write("\n" + " " * indent + brackets[1])
+
+
+def _emit_table(table: Table, indent: int, write) -> None:
+    """The list of ``table``'s records, in pieces of formatted records when
+    its cells are numbers and Nones (see :func:`_slots`), else record by
+    record."""
     slots = _slots(table)
     if slots is None:
-        return _emit(list(table), indent)
-    widths, values, state = slots
+        _emit(list(table), indent, write)
+        return
+    widths, columns, state = slots
     keys = [json.dumps(str(k)).replace("%", "%%") for k in table.columns]
-    text = _format_records(state, lambda p: _json_record(keys, widths, p, indent + 2),
-                           values[state == 0], ",\n")
-    return "[\n" + text + "\n" + " " * indent + "]"
+    write("[\n")
+    for piece in _pieces(state, lambda p: _json_record(keys, widths, p, indent + 2),
+                         lambda rows: _cells(columns, rows)[state[rows] == 0], ",\n"):
+        write(piece)
+    write("\n" + " " * indent + "]")
 
 
 def _slots(table: Table):
-    """The width of each column's rows (None for a number) and ``table``'s
-    cells as slots: one float matrix with a column per number, and each
-    slot's state, 0 for a finite number, 1 for NaN or inf, 2 for None.
-    None when the table is empty, holds no number, or has a column of
-    anything but floats, rows of floats and Nones.
+    """The width of each column's rows (None for a number), ``table``'s
+    cells as one 2-d float array per column (a view of a float column), and
+    the state of every slot of the table, one column per number: 0 for a
+    finite number, 1 for NaN or inf, 2 for None.  None when the table is
+    empty, holds no number, or has a column of anything but floats, rows of
+    floats and Nones.
     """
     if not len(table):
         return None
-    widths, values, states = [], [], []
+    widths, columns, states = [], [], []
     for col in table.columns.values():
         if isinstance(col, np.ndarray) and col.dtype.kind == "f" and col.ndim <= 2:
             widths.append(col.shape[1] if col.ndim == 2 else None)
-            cells = col.reshape(len(col), -1).astype(float)
-            none = np.zeros(cells.shape, dtype=bool)
+            cells = col.reshape(len(col), -1).astype(float, copy=False)
+            none = False
         else:
             items = _plain(col)
             if not all(v is None or isinstance(v, (float, np.floating)) for v in items):
@@ -136,23 +172,33 @@ def _slots(table: Table):
             widths.append(None)
             none = np.array([v is None for v in items], dtype=bool).reshape(-1, 1)
             cells = np.array(items, dtype=float).reshape(-1, 1)   # None: NaN
-        values.append(cells)
-        states.append(np.where(none, 2, np.where(np.isfinite(cells), 0, 1)))
-    values = np.hstack(values)
-    if not values.shape[1]:
+        columns.append(cells)
+        states.append(np.where(none, 2, ~np.isfinite(cells)).astype(np.int8))
+    state = np.hstack(states)
+    if not state.shape[1]:
         return None
-    return widths, values, np.hstack(states).astype(np.int8)
+    return widths, columns, state
 
 
-def _format_records(state: np.ndarray, template, args: np.ndarray, sep: str) -> str:
-    """Records joined by ``sep``, formatted by one ``%``: record ``i`` takes
-    ``template(pattern)`` of its row of slot states, built once per
-    pattern (there are usually one or two), and the template's slots are
-    filled in order from ``args``."""
-    rows = state.view(f"V{state.shape[1]}").ravel()
-    _, first, which = np.unique(rows, return_index=True, return_inverse=True)
+def _cells(columns: list[np.ndarray], rows: slice) -> np.ndarray:
+    """The slot values of ``rows`` of the table, one column per slot."""
+    return np.hstack([col[rows] for col in columns])
+
+
+def _pieces(state: np.ndarray, template, args, sep: str):
+    """The records joined by ``sep``, in pieces of :data:`ROWS_PER_PIECE`
+    records that concatenate to the whole.  Record ``i`` takes
+    ``template(pattern)`` of its row of slot states, built once per pattern
+    for the whole table (there are usually one or two); one ``%`` per piece
+    fills its templates' slots in order from ``args(rows)``, the 1-d array
+    of the values of that slice of rows."""
+    patterns = state.view(f"V{state.shape[1]}").ravel()
+    _, first, which = np.unique(patterns, return_index=True, return_inverse=True)
     templates = [template(state[i].tolist()) for i in first.tolist()]
-    return sep.join([templates[i] for i in which.tolist()]) % tuple(args.tolist())
+    for start in range(0, len(state), ROWS_PER_PIECE):
+        rows = slice(start, start + ROWS_PER_PIECE)
+        text = sep.join([templates[i] for i in which[rows].tolist()])
+        yield (sep + text if start else text) % tuple(args(rows).tolist())
 
 
 def _json_record(keys: list[str], widths: list, pattern: list[int],
@@ -209,22 +255,31 @@ def _csv_cell(value: Any) -> str:
     return text
 
 
-def _csv_table(section: str, table: Table) -> str | None:
-    """The CSV rows of ``table``'s records under ``section``, each named by
-    its record's index, in one formatting pass; None when the table has
-    other cells than numbers and Nones (see :func:`_slots`)."""
+def _csv_table(section: str, table: Table, write) -> bool:
+    """Write the CSV rows of ``table``'s records under ``section``, each
+    named by its record's index, in pieces; False, and nothing written, when
+    the table has other cells than numbers and Nones (see :func:`_slots`)."""
     slots = _slots(table)
     if slots is None:
-        return None
-    widths, values, state = slots
+        return False
+    widths, columns, state = slots
     keys = [str(k).replace("%", "%%") for k in table.columns]
     section = section.replace("%", "%%")
-    # every row's slot is preceded by the record index (a %d slot)
-    index = np.broadcast_to(np.arange(len(table), dtype=float)[:, None], values.shape)
-    args = np.stack([index, values], axis=-1)[
-        np.stack([np.ones(state.shape, dtype=bool), state == 0], axis=-1)]
-    return _format_records(state, lambda p: _csv_record(section, keys, widths, p),
-                           args, "\n")
+
+    def args(rows: slice) -> np.ndarray:
+        # every row's slot is preceded by the record index (a %d slot)
+        values = _cells(columns, rows)
+        index = np.broadcast_to(
+            np.arange(rows.start, rows.start + len(values), dtype=float)[:, None],
+            values.shape)
+        return np.stack([index, values], axis=-1)[
+            np.stack([np.ones(values.shape, dtype=bool), state[rows] == 0], axis=-1)]
+
+    for piece in _pieces(state, lambda p: _csv_record(section, keys, widths, p),
+                         args, "\n"):
+        write(piece)
+    write("\n")
+    return True
 
 
 def _csv_record(section: str, keys: list[str], widths: list, pattern: list[int]) -> str:
@@ -239,8 +294,10 @@ def _csv_record(section: str, keys: list[str], widths: list, pattern: list[int])
     return "\n".join(lines)
 
 
-def report_to_csv(report: dict) -> str:
-    """Flatten a run report into section,name,field,value rows.
+def report_to_csv(report: dict, out: TextIO | None = None) -> str | None:
+    """Flatten a run report into section,name,field,value rows, written to
+    the open text file ``out`` piece by piece, or returned as text without
+    one.
 
     Scalar numeric cells use the 17-digit decimal encoding of the JSON form.
     A nested value (``config.box``, ``evidence.margins``) is one cell of
@@ -248,35 +305,34 @@ def report_to_csv(report: dict) -> str:
     :func:`_compact`); both encodings round-trip to identical values.
     A :class:`Table` of points is written by :func:`_csv_table`.
     """
-    rows = ["section,name,field,value"]
+    return _stream(out, lambda write: _write_csv(report, write))
 
+
+def _write_csv(report: dict, write) -> None:
     def emit(section: str, name: str, mapping: dict) -> None:
         for key, val in mapping.items():
             if isinstance(val, dict):
                 for k2, v2 in val.items():
-                    rows.append(f"{section},{name},{key}.{k2},{_csv_cell(v2)}")
+                    write(f"{section},{name},{key}.{k2},{_csv_cell(v2)}\n")
             elif isinstance(val, (list, tuple, np.ndarray)):
                 seq = _plain(val)
                 if all(not isinstance(v, (list, tuple, dict, np.ndarray)) for v in seq):
                     for i, v in enumerate(seq):
-                        rows.append(f"{section},{name},{key}_{i},{_csv_cell(v)}")
+                        write(f"{section},{name},{key}_{i},{_csv_cell(v)}\n")
                 else:
-                    rows.append(f"{section},{name},{key},{_csv_cell(val)}")
+                    write(f"{section},{name},{key},{_csv_cell(val)}\n")
             else:
-                rows.append(f"{section},{name},{key},{_csv_cell(val)}")
+                write(f"{section},{name},{key},{_csv_cell(val)}\n")
 
+    write("section,name,field,value\n")
     emit("config", "", report.get("config", {}))
     points = report.get("points", [])
-    table = _csv_table("point", points) if isinstance(points, Table) else None
-    if table is None:
+    if not (isinstance(points, Table) and _csv_table("point", points, write)):
         for idx, rec in enumerate(points):
             emit("point", str(idx), rec)
-    else:
-        rows.append(table)
     for rec in report.get("identities", []):
         emit("identity", rec.get("name", ""),
              {k: v for k, v in rec.items() if k != "name"})
     emit("hypotheses", "", report.get("hypotheses", {}))
     emit("classification", "", report.get("classification", {}))
-    rows.append(f"runtime,,runtime_seconds,{_csv_cell(report.get('runtime_seconds'))}")
-    return "\n".join(rows) + "\n"
+    write(f"runtime,,runtime_seconds,{_csv_cell(report.get('runtime_seconds'))}\n")

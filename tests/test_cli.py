@@ -1,16 +1,25 @@
+import contextlib
+import errno
+import functools
+import io
 import json
+import os
+import subprocess
+import sys
+import tempfile
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from graphgeo import cli
+from graphgeo import cli, reporting
 from graphgeo import scenarios as scen
 from graphgeo.cli import _point_table, main
 from graphgeo.identities import DEFAULT_IDENTITY_TOLERANCES
-from graphgeo.theorem_gate import DEFAULT_TOLERANCES, GridSweep
+from graphgeo.theorem_gate import DEFAULT_TOLERANCES, GridSweep, sweep_geometry
 from graphgeo.reporting import Table, _csv_cell, canonical_json, report_to_csv
 
 
@@ -140,13 +149,13 @@ def test_report_timing_lines_cover_serialization(tmp_path, capsys, monkeypatch):
     assert run([*argv, "--output", str(a)]) == 0
     capsys.readouterr()
 
-    encode = cli._encode
+    write = cli._write_artifact
 
-    def slow_encode(*args):
+    def slow_write(*args):
         time.sleep(0.2)
-        return encode(*args)
+        return write(*args)
 
-    monkeypatch.setattr(cli, "_encode", slow_encode)
+    monkeypatch.setattr(cli, "_write_artifact", slow_write)
     assert run([*argv, "--output", str(b)]) == 0
     lines = capsys.readouterr().err.splitlines()
     seconds = {}
@@ -169,13 +178,13 @@ def test_report_timing_lines_cover_serialization(tmp_path, capsys, monkeypatch):
 def test_runtime_line_covers_the_artifact_write(argv, tmp_path, capsys, monkeypatch):
     # every command ends its stderr with the wall time of the whole command,
     # printed after the artifact is written
-    write = cli._write_output
+    write = cli._write_artifact
 
     def slow_write(*args):
         time.sleep(0.2)
         return write(*args)
 
-    monkeypatch.setattr(cli, "_write_output", slow_write)
+    monkeypatch.setattr(cli, "_write_artifact", slow_write)
     out = tmp_path / "out"
     run([*argv, "--output", str(out)])
     lines = capsys.readouterr().err.splitlines()
@@ -713,6 +722,210 @@ def test_one_row_table_text():
     assert report_to_csv({"points": table}) == (
         "section,name,field,value\npoint,0,x_0,0.5\npoint,0,x_1,null\n"
         "point,0,n,\npoint,0,t,-0\nruntime,,runtime_seconds,\n")
+
+
+# Streaming: the CLI writes an artifact piece by piece to a file or stdout.
+# Tables straddle the piece size R, so that the first, a middle and a last
+# short piece are all written; 2R+1 ends on a piece of one record.
+R = reporting.ROWS_PER_PIECE
+PIECE_ROWS = [0, 1, R - 1, R, R + 1, 2 * R + 1]
+CELLS = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 0.0, 1.0, 1e17, 1.0 / 3.0]
+
+
+def streamed(fmt: str, payload: dict) -> tuple[bytes, bytes]:
+    """The bytes ``cli._write_artifact`` writes to a file and to stdout."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "out")
+        cli._write_artifact(cli.RunConfig(format=fmt, output=path), payload, payload)
+        with open(path, "rb") as f:
+            to_file = f.read()
+    raw = io.BytesIO()
+    stdout = io.TextIOWrapper(raw, encoding="utf-8")
+    with contextlib.redirect_stdout(stdout):
+        cli._write_artifact(cli.RunConfig(format=fmt), payload, payload)
+    stdout.flush()
+    return to_file, raw.getvalue()
+
+
+def assert_streams_as_point_records(sweep):
+    table, records = _point_table(sweep), point_records(sweep)
+    for fmt, collect in (("json", lambda doc: canonical_json(doc) + "\n"),
+                         ("csv", report_to_csv)):
+        doc = {"config": {"scenario": "s"}, "points": table, "runtime_seconds": None}
+        text = collect(doc)
+        assert text == collect({**doc, "points": records})
+        assert streamed(fmt, doc) == (text.encode(), text.encode())
+
+
+def sweep_of(cells: dict, has_sec_n: np.ndarray) -> GridSweep:
+    """A GridSweep with the given columns (coords and lambdas ``(N, m)``);
+    the columns the report leaves out are zeros."""
+    rows = len(has_sec_n)
+    zeros = np.zeros(rows)
+    return GridSweep(rank=np.zeros(rows, dtype=int), sec_m_max=zeros, sec_n_min=zeros,
+                     has_sec_n=has_sec_n, **cells)
+
+
+POINT_COLUMNS = ("trace_s", "a_norm_sq", "h_norm", "sec_m_min", "sec_n_max")
+
+
+@settings(max_examples=25, deadline=None)
+@given(rows=st.sampled_from(PIECE_ROWS), m=st.sampled_from([2, 3]),
+       extra=st.lists(st.floats(), max_size=4), seed=st.integers(0, 2 ** 32 - 1),
+       null_share=st.sampled_from([0.0, 0.01, 0.5, 1.0]))
+def test_streamed_artifacts_equal_the_collected_text(rows, m, extra, seed, null_share):
+    # through a file and through stdout, JSON and CSV, the streamed bytes are
+    # the collected text and the records' text, at every piece boundary
+    rng = np.random.default_rng(seed)
+    palette = np.array(CELLS + extra)
+    rare = rng.random() < 0.5      # mostly finite cells: few null patterns
+
+    def column(*shape):
+        cells = palette[rng.integers(len(palette), size=shape)]
+        if rare:
+            cells = np.where(rng.random(shape) < 0.02, cells, rng.normal(size=shape))
+        return cells
+
+    cells = {"coords": column(rows, m), "lambdas": column(rows, m),
+             **{name: column(rows) for name in POINT_COLUMNS}}
+    assert_streams_as_point_records(sweep_of(cells, rng.random(rows) >= null_share))
+
+
+@pytest.mark.parametrize("switch", ["none", "nan", "inf"])
+@pytest.mark.parametrize("at", [R - 1, R, R + 1, 2 * R])
+def test_null_pattern_change_at_a_piece_boundary(switch, at):
+    # every record before ``at`` has one null pattern and every record from
+    # it on another, so the template changes on the boundary row R or 2R
+    rows = 2 * R + 1
+    before = np.arange(rows) < at
+    cells = {"coords": np.full((rows, 2), 0.5), "lambdas": np.full((rows, 2), -0.0),
+             **{name: np.full(rows, 5e-324) for name in POINT_COLUMNS}}
+    if switch != "none":
+        cells["h_norm"] = np.where(before, 1.0 / 3.0, float(switch))
+        cells["coords"][~before, 1] = -float(switch)
+    assert_streams_as_point_records(
+        sweep_of(cells, before if switch == "none" else np.ones(rows, dtype=bool)))
+
+
+@pytest.fixture(scope="module")
+def holo_table_120():
+    sc = scen.get("holo-w2")
+    sweep = sweep_geometry(sc.f, sc.grid_points((120, 120), sc.sample_box), seed=0)
+    return _point_table(sweep)
+
+
+@pytest.mark.parametrize("encode", [canonical_json, lambda t, out: report_to_csv(
+    {"points": t}, out)], ids=["json", "csv"])
+def test_streamed_point_table_memory_is_a_fraction_of_the_artifact(
+        encode, holo_table_120, tmp_path):
+    # the encoder's live memory stays well below the text it writes: the
+    # artifact is never held whole, nor copied
+    path = tmp_path / "points"
+    with open(path, "w", encoding="utf-8") as out:
+        tracemalloc.start()
+        try:
+            encode(holo_table_120, out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    size = path.stat().st_size
+    assert size > 4_000_000
+    assert peak < size / 4
+
+
+class FailingFile:
+    """A text file whose ``fail_at``-th write raises ENOSPC (0: none);
+    counts its writes."""
+
+    def __init__(self, path, fail_at):
+        self.file = open(path, "w", encoding="utf-8")
+        self.fail_at, self.writes = fail_at, 0
+
+    def write(self, text):
+        self.writes += 1
+        if self.writes == self.fail_at:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return self.file.write(text)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.file.close()
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_a_write_failing_part_way_exits_2(fmt, tmp_path, capsys, monkeypatch):
+    argv = ["report", "--scenario", "holo-w2", "--grid", "30x30", "--format", fmt]
+    files = []
+
+    def fake_open(path, *args, fail_at=0, **kwargs):
+        files.append(FailingFile(path, fail_at))
+        return files[-1]
+
+    monkeypatch.setattr(cli, "open", fake_open, raising=False)
+    assert run([*argv, "--output", str(tmp_path / "whole")]) == 0
+    capsys.readouterr()
+    total = files[-1].writes
+    assert total > 3
+    for fail_at in (1, 2, total // 2, total):
+        monkeypatch.setattr(cli, "open", functools.partial(fake_open, fail_at=fail_at),
+                            raising=False)
+        assert run([*argv, "--output", str(tmp_path / f"part{fail_at}")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"error: cannot write output file: [Errno {errno.ENOSPC}] "
+            f"{os.strerror(errno.ENOSPC)}"]
+
+
+def cli_process(argv: list[str], stdout) -> subprocess.Popen:
+    """``graphgeo`` in a fresh process, writing its stdout to ``stdout``."""
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))}
+    return subprocess.Popen([sys.executable, "-m", "graphgeo.cli", *argv], env=env,
+                            stdout=stdout, stderr=subprocess.PIPE, text=True)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_a_closed_stdout_pipe_exits_2(fmt):
+    # the reader stops after a few bytes of a ~1 MB artifact
+    proc = cli_process(["report", "--scenario", "holo-w2", "--grid", "60x60",
+                        "--format", fmt], subprocess.PIPE)
+    assert len(proc.stdout.read(10)) == 10
+    proc.stdout.close()
+    with proc.stderr:
+        err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 2
+    assert err.splitlines() == [
+        f"error: cannot write to stdout: [Errno {errno.EPIPE}] {os.strerror(errno.EPIPE)}"]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+@pytest.mark.parametrize("argv", [
+    ["report", "--scenario", "holo-w2", "--grid", "30x30"],
+    ["report", "--scenario", "holo-w2", "--grid", "30x30", "--format", "csv"],
+    ["check-theorem", "--scenario", "identity-s2", "--grid", "3x3"],
+])
+def test_stdout_on_a_full_device_exits_2(argv):
+    with open("/dev/full", "w") as full:
+        proc = cli_process(argv, full)
+        _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 2
+    assert err.splitlines() == [
+        f"error: cannot write to stdout: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_a_full_device_exits_2(fmt, capsys):
+    # the buffered file fails on a flush: mid-stream or at close
+    code = run(["report", "--scenario", "holo-w2", "--grid", "30x30", "--format", fmt,
+                "--output", "/dev/full"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.splitlines() == [
+        f"error: cannot write output file: [Errno {errno.ENOSPC}] "
+        f"{os.strerror(errno.ENOSPC)}"]
 
 
 nested_values = st.recursive(
