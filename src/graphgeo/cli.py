@@ -9,8 +9,13 @@ Commands:
 
 Exit codes: 0 success (for ``check-theorem``: a dichotomy verdict), 1 failed
 checks or a violated hypothesis gate, 2 unknown scenario, bad
-configuration or out of memory, 3 out-of-chart sampling, 4 indeterminate
-classification.
+configuration (a non-positive ``--sigma`` or ``--kappa-margin`` among it),
+an ``--output`` or a stdout that cannot be written (every command, ``list``
+included) or out of memory, 3 out-of-chart sampling, 4 indeterminate
+classification.  Every non-zero exit prints one ``error:`` line to stderr.
+
+``--sigma`` and the config ``box`` replace the scenario's pinching level
+and sample box once, for the gate and the identity suite alike.
 
 All report output is deterministic for a fixed (config, seed): wall-clock
 timing goes to stderr and the ``runtime_seconds`` field of the artifact is
@@ -39,6 +44,7 @@ from .reporting import Table, canonical_json, report_to_csv
 from .theorem_gate import (
     DEFAULT_TOLERANCES,
     MAX_GRID_POINTS,
+    GridSweep,
     classify,
     evaluate_hypotheses,
     sweep_geometry,
@@ -99,6 +105,8 @@ class RunConfig(NamedTuple):
             raise ValueError("shift parameter c must be positive")
         if self.sigma is not None and self.sigma <= 0.0:
             raise ValueError(f"pinching level sigma must be positive, got {self.sigma!r}")
+        if self.kappa_margin <= 0.0:
+            raise ValueError(f"kappa margin must be positive, got {self.kappa_margin!r}")
         if not isinstance(self.tolerances, Mapping):
             raise ValueError("tolerances must be a mapping of names to values")
         unknown = sorted(set(self.tolerances) - set(DEFAULT_TOLERANCES)
@@ -204,40 +212,48 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _resolve_scenario(cfg: RunConfig) -> scen.Scenario:
+    """The registry scenario with the configured pinching level and sample
+    box in place of its own, so the gate and the identity suite share them."""
     if not cfg.scenario:
         raise UnknownScenarioError("no scenario given (use --scenario)")
-    return scen.get(cfg.scenario)
-
-
-def _grid_points(scenario: scen.Scenario, cfg: RunConfig):
-    box = np.asarray(cfg.box, dtype=float) if cfg.box is not None \
-        else scenario.sample_box
-    shape = cfg.grid or scenario.grid_shape
-    for name, axes in (("grid", len(shape)), ("box", len(box))):
-        if axes != scenario.domain.dim:
-            raise ValueError(
-                f"{name} has {axes} axes, scenario needs {scenario.domain.dim}")
+    scenario = scen.get(cfg.scenario)
+    box = scenario.sample_box if cfg.box is None else np.asarray(cfg.box, dtype=float)
+    if len(box) != scenario.domain.dim:
+        raise ValueError(f"box has {len(box)} axes, scenario needs {scenario.domain.dim}")
     margin_box = scenario.domain.sample_box()
     if np.any(box[:, 0] < margin_box[:, 0]) or np.any(box[:, 1] > margin_box[:, 1]):
         raise OutOfChartError(
             "sampling box leaves the chart box (including its margin)")
-    return scenario.grid_points(shape, box), box, shape
+    return scenario._replace(
+        sample_box=box, sigma=scenario.sigma if cfg.sigma is None else cfg.sigma)
 
 
-def _config_echo(cfg: RunConfig, scenario: scen.Scenario, box, shape,
-                 sigma: float) -> dict:
-    return {
-        "scenario": scenario.name,
-        "grid": list(shape),
-        "box": [list(map(float, b)) for b in box],
-        "seed": cfg.seed,
-        "h": cfg.h,
-        "c": cfg.c,
-        "sigma": sigma,
-        "kappa_margin": cfg.kappa_margin,
-        "tolerances": dict(sorted(cfg.tolerances.items())),
-        "format": cfg.format,
-        "threads": cfg.threads,
+def _gate(cfg: RunConfig, scenario: scen.Scenario) -> tuple[GridSweep, dict]:
+    """The sweep of the configured grid and the gate's artifact sections:
+    the config echo, the hypotheses and the classification."""
+    shape = cfg.grid or scenario.grid_shape
+    if len(shape) != scenario.domain.dim:
+        raise ValueError(f"grid has {len(shape)} axes, scenario needs {scenario.domain.dim}")
+    grid = scenario.grid_points(shape)
+    sweep = sweep_geometry(scenario.f, grid, seed=cfg.seed)
+    hyp = evaluate_hypotheses(sweep, scenario.sigma, cfg.kappa_margin, cfg.tolerances)
+    cls = classify(scenario.f, grid, sweep, hyp, cfg.tolerances)
+    return sweep, {
+        "config": {
+            "scenario": scenario.name,
+            "grid": list(shape),
+            "box": [list(map(float, b)) for b in scenario.sample_box],
+            "seed": cfg.seed,
+            "h": cfg.h,
+            "c": cfg.c,
+            "sigma": scenario.sigma,
+            "kappa_margin": cfg.kappa_margin,
+            "tolerances": dict(sorted(cfg.tolerances.items())),
+            "format": cfg.format,
+            "threads": cfg.threads,
+        },
+        "hypotheses": {**hyp._asdict(), "margins": dict(hyp.margins)},
+        "classification": cls._asdict(),
     }
 
 
@@ -265,37 +281,25 @@ def _identity_records(reports) -> list[dict]:
     } for r in reports]
 
 
-def _hypotheses_record(hyp) -> dict:
-    return {
-        "sigma": hyp.sigma,
-        "kappa_sq": hyp.kappa_sq,
-        "lambda0_sq": hyp.lambda0_sq,
-        "minimal_ok": hyp.minimal_ok,
-        "pinching_ok": hyp.pinching_ok,
-        "trace_ok": hyp.trace_ok,
-        "kappa_ok": hyp.kappa_ok,
-        "condition4_ok": hyp.condition4_ok,
-        "margins": dict(hyp.margins),
-        "scope": hyp.scope,
-    }
-
-
-def _classification_record(cls) -> dict:
-    return {"verdict": cls.verdict, "evidence": cls.evidence, "scope": cls.scope}
-
-
-def _split_tolerances(cfg: RunConfig) -> tuple[dict, dict]:
-    """The configured overrides of the gate and of the identity tolerances."""
-    return tuple({k: v for k, v in cfg.tolerances.items() if k in defaults}
-                 for defaults in (DEFAULT_TOLERANCES, DEFAULT_IDENTITY_TOLERANCES))
+def _to_stdout(write) -> None:
+    """Run ``write(sys.stdout)`` and flush.  A stdout that cannot be written
+    (a closed pipe, a full disk) is bad configuration: its descriptor is
+    pointed at the null device, so that Python's flush at exit does not fail
+    a second time, and the error is raised as one line."""
+    try:
+        write(sys.stdout)
+        sys.stdout.flush()
+    except OSError as exc:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        raise ValueError(f"cannot write to stdout: {exc}") from exc
 
 
 def _write_artifact(cfg: RunConfig, payload: dict, csv_payload: dict) -> None:
     """Stream ``payload`` as canonical JSON, or ``csv_payload`` as CSV,
-    following ``cfg.format``, to ``cfg.output`` or to stdout without one.
-    A path that cannot be opened or written, or a stdout that cannot be
-    written (a closed pipe, a full disk), is bad configuration; a write that
-    fails part-way leaves an incomplete artifact."""
+    following ``cfg.format``, to ``cfg.output`` or to stdout without one
+    (see :func:`_to_stdout`).  A path that cannot be opened or written is
+    bad configuration; a write that fails part-way leaves an incomplete
+    artifact."""
     def write(out) -> None:
         if cfg.format == "json":
             canonical_json(payload, out)
@@ -304,14 +308,7 @@ def _write_artifact(cfg: RunConfig, payload: dict, csv_payload: dict) -> None:
             report_to_csv(csv_payload, out)
 
     if not cfg.output:
-        try:
-            write(sys.stdout)
-            sys.stdout.flush()
-        except OSError as exc:
-            # the rest of the buffer would fail again when Python flushes
-            # stdout at exit, with a second message
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-            raise ValueError(f"cannot write to stdout: {exc}") from exc
+        _to_stdout(write)
         return
     try:
         with open(cfg.output, "w", encoding="utf-8") as out:
@@ -321,13 +318,11 @@ def _write_artifact(cfg: RunConfig, payload: dict, csv_payload: dict) -> None:
 
 
 def cmd_list(match: str | None) -> int:
-    reg = scen.registry()
-    names = [n for n in reg if match is None or match in n]
     header = f"{'name':22s} {'dims':7s} {'grid':10s} {'expected'}"
-    print(header)
-    print("-" * len(header))
-    for name in names:
-        s = reg[name]
+    lines = [header, "-" * len(header)]
+    for name, s in scen.registry().items():
+        if match is not None and match not in name:
+            continue
         exp = s.expected
         flags = []
         for label, val in [("minimal", exp.minimal),
@@ -337,8 +332,9 @@ def cmd_list(match: str | None) -> int:
             flags.append("isometric")
         dims = f"{s.domain.dim}->{s.target.dim}"
         grid = "x".join(map(str, s.grid_shape))
-        print(f"{name:22s} {dims:7s} {grid:10s} {'; '.join(flags)};"
-              f" lambda: {exp.lambda_field}")
+        lines.append(f"{name:22s} {dims:7s} {grid:10s} {'; '.join(flags)};"
+                     f" lambda: {exp.lambda_field}")
+    _to_stdout(lambda out: out.write("".join(line + "\n" for line in lines)))
     return EXIT_OK
 
 
@@ -353,24 +349,17 @@ def _stage(name: str):
 
 def cmd_report(cfg: RunConfig) -> int:
     scenario = _resolve_scenario(cfg)
-    grid, box, shape = _grid_points(scenario, cfg)
-    sigma = cfg.sigma if cfg.sigma is not None else scenario.sigma
-
-    sweep = sweep_geometry(scenario.f, grid, seed=cfg.seed)
-    gate_tol, id_tol = _split_tolerances(cfg)
-    hyp = evaluate_hypotheses(sweep, sigma, cfg.kappa_margin, gate_tol)
-    cls = classify(scenario.f, grid, sigma, cfg.kappa_margin, gate_tol,
-                   seed=cfg.seed, sweep=sweep, hypotheses=hyp)
+    sweep, gate = _gate(cfg, scenario)
     identities = run_identity_suite(scenario, seed=cfg.seed, h=cfg.h, c=cfg.c,
-                                    tolerances=id_tol)
+                                    tolerances=cfg.tolerances)
 
     with _stage("serialize"):
         report = {
-            "config": _config_echo(cfg, scenario, box, shape, sigma),
+            "config": gate["config"],
             "points": _point_table(sweep),
             "identities": _identity_records(identities),
-            "hypotheses": _hypotheses_record(hyp),
-            "classification": _classification_record(cls),
+            "hypotheses": gate["hypotheses"],
+            "classification": gate["classification"],
             # kept out of the deterministic artifact; see module docstring
             "runtime_seconds": None,
         }
@@ -382,11 +371,9 @@ def cmd_report(cfg: RunConfig) -> int:
 
 def cmd_verify(cfg: RunConfig) -> int:
     scenario = _resolve_scenario(cfg)
-    _, id_tol = _split_tolerances(cfg)
     reports = run_identity_suite(scenario, seed=cfg.seed, h=cfg.h, c=cfg.c,
-                                 tolerances=id_tol)
-    for r in reports:
-        print(r.line())
+                                 tolerances=cfg.tolerances)
+    _to_stdout(lambda out: out.write("".join(r.line() + "\n" for r in reports)))
     if cfg.output:
         records = _identity_records(reports)
         _write_artifact(cfg, {"scenario": scenario.name, "identities": records},
@@ -396,24 +383,12 @@ def cmd_verify(cfg: RunConfig) -> int:
 
 
 def cmd_check_theorem(cfg: RunConfig) -> int:
-    scenario = _resolve_scenario(cfg)
-    grid, box, shape = _grid_points(scenario, cfg)
-    sigma = cfg.sigma if cfg.sigma is not None else scenario.sigma
-    gate_tol, _ = _split_tolerances(cfg)
-
-    sweep = sweep_geometry(scenario.f, grid, seed=cfg.seed)
-    hyp = evaluate_hypotheses(sweep, sigma, cfg.kappa_margin, gate_tol)
-    cls = classify(scenario.f, grid, sigma, cfg.kappa_margin, gate_tol,
-                   seed=cfg.seed, sweep=sweep, hypotheses=hyp)
-
-    payload = {"config": _config_echo(cfg, scenario, box, shape, sigma),
-               "hypotheses": _hypotheses_record(hyp),
-               "classification": _classification_record(cls)}
-    _write_artifact(cfg, payload, payload)
-
-    if cls.verdict in ("constant", "totally-geodesic-isometric-immersion"):
+    _, gate = _gate(cfg, _resolve_scenario(cfg))
+    _write_artifact(cfg, gate, gate)
+    verdict = gate["classification"]["verdict"]
+    if verdict in ("constant", "totally-geodesic-isometric-immersion"):
         return EXIT_OK
-    if cls.verdict == "hypothesis-violated":
+    if verdict == "hypothesis-violated":
         return EXIT_FAIL
     return EXIT_INDETERMINATE
 
@@ -430,9 +405,6 @@ def main(argv: list[str] | None = None) -> int:
         # every command's stderr ends with its wall time, artifact written
         with _stage("runtime"):
             return command(cfg)
-    except UnknownScenarioError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except OutOfChartError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_OUT_OF_CHART

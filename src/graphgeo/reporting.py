@@ -5,10 +5,10 @@ seed, so serialization is done by a small deterministic emitter rather than
 a library whose float formatting might drift: JSON floats are written with
 17 significant digits (lossless for doubles), keys keep insertion order.
 
-The emitter writes through a ``write`` callable: :func:`canonical_json`
-and :func:`report_to_csv` stream an artifact to an open text file as it is
-encoded, or collect the same pieces and return their text.  No copy of the
-whole text is built on the way to a file.
+:func:`canonical_json` and :func:`report_to_csv` always write to the open
+text stream they are given, piece by piece as the artifact is encoded;
+there is no mode that collects the text and returns it.  No copy of the
+whole text is built on the way to a file or stdout.
 
 A :class:`Table` of numbers (a report's per-point records) is formatted in
 pieces of :data:`ROWS_PER_PIECE` records; there is no one ``%`` over the
@@ -84,21 +84,10 @@ def _scalar(obj: Any) -> str:
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
-def canonical_json(obj: Any, out: TextIO | None = None) -> str | None:
-    """Serialize to JSON with deterministic float formatting: written to the
-    open text file ``out`` piece by piece, or returned as text without one."""
-    return _stream(out, lambda write: _emit(obj, 0, write))
-
-
-def _stream(out: TextIO | None, emit) -> str | None:
-    """Run ``emit(write)`` writing to ``out``; without ``out``, collect the
-    pieces it writes and return their text."""
-    if out is not None:
-        emit(out.write)
-        return None
-    pieces: list[str] = []
-    emit(pieces.append)
-    return "".join(pieces)
+def canonical_json(obj: Any, out: TextIO) -> None:
+    """Serialize to JSON with deterministic float formatting, written to the
+    open text file ``out`` piece by piece."""
+    _emit(obj, 0, out.write)
 
 
 def _emit(obj: Any, indent: int, write) -> None:
@@ -294,10 +283,9 @@ def _csv_record(section: str, keys: list[str], widths: list, pattern: list[int])
     return "\n".join(lines)
 
 
-def report_to_csv(report: dict, out: TextIO | None = None) -> str | None:
+def report_to_csv(report: dict, out: TextIO) -> None:
     """Flatten a run report into section,name,field,value rows, written to
-    the open text file ``out`` piece by piece, or returned as text without
-    one.
+    the open text file ``out`` piece by piece.
 
     Scalar numeric cells use the 17-digit decimal encoding of the JSON form.
     A nested value (``config.box``, ``evidence.margins``) is one cell of
@@ -305,10 +293,8 @@ def report_to_csv(report: dict, out: TextIO | None = None) -> str | None:
     :func:`_compact`); both encodings round-trip to identical values.
     A :class:`Table` of points is written by :func:`_csv_table`.
     """
-    return _stream(out, lambda write: _write_csv(report, write))
+    write = out.write
 
-
-def _write_csv(report: dict, write) -> None:
     def emit(section: str, name: str, mapping: dict) -> None:
         for key, val in mapping.items():
             if isinstance(val, dict):

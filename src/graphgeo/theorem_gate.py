@@ -374,25 +374,21 @@ class Classification(NamedTuple):
     scope: str = "box-local"
 
 
-def classify(f: SmoothMap, grid: Array, sigma: float,
-             kappa_margin: float = 0.01,
-             tolerances: dict[str, float] | None = None,
-             seed: int = 0, sweep: GridSweep | None = None,
-             hypotheses: HypothesisReport | None = None) -> Classification:
-    """Classify the map against the rigidity dichotomy on the sample grid
-    (the rows of ``grid``).
+def classify(f: SmoothMap, grid: Array, sweep: GridSweep, hyp: HypothesisReport,
+             tolerances: dict[str, float] | None = None) -> Classification:
+    """Classify the map against the rigidity dichotomy from the ``sweep`` of
+    the sample grid (the rows of ``grid``) and its ``hyp``, at the pinching
+    level ``hyp.sigma``.
 
     A failed hypothesis wins over everything else; with all hypotheses in
     place the verdict is ``constant`` when every singular value vanishes,
     ``totally-geodesic-isometric-immersion`` when all singular values equal
     one and the second fundamental form vanishes (with the induced-metric
-    and curvature-witness conclusions re-checked), and ``indeterminate``
-    otherwise.
+    and curvature-witness conclusions re-checked on rows of ``grid``), and
+    ``indeterminate`` otherwise.
     """
     tol = {**DEFAULT_TOLERANCES, **(tolerances or {})}
-    if sweep is None:
-        sweep = sweep_geometry(f, grid, seed=seed)
-    hyp = hypotheses or evaluate_hypotheses(sweep, sigma, kappa_margin, tol)
+    sigma = hyp.sigma
 
     if not hyp.all_ok:
         return Classification("hypothesis-violated", {

@@ -31,6 +31,7 @@ from graphgeo.identities import (
 from graphgeo.scenarios import get, registry
 from graphgeo.theorem_gate import (
     classify,
+    evaluate_hypotheses,
     sweep_geometry,
     trace_rank_chain_check,
 )
@@ -201,7 +202,9 @@ def test_criterion_08_theorem_gate_dichotomy(capsys):
     witness_dev = 0.0
     indeterminate = 0
     for name, sc in registry().items():
-        cls = classify(sc.f, sc.grid_points(), sc.sigma, seed=SEED)
+        grid = sc.grid_points()
+        sweep = sweep_geometry(sc.f, grid, seed=SEED)
+        cls = classify(sc.f, grid, sweep, evaluate_hypotheses(sweep, sc.sigma))
         verdicts[name] = cls.verdict
         if cls.verdict == "indeterminate":
             indeterminate += 1

@@ -19,7 +19,13 @@ from graphgeo import cli, reporting
 from graphgeo import scenarios as scen
 from graphgeo.cli import _point_table, main
 from graphgeo.identities import DEFAULT_IDENTITY_TOLERANCES
-from graphgeo.theorem_gate import DEFAULT_TOLERANCES, GridSweep, sweep_geometry
+from graphgeo.theorem_gate import (
+    DEFAULT_TOLERANCES,
+    Classification,
+    GridSweep,
+    HypothesisReport,
+    sweep_geometry,
+)
 from graphgeo.reporting import Table, _csv_cell, canonical_json, report_to_csv
 
 
@@ -300,6 +306,68 @@ def test_verify_halved_step_shrinks_residual(capsys):
     assert r1 / r2 >= 3.5
 
 
+NULL_PROBE_SKIP = "[skip] null-eigenvector-probe: hypotheses fail at all probe points: "
+
+
+@pytest.mark.parametrize("name,default,sigma,reason", [
+    # sec_N = 1 on the target sphere, above the level
+    ("identity-s2", "[PASS] null-eigenvector-probe", "0.5",
+     "target sectional curvature 1 above 0.5"),
+    # sec_M = 1 on the domain sphere, below the level
+    ("holo-w2", NULL_PROBE_SKIP + "trace condition fails", "5",
+     "domain sectional curvature 1 below 5"),
+], ids=["identity-s2", "holo-w2"])
+def test_sigma_reaches_the_null_probe(name, default, sigma, reason, capsys):
+    assert run(["verify-identities", "--scenario", name]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line for line in lines if line.startswith(default)]
+    assert run(["verify-identities", "--scenario", name, "--sigma", sigma]) == 0
+    assert NULL_PROBE_SKIP + reason in capsys.readouterr().out.splitlines()
+
+
+@pytest.mark.parametrize("settings", [
+    {"seed": 3},
+    {"seed": 3, "sigma": 0.5},
+    {"seed": 1, "box": [[-0.8, 0.6], [-0.5, 0.7]]},
+    {"seed": 1, "sigma": 5.0, "box": [[-0.8, 0.6], [-0.5, 0.7]]},
+])
+def test_report_identities_equal_verify_records(settings, tmp_path, capsys):
+    # the report and verify-identities run the suite under one sigma and box
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"scenario": "holo-w2", "grid": [4, 4], **settings}))
+    report, verify = tmp_path / "report.json", tmp_path / "verify.json"
+    assert run(["report", "--config", str(cfg), "--output", str(report)]) == 0
+    assert run(["verify-identities", "--config", str(cfg), "--output", str(verify)]) == 0
+    capsys.readouterr()
+    records = json.loads(verify.read_text())["identities"]
+    assert json.loads(report.read_text())["identities"] == records
+    reason = {r["name"]: r["skipped_reason"] for r in records}["null-eigenvector-probe"]
+    assert ("sectional curvature" in reason) == ("sigma" in settings)
+
+
+def test_box_reaches_the_identity_suite(tmp_path, capsys):
+    # the suite draws its points in the configured box
+    artifacts = []
+    for box in (None, [[-0.8, 0.6], [-0.5, 0.7]]):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"scenario": "holo-w2", "box": box}))
+        out = tmp_path / "out.json"
+        assert run(["verify-identities", "--config", str(cfg), "--output", str(out)]) == 0
+        artifacts.append(out.read_bytes())
+    capsys.readouterr()
+    assert artifacts[0] != artifacts[1]
+
+
+@pytest.mark.parametrize("command", ["verify-identities", "check-theorem"])
+def test_box_leaving_the_chart_exits_3(command, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"scenario": "identity-s2",
+                               "box": [[-40.0, 40.0], [-40.0, 40.0]]}))
+    assert run([command, "--config", str(cfg)]) == 3
+    assert capsys.readouterr().err == (
+        "error: sampling box leaves the chart box (including its margin)\n")
+
+
 def test_consecutive_calls_share_one_parser_and_no_state(tmp_path, capsys):
     # the parser is built once per process; a call's options never reach the
     # next call
@@ -381,6 +449,32 @@ def test_check_theorem_csv_to_stdout(capsys):
             assert float(value) == leaf, field
             compared += 1
     assert compared == 14
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("argv", [
+    ["report", "--scenario", "holo-w2", "--grid", "4x4"],
+    ["report", "--scenario", "identity-s2", "--grid", "4x4"],
+    ["check-theorem", "--scenario", "identity-s2", "--grid", "4x4"],
+    ["check-theorem", "--scenario", "constant-s2", "--grid", "4x4"],
+])
+def test_gate_sections_are_the_records_fields(argv, fmt, capsys):
+    # the hypotheses and classification sections hold each record's fields,
+    # in order
+    run([*argv, "--format", fmt])
+    out = capsys.readouterr().out
+    if fmt == "json":
+        doc = json.loads(out)
+        keys = {section: list(doc[section]) for section in ("hypotheses", "classification")}
+    else:
+        keys = {"hypotheses": [], "classification": []}
+        for line in out.splitlines()[1:]:
+            section, _, field, _ = line.split(",", 3)
+            key = field.split(".")[0]
+            if section in keys and key not in keys[section]:
+                keys[section].append(key)
+    assert keys == {"hypotheses": list(HypothesisReport._fields),
+                    "classification": list(Classification._fields)}
 
 
 def test_check_theorem_cli_overrides_config(tmp_path, capsys):
@@ -469,6 +563,8 @@ def test_out_of_memory_exits_2_with_one_line(command, capsys, monkeypatch):
     ["--scenario", "proj-s3-s1", "--grid", "3x3x3", "--c", "-0.5"],
     # the pinching level is positive (sigma > 0 in the rigidity statement)
     ["--sigma", "0"], ["--sigma=-1"],
+    # a margin <= 0 can never pass the strict pullback bound
+    ["--kappa-margin", "0"], ["--kappa-margin=-0.5"],
 ])
 @pytest.mark.parametrize("command", ["check-theorem", "verify-identities", "report"])
 def test_non_finite_and_unknown_settings_rejected(command, extra, capsys):
@@ -501,8 +597,9 @@ def test_unwritable_output_exits_2(command, tmp_path, capsys):
     None,                                  # no such config file
     [],                                    # not a JSON object
     {"sigma": 0}, {"sigma": -1.5},         # the pinching level is positive
+    {"kappa_margin": 0}, {"kappa_margin": -1},   # and so is the kappa margin
 ])
-@pytest.mark.parametrize("command", ["report", "check-theorem"])
+@pytest.mark.parametrize("command", ["report", "check-theorem", "verify-identities"])
 def test_malformed_config_rejected(command, doc, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     if doc is not None:
@@ -535,6 +632,7 @@ def _bad_values():
                        st.lists(st.floats(), max_size=2)),
         "sigma": st.one_of(text, st.booleans(), st.just(float("nan")),
                            st.floats(max_value=0.0)),
+        "kappa_margin": st.floats(max_value=0.0),
         "tolerances": st.one_of(text, st.lists(st.integers(), max_size=2),
                                 st.dictionaries(text.filter(
                                     lambda k: k not in DEFAULT_TOLERANCES
@@ -578,23 +676,37 @@ def test_non_finite_config_value_rejected(tmp_path, capsys):
 # serialization helpers
 # ---------------------------------------------------------------------------
 
+def json_text(obj) -> str:
+    """The text ``canonical_json`` writes for ``obj``."""
+    out = io.StringIO()
+    canonical_json(obj, out)
+    return out.getvalue()
+
+
+def csv_text(report: dict) -> str:
+    """The text ``report_to_csv`` writes for ``report``."""
+    out = io.StringIO()
+    report_to_csv(report, out)
+    return out.getvalue()
+
+
 def test_canonical_json_float_precision():
     x = 0.1 + 0.2
-    text = canonical_json({"v": x})
+    text = json_text({"v": x})
     assert json.loads(text)["v"] == x
 
 
 def test_canonical_json_is_valid_json():
     doc = {"a": [1, 2.5, None, True], "b": {"c": "text, with comma"},
            "d": float(np.float64(1.0) / 3.0)}
-    parsed = json.loads(canonical_json(doc))
+    parsed = json.loads(json_text(doc))
     assert parsed["d"] == 1.0 / 3.0
 
 
 def test_csv_emits_17_digit_floats():
     report = {"config": {"x": 1.0 / 3.0}, "points": [], "identities": [],
               "hypotheses": {}, "classification": {}, "runtime_seconds": None}
-    text = report_to_csv(report)
+    text = csv_text(report)
     assert "0.33333333333333331" in text
 
 
@@ -634,10 +746,10 @@ def test_point_table_serializes_as_point_records(data, rows, m):
         has_sec_n=np.array(data.draw(st.lists(st.booleans(), min_size=rows,
                                               max_size=rows)), dtype=bool))
     table, records = _point_table(sweep), point_records(sweep)
-    assert canonical_json(table) == canonical_json(records)
-    assert (canonical_json({"config": {}, "points": table, "runtime_seconds": None})
-            == canonical_json({"config": {}, "points": records, "runtime_seconds": None}))
-    assert report_to_csv({"points": table}) == report_to_csv({"points": records})
+    assert json_text(table) == json_text(records)
+    assert (json_text({"config": {}, "points": table, "runtime_seconds": None})
+            == json_text({"config": {}, "points": records, "runtime_seconds": None}))
+    assert csv_text({"points": table}) == csv_text({"points": records})
 
 
 # Tables whose columns are not all floats: each kind of column with the
@@ -672,10 +784,10 @@ def column_kinds(data, rows):
 
 
 def assert_table_serializes_as_records(table, records):
-    assert canonical_json(table) == canonical_json(records)
-    assert (canonical_json({"config": {}, "points": table, "runtime_seconds": None})
-            == canonical_json({"config": {}, "points": records, "runtime_seconds": None}))
-    assert report_to_csv({"points": table}) == report_to_csv({"points": records})
+    assert json_text(table) == json_text(records)
+    assert (json_text({"config": {}, "points": table, "runtime_seconds": None})
+            == json_text({"config": {}, "points": records, "runtime_seconds": None}))
+    assert csv_text({"points": table}) == csv_text({"points": records})
 
 
 @settings(max_examples=120, deadline=None)
@@ -716,10 +828,10 @@ def test_table_examples_serialize_as_their_records(columns, records):
 def test_one_row_table_text():
     table = Table({"x": np.array([[0.5, np.nan]]), "n": np.array([None], dtype=object),
                    "t": np.array([-0.0])})
-    assert canonical_json({"points": table}) == (
+    assert json_text({"points": table}) == (
         '{\n  "points": [\n    {\n      "x": [\n        0.5,\n        null\n      ],\n'
         '      "n": null,\n      "t": -0\n    }\n  ]\n}')
-    assert report_to_csv({"points": table}) == (
+    assert csv_text({"points": table}) == (
         "section,name,field,value\npoint,0,x_0,0.5\npoint,0,x_1,null\n"
         "point,0,n,\npoint,0,t,-0\nruntime,,runtime_seconds,\n")
 
@@ -749,8 +861,8 @@ def streamed(fmt: str, payload: dict) -> tuple[bytes, bytes]:
 
 def assert_streams_as_point_records(sweep):
     table, records = _point_table(sweep), point_records(sweep)
-    for fmt, collect in (("json", lambda doc: canonical_json(doc) + "\n"),
-                         ("csv", report_to_csv)):
+    for fmt, collect in (("json", lambda doc: json_text(doc) + "\n"),
+                         ("csv", csv_text)):
         doc = {"config": {"scenario": "s"}, "points": table, "runtime_seconds": None}
         text = collect(doc)
         assert text == collect({**doc, "points": records})
@@ -900,12 +1012,31 @@ def test_a_closed_stdout_pipe_exits_2(fmt):
         f"error: cannot write to stdout: [Errno {errno.EPIPE}] {os.strerror(errno.EPIPE)}"]
 
 
-@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
-@pytest.mark.parametrize("argv", [
+# every command's stdout: the artifacts, the identity suite's lines and the
+# scenario catalog
+STDOUT_COMMANDS = [
     ["report", "--scenario", "holo-w2", "--grid", "30x30"],
     ["report", "--scenario", "holo-w2", "--grid", "30x30", "--format", "csv"],
     ["check-theorem", "--scenario", "identity-s2", "--grid", "3x3"],
-])
+    ["verify-identities", "--scenario", "holo-w2"],
+    ["list"],
+]
+
+
+@pytest.mark.parametrize("argv", STDOUT_COMMANDS[3:])
+def test_a_pipe_closed_before_the_first_line_exits_2(argv):
+    read, write = os.pipe()
+    os.close(read)
+    with open(write, "w") as pipe:
+        proc = cli_process(argv, pipe)
+        _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 2
+    assert err.splitlines() == [
+        f"error: cannot write to stdout: [Errno {errno.EPIPE}] {os.strerror(errno.EPIPE)}"]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+@pytest.mark.parametrize("argv", STDOUT_COMMANDS)
 def test_stdout_on_a_full_device_exits_2(argv):
     with open("/dev/full", "w") as full:
         proc = cli_process(argv, full)
@@ -943,6 +1074,6 @@ nested_values = st.recursive(
                                        nested_values, max_size=3)))
 def test_nested_csv_cell_is_the_parsed_json_text(value):
     # a nested cell holds the values its canonical JSON text parses back to
-    want = json.dumps(json.loads(canonical_json(value)),
+    want = json.dumps(json.loads(json_text(value)),
                       separators=(";", ":")).replace(",", ";")
     assert _csv_cell(value) == want

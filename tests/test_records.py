@@ -99,7 +99,7 @@ def formerly_frozen_records():
         "GridSweep": sweep, "PinchingMargins": curvature_pinching_check(sweep, 1.0),
         "TraceChainReport": trace_rank_chain_check(sc.f, sweep),
         "HypothesisReport": hyp,
-        "Classification": classify(sc.f, None, 1.0, sweep=sweep, hypotheses=hyp),
+        "Classification": classify(sc.f, None, sweep, hyp),
     }
 
 

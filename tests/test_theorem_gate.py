@@ -17,6 +17,13 @@ from graphgeo.theorem_gate import (
 )
 
 
+def classify_at(sc, grid, sigma, seed):
+    """The verdict on ``grid``: its sweep at ``seed``, then the hypotheses at
+    ``sigma``."""
+    sweep = sweep_geometry(sc.f, grid, seed=seed)
+    return classify(sc.f, grid, sweep, evaluate_hypotheses(sweep, sigma))
+
+
 def trace_condition_check(sweep):
     """Worst value of the trace condition, as the gate reports it."""
     return evaluate_hypotheses(sweep, 1.0).margins["trace"]
@@ -180,18 +187,34 @@ def test_classification_across_registry():
     for name, sc in registry().items():
         shape = (8, 8) if sc.domain.dim == 2 else (4, 4, 4)
         grid = sc.grid_points(shape)
-        cls = classify(sc.f, grid, sc.sigma, seed=3)
+        cls = classify_at(sc, grid, sc.sigma, seed=3)
         assert cls.verdict == EXPECTED_VERDICTS[name], (name, cls)
         assert cls.scope == "box-local"
 
 
 def test_identity_verdict_carries_sec_witnesses():
     sc = get("identity-s2")
-    cls = classify(sc.f, sc.grid_points((8, 8)), 1.0, seed=4)
+    cls = classify_at(sc, sc.grid_points((8, 8)), 1.0, seed=4)
     assert cls.verdict == "totally-geodesic-isometric-immersion"
     assert cls.evidence["sec_m_witness_deviation"] < 1e-6
     assert cls.evidence["sec_n_witness_deviation"] < 1e-6
     assert cls.evidence["induced_metric_factor_residual"] < 1e-8
+
+
+def test_conclusion_witnesses_sit_at_the_hypotheses_sigma():
+    # the identity of a sphere of radius 2 pinches at sigma = 1/4 only; the
+    # curvature witnesses are measured against the level the hypotheses hold
+    s2_big = sphere_chart(2, 2.0)
+    f = linear_map(s2_big, s2_big, np.eye(2), name="id")
+    axis = np.linspace(-1.5, 1.5, 6)
+    grid = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
+    sweep = sweep_geometry(f, grid, seed=2)
+    cls = classify(f, grid, sweep, evaluate_hypotheses(sweep, 0.25))
+    assert cls.verdict == "totally-geodesic-isometric-immersion"
+    assert cls.evidence["sec_m_witness_deviation"] < 1e-10
+    assert cls.evidence["sec_n_witness_deviation"] < 1e-10
+    assert classify(f, grid, sweep, evaluate_hypotheses(sweep, 1.0)).verdict == \
+        "hypothesis-violated"
 
 
 def test_hypothesis_report_failures_named():
@@ -210,8 +233,8 @@ def test_hypothesis_report_failures_named():
 @pytest.mark.parametrize("name", ["constant-s2", "identity-s2"])
 def test_classification_stable_under_grid_refinement(name):
     sc = get(name)
-    v10 = classify(sc.f, sc.grid_points((10, 10)), sc.sigma, seed=6).verdict
-    v40 = classify(sc.f, sc.grid_points((40, 40)), sc.sigma, seed=6).verdict
+    v10 = classify_at(sc, sc.grid_points((10, 10)), sc.sigma, seed=6).verdict
+    v40 = classify_at(sc, sc.grid_points((40, 40)), sc.sigma, seed=6).verdict
     assert v10 == v40 == EXPECTED_VERDICTS[name]
 
 
@@ -222,7 +245,7 @@ def test_conformal_shrink_gate_passes_on_shrinking_subbox():
     sc = get("conformal-shrink")
     box = np.array([[-0.6, 0.6], [-0.6, 0.6]])
     grid = sc.grid_points((8, 8), box)
-    cls = classify(sc.f, grid, sc.sigma, seed=7)
+    cls = classify_at(sc, grid, sc.sigma, seed=7)
     assert cls.verdict == "indeterminate"
 
 
