@@ -35,3 +35,7 @@ class FrameConstructionError(GraphGeoError):
 
 class UnknownScenarioError(GraphGeoError, KeyError):
     """Scenario name not present in the registry."""
+
+    def __str__(self) -> str:
+        # the message itself, not the quoted repr that KeyError gives its key
+        return Exception.__str__(self)

@@ -13,10 +13,21 @@ whole text is built on the way to a file or stdout.
 A :class:`Table` of numbers (a report's per-point records) is formatted in
 pieces of :data:`ROWS_PER_PIECE` records; there is no one ``%`` over the
 whole table.  Every record whose cells are null in the same places shares
-one ``%``-template, built once per pattern for the whole table, with a
-``%.17g`` slot per number and a literal ``null`` (in CSV: ``null`` for NaN
-or inf, an empty cell for None) for the others; one ``%`` per piece fills
-the slots of its records.
+one ``%``-template, built once per pattern for the whole table, with a slot
+per number and a literal ``null`` (in CSV: ``null`` for NaN or inf, an
+empty cell for None) for the others; one ``%`` per piece fills the slots of
+its records.
+
+A point table repeats most of its numbers (a grid coordinate in every row
+of its line, a constant curvature at every point), so each distinct bit
+pattern of a piece is formatted ``%.17g`` once and its text fills a ``%s``
+slot wherever it occurs.  The texts of the last piece formatted this way
+are kept for the next one, so the cache holds at most one piece of slots
+(``ROWS_PER_PIECE`` times the numbers of a record) and encoding memory does
+not grow with the table.  A piece in which more than half of the numbers
+are distinct and not in the cache is formatted by one ``%`` over the
+numbers into ``%.17g`` slots instead.  Both give the same bytes; the CSV
+record-index slots are always ``%d`` and stay out of the cache.
 """
 
 from __future__ import annotations
@@ -132,8 +143,9 @@ def _emit_table(table: Table, indent: int, write) -> None:
     widths, columns, state = slots
     keys = [json.dumps(str(k)).replace("%", "%%") for k in table.columns]
     write("[\n")
-    for piece in _pieces(state, lambda p: _json_record(keys, widths, p, indent + 2),
-                         lambda rows: _cells(columns, rows)[state[rows] == 0], ",\n"):
+    for piece in _pieces(columns, state,
+                         lambda p, number: _json_record(keys, widths, p, number, indent + 2),
+                         ",\n"):
         write(piece)
     write("\n" + " " * indent + "]")
 
@@ -156,11 +168,13 @@ def _slots(table: Table):
             none = False
         else:
             items = _plain(col)
-            if not all(v is None or isinstance(v, (float, np.floating)) for v in items):
+            if not all(kind is type(None) or issubclass(kind, (float, np.floating))
+                       for kind in set(map(type, items))):
                 return None
             widths.append(None)
-            none = np.array([v is None for v in items], dtype=bool).reshape(-1, 1)
             cells = np.array(items, dtype=float).reshape(-1, 1)   # None: NaN
+            none = np.isnan(cells)
+            none[none] = [items[i] is None for i in np.flatnonzero(none)]
         columns.append(cells)
         states.append(np.where(none, 2, ~np.isfinite(cells)).astype(np.int8))
     state = np.hstack(states)
@@ -174,27 +188,69 @@ def _cells(columns: list[np.ndarray], rows: slice) -> np.ndarray:
     return np.hstack([col[rows] for col in columns])
 
 
-def _pieces(state: np.ndarray, template, args, sep: str):
+def _pieces(columns: list[np.ndarray], state: np.ndarray, template, sep: str,
+            args=lambda rows, cells: cells):
     """The records joined by ``sep``, in pieces of :data:`ROWS_PER_PIECE`
     records that concatenate to the whole.  Record ``i`` takes
-    ``template(pattern)`` of its row of slot states, built once per pattern
-    for the whole table (there are usually one or two); one ``%`` per piece
-    fills its templates' slots in order from ``args(rows)``, the 1-d array
-    of the values of that slice of rows."""
+    ``template(pattern, slot)`` of its row of slot states, built once per
+    pattern for the whole table (there are usually one or two) with ``slot``
+    for each finite number.  One ``%`` per piece fills its templates' slots
+    in order from the array ``args(rows, cells)``: ``cells`` holds that
+    slice of rows' finite numbers as texts for ``%s`` slots (see
+    :class:`_Texts`), or, in a piece of mostly new numbers, as numbers for
+    ``%.17g`` slots."""
     patterns = state.view(f"V{state.shape[1]}").ravel()
     _, first, which = np.unique(patterns, return_index=True, return_inverse=True)
-    templates = [template(state[i].tolist()) for i in first.tolist()]
+    templates = {slot: [template(state[i].tolist(), slot) for i in first.tolist()]
+                 for slot in ("%s", "%.17g")}
+    cache = _Texts()
     for start in range(0, len(state), ROWS_PER_PIECE):
         rows = slice(start, start + ROWS_PER_PIECE)
-        text = sep.join([templates[i] for i in which[rows].tolist()])
-        yield (sep + text if start else text) % tuple(args(rows).tolist())
+        values = _cells(columns, rows)[state[rows] == 0]
+        texts = cache(values)
+        slot, cells = ("%.17g", values) if texts is None else ("%s", texts)
+        text = sep.join([templates[slot][i] for i in which[rows].tolist()])
+        yield (sep + text if start else text) % tuple(args(rows, cells).tolist())
 
 
-def _json_record(keys: list[str], widths: list, pattern: list[int],
+class _Texts:
+    """Formats the finite numbers of one piece after another to their
+    ``%.17g`` texts, each distinct bit pattern (so -0.0 and 0.0 apart) once
+    a piece.  It keeps the sorted distinct patterns of the last piece it
+    formatted, with their texts, for the next: a cache of at most one piece
+    of slots."""
+
+    def __init__(self):
+        self.bits = np.empty(0, dtype=np.uint64)
+        self.texts = np.empty(0, dtype=object)
+
+    def __call__(self, values: np.ndarray) -> np.ndarray | None:
+        """The text of every number of ``values`` (1-d, finite) as an
+        object array; None, and the cache kept, when more than half of them
+        are distinct patterns not in the cache: then one ``%`` over the
+        numbers costs less than formatting and filling in their texts."""
+        bits, which = np.unique(values.view(np.uint64), return_inverse=True)
+        # known: held by the cache at the pattern's sorted place
+        at = np.searchsorted(self.bits, bits)
+        known = at < len(self.bits)
+        known[known] = self.bits[at[known]] == bits[known]
+        if 2 * (len(bits) - np.count_nonzero(known)) > len(values):
+            return None
+        texts = np.empty(len(bits), dtype=object)
+        texts[known] = self.texts[at[known]]
+        fresh = bits[~known].view(float).tolist()
+        if fresh:
+            texts[~known] = ("\n".join(["%.17g"] * len(fresh))
+                             % tuple(fresh)).split("\n")
+        self.bits, self.texts = bits, texts
+        return texts[which]
+
+
+def _json_record(keys: list[str], widths: list, pattern: list[int], number: str,
                  indent: int) -> str:
-    """The ``%``-template of one record at ``indent``: a ``%.17g`` slot per
-    finite number, ``null`` for the others."""
-    slot = iter("null" if s else "%.17g" for s in pattern)
+    """The ``%``-template of one record at ``indent``: a ``number`` slot
+    per finite number, ``null`` for the others."""
+    slot = iter("null" if s else number for s in pattern)
     pad = " " * (indent + 2)
     item = "\n" + " " * (indent + 4)
     fields = []
@@ -255,31 +311,32 @@ def _csv_table(section: str, table: Table, write) -> bool:
     keys = [str(k).replace("%", "%%") for k in table.columns]
     section = section.replace("%", "%%")
 
-    def args(rows: slice) -> np.ndarray:
+    def args(rows: slice, cells: np.ndarray) -> np.ndarray:
         # every row's slot is preceded by the record index (a %d slot)
-        values = _cells(columns, rows)
-        index = np.broadcast_to(
-            np.arange(rows.start, rows.start + len(values), dtype=float)[:, None],
-            values.shape)
-        return np.stack([index, values], axis=-1)[
-            np.stack([np.ones(values.shape, dtype=bool), state[rows] == 0], axis=-1)]
+        finite = state[rows] == 0
+        slots = np.empty((*finite.shape, 2), dtype=object)
+        slots[..., 0] = np.arange(rows.start, rows.start + len(finite))[:, None]
+        slots[..., 1][finite] = cells
+        return slots[np.stack([np.ones_like(finite), finite], axis=-1)]
 
-    for piece in _pieces(state, lambda p: _csv_record(section, keys, widths, p),
-                         args, "\n"):
+    for piece in _pieces(columns, state,
+                         lambda p, number: _csv_record(section, keys, widths, p, number),
+                         "\n", args):
         write(piece)
     write("\n")
     return True
 
 
-def _csv_record(section: str, keys: list[str], widths: list, pattern: list[int]) -> str:
+def _csv_record(section: str, keys: list[str], widths: list, pattern: list[int],
+                number: str) -> str:
     """The ``%``-template of one record's CSV rows: a ``%d`` slot for the
-    record index, then a ``%.17g`` slot per finite number, ``null`` for NaN
-    or inf and an empty cell for None."""
+    record index, then a ``number`` slot per finite number, ``null`` for
+    NaN or inf and an empty cell for None."""
     slot = iter(pattern)
     lines = []
     for key, width in zip(keys, widths):
         for name in [key] if width is None else [f"{key}_{i}" for i in range(width)]:
-            lines.append(f"{section},%d,{name}," + ("%.17g", "null", "")[next(slot)])
+            lines.append(f"{section},%d,{name}," + (number, "null", "")[next(slot)])
     return "\n".join(lines)
 
 

@@ -187,25 +187,29 @@ def _spawned_pcg_seeds(seed: int, count: int) -> list[Array]:
 
 def spawned_normals(seed: int, count: int, shape: tuple[int, ...]) -> Array:
     """Row ``i`` is ``default_rng(SeedSequence(seed).spawn(count)[i])
-    .normal(size=shape)``, bit for bit.
+    .standard_normal(size=shape)``, bit for bit.
 
     The children's PCG64 seeds come from :func:`_spawned_pcg_seeds`; one
     generator then takes each child's seeded state in turn (the 128-bit
     ``srandom`` step: ``inc = 2 seq + 1``, ``state = (inc + s) * mult + inc``)
-    and draws its row.
+    and draws its row in place.  ``.normal(size=shape)`` of the same child
+    is ``0.0 + 1.0 * z`` of these draws: equal to them except that an exact
+    zero draw ``-0.0`` comes out ``0.0`` there.
     """
     bits = np.random.PCG64()
-    gen = np.random.Generator(bits)
+    draw = np.random.Generator(bits).standard_normal
     doc = {"bit_generator": "PCG64", "state": {"state": 0, "inc": 0},
            "has_uint32": 0, "uinteger": 0}
+    state = doc["state"]
+    mask, mult = _MASK128, _PCG_MULT
     out = np.empty((count, *shape))
     words = zip(*(w.tolist() for w in _spawned_pcg_seeds(seed, count)))
-    for i, (s_hi, s_lo, q_hi, q_lo) in enumerate(words):
-        inc = ((((q_hi << 64) | q_lo) << 1) | 1) & _MASK128
-        doc["state"]["state"] = ((inc + ((s_hi << 64) | s_lo)) * _PCG_MULT + inc) & _MASK128
-        doc["state"]["inc"] = inc
+    for (s_hi, s_lo, q_hi, q_lo), row in zip(words, out):
+        inc = ((((q_hi << 64) | q_lo) << 1) | 1) & mask
+        state["state"] = ((inc + ((s_hi << 64) | s_lo)) * mult + inc) & mask
+        state["inc"] = inc
         bits.state = doc
-        out[i] = gen.normal(size=shape)
+        draw(out=row)
     return block_innermost(out)
 
 

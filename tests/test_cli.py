@@ -12,7 +12,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from graphgeo import cli, reporting
@@ -108,6 +108,19 @@ def test_report_constant_trace_column(tmp_path, capsys):
 def test_report_unknown_scenario_exit_2(capsys):
     assert run(["report", "--scenario", "nope"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["check-theorem", "--scenario", "nope"],
+     f"unknown scenario 'nope'; available: {', '.join(sorted(scen.registry()))}"),
+    (["report"], "no scenario given (use --scenario)"),
+])
+def test_unknown_or_missing_scenario_prints_its_message(argv, message, capsys):
+    # the message as written, not in the quotes of a KeyError's key
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: {message}"]
 
 
 def test_report_out_of_chart_exit_3(tmp_path, capsys):
@@ -820,6 +833,9 @@ NAN = float("nan")
     # None, NaN and a number in one column, an empty row in another
     ({"e": np.zeros((3, 0)), "n": [None, NAN, 2.5]},
      [{"e": [], "n": None}, {"e": [], "n": NAN}, {"e": [], "n": 2.5}]),
+    # an integer past 2**53 and a bool among floats: written as themselves
+    ({"i": [None, 10 ** 20, 2.5], "b": np.array([True, 0.5, None], dtype=object)},
+     [{"i": None, "b": True}, {"i": 10 ** 20, "b": 0.5}, {"i": 2.5, "b": None}]),
 ])
 def test_table_examples_serialize_as_their_records(columns, records):
     assert_table_serializes_as_records(Table(columns), records)
@@ -840,8 +856,10 @@ def test_one_row_table_text():
 # Tables straddle the piece size R, so that the first, a middle and a last
 # short piece are all written; 2R+1 ends on a piece of one record.
 R = reporting.ROWS_PER_PIECE
-PIECE_ROWS = [0, 1, R - 1, R, R + 1, 2 * R + 1]
-CELLS = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 0.0, 1.0, 1e17, 1.0 / 3.0]
+PIECE_ROWS = [0, 1, R - 1, R, R + 1, 2 * R + 1, 4 * R + 1]
+# 2.0 and R equal record indices, which the CSV writes as integers
+CELLS = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 0.0, 1.0, 2.0, float(R), 1e16, 1e17,
+         1.0 / 3.0]
 
 
 def streamed(fmt: str, payload: dict) -> tuple[bytes, bytes]:
@@ -881,21 +899,33 @@ def sweep_of(cells: dict, has_sec_n: np.ndarray) -> GridSweep:
 POINT_COLUMNS = ("trace_s", "a_norm_sq", "h_norm", "sec_m_min", "sec_n_max")
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=40, deadline=None)
 @given(rows=st.sampled_from(PIECE_ROWS), m=st.sampled_from([2, 3]),
        extra=st.lists(st.floats(), max_size=4), seed=st.integers(0, 2 ** 32 - 1),
-       null_share=st.sampled_from([0.0, 0.01, 0.5, 1.0]))
-def test_streamed_artifacts_equal_the_collected_text(rows, m, extra, seed, null_share):
+       null_share=st.sampled_from([0.0, 0.01, 0.5, 1.0]),
+       mix=st.sampled_from(["palette", "rare", "pieces", "sliding"]))
+@example(rows=4 * R + 1, m=2, extra=[], seed=1, null_share=0.0, mix="pieces")
+@example(rows=4 * R + 1, m=3, extra=[], seed=2, null_share=0.01, mix="sliding")
+def test_streamed_artifacts_equal_the_collected_text(rows, m, extra, seed, null_share,
+                                                     mix):
     # through a file and through stdout, JSON and CSV, the streamed bytes are
-    # the collected text and the records' text, at every piece boundary
+    # the collected text and the records' text, at every piece boundary,
+    # whether a piece's numbers repeat earlier ones or are new
     rng = np.random.default_rng(seed)
     palette = np.array(CELLS + extra)
-    rare = rng.random() < 0.5      # mostly finite cells: few null patterns
+    # 0.0 and -0.0 first: both in the first piece of every column
+    pool = np.concatenate([[0.0, -0.0], rng.normal(size=600 * (rows // R) + 900)])
 
     def column(*shape):
+        piece = (np.arange(rows) // R).reshape(-1, *[1] * (len(shape) - 1))
         cells = palette[rng.integers(len(palette), size=shape)]
-        if rare:
+        if mix == "rare":       # mostly new numbers, few null patterns
             cells = np.where(rng.random(shape) < 0.02, cells, rng.normal(size=shape))
+        elif mix == "pieces":   # pieces of new numbers between pieces of repeats
+            cells = np.where(piece % 2 == 1, rng.normal(size=shape), cells)
+        elif mix == "sliding":  # 900 numbers a piece, 300 of the last piece's:
+            # more distinct numbers in all than one piece has slots
+            cells = pool[600 * piece + rng.integers(900, size=shape)]
         return cells
 
     cells = {"coords": column(rows, m), "lambdas": column(rows, m),
@@ -992,8 +1022,15 @@ def test_a_write_failing_part_way_exits_2(fmt, tmp_path, capsys, monkeypatch):
 
 
 def cli_process(argv: list[str], stdout) -> subprocess.Popen:
-    """``graphgeo`` in a fresh process, writing its stdout to ``stdout``."""
-    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))}
+    """``graphgeo`` in a fresh process, writing its stdout to ``stdout``.
+
+    Its stdout is block-buffered, as from a plain shell, whatever
+    ``PYTHONUNBUFFERED`` the tests run under: a buffered stdout keeps the
+    text of a failed flush, and unless the CLI then points stdout at the
+    null device, Python's flush at exit fails on it again, prints "Exception
+    ignored ..." and exits 120."""
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(cli.__file__))
     return subprocess.Popen([sys.executable, "-m", "graphgeo.cli", *argv], env=env,
                             stdout=stdout, stderr=subprocess.PIPE, text=True)
 

@@ -300,6 +300,10 @@ def test_spawned_normals_equal_seed_sequence_children(seed, count, planes, m):
     got = spawned_normals(seed, count, (planes, 2, m))
     assert got.shape == want.shape
     assert np.array_equal(got, want)
+    # drawn in place as the children's standard normals, byte for byte
+    standard = np.array([np.random.default_rng(child).standard_normal(size=(planes, 2, m))
+                         for child in children]).reshape(count, planes, 2, m)
+    assert got.tobytes() == standard.tobytes()
 
 
 def test_spawned_normals_reject_a_negative_seed():
