@@ -259,7 +259,7 @@ def _gate(cfg: RunConfig, scenario: scen.Scenario) -> tuple[GridSweep, dict]:
 
 def _point_table(sweep) -> Table:
     """The report's per-point records, one column each; ``sec_n_max`` is
-    None where no target plane was sampled."""
+    None where no target plane was sampled (its null mask)."""
     return Table({
         "x": sweep.coords,
         "lambda": sweep.lambdas,
@@ -267,8 +267,8 @@ def _point_table(sweep) -> Table:
         "a_norm_sq": sweep.a_norm_sq,
         "h_norm": sweep.h_norm,
         "sec_m_min": sweep.sec_m_min,
-        "sec_n_max": np.where(sweep.has_sec_n, sweep.sec_n_max, None),
-    })
+        "sec_n_max": sweep.sec_n_max,
+    }, null={"sec_n_max": ~sweep.has_sec_n})
 
 
 def _identity_records(reports) -> list[dict]:

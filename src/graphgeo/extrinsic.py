@@ -45,14 +45,16 @@ TOTALLY_GEODESIC_TOL = 1e-8
 
 #: Elements per block of the grid engine's largest arrays: the fourth-order
 #: tensors of both metrics (``d2g``, ``dgamma``, ``riem``), ``m**4`` and
-#: ``n**4`` per row.  :func:`block_bounds` divides it by that row size, so a
-#: block's working memory is about the same for every dimension pair.  Each
-#: einsum's inner loop runs over a block's rows, so longer blocks are faster
-#: until the time levels off.  Sweep time relative to 128-row blocks (2-vCPU
-#: host, medians of 12 interleaved runs): holo-w2 60x60 0.80, 0.70, 0.64 and
-#: 0.61 at 256, 512, 1024 and 2048 rows; identity-s3 12x12x12 0.85 at 202
-#: rows and 0.79-0.83 from 256 to 1728; proj-s3-s1 12x12x12 0.85-0.92 at 202
-#: to 399 rows.  This budget gives 1024, 202 and 399 rows.
+#: ``n**4`` per row.  :func:`block_bounds` divides it by that row size; the
+#: rest of a block does not follow: a sweep block traces ~3.1 MB on holo-w2
+#: (1024 rows), ~2.2 MB on identity-s3 (202) and ~2.7 MB on proj-s3-s1 (399),
+#: where 202-row blocks of that 3->1 map trace ~1.4 MB.  Each einsum's inner
+#: loop runs over a block's rows, so longer blocks are faster until the time
+#: levels off.  Sweep time relative to 128-row blocks (2-vCPU host, medians
+#: of 12 interleaved runs): holo-w2 60x60 0.80, 0.70, 0.64 and 0.61 at 256,
+#: 512, 1024 and 2048 rows; identity-s3 12x12x12 0.85 at 202 rows and
+#: 0.79-0.83 from 256 to 1728; proj-s3-s1 12x12x12 0.85-0.92 at 202 to 399
+#: rows.  This budget gives 1024, 202 and 399 rows.
 BLOCK_BUDGET = 2 ** 15
 
 

@@ -57,22 +57,29 @@ class Table(Frozen):
     """Same-keyed records held as columns.
 
     Record ``i`` maps every key to row ``i`` of its column (an array, or a
-    list); a row of a 2-d array is a list.  A table serializes exactly as the
-    list of its records, and iterating it yields them.
+    list); a row of a 2-d array is a list.  ``null`` maps keys of 1-d
+    columns to boolean masks: where a key's mask is set, its records hold
+    None.  A table serializes exactly as the list of its records, and
+    iterating it yields them.
 
-    Columns of floats (1-d, or 2-d for rows of lists) and of floats and
-    Nones are written by one ``%``-template per pattern of null cells, a
-    piece of rows at a time; a table with any other column is written
-    record by record.
+    A table of float arrays (1-d, or 2-d for rows of lists) is written by
+    one ``%``-template per pattern of null cells, a piece of rows at a time;
+    a table with any other column is written record by record.
     """
 
-    __slots__ = ("columns",)      # dict[str, Any]
+    __slots__ = ("columns", "null")      # dict[str, Any], dict[str, Any]
+
+    def __init__(self, columns: dict, null: dict | None = None):
+        super().__init__(columns, {} if null is None else null)
 
     def __len__(self) -> int:
         return len(next(iter(self.columns.values()), ()))
 
     def __iter__(self):
         cols = [_plain(col) for col in self.columns.values()]
+        for k, key in enumerate(self.columns):
+            if key in self.null:
+                cols[k] = [None if n else v for v, n in zip(cols[k], _plain(self.null[key]))]
         return (dict(zip(self.columns, row)) for row in zip(*cols))
 
 
@@ -141,7 +148,7 @@ def _emit_items(brackets: str, items: list, indent: int, write) -> None:
 
 def _emit_table(table: Table, indent: int, write) -> None:
     """The list of ``table``'s records, in pieces of formatted records when
-    its cells are numbers and Nones (see :func:`_slots`), else record by
+    its columns are float arrays (see :func:`_slots`), else record by
     record."""
     slots = _slots(table)
     if slots is None:
@@ -159,29 +166,23 @@ def _emit_table(table: Table, indent: int, write) -> None:
 
 def _slots(table: Table):
     """The width of each column's rows (None for a number), ``table``'s
-    cells as one 2-d float array per column (a view of a float column), and
-    the state of every slot of the table, one column per number: 0 for a
-    finite number, 1 for NaN or inf, 2 for None.  None when the table is
-    empty, holds no number, or has a column of anything but floats, rows of
-    floats and Nones.
+    cells as one 2-d float array per column (a view of the column), and the
+    state of every slot of the table, one column per number: 0 for a finite
+    number, 1 for NaN or inf, 2 for None.  None when the table is empty,
+    holds no number, or has a column that is not a float array, or a 2-d
+    one with a null mask.
     """
     if not len(table):
         return None
     widths, columns, states = [], [], []
-    for col in table.columns.values():
-        if isinstance(col, np.ndarray) and col.dtype.kind == "f" and col.ndim <= 2:
-            widths.append(col.shape[1] if col.ndim == 2 else None)
-            cells = col.reshape(len(col), -1).astype(float, copy=False)
-            none = False
-        else:
-            items = _plain(col)
-            if not all(kind is type(None) or issubclass(kind, (float, np.floating))
-                       for kind in set(map(type, items))):
-                return None
-            widths.append(None)
-            cells = np.array(items, dtype=float).reshape(-1, 1)   # None: NaN
-            none = np.isnan(cells)
-            none[none] = [items[i] is None for i in np.flatnonzero(none)]
+    for key, col in table.columns.items():
+        null = table.null.get(key)
+        if not (isinstance(col, np.ndarray) and col.dtype.kind == "f"
+                and col.ndim <= (2 if null is None else 1)):
+            return None
+        widths.append(col.shape[1] if col.ndim == 2 else None)
+        cells = col.reshape(len(col), -1).astype(float, copy=False)
+        none = False if null is None else np.asarray(null, dtype=bool)[:, None]
         columns.append(cells)
         states.append(np.where(none, 2, ~np.isfinite(cells)).astype(np.int8))
     state = np.hstack(states)
@@ -311,7 +312,7 @@ def _csv_cell(value: Any) -> str:
 def _csv_table(section: str, table: Table, write) -> bool:
     """Write the CSV rows of ``table``'s records under ``section``, each
     named by its record's index, in pieces; False, and nothing written, when
-    the table has other cells than numbers and Nones (see :func:`_slots`)."""
+    the table has other columns than float arrays (see :func:`_slots`)."""
     slots = _slots(table)
     if slots is None:
         return False

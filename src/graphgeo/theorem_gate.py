@@ -10,6 +10,7 @@ every verdict is box-local; no global claim is made.
 
 import operator
 from collections.abc import Mapping
+from itertools import islice
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -17,7 +18,7 @@ import numpy as np
 
 from .chart_manifold import block_innermost, matvec, sectional_from_data
 from .errors import DegeneratePlaneError, InvalidParameterError
-from .extrinsic import MINIMAL_TOL, GraphBlock, graph_block, graph_blocks
+from .extrinsic import MINIMAL_TOL, GraphBlock, graph_blocks
 from .graph_map import SmoothMap
 from .records import Frozen
 
@@ -130,116 +131,132 @@ _MASK128 = (1 << 128) - 1
 MAX_GRID_POINTS = 1 << 32
 
 
-def _hasher(init: int, mult: int):
-    """``SeedSequence``'s hash step on uint32 arrays, with its multiplier
-    advancing from ``init`` by ``mult`` at every call whatever the data."""
+def _fold(x: Array) -> Array:
+    return x ^ (x >> np.uint32(16))
+
+
+def _hash_steps(init: int, mult: int):
+    """``SeedSequence``'s hash steps on uint32 arrays, in order: step ``k``
+    xors with ``init * mult**k`` and multiplies by ``init * mult**(k + 1)``
+    (mod 2**32), whatever the data."""
     const = init
-
-    def step(value: Array) -> Array:
-        nonlocal const
-        value = value ^ np.uint32(const)
-        const = (const * mult) & _MASK32
-        value = value * np.uint32(const)
-        return value ^ (value >> np.uint32(16))
-
-    return step
+    while True:
+        nxt = (const * mult) & _MASK32
+        yield lambda value, a=np.uint32(const), b=np.uint32(nxt): _fold((value ^ a) * b)
+        const = nxt
 
 
-def _spawned_pcg_seeds(seed: int, count: int) -> list[Array]:
-    """The four 64-bit words with which ``PCG64`` seeds itself from each child
-    of ``SeedSequence(seed).spawn(count)``: one ``(count,)`` array per word.
-
-    Child ``i`` hashes the entropy words of ``seed`` (zero-padded to the pool
-    size) followed by the spawn key ``i``.  The hash constants advance
-    independently of the data, so every child is the same uint32 arithmetic
-    on a different last word, done here for all children at once.
-    """
+def _spawned_pcg_seeds(seed: int):
+    """``seeds(keys)``: the four 64-bit words, an array each, with which
+    ``PCG64`` seeds itself from the children of ``SeedSequence(seed)`` whose
+    spawn keys are the uint32 array ``keys``.  A child hashes the entropy
+    words of ``seed``, zero-padded to the pool size, then its spawn key.  The
+    hash constants advance independently of the data, so the seed's words
+    are hashed once, here, and ``seeds`` takes the keys' steps for all keys
+    at once."""
     seed = operator.index(seed)
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
-    if count >= MAX_GRID_POINTS:
-        raise InvalidParameterError("too many grid points for one plane stream")
     words = [(seed >> s) & _MASK32 for s in range(0, max(seed.bit_length(), 1), 32)]
     words += [0] * (_POOL_SIZE - len(words))
-    entropy = [np.full(count, w, dtype=np.uint32) for w in words]
-    entropy.append(np.arange(count, dtype=np.uint32))
+    entropy = np.array(words, dtype=np.uint32)[:, None]
 
     def mix(x: Array, y: Array) -> Array:
-        out = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
-        return out ^ (out >> np.uint32(16))
+        return _fold(np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y)
 
-    hashmix = _hasher(_INIT_A, _MULT_A)
-    pool = [hashmix(word) for word in entropy[:_POOL_SIZE]]
+    hashmix = _hash_steps(_INIT_A, _MULT_A)
+    pool = [next(hashmix)(word) for word in entropy[:_POOL_SIZE]]
     for src in range(_POOL_SIZE):
         for dst in range(_POOL_SIZE):
             if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+                pool[dst] = mix(pool[dst], next(hashmix)(pool[src]))
     for word in entropy[_POOL_SIZE:]:
         for dst in range(_POOL_SIZE):
-            pool[dst] = mix(pool[dst], hashmix(word))
-
+            pool[dst] = mix(pool[dst], next(hashmix)(word))
+    key_steps = list(islice(hashmix, _POOL_SIZE))
     # generate_state(4, np.uint64): eight uint32 words cycling over the pool,
     # paired little-endian into 64-bit words
-    output = _hasher(_INIT_B, _MULT_B)
-    state = [output(pool[k % _POOL_SIZE]).astype(np.uint64) for k in range(8)]
-    return [state[2 * k] | (state[2 * k + 1] << np.uint64(32)) for k in range(4)]
+    output = list(islice(_hash_steps(_INIT_B, _MULT_B), 2 * _POOL_SIZE))
+
+    def seeds(keys: Array) -> list[Array]:
+        keyed = [mix(word, step(keys)) for word, step in zip(pool, key_steps)]
+        state = [step(keyed[k % _POOL_SIZE]).astype(np.uint64)
+                 for k, step in enumerate(output)]
+        return [state[2 * k] | (state[2 * k + 1] << np.uint64(32)) for k in range(4)]
+
+    return seeds
 
 
-def spawned_normals(seed: int, count: int, shape: tuple[int, ...]) -> Array:
-    """Row ``i`` is ``default_rng(SeedSequence(seed).spawn(count)[i])
-    .standard_normal(size=shape)``, bit for bit.
+def spawned_normals(seed: int, count: int, shape: tuple[int, ...]):
+    """``draw(rows)`` for a slice ``start:stop`` of ``range(count)``: those
+    rows, block-innermost, of the stream whose row ``i`` is, bit for bit,
+    ``default_rng(SeedSequence(seed).spawn(count)[i]).standard_normal(shape)``.
 
-    The children's PCG64 seeds come from :func:`_spawned_pcg_seeds`; one
-    generator then takes each child's seeded state in turn (the 128-bit
-    ``srandom`` step: ``inc = 2 seq + 1``, ``state = (inc + s) * mult + inc``)
-    and draws its row in place.  ``.normal(size=shape)`` of the same child
-    is ``0.0 + 1.0 * z`` of these draws: equal to them except that an exact
-    zero draw ``-0.0`` comes out ``0.0`` there.
+    One generator takes each child's seeded state in turn (the 128-bit
+    ``srandom`` step: ``inc = 2 seq + 1``, ``state = (inc + s) * mult +
+    inc``) and draws its row in place.  ``.normal(size=shape)`` of the same
+    child is ``0.0 + 1.0 * z`` of these draws: equal to them except that an
+    exact zero draw ``-0.0`` comes out ``0.0`` there.
     """
+    seeds = _spawned_pcg_seeds(seed)
+    if count >= MAX_GRID_POINTS:
+        raise InvalidParameterError("too many grid points for one plane stream")
     bits = np.random.PCG64()
-    draw = np.random.Generator(bits).standard_normal
+    normal = np.random.Generator(bits).standard_normal
     doc = {"bit_generator": "PCG64", "state": {"state": 0, "inc": 0},
            "has_uint32": 0, "uinteger": 0}
     state = doc["state"]
     mask, mult = _MASK128, _PCG_MULT
-    out = np.empty((count, *shape))
-    words = zip(*(w.tolist() for w in _spawned_pcg_seeds(seed, count)))
-    for (s_hi, s_lo, q_hi, q_lo), row in zip(words, out):
-        inc = ((((q_hi << 64) | q_lo) << 1) | 1) & mask
-        state["state"] = ((inc + ((s_hi << 64) | s_lo)) * mult + inc) & mask
-        state["inc"] = inc
-        bits.state = doc
-        draw(out=row)
-    return block_innermost(out)
+
+    def draw(rows: slice) -> Array:
+        keys = np.arange(rows.start, rows.stop, dtype=np.uint32)
+        out = np.empty((len(keys), *shape))
+        words = zip(*(w.tolist() for w in seeds(keys)))
+        for (s_hi, s_lo, q_hi, q_lo), row in zip(words, out):
+            inc = ((((q_hi << 64) | q_lo) << 1) | 1) & mask
+            state["state"] = ((inc + ((s_hi << 64) | s_lo)) * mult + inc) & mask
+            state["inc"] = inc
+            bits.state = doc
+            normal(out=row)
+        return block_innermost(out)
+
+    return draw
 
 
 def sweep_geometry(f: SmoothMap, grid: Array, seed: int = 0,
                    planes: int = 4) -> GridSweep:
     """Measure the per-point geometry table over the rows of ``grid``
-    (shape ``(N, m)``).
+    (shape ``(N, m)``, ``N >= 1``).
 
-    The grid is evaluated in blocks (see :func:`graph_blocks`).  Point ``i``
-    draws its planes from child ``i`` of ``SeedSequence(seed).spawn(N)``
-    (see :func:`spawned_normals`), so the result does not depend on how the
-    grid is split into blocks.
+    The grid is evaluated in blocks (see :func:`graph_blocks`) whose rows go
+    into columns allocated once: the sweep holds one block besides them.
+    Point ``i`` draws its planes from child ``i`` of ``SeedSequence(seed)
+    .spawn(N)`` (see :func:`spawned_normals`), so the result does not depend
+    on how the grid is split into blocks.
     """
     m = f.domain.dim
     if m < 2:
         raise InvalidParameterError("sectional curvature needs dim M >= 2")
     coords = np.asarray(grid, dtype=float).reshape(len(grid), m)
-    samples = spawned_normals(seed, len(coords), (planes, 2, m))
-    parts = []
+    planes_of = spawned_normals(seed, len(coords), (planes, 2, m))
+    columns = None
     for rows, blk in graph_blocks(f, coords):
-        parts.append({
+        part = {
             "coords": blk.jets.coords, "lambdas": blk.frames.lambdas,
             "rank": blk.frames.rank, "trace_s": blk.trace_s,
             "a_norm_sq": blk.ext.a_norm_sq, "h_norm": blk.ext.h_norm,
-            **_sectional_columns(blk, samples[rows])})
+            **_sectional_columns(blk, planes_of(rows))}
+        if columns is None:
+            columns = {name: np.empty((len(coords), *a.shape[1:]), a.dtype)
+                       for name, a in part.items()}
+        for name, a in part.items():
+            columns[name][rows] = a
         # free the block before the generator builds the next: holding both
         # raised the peak RSS of the holo-w2 60x60 report by 2-3 MB
-        del blk
-    return GridSweep(**{name: np.concatenate([part[name] for part in parts])
-                        for name in GridSweep._fields})
+        del blk, part
+    if columns is None:
+        raise ValueError("an empty grid has no geometry to sweep")
+    return GridSweep(**columns)
 
 
 # ---------------------------------------------------------------------------
@@ -410,8 +427,8 @@ def classify(f: SmoothMap, grid: Array, sweep: GridSweep, hyp: HypothesisReport,
 
         # conclusion re-checks: induced metric doubles the domain metric,
         # and both curvature witnesses sit at the pinching level
-        blk = graph_block(f, grid[:: max(1, len(grid) // 10)])
-        factor_res = float(np.max(np.abs(blk.g - 2.0 * blk.jets.gm.g)))
+        factor_res = max(float(np.max(np.abs(blk.g - 2.0 * blk.jets.gm.g)))
+                         for _, blk in graph_blocks(f, grid[:: max(1, len(grid) // 10)]))
         evidence["induced_metric_factor_residual"] = factor_res
 
         sec_m_dev = float(np.max(np.maximum(np.abs(sweep.sec_m_min - sigma),

@@ -211,10 +211,11 @@ def test_multi_block_sweep_memory_is_bounded_by_the_budget(name, shape):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the sweep keeps its plane samples and, while it joins the blocks'
-    # columns, two copies of each column; what a block holds besides them is
-    # a bounded multiple of the element budget (7-10 here, 15-19 with twice
-    # the rows per block)
+    # besides its columns the sweep holds one block and that block's planes:
+    # 8-12 times the element budget's bytes here.  This bound still allows
+    # a second copy of the columns and every point's planes, as the sweep
+    # held them when it joined the blocks' columns; the test below bounds
+    # the growth with the grid
     columns = sum(getattr(sweep, c).nbytes for c in GridSweep._fields)
     samples = len(grid) * 4 * 2 * sc.domain.dim * 8
     assert peak - 2 * columns - samples < 12 * extrinsic.BLOCK_BUDGET * 8, peak
@@ -239,3 +240,25 @@ def test_extremum_probe_memory_is_bounded_by_the_budget(name, shape):
     # holding every block read 27 and 39
     columns = len(grid) * (2 * m * m + 1) * 8
     assert peak - columns < 12 * extrinsic.BLOCK_BUDGET * 8, peak
+
+
+def sweep_excess(sc, shape):
+    """The traced peak of a sweep over ``shape`` less its columns' bytes."""
+    grid = sc.grid_points(shape)
+    tracemalloc.start()
+    try:
+        sweep = sweep_geometry(sc.f, grid, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak - sum(getattr(sweep, c).nbytes for c in GridSweep._fields)
+
+
+def test_sweep_memory_besides_its_columns_does_not_grow_with_the_grid():
+    # the sweep draws each block's planes and writes its rows into columns
+    # allocated once: ~3.1 MB at both sizes, where drawing every point's
+    # planes up front and joining the blocks' columns read 4.0 and 11.6 MB
+    sc = get("holo-w2")
+    sweep_geometry(sc.f, sc.grid_points((2, 2)), seed=1)     # one-time allocations
+    small, large = sweep_excess(sc, (100, 100)), sweep_excess(sc, (200, 200))
+    assert large <= 1.25 * small, (small, large)

@@ -836,9 +836,21 @@ NAN = float("nan")
     # an integer past 2**53 and a bool among floats: written as themselves
     ({"i": [None, 10 ** 20, 2.5], "b": np.array([True, 0.5, None], dtype=object)},
      [{"i": None, "b": True}, {"i": 10 ** 20, "b": 0.5}, {"i": 2.5, "b": None}]),
+    # a float column under a null mask, as the point table's sec_n_max: None
+    # where the mask is set, NaN and inf where it is not
+    (({"x": np.array([[0.5], [1.5], [2.5], [3.5]]),
+       "n": np.array([NAN, NAN, np.inf, 2.5])},
+      {"n": np.array([True, False, False, True])}),
+     [{"x": [0.5], "n": None}, {"x": [1.5], "n": NAN}, {"x": [2.5], "n": np.inf},
+      {"x": [3.5], "n": None}]),
+    # a mask on a 2-d column: its masked rows are None, written record by record
+    (({"x": np.array([[0.5, 1.0], [1.5, 2.0]])}, {"x": [False, True]}),
+     [{"x": [0.5, 1.0]}, {"x": None}]),
 ])
 def test_table_examples_serialize_as_their_records(columns, records):
-    assert_table_serializes_as_records(Table(columns), records)
+    # columns, or columns with their null masks
+    table = Table(*columns) if isinstance(columns, tuple) else Table(columns)
+    assert_table_serializes_as_records(table, records)
 
 
 def test_one_row_table_text():

@@ -180,7 +180,7 @@ def test_sources_lay_out_the_block_axis_innermost(name):
             if field != "value":
                 assert_block_innermost(getattr(jet, field))
     assert_block_innermost(metric_inverse(sc.domain.metric_jet(x).g))
-    assert_block_innermost(spawned_normals(3, len(x), (4, 2, sc.domain.dim)))
+    assert_block_innermost(spawned_normals(3, len(x), (4, 2, sc.domain.dim))(slice(0, len(x))))
     assert_block_innermost(graph_block(sc.f, x).frames.e)
 
 

@@ -286,18 +286,23 @@ def test_nan_curvature_reaches_the_sectional_columns():
 
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=2 ** 200),
+       start=st.sampled_from([0, 1, 255]),
        count=st.sampled_from([0, 1, 127, 128, 129]),
        planes=st.sampled_from([1, 4]), m=st.sampled_from([2, 3]))
-@example(seed=0, count=129, planes=4, m=2)
-@example(seed=2 ** 32 - 1, count=128, planes=4, m=3)    # one entropy word
-@example(seed=2 ** 32, count=127, planes=4, m=2)        # two words
-@example(seed=2 ** 128, count=129, planes=1, m=3)       # five words: past the pool
-@example(seed=2 ** 200, count=129, planes=4, m=3)       # seven words
-def test_spawned_normals_equal_seed_sequence_children(seed, count, planes, m):
-    children = np.random.SeedSequence(seed).spawn(count)
+@example(seed=0, start=0, count=129, planes=4, m=2)
+@example(seed=2 ** 32 - 1, start=0, count=128, planes=4, m=3)    # one entropy word
+@example(seed=2 ** 32, start=0, count=127, planes=4, m=2)        # two words
+@example(seed=2 ** 128, start=0, count=129, planes=1, m=3)       # five words: past the pool
+@example(seed=2 ** 200, start=0, count=129, planes=4, m=3)       # seven words
+# keys past 2**16 (a spawn of that many children takes ~0.6 s)
+@example(seed=5, start=2 ** 16 + 3, count=129, planes=4, m=2)
+@example(seed=2 ** 200, start=2 ** 16 + 3, count=2, planes=4, m=3)
+def test_spawned_normals_equal_seed_sequence_children(seed, start, count, planes, m):
+    # rows start..start+count are those children of a spawn of start + count
+    children = np.random.SeedSequence(seed).spawn(start + count)[start:]
     want = np.array([np.random.default_rng(child).normal(size=(planes, 2, m))
                      for child in children]).reshape(count, planes, 2, m)
-    got = spawned_normals(seed, count, (planes, 2, m))
+    got = spawned_normals(seed, start + count, (planes, 2, m))(slice(start, start + count))
     assert got.shape == want.shape
     assert np.array_equal(got, want)
     # drawn in place as the children's standard normals, byte for byte
