@@ -237,7 +237,7 @@ def _gate(cfg: RunConfig, scenario: scen.Scenario) -> tuple[GridSweep, dict]:
     grid = scenario.grid_points(shape)
     sweep = sweep_geometry(scenario.f, grid, seed=cfg.seed)
     hyp = evaluate_hypotheses(sweep, scenario.sigma, cfg.kappa_margin, cfg.tolerances)
-    cls = classify(scenario.f, grid, sweep, hyp, cfg.tolerances)
+    cls = classify(sweep, hyp, cfg.tolerances)
     return sweep, {
         "config": {
             "scenario": scenario.name,

@@ -664,33 +664,6 @@ def extremum_derivative_probe(f: SmoothMap, grid: Array,
 
 
 # ---------------------------------------------------------------------------
-# Final-chain sign structure at the probed maximum
-# ---------------------------------------------------------------------------
-
-def max_point_term_values(d: PointData, sigma: float, lambda0_sq: float) -> Array:
-    """The six grouped terms bounding ``Lap(Phi)(e_m, e_m)`` at a maximum
-    point, per row: each is non-positive where the full hypothesis gate
-    holds, and their sum bounds the Laplacian from above.  The grouping is
-    the decompositions' with the normal estimate applied to the A-sum."""
-    c = lambda0_sq
-    if c < 0.0:
-        raise InvalidParameterError("the squared top singular value cannot be negative")
-    m = d.m
-    _, sec_n_sum, _, term2, term3, _, phi_ll, tr_s, tr_phi, nu = _frame_terms(
-        d, c, sigma, m - 1)                  # the top singular direction
-    coeff = 2.0 / (1.0 + c)
-    return np.stack([
-        # normal estimate applied to the A-sum, plus the isolated trace part
-        (4.0 / (1.0 + c)) * ((c - 1.0) * d.a_norm_sq - (c / (1.0 + c)) * sigma * tr_s),
-        coeff * -2.0 * sec_n_sum,
-        coeff * term2,
-        coeff * term3,
-        coeff * (sigma * (1.0 - c) / 2.0) * phi_ll * (tr_phi - phi_ll),
-        coeff * -(2.0 * c * sigma / (1.0 + c)) * ((m - 2) * phi_ll - nu),
-    ], axis=-1)
-
-
-# ---------------------------------------------------------------------------
 # Identity suite
 # ---------------------------------------------------------------------------
 

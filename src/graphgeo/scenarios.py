@@ -143,22 +143,6 @@ def complex_power_map(domain: ChartManifold, target: ChartManifold,
     return SmoothMap(domain, target, jet, name or f"w^{k}" + (f"*{t:g}" if t != 1.0 else ""))
 
 
-def precompose_linear(f: SmoothMap, matrix, name: str | None = None) -> SmoothMap:
-    """The composition ``x -> f(Q x)`` with exact chain-rule jets."""
-    Q = np.asarray(matrix, dtype=float)
-
-    def jet(x: Array) -> MapJet:
-        inner = f.jet_fn(matvec(Q, x))
-        d1 = np.einsum("...ab,bi->...ai", inner.d1, Q)
-        d2 = np.einsum("...abc,bi,cj->...aij", inner.d2, Q, Q)
-        d3 = None
-        if inner.d3 is not None:
-            d3 = np.einsum("...abcd,bi,cj,dk->...aijk", inner.d3, Q, Q, Q)
-        return MapJet(inner.value, d1, d2, d3)
-
-    return SmoothMap(f.domain, f.target, jet, name or f"{f.name}∘linear")
-
-
 def rotation_matrix_2d(angle: float) -> Array:
     c, s = np.cos(angle), np.sin(angle)
     return np.array([[c, -s], [s, c]])

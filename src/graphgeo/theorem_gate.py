@@ -8,7 +8,10 @@ dichotomy.  All maxima are taken over the sample grid of the chart box, so
 every verdict is box-local; no global claim is made.
 """
 
+import functools
+import math
 import operator
+import os
 from collections.abc import Mapping
 from itertools import islice
 from types import MappingProxyType
@@ -45,11 +48,13 @@ class GridSweep(Frozen):
     ``sec_n_min`` / ``sec_n_max`` are NaN where no target plane was sampled
     (the image of the differential is less than two-dimensional there);
     ``has_sec_n`` marks the rows that hold target samples.
+    ``metric_factor_res`` is each point's largest ``|g - 2 g_M|`` component.
     """
 
     __slots__ = _fields = (
         "coords", "lambdas", "rank", "trace_s", "a_norm_sq", "h_norm",
-        "sec_m_min", "sec_m_max", "sec_n_min", "sec_n_max", "has_sec_n")
+        "sec_m_min", "sec_m_max", "sec_n_min", "sec_n_max", "has_sec_n",
+        "metric_factor_res")
 
     def __len__(self) -> int:
         return len(self.trace_s)
@@ -187,38 +192,132 @@ def _spawned_pcg_seeds(seed: int):
     return seeds
 
 
+_MASK64, _MASK52 = (1 << 64) - 1, (1 << 52) - 1
+# numpy's ziggurat for the standard normal: its layer-0 tail starts at r
+_ZIGGURAT_R, _ZIGGURAT_INV_R = 3.654152885361009, 0.2736612373297583
+
+
+@functools.cache
+def _ziggurat() -> tuple[Array, Array, Array]:
+    """numpy's ziggurat tables ``wi`` and ``ki``, indexed by a raw output's
+    layer and sign bits (the sign negates ``wi``), and ``fi``.  Their 256
+    entries each are copied into ``ziggurat.bin`` byte for byte from the
+    ``.rodata`` symbols ``wi_double``, ``ki_double`` and ``fi_double`` of
+    ``src_distributions_distributions.c.o`` in numpy 2.4.6's
+    ``numpy/random/lib/libnpyrandom.a``; no formula rebuilds them exactly."""
+    path = os.path.join(os.path.dirname(__file__), "ziggurat.bin")
+    wi, ki, fi = np.fromfile(path, dtype="<u8").reshape(3, 256)
+    wi = wi.view("<f8")
+    return np.concatenate([wi, -wi]), np.concatenate([ki, ki]), fi.view("<f8")
+
+
+@functools.cache
+def _jumps(count: int) -> tuple[Array, Array, Array, Array]:
+    """64-bit limbs ``(a_hi, a_lo, c_hi, c_lo)`` of ``a_k, c_k``, ``k < count``:
+    raw output ``k`` of a PCG64 seeded by ``srandom`` comes from the state
+    ``a_k u + c_k inc`` (mod 2**128), ``u = inc + s`` for the seed ``s``."""
+    a, c, limbs = _PCG_MULT, 1, []
+    for _ in range(count):
+        a, c = (a * _PCG_MULT) & _MASK128, (c * _PCG_MULT + 1) & _MASK128
+        limbs.append((a >> 64, a & _MASK64, c >> 64, c & _MASK64))
+    return tuple(np.array(limbs, dtype=np.uint64).reshape(count, 4).T)
+
+
+def _mulhi(x: Array, a: Array) -> Array:
+    """High 64 bits of the 128-bit products ``x * a`` of uint64 arrays."""
+    x1, x0, a1, a0 = x >> 32, x & _MASK32, a >> 32, a & _MASK32
+    u = x1 * a0 + (x0 * a0 >> 32)
+    v = x0 * a1 + (u & _MASK32)
+    return x1 * a1 + (u >> 32) + (v >> 32)
+
+
+def _pcg_raws(u: list[Array], inc: list[Array], count: int) -> Array:
+    """``(R, count)``: the first ``count`` raw outputs (XSL-RR) of the PCG64
+    of each row, from the limbs ``[hi, lo]`` of its ``u`` and ``inc``."""
+    a_hi, a_lo, c_hi, c_lo = _jumps(count)
+    (u_hi, u_lo), (i_hi, i_lo) = ([w[:, None] for w in pair] for pair in (u, inc))
+    lo_a = u_lo * a_lo
+    lo = lo_a + i_lo * c_lo
+    hi = (_mulhi(u_lo, a_lo) + u_hi * a_lo + u_lo * a_hi + _mulhi(i_lo, c_lo)
+          + i_hi * c_lo + i_lo * c_hi + (lo < lo_a))
+    xsl, rot = hi ^ lo, hi >> 58
+    return (xsl >> rot) | (xsl << ((64 - rot) & 63))
+
+
+def _standard_normals(u: list[Array], inc: list[Array], count: int,
+                      spare: int = 4) -> Array:
+    """``(R, count)``: the first ``count`` normals that numpy's ziggurat
+    (``random_standard_normal``) draws from each row's PCG64 (see
+    :func:`_pcg_raws`).  Each raw output is a candidate, accepted outright
+    99.3% of the time.  A rejected one takes the next raws as uniforms: one
+    for a wedge (layers above 0), pairs until one is accepted for the tail.
+    Rows that need more than ``count + spare`` raws are drawn again.
+    ``exp`` and ``log1p`` are libm's, through ``math``, as in numpy's C
+    code; numpy's own may differ in the last bit."""
+    wi, ki, fi = _ziggurat()
+    raw = _pcg_raws(u, inc, count + spare)
+    low = (raw & 0x1FF).astype(np.intp)
+    rabs = (raw >> 9) & _MASK52
+    x = rabs.astype(np.float64) * wi[low]
+    use = rabs < ki[low]
+    wedges, short = [], set()
+    row = free = -1                     # the first raw not yet taken in ``row``
+    for r, c in zip(*(a.tolist() for a in np.nonzero(~use))):
+        if r == row and c < free:       # a uniform of a rejection before it
+            continue
+        row, free, layer = r, c + 2, low[r, c] & 0xFF
+        if not layer:                   # the tail: past the raws unless accepted
+            pairs = ((raw[r, c + 1:] >> 11).astype(np.float64) * 2.0 ** -53).tolist()
+            free = raw.shape[1] + 1
+            for k, (u1, u2) in enumerate(zip(pairs[::2], pairs[1::2])):
+                xx = -_ZIGGURAT_INV_R * math.log1p(-u1)
+                yy = -math.log1p(-u2)
+                if yy + yy > xx * xx:
+                    use[r, c], free = True, c + 3 + 2 * k
+                    x[r, c] = -(_ZIGGURAT_R + xx) if int(rabs[r, c]) >> 8 & 1 else _ZIGGURAT_R + xx
+                    break
+        if free > raw.shape[1]:
+            short.add(r)
+            continue
+        use[r, c + 1:free] = False
+        if layer:
+            wedges.append((r, c))
+    rows, cols = np.array(wedges, dtype=np.intp).reshape(-1, 2).T
+    layer = low[rows, cols] & 0xFF
+    uniform = (raw[rows, cols + 1] >> 11).astype(np.float64) * 2.0 ** -53
+    bound = np.array([math.exp(-0.5 * v * v) for v in x[rows, cols].tolist()])
+    use[rows, cols] = (fi[layer - 1] - fi[layer]) * uniform + fi[layer] < bound
+    short = sorted({*short, *np.flatnonzero(use.sum(axis=1) < count).tolist()})
+    use[short] = True
+    out = x[use & (np.cumsum(use, axis=1) <= count)].reshape(len(x), count)
+    if short:
+        out[short] = _standard_normals([w[short] for w in u], [w[short] for w in inc],
+                                       count, spare + count)
+    return out
+
+
 def spawned_normals(seed: int, count: int, shape: tuple[int, ...]):
     """``draw(rows)`` for a slice ``start:stop`` of ``range(count)``: those
     rows, block-innermost, of the stream whose row ``i`` is, bit for bit,
     ``default_rng(SeedSequence(seed).spawn(count)[i]).standard_normal(shape)``.
 
-    One generator takes each child's seeded state in turn (the 128-bit
-    ``srandom`` step: ``inc = 2 seq + 1``, ``state = (inc + s) * mult +
-    inc``) and draws its row in place.  ``.normal(size=shape)`` of the same
-    child is ``0.0 + 1.0 * z`` of these draws: equal to them except that an
-    exact zero draw ``-0.0`` comes out ``0.0`` there.
+    No ``numpy.random`` is loaded: each row's PCG64 is seeded as by
+    ``srandom`` (``inc = 2 seq + 1``, ``state = (inc + s) * mult + inc``),
+    and :func:`_standard_normals` draws all rows at once.  Their
+    ``.normal(size=shape)`` is ``0.0 + 1.0 * z`` of these draws: equal to
+    them except that an exact zero draw ``-0.0`` comes out ``0.0`` there.
     """
     seeds = _spawned_pcg_seeds(seed)
     if count >= MAX_GRID_POINTS:
         raise InvalidParameterError("too many grid points for one plane stream")
-    bits = np.random.PCG64()
-    normal = np.random.Generator(bits).standard_normal
-    doc = {"bit_generator": "PCG64", "state": {"state": 0, "inc": 0},
-           "has_uint32": 0, "uinteger": 0}
-    state = doc["state"]
-    mask, mult = _MASK128, _PCG_MULT
+    size = math.prod(shape)
 
     def draw(rows: slice) -> Array:
-        keys = np.arange(rows.start, rows.stop, dtype=np.uint32)
-        out = np.empty((len(keys), *shape))
-        words = zip(*(w.tolist() for w in seeds(keys)))
-        for (s_hi, s_lo, q_hi, q_lo), row in zip(words, out):
-            inc = ((((q_hi << 64) | q_lo) << 1) | 1) & mask
-            state["state"] = ((inc + ((s_hi << 64) | s_lo)) * mult + inc) & mask
-            state["inc"] = inc
-            bits.state = doc
-            normal(out=row)
-        return block_innermost(out)
+        s_hi, s_lo, q_hi, q_lo = seeds(np.arange(rows.start, rows.stop, dtype=np.uint32))
+        inc = [(q_hi << 1) | (q_lo >> 63), (q_lo << 1) | 1]
+        u_lo = inc[1] + s_lo
+        u = [inc[0] + s_hi + (u_lo < s_lo), u_lo]
+        return block_innermost(_standard_normals(u, inc, size).reshape(-1, *shape))
 
     return draw
 
@@ -229,10 +328,11 @@ def sweep_geometry(f: SmoothMap, grid: Array, seed: int = 0,
     (shape ``(N, m)``, ``N >= 1``).
 
     The grid is evaluated in blocks (see :func:`graph_blocks`) whose rows go
-    into columns allocated once: the sweep holds one block besides them.
-    Point ``i`` draws its planes from child ``i`` of ``SeedSequence(seed)
-    .spawn(N)`` (see :func:`spawned_normals`), so the result does not depend
-    on how the grid is split into blocks.
+    into columns allocated once: the sweep holds one block and its planes
+    besides them.  Point ``i`` draws its planes from child ``i`` of
+    ``SeedSequence(seed).spawn(N)``, without ``numpy.random`` (see
+    :func:`spawned_normals`), so the result does not depend on how the grid
+    is split into blocks.
     """
     m = f.domain.dim
     if m < 2:
@@ -245,6 +345,7 @@ def sweep_geometry(f: SmoothMap, grid: Array, seed: int = 0,
             "coords": blk.jets.coords, "lambdas": blk.frames.lambdas,
             "rank": blk.frames.rank, "trace_s": blk.trace_s,
             "a_norm_sq": blk.ext.a_norm_sq, "h_norm": blk.ext.h_norm,
+            "metric_factor_res": np.max(np.abs(blk.g - 2.0 * blk.gm), axis=(1, 2)),
             **_sectional_columns(blk, planes_of(rows))}
         if columns is None:
             columns = {name: np.empty((len(coords), *a.shape[1:]), a.dtype)
@@ -395,17 +496,16 @@ class Classification(NamedTuple):
     scope: str = "box-local"
 
 
-def classify(f: SmoothMap, grid: Array, sweep: GridSweep, hyp: HypothesisReport,
+def classify(sweep: GridSweep, hyp: HypothesisReport,
              tolerances: dict[str, float] | None = None) -> Classification:
     """Classify the map against the rigidity dichotomy from the ``sweep`` of
-    the sample grid (the rows of ``grid``) and its ``hyp``, at the pinching
-    level ``hyp.sigma``.
+    the sample grid and its ``hyp``, at the pinching level ``hyp.sigma``.
 
     A failed hypothesis wins over everything else; with all hypotheses in
     place the verdict is ``constant`` when every singular value vanishes,
     ``totally-geodesic-isometric-immersion`` when all singular values equal
     one and the second fundamental form vanishes (with the induced-metric
-    and curvature-witness conclusions re-checked on rows of ``grid``), and
+    and curvature-witness conclusions re-checked on every sweep row), and
     ``indeterminate`` otherwise.
     """
     tol = {**DEFAULT_TOLERANCES, **(tolerances or {})}
@@ -427,8 +527,7 @@ def classify(f: SmoothMap, grid: Array, sweep: GridSweep, hyp: HypothesisReport,
 
         # conclusion re-checks: induced metric doubles the domain metric,
         # and both curvature witnesses sit at the pinching level
-        factor_res = max(float(np.max(np.abs(blk.g - 2.0 * blk.jets.gm.g)))
-                         for _, blk in graph_blocks(f, grid[:: max(1, len(grid) // 10)]))
+        factor_res = float(np.max(sweep.metric_factor_res))
         evidence["induced_metric_factor_residual"] = factor_res
 
         sec_m_dev = float(np.max(np.maximum(np.abs(sweep.sec_m_min - sigma),

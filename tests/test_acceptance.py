@@ -204,7 +204,7 @@ def test_criterion_08_theorem_gate_dichotomy(capsys):
     for name, sc in registry().items():
         grid = sc.grid_points()
         sweep = sweep_geometry(sc.f, grid, seed=SEED)
-        cls = classify(sc.f, grid, sweep, evaluate_hypotheses(sweep, sc.sigma))
+        cls = classify(sweep, evaluate_hypotheses(sweep, sc.sigma))
         verdicts[name] = cls.verdict
         if cls.verdict == "indeterminate":
             indeterminate += 1

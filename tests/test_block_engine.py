@@ -28,7 +28,13 @@ from graphgeo.errors import (
     InvalidParameterError,
 )
 from graphgeo.extrinsic import block_bounds, graph_block, second_fundamental_at, trace_s_at
-from graphgeo.graph_map import MapJet, SmoothMap, adapted_frames_at, frame_formula_residual
+from graphgeo.graph_map import (
+    MapJet,
+    SmoothMap,
+    adapted_frames_at,
+    frame_formula_residual,
+    induced_metric_jet,
+)
 from graphgeo.identities import run_identity_suite
 from graphgeo.scenarios import get, linear_map
 from graphgeo.theorem_gate import GridSweep, evaluate_hypotheses, sweep_geometry
@@ -79,6 +85,7 @@ def point_geometry(f, p, seed_seq, planes):
         "sec_n_min": min(sec_n_vals) if sec_n_vals else np.nan,
         "sec_n_max": max(sec_n_vals) if sec_n_vals else np.nan,
         "has_sec_n": bool(sec_n_vals),
+        "metric_factor_res": np.max(np.abs(induced_metric_jet(f, p).g - 2.0 * g_m)),
     }
 
 

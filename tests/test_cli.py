@@ -757,7 +757,8 @@ def test_point_table_serializes_as_point_records(data, rows, m):
         a_norm_sq=column(rows), h_norm=column(rows), sec_m_min=column(rows),
         sec_m_max=column(rows), sec_n_min=column(rows), sec_n_max=column(rows),
         has_sec_n=np.array(data.draw(st.lists(st.booleans(), min_size=rows,
-                                              max_size=rows)), dtype=bool))
+                                              max_size=rows)), dtype=bool),
+        metric_factor_res=np.zeros(rows))
     table, records = _point_table(sweep), point_records(sweep)
     assert json_text(table) == json_text(records)
     assert (json_text({"config": {}, "points": table, "runtime_seconds": None})
@@ -905,7 +906,7 @@ def sweep_of(cells: dict, has_sec_n: np.ndarray) -> GridSweep:
     rows = len(has_sec_n)
     zeros = np.zeros(rows)
     return GridSweep(rank=np.zeros(rows, dtype=int), sec_m_max=zeros, sec_n_min=zeros,
-                     has_sec_n=has_sec_n, **cells)
+                     has_sec_n=has_sec_n, metric_factor_res=zeros, **cells)
 
 
 POINT_COLUMNS = ("trace_s", "a_norm_sq", "h_norm", "sec_m_min", "sec_n_max")

@@ -4,6 +4,7 @@ import pytest
 from graphgeo.chart_manifold import (
     ChartPoint,
     MetricJet,
+    matvec,
     ricci_from_jet,
     sphere_chart,
     sym_eigen,
@@ -26,10 +27,25 @@ from graphgeo.scenarios import (
     constant_map,
     get,
     linear_map,
-    precompose_linear,
     registry,
     rotation_matrix_2d,
 )
+
+
+def precompose_linear(f: SmoothMap, matrix, name: str | None = None) -> SmoothMap:
+    """The composition ``x -> f(Q x)`` with exact chain-rule jets."""
+    Q = np.asarray(matrix, dtype=float)
+
+    def jet(x: np.ndarray) -> MapJet:
+        inner = f.jet_fn(matvec(Q, x))
+        d1 = np.einsum("...ab,bi->...ai", inner.d1, Q)
+        d2 = np.einsum("...abc,bi,cj->...aij", inner.d2, Q, Q)
+        d3 = None
+        if inner.d3 is not None:
+            d3 = np.einsum("...abcd,bi,cj,dk->...aijk", inner.d3, Q, Q, Q)
+        return MapJet(inner.value, d1, d2, d3)
+
+    return SmoothMap(f.domain, f.target, jet, name or f"{f.name}∘linear")
 
 
 def conformal_lambda(k, w_abs):

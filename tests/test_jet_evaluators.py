@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 
 from graphgeo.chart_manifold import MetricJet
 from graphgeo.graph_map import MapJet
-from graphgeo.scenarios import precompose_linear, registry, rotation_matrix_2d
+from graphgeo.scenarios import registry, rotation_matrix_2d
+from test_graph_map import precompose_linear
 
 # ---------------------------------------------------------------------------
 # Oracles: one point at a time

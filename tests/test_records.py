@@ -77,6 +77,22 @@ def test_import_leaves_numpy_random_unloaded():
     assert out.strip() == "[]"
 
 
+@pytest.mark.parametrize("scenario", ["identity-s2", "identity-s3"])
+def test_check_theorem_leaves_numpy_random_unloaded(scenario):
+    # the gate's plane stream is computed without numpy.random, whose import
+    # costs every gate process ~6 MB of peak memory, OpenSSL among it
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import os, sys, graphgeo.cli\n"
+         "code = graphgeo.cli.main(['check-theorem', '--scenario', sys.argv[1],"
+         " '--output', os.devnull])\n"
+         "print(code, sorted(m for m in sys.modules if m.startswith('numpy.random')))",
+         scenario],
+        env=env, capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "0 []"
+
+
 def formerly_frozen_records():
     """One instance of each record that was a frozen dataclass, by name."""
     sc = get("holo-w2")
@@ -99,7 +115,7 @@ def formerly_frozen_records():
         "GridSweep": sweep, "PinchingMargins": curvature_pinching_check(sweep, 1.0),
         "TraceChainReport": trace_rank_chain_check(sc.f, sweep),
         "HypothesisReport": hyp,
-        "Classification": classify(sc.f, None, sweep, hyp),
+        "Classification": classify(sweep, hyp),
     }
 
 

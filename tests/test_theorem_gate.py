@@ -1,10 +1,14 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from graphgeo import theorem_gate
 from graphgeo.scenarios import get, linear_map, registry
 from graphgeo.chart_manifold import MetricJet, sphere_chart
+from graphgeo.extrinsic import graph_block
 from graphgeo.theorem_gate import (
     _plane_range,
     classify,
@@ -21,7 +25,7 @@ def classify_at(sc, grid, sigma, seed):
     """The verdict on ``grid``: its sweep at ``seed``, then the hypotheses at
     ``sigma``."""
     sweep = sweep_geometry(sc.f, grid, seed=seed)
-    return classify(sc.f, grid, sweep, evaluate_hypotheses(sweep, sigma))
+    return classify(sweep, evaluate_hypotheses(sweep, sigma))
 
 
 def trace_condition_check(sweep):
@@ -201,6 +205,31 @@ def test_identity_verdict_carries_sec_witnesses():
     assert cls.evidence["induced_metric_factor_residual"] < 1e-8
 
 
+def test_induced_metric_recheck_reads_every_sweep_row():
+    # the re-check once evaluated only every tenth grid row (grid[::10] here);
+    # a residual on any other row must fail the geodesic conclusion
+    sc = get("identity-s2")
+    sweep = sweep_geometry(sc.f, sc.grid_points((10, 10)), seed=0)
+    hyp = evaluate_hypotheses(sweep, sc.sigma)
+    assert classify(sweep, hyp).verdict == "totally-geodesic-isometric-immersion"
+    residual = np.zeros(len(sweep))
+    residual[57] = 1e-6
+    cls = classify(sweep._replace(metric_factor_res=residual), hyp)
+    assert cls.verdict == "indeterminate"
+    assert cls.evidence["induced_metric_factor_residual"] == 1e-6
+    assert cls.evidence["conclusion_check_failed"]
+
+
+def test_metric_factor_column_is_each_rows_induced_metric_residual():
+    sc = get("holo-w2")
+    grid = sc.grid_points((7, 5))
+    blk = graph_block(sc.f, grid)
+    want = np.max(np.abs(blk.g - 2.0 * blk.gm), axis=(1, 2))
+    got = sweep_geometry(sc.f, grid, seed=0).metric_factor_res
+    assert np.array_equal(got, want)
+    assert got.max() > 0.1
+
+
 def test_conclusion_witnesses_sit_at_the_hypotheses_sigma():
     # the identity of a sphere of radius 2 pinches at sigma = 1/4 only; the
     # curvature witnesses are measured against the level the hypotheses hold
@@ -209,11 +238,11 @@ def test_conclusion_witnesses_sit_at_the_hypotheses_sigma():
     axis = np.linspace(-1.5, 1.5, 6)
     grid = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
     sweep = sweep_geometry(f, grid, seed=2)
-    cls = classify(f, grid, sweep, evaluate_hypotheses(sweep, 0.25))
+    cls = classify(sweep, evaluate_hypotheses(sweep, 0.25))
     assert cls.verdict == "totally-geodesic-isometric-immersion"
     assert cls.evidence["sec_m_witness_deviation"] < 1e-10
     assert cls.evidence["sec_n_witness_deviation"] < 1e-10
-    assert classify(f, grid, sweep, evaluate_hypotheses(sweep, 1.0)).verdict == \
+    assert classify(sweep, evaluate_hypotheses(sweep, 1.0)).verdict == \
         "hypothesis-violated"
 
 
@@ -309,6 +338,42 @@ def test_spawned_normals_equal_seed_sequence_children(seed, start, count, planes
     standard = np.array([np.random.default_rng(child).standard_normal(size=(planes, 2, m))
                          for child in children]).reshape(count, planes, 2, m)
     assert got.tobytes() == standard.tobytes()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_spawned_normals_equal_seed_sequence_children_past_the_ziggurat_edges(seed, monkeypatch):
+    # 2**15 rows of 24 draws: numpy's ziggurat meets its layer-0 tail 207,
+    # 204 and 223 times at seeds 0, 1 and 2 (10, 19 and 9 tail retries) and
+    # tests 11 558, 11 699 and 11 676 wedges, of which 5 343, 5 302 and
+    # 5 424 are rejected
+    count, shape = 2 ** 15, (4, 2, 3)
+    log1p_calls = []
+    log1p = math.log1p
+    monkeypatch.setattr(math, "log1p", lambda v: log1p_calls.append(v) or log1p(v))
+    got = spawned_normals(seed, count, shape)(slice(0, count))
+    monkeypatch.undo()
+    want = np.array([np.random.default_rng(child).standard_normal(size=shape)
+                     for child in np.random.SeedSequence(seed).spawn(count)])
+    assert got.tobytes() == want.tobytes()
+    assert len(log1p_calls) >= 2 * 200     # two per tail attempt
+
+
+def test_spawned_normals_draw_again_the_rows_that_run_out_of_raws(monkeypatch):
+    # without spare raws every row that rejects a candidate runs out
+    standard_normals, calls = theorem_gate._standard_normals, []
+
+    def first_without_spare(u, inc, count, spare=0):
+        calls.append(len(u[0]))
+        return standard_normals(u, inc, count, spare)
+
+    monkeypatch.setattr(theorem_gate, "_standard_normals", first_without_spare)
+    count, shape = 2 ** 12, (4, 2, 3)
+    got = spawned_normals(4, count, shape)(slice(0, count))
+    monkeypatch.undo()
+    assert calls[0] == count and 0 < calls[1] < count
+    want = np.array([np.random.default_rng(child).standard_normal(size=shape)
+                     for child in np.random.SeedSequence(4).spawn(count)])
+    assert got.tobytes() == want.tobytes()
 
 
 def test_spawned_normals_reject_a_negative_seed():
