@@ -11,8 +11,9 @@ Exit codes: 0 success (for ``check-theorem``: a dichotomy verdict), 1 failed
 checks or a violated hypothesis gate, 2 unknown scenario, bad
 configuration (a non-positive ``--sigma`` or ``--kappa-margin`` among it),
 an ``--output`` or a stdout that cannot be written (every command, ``list``
-included) or out of memory, 3 out-of-chart sampling, 4 indeterminate
-classification.  Every non-zero exit prints one ``error:`` line to stderr.
+included), out of memory or a missing ``ziggurat.bin``, 3 out-of-chart
+sampling, 4 indeterminate classification.  Every non-zero exit prints one
+``error:`` line to stderr.
 
 ``--sigma`` and the config ``box`` replace the scenario's pinching level
 and sample box once, for the gate and the identity suite alike.
@@ -38,12 +39,12 @@ from typing import NamedTuple
 import numpy as np
 
 from . import scenarios as scen
+from .draws import MAX_GRID_POINTS
 from .errors import GraphGeoError, OutOfChartError, UnknownScenarioError
 from .identities import DEFAULT_IDENTITY_TOLERANCES, run_identity_suite
 from .reporting import Table, canonical_json, report_to_csv
 from .theorem_gate import (
     DEFAULT_TOLERANCES,
-    MAX_GRID_POINTS,
     GridSweep,
     classify,
     evaluate_hypotheses,

@@ -19,6 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .chart_manifold import curvature_form, matvec, powers, quadratic_form, sym_eigen
+from .draws import Stream
 from .errors import InvalidParameterError, PreconditionError
 from .extrinsic import MINIMAL_TOL, GraphBlock, graph_block, graph_blocks
 from .graph_map import SmoothMap, frame_residual_block, shift_deficit
@@ -119,7 +120,7 @@ def _require_minimal(d: PointData, minimal_tol: float) -> None:
 # Normal estimate for the split-signature form
 # ---------------------------------------------------------------------------
 
-def normal_estimate_check(d: PointData, c, rng: "np.random.Generator | None" = None,
+def normal_estimate_check(d: PointData, c, rng: Stream | None = None,
                           n_mixtures: int = 20) -> Array:
     """Worst slack of the normal-cone estimate ``((c-1)/(1+c)) |eta|^2 -
     s_prod(eta, eta) >= 0`` (for ``c >= lambda_max^2``) over the adapted
@@ -135,7 +136,7 @@ def normal_estimate_check(d: PointData, c, rng: "np.random.Generator | None" = N
     if np.any(c < lam_max_sq - 1e-12 * (1.0 + lam_max_sq)):
         raise PreconditionError(f"estimate needs c >= lambda_max^2 = "
                                 f"{np.max(lam_max_sq):.6g}, got {np.min(c):.6g}")
-    rng = rng or np.random.default_rng(0)
+    rng = rng or Stream(0)
     bound = (c - 1.0) / (1.0 + c)
 
     # the normal frame vectors, random mixtures of them (summed column by
@@ -485,7 +486,7 @@ class NullProbeResult(NamedTuple):
 
 
 def _skip_reason(d: PointData, r: int, sigma: float, lambda0_sq: float,
-                 kappa_sq: float | None, rng: "np.random.Generator", planes: int = 4,
+                 kappa_sq: float | None, rng: Stream, planes: int = 4,
                  tol: float = 1e-9) -> str | None:
     """Why the null probe does not run at row ``r``, or None if it does: the
     curvature separation, then for ``lambda0_sq >= 1`` the other hypotheses."""
@@ -526,7 +527,7 @@ def _skip_reason(d: PointData, r: int, sigma: float, lambda0_sq: float,
 
 def null_eigenvector_probe(d: PointData, sigma: float, lambda0_sq: float,
                            kappa_sq: float | None = None,
-                           rng: "np.random.Generator | None" = None,
+                           rng: Stream | None = None,
                            n_draws: int = 20,
                            tol: float = 1e-10) -> list[NullProbeResult]:
     """Probe the null-eigenvector condition of the reaction term at each row.
@@ -540,7 +541,7 @@ def null_eigenvector_probe(d: PointData, sigma: float, lambda0_sq: float,
     see :func:`_skip_reason`) fail is skipped.  The rows are checked, and
     their draws taken, in turn; the reaction term then runs once.
     """
-    rng = rng or np.random.default_rng(0)
+    rng = rng or Stream(0)
     if sigma <= 0.0:
         return [NullProbeResult("skipped", "needs a positive pinching level",
                                 np.inf, 0, 0.0)] * len(d)
@@ -739,7 +740,7 @@ def run_identity_suite(scenario, seed: int = 0, h: float = 1e-3,
     tol = {**DEFAULT_IDENTITY_TOLERANCES, **(tolerances or {})}
     f = scenario.f
     sigma = scenario.sigma
-    rng = np.random.default_rng(seed)
+    rng = Stream(seed)
     reports: list[IdentityReport] = []
 
     d = point_rows(f, scenario.random_points(n_points, rng))

@@ -7,9 +7,9 @@ keeps computed columns derives from :class:`Frozen` instead.
 
 The modules that define NamedTuple records do without ``from __future__
 import annotations``: typing compiles every string annotation of a field
-when the class is defined.  Their annotations are evaluated instead, so an
-annotation naming a lazily imported numpy module (``np.random.Generator``)
-is quoted: evaluating it would import numpy.random at start-up.
+when the class is defined.  Their annotations are evaluated instead, so none
+names a lazily imported numpy module: ``np.random.Generator`` would import
+numpy.random at start-up.  Random draws take :class:`graphgeo.draws.Stream`.
 """
 
 

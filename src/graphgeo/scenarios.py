@@ -12,6 +12,7 @@ import numpy as np
 
 from .chart_manifold import (ChartManifold, ChartPoint, constant_metric_chart,
                              matvec, powers, sphere_chart)
+from .draws import Stream
 from .errors import UnknownScenarioError
 from .graph_map import MapJet, SmoothMap
 
@@ -54,7 +55,7 @@ class Scenario(NamedTuple):
         return np.stack(np.meshgrid(*axes, indexing="ij"),
                         axis=-1).reshape(-1, self.domain.dim)
 
-    def random_points(self, count: int, rng: "np.random.Generator",
+    def random_points(self, count: int, rng: Stream,
                       box: Array | None = None) -> list[ChartPoint]:
         box = self.sample_box if box is None else np.asarray(box, dtype=float)
         lo, hi = box[:, 0], box[:, 1]
@@ -281,8 +282,7 @@ def jets_selftest(scenario: Scenario, h: float = 1e-4,
     """
     f = scenario.f
     if points is None:
-        rng = np.random.default_rng(7)
-        points = scenario.random_points(3, rng)
+        points = scenario.random_points(3, Stream(7))
     x = np.array([p.coords for p in points])
     img = f.jet_fn(x).value
     groups = [("f", x, f.jet_fn, _MAP_FIELDS),

@@ -8,18 +8,14 @@ dichotomy.  All maxima are taken over the sample grid of the chart box, so
 every verdict is box-local; no global claim is made.
 """
 
-import functools
-import math
-import operator
-import os
 from collections.abc import Mapping
-from itertools import islice
 from types import MappingProxyType
 from typing import NamedTuple
 
 import numpy as np
 
-from .chart_manifold import block_innermost, matvec, sectional_from_data
+from .chart_manifold import matvec, sectional_from_data
+from .draws import spawned_normals
 from .errors import DegeneratePlaneError, InvalidParameterError
 from .extrinsic import MINIMAL_TOL, GraphBlock, graph_blocks
 from .graph_map import SmoothMap
@@ -120,206 +116,6 @@ def _sectional_columns(blk: GraphBlock, planes_uv: Array) -> dict[str, Array]:
     return {"sec_m_min": sec_m_min, "sec_m_max": sec_m_max,
             "sec_n_min": sec_n_min, "sec_n_max": sec_n_max,
             "has_sec_n": has_sec_n}
-
-
-# Constants of numpy's ``SeedSequence`` (hash and mix steps of its entropy
-# pool and state output) and of PCG64's 128-bit linear congruential step.
-_MASK32 = 0xFFFFFFFF
-_POOL_SIZE = 4
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK128 = (1 << 128) - 1
-
-#: Grid points a plane stream can index: the spawn keys are 32-bit words.
-MAX_GRID_POINTS = 1 << 32
-
-
-def _fold(x: Array) -> Array:
-    return x ^ (x >> np.uint32(16))
-
-
-def _hash_steps(init: int, mult: int):
-    """``SeedSequence``'s hash steps on uint32 arrays, in order: step ``k``
-    xors with ``init * mult**k`` and multiplies by ``init * mult**(k + 1)``
-    (mod 2**32), whatever the data."""
-    const = init
-    while True:
-        nxt = (const * mult) & _MASK32
-        yield lambda value, a=np.uint32(const), b=np.uint32(nxt): _fold((value ^ a) * b)
-        const = nxt
-
-
-def _spawned_pcg_seeds(seed: int):
-    """``seeds(keys)``: the four 64-bit words, an array each, with which
-    ``PCG64`` seeds itself from the children of ``SeedSequence(seed)`` whose
-    spawn keys are the uint32 array ``keys``.  A child hashes the entropy
-    words of ``seed``, zero-padded to the pool size, then its spawn key.  The
-    hash constants advance independently of the data, so the seed's words
-    are hashed once, here, and ``seeds`` takes the keys' steps for all keys
-    at once."""
-    seed = operator.index(seed)
-    if seed < 0:
-        raise ValueError(f"seed must be non-negative, got {seed}")
-    words = [(seed >> s) & _MASK32 for s in range(0, max(seed.bit_length(), 1), 32)]
-    words += [0] * (_POOL_SIZE - len(words))
-    entropy = np.array(words, dtype=np.uint32)[:, None]
-
-    def mix(x: Array, y: Array) -> Array:
-        return _fold(np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y)
-
-    hashmix = _hash_steps(_INIT_A, _MULT_A)
-    pool = [next(hashmix)(word) for word in entropy[:_POOL_SIZE]]
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = mix(pool[dst], next(hashmix)(pool[src]))
-    for word in entropy[_POOL_SIZE:]:
-        for dst in range(_POOL_SIZE):
-            pool[dst] = mix(pool[dst], next(hashmix)(word))
-    key_steps = list(islice(hashmix, _POOL_SIZE))
-    # generate_state(4, np.uint64): eight uint32 words cycling over the pool,
-    # paired little-endian into 64-bit words
-    output = list(islice(_hash_steps(_INIT_B, _MULT_B), 2 * _POOL_SIZE))
-
-    def seeds(keys: Array) -> list[Array]:
-        keyed = [mix(word, step(keys)) for word, step in zip(pool, key_steps)]
-        state = [step(keyed[k % _POOL_SIZE]).astype(np.uint64)
-                 for k, step in enumerate(output)]
-        return [state[2 * k] | (state[2 * k + 1] << np.uint64(32)) for k in range(4)]
-
-    return seeds
-
-
-_MASK64, _MASK52 = (1 << 64) - 1, (1 << 52) - 1
-# numpy's ziggurat for the standard normal: its layer-0 tail starts at r
-_ZIGGURAT_R, _ZIGGURAT_INV_R = 3.654152885361009, 0.2736612373297583
-
-
-@functools.cache
-def _ziggurat() -> tuple[Array, Array, Array]:
-    """numpy's ziggurat tables ``wi`` and ``ki``, indexed by a raw output's
-    layer and sign bits (the sign negates ``wi``), and ``fi``.  Their 256
-    entries each are copied into ``ziggurat.bin`` byte for byte from the
-    ``.rodata`` symbols ``wi_double``, ``ki_double`` and ``fi_double`` of
-    ``src_distributions_distributions.c.o`` in numpy 2.4.6's
-    ``numpy/random/lib/libnpyrandom.a``; no formula rebuilds them exactly."""
-    path = os.path.join(os.path.dirname(__file__), "ziggurat.bin")
-    wi, ki, fi = np.fromfile(path, dtype="<u8").reshape(3, 256)
-    wi = wi.view("<f8")
-    return np.concatenate([wi, -wi]), np.concatenate([ki, ki]), fi.view("<f8")
-
-
-@functools.cache
-def _jumps(count: int) -> tuple[Array, Array, Array, Array]:
-    """64-bit limbs ``(a_hi, a_lo, c_hi, c_lo)`` of ``a_k, c_k``, ``k < count``:
-    raw output ``k`` of a PCG64 seeded by ``srandom`` comes from the state
-    ``a_k u + c_k inc`` (mod 2**128), ``u = inc + s`` for the seed ``s``."""
-    a, c, limbs = _PCG_MULT, 1, []
-    for _ in range(count):
-        a, c = (a * _PCG_MULT) & _MASK128, (c * _PCG_MULT + 1) & _MASK128
-        limbs.append((a >> 64, a & _MASK64, c >> 64, c & _MASK64))
-    return tuple(np.array(limbs, dtype=np.uint64).reshape(count, 4).T)
-
-
-def _mulhi(x: Array, a: Array) -> Array:
-    """High 64 bits of the 128-bit products ``x * a`` of uint64 arrays."""
-    x1, x0, a1, a0 = x >> 32, x & _MASK32, a >> 32, a & _MASK32
-    u = x1 * a0 + (x0 * a0 >> 32)
-    v = x0 * a1 + (u & _MASK32)
-    return x1 * a1 + (u >> 32) + (v >> 32)
-
-
-def _pcg_raws(u: list[Array], inc: list[Array], count: int) -> Array:
-    """``(R, count)``: the first ``count`` raw outputs (XSL-RR) of the PCG64
-    of each row, from the limbs ``[hi, lo]`` of its ``u`` and ``inc``."""
-    a_hi, a_lo, c_hi, c_lo = _jumps(count)
-    (u_hi, u_lo), (i_hi, i_lo) = ([w[:, None] for w in pair] for pair in (u, inc))
-    lo_a = u_lo * a_lo
-    lo = lo_a + i_lo * c_lo
-    hi = (_mulhi(u_lo, a_lo) + u_hi * a_lo + u_lo * a_hi + _mulhi(i_lo, c_lo)
-          + i_hi * c_lo + i_lo * c_hi + (lo < lo_a))
-    xsl, rot = hi ^ lo, hi >> 58
-    return (xsl >> rot) | (xsl << ((64 - rot) & 63))
-
-
-def _standard_normals(u: list[Array], inc: list[Array], count: int,
-                      spare: int = 4) -> Array:
-    """``(R, count)``: the first ``count`` normals that numpy's ziggurat
-    (``random_standard_normal``) draws from each row's PCG64 (see
-    :func:`_pcg_raws`).  Each raw output is a candidate, accepted outright
-    99.3% of the time.  A rejected one takes the next raws as uniforms: one
-    for a wedge (layers above 0), pairs until one is accepted for the tail.
-    Rows that need more than ``count + spare`` raws are drawn again.
-    ``exp`` and ``log1p`` are libm's, through ``math``, as in numpy's C
-    code; numpy's own may differ in the last bit."""
-    wi, ki, fi = _ziggurat()
-    raw = _pcg_raws(u, inc, count + spare)
-    low = (raw & 0x1FF).astype(np.intp)
-    rabs = (raw >> 9) & _MASK52
-    x = rabs.astype(np.float64) * wi[low]
-    use = rabs < ki[low]
-    wedges, short = [], set()
-    row = free = -1                     # the first raw not yet taken in ``row``
-    for r, c in zip(*(a.tolist() for a in np.nonzero(~use))):
-        if r == row and c < free:       # a uniform of a rejection before it
-            continue
-        row, free, layer = r, c + 2, low[r, c] & 0xFF
-        if not layer:                   # the tail: past the raws unless accepted
-            pairs = ((raw[r, c + 1:] >> 11).astype(np.float64) * 2.0 ** -53).tolist()
-            free = raw.shape[1] + 1
-            for k, (u1, u2) in enumerate(zip(pairs[::2], pairs[1::2])):
-                xx = -_ZIGGURAT_INV_R * math.log1p(-u1)
-                yy = -math.log1p(-u2)
-                if yy + yy > xx * xx:
-                    use[r, c], free = True, c + 3 + 2 * k
-                    x[r, c] = -(_ZIGGURAT_R + xx) if int(rabs[r, c]) >> 8 & 1 else _ZIGGURAT_R + xx
-                    break
-        if free > raw.shape[1]:
-            short.add(r)
-            continue
-        use[r, c + 1:free] = False
-        if layer:
-            wedges.append((r, c))
-    rows, cols = np.array(wedges, dtype=np.intp).reshape(-1, 2).T
-    layer = low[rows, cols] & 0xFF
-    uniform = (raw[rows, cols + 1] >> 11).astype(np.float64) * 2.0 ** -53
-    bound = np.array([math.exp(-0.5 * v * v) for v in x[rows, cols].tolist()])
-    use[rows, cols] = (fi[layer - 1] - fi[layer]) * uniform + fi[layer] < bound
-    short = sorted({*short, *np.flatnonzero(use.sum(axis=1) < count).tolist()})
-    use[short] = True
-    out = x[use & (np.cumsum(use, axis=1) <= count)].reshape(len(x), count)
-    if short:
-        out[short] = _standard_normals([w[short] for w in u], [w[short] for w in inc],
-                                       count, spare + count)
-    return out
-
-
-def spawned_normals(seed: int, count: int, shape: tuple[int, ...]):
-    """``draw(rows)`` for a slice ``start:stop`` of ``range(count)``: those
-    rows, block-innermost, of the stream whose row ``i`` is, bit for bit,
-    ``default_rng(SeedSequence(seed).spawn(count)[i]).standard_normal(shape)``.
-
-    No ``numpy.random`` is loaded: each row's PCG64 is seeded as by
-    ``srandom`` (``inc = 2 seq + 1``, ``state = (inc + s) * mult + inc``),
-    and :func:`_standard_normals` draws all rows at once.  Their
-    ``.normal(size=shape)`` is ``0.0 + 1.0 * z`` of these draws: equal to
-    them except that an exact zero draw ``-0.0`` comes out ``0.0`` there.
-    """
-    seeds = _spawned_pcg_seeds(seed)
-    if count >= MAX_GRID_POINTS:
-        raise InvalidParameterError("too many grid points for one plane stream")
-    size = math.prod(shape)
-
-    def draw(rows: slice) -> Array:
-        s_hi, s_lo, q_hi, q_lo = seeds(np.arange(rows.start, rows.stop, dtype=np.uint32))
-        inc = [(q_hi << 1) | (q_lo >> 63), (q_lo << 1) | 1]
-        u_lo = inc[1] + s_lo
-        u = [inc[0] + s_hi + (u_lo < s_lo), u_lo]
-        return block_innermost(_standard_normals(u, inc, size).reshape(-1, *shape))
-
-    return draw
 
 
 def sweep_geometry(f: SmoothMap, grid: Array, seed: int = 0,

@@ -26,10 +26,11 @@ from graphgeo.chart_manifold import (
     riemann_from_jet,
     sectional_from_data,
 )
+from graphgeo.draws import spawned_normals
 from graphgeo.extrinsic import GraphBlock, graph_block, second_fundamental_block
 from graphgeo.graph_map import GraphJets, MapJet, SmoothMap, pullback_metric_jet
 from graphgeo.scenarios import get
-from graphgeo.theorem_gate import GridSweep, spawned_normals, sweep_geometry
+from graphgeo.theorem_gate import GridSweep, sweep_geometry
 
 #: around a power of two, and the single point
 BLOCK_ROWS = [1, 2, 127, 128, 129]

@@ -93,6 +93,25 @@ def test_check_theorem_leaves_numpy_random_unloaded(scenario):
     assert out.strip() == "0 []"
 
 
+RUNS = {f"{command}-{scenario}": f"graphgeo.cli.main([{command!r}, '--scenario',"
+                                  f" {scenario!r}, '--output', os.devnull])"
+        for command in ("report", "verify-identities") for scenario in ("holo-w2", "identity-s3")}
+RUNS["jets_selftest"] = "len(graphgeo.jets_selftest(graphgeo.get('holo-w2'))) and 0"
+
+
+@pytest.mark.parametrize("run", RUNS.values(), ids=RUNS.keys())
+def test_identity_suite_and_jet_selftest_leave_numpy_random_unloaded(run):
+    # the identity suite's and the jet self-test's draws are numpy's
+    # default_rng stream, computed without numpy.random
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    out = subprocess.run(
+        [sys.executable, "-c",
+         f"import os, sys, graphgeo, graphgeo.cli\ncode = {run}\n"
+         "print(code, sorted(m for m in sys.modules if m.startswith('numpy.random')))"],
+        env=env, capture_output=True, text=True, check=True).stdout
+    assert out.splitlines()[-1] == "0 []"
+
+
 def formerly_frozen_records():
     """One instance of each record that was a frozen dataclass, by name."""
     sc = get("holo-w2")

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from graphgeo import theorem_gate
+from graphgeo import draws
 from graphgeo.scenarios import get, linear_map, registry
 from graphgeo.chart_manifold import MetricJet, sphere_chart
+from graphgeo.draws import spawned_normals
 from graphgeo.extrinsic import graph_block
 from graphgeo.theorem_gate import (
     _plane_range,
@@ -15,7 +16,6 @@ from graphgeo.theorem_gate import (
     curvature_pinching_check,
     evaluate_hypotheses,
     second_fundamental_bound_check,
-    spawned_normals,
     sweep_geometry,
     trace_rank_chain_check,
 )
@@ -360,13 +360,13 @@ def test_spawned_normals_equal_seed_sequence_children_past_the_ziggurat_edges(se
 
 def test_spawned_normals_draw_again_the_rows_that_run_out_of_raws(monkeypatch):
     # without spare raws every row that rejects a candidate runs out
-    standard_normals, calls = theorem_gate._standard_normals, []
+    standard_normals, calls = draws._standard_normals, []
 
     def first_without_spare(u, inc, count, spare=0):
         calls.append(len(u[0]))
         return standard_normals(u, inc, count, spare)
 
-    monkeypatch.setattr(theorem_gate, "_standard_normals", first_without_spare)
+    monkeypatch.setattr(draws, "_standard_normals", first_without_spare)
     count, shape = 2 ** 12, (4, 2, 3)
     got = spawned_normals(4, count, shape)(slice(0, count))
     monkeypatch.undo()
