@@ -360,9 +360,10 @@ def sectional_from_data(riem: Array, g: Array, u: Array,
     :data:`PLANE_TOL`), whose ``sec`` entry is meaningless.  A NaN curvature
     spans a plane, so that it reaches every reduction over the planes.
     """
-    uu = quadratic_form(u, g, u)
+    g = np.ascontiguousarray(g)
+    ug = u[..., None, :] @ g                # u . g, shared by uu and uv
+    uu, uv = ((ug @ w[..., :, None])[..., 0, 0] for w in (u, v))
     vv = quadratic_form(v, g, v)
-    uv = quadratic_form(u, g, v)
     area2 = uu * vv - uv * uv
     spans = ~((area2 < PLANE_TOL * uu * vv) | (area2 <= 0.0))
     return curvature_form(riem, u, v, u, v) / np.where(spans, area2, 1.0), spans

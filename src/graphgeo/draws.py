@@ -7,6 +7,8 @@ computed here with plain integer and array arithmetic instead: numpy's
 standard normal.  :func:`spawned_normals` gives the gate's sample planes,
 one spawned child stream per grid point; :class:`Stream` is
 ``default_rng(seed)`` for the identity suite's sequential draws.
+PCG64 raws come by jump-ahead in place in a uint64 scratch array, and the plane
+stream takes the ziggurat's rejections as arrays, :data:`PIECE_ROWS` rows at a time.
 """
 
 import functools
@@ -18,7 +20,6 @@ from itertools import islice
 
 import numpy as np
 
-from .chart_manifold import block_innermost
 from .errors import GraphGeoError, InvalidParameterError
 
 Array = np.ndarray
@@ -139,36 +140,41 @@ def _advance(steps: int) -> tuple[int, int]:
 
 
 @functools.cache
-def _jumps(count: int) -> tuple[Array, Array, Array, Array]:
-    """64-bit limbs ``(a_hi, a_lo, c_hi, c_lo)`` of ``a_k, c_k``, ``k < count``:
-    raw output ``k`` of a PCG64 seeded by ``srandom`` comes from the state
-    ``a_k u + c_k inc`` (mod 2**128), ``u = inc + s`` for the seed ``s``."""
+def _jumps(count: int) -> Array:
+    """64-bit limbs ``(a_hi, a_lo, c_hi, c_lo)`` of ``a_k, c_k``, ``k < count``, as
+    columns: raw output ``k`` of a PCG64 seeded by ``srandom`` comes from the
+    state ``a_k u + c_k inc`` (mod 2**128), ``u = inc + s`` for the seed ``s``."""
     a, c, limbs = _PCG_MULT, 1, []
     for _ in range(count):
         a, c = (a * _PCG_MULT) & _MASK128, (c * _PCG_MULT + 1) & _MASK128
         limbs.append((a >> 64, a & _MASK64, c >> 64, c & _MASK64))
-    return tuple(np.array(limbs, dtype=np.uint64).reshape(count, 4).T)
+    return np.array(limbs, dtype=np.uint64).reshape(count, 4).T[..., None].copy()
 
 
-def _mulhi(x: Array, a: Array) -> Array:
-    """High 64 bits of the 128-bit products ``x * a`` of uint64 arrays."""
-    x1, x0, a1, a0 = x >> 32, x & _MASK32, a >> 32, a & _MASK32
-    u = x1 * a0 + (x0 * a0 >> 32)
-    v = x0 * a1 + (u & _MASK32)
-    return x1 * a1 + (u >> 32) + (v >> 32)
-
-
-def _pcg_raws(u: list[Array], inc: list[Array], count: int) -> Array:
-    """``(R, count)``: the first ``count`` raw outputs (XSL-RR) of the PCG64
-    of each row, from the limbs ``[hi, lo]`` of its ``u`` and ``inc``."""
-    a_hi, a_lo, c_hi, c_lo = _jumps(count)
-    (u_hi, u_lo), (i_hi, i_lo) = ([w[:, None] for w in pair] for pair in (u, inc))
-    lo_a = u_lo * a_lo
-    lo = lo_a + i_lo * c_lo
-    hi = (_mulhi(u_lo, a_lo) + u_hi * a_lo + u_lo * a_hi + _mulhi(i_lo, c_lo)
-          + i_hi * c_lo + i_lo * c_hi + (lo < lo_a))
-    xsl, rot = hi ^ lo, hi >> 58
-    return (xsl >> rot) | (xsl << ((64 - rot) & 63))
+def _pcg_raws(limbs: Array, start: int, work: Array) -> Array:
+    """``(R, K)``: raw outputs (XSL-RR) ``start`` to ``start + K - 1`` of the
+    PCG64 of each row of the limbs ``u_hi, u_lo, inc_hi, inc_lo`` (``(4, R)``),
+    computed in place in the scratch ``work`` (``(4, K, R)``: rows innermost)."""
+    hi, lo, s, t = work
+    a_hi, a_lo, c_hi, c_lo = _jumps(start + len(lo))[:, start:]
+    u_hi, u_lo, i_hi, i_lo = limbs
+    np.add(np.multiply(u_lo, a_lo, out=lo), np.multiply(i_lo, c_lo, out=t), out=lo)
+    np.less(lo, t, out=hi, casting="unsafe")        # the carry out of the low limb
+    for x, y in ((u_hi, a_lo), (u_lo, a_hi), (i_hi, c_lo), (i_lo, c_hi)):
+        hi += np.multiply(x, y, out=t)
+    for x, y in ((u_lo, a_lo), (i_lo, c_lo)):       # the high limbs of x * y
+        (x1, y1), (x0, y0) = (x >> 32, y >> 32), (x & _MASK32, y & _MASK32)
+        np.right_shift(np.multiply(x0, y0, out=t), 32, out=t)
+        np.add(np.multiply(x1, y0, out=s), t, out=s)
+        hi += np.right_shift(s, 32, out=t)
+        s &= _MASK32
+        hi += np.right_shift(np.add(np.multiply(x0, y1, out=t), s, out=t), 32, out=t)
+        hi += np.multiply(x1, y1, out=t)
+    lo ^= hi                                        # rotate hi ^ lo right by hi >> 58
+    np.right_shift(lo, np.right_shift(hi, 58, out=hi), out=t)
+    lo <<= np.bitwise_and(np.subtract(64, hi, out=hi), 63, out=hi)
+    lo |= t
+    return np.ascontiguousarray(lo.T)
 
 
 def _uniform(raw: int) -> float:
@@ -211,33 +217,66 @@ def _ziggurat_walk(raws: Array, i: int) -> tuple[float, int]:
             return x, i
 
 
-def _standard_normals(u: list[Array], inc: list[Array], count: int,
-                      spare: int = 4) -> Array:
-    """``(R, count)``: the first ``count`` normals that numpy's ziggurat
-    draws from each row's PCG64 (see :func:`_pcg_raws`): the candidates
-    accepted outright, and :func:`_ziggurat_walk` from each other one.
-    Rows that need more than ``count + spare`` raws are drawn again."""
-    raw = _pcg_raws(u, inc, count + spare)
+#: Wedge tests this close (relative) to numpy's ``exp`` are decided by libm's.
+EXP_RECHECK = 1e-12
+
+
+def _standard_normals(limbs: Array, count: int, raw: Array) -> Array:
+    """``(R, count)``: the first ``count`` normals that numpy's ziggurat draws
+    from the PCG64 of each row of ``limbs``, given its first raws ``raw``.
+    A wedge (layers above 0) takes the next raw as its uniform, so in a run
+    of adjacent rejections every other one is a uniform, and all wedges are
+    tested at once (see :data:`EXP_RECHECK`).  Rows with a layer-0 (tail)
+    rejection take :func:`_ziggurat_walk`.  A row that runs out of raws
+    continues with its next ``count``."""
     x, use = _candidates(raw)
-    short, row, free = set(), -1, -1    # the first raw not yet taken in ``row``
-    for r, c in zip(*(a.tolist() for a in np.nonzero(~use))):
-        if r == row and c < free:       # taken by the walk from a candidate before it
+    K = raw.shape[1]
+    flat, use_flat = raw.reshape(-1), use.reshape(-1)
+    f = np.flatnonzero(~use_flat)
+    tails = f[(flat[f] & 0xFF) == 0] // K
+    walked = (f // K == tails[:, None]).any(axis=0)
+    row, free = -1, -1                              # the first raw not yet taken in ``row``
+    for r, c in zip(*(a.tolist() for a in divmod(f[walked], K))):
+        if r == row and c < free:                   # taken by the walk before it
             continue
         row = r
         try:
             x[r, c], free = _ziggurat_walk(raw[r], c)
-        except IndexError:
-            short.add(r)
-            free = raw.shape[1]
+        except IndexError:                          # the row ran out of raws
+            use[r, c:], free = False, K
             continue
         use[r, c], use[r, c + 1:free] = True, False
-    short = sorted({*short, *np.flatnonzero(use.sum(axis=1) < count).tolist()})
-    use[short] = True
-    out = x[use & (np.cumsum(use, axis=1) <= count)].reshape(len(x), count)
-    if short:
-        out[short] = _standard_normals([w[short] for w in u], [w[short] for w in inc],
-                                       count, spare + count)
+
+    f = f[~walked]
+    n = np.arange(len(f))
+    run = np.ones(len(f), dtype=bool)               # starts a run of adjacent rejections
+    run[1:] = np.diff(f + f // K) != 1              # within a row: rows are K + 1 apart
+    f = f[((n - np.maximum.accumulate(np.where(run, n, 0))) % 2 == 0) & (f % K < K - 1)]
+    layer = (flat[f] & 0xFF).astype(np.intp)
+    fi = _ziggurat()[2]
+    lhs = (fi[layer - 1] - fi[layer]) * ((flat[f + 1] >> 11) * 2.0 ** -53) + fi[layer]
+    xx = x.reshape(-1)[f]
+    bound = np.exp(-0.5 * xx * xx)
+    ok = lhs < bound
+    for i in np.flatnonzero(np.abs(lhs - bound) <= EXP_RECHECK * bound).tolist():
+        ok[i] = lhs[i] < math.exp(-0.5 * xx[i] * xx[i])
+    use_flat[f], use_flat[f + 1] = ok, False
+
+    taken = np.cumsum(use, axis=1)
+    short = np.flatnonzero(taken[:, -1] < count)
+    use &= taken <= count
+    use[short] = np.arange(K) < count               # placeholders, drawn again below
+    out = x[use].reshape(len(x), count)
+    if len(short):
+        limbs = limbs[:, short]
+        more = _pcg_raws(limbs, K, np.empty((4, count, len(short)), np.uint64))
+        out[short] = _standard_normals(limbs, count, np.concatenate([raw[short], more], axis=1))
     return out
+
+
+#: Spare raws per row (a row of 24 normals in ~4 000 runs out; in 270 with 4
+#: spare), and the rows whose raws the plane stream computes at once.
+SPARE, PIECE_ROWS = 6, 256
 
 
 def spawned_normals(seed: int, count: int, shape: tuple[int, ...]):
@@ -247,9 +286,10 @@ def spawned_normals(seed: int, count: int, shape: tuple[int, ...]):
 
     Each row's PCG64 is seeded as by ``srandom`` (``inc = 2 seq + 1``,
     ``state = (inc + s) * mult + inc``), and :func:`_standard_normals` draws
-    all rows at once.  Their ``.normal(size=shape)`` is ``0.0 + 1.0 * z`` of
-    these draws: equal to them except that an exact zero draw ``-0.0``
-    comes out ``0.0`` there.
+    :data:`PIECE_ROWS` rows at a time: besides the rows returned, ``draw`` holds
+    their seeds and one piece's raws and candidates (~0.7 MB for ``(4, 2, 3)``).
+    Their ``.normal(size=shape)`` is ``0.0 + 1.0 * z`` of these draws: equal
+    to them except that an exact zero draw ``-0.0`` comes out ``0.0`` there.
     """
     seeds = _pcg_seeds(seed)
     if count >= MAX_GRID_POINTS:
@@ -258,10 +298,18 @@ def spawned_normals(seed: int, count: int, shape: tuple[int, ...]):
 
     def draw(rows: slice) -> Array:
         s_hi, s_lo, q_hi, q_lo = seeds(np.arange(rows.start, rows.stop, dtype=np.uint32))
-        inc = [(q_hi << 1) | (q_lo >> 63), (q_lo << 1) | 1]
-        u_lo = inc[1] + s_lo
-        u = [inc[0] + s_hi + (u_lo < s_lo), u_lo]
-        return block_innermost(_standard_normals(u, inc, size).reshape(-1, *shape))
+        i_hi, i_lo = (q_hi << 1) | (q_lo >> 63), (q_lo << 1) | 1
+        u_lo = i_lo + s_lo
+        limbs = np.array([i_hi + s_hi + (u_lo < s_lo), u_lo, i_hi, i_lo])
+        K, n = size + SPARE, len(u_lo)
+        out = np.empty((size, n)).T                     # block-innermost
+        work = np.empty(4 * K * min(PIECE_ROWS, n), np.uint64)
+        for start in range(0, n, PIECE_ROWS):
+            piece = limbs[:, start:start + PIECE_ROWS]
+            # a contiguous scratch for every piece: a strided one takes twice as long
+            raw = _pcg_raws(piece, 0, work[:4 * K * piece.shape[1]].reshape(4, K, -1))
+            out[start:start + PIECE_ROWS] = _standard_normals(piece, size, raw)
+        return out.reshape(n, *shape)
 
     return draw
 
@@ -275,7 +323,7 @@ class Stream:
     ``integers`` takes 32-bit halves as PCG64's ``next_uint32``: a raw's
     upper half waits for the next ``integers``, whatever comes between."""
 
-    ROWS, COLS = 64, 64
+    ROWS, COLS = 32, 64
     __slots__ = ("_u", "_inc", "_raws", "_values", "_rejects", "_pos", "_half")
 
     def __init__(self, seed: int):
@@ -294,9 +342,10 @@ class Stream:
         for _ in range(self.ROWS):
             starts.append(self._u)
             self._u = (a * self._u + c * self._inc) & _MASK128
-        u, inc = (np.array([[x >> 64 for x in xs], [x & _MASK64 for x in xs]],
-                           dtype=np.uint64) for xs in (starts, [self._inc]))
-        raw = np.concatenate([self._raws[self._pos:], _pcg_raws(u, inc, self.COLS).ravel()])
+        limbs = np.array([[x >> shift & _MASK64 for x in xs] for xs in
+                          (starts, [self._inc] * self.ROWS) for shift in (64, 0)], np.uint64)
+        work = np.empty((4, self.COLS, self.ROWS), np.uint64)
+        raw = np.concatenate([self._raws[self._pos:], _pcg_raws(limbs, 0, work).ravel()])
         z, accept = _candidates(raw)
         self._raws, self._values, self._pos = raw, 0.0 + z, 0
         self._rejects = np.flatnonzero(~accept).tolist() + [len(raw)]

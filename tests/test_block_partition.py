@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from graphgeo import extrinsic, identities
+from graphgeo import draws, extrinsic, identities, theorem_gate
 from graphgeo.chart_manifold import ChartManifold, MetricJet
 from graphgeo.extrinsic import block_bounds
 from graphgeo.graph_map import MapJet, SmoothMap
@@ -119,6 +119,40 @@ def test_sweep_columns_ignore_the_row_cap(seed, m, n, count):
         for column in GridSweep._fields:
             assert np.array_equal(getattr(got, column), getattr(want, column),
                                   equal_nan=True), (rows, column)
+
+
+def chunk_sweeps():
+    """``(name, f, grid)``: three registry maps on small grids, and the
+    non-diagonal polynomial map between 3-manifolds."""
+    for name, shape in (("identity-s3", (5, 5, 4)), ("proj-s3-s1", (5, 4, 3)),
+                        ("holo-w2", (13, 11))):
+        sc = get(name)
+        yield name, sc.f, sc.grid_points(shape)
+    rng = np.random.default_rng(3)
+    f = quadratic_map(rng, polynomial_chart(rng, 3, 0.05), polynomial_chart(rng, 3, 0.05))
+    yield "polynomial", f, rng.uniform(-0.5, 0.5, size=(61, 3))
+
+
+CHUNK_SWEEPS = list(chunk_sweeps())
+
+
+@settings(max_examples=25, deadline=None)
+@given(case=st.sampled_from(range(len(CHUNK_SWEEPS))), chunk=st.integers(1, 300),
+       piece=st.integers(1, 300), rows=st.sampled_from([None, 2, 3, 7, 40]))
+@example(case=0, chunk=1, piece=1, rows=2)
+@example(case=3, chunk=50, piece=7, rows=3)
+def test_sweep_bytes_ignore_the_plane_chunks_and_the_blocks(case, chunk, piece, rows):
+    _, f, grid = CHUNK_SWEEPS[case]
+    want = sweep_geometry(f, grid, seed=11)
+    m, n = f.domain.dim, f.target.dim
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(theorem_gate, "PLANE_CHUNK", chunk)
+        mp.setattr(draws, "PIECE_ROWS", piece)
+        if rows:
+            mp.setattr(extrinsic, "BLOCK_BUDGET", rows * (m ** 4 + n ** 4))
+        got = sweep_geometry(f, grid, seed=11)
+    for column in GridSweep._fields:
+        assert getattr(got, column).tobytes() == getattr(want, column).tobytes(), column
 
 
 # ---------------------------------------------------------------------------

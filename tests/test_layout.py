@@ -13,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from graphgeo.chart_manifold import (
+    PLANE_TOL,
     ChartManifold,
     MetricJet,
     block_innermost,
@@ -117,6 +118,38 @@ def test_curvature_and_sectional_forms_ignore_the_layout(block):
     assert np.array_equal(quadratic_form(u_c, g_c[:, None], v_c),
                           quadratic_form(u_b, g_b[:, None], v_b))
     assert np.array_equal(matvec(g_c[:, None], u_c), matvec(g_b[:, None], u_b))
+
+
+def three_form_sectional(riem, g, u, v):
+    """:func:`sectional_from_data` with each of ``uu``, ``vv`` and ``uv`` its
+    own :func:`quadratic_form`, as it was before ``u . g`` was shared."""
+    uu, vv, uv = quadratic_form(u, g, u), quadratic_form(v, g, v), quadratic_form(u, g, v)
+    area2 = uu * vv - uv * uv
+    spans = ~((area2 < PLANE_TOL * uu * vv) | (area2 <= 0.0))
+    return curvature_form(riem, u, v, u, v) / np.where(spans, area2, 1.0), spans
+
+
+@settings(max_examples=30, deadline=None)
+@given(block=blocks())
+@example(block=(np.random.default_rng(2), 202, 3, 3))
+def test_shared_plane_products_give_the_three_form_bits(block):
+    # block-innermost, non-diagonal metrics, and planes laid out as the
+    # sweep hands them over: views of one block-innermost (rows, 4, 2, m)
+    rng, rows, m, n = block
+    riem = block_innermost(rng.normal(size=(rows, m, m, m, m)))
+    g = block_innermost(random_metric_jet(rng, rows, m).g)
+    planes = block_innermost(rng.normal(size=(rows, 4, 2, m)))
+    u, v = planes[:, :, 0], planes[:, :, 1]
+    assert np.count_nonzero(g[:, 0, 1]) == rows
+    assert_same_bits(sectional_from_data(riem[:, None], g[:, None], u, v),
+                     three_form_sectional(riem[:, None], g[:, None], u, v))
+    # and on the pushed-forward target planes
+    d1 = block_innermost(rng.normal(size=(rows, n, m)))
+    du, dv = matvec(d1[:, None], u), matvec(d1[:, None], v)
+    riem_n = block_innermost(rng.normal(size=(rows, n, n, n, n)))
+    g_n = block_innermost(random_metric_jet(rng, rows, n).g)
+    assert_same_bits(sectional_from_data(riem_n[:, None], g_n[:, None], du, dv),
+                     three_form_sectional(riem_n[:, None], g_n[:, None], du, dv))
 
 
 @settings(max_examples=20, deadline=None)

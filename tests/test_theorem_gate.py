@@ -359,20 +359,42 @@ def test_spawned_normals_equal_seed_sequence_children_past_the_ziggurat_edges(se
 
 
 def test_spawned_normals_draw_again_the_rows_that_run_out_of_raws(monkeypatch):
-    # without spare raws every row that rejects a candidate runs out
-    standard_normals, calls = draws._standard_normals, []
+    # without spare raws every row that rejects a candidate runs out; it
+    # continues with its next raws, so no row's raws are computed twice
+    pcg_raws, calls = draws._pcg_raws, []
 
-    def first_without_spare(u, inc, count, spare=0):
-        calls.append(len(u[0]))
-        return standard_normals(u, inc, count, spare)
+    def recording(limbs, start, work):
+        calls.append((start, limbs.shape[1], len(work[0])))
+        return pcg_raws(limbs, start, work)
 
-    monkeypatch.setattr(draws, "_standard_normals", first_without_spare)
+    monkeypatch.setattr(draws, "SPARE", 0)
+    monkeypatch.setattr(draws, "_pcg_raws", recording)
     count, shape = 2 ** 12, (4, 2, 3)
     got = spawned_normals(4, count, shape)(slice(0, count))
     monkeypatch.undo()
-    assert calls[0] == count and 0 < calls[1] < count
+    size = math.prod(shape)
+    assert sum(rows for start, rows, _ in calls if start == 0) == count
+    more = [(start, rows, cols) for start, rows, cols in calls if start]
+    assert more and min(start for start, _, _ in more) == size
+    assert all(start % size == 0 and cols == size and 0 < rows < draws.PIECE_ROWS
+               for start, rows, cols in more)
     want = np.array([np.random.default_rng(child).standard_normal(size=shape)
                      for child in np.random.SeedSequence(4).spawn(count)])
+    assert got.tobytes() == want.tobytes()
+
+
+def test_spawned_normals_decide_every_wedge_by_libm_alike(monkeypatch):
+    # with the re-check window widened to every wedge, libm's exp decides
+    # each one, as in numpy's C code; the bytes stay those of numpy
+    exp, calls = math.exp, []
+    monkeypatch.setattr(draws, "EXP_RECHECK", np.inf)
+    monkeypatch.setattr(math, "exp", lambda v: calls.append(v) or exp(v))
+    count, shape = 2 ** 12, (4, 2, 3)
+    got = spawned_normals(5, count, shape)(slice(0, count))
+    monkeypatch.undo()
+    assert len(calls) >= 1000      # about one draw in 70 tests a wedge
+    want = np.array([np.random.default_rng(child).standard_normal(size=shape)
+                     for child in np.random.SeedSequence(5).spawn(count)])
     assert got.tobytes() == want.tobytes()
 
 
