@@ -107,14 +107,11 @@ class ChartManifold(_ChartFields):
             raise ValueError(f"{self.name}: point has dimension {p.dim}, expected {self.dim}")
         return p
 
-    def contains(self, coords: Array, with_margin: bool = False) -> Array:
+    def contains(self, coords: Array) -> Array:
         """Whether points lie strictly inside the chart box: a bool array over
         the leading axes of ``coords`` (the chart axis last)."""
         coords = np.asarray(coords, dtype=float)
         lo, hi = self.chart_box[:, 0], self.chart_box[:, 1]
-        if with_margin:
-            w = (hi - lo) * self.margin
-            lo, hi = lo + w, hi - w
         return np.all((coords > lo) & (coords < hi), axis=-1)
 
     def sample_box(self) -> Array:
@@ -385,8 +382,7 @@ def sectional_curvature(man: ChartManifold, p: ChartPoint,
 # Generalized symmetric eigenproblem
 # ---------------------------------------------------------------------------
 
-def sym_eigen(phi: Array, g: Array, tol: float = 1e-12,
-              max_sweeps: int = 100) -> tuple[Array, Array]:
+def sym_eigen(phi: Array, g: Array, tol: float = 1e-12) -> tuple[Array, Array]:
     """Eigenvalues and g-orthonormal eigenbasis of ``phi`` relative to ``g``.
 
     Solves ``phi v = lam g v`` for symmetric ``phi`` and positive definite
@@ -419,7 +415,7 @@ def sym_eigen(phi: Array, g: Array, tol: float = 1e-12,
     off_diag = ~np.eye(k, dtype=bool)
 
     active = np.ones(len(B), dtype=bool)
-    for _ in range(max_sweeps if k > 1 else 0):
+    for _ in range(100 if k > 1 else 0):      # sweeps, converged or not
         active &= np.abs(B[:, off_diag]).max(axis=-1) > tol_eff
         if not active.any():
             break

@@ -352,7 +352,8 @@ def cmd_report(cfg: RunConfig) -> int:
     scenario = _resolve_scenario(cfg)
     sweep, gate = _gate(cfg, scenario)
     identities = run_identity_suite(scenario, seed=cfg.seed, h=cfg.h, c=cfg.c,
-                                    tolerances=cfg.tolerances)
+                                    tolerances=cfg.tolerances,
+                                    kappa_margin=cfg.kappa_margin)
 
     with _stage("serialize"):
         report = {
@@ -373,7 +374,8 @@ def cmd_report(cfg: RunConfig) -> int:
 def cmd_verify(cfg: RunConfig) -> int:
     scenario = _resolve_scenario(cfg)
     reports = run_identity_suite(scenario, seed=cfg.seed, h=cfg.h, c=cfg.c,
-                                 tolerances=cfg.tolerances)
+                                 tolerances=cfg.tolerances,
+                                 kappa_margin=cfg.kappa_margin)
     _to_stdout(lambda out: out.write("".join(r.line() + "\n" for r in reports)))
     if cfg.output:
         records = _identity_records(reports)

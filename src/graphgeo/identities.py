@@ -24,6 +24,7 @@ from .errors import InvalidParameterError, PreconditionError
 from .extrinsic import MINIMAL_TOL, GraphBlock, graph_block, graph_blocks
 from .graph_map import SmoothMap, frame_residual_block, shift_deficit
 from .product_space import product_form
+from .theorem_gate import kappa_level
 
 Array = np.ndarray
 
@@ -120,12 +121,11 @@ def _require_minimal(d: PointData, minimal_tol: float) -> None:
 # Normal estimate for the split-signature form
 # ---------------------------------------------------------------------------
 
-def normal_estimate_check(d: PointData, c, rng: Stream | None = None,
-                          n_mixtures: int = 20) -> Array:
+def normal_estimate_check(d: PointData, c, rng: Stream | None = None) -> Array:
     """Worst slack of the normal-cone estimate ``((c-1)/(1+c)) |eta|^2 -
     s_prod(eta, eta) >= 0`` (for ``c >= lambda_max^2``) over the adapted
-    normal frame vectors, ``n_mixtures`` random normal combinations (drawn
-    row by row, shift by shift) and the vectors ``A(e_i, e_j)``.  The shift
+    normal frame vectors, 20 random normal combinations (drawn row by row,
+    shift by shift) and the vectors ``A(e_i, e_j)``.  The shift
     ``c`` is shared or per row (first axis; further axes: more shifts); the
     result has its shape, and is NaN where a slack is.
     """
@@ -142,7 +142,7 @@ def normal_estimate_check(d: PointData, c, rng: Stream | None = None,
     # the normal frame vectors, random mixtures of them (summed column by
     # column) and the vectors A(e_i, e_j), as rows of one stack per shift
     xi = _expand(np.swapaxes(d.normal, -1, -2), k - 1)
-    coeff = rng.normal(size=(*c.shape, n_mixtures, d.n))
+    coeff = rng.normal(size=(*c.shape, 20, d.n))
     mixtures = sum(coeff[..., i, None] * xi[..., i, None, :] for i in range(d.n))
     a = _expand(d.a_frame.reshape(len(d), d.m * d.m, -1), k - 1)
     eta = np.concatenate([np.broadcast_to(x, (*c.shape, *x.shape[k:]))
@@ -362,16 +362,15 @@ def scalar_laplacian_fd(d: PointData, f0: Array, vals: Array, h: float) -> Array
 # ---------------------------------------------------------------------------
 
 def shifted_tensor_laplacian(d: PointData, c: float, h: float,
-                             probe_step: float = 0.05,
                              stencil: GraphBlock | None = None) -> Array:
     """Rough Laplacian of the shifted tensor field at each row: zero where
     the field is parallel (exact covariant derivative vanishing at the point
-    and at its axis neighbours at ``probe_step``, not at an isolated
-    critical point alone), else from one stencil block for those rows, or
+    and at its axis neighbours at step 0.05, not at an isolated critical
+    point alone), else from one stencil block for those rows, or
     from their rows of ``stencil``, the stencil block of every row of ``d``
     at step ``h``."""
     count = 2 * d.m
-    probes = _stencil_block(d, probe_step, count)
+    probes = _stencil_block(d, 0.05, count)
     phi, dphi, gamma = (
         np.concatenate([_expand(at_p, 1), _per_row(near, count)], axis=1)
         for at_p, near in zip((*d.shifted_jet(c), d.gamma_g),
@@ -528,7 +527,6 @@ def _skip_reason(d: PointData, r: int, sigma: float, lambda0_sq: float,
 def null_eigenvector_probe(d: PointData, sigma: float, lambda0_sq: float,
                            kappa_sq: float | None = None,
                            rng: Stream | None = None,
-                           n_draws: int = 20,
                            tol: float = 1e-10) -> list[NullProbeResult]:
     """Probe the null-eigenvector condition of the reaction term at each row.
 
@@ -542,6 +540,7 @@ def null_eigenvector_probe(d: PointData, sigma: float, lambda0_sq: float,
     their draws taken, in turn; the reaction term then runs once.
     """
     rng = rng or Stream(0)
+    n_draws = 20
     if sigma <= 0.0:
         return [NullProbeResult("skipped", "needs a positive pinching level",
                                 np.inf, 0, 0.0)] * len(d)
@@ -594,20 +593,21 @@ class ExtremumProbeResult(NamedTuple):
 
 def extremum_derivative_probe(f: SmoothMap, grid: Array,
                               box: Array, c: float | None = None,
-                              h: float = 1e-3, grad_tol: float | None = None,
-                              lap_tol: float = 1e-4,
+                              h: float = 1e-3,
                               minimal_tol: float = MINIMAL_TOL) -> ExtremumProbeResult:
     """Locate the maximum of the top eigenvalue of the shifted tensor over
     the rows of ``grid`` and check the first/second derivative criteria there.
 
     At an interior maximum of the largest eigenvalue, the covariant
-    derivative of the field must vanish on the top eigenvector (up to grid
-    resolution) and the rough Laplacian must be non-positive there.  A
-    maximum attained on the sampling-box boundary is inconclusive.
+    derivative of the field must vanish on the top eigenvector (below ten
+    grid spacings) and the rough Laplacian must be non-positive there (below
+    ``lap_tol``).  A maximum attained on the sampling-box boundary is
+    inconclusive.
     """
     grid = np.asarray(grid, dtype=float)
     if not len(grid):
         raise ValueError("empty probe grid")
+    lap_tol = 1e-4
     box = np.asarray(box, dtype=float)
     # keep only the columns the probe reduces, one block alive at a time
     h_max, lam0_sq, tensors = [], [], []
@@ -639,8 +639,7 @@ def extremum_derivative_probe(f: SmoothMap, grid: Array,
     idx = near[np.argmax(boundary_distance(grid[near]))]
     spacing = float(np.max((box[:, 1] - box[:, 0])
                            / (max(len(grid), 2) ** (1.0 / box.shape[0]))))
-    if grad_tol is None:
-        grad_tol = 10.0 * spacing
+    grad_tol = 10.0 * spacing
 
     if boundary_distance(grid[idx]) <= 0.45 * spacing:
         return ExtremumProbeResult(
@@ -728,7 +727,7 @@ def run_identity_suite(scenario, seed: int = 0, h: float = 1e-3,
                        c: float = 2.0,
                        tolerances: dict[str, float] | None = None,
                        n_points: int = 12,
-                       n_tuples: int = 15) -> list[IdentityReport]:
+                       kappa_margin: float = 0.01) -> list[IdentityReport]:
     """Run every identity check applicable to the scenario's dimensions.
 
     The sample points are one :class:`GraphBlock`; each check evaluates all
@@ -736,6 +735,8 @@ def run_identity_suite(scenario, seed: int = 0, h: float = 1e-3,
     whose preconditions fail (a non-minimal map, dimensions other than two)
     is skipped, not failed.  A NaN residual never passes; a NaN mean
     curvature fails the checks for minimal maps instead of skipping them.
+    The null-eigenvector probe takes the gate's ``kappa^2`` at
+    ``kappa_margin`` (see :func:`graphgeo.theorem_gate.kappa_level`).
     """
     tol = {**DEFAULT_IDENTITY_TOLERANCES, **(tolerances or {})}
     f = scenario.f
@@ -765,6 +766,7 @@ def run_identity_suite(scenario, seed: int = 0, h: float = 1e-3,
         tol["normal_estimate"], {"worst_slack": worst}))
 
     # each tuple draws its point, c, sigma and direction in turn
+    n_tuples = 15
     at, cc, sg, ll = np.array([
         (rng.integers(0, n_points), rng.uniform(0.05, 10.0), rng.uniform(-2.0, 2.0),
          rng.integers(0, f.domain.dim)) for _ in range(n_tuples)]).reshape(-1, 4).T
@@ -829,9 +831,8 @@ def run_identity_suite(scenario, seed: int = 0, h: float = 1e-3,
                                 "non-minimal scenario", nan_h))
 
     lam0_sq = float(np.max(frames.lambdas[:, -1] ** 2))
-    kappa_sq = max(1.01, 1.01 * lam0_sq)
-    probes = null_eigenvector_probe(d.take(slice(0, 6)), sigma, lam0_sq, kappa_sq,
-                                    rng=rng)
+    probes = null_eigenvector_probe(d.take(slice(0, 6)), sigma, lam0_sq,
+                                    kappa_level(lam0_sq, kappa_margin), rng=rng)
     ran = [pr.min_value for pr in probes if pr.status != "skipped"]
     if not ran:
         reports.append(IdentityReport(

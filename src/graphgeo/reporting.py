@@ -10,24 +10,21 @@ text stream they are given, piece by piece as the artifact is encoded;
 there is no mode that collects the text and returns it.  No copy of the
 whole text is built on the way to a file or stdout.
 
-A :class:`Table` of numbers (a report's per-point records) is formatted in
-pieces of :data:`ROWS_PER_PIECE` records; there is no one ``%`` over the
-whole table.  Every record whose cells are null in the same places shares
-one ``%``-template, built once per pattern for the whole table, with a slot
-per number and a literal ``null`` (in CSV: ``null`` for NaN or inf, an
-empty cell for None) for the others; one ``%`` per piece fills the slots of
-its records.
+A :class:`Table` of float columns (a report's per-point records) has one
+write path: it is formatted in pieces of :data:`ROWS_PER_PIECE` records;
+there is no one ``%`` over the whole table.  Every record whose cells are
+null in the same places shares one ``%``-template, built once per pattern
+for the whole table, with a ``%s`` slot per number and a literal ``null``
+(in CSV: ``null`` for NaN or inf, an empty cell for None) for the others;
+one ``%`` per piece fills the slots of its records.
 
 A point table repeats most of its numbers (a grid coordinate in every row
 of its line, a constant curvature at every point), so each distinct bit
-pattern of a piece is formatted ``%.17g`` once and its text fills a ``%s``
-slot wherever it occurs.  The texts of the last piece formatted this way
-are kept for the next one, so the cache holds at most one piece of slots
-(``ROWS_PER_PIECE`` times the numbers of a record) and encoding memory does
-not grow with the table.  A piece in which more than :data:`FRESH_SHARE`
-of the numbers are distinct and not in the cache is formatted by one ``%``
-over the numbers into ``%.17g`` slots instead.  Both give the same bytes;
-the CSV record-index slots are always ``%d`` and stay out of the cache.
+pattern of a piece is formatted ``%.17g`` once and its text fills every
+slot where it occurs.  The texts of the last piece are kept for the next
+one, so the cache holds at most one piece of slots (``ROWS_PER_PIECE``
+times the numbers of a record) and encoding memory does not grow with the
+table.  The CSV record-index slots are ``%d`` and stay out of the cache.
 """
 
 from __future__ import annotations
@@ -45,46 +42,31 @@ from .records import Frozen
 #: time per piece, more rows raise peak memory and gain no time.
 ROWS_PER_PIECE = 256
 
-#: A piece in which more than this share of the numbers are distinct and not
-#: in the cache is formatted by one ``%`` over its numbers.  Measured on 3 600
-#: records of 9 numbers with a given share of new ones (CHANGES.md): filling
-#: texts costs less up to a share of ~0.75 in JSON and ~0.8 in CSV; with no
-#: repeats at all it costs 31-39 % more in JSON than one ``%`` over numbers.
-FRESH_SHARE = 0.75
-
 
 class Table(Frozen):
-    """Same-keyed records held as columns.
+    """Same-keyed records held as float columns.
 
-    Record ``i`` maps every key to row ``i`` of its column (an array, or a
-    list); a row of a 2-d array is a list.  ``null`` maps keys of 1-d
-    columns to boolean masks: where a key's mask is set, its records hold
-    None.  A table serializes exactly as the list of its records, and
-    iterating it yields them.
-
-    A table of float arrays (1-d, or 2-d for rows of lists) is written by
-    one ``%``-template per pattern of null cells, a piece of rows at a time;
-    a table with any other column is written record by record.
+    Record ``i`` maps every key to row ``i`` of its column, a float array:
+    a number of a 1-d column, a list of a 2-d column's row.  ``null`` maps
+    keys of 1-d columns to boolean masks: where a key's mask is set, its
+    records hold None.  A table serializes exactly as the list of its
+    records, by one ``%``-template per pattern of null cells, a piece of
+    rows at a time.  Any other column raises TypeError.
     """
 
-    __slots__ = ("columns", "null")      # dict[str, Any], dict[str, Any]
+    __slots__ = ("columns", "null")      # dict[str, Array], dict[str, Array]
 
     def __init__(self, columns: dict, null: dict | None = None):
-        super().__init__(columns, {} if null is None else null)
+        null = {} if null is None else null
+        for key, col in columns.items():
+            if not (isinstance(col, np.ndarray) and col.dtype.kind == "f"
+                    and 1 <= col.ndim <= (1 if key in null else 2)):
+                raise TypeError(f"column {key!r} is not a 1-d"
+                                f"{'' if key in null else ' or 2-d'} float array")
+        super().__init__(columns, null)
 
     def __len__(self) -> int:
         return len(next(iter(self.columns.values()), ()))
-
-    def __iter__(self):
-        cols = [_plain(col) for col in self.columns.values()]
-        for k, key in enumerate(self.columns):
-            if key in self.null:
-                cols[k] = [None if n else v for v, n in zip(cols[k], _plain(self.null[key]))]
-        return (dict(zip(self.columns, row)) for row in zip(*cols))
-
-
-def _plain(col: Any) -> list:
-    return col.tolist() if isinstance(col, np.ndarray) else list(col)
 
 
 def format_float(x: float) -> str:
@@ -147,19 +129,15 @@ def _emit_items(brackets: str, items: list, indent: int, write) -> None:
 
 
 def _emit_table(table: Table, indent: int, write) -> None:
-    """The list of ``table``'s records, in pieces of formatted records when
-    its columns are float arrays (see :func:`_slots`), else record by
-    record."""
-    slots = _slots(table)
-    if slots is None:
-        _emit(list(table), indent, write)
+    """The list of ``table``'s records, in pieces (see :func:`_pieces`)."""
+    if not len(table):
+        write("[]")
         return
-    widths, columns, state = slots
+    widths, columns, state = _slots(table)
     keys = [json.dumps(str(k)).replace("%", "%%") for k in table.columns]
     write("[\n")
     for piece in _pieces(columns, state,
-                         lambda p, number: _json_record(keys, widths, p, number, indent + 2),
-                         ",\n"):
+                         lambda p: _json_record(keys, widths, p, indent + 2), ",\n"):
         write(piece)
     write("\n" + " " * indent + "]")
 
@@ -167,58 +145,42 @@ def _emit_table(table: Table, indent: int, write) -> None:
 def _slots(table: Table):
     """The width of each column's rows (None for a number), ``table``'s
     cells as one 2-d float array per column (a view of the column), and the
-    state of every slot of the table, one column per number: 0 for a finite
-    number, 1 for NaN or inf, 2 for None.  None when the table is empty,
-    holds no number, or has a column that is not a float array, or a 2-d
-    one with a null mask.
+    state of every slot of the (non-empty) table, one column per number: 0
+    for a finite number, 1 for NaN or inf, 2 for None.
     """
-    if not len(table):
-        return None
     widths, columns, states = [], [], []
     for key, col in table.columns.items():
         null = table.null.get(key)
-        if not (isinstance(col, np.ndarray) and col.dtype.kind == "f"
-                and col.ndim <= (2 if null is None else 1)):
-            return None
         widths.append(col.shape[1] if col.ndim == 2 else None)
         cells = col.reshape(len(col), -1).astype(float, copy=False)
         none = False if null is None else np.asarray(null, dtype=bool)[:, None]
         columns.append(cells)
         states.append(np.where(none, 2, ~np.isfinite(cells)).astype(np.int8))
-    state = np.hstack(states)
-    if not state.shape[1]:
-        return None
-    return widths, columns, state
-
-
-def _cells(columns: list[np.ndarray], rows: slice) -> np.ndarray:
-    """The slot values of ``rows`` of the table, one column per slot."""
-    return np.hstack([col[rows] for col in columns])
+    return widths, columns, np.hstack(states)
 
 
 def _pieces(columns: list[np.ndarray], state: np.ndarray, template, sep: str,
-            args=lambda rows, cells: cells):
+            args=lambda rows, texts: texts):
     """The records joined by ``sep``, in pieces of :data:`ROWS_PER_PIECE`
     records that concatenate to the whole.  Record ``i`` takes
-    ``template(pattern, slot)`` of its row of slot states, built once per
-    pattern for the whole table (there are usually one or two) with ``slot``
+    ``template(pattern)`` of its row of slot states, built once per pattern
+    for the whole table (there are usually one or two) with a ``%s`` slot
     for each finite number.  One ``%`` per piece fills its templates' slots
-    in order from the array ``args(rows, cells)``: ``cells`` holds that
-    slice of rows' finite numbers as texts for ``%s`` slots (see
-    :class:`_Texts`), or, in a piece of mostly new numbers, as numbers for
-    ``%.17g`` slots."""
-    patterns = state.view(f"V{state.shape[1]}").ravel()
+    in order from the array ``args(rows, texts)``: ``texts`` holds that
+    slice of rows' finite numbers as texts (see :class:`_Texts`)."""
+    # with no number slot there is one pattern: a void view of no bytes a
+    # row would hold no rows
+    patterns = (state.view(f"V{state.shape[1]}").ravel() if state.shape[1]
+                else np.zeros(len(state), dtype=np.int8))
     _, first, which = np.unique(patterns, return_index=True, return_inverse=True)
-    templates = {slot: [template(state[i].tolist(), slot) for i in first.tolist()]
-                 for slot in ("%s", "%.17g")}
+    templates = [template(state[i].tolist()) for i in first.tolist()]
     cache = _Texts()
     for start in range(0, len(state), ROWS_PER_PIECE):
         rows = slice(start, start + ROWS_PER_PIECE)
-        values = _cells(columns, rows)[state[rows] == 0]
-        texts = cache(values)
-        slot, cells = ("%.17g", values) if texts is None else ("%s", texts)
-        text = sep.join([templates[slot][i] for i in which[rows].tolist()])
-        yield (sep + text if start else text) % tuple(args(rows, cells).tolist())
+        cells = np.hstack([col[rows] for col in columns])
+        texts = cache(cells[state[rows] == 0])
+        text = sep.join([templates[i] for i in which[rows].tolist()])
+        yield (sep + text if start else text) % tuple(args(rows, texts).tolist())
 
 
 class _Texts:
@@ -232,19 +194,14 @@ class _Texts:
         self.bits = np.empty(0, dtype=np.uint64)
         self.texts = np.empty(0, dtype=object)
 
-    def __call__(self, values: np.ndarray) -> np.ndarray | None:
+    def __call__(self, values: np.ndarray) -> np.ndarray:
         """The text of every number of ``values`` (1-d, finite) as an
-        object array; None, and the cache kept, when more than
-        :data:`FRESH_SHARE` of them are distinct patterns not in the cache:
-        then one ``%`` over the numbers costs less than formatting and
-        filling in their texts."""
+        object array."""
         bits, which = np.unique(values.view(np.uint64), return_inverse=True)
         # known: held by the cache at the pattern's sorted place
         at = np.searchsorted(self.bits, bits)
         known = at < len(self.bits)
         known[known] = self.bits[at[known]] == bits[known]
-        if len(bits) - np.count_nonzero(known) > FRESH_SHARE * len(values):
-            return None
         texts = np.empty(len(bits), dtype=object)
         texts[known] = self.texts[at[known]]
         fresh = bits[~known].view(float).tolist()
@@ -255,11 +212,10 @@ class _Texts:
         return texts[which]
 
 
-def _json_record(keys: list[str], widths: list, pattern: list[int], number: str,
-                 indent: int) -> str:
-    """The ``%``-template of one record at ``indent``: a ``number`` slot
-    per finite number, ``null`` for the others."""
-    slot = iter("null" if s else number for s in pattern)
+def _json_record(keys: list[str], widths: list, pattern: list[int], indent: int) -> str:
+    """The ``%``-template of one record at ``indent``: a ``%s`` slot per
+    finite number, ``null`` for the others."""
+    slot = iter("null" if s else "%s" for s in pattern)
     pad = " " * (indent + 2)
     item = "\n" + " " * (indent + 4)
     fields = []
@@ -309,44 +265,38 @@ def _csv_cell(value: Any) -> str:
     return text
 
 
-def _csv_table(section: str, table: Table, write) -> bool:
+def _csv_table(section: str, table: Table, write) -> None:
     """Write the CSV rows of ``table``'s records under ``section``, each
-    named by its record's index, in pieces; False, and nothing written, when
-    the table has other columns than float arrays (see :func:`_slots`)."""
-    slots = _slots(table)
-    if slots is None:
-        return False
-    widths, columns, state = slots
+    named by its record's index, in pieces (see :func:`_pieces`)."""
+    if not len(table):
+        return
+    widths, columns, state = _slots(table)
     keys = [str(k).replace("%", "%%") for k in table.columns]
     section = section.replace("%", "%%")
 
-    def args(rows: slice, cells: np.ndarray) -> np.ndarray:
+    def args(rows: slice, texts: np.ndarray) -> np.ndarray:
         # every row's slot is preceded by the record index (a %d slot)
         finite = state[rows] == 0
         slots = np.empty((*finite.shape, 2), dtype=object)
         slots[..., 0] = np.arange(rows.start, rows.start + len(finite))[:, None]
-        slots[..., 1][finite] = cells
+        slots[..., 1][finite] = texts
         return slots[np.stack([np.ones_like(finite), finite], axis=-1)]
 
     for piece in _pieces(columns, state,
-                         lambda p, number: _csv_record(section, keys, widths, p, number),
-                         "\n", args):
+                         lambda p: _csv_record(section, keys, widths, p), "", args):
         write(piece)
-    write("\n")
-    return True
 
 
-def _csv_record(section: str, keys: list[str], widths: list, pattern: list[int],
-                number: str) -> str:
-    """The ``%``-template of one record's CSV rows: a ``%d`` slot for the
-    record index, then a ``number`` slot per finite number, ``null`` for
-    NaN or inf and an empty cell for None."""
+def _csv_record(section: str, keys: list[str], widths: list, pattern: list[int]) -> str:
+    """The ``%``-template of one record's CSV rows, each ended by a newline
+    (none for a record of no number): a ``%d`` slot for the record index,
+    then a ``%s`` slot per finite number, ``null`` for NaN or inf and an
+    empty cell for None."""
     slot = iter(pattern)
-    lines = []
-    for key, width in zip(keys, widths):
-        for name in [key] if width is None else [f"{key}_{i}" for i in range(width)]:
-            lines.append(f"{section},%d,{name}," + (number, "null", "")[next(slot)])
-    return "\n".join(lines)
+    return "".join(
+        f"{section},%d,{name}," + ("%s", "null", "")[next(slot)] + "\n"
+        for key, width in zip(keys, widths)
+        for name in ([key] if width is None else [f"{key}_{i}" for i in range(width)]))
 
 
 def report_to_csv(report: dict, out: TextIO) -> None:
@@ -367,7 +317,7 @@ def report_to_csv(report: dict, out: TextIO) -> None:
                 for k2, v2 in val.items():
                     write(f"{section},{name},{key}.{k2},{_csv_cell(v2)}\n")
             elif isinstance(val, (list, tuple, np.ndarray)):
-                seq = _plain(val)
+                seq = val.tolist() if isinstance(val, np.ndarray) else list(val)
                 if all(not isinstance(v, (list, tuple, dict, np.ndarray)) for v in seq):
                     for i, v in enumerate(seq):
                         write(f"{section},{name},{key}_{i},{_csv_cell(v)}\n")
@@ -379,7 +329,9 @@ def report_to_csv(report: dict, out: TextIO) -> None:
     write("section,name,field,value\n")
     emit("config", "", report.get("config", {}))
     points = report.get("points", [])
-    if not (isinstance(points, Table) and _csv_table("point", points, write)):
+    if isinstance(points, Table):
+        _csv_table("point", points, write)
+    else:
         for idx, rec in enumerate(points):
             emit("point", str(idx), rec)
     for rec in report.get("identities", []):

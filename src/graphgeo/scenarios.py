@@ -80,16 +80,15 @@ def constant_map(domain: ChartManifold, target: ChartManifold,
 
 
 def linear_map(domain: ChartManifold, target: ChartManifold, matrix,
-               shift=None, name: str = "linear") -> SmoothMap:
+               name: str = "linear") -> SmoothMap:
     Q = np.asarray(matrix, dtype=float)
     m, n = domain.dim, target.dim
     if Q.shape != (n, m):
         raise ValueError(f"matrix must have shape ({n}, {m})")
-    b = np.zeros(n) if shift is None else np.asarray(shift, dtype=float)
 
     def jet(x: Array) -> MapJet:
         rows = len(x)
-        return MapJet(matvec(Q, x) + b, np.repeat(Q[None], rows, axis=0),
+        return MapJet(matvec(Q, x), np.repeat(Q[None], rows, axis=0),
                       np.zeros((rows, n, m, m)), np.zeros((rows, n, m, m, m)))
 
     return SmoothMap(domain, target, jet, name)

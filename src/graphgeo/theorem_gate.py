@@ -190,11 +190,11 @@ def curvature_pinching_check(sweep: GridSweep, sigma: float,
     return PinchingMargins(dom, tgt, ok)
 
 
-def _kappa(sweep: GridSweep, margin: float) -> tuple[float, float]:
-    """``kappa^2 = max(1 + margin, (1 + margin) * lambda0^2)`` and its worst
-    pointwise slack over the squared top singular values."""
-    kappa_sq = float(np.maximum(1.0 + margin, (1.0 + margin) * sweep.lambda0_sq))
-    return kappa_sq, float(np.min(kappa_sq - sweep.lambdas[:, -1] ** 2))
+def kappa_level(lambda0_sq: float, margin: float) -> float:
+    """The strict pullback bound's ``kappa^2 = max(1 + margin, (1 + margin)
+    * lambda0^2)`` over a largest squared singular value ``lambda0^2``: the
+    gate's and the identity suite's."""
+    return float(np.maximum(1.0 + margin, (1.0 + margin) * lambda0_sq))
 
 
 def second_fundamental_bound_check(sweep: GridSweep, sigma: float,
@@ -272,7 +272,9 @@ def evaluate_hypotheses(sweep: GridSweep, sigma: float,
 
     pinch = curvature_pinching_check(sweep, sigma, slack)
     trace_margin = sweep.min_trace_s
-    kappa_sq, kappa_worst = _kappa(sweep, kappa_margin)
+    kappa_sq = kappa_level(sweep.lambda0_sq, kappa_margin)
+    # its worst pointwise slack over the squared top singular values
+    kappa_worst = float(np.min(kappa_sq - sweep.lambdas[:, -1] ** 2))
     kappa_ok = kappa_sq > 1.0 + STRICT_MARGIN and kappa_worst >= STRICT_MARGIN
     cond4_margin = second_fundamental_bound_check(sweep, sigma, kappa_sq)
     h_max = sweep.max_h_norm

@@ -109,7 +109,7 @@ def test_criterion_04_normal_estimate(capsys):
         lam2 = powers(d.lambdas[:, -1], 2)
         # both shift levels at every point, drawn point by point
         worst = min(worst, float(np.min(normal_estimate_check(
-            d, np.stack([lam2, lam2 + 1.0], axis=-1), rng=rng, n_mixtures=20))))
+            d, np.stack([lam2, lam2 + 1.0], axis=-1), rng=rng))))
     ok = worst >= -1e-10
     announce(capsys, 4, ok,
              f"worst normal-estimate slack {worst:.2e} (>= -1e-10; frame "
@@ -245,7 +245,7 @@ def test_criterion_10_null_eigenvector_probes(capsys):
         sc = get(name)
         for res in null_eigenvector_probe(point_rows(sc.f, sc.random_points(n_pts, rng)),
                                           sigma=1.0, lambda0_sq=1.0, kappa_sq=1.01,
-                                          rng=rng, n_draws=20):
+                                          rng=rng):
             assert res.status != "skipped", res.reason
             draws += res.draws
             worst = min(worst, res.min_value)
@@ -261,7 +261,7 @@ def test_criterion_10_null_eigenvector_probes(capsys):
         lam0_sq = float(powers(rows.lambdas[:, -1], 2).max())
         assert lam0_sq < 1.0
         for res in null_eigenvector_probe(rows, sigma=1.0, lambda0_sq=lam0_sq,
-                                          rng=rng, n_draws=20):
+                                          rng=rng):
             assert res.status != "skipped", res.reason
             draws += res.draws
             worst = min(worst, res.min_value)

@@ -338,14 +338,28 @@ def test_sigma_reaches_the_null_probe(name, default, sigma, reason, capsys):
     assert NULL_PROBE_SKIP + reason in capsys.readouterr().out.splitlines()
 
 
+def test_kappa_margin_reaches_the_null_probe(capsys):
+    # the suite's pullback bound is the gate's kappa^2 = (1 + margin) * 1 for
+    # the isometry: at a margin of 1e-12 it is not strictly above lambda^2
+    assert run(["verify-identities", "--scenario", "identity-s2"]) == 0
+    assert [line for line in capsys.readouterr().out.splitlines()
+            if line.startswith("[PASS] null-eigenvector-probe")]
+    assert run(["verify-identities", "--scenario", "identity-s2",
+                "--kappa-margin", "1e-12"]) == 0
+    assert [line for line in capsys.readouterr().out.splitlines()
+            if line.startswith(NULL_PROBE_SKIP + "pullback bound fails")]
+
+
 @pytest.mark.parametrize("settings", [
     {"seed": 3},
     {"seed": 3, "sigma": 0.5},
     {"seed": 1, "box": [[-0.8, 0.6], [-0.5, 0.7]]},
     {"seed": 1, "sigma": 5.0, "box": [[-0.8, 0.6], [-0.5, 0.7]]},
+    {"seed": 3, "scenario": "identity-s2", "kappa_margin": 1e-12},
 ])
 def test_report_identities_equal_verify_records(settings, tmp_path, capsys):
-    # the report and verify-identities run the suite under one sigma and box
+    # the report and verify-identities run the suite under one sigma, box
+    # and kappa margin
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"scenario": "holo-w2", "grid": [4, 4], **settings}))
     report, verify = tmp_path / "report.json", tmp_path / "verify.json"
@@ -356,6 +370,7 @@ def test_report_identities_equal_verify_records(settings, tmp_path, capsys):
     assert json.loads(report.read_text())["identities"] == records
     reason = {r["name"]: r["skipped_reason"] for r in records}["null-eigenvector-probe"]
     assert ("sectional curvature" in reason) == ("sigma" in settings)
+    assert ("pullback bound fails" in reason) == ("kappa_margin" in settings)
 
 
 def test_box_reaches_the_identity_suite(tmp_path, capsys):
@@ -766,34 +781,28 @@ def test_point_table_serializes_as_point_records(data, rows, m):
     assert csv_text({"points": table}) == csv_text({"points": records})
 
 
-# Tables whose columns are not all floats: each kind of column with the
-# Python value of its row ``i``, the form its record must serialize to.
+# Each kind of table column: its float array, its null mask (None: no
+# mask) and the Python value of its row ``i``, the form its record must
+# serialize to.
 def column_kinds(data, rows):
-    def floats(*shape):
+    def floats(*shape, dtype=float, elements=any_float):
         size = int(np.prod(shape))
-        values = data.draw(st.lists(any_float, min_size=size, max_size=size))
-        return np.array(values, dtype=float).reshape(shape)
+        values = data.draw(st.lists(elements, min_size=size, max_size=size))
+        return np.array(values, dtype=dtype).reshape(shape)
 
     width = data.draw(st.integers(0, 3))
-    ints = data.draw(st.lists(st.integers(-10 ** 20, 10 ** 20), min_size=rows,
-                              max_size=rows))
-    texts = data.draw(st.lists(st.text(alphabet='ab,%"\n', max_size=3),
-                               min_size=rows, max_size=rows))
-    nested = data.draw(st.lists(st.lists(st.lists(any_float, max_size=2), max_size=2),
-                                min_size=rows, max_size=rows))
     mixed = data.draw(st.lists(st.one_of(st.none(), any_float), min_size=rows,
                                max_size=rows))
     f1, f2 = floats(rows), floats(rows, width)
+    single = floats(rows, dtype=np.float32, elements=st.floats(width=32))
+    # any number under a set mask: it is not written
+    masked = np.array([u if v is None else v for u, v in zip(floats(rows), mixed)])
     return {
-        "float": (f1, lambda i: float(f1[i])),
-        "rows": (f2, lambda i: [float(v) for v in f2[i]]),
-        "int": (np.array(ints, dtype=object) if data.draw(st.booleans()) else ints,
-                lambda i: ints[i]),
-        "small-int": (np.arange(rows), lambda i: i),
-        "str": (texts, lambda i: texts[i]),
-        "nested": (nested, lambda i: nested[i]),
-        "mixed": (np.array(mixed, dtype=object) if data.draw(st.booleans()) else mixed,
-                  lambda i: mixed[i]),
+        "float": (f1, None, lambda i: float(f1[i])),
+        "rows": (f2, None, lambda i: [float(v) for v in f2[i]]),
+        "float32": (single, None, lambda i: float(single[i])),
+        "masked": (masked, np.array([v is None for v in mixed], dtype=bool),
+                   lambda i: mixed[i]),
     }
 
 
@@ -812,8 +821,10 @@ def test_any_table_serializes_as_its_records(data, rows):
                                 max_size=4, unique=True))
     keys = data.draw(st.lists(st.text(alphabet='k%,"', min_size=1, max_size=3),
                               min_size=len(chosen), max_size=len(chosen), unique=True))
-    table = Table({key: kinds[kind][0] for key, kind in zip(keys, chosen)})
-    records = [{key: kinds[kind][1](i) for key, kind in zip(keys, chosen)}
+    table = Table({key: kinds[kind][0] for key, kind in zip(keys, chosen)},
+                  null={key: kinds[kind][1] for key, kind in zip(keys, chosen)
+                        if kinds[kind][1] is not None})
+    records = [{key: kinds[kind][2](i) for key, kind in zip(keys, chosen)}
                for i in range(rows)]
     assert_table_serializes_as_records(table, records)
 
@@ -823,20 +834,23 @@ NAN = float("nan")
 
 @pytest.mark.parametrize("columns,records", [
     # one row
-    ({"x": np.array([[0.1, -0.0]]), "t": np.array([np.inf]),
-      "n%s": np.array([None], dtype=object)},
+    (({"x": np.array([[0.1, -0.0]]), "t": np.array([np.inf]), "n%s": np.array([7.0])},
+      {"n%s": np.array([True])}),
      [{"x": [0.1, -0.0], "t": np.inf, "n%s": None}]),
     # every row null in one column: the constant maps' sec_n_max
-    ({"x": np.array([[1.0], [2.0], [3.0]]), "t": np.array([1 / 3, 5e-324, 1e17]),
-      "n": np.array([None, None, None], dtype=object)},
+    (({"x": np.array([[1.0], [2.0], [3.0]]), "t": np.array([1 / 3, 5e-324, 1e17]),
+       "n": np.full(3, NAN)}, {"n": np.ones(3, dtype=bool)}),
      [{"x": [1.0], "t": 1 / 3, "n": None}, {"x": [2.0], "t": 5e-324, "n": None},
       {"x": [3.0], "t": 1e17, "n": None}]),
     # None, NaN and a number in one column, an empty row in another
-    ({"e": np.zeros((3, 0)), "n": [None, NAN, 2.5]},
+    (({"e": np.zeros((3, 0)), "n": np.array([0.5, NAN, 2.5])},
+      {"n": np.array([True, False, False])}),
      [{"e": [], "n": None}, {"e": [], "n": NAN}, {"e": [], "n": 2.5}]),
-    # an integer past 2**53 and a bool among floats: written as themselves
-    ({"i": [None, 10 ** 20, 2.5], "b": np.array([True, 0.5, None], dtype=object)},
-     [{"i": None, "b": True}, {"i": 10 ** 20, "b": 0.5}, {"i": 2.5, "b": None}]),
+    # a float past 2**53 and a float32 column: written as their doubles
+    ({"i": np.array([2.0 ** 60, 1e20, 2.5]),
+      "s": np.array([0.1, -0.0, np.inf], dtype=np.float32)},
+     [{"i": 2.0 ** 60, "s": float(np.float32(0.1))}, {"i": 1e20, "s": -0.0},
+      {"i": 2.5, "s": np.inf}]),
     # a float column under a null mask, as the point table's sec_n_max: None
     # where the mask is set, NaN and inf where it is not
     (({"x": np.array([[0.5], [1.5], [2.5], [3.5]]),
@@ -844,9 +858,6 @@ NAN = float("nan")
       {"n": np.array([True, False, False, True])}),
      [{"x": [0.5], "n": None}, {"x": [1.5], "n": NAN}, {"x": [2.5], "n": np.inf},
       {"x": [3.5], "n": None}]),
-    # a mask on a 2-d column: its masked rows are None, written record by record
-    (({"x": np.array([[0.5, 1.0], [1.5, 2.0]])}, {"x": [False, True]}),
-     [{"x": [0.5, 1.0]}, {"x": None}]),
 ])
 def test_table_examples_serialize_as_their_records(columns, records):
     # columns, or columns with their null masks
@@ -854,9 +865,28 @@ def test_table_examples_serialize_as_their_records(columns, records):
     assert_table_serializes_as_records(table, records)
 
 
+@pytest.mark.parametrize("columns,null", [
+    ({"x": [0.5, 1.5]}, None),
+    ({"x": np.array([0.5, None], dtype=object)}, None),
+    ({"x": np.arange(2)}, None),
+    ({"x": np.zeros((2, 2))}, {"x": np.array([False, True])}),
+], ids=["list", "object", "integer", "masked-2d"])
+def test_table_refuses_other_columns(columns, null):
+    # a table holds float arrays, 1-d or 2-d, and 1-d under a null mask
+    with pytest.raises(TypeError):
+        Table(columns, null)
+
+
+@pytest.mark.parametrize("rows", [0, 1, 3])
+def test_table_of_empty_rows_serializes_as_its_records(rows):
+    # no number slot in any record: every record is written, as its rows
+    table = Table({"e": np.zeros((rows, 0)), "f%s": np.zeros((rows, 0))})
+    assert_table_serializes_as_records(table, [{"e": [], "f%s": []}] * rows)
+
+
 def test_one_row_table_text():
-    table = Table({"x": np.array([[0.5, np.nan]]), "n": np.array([None], dtype=object),
-                   "t": np.array([-0.0])})
+    table = Table({"x": np.array([[0.5, np.nan]]), "n": np.array([0.0]),
+                   "t": np.array([-0.0])}, null={"n": np.array([True])})
     assert json_text({"points": table}) == (
         '{\n  "points": [\n    {\n      "x": [\n        0.5,\n        null\n      ],\n'
         '      "n": null,\n      "t": -0\n    }\n  ]\n}')
