@@ -9,7 +9,8 @@ Commands:
 
 Exit codes: 0 success (for ``check-theorem``: a dichotomy verdict), 1 failed
 checks or a violated hypothesis gate, 2 unknown scenario, bad
-configuration (a non-positive ``--sigma`` or ``--kappa-margin`` among it),
+configuration (a non-positive ``--sigma`` or ``--kappa-margin``, or a
+``--kappa-margin`` whose ``kappa^4`` overflows, among it),
 an ``--output`` or a stdout that cannot be written (every command, ``list``
 included), out of memory or a missing ``ziggurat.bin``, 3 out-of-chart
 sampling, 4 indeterminate classification.  Every non-zero exit prints one

@@ -24,7 +24,7 @@ from .errors import InvalidParameterError, PreconditionError
 from .extrinsic import MINIMAL_TOL, GraphBlock, graph_block, graph_blocks
 from .graph_map import SmoothMap, frame_residual_block, shift_deficit
 from .product_space import product_form
-from .theorem_gate import kappa_level
+from .theorem_gate import DEFAULT_TOLERANCES, STRICT_MARGIN, RowMargins, kappa_level, row_margins
 
 Array = np.ndarray
 
@@ -484,17 +484,18 @@ class NullProbeResult(NamedTuple):
     max_ric_term: float
 
 
-def _skip_reason(d: PointData, r: int, sigma: float, lambda0_sq: float,
-                 kappa_sq: float | None, rng: Stream, planes: int = 4,
-                 tol: float = 1e-9) -> str | None:
+def _skip_reason(d: PointData, r: int, sigma: float, kappa_sq: float | None,
+                 margins: RowMargins | None, rng: Stream) -> str | None:
     """Why the null probe does not run at row ``r``, or None if it does: the
-    curvature separation, then for ``lambda0_sq >= 1`` the other hypotheses."""
+    curvature separation, then, unless ``margins`` is None (``lambda0_sq <
+    1``), the gate's other hypotheses at row ``r`` of ``margins``."""
+    slack = DEFAULT_TOLERANCES["gate_slack"]
     # planes are drawn one at a time, the first violation ends the draws;
     # target planes are images under df, probed where df has rank two
     target = d.n >= 2 and d.rank[r] >= 2
     for side in ("domain", "target")[:1 + target]:
         g, riem = (d.gm[r], d.riem_m[r]) if side == "domain" else (d.gn[r], d.riem_n[r])
-        for _ in range(planes):
+        for _ in range(4):
             u, v = rng.normal(size=d.m), rng.normal(size=d.m)
             if side == "target":
                 u, v = d.d1[r] @ u, d.d1[r] @ v
@@ -503,24 +504,19 @@ def _skip_reason(d: PointData, r: int, sigma: float, lambda0_sq: float,
             if area2 < (1e-8 * uu * vv if side == "domain" else 1e-8 * max(uu * vv, 1e-300)):
                 continue
             sec = float(curvature_form(riem, u, v, u, v)) / area2
-            if sec < sigma - tol if side == "domain" else sec > sigma + tol:
+            if sec < sigma - slack if side == "domain" else sec > sigma + slack:
                 return (f"{side} sectional curvature {sec:.6g} "
                         f"{'below' if side == 'domain' else 'above'} {sigma:.6g}")
-    if lambda0_sq < 1.0:
+    if margins is None:
         return None
-    trace_s = d.trace_s[r]
-    if trace_s < -1e-9:
-        return f"trace condition fails ({trace_s:.6g} < 0)"
-    if kappa_sq is None:
-        raise PreconditionError("kappa_sq is required when lambda0_sq >= 1")
-    lam_max_sq = float(d.lambdas[r, -1] ** 2)
-    if not (kappa_sq > 1.0 + 1e-9 and lam_max_sq < kappa_sq - 1e-9):
-        return (f"pullback bound fails (lambda^2 = {lam_max_sq:.6g},"
+    if not margins.trace[r] >= -slack:
+        return f"trace condition fails ({margins.trace[r]:.6g} < 0)"
+    if not (kappa_sq > 1.0 + STRICT_MARGIN and margins.pullback[r] >= STRICT_MARGIN):
+        return (f"pullback bound fails (lambda^2 = {float(d.lambdas[r, -1] ** 2):.6g},"
                 f" kappa^2 = {kappa_sq:.6g})")
-    bound = kappa_sq * sigma / (kappa_sq ** 2 - 1.0) * trace_s
-    a_norm_sq = d.a_norm_sq[r]
-    if a_norm_sq > bound + 1e-9:
-        return f"second-fundamental-form bound fails ({a_norm_sq:.6g} > {bound:.6g})"
+    if not margins.condition4[r] >= -slack:
+        return (f"second-fundamental-form bound fails"
+                f" ({d.a_norm_sq[r]:.6g} > {margins.sff_bound[r]:.6g})")
     return None
 
 
@@ -544,10 +540,15 @@ def null_eigenvector_probe(d: PointData, sigma: float, lambda0_sq: float,
     if sigma <= 0.0:
         return [NullProbeResult("skipped", "needs a positive pinching level",
                                 np.inf, 0, 0.0)] * len(d)
+    margins = None
+    if lambda0_sq >= 1.0:
+        if kappa_sq is None:
+            raise PreconditionError("kappa_sq is required when lambda0_sq >= 1")
+        margins = row_margins(d, sigma, kappa_sq)
     m = d.m
     reasons, draws = [], []
     for r in range(len(d)):
-        reasons.append(_skip_reason(d, r, sigma, lambda0_sq, kappa_sq, rng))
+        reasons.append(_skip_reason(d, r, sigma, kappa_sq, margins, rng))
         if reasons[-1] is None:
             # each row holds one draw's v, then its Gram factor W
             draws.append(rng.normal(size=(n_draws, m + m * m)))

@@ -55,26 +55,6 @@ class GridSweep(Frozen):
     def __len__(self) -> int:
         return len(self.trace_s)
 
-    @property
-    def lambda0_sq(self) -> float:
-        return float(np.max(self.lambdas[:, -1] ** 2))
-
-    @property
-    def max_lambda(self) -> float:
-        return float(np.max(self.lambdas[:, -1]))
-
-    @property
-    def max_h_norm(self) -> float:
-        return float(np.max(self.h_norm))
-
-    @property
-    def max_a_norm_sq(self) -> float:
-        return float(np.max(self.a_norm_sq))
-
-    @property
-    def min_trace_s(self) -> float:
-        return float(np.min(self.trace_s))
-
 
 def _plane_range(sec: Array, spans: Array) -> tuple[Array, Array, Array]:
     """Per row of ``sec``, the min and max over the planes that ``spans``
@@ -170,26 +150,6 @@ def sweep_geometry(f: SmoothMap, grid: Array, seed: int = 0,
 # Individual hypothesis checks
 # ---------------------------------------------------------------------------
 
-class PinchingMargins(NamedTuple):
-    domain_margin: float          # min (sec_M - sigma)
-    target_margin: float | None   # min (sigma - sec_N), None when vacuous
-    ok: bool
-
-
-def curvature_pinching_check(sweep: GridSweep, sigma: float,
-                             slack: float = STRICT_MARGIN) -> PinchingMargins:
-    """Worst margins of the curvature separation over the sweep.
-
-    Target planes are sampled inside the image of the differential; points
-    where the image is less than two-dimensional contribute vacuously.
-    """
-    dom = float(np.min(sweep.sec_m_min - sigma))
-    tgt = (float(np.min(sigma - sweep.sec_n_max[sweep.has_sec_n]))
-           if sweep.has_sec_n.any() else None)
-    ok = dom >= -slack and (tgt is None or tgt >= -slack)
-    return PinchingMargins(dom, tgt, ok)
-
-
 def kappa_level(lambda0_sq: float, margin: float) -> float:
     """The strict pullback bound's ``kappa^2 = max(1 + margin, (1 + margin)
     * lambda0^2)`` over a largest squared singular value ``lambda0^2``: the
@@ -197,17 +157,35 @@ def kappa_level(lambda0_sq: float, margin: float) -> float:
     return float(np.maximum(1.0 + margin, (1.0 + margin) * lambda0_sq))
 
 
-def second_fundamental_bound_check(sweep: GridSweep, sigma: float,
-                                   kappa_sq: float) -> float:
-    """Worst margin of the second-fundamental-form bound.
+class RowMargins(NamedTuple):
+    """Per-row margins of three hypotheses, one array each.  A row meets the
+    trace condition and condition 4 when its margin is at least minus the
+    gate's slack, and the strict pullback bound when ``kappa^2 > 1 +
+    STRICT_MARGIN`` and its margin is at least :data:`STRICT_MARGIN`."""
 
-    The bound compares ``|A|^2`` against ``kappa^2 sigma / (kappa^4 - 1)``
-    times the trace of the deficit tensor, pointwise.
+    trace: Array         # tr(s)
+    pullback: Array      # kappa^2 - lambda_max^2
+    sff_bound: Array     # kappa^2 sigma / (kappa^4 - 1) tr(s)
+    condition4: Array    # sff_bound - |A|^2
+
+
+def row_margins(rows, sigma: float, kappa_sq: float) -> RowMargins:
+    """The hypothesis margins of each row of ``rows`` (a :class:`GridSweep`
+    or any stack with ``trace_s``, ``lambdas`` and ``a_norm_sq`` columns) at
+    the pinching level ``sigma`` and the pullback bound ``kappa_sq``.
+
+    Condition 4 compares ``|A|^2`` against ``kappa^2 sigma / (kappa^4 - 1)``
+    times the trace of the deficit tensor.  Where ``kappa^2 <= 1`` there is
+    no such bound, its columns are NaN, and the pullback bound fails anyway.
     """
-    if kappa_sq <= 1.0:
-        raise ValueError("the bound needs kappa^2 > 1")
-    coeff = kappa_sq * sigma / (kappa_sq ** 2 - 1.0)
-    return float(np.min(coeff * sweep.trace_s - sweep.a_norm_sq))
+    try:
+        coeff = kappa_sq * sigma / (kappa_sq ** 2 - 1.0) if kappa_sq > 1.0 else np.nan
+    except OverflowError:
+        raise InvalidParameterError(
+            f"kappa^2 = {kappa_sq:.6g} is too large: kappa^4 overflows") from None
+    bound = coeff * rows.trace_s
+    return RowMargins(rows.trace_s, kappa_sq - rows.lambdas[:, -1] ** 2,
+                      bound, bound - rows.a_norm_sq)
 
 
 class TraceChainReport(NamedTuple):
@@ -231,7 +209,7 @@ def trace_rank_chain_check(f: SmoothMap, sweep: GridSweep) -> TraceChainReport:
     trace_margin = float(np.min(sweep.trace_s - (m - n - sweep.rank)))
     rank_margin = int(np.min(n - sweep.rank))
     dims_margin = m - 2 * n
-    strict = sweep.min_trace_s > STRICT_MARGIN if dims_margin >= 0 else True
+    strict = float(np.min(sweep.trace_s)) > STRICT_MARGIN if dims_margin >= 0 else True
     ok = trace_margin > STRICT_MARGIN and rank_margin >= 0 and strict
     return TraceChainReport(trace_margin, dims_margin, rank_margin, strict, ok)
 
@@ -270,31 +248,36 @@ def evaluate_hypotheses(sweep: GridSweep, sigma: float,
     tol = {**DEFAULT_TOLERANCES, **(tolerances or {})}
     slack = tol["gate_slack"]
 
-    pinch = curvature_pinching_check(sweep, sigma, slack)
-    trace_margin = sweep.min_trace_s
-    kappa_sq = kappa_level(sweep.lambda0_sq, kappa_margin)
-    # its worst pointwise slack over the squared top singular values
-    kappa_worst = float(np.min(kappa_sq - sweep.lambdas[:, -1] ** 2))
-    kappa_ok = kappa_sq > 1.0 + STRICT_MARGIN and kappa_worst >= STRICT_MARGIN
-    cond4_margin = second_fundamental_bound_check(sweep, sigma, kappa_sq)
-    h_max = sweep.max_h_norm
+    # target planes are sampled inside the image of the differential;
+    # points where the image is less than two-dimensional count vacuously
+    dom = float(np.min(sweep.sec_m_min - sigma))
+    has = sweep.has_sec_n
+    tgt = float(np.min(sigma - sweep.sec_n_max[has])) if has.any() else None
+    lambda0_sq = float(np.max(sweep.lambdas[:, -1] ** 2))
+    kappa_sq = kappa_level(lambda0_sq, kappa_margin)
+    if kappa_sq <= 1.0:
+        raise ValueError("the bound needs kappa^2 > 1")
+    rows = row_margins(sweep, sigma, kappa_sq)
+    trace, kappa_worst, cond4 = (float(np.min(x)) for x in
+                                 (rows.trace, rows.pullback, rows.condition4))
+    h_max = float(np.max(sweep.h_norm))
 
     return HypothesisReport(
         sigma=sigma,
         kappa_sq=kappa_sq,
-        lambda0_sq=sweep.lambda0_sq,
+        lambda0_sq=lambda0_sq,
         minimal_ok=h_max < tol["minimality"],
-        pinching_ok=pinch.ok,
-        trace_ok=trace_margin >= -slack,
-        kappa_ok=kappa_ok,
-        condition4_ok=cond4_margin >= -slack,
+        pinching_ok=dom >= -slack and (tgt is None or tgt >= -slack),
+        trace_ok=trace >= -slack,
+        kappa_ok=kappa_sq > 1.0 + STRICT_MARGIN and kappa_worst >= STRICT_MARGIN,
+        condition4_ok=cond4 >= -slack,
         margins={
             "max_h_norm": h_max,
-            "pinching_domain": pinch.domain_margin,
-            "pinching_target": pinch.target_margin,
-            "trace": trace_margin,
+            "pinching_domain": dom,
+            "pinching_target": tgt,
+            "trace": trace,
             "kappa_strict": kappa_worst,
-            "condition4": cond4_margin,
+            "condition4": cond4,
         })
 
 
@@ -324,11 +307,13 @@ def classify(sweep: GridSweep, hyp: HypothesisReport,
             "failing": hyp.failing(),
             "margins": {k: hyp.margins[k] for k in hyp.margins}})
 
-    if sweep.max_lambda < tol["classify_constant"]:
-        return Classification("constant", {"max_lambda": sweep.max_lambda})
+    max_lambda = float(np.max(sweep.lambdas[:, -1]))
+    if max_lambda < tol["classify_constant"]:
+        return Classification("constant", {"max_lambda": max_lambda})
 
     dev_one = float(np.max(np.abs(sweep.lambdas - 1.0)))
-    max_a = float(np.sqrt(sweep.max_a_norm_sq))
+    max_a_norm_sq = float(np.max(sweep.a_norm_sq))
+    max_a = float(np.sqrt(max_a_norm_sq))
     if dev_one < tol["classify_isometric"] and max_a < tol["classify_isometric"]:
         evidence: dict[str, object] = {
             "max_lambda_deviation": dev_one, "max_a_norm": max_a}
@@ -356,7 +341,7 @@ def classify(sweep: GridSweep, hyp: HypothesisReport,
         return Classification("indeterminate", evidence)
 
     return Classification("indeterminate", {
-        "max_lambda": sweep.max_lambda,
+        "max_lambda": max_lambda,
         "max_lambda_deviation": dev_one,
-        "max_a_norm_sq": sweep.max_a_norm_sq,
+        "max_a_norm_sq": max_a_norm_sq,
         "margins": dict(hyp.margins)})

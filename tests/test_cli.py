@@ -593,6 +593,9 @@ def test_out_of_memory_exits_2_with_one_line(command, capsys, monkeypatch):
     ["--sigma", "0"], ["--sigma=-1"],
     # a margin <= 0 can never pass the strict pullback bound
     ["--kappa-margin", "0"], ["--kappa-margin=-0.5"],
+    # a margin whose kappa^4 overflows
+    ["--kappa-margin", "1e200"],
+    ["--scenario", "identity-s3", "--grid", "3x3x3", "--kappa-margin", "1e200"],
 ])
 @pytest.mark.parametrize("command", ["check-theorem", "verify-identities", "report"])
 def test_non_finite_and_unknown_settings_rejected(command, extra, capsys):

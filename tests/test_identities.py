@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphgeo.chart_manifold import curvature_form, matvec, powers, ricci_from_jet
+from graphgeo.draws import Stream
 from graphgeo.errors import InvalidParameterError, PreconditionError
 from graphgeo.graph_map import MapJet, SmoothMap
 from graphgeo.identities import (
@@ -23,6 +24,7 @@ from graphgeo.identities import (
     shifted_tensor_laplacian,
 )
 from graphgeo.scenarios import get, registry
+from graphgeo.theorem_gate import DEFAULT_TOLERANCES, STRICT_MARGIN, kappa_level, row_margins
 from test_block_partition import polynomial_chart, quadratic_map
 
 
@@ -493,6 +495,57 @@ def test_null_probe_skips_on_violated_hypotheses():
                                     sigma=1.0, lambda0_sq=6.9, kappa_sq=7.5, rng=rng)
     assert res.status == "skipped"
     assert "curvature" in res.reason
+
+
+PRECONDITIONS = ("trace condition fails", "pullback bound fails",
+                 "second-fundamental-form bound fails")
+
+
+@pytest.mark.parametrize("name", ["holo-w2", "holo-w3"])
+@pytest.mark.parametrize("kappa_sq", [None, 2.0, 1.0 + 1e-10])
+def test_null_probe_skip_reasons_follow_the_gate_row_margins(name, kappa_sq):
+    # past the curvature separation, a row is skipped for the first of the
+    # trace, pullback and condition-4 margins (the gate's, at its default
+    # slack) that is negative, and runs when none is
+    sc = get(name)
+    d = point_rows(sc.f, sc.random_points(40, Stream(3)))
+    lam0_sq = float(np.max(d.lambdas[:, -1] ** 2))
+    kappa_sq = kappa_sq or kappa_level(lam0_sq, 0.01)     # None: the suite's level
+    rows = row_margins(d, sc.sigma, kappa_sq)
+    slack = DEFAULT_TOLERANCES["gate_slack"]
+    fails = np.stack([rows.trace < -slack,
+                      (rows.pullback < STRICT_MARGIN) | (kappa_sq <= 1.0 + STRICT_MARGIN),
+                      rows.condition4 < -slack], axis=-1)
+    results = null_eigenvector_probe(d, sc.sigma, lam0_sq, kappa_sq, rng=Stream(4))
+    assert len(results) == len(d)
+    reasons = []
+    for r, res in enumerate(results):
+        if "sectional curvature" in res.reason:
+            continue
+        if not fails[r].any():
+            assert res.status != "skipped", (r, res.reason)
+            continue
+        reasons.append(PRECONDITIONS[np.argmax(fails[r])])
+        assert res.status == "skipped" and res.reason.startswith(reasons[-1]), (r, res.reason)
+        if reasons[-1] == PRECONDITIONS[2]:
+            assert res.reason.endswith(
+                f" ({d.a_norm_sq[r]:.6g} > {rows.sff_bound[r]:.6g})")
+    # every case reaches a precondition past the trace condition
+    assert set(reasons) - {PRECONDITIONS[0]}
+
+
+def test_null_probe_skip_line_of_holo_w3():
+    reports = run_identity_suite(get("holo-w3"), seed=12001)
+    assert reports[-1].line() == (
+        "[skip] null-eigenvector-probe: hypotheses fail at all probe points: "
+        "second-fundamental-form bound fails (4.27251 > 0.0103053)")
+
+
+def test_null_probe_kappa_sq_overflow_is_a_bad_parameter():
+    sc = get("holo-w2")
+    d = point_rows(sc.f, sc.random_points(3, Stream(5)))
+    with pytest.raises(InvalidParameterError, match="kappa"):
+        null_eigenvector_probe(d, 1.0, 4.0, kappa_sq=1e200, rng=Stream(6))
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,6 @@ from graphgeo.reporting import Table
 from graphgeo.scenarios import JetCheck, get
 from graphgeo.theorem_gate import (
     classify,
-    curvature_pinching_check,
     evaluate_hypotheses,
     sweep_geometry,
     trace_rank_chain_check,
@@ -131,7 +130,7 @@ def formerly_frozen_records():
         "ExtremumProbeResult": ExtremumProbeResult("pass", "", None, 1.0, 0.0, 0.0,
                                                    1.0, 1.0),
         "IdentityReport": IdentityReport("frame-formulas", 1, 0.0, 1e-8),
-        "GridSweep": sweep, "PinchingMargins": curvature_pinching_check(sweep, 1.0),
+        "GridSweep": sweep,
         "TraceChainReport": trace_rank_chain_check(sc.f, sweep),
         "HypothesisReport": hyp,
         "Classification": classify(sweep, hyp),

@@ -13,9 +13,8 @@ from graphgeo.extrinsic import graph_block
 from graphgeo.theorem_gate import (
     _plane_range,
     classify,
-    curvature_pinching_check,
     evaluate_hypotheses,
-    second_fundamental_bound_check,
+    row_margins,
     sweep_geometry,
     trace_rank_chain_check,
 )
@@ -40,6 +39,18 @@ def kappa_estimate(sweep, margin):
     return hyp.kappa_sq
 
 
+def pinching(sweep, sigma):
+    """The gate's pinching verdict and its domain and target margins."""
+    hyp = evaluate_hypotheses(sweep, sigma)
+    return (hyp.pinching_ok, hyp.margins["pinching_domain"],
+            hyp.margins["pinching_target"])
+
+
+def condition4_margin(sweep, sigma, kappa_sq):
+    """Worst margin of the second-fundamental-form bound over the sweep."""
+    return float(np.min(row_margins(sweep, sigma, kappa_sq).condition4))
+
+
 def sweep_of(name, shape=None, seed=0):
     sc = get(name)
     shape = shape or ((8, 8) if sc.domain.dim == 2 else (4, 4, 4))
@@ -52,25 +63,25 @@ def sweep_of(name, shape=None, seed=0):
 
 def test_pinching_matched_unit_spheres():
     sc, sweep = sweep_of("identity-s2")
-    pinch = curvature_pinching_check(sweep, 1.0)
-    assert pinch.ok
-    assert abs(pinch.domain_margin) < 1e-9
-    assert abs(pinch.target_margin) < 1e-9
+    ok, domain, target = pinching(sweep, 1.0)
+    assert ok
+    assert abs(domain) < 1e-9
+    assert abs(target) < 1e-9
 
 
 def test_pinching_larger_target_sphere_has_slack():
     # target of radius 2 has curvature 1/4, three quarters below the level
     sc = get("scaled-sphere-2.0")
     sweep = sweep_geometry(sc.f, sc.grid_points((8, 8)), seed=0)
-    pinch = curvature_pinching_check(sweep, 1.0)
-    assert abs(pinch.target_margin - 0.75) < 1e-8
+    _, _, target = pinching(sweep, 1.0)
+    assert abs(target - 0.75) < 1e-8
 
 
 def test_pinching_fails_for_flat_domain():
     sc, sweep = sweep_of("torus-linear")
-    pinch = curvature_pinching_check(sweep, 1.0)
-    assert not pinch.ok
-    assert pinch.domain_margin < -0.9
+    ok, domain, _ = pinching(sweep, 1.0)
+    assert not ok
+    assert domain < -0.9
 
 
 def test_pinching_fails_for_low_curvature_domain():
@@ -78,23 +89,22 @@ def test_pinching_fails_for_low_curvature_domain():
     f = linear_map(s2_big, s2_big, np.eye(2), name="id")
     pts = np.array([[0.1, 0.1], [0.5, -0.3], [-0.7, 0.2]])
     sweep = sweep_geometry(f, pts, seed=1)
-    pinch = curvature_pinching_check(sweep, 1.0)
-    assert not pinch.ok
-    assert abs(pinch.domain_margin + 0.75) < 1e-8
+    ok, domain, _ = pinching(sweep, 1.0)
+    assert not ok
+    assert abs(domain + 0.75) < 1e-8
 
 
 def test_pinching_vacuous_for_circle_target():
     sc, sweep = sweep_of("proj-s3-s1")
-    pinch = curvature_pinching_check(sweep, 1.0)
-    assert pinch.target_margin is None
-    assert pinch.ok
+    ok, _, target = pinching(sweep, 1.0)
+    assert target is None
+    assert ok
 
 
 def test_pinching_domain_margin_monotone_in_sigma():
     # lowering the level can only widen the domain-side margin
     sc, sweep = sweep_of("identity-s2")
-    margins = [curvature_pinching_check(sweep, s).domain_margin
-               for s in (1.0, 0.75, 0.5, 0.25, 0.05)]
+    margins = [pinching(sweep, s)[1] for s in (1.0, 0.75, 0.5, 0.25, 0.05)]
     assert all(b >= a - 1e-15 for a, b in zip(margins, margins[1:]))
 
 
@@ -127,14 +137,14 @@ def test_kappa_estimate_values():
 
 def test_condition4_margins():
     _, sweep = sweep_of("identity-s2")
-    assert abs(second_fundamental_bound_check(sweep, 1.0, 1.01)) < 1e-10
+    assert abs(condition4_margin(sweep, 1.0, 1.01)) < 1e-10
     _, sweep = sweep_of("constant-s2")
-    margin = second_fundamental_bound_check(sweep, 1.0, 1.01)
+    margin = condition4_margin(sweep, 1.0, 1.01)
     assert margin > 0.0
     sc = get("holo-w2")
     sweep = sweep_geometry(sc.f, sc.grid_points((15, 15)), seed=0)
     kappa_sq = kappa_estimate(sweep, 0.01)
-    assert second_fundamental_bound_check(sweep, 1.0, kappa_sq) < 0.0
+    assert condition4_margin(sweep, 1.0, kappa_sq) < 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -305,8 +315,8 @@ def test_nan_curvature_reaches_the_sectional_columns():
     assert sweep.has_sec_n.all()
     for column in (sweep.sec_m_min, sweep.sec_m_max, sweep.sec_n_min, sweep.sec_n_max):
         assert np.isfinite(column[0]) and np.isnan(column[1])
-    pinch = curvature_pinching_check(sweep, 1.0)
-    assert np.isnan(pinch.domain_margin) and not pinch.ok
+    ok, domain, _ = pinching(sweep, 1.0)
+    assert np.isnan(domain) and not ok
 
 
 # ---------------------------------------------------------------------------
