@@ -5,6 +5,8 @@ charts: intrinsic curvature, the product-space geometry, singular values
 and adapted frames of a map's graph, its second fundamental form and mean
 curvature, the residuals of the pointwise identities governing the shifted
 deficit tensor, and the hypothesis gate of the rigidity dichotomy.
+The identity suite's names are imported from :mod:`graphgeo.identities`,
+which ``import graphgeo`` leaves unloaded.
 """
 
 from .chart_manifold import (
@@ -38,18 +40,6 @@ from .extrinsic import (
     trace_s_at,
 )
 from .graph_map import GraphFrameData, MapJet, SmoothMap, adapted_frames_at
-from .identities import (
-    IdentityReport,
-    PointData,
-    decomposition_sides,
-    elliptic_equation_residual,
-    log_jacobian_residual_2d,
-    normal_estimate_check,
-    null_eigenvector_probe,
-    point_rows,
-    reaction_term_apply,
-    run_identity_suite,
-)
 from .product_space import product_form
 from .scenarios import Scenario, get, jets_selftest, registry
 from .theorem_gate import (

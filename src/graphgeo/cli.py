@@ -9,8 +9,9 @@ Commands:
 
 Exit codes: 0 success (for ``check-theorem``: a dichotomy verdict), 1 failed
 checks or a violated hypothesis gate, 2 unknown scenario, bad
-configuration (a non-positive ``--sigma`` or ``--kappa-margin``, or a
-``--kappa-margin`` whose ``kappa^4`` overflows, among it),
+configuration (a non-positive ``--sigma`` or ``--kappa-margin``, a
+``--kappa-margin`` too small to move ``1 + margin`` off 1, or one whose
+``kappa^4`` overflows, among it),
 an ``--output`` or a stdout that cannot be written (every command, ``list``
 included), out of memory or a missing ``ziggurat.bin``, 3 out-of-chart
 sampling, 4 indeterminate classification.  Every non-zero exit prints one
@@ -42,7 +43,6 @@ import numpy as np
 from . import scenarios as scen
 from .draws import MAX_GRID_POINTS
 from .errors import GraphGeoError, OutOfChartError, UnknownScenarioError
-from .identities import DEFAULT_IDENTITY_TOLERANCES, run_identity_suite
 from .reporting import Table, canonical_json, report_to_csv
 from .theorem_gate import (
     DEFAULT_TOLERANCES,
@@ -109,10 +109,15 @@ class RunConfig(NamedTuple):
             raise ValueError(f"pinching level sigma must be positive, got {self.sigma!r}")
         if self.kappa_margin <= 0.0:
             raise ValueError(f"kappa margin must be positive, got {self.kappa_margin!r}")
+        if 1.0 + self.kappa_margin == 1.0:
+            raise ValueError(f"kappa margin {self.kappa_margin!r} is too small:"
+                             " 1 + margin rounds to 1")
         if not isinstance(self.tolerances, Mapping):
             raise ValueError("tolerances must be a mapping of names to values")
-        unknown = sorted(set(self.tolerances) - set(DEFAULT_TOLERANCES)
-                         - set(DEFAULT_IDENTITY_TOLERANCES))
+        unknown = sorted(set(self.tolerances) - set(DEFAULT_TOLERANCES))
+        if unknown:     # the identity suite is imported only to look these up
+            from .identities import DEFAULT_IDENTITY_TOLERANCES
+            unknown = [name for name in unknown if name not in DEFAULT_IDENTITY_TOLERANCES]
         if unknown:
             raise ValueError(f"unknown tolerance names: {', '.join(map(repr, unknown))}")
         if not all(_finite_number(v) and v > 0.0 for v in self.tolerances.values()):
@@ -350,6 +355,8 @@ def _stage(name: str):
 
 
 def cmd_report(cfg: RunConfig) -> int:
+    from .identities import run_identity_suite
+
     scenario = _resolve_scenario(cfg)
     sweep, gate = _gate(cfg, scenario)
     identities = run_identity_suite(scenario, seed=cfg.seed, h=cfg.h, c=cfg.c,
@@ -373,6 +380,8 @@ def cmd_report(cfg: RunConfig) -> int:
 
 
 def cmd_verify(cfg: RunConfig) -> int:
+    from .identities import run_identity_suite
+
     scenario = _resolve_scenario(cfg)
     reports = run_identity_suite(scenario, seed=cfg.seed, h=cfg.h, c=cfg.c,
                                  tolerances=cfg.tolerances,

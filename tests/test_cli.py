@@ -596,6 +596,8 @@ def test_out_of_memory_exits_2_with_one_line(command, capsys, monkeypatch):
     # a margin whose kappa^4 overflows
     ["--kappa-margin", "1e200"],
     ["--scenario", "identity-s3", "--grid", "3x3x3", "--kappa-margin", "1e200"],
+    # a margin too small to move 1 + margin off 1
+    ["--kappa-margin", "1e-20"], ["--kappa-margin", "5e-17"],
 ])
 @pytest.mark.parametrize("command", ["check-theorem", "verify-identities", "report"])
 def test_non_finite_and_unknown_settings_rejected(command, extra, capsys):
@@ -604,6 +606,36 @@ def test_non_finite_and_unknown_settings_rejected(command, extra, capsys):
     assert code == 2
     assert len(err.strip().splitlines()) == 1
     assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("margin", ["1e-20", "5e-17", "1.1102230246251565e-16"])
+@pytest.mark.parametrize("command", ["check-theorem", "verify-identities", "report"])
+def test_sub_ulp_kappa_margin_names_the_flag(command, margin, capsys):
+    # half an ulp of 1 and less: 1 + margin rounds to 1, and kappa^2 = 1
+    # could never pass the strict pullback bound
+    assert run([command, "--scenario", "identity-s3", "--kappa-margin", margin]) == 2
+    assert capsys.readouterr().err == (
+        f"error: kappa margin {float(margin)!r} is too small: 1 + margin rounds to 1\n")
+
+
+@pytest.mark.parametrize("name", ["gate_slack", "elliptic"])
+@pytest.mark.parametrize("command", ["check-theorem", "verify-identities", "report"])
+def test_tolerance_names_of_the_gate_and_the_suite_are_accepted(command, name, tmp_path,
+                                                                capsys):
+    # every command takes both tables' names, and the gate's artifacts echo them
+    out = tmp_path / "out.json"
+    assert run([command, "--scenario", "identity-s2", "--grid", "3x3", "--tol",
+                f"{name}=1e-3", "--output", str(out)]) == 0
+    capsys.readouterr()
+    if command != "verify-identities":
+        assert json.loads(out.read_text())["config"]["tolerances"] == {name: 1e-3}
+
+
+@pytest.mark.parametrize("command", ["check-theorem", "verify-identities", "report"])
+def test_unknown_tolerance_names_are_listed(command, capsys):
+    assert run([command, "--scenario", "identity-s2", "--tol", "nope=1",
+                "--tol", "elliptic=1", "--tol", "gate_slak=1"]) == 2
+    assert capsys.readouterr().err == "error: unknown tolerance names: 'gate_slak', 'nope'\n"
 
 
 @pytest.mark.parametrize("command", ["report", "verify-identities", "check-theorem"])
@@ -629,6 +661,7 @@ def test_unwritable_output_exits_2(command, tmp_path, capsys):
     [],                                    # not a JSON object
     {"sigma": 0}, {"sigma": -1.5},         # the pinching level is positive
     {"kappa_margin": 0}, {"kappa_margin": -1},   # and so is the kappa margin
+    {"kappa_margin": 5e-17},               # and 1 + margin is above 1
 ])
 @pytest.mark.parametrize("command", ["report", "check-theorem", "verify-identities"])
 def test_malformed_config_rejected(command, doc, tmp_path, capsys):

@@ -64,51 +64,58 @@ def test_named_tuple_annotations_are_not_strings():
                        for a in cls.__annotations__.values()), cls
 
 
-def test_import_leaves_numpy_random_unloaded():
-    # an evaluated annotation such as ``np.random.Generator`` imports
-    # numpy.random, which costs more than all of graphgeo's own modules
+def fresh_process(code: str, *args: str) -> str:
+    """Run ``code`` in a new interpreter with ``args`` as ``sys.argv[1:]``;
+    return what it loaded: the ``numpy.random`` modules, then whether it
+    loaded the identity suite."""
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     out = subprocess.run(
         [sys.executable, "-c",
-         "import sys, graphgeo.cli; print(sorted(m for m in sys.modules"
-         " if m.startswith('numpy.random')))"],
+         f"import os, sys\n{code}\n"
+         "print(sorted(m for m in sys.modules if m.startswith('numpy.random')),"
+         " 'graphgeo.identities' in sys.modules)", *args],
         env=env, capture_output=True, text=True, check=True).stdout
-    assert out.strip() == "[]"
+    return out.splitlines()[-1]
+
+
+def test_import_leaves_numpy_random_unloaded():
+    # an evaluated annotation such as ``np.random.Generator`` imports
+    # numpy.random, which costs more than all of graphgeo's own modules; and
+    # the identity suite, which only report and verify-identities run, costs
+    # its compilation (~12 ms without bytecode)
+    assert fresh_process("import graphgeo") == "[] False"
+    assert fresh_process("import graphgeo.cli") == "[] False"
+
+
+def test_list_leaves_numpy_random_and_the_identity_suite_unloaded():
+    assert fresh_process("import graphgeo.cli\n"
+                         "assert graphgeo.cli.main(['list', '--match', 'holo']) == 0") == "[] False"
 
 
 @pytest.mark.parametrize("scenario", ["identity-s2", "identity-s3"])
 def test_check_theorem_leaves_numpy_random_unloaded(scenario):
     # the gate's plane stream is computed without numpy.random, whose import
-    # costs every gate process ~6 MB of peak memory, OpenSSL among it
-    env = {**os.environ, "PYTHONPATH": str(SRC)}
-    out = subprocess.run(
-        [sys.executable, "-c",
-         "import os, sys, graphgeo.cli\n"
-         "code = graphgeo.cli.main(['check-theorem', '--scenario', sys.argv[1],"
-         " '--output', os.devnull])\n"
-         "print(code, sorted(m for m in sys.modules if m.startswith('numpy.random')))",
-         scenario],
-        env=env, capture_output=True, text=True, check=True).stdout
-    assert out.strip() == "0 []"
+    # costs every gate process ~6 MB of peak memory, OpenSSL among it; and
+    # the gate never runs the identity suite
+    assert fresh_process(
+        "import graphgeo.cli\n"
+        "assert graphgeo.cli.main(['check-theorem', '--scenario', sys.argv[1],"
+        " '--output', os.devnull]) == 0", scenario) == "[] False"
 
 
-RUNS = {f"{command}-{scenario}": f"graphgeo.cli.main([{command!r}, '--scenario',"
-                                  f" {scenario!r}, '--output', os.devnull])"
+RUNS = {f"{command}-{scenario}": f"assert graphgeo.cli.main([{command!r}, '--scenario',"
+                                  f" {scenario!r}, '--output', os.devnull]) == 0"
         for command in ("report", "verify-identities") for scenario in ("holo-w2", "identity-s3")}
-RUNS["jets_selftest"] = "len(graphgeo.jets_selftest(graphgeo.get('holo-w2'))) and 0"
+RUNS["jets_selftest"] = "assert graphgeo.jets_selftest(graphgeo.get('holo-w2'))"
 
 
 @pytest.mark.parametrize("run", RUNS.values(), ids=RUNS.keys())
 def test_identity_suite_and_jet_selftest_leave_numpy_random_unloaded(run):
     # the identity suite's and the jet self-test's draws are numpy's
-    # default_rng stream, computed without numpy.random
-    env = {**os.environ, "PYTHONPATH": str(SRC)}
-    out = subprocess.run(
-        [sys.executable, "-c",
-         f"import os, sys, graphgeo, graphgeo.cli\ncode = {run}\n"
-         "print(code, sorted(m for m in sys.modules if m.startswith('numpy.random')))"],
-        env=env, capture_output=True, text=True, check=True).stdout
-    assert out.splitlines()[-1] == "0 []"
+    # default_rng stream, computed without numpy.random; the commands that
+    # run the suite import it on their first call
+    suite = "graphgeo.cli.main" in run
+    assert fresh_process(f"import graphgeo, graphgeo.cli\n{run}") == f"[] {suite}"
 
 
 def formerly_frozen_records():
