@@ -11,7 +11,8 @@ Exit codes: 0 success (for ``check-theorem``: a dichotomy verdict), 1 failed
 checks or a violated hypothesis gate, 2 unknown scenario, bad
 configuration (a non-positive ``--sigma`` or ``--kappa-margin``, a
 ``--kappa-margin`` too small to move ``1 + margin`` off 1, or one whose
-``kappa^4`` overflows, among it),
+``kappa^4`` overflows, and a null ``h``, ``c`` or ``kappa_margin`` in a
+config file, among it),
 an ``--output`` or a stdout that cannot be written (every command, ``list``
 included), out of memory or a missing ``ziggurat.bin``, 3 out-of-chart
 sampling, 4 indeterminate classification.  Every non-zero exit prints one
@@ -98,8 +99,8 @@ class RunConfig(NamedTuple):
                     for b in self.box)):
             raise ValueError("box must be a list of [low, high] pairs with low < high")
         for name in ("h", "c", "sigma", "kappa_margin"):
-            value = getattr(self, name)
-            if value is not None and not _finite_number(value):
+            value = getattr(self, name)     # a null sigma is the scenario's
+            if not (_finite_number(value) or name == "sigma" and value is None):
                 raise ValueError(f"{name} must be a finite number, got {value!r}")
         if self.h <= 0.0:
             raise ValueError("finite-difference step must be positive")

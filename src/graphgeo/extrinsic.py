@@ -35,13 +35,10 @@ from .records import Frozen
 
 Array = np.ndarray
 
-#: Default mean-curvature threshold for calling a map minimal.  One order
-#: looser than the totally-geodesic threshold: the mean curvature spends one
-#: more derivative of the map.
+#: Default mean-curvature threshold for calling a map minimal.  Two orders
+#: looser than the gate's totally-geodesic bound on |A|
+#: (``classify_isometric``): the mean curvature spends one more derivative.
 MINIMAL_TOL = 1e-6
-
-#: Default threshold on the second fundamental form for total geodesy.
-TOTALLY_GEODESIC_TOL = 1e-8
 
 #: Elements per block of the grid engine's largest arrays: the fourth-order
 #: tensors of both metrics (``d2g``, ``dgamma``, ``riem``), ``m**4`` and

@@ -14,10 +14,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .chart_manifold import block_innermost, matvec, sectional_from_data
+from .chart_manifold import matvec, sectional_from_data
 from .draws import spawned_normals
 from .errors import DegeneratePlaneError, InvalidParameterError
-from .extrinsic import MINIMAL_TOL, GraphBlock, block_bounds, graph_block
+from .extrinsic import MINIMAL_TOL, GraphBlock, graph_blocks
 from .graph_map import SmoothMap
 from .records import Frozen
 
@@ -98,21 +98,16 @@ def _sectional_columns(blk: GraphBlock, planes_uv: Array) -> dict[str, Array]:
             "has_sec_n": has_sec_n}
 
 
-#: Rows whose planes the sweep draws at once, in whole blocks (at least one).
-PLANE_CHUNK = 1024
-
-
-def sweep_geometry(f: SmoothMap, grid: Array, seed: int = 0,
-                   planes: int = 4) -> GridSweep:
+def sweep_geometry(f: SmoothMap, grid: Array, seed: int = 0) -> GridSweep:
     """Measure the per-point geometry table over the rows of ``grid``
     (shape ``(N, m)``, ``N >= 1``).
 
-    The grid is evaluated in blocks (see :func:`block_bounds`) whose rows go
-    into columns allocated once.  Point ``i`` draws its planes from child
+    The grid is evaluated in the blocks of :func:`graph_blocks`, whose rows
+    go into columns allocated once.  Point ``i`` draws four planes from child
     ``i`` of ``SeedSequence(seed).spawn(N)``, without ``numpy.random`` (see
     :func:`spawned_normals`), so the result does not depend on how the grid
     is split into blocks.  Besides its columns the sweep holds one block and
-    the planes of one chunk of blocks (:data:`PLANE_CHUNK`).
+    that block's planes.
     """
     m = f.domain.dim
     if m < 2:
@@ -120,22 +115,15 @@ def sweep_geometry(f: SmoothMap, grid: Array, seed: int = 0,
     coords = np.asarray(grid, dtype=float).reshape(len(grid), m)
     if not len(coords):
         raise ValueError("an empty grid has no geometry to sweep")
-    planes_of = spawned_normals(seed, len(coords), (planes, 2, m))
-    bounds = block_bounds(len(coords), m, f.target.dim)
-    per_chunk = max(PLANE_CHUNK // bounds[1], 1)
-    for k, rows in enumerate(map(slice, bounds[:-1], bounds[1:])):
-        blk = graph_block(f, coords[rows])
-        if k % per_chunk == 0:                      # the next chunk, the last one freed first
-            held = None
-            first, held = rows.start, planes_of(
-                slice(rows.start, bounds[min(k + per_chunk, len(bounds) - 1)]))
+    planes_of = spawned_normals(seed, len(coords), (4, 2, m))
+    for rows, blk in graph_blocks(f, coords):
         part = {
             "coords": blk.jets.coords, "lambdas": blk.frames.lambdas,
             "rank": blk.frames.rank, "trace_s": blk.trace_s,
             "a_norm_sq": blk.ext.a_norm_sq, "h_norm": blk.ext.h_norm,
             "metric_factor_res": np.max(np.abs(blk.g - 2.0 * blk.gm), axis=(1, 2)),
-            **_sectional_columns(blk, block_innermost(held[rows.start - first:rows.stop - first]))}
-        if k == 0:
+            **_sectional_columns(blk, planes_of(rows))}
+        if rows.start == 0:
             columns = {name: np.empty((len(coords), *a.shape[1:]), a.dtype)
                        for name, a in part.items()}
         for name, a in part.items():

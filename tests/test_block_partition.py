@@ -121,7 +121,7 @@ def test_sweep_columns_ignore_the_row_cap(seed, m, n, count):
                                   equal_nan=True), (rows, column)
 
 
-def chunk_sweeps():
+def small_sweeps():
     """``(name, f, grid)``: three registry maps on small grids, and the
     non-diagonal polynomial map between 3-manifolds."""
     for name, shape in (("identity-s3", (5, 5, 4)), ("proj-s3-s1", (5, 4, 3)),
@@ -133,26 +133,53 @@ def chunk_sweeps():
     yield "polynomial", f, rng.uniform(-0.5, 0.5, size=(61, 3))
 
 
-CHUNK_SWEEPS = list(chunk_sweeps())
+SMALL_SWEEPS = list(small_sweeps())
 
 
 @settings(max_examples=25, deadline=None)
-@given(case=st.sampled_from(range(len(CHUNK_SWEEPS))), chunk=st.integers(1, 300),
-       piece=st.integers(1, 300), rows=st.sampled_from([None, 2, 3, 7, 40]))
-@example(case=0, chunk=1, piece=1, rows=2)
-@example(case=3, chunk=50, piece=7, rows=3)
-def test_sweep_bytes_ignore_the_plane_chunks_and_the_blocks(case, chunk, piece, rows):
-    _, f, grid = CHUNK_SWEEPS[case]
+@given(case=st.sampled_from(range(len(SMALL_SWEEPS))), piece=st.integers(1, 300),
+       rows=st.sampled_from([None, 2, 3, 7, 40]))
+@example(case=0, piece=1, rows=2)
+@example(case=3, piece=7, rows=3)
+def test_sweep_bytes_ignore_the_pieces_and_the_blocks(case, piece, rows):
+    _, f, grid = SMALL_SWEEPS[case]
     want = sweep_geometry(f, grid, seed=11)
     m, n = f.domain.dim, f.target.dim
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(theorem_gate, "PLANE_CHUNK", chunk)
         mp.setattr(draws, "PIECE_ROWS", piece)
         if rows:
             mp.setattr(extrinsic, "BLOCK_BUDGET", rows * (m ** 4 + n ** 4))
         got = sweep_geometry(f, grid, seed=11)
     for column in GridSweep._fields:
         assert getattr(got, column).tobytes() == getattr(want, column).tobytes(), column
+
+
+@pytest.mark.parametrize("name,shape", [("identity-s3", (12, 12, 12)), ("holo-w2", (60, 60))])
+def test_sweep_draws_each_blocks_planes_with_the_block(monkeypatch, name, shape):
+    sc = get(name)
+    grid = sc.grid_points(shape)
+    events, build = [], extrinsic.graph_block
+
+    def graph_block(f, coords):
+        events.append(("block", len(coords)))
+        return build(f, coords)
+
+    def spawned_normals(seed, count, shape):
+        draw = draws.spawned_normals(seed, count, shape)
+
+        def recorded(rows):
+            events.append(("planes", rows.start, rows.stop))
+            return draw(rows)
+        return recorded
+
+    monkeypatch.setattr(extrinsic, "graph_block", graph_block)
+    monkeypatch.setattr(theorem_gate, "spawned_normals", spawned_normals)
+    sweep_geometry(sc.f, grid, seed=5)
+    bounds = block_bounds(len(grid), sc.domain.dim, sc.target.dim)
+    assert len(bounds) > 3
+    # each block once and in order, its planes drawn right after it is built
+    assert events == [event for start, stop in zip(bounds[:-1], bounds[1:])
+                      for event in (("block", stop - start), ("planes", start, stop))]
 
 
 # ---------------------------------------------------------------------------

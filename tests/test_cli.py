@@ -662,6 +662,7 @@ def test_unwritable_output_exits_2(command, tmp_path, capsys):
     {"sigma": 0}, {"sigma": -1.5},         # the pinching level is positive
     {"kappa_margin": 0}, {"kappa_margin": -1},   # and so is the kappa margin
     {"kappa_margin": 5e-17},               # and 1 + margin is above 1
+    {"h": None}, {"c": None}, {"kappa_margin": None},   # only sigma may be null
 ])
 @pytest.mark.parametrize("command", ["report", "check-theorem", "verify-identities"])
 def test_malformed_config_rejected(command, doc, tmp_path, capsys):

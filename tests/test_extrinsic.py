@@ -5,15 +5,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from graphgeo.extrinsic import (
-    MINIMAL_TOL,
-    TOTALLY_GEODESIC_TOL,
-    graph_block,
-    second_fundamental_at,
-)
+from graphgeo.extrinsic import MINIMAL_TOL, graph_block, second_fundamental_at
 from graphgeo.identities import point_rows
 from graphgeo.product_space import product_form
 from graphgeo.scenarios import get, registry
+from graphgeo.theorem_gate import DEFAULT_TOLERANCES
+
+#: the gate's bound on |A| for the totally-geodesic verdict
+TOTALLY_GEODESIC_TOL = DEFAULT_TOLERANCES["classify_isometric"]
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from graphgeo.errors import UnknownScenarioError
-from graphgeo.extrinsic import MINIMAL_TOL, TOTALLY_GEODESIC_TOL, graph_block
+from graphgeo.extrinsic import MINIMAL_TOL, graph_block
 from graphgeo.graph_map import SmoothMap
 from graphgeo.scenarios import get, jets_selftest, registry
+from graphgeo.theorem_gate import DEFAULT_TOLERANCES
 
 
 def test_registry_has_required_entries():
@@ -109,7 +110,8 @@ def test_expected_properties_reproduced():
     for name, sc in registry().items():
         pts = sc.random_points(20, rng)
         ext = graph_block(sc.f, np.array([p.coords for p in pts])).ext
-        totally_geodesic = np.sqrt(np.max(ext.a_norm_sq)) < TOTALLY_GEODESIC_TOL
+        totally_geodesic = (np.sqrt(np.max(ext.a_norm_sq))
+                            < DEFAULT_TOLERANCES["classify_isometric"])
         # total geodesy implies minimality regardless of the measured H
         minimal = np.max(ext.h_norm) < MINIMAL_TOL or totally_geodesic
         exp = sc.expected
