@@ -382,75 +382,48 @@ def sectional_curvature(man: ChartManifold, p: ChartPoint,
 # Generalized symmetric eigenproblem
 # ---------------------------------------------------------------------------
 
-def sym_eigen(phi: Array, g: Array, tol: float = 1e-12) -> tuple[Array, Array]:
+def cholesky_factor(g: Array) -> Array:
+    """Lower Cholesky factors ``L`` of ``g = L L^T``, per matrix of a stack;
+    a metric that is not positive definite raises
+    :class:`DegenerateMetricError` (a NaN metric gives a NaN factor)."""
+    try:
+        return np.linalg.cholesky(g)
+    except np.linalg.LinAlgError as exc:
+        raise DegenerateMetricError(f"metric not positive definite: {exc}") from exc
+
+
+def lower_inverse(L: Array) -> Array:
+    """Inverses of the lower-triangular matrices of a stack, in C order, by
+    forward substitution one column at a time: each step is one elementwise
+    operation over the whole stack, where ``np.linalg.inv`` spends ~1 us on
+    every 3x3 matrix."""
+    k = L.shape[-1]
+    inv = np.zeros(L.shape)
+    for j in range(k):
+        inv[..., j, j] = 1.0 / L[..., j, j]
+        for i in range(j + 1, k):
+            acc = L[..., i, j] * inv[..., j, j]
+            for s in range(j + 1, i):
+                acc = acc + L[..., i, s] * inv[..., s, j]
+            inv[..., i, j] = -acc / L[..., i, i]
+    return inv
+
+
+def sym_eigen(phi: Array, g: Array) -> tuple[Array, Array]:
     """Eigenvalues and g-orthonormal eigenbasis of ``phi`` relative to ``g``.
 
     Solves ``phi v = lam g v`` for symmetric ``phi`` and positive definite
-    ``g`` by congruence reduction (``g = L L^T``) followed by cyclic Jacobi
-    iteration on ``L^-1 phi L^-T``.  Broadcasts over leading axes: each
-    ``(p, q)`` rotation is applied at once to every matrix of the stack that
-    has not converged and whose ``(p, q)`` entry is above the threshold.
+    ``g``: with ``g = L L^T`` (:func:`cholesky_factor`), LAPACK's symmetric
+    eigensolver (``np.linalg.eigh``, which reads the lower triangle) runs on
+    the whitened ``L^-1 phi L^-T``, and ``v = L^-T w``.  Broadcasts over
+    leading axes; each matrix of a stack gets the bits it gets alone, since
+    every operand of a matrix product is in C order.
 
     Returns ``(vals, vecs)`` with ``vals`` ascending and ``vecs[..., :, i]``
     the eigenvector for ``vals[..., i]``; the basis satisfies
     ``v_i^T g v_j = delta_ij``.
     """
-    phi = np.asarray(phi, dtype=float)
-    g = np.asarray(g, dtype=float)
-    try:
-        L = np.linalg.cholesky(g)
-    except np.linalg.LinAlgError as exc:
-        raise DegenerateMetricError(
-            f"metric not positive definite: {exc}") from exc
-    B = np.linalg.solve(L, np.swapaxes(
-        np.linalg.solve(L, np.swapaxes(phi, -1, -2)), -1, -2))
-    B = 0.5 * (B + np.swapaxes(B, -1, -2))
-    shape, k = B.shape[:-2], B.shape[-1]
-    B = B.reshape(-1, k, k)
-    V = np.broadcast_to(np.eye(k), B.shape).copy()
-    flat = B.reshape(-1, 1, k * k)
-    # Frobenius norm through the same dot product as np.linalg.norm
-    norm = np.sqrt((flat @ np.swapaxes(flat, -1, -2))[:, 0, 0])
-    tol_eff = tol * np.maximum(1.0, norm)
-    off_diag = ~np.eye(k, dtype=bool)
-
-    active = np.ones(len(B), dtype=bool)
-    for _ in range(100 if k > 1 else 0):      # sweeps, converged or not
-        active &= np.abs(B[:, off_diag]).max(axis=-1) > tol_eff
-        if not active.any():
-            break
-        for p in range(k - 1):
-            for q in range(p + 1, k):
-                rows = np.flatnonzero(active & (np.abs(B[:, p, q]) > tol_eff))
-                if rows.size:
-                    B[rows], V[rows] = _jacobi_rotation(B[rows], V[rows], p, q)
-
-    vals = np.diagonal(B, axis1=-2, axis2=-1)
-    vecs = np.linalg.solve(np.swapaxes(L, -1, -2), V.reshape(*shape, k, k))
-    order = np.argsort(vals, axis=-1, kind="stable")
-    vals = np.take_along_axis(vals, order, axis=-1).reshape(*shape, k)
-    vecs = np.take_along_axis(vecs, order.reshape(*shape, 1, k), axis=-1)
-    return vals, vecs
-
-
-def _jacobi_rotation(B: Array, V: Array, p: int, q: int) -> tuple[Array, Array]:
-    """``B <- J^T B J`` and ``V <- V J`` with J the rotation that zeroes B[p, q]."""
-    apq = B[:, p, q]
-    tau = (B[:, q, q] - B[:, p, p]) / (2.0 * apq)
-    nonzero = tau != 0.0
-    t = np.ones_like(tau)
-    t[nonzero] = np.sign(tau[nonzero]) / (np.abs(tau[nonzero])
-                                          + np.hypot(1.0, tau[nonzero]))
-    c = (1.0 / np.hypot(1.0, t))[:, None]
-    s = t[:, None] * c
-    bp, bq = B[:, :, p].copy(), B[:, :, q].copy()
-    B[:, :, p] = c * bp - s * bq
-    B[:, :, q] = s * bp + c * bq
-    bp, bq = B[:, p, :].copy(), B[:, q, :].copy()
-    B[:, p, :] = c * bp - s * bq
-    B[:, q, :] = s * bp + c * bq
-    B[:, p, q] = B[:, q, p] = 0.0
-    vp, vq = V[:, :, p].copy(), V[:, :, q].copy()
-    V[:, :, p] = c * vp - s * vq
-    V[:, :, q] = s * vp + c * vq
-    return B, V
+    inv = lower_inverse(cholesky_factor(np.asarray(g, dtype=float)))
+    inv_t = np.swapaxes(inv, -1, -2)
+    vals, w = np.linalg.eigh(inv @ np.ascontiguousarray(phi, dtype=float) @ inv_t)
+    return vals, inv_t @ w

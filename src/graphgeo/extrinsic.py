@@ -96,7 +96,11 @@ class ExtrinsicData(NamedTuple):
 
 def second_fundamental_block(blk: "GraphBlock") -> ExtrinsicData:
     """Second fundamental form, mean curvature and scalar invariants over a
-    block of points, from its jets, Christoffels and adapted frames."""
+    block of points, from its jets, Christoffels and adapted frames.
+
+    ``a_coord`` (A on chart-basis slots) is contracted with the frame ``e``
+    by two matrix products, and each factor slice of ``|A|^2`` by one
+    metric product, all on C-ordered operands; ``a_frame`` is C-ordered."""
     fjet, frames = blk.jets.f, blk.frames
     d1, d2 = fjet.d1, fjet.d2
     gamma_m, gamma_n, gamma_g = blk.curv_m.gamma, blk.curv_n.gamma, blk.gamma_g
@@ -110,19 +114,22 @@ def second_fundamental_block(blk: "GraphBlock") -> ExtrinsicData:
         + np.einsum("...abc,...bi,...cj->...ija", gamma_n, d1, d1)
         - np.einsum("...kij,...ak->...ija", gamma_g, d1)], axis=-1)
 
-    # C order gives each point's slice the memory layout, and with it the
-    # summation order of the contraction, of a single-point evaluation
-    e = frames.e
-    a_frame = np.einsum("...ijc,...ip,...jq->...pqc", a_coord, e, e, order="C")
+    # A(e_p, e_q) = e_ip e_jq A_ij, one matrix product per contracted slot,
+    # on C-ordered operands (see chart_manifold.matvec); a_frame comes out
+    # in C order, so a point's slice has the layout of a single-point result
+    e_t = np.swapaxes(np.ascontiguousarray(frames.e), -1, -2)
+    size, m = e_t.shape[:2]
+    a_c = np.ascontiguousarray(a_coord)
+    half = (e_t @ a_c.reshape(size, m, -1)).reshape(a_c.shape)    # half[p, j, c]
+    a_frame = e_t[:, None] @ half
     H = np.einsum("...iic->...c", a_frame)
 
     gm, gn = blk.jets.gm.g, blk.jets.gn.g
-    # |A|^2 sums each factor over all (i, j) in one contraction, the order in
-    # which the reported values were first computed
-    m = gm.shape[-1]
-    a_m, a_n = a_frame[..., :m], a_frame[..., m:]
-    a_norm_sq = (np.einsum("...ijc,...cd,...ijd->...", a_m, gm, a_m)
-                 + np.einsum("...ijc,...cd,...ijd->...", a_n, gn, a_n))
+    # |A|^2 = sum_ij A_ij . g A_ij, one metric product per factor slice
+    a_norm_sq = 0.0
+    for a, g in ((a_frame[..., :m], gm), (a_frame[..., m:], gn)):
+        flat = a.reshape(size, m * m, -1)
+        a_norm_sq = a_norm_sq + np.sum((flat @ np.ascontiguousarray(g)) * flat, axis=(-2, -1))
     h_norm = np.sqrt(product_form(gm, gn, H, H))
     return ExtrinsicData(frames=frames, a_frame=a_frame, a_coord=a_coord,
                          mean_curvature=H, a_norm_sq=a_norm_sq, h_norm=h_norm,

@@ -22,8 +22,8 @@ from .chart_manifold import (
     ChartPoint,
     MetricJet,
     block_innermost,
-    quadratic_form,
-    sym_eigen,
+    cholesky_factor,
+    lower_inverse,
 )
 from .errors import (
     CapabilityError,
@@ -144,10 +144,13 @@ def pullback_metric_jet(fjet: MapJet, hjet: MetricJet,
     if order < 1:
         return P, None, None
 
-    # dP[k, i, j] = d_k P_ij
+    # dP[k, i, j] = d_k P_ij; the last term contracts the chain rule's
+    # dh_f[k, a, b] = d_k (h_ab o f) first: one 4-operand einsum would loop
+    # over all six indices at once
+    dh_f = np.einsum("...cab,...ck->...kab", dh, d1)
     dP = (np.einsum("...aki,...bj,...ab->...kij", d2, d1, h)
           + np.einsum("...ai,...bkj,...ab->...kij", d1, d2, h)
-          + np.einsum("...ai,...bj,...cab,...ck->...kij", d1, d1, dh, d1))
+          + np.einsum("...ai,...bj,...kab->...kij", d1, d1, dh_f))
     if order < 2:
         return P, dP, None
     return P, dP, pullback_metric_d2(fjet, hjet)
@@ -184,71 +187,19 @@ def induced_jet(gm: MetricJet, pullback: tuple) -> MetricJet:
 # Singular values and adapted frames (blocks of points)
 # ---------------------------------------------------------------------------
 
-def _target_frames(d1: Array, alpha: Array, lam: Array, rank: Array,
-                   h: Array) -> Array:
-    """The g_N-orthonormal target frames ``beta`` of a block of points.
-
-    ``beta_{n-m+i} = df(alpha_i) / lambda_i`` for the positive singular
-    values, stabilized against the vectors already built; then a
-    g_N-orthonormal completion from the coordinate axes in the first
-    ``n - r`` slots.
-    """
-    size, n, m = d1.shape
-    beta = np.zeros((size, n, n))
-    built = np.zeros((size, n, n))     # each point's vectors, in build order
-    count = np.zeros(size, dtype=int)
-
-    def orthogonalize(w: Array, rows: Array) -> Array:
-        # stabilized Gram-Schmidt: two passes against each row's built vectors
-        basis, cnt, gram = built[rows], count[rows], h[rows]
-        for _ in range(2):
-            for slot in range(int(cnt.max(initial=0))):
-                b = basis[:, slot]
-                coef = quadratic_form(b, gram, w)
-                w = np.where((slot < cnt)[:, None], w - coef[:, None] * b, w)
-        return w
-
-    def append(w: Array, rows: Array) -> None:
-        built[rows, count[rows]] = w
-        count[rows] += 1
-
-    for i in range(max(m - n, 0), m):
-        rows = np.flatnonzero(i >= m - rank)
-        if not rows.size:
-            continue
-        w = (d1[rows] @ alpha[rows, :, i, None])[..., 0] / lam[rows, i, None]
-        w = orthogonalize(w, rows)
-        norm = np.sqrt(quadratic_form(w, h[rows], w))
-        collapsed = norm < 0.5
-        if collapsed.any():
-            raise FrameConstructionError(
-                "collapsed image vector for singular value "
-                f"{lam[rows[np.argmax(collapsed)], i]:.3e}")
-        w = w / norm[:, None]
-        beta[rows, :, n - m + i] = w
-        append(w, rows)
-
-    completed = np.zeros(size, dtype=int)
-    for axis in np.eye(n):
-        rows = np.flatnonzero(completed < n - rank)
-        if not rows.size:
-            break
-        w = orthogonalize(np.tile(axis, (rows.size, 1)), rows)
-        norm = np.sqrt(quadratic_form(w, h[rows], w))
-        keep = norm > 1e-6
-        rows, w = rows[keep], w[keep] / norm[keep, None]
-        beta[rows, :, completed[rows]] = w
-        completed[rows] += 1
-        append(w, rows)
-    if np.any(completed < n - rank):
-        raise FrameConstructionError("could not complete target frame")
-    return beta
-
-
-def frame_block(P: Array, d1: Array, gm: Array, h: Array) -> GraphFrameData:
+def frame_block(d1: Array, gm: Array, h: Array) -> GraphFrameData:
     """Adapted frames of the graph over a block of points.
 
-    Builds, from the singular value decomposition, the orthonormal frames
+    With the Cholesky factors ``g_M = L_M L_M^T`` and ``h = L_N L_N^T``, one
+    batched singular value decomposition of the whitened differential
+    ``L_N^T d1 L_M^-T = U diag(lambda) V^T`` gives the singular values and
+    the singular bases ``alpha = L_M^-T V`` (g_M-orthonormal) and
+    ``beta = L_N^-T U`` (g_N-orthonormal), with ``df(alpha_i) =
+    lambda_i beta_{n-m+i}``: ``lambdas`` ascending, a map with ``m > n``
+    padded by ``m - n`` exact zeros, and both bases in the same order.  A
+    zero singular value comes out at the roundoff of the differential
+    (~1e-16 of its scale), and the columns of ``U`` and ``V`` that belong to
+    it complete both bases.  From these, the orthonormal frames
 
     * ``e_i = alpha_i / sqrt(1 + lambda_i^2)``  (domain, induced metric),
     * ``(e_i, df(e_i)) = (alpha_i (+) lambda_i beta_{n-m+i}) / sqrt(1+lambda_i^2)``
@@ -257,18 +208,26 @@ def frame_block(P: Array, d1: Array, gm: Array, h: Array) -> GraphFrameData:
       ``(-lambda_{i+m-n} alpha_{i+m-n} (+) beta_i) / sqrt(1+lambda_{i+m-n}^2)``
       (graph normal space, product metric).
 
-    ``P`` is the pullback metric of the block; ``lambda_i^2`` are its
-    eigenvalues relative to ``g_M``.
+    A decomposition that fails (a NaN in the differential or in a metric)
+    raises :class:`FrameConstructionError`; a metric that is not positive
+    definite raises :class:`DegenerateMetricError`.
     """
-    size, m, n = len(P), gm.shape[-1], h.shape[-1]
-    mu, alpha = sym_eigen(P, gm)
-    lam = np.sqrt(np.maximum(mu, 0.0))
-    # P = d1^T h d1 has rank at most n: only the min(m, n) largest singular
-    # values can count, since the square root lifts a roundoff mu ~ 1e-15 of
-    # a zero one to ~3e-8, past the tolerance
-    top = lam[:, m - min(m, n):]
-    rank = np.sum(top > (RANK_TOL * (1.0 + lam[:, -1]))[:, None], axis=-1)
-    beta = _target_frames(d1, alpha, lam, rank, h)
+    size, n, m = d1.shape
+    inv_m = lower_inverse(cholesky_factor(gm))
+    l_n = cholesky_factor(h)
+    # every matrix product in C order or its transpose (see matvec)
+    whitened = np.swapaxes(l_n, -1, -2) @ np.ascontiguousarray(d1) \
+        @ np.swapaxes(inv_m, -1, -2)
+    try:
+        u, sv, vt = np.linalg.svd(whitened)
+    except np.linalg.LinAlgError as exc:
+        raise FrameConstructionError(f"singular value decomposition failed: {exc}") from exc
+    # LAPACK orders the singular values descending; the frames ascending
+    lam = np.zeros((size, m))
+    lam[:, m - sv.shape[-1]:] = sv[:, ::-1]
+    alpha = np.swapaxes(np.ascontiguousarray(vt[:, ::-1]) @ inv_m, -1, -2)
+    beta = np.swapaxes(lower_inverse(l_n), -1, -2) @ np.ascontiguousarray(u[..., ::-1])
+    rank = np.sum(lam > (RANK_TOL * (1.0 + lam[:, -1]))[:, None], axis=-1)
     scale = 1.0 / np.sqrt(1.0 + lam ** 2)
     e = block_innermost(alpha * scale[:, None, :])
 
@@ -330,7 +289,7 @@ def verified_frame_block(jets: GraphJets, P: Array) -> GraphFrameData:
     ``P``, raising :class:`FrameConstructionError` at the first point whose
     frame residual is not within :data:`FRAME_VERIFY_TOL`."""
     gm, h = jets.gm.g, jets.gn.g
-    frames = frame_block(P, jets.f.d1, gm, h)
+    frames = frame_block(jets.f.d1, gm, h)
     res = frame_residual_block(frames, gm, h, gm + P)
     bad = ~(res <= FRAME_VERIFY_TOL)
     if bad.any():
@@ -366,8 +325,8 @@ def induced_metric_jet(f: SmoothMap, p: ChartPoint, order: int = 2) -> MetricJet
 def singular_values_at(f: SmoothMap, p: ChartPoint) -> GraphFrameData:
     """Singular values (ascending), rank and singular bases of the
     differential at ``p``, with the unverified frames of :func:`frame_block`."""
-    jets, P = _at(f, p)
-    return frame_block(P, jets.f.d1, jets.gm.g, jets.gn.g).point(0)
+    jets = graph_jets(f, p.coords[None])
+    return frame_block(jets.f.d1, jets.gm.g, jets.gn.g).point(0)
 
 
 def adapted_frames_at(f: SmoothMap, p: ChartPoint) -> GraphFrameData:

@@ -15,6 +15,7 @@ from itertools import product
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from graphgeo import extrinsic
 from graphgeo.chart_manifold import (
@@ -99,40 +100,22 @@ def point_sweep(f, grid, seed=0, planes=4):
     return {name: np.array([r[name] for r in rows]) for name in rows[0]}
 
 
-def scalar_sym_eigen(phi, g, tol=1e-12, max_sweeps=100):
+def scalar_sym_eigen(phi, g):
+    # one matrix: Cholesky factor, its inverse by forward substitution in
+    # Python floats, LAPACK's symmetric eigensolver on the whitened matrix
     L = np.linalg.cholesky(g)
-    B = np.linalg.solve(L, np.linalg.solve(L, phi.T).T)
-    B = 0.5 * (B + B.T)
-    k = B.shape[0]
-    V = np.eye(k)
-    tol_eff = tol * max(1.0, float(np.linalg.norm(B)))
-    for _ in range(max_sweeps):
-        off = float(np.max(np.abs(B - np.diag(np.diag(B))))) if k > 1 else 0.0
-        if off <= tol_eff:
-            break
-        for p in range(k - 1):
-            for q in range(p + 1, k):
-                apq = B[p, q]
-                if abs(apq) <= tol_eff:
-                    continue
-                tau = (B[q, q] - B[p, p]) / (2.0 * apq)
-                t = np.sign(tau) / (abs(tau) + np.hypot(1.0, tau)) if tau != 0.0 else 1.0
-                c = 1.0 / np.hypot(1.0, t)
-                s = t * c
-                bp, bq = B[:, p].copy(), B[:, q].copy()
-                B[:, p] = c * bp - s * bq
-                B[:, q] = s * bp + c * bq
-                bp, bq = B[p, :].copy(), B[q, :].copy()
-                B[p, :] = c * bp - s * bq
-                B[q, :] = s * bp + c * bq
-                B[p, q] = B[q, p] = 0.0
-                vp, vq = V[:, p].copy(), V[:, q].copy()
-                V[:, p] = c * vp - s * vq
-                V[:, q] = s * vp + c * vq
-    vals = np.diag(B).copy()
-    vecs = np.linalg.solve(L.T, V)
-    order = np.argsort(vals, kind="stable")
-    return vals[order], vecs[:, order]
+    k = len(L)
+    inv = [[0.0] * k for _ in range(k)]
+    for j in range(k):
+        inv[j][j] = 1.0 / float(L[j, j])
+        for i in range(j + 1, k):
+            acc = float(L[i, j]) * inv[j][j]
+            for s in range(j + 1, i):
+                acc = acc + float(L[i, s]) * inv[s][j]
+            inv[i][j] = -acc / float(L[i, i])
+    inv = np.array(inv)
+    vals, w = np.linalg.eigh(inv @ phi @ inv.T)
+    return vals, inv.T @ w
 
 
 # ---------------------------------------------------------------------------
@@ -231,6 +214,9 @@ def test_sym_eigen_batched_matches_scalar_loop(k):
         one_vals, one_vecs = sym_eigen(A[i], g[i])
         assert np.array_equal(one_vals, want_vals)
         assert np.array_equal(one_vecs, want_vecs)
+        # and LAPACK's generalized solver, at test_sym_eigen_matches_dense_oracle's tolerance
+        assert np.abs(vals[i] - scipy.linalg.eigh(A[i], g[i], eigvals_only=True)).max() < 1e-10
+        assert np.abs(vecs[i].T @ g[i] @ vecs[i] - np.eye(k)).max() < 1e-10
 
 
 def test_sym_eigen_broadcasts_over_several_axes():
@@ -351,6 +337,24 @@ def test_nan_differential_raises_in_frames():
     f = nan_differential_map()
     with pytest.raises(FrameConstructionError):
         adapted_frames_at(f, f.domain.point([0.2, 0.1]))
+
+
+def test_nan_target_metric_row_raises_in_frames_and_sweep():
+    # one grid point's image gets a NaN target metric
+    sc = get("identity-s2")
+
+    def jet(x):
+        out = sc.target.metric_jet(x)
+        out.g[np.flatnonzero(x[:, 0] > 0.4), 1, 0] = np.nan
+        return out
+
+    target = ChartManifold(2, jet, sc.target.chart_box, "nan-row")
+    f = SmoothMap(sc.domain, target, sc.f.jet_fn, "nan-target-row")
+    with pytest.raises(FrameConstructionError):
+        adapted_frames_at(f, f.domain.point([0.5, 0.1]))
+    grid = np.array([[x, 0.1] for x in np.linspace(-0.5, 0.5, 5)])
+    with pytest.raises(FrameConstructionError):
+        sweep_geometry(f, grid)
 
 
 def test_frame_residual_propagates_nan():

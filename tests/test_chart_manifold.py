@@ -190,7 +190,7 @@ def test_sym_eigen_metric_itself():
 
 
 def test_sym_eigen_matches_dense_oracle():
-    # oracle: LAPACK generalized solver, fully independent of the Jacobi path
+    # oracle: LAPACK's generalized solver, not the whitened eigh of sym_eigen
     rng = np.random.default_rng(5)
     for _ in range(25):
         A = rng.normal(size=(4, 4))

@@ -12,10 +12,13 @@ from graphgeo.chart_manifold import (
 from graphgeo.errors import CapabilityError, InvalidParameterError
 from graphgeo.extrinsic import trace_s_at
 from graphgeo.graph_map import (
+    FRAME_VERIFY_TOL,
     MapJet,
     SmoothMap,
     adapted_frames_at,
+    frame_block,
     frame_formula_residual,
+    frame_residual_block,
     induced_metric_jet,
     pullback_metric_at,
     singular_values_at,
@@ -134,6 +137,24 @@ def test_rank_one_map_into_surface_frames():
         assert np.abs(d1 @ fr.alpha[:, 0]).max() < 1e-12
         image = d1 @ fr.alpha[:, 1]
         assert np.abs(image - fr.lambdas[1] * fr.beta[:, 1]).max() < 1e-10
+
+
+def test_rank_deficient_frames_read_zero_singular_values_at_roundoff():
+    # rank-1 differentials d1 = a b^T from a 2-d domain into a 3-d target,
+    # under non-diagonal metrics: each row's zero singular value must sit at
+    # the roundoff of the differential, far below the rank floor, and the
+    # frames must pass their self-check
+    rng = np.random.default_rng(1)
+    count, m, n = 20_000, 2, 3
+    d1 = rng.normal(size=(count, n, 1)) @ rng.normal(size=(count, 1, m))
+    gm, h = (w @ np.swapaxes(w, -1, -2) + 0.5 * np.eye(len(w[0]))
+             for w in (rng.normal(size=(count, m, m)), rng.normal(size=(count, n, n))))
+    frames = frame_block(d1, gm, h)
+    lam = frames.lambdas
+    assert np.all(frames.rank == 1)
+    assert np.all(lam[:, 0] <= 1e-12 * (1.0 + lam[:, -1]))
+    P = np.swapaxes(d1, -1, -2) @ h @ d1
+    assert np.max(frame_residual_block(frames, gm, h, gm + P)) <= FRAME_VERIFY_TOL
 
 
 def test_image_outside_target_chart_raises():
