@@ -11,8 +11,8 @@ Exit codes: 0 success (for ``check-theorem``: a dichotomy verdict), 1 failed
 checks or a violated hypothesis gate, 2 unknown scenario, bad
 configuration (a non-positive ``--sigma`` or ``--kappa-margin``, a
 ``--kappa-margin`` too small to move ``1 + margin`` off 1, or one whose
-``kappa^4`` overflows, and a null ``h``, ``c`` or ``kappa_margin`` in a
-config file, among it),
+``kappa^4`` overflows, an ``--h`` whose square underflows, and a null
+``h``, ``c`` or ``kappa_margin`` in a config file, among it),
 an ``--output`` or a stdout that cannot be written (every command, ``list``
 included), out of memory or a missing ``ziggurat.bin``, 3 out-of-chart
 sampling, 4 indeterminate classification.  Every non-zero exit prints one
@@ -104,6 +104,8 @@ class RunConfig(NamedTuple):
                 raise ValueError(f"{name} must be a finite number, got {value!r}")
         if self.h <= 0.0:
             raise ValueError("finite-difference step must be positive")
+        if self.h * self.h < sys.float_info.min:
+            raise ValueError(f"finite-difference step {self.h!r} is too small: h * h underflows")
         if self.c <= 0.0:
             raise ValueError("shift parameter c must be positive")
         if self.sigma is not None and self.sigma <= 0.0:

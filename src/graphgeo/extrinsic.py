@@ -27,6 +27,7 @@ from .graph_map import (
     induced_jet,
     pullback_metric_d2,
     pullback_metric_jet,
+    shift_deficit,
     shift_level,
     verified_frame_block,
 )
@@ -232,22 +233,23 @@ class GraphBlock(Frozen):
         return self.curv_g2.ricci[1]
 
     @cached_property
-    def frames(self) -> GraphFrameData:
-        """Adapted frames, verified (see :func:`verified_frame_block`)."""
+    def verified_frames(self) -> tuple[GraphFrameData, Array]:
+        """Adapted frames and their residual (see :func:`verified_frame_block`)."""
         return verified_frame_block(self.jets, self.pullback[0])
+
+    frames = property(lambda self: self.verified_frames[0])
+    frame_residual = property(lambda self: self.verified_frames[1])
 
     @cached_property
     def ext(self) -> ExtrinsicData:
         return second_fundamental_block(self)
 
     def shifted_jet(self, c: float) -> tuple[Array, Array]:
-        """The shifted tensor ``s - ((1-c)/(1+c)) g``, written as
-        ``(1-nu) g_M - (1+nu) f*(g_N)`` with ``nu = (1-c)/(1+c)``, and its
-        exact first chart derivatives."""
+        """The shifted tensor ``s - nu g`` (:func:`shift_deficit`), with ``nu =
+        (1-c)/(1+c)``, and its exact chart derivatives ``(1-nu) dg_M - (1+nu) dP``."""
         nu = shift_level(c)
-        P, dP, _ = self.pullback
-        gm = self.jets.gm
-        return (1.0 - nu) * gm.g - (1.0 + nu) * P, (1.0 - nu) * gm.dg - (1.0 + nu) * dP
+        return (shift_deficit(self.s, self.g, c),
+                (1.0 - nu) * self.jets.gm.dg - (1.0 + nu) * self.pullback[1])
 
 
 def graph_block(f: SmoothMap, coords: Array) -> GraphBlock:

@@ -284,10 +284,10 @@ def frame_residual_block(frames: GraphFrameData, gm: Array, h: Array,
     return np.max([np.abs(gap).max(axis=(-2, -1)) for gap in gaps], axis=0)
 
 
-def verified_frame_block(jets: GraphJets, P: Array) -> GraphFrameData:
+def verified_frame_block(jets: GraphJets, P: Array) -> tuple[GraphFrameData, Array]:
     """:func:`frame_block` for the graph jets ``jets`` with pullback metric
-    ``P``, raising :class:`FrameConstructionError` at the first point whose
-    frame residual is not within :data:`FRAME_VERIFY_TOL`."""
+    ``P``, and its residual per point, raising :class:`FrameConstructionError`
+    at the first point whose residual is not within :data:`FRAME_VERIFY_TOL`."""
     gm, h = jets.gm.g, jets.gn.g
     frames = frame_block(jets.f.d1, gm, h)
     res = frame_residual_block(frames, gm, h, gm + P)
@@ -297,7 +297,7 @@ def verified_frame_block(jets: GraphJets, P: Array) -> GraphFrameData:
         raise FrameConstructionError(
             f"frame verification residual {res[k]:.3e} exceeds "
             f"{FRAME_VERIFY_TOL:.1e} at {jets.coords[k]}")
-    return frames
+    return frames, res
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +333,7 @@ def adapted_frames_at(f: SmoothMap, p: ChartPoint) -> GraphFrameData:
     """Complete adapted frames of the graph at ``p`` (see :func:`frame_block`),
     verified by :func:`verified_frame_block`: a residual above
     :data:`FRAME_VERIFY_TOL`, or a NaN, raises :class:`FrameConstructionError`."""
-    return verified_frame_block(*_at(f, p)).point(0)
+    return verified_frame_block(*_at(f, p))[0].point(0)
 
 
 def frame_formula_residual(f: SmoothMap, p: ChartPoint,

@@ -8,9 +8,9 @@ metric; the curvature-to-sectional reductions are only valid there.
 
 Every operation evaluates a stack of rows of a :class:`GraphBlock`
 (:class:`PointData`; a point is the stack ``rows=[i]``) in one call, one
-value per row, each with the bits of a single-point evaluation.  The
-stencils and parallel-field probes of all rows are one block each; the
-suite's elliptic and log-Jacobian checks share their stencil block.
+value per row, each with the bits of a single-point evaluation.  Every
+row's parallel-field probes and stencil are one block, which the suite's
+elliptic and log-Jacobian checks share (:meth:`PointData.neighbours`).
 """
 
 from itertools import combinations
@@ -22,7 +22,7 @@ from .chart_manifold import curvature_form, matvec, powers, quadratic_form, sym_
 from .draws import Stream
 from .errors import InvalidParameterError, PreconditionError
 from .extrinsic import MINIMAL_TOL, GraphBlock, graph_block, graph_blocks
-from .graph_map import SmoothMap, frame_residual_block, shift_deficit
+from .graph_map import SmoothMap, shift_deficit
 from .product_space import product_form
 from .theorem_gate import DEFAULT_TOLERANCES, STRICT_MARGIN, RowMargins, kappa_level, row_margins
 
@@ -71,6 +71,7 @@ class PointData:
         self.blk, self.f = blk, blk.f
         self.rows = np.asarray(rows, dtype=np.intp).reshape(-1)
         self.m, self.n = self.f.domain.dim, self.f.target.dim
+        self._near = {}
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -88,12 +89,19 @@ class PointData:
         """The rows ``which`` of this stack."""
         return PointData(self.blk, self.rows[which])
 
-    def shifted_s(self, c: float) -> Array:
-        return shift_deficit(self.s, self.g, c)
-
     def shifted_jet(self, c: float) -> tuple[Array, Array]:
         """Value and exact first chart derivatives of the shifted tensor field."""
         return tuple(_rows(x, self.rows) for x in self.blk.shifted_jet(c))
+
+    def neighbours(self, h: float) -> GraphBlock:
+        """One block, built once per step ``h``, of each row's ``2 m`` axis
+        neighbours at step 0.05 (the parallel-field probes), then its ``2 m^2``
+        stencil neighbours at ``h`` (see :func:`_neighbour_values`)."""
+        if h not in self._near:
+            steps = _stencil_steps(self.m)
+            near = self.coords[:, None] + np.concatenate([0.05 * steps[:2 * self.m], h * steps])
+            self._near[h] = graph_block(self.f, near.reshape(-1, self.m))
+        return self._near[h]
 
 
 def point_rows(f: SmoothMap, points) -> PointData:
@@ -288,17 +296,13 @@ def _stencil_steps(m: int) -> Array:
     return np.array(axis + corner)
 
 
-def _stencil_block(d: PointData, step: float, count: int) -> GraphBlock:
-    """Every row's first ``count`` stencil neighbours at ``step``, as one block."""
-    near = d.coords[:, None] + step * _stencil_steps(d.m)[:count]
-    return graph_block(d.f, near.reshape(-1, d.m))
-
-
-def _per_row(values: Array, count: int) -> Array:
-    """Stencil-block values as ``(row, count, ...)``, each row's neighbours
-    laid out as a block of their own."""
-    values = values.reshape(-1, count, *values.shape[1:])
-    return np.moveaxis(np.ascontiguousarray(np.moveaxis(values, 1, -1)), -1, 1)
+def _neighbour_values(values: Array, m: int) -> tuple[Array, Array]:
+    """Values of a :meth:`PointData.neighbours` block as ``(row, neighbour,
+    ...)``, the probes' and the stencil's, each row's neighbours laid out
+    as a block of their own."""
+    values = values.reshape(-1, 2 * m + 2 * m * m, *values.shape[1:])
+    return tuple(np.moveaxis(np.ascontiguousarray(np.moveaxis(part, 1, -1)), -1, 1)
+                 for part in (values[:, :2 * m], values[:, 2 * m:]))
 
 
 def _fd_partials(f0: Array, vals: Array, m: int, h: float) -> tuple[Array, Array]:
@@ -361,48 +365,38 @@ def scalar_laplacian_fd(d: PointData, f0: Array, vals: Array, h: float) -> Array
 # The elliptic equation for the shifted tensor
 # ---------------------------------------------------------------------------
 
-def shifted_tensor_laplacian(d: PointData, c: float, h: float,
-                             stencil: GraphBlock | None = None) -> Array:
+def shifted_tensor_laplacian(d: PointData, c: float, h: float) -> Array:
     """Rough Laplacian of the shifted tensor field at each row: zero where
     the field is parallel (exact covariant derivative vanishing at the point
     and at its axis neighbours at step 0.05, not at an isolated critical
-    point alone), else from one stencil block for those rows, or
-    from their rows of ``stencil``, the stencil block of every row of ``d``
-    at step ``h``."""
-    count = 2 * d.m
-    probes = _stencil_block(d, 0.05, count)
-    phi, dphi, gamma = (
-        np.concatenate([_expand(at_p, 1), _per_row(near, count)], axis=1)
-        for at_p, near in zip((*d.shifted_jet(c), d.gamma_g),
-                              (*probes.shifted_jet(c), probes.gamma_g)))
+    point alone), else from its stencil at step ``h``."""
+    near = d.neighbours(h)
+    probes, stencils = zip(*(_neighbour_values(x, d.m)
+                             for x in (*near.shifted_jet(c), near.gamma_g)))
+    phi, dphi, gamma = (np.concatenate([_expand(at_p, 1), at_probes], axis=1)
+                        for at_p, at_probes in zip((*d.shifted_jet(c), d.gamma_g), probes))
     nabla = _covariant_derivative(phi, dphi, gamma)
     rough = ~np.all(np.abs(nabla).max(axis=(2, 3, 4))
                     < PARALLEL_TOL * (1.0 + np.abs(phi).max(axis=(2, 3))), axis=1)
     lap = np.zeros((len(d), d.m, d.m))
     if rough.any():
-        sub, count = d.take(rough), 2 * d.m * d.m
-        stencil, picked = ((_stencil_block(sub, h, count), slice(None)) if stencil is None
-                           else (stencil, rough))
-        near = shift_deficit(stencil.s, stencil.g, c).reshape(-1, count, d.m, d.m)
-        vals = _per_row(near[picked].reshape(-1, d.m, d.m), count)
-        lap[rough] = rough_laplacian_fd(sub, sub.shifted_s(c), vals, h)
+        sub = d.take(rough)
+        lap[rough] = rough_laplacian_fd(sub, sub.shifted_jet(c)[0], stencils[0][rough], h)
     return lap
 
 
 def elliptic_equation_residual(d: PointData, c: float, h: float = 1e-3,
-                               minimal_tol: float = MINIMAL_TOL,
-                               stencil: GraphBlock | None = None) -> Array:
+                               minimal_tol: float = MINIMAL_TOL) -> Array:
     """Residual of ``Lap(Phi) + Psi(Phi) = 0`` on the adapted frame at each
-    row (``stencil``: see :func:`shifted_tensor_laplacian`).  The equation
-    in this homogeneous form holds for minimal maps only, so a point with
-    mean curvature above ``minimal_tol`` is rejected."""
+    row.  The equation in this homogeneous form holds for minimal maps only,
+    so a point with mean curvature above ``minimal_tol`` is rejected."""
     _require_minimal(d, minimal_tol)
-    lap = shifted_tensor_laplacian(d, c, h, stencil=stencil)
+    lap = shifted_tensor_laplacian(d, c, h)
     e_t = np.swapaxes(d.e, -1, -2)
     i, j = np.triu_indices(d.m)
     psi = np.empty((len(d), d.m, d.m))
     psi[:, i, j] = psi[:, j, i] = reaction_term_apply(
-        d, c, _expand(d.shifted_s(c), 1), np.ascontiguousarray(e_t[:, i]),
+        d, c, _expand(d.shifted_jet(c)[0], 1), np.ascontiguousarray(e_t[:, i]),
         np.ascontiguousarray(e_t[:, j]))
     return np.abs(e_t @ lap @ d.e + psi).max(axis=(1, 2))
 
@@ -439,22 +433,20 @@ def minimality_relations_residual_2d(d: PointData) -> Array:
 
 
 def log_jacobian_residual_2d(d: PointData, h: float = 1e-3,
-                             minimal_tol: float = MINIMAL_TOL,
-                             stencil: GraphBlock | None = None) -> Array:
+                             minimal_tol: float = MINIMAL_TOL) -> Array:
     """Residual at each row of the 2x2-dimensional equation for ``ln`` of the
     projection Jacobian of a minimal map: the Laplace-Beltrami value (FD
-    partials of the exact Jacobian field, on ``stencil``, the stencil block
-    of the rows at step ``h``, built if not given) against the normal
-    components of the second fundamental form and the sectional curvatures."""
+    partials of the exact Jacobian field on the rows' stencils at step
+    ``h``) against the normal components of the second fundamental form
+    and the sectional curvatures."""
     if d.m != 2 or d.n != 2:
         raise PreconditionError("identity needs dim M = dim N = 2")
     _require_minimal(d, minimal_tol)
 
-    count = 2 * d.m * d.m
-    stencil = _stencil_block(d, h, count) if stencil is None else stencil
+    near = d.neighbours(h)
     lhs = scalar_laplacian_fd(
         d, np.log(projection_jacobian(d.gm, d.g)),
-        _per_row(np.log(projection_jacobian(stencil.gm, stencil.g)), count), h)
+        _neighbour_values(np.log(projection_jacobian(near.gm, near.g)), d.m)[1], h)
 
     l1, l2 = d.lambdas.T
     comp = _normal_components_2d(d)
@@ -652,7 +644,7 @@ def extremum_derivative_probe(f: SmoothMap, grid: Array,
     rows = next(rows for rows, _, _ in tensors if idx < rows.stop)
     pair = [idx, idx + 1 if idx + 1 < rows.stop else max(idx - 1, rows.start)]
     d = PointData(graph_block(f, grid[pair]), [0])
-    v = sym_eigen(d.shifted_s(c), d.g)[1][..., -1]
+    v = sym_eigen(d.shifted_jet(c)[0], d.g)[1][..., -1]
     nabla = _covariant_derivative(*d.shifted_jet(c), d.gamma_g)
     grad_vec = np.einsum("...lij,...i,...j->...l", nabla, v, v)
     grad_norm = float(np.sqrt(grad_vec @ d.ginv @ grad_vec[..., None])[0, 0, 0])
@@ -749,8 +741,7 @@ def run_identity_suite(scenario, seed: int = 0, h: float = 1e-3,
     blk = d.blk
     frames = blk.frames
 
-    res = frame_residual_block(frames, blk.gm, blk.gn, blk.g)
-    reports.append(IdentityReport("frame-formulas", n_points, _worst(res),
+    reports.append(IdentityReport("frame-formulas", n_points, _worst(blk.frame_residual),
                                   tol["frame"], {"seed": seed}))
 
     vals, _ = sym_eigen(blk.s, blk.g)
@@ -784,12 +775,10 @@ def run_identity_suite(scenario, seed: int = 0, h: float = 1e-3,
     nan_h = bool(np.isnan(blk.ext.h_norm).any())
     sub = d.take(slice(0, 3))
     two_dim = f.domain.dim == 2 and f.target.dim == 2
-    # the elliptic and log-Jacobian checks share one stencil block when both run
-    stencil = (_stencil_block(sub, h, 2 * sub.m * sub.m) if two_dim and minimal_here
-               else None)
 
+    # the elliptic and log-Jacobian checks share the neighbour block of sub
     if minimal_here:
-        res = _worst(elliptic_equation_residual(sub, c, h=h, stencil=stencil))
+        res = _worst(elliptic_equation_residual(sub, c, h=h))
         reports.append(IdentityReport("elliptic-equation", len(sub), res,
                                       tol["elliptic"], {"c": c, "h": h}))
     else:
@@ -798,7 +787,7 @@ def run_identity_suite(scenario, seed: int = 0, h: float = 1e-3,
 
     if two_dim and minimal_here:
         for name, res, key, params in (
-                ("log-jacobian-2d", log_jacobian_residual_2d(sub, h=h, stencil=stencil),
+                ("log-jacobian-2d", log_jacobian_residual_2d(sub, h=h),
                  "log_jacobian", {"h": h}),
                 ("minimality-relations-2d", minimality_relations_residual_2d(sub),
                  "minimality_relations", {}),

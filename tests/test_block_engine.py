@@ -10,6 +10,7 @@ any tolerance.  On general metrics the columns other than the sampled
 curvatures agree within a few rounding errors.
 """
 
+import sys
 from collections import Counter
 from itertools import product
 
@@ -17,7 +18,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from graphgeo import extrinsic
+from graphgeo import extrinsic, graph_map
 from graphgeo.chart_manifold import (
     PLANE_TOL,
     ChartManifold,
@@ -284,9 +285,10 @@ class BlockCountingMap(SmoothMap):
 
 
 @pytest.mark.parametrize("name,stencils", [
-    # 3 points whose stencils the elliptic and log-Jacobian checks share,
-    # plus the extremum probe's
+    # 3 points whose neighbour block the elliptic and log-Jacobian checks
+    # share, plus the extremum probe's
     ("holo-w2", 4), ("holo-w3", 4), ("conformal-shrink", 4),
+    ("identity-s3", 4),     # a parallel field: its stencils are built too
     ("proj-s3-s1", 0),      # not minimal: no finite differences
 ])
 def test_identity_suite_evaluates_each_sample_jet_once(name, stencils):
@@ -301,21 +303,42 @@ def test_identity_suite_evaluates_each_sample_jet_once(name, stencils):
     samples = sc.random_points(12, np.random.default_rng(seed))
     assert [seen[tuple(p.coords)] for p in samples] == [1] * 12
     # every map jet went through a block call: the samples as one block,
-    # then one block for all the points' finite-difference stencils (2 m^2
-    # points around a sample), shared by the checks that use them, and one
-    # for their parallel-field probes (2 m axis neighbours)
+    # then one block for all the points' neighbours, shared by the checks
+    # that use them: per point its parallel-field probes (2 m axis
+    # neighbours), then its finite-difference stencil (2 m^2 points)
     m = sc.domain.dim
     assert f.blocks[0] == 12
     assert rows["map"] == sum(f.blocks)
     assert calls["map"] == len(f.blocks)
-    stencil = 2 * m * m
-    assert sum(b // stencil for b in f.blocks[1:] if b % stencil == 0) == stencils
+    near = 2 * m + 2 * m * m
+    assert sum(b // near for b in f.blocks[1:] if b % near == 0) == stencils
     if stencils:
-        # the shared stencils, the elliptic probes, then the extremum
-        # probe's grid, its maximum's two-row block, probes, stencil
-        assert f.blocks[1:] == [3 * stencil, 3 * 2 * m, 7 ** m, 2, 2 * m, stencil]
+        # the shared neighbours, then the extremum probe's grid, its
+        # maximum's two-row block and that row's neighbours
+        assert f.blocks[1:] == [3 * near, (7 if m == 2 else 5) ** m, 2, near]
     else:
         assert f.blocks == [12]
+
+
+@pytest.mark.parametrize("name", ["holo-w2", "identity-s3"])
+def test_identity_suite_evaluates_each_frame_residual_once(name):
+    # the frame-formulas record reads the residual that verified the sample
+    # block's frames; the only other one verifies the extremum probe's grid
+    sc = get(name)
+    code, sizes = graph_map.frame_residual_block.__code__, []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is code:
+            sizes.append(len(frame.f_locals["frames"].lambdas))
+
+    sys.setprofile(profile)
+    try:
+        reports = run_identity_suite(sc, seed=4)
+    finally:
+        sys.setprofile(None)
+    m = sc.domain.dim
+    assert sizes == [12, (7 if m == 2 else 5) ** m]
+    assert reports[0].name == "frame-formulas" and reports[0].passed
 
 
 # ---------------------------------------------------------------------------

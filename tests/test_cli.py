@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from graphgeo import cli, reporting
 from graphgeo import scenarios as scen
 from graphgeo.cli import _point_table, main
+from graphgeo.draws import Stream
 from graphgeo.identities import DEFAULT_IDENTITY_TOLERANCES
 from graphgeo.theorem_gate import (
     DEFAULT_TOLERANCES,
@@ -396,6 +397,20 @@ def test_box_leaving_the_chart_exits_3(command, tmp_path, capsys):
         "error: sampling box leaves the chart box (including its margin)\n")
 
 
+@pytest.mark.parametrize("name", ["holo-w2", "identity-s3", "constant-s3"])
+@pytest.mark.parametrize("command", ["verify-identities", "report"])
+def test_a_stencil_leaving_the_chart_exits_3(command, name, capsys):
+    # every minimal scenario's suite builds its sample rows' stencils, parallel
+    # fields (identity-s3, constant-s3) included: the first one out of the
+    # chart is the first sample point's +e_0 neighbour at step h
+    assert run([command, "--scenario", name, "--h", "30"]) == 3
+    sc = scen.get(name)
+    first = sc.random_points(12, Stream(0))[0].coords
+    point = first + 30.0 * np.eye(sc.domain.dim)[0]
+    assert capsys.readouterr().err == (
+        f"error: {sc.f.name}: point {point} outside domain chart\n")
+
+
 def test_consecutive_calls_share_one_parser_and_no_state(tmp_path, capsys):
     # the parser is built once per process; a call's options never reach the
     # next call
@@ -598,6 +613,8 @@ def test_out_of_memory_exits_2_with_one_line(command, capsys, monkeypatch):
     ["--scenario", "identity-s3", "--grid", "3x3x3", "--kappa-margin", "1e200"],
     # a margin too small to move 1 + margin off 1
     ["--kappa-margin", "1e-20"], ["--kappa-margin", "5e-17"],
+    # a step whose square underflows: the second differences divide 0 by 0
+    ["--h", "1e-170"],
 ])
 @pytest.mark.parametrize("command", ["check-theorem", "verify-identities", "report"])
 def test_non_finite_and_unknown_settings_rejected(command, extra, capsys):
@@ -663,6 +680,7 @@ def test_unwritable_output_exits_2(command, tmp_path, capsys):
     {"kappa_margin": 0}, {"kappa_margin": -1},   # and so is the kappa margin
     {"kappa_margin": 5e-17},               # and 1 + margin is above 1
     {"h": None}, {"c": None}, {"kappa_margin": None},   # only sigma may be null
+    {"h": 1e-170},                         # h * h underflows
 ])
 @pytest.mark.parametrize("command", ["report", "check-theorem", "verify-identities"])
 def test_malformed_config_rejected(command, doc, tmp_path, capsys):

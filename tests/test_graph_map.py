@@ -10,7 +10,7 @@ from graphgeo.chart_manifold import (
     sym_eigen,
 )
 from graphgeo.errors import CapabilityError, InvalidParameterError
-from graphgeo.extrinsic import trace_s_at
+from graphgeo.extrinsic import graph_block, trace_s_at
 from graphgeo.graph_map import (
     FRAME_VERIFY_TOL,
     MapJet,
@@ -21,6 +21,7 @@ from graphgeo.graph_map import (
     frame_residual_block,
     induced_metric_jet,
     pullback_metric_at,
+    shift_deficit,
     singular_values_at,
 )
 from graphgeo.identities import elliptic_equation_residual, point_rows
@@ -33,6 +34,7 @@ from graphgeo.scenarios import (
     registry,
     rotation_matrix_2d,
 )
+from test_block_partition import polynomial_chart, quadratic_map
 
 
 def precompose_linear(f: SmoothMap, matrix, name: str | None = None) -> SmoothMap:
@@ -282,7 +284,7 @@ def test_trace_via_frames_equals_trace_via_eigenvalues():
 
 def test_shifted_tensor_identity_at_unit_shift_vanishes():
     sc = get("identity-s2")
-    phi = point_rows(sc.f, [sc.domain.point([0.3, 0.3])]).shifted_s(1.0)
+    phi = point_rows(sc.f, [sc.domain.point([0.3, 0.3])]).shifted_jet(1.0)[0]
     assert np.abs(phi).max() < 1e-14
 
 
@@ -291,7 +293,7 @@ def test_shifted_tensor_constant_map_is_metric_multiple():
     p = sc.domain.point([0.4, -0.6])
     d = point_rows(sc.f, [p])
     for c in (0.5, 2.0, 7.0):
-        phi = d.shifted_s(c)
+        phi = d.shifted_jet(c)[0]
         g = d.g
         assert np.abs(phi - (2.0 * c / (1.0 + c)) * g).max() < 1e-12
 
@@ -301,7 +303,7 @@ def test_shifted_tensor_nonnegative_at_global_shift():
     pts = [sc.domain.point(x) for x in sc.grid_points((12, 12))]
     lam0_sq = max(singular_values_at(sc.f, p).lambdas[-1] ** 2 for p in pts)
     d = point_rows(sc.f, pts)
-    vals, _ = sym_eigen(d.shifted_s(float(lam0_sq)), d.g)
+    vals, _ = sym_eigen(d.shifted_jet(float(lam0_sq))[0], d.g)
     assert np.all(vals[:, 0] >= -1e-10)
 
 
@@ -311,7 +313,7 @@ def test_shifted_tensor_eigenvalue_formula():
     fr = adapted_frames_at(sc.f, p)
     c = 3.0
     d = point_rows(sc.f, [p])
-    vals, _ = sym_eigen(d.shifted_s(c)[0], d.g[0])
+    vals, _ = sym_eigen(d.shifted_jet(c)[0][0], d.g[0])
     pred = ((1.0 - fr.lambdas[::-1] ** 2) / (1.0 + fr.lambdas[::-1] ** 2)
             - (1.0 - c) / (1.0 + c))
     assert np.abs(vals - pred).max() < 1e-10
@@ -320,7 +322,20 @@ def test_shifted_tensor_eigenvalue_formula():
 def test_shifted_tensor_rejects_nonpositive_shift():
     sc = get("identity-s2")
     with pytest.raises(InvalidParameterError):
-        point_rows(sc.f, [sc.domain.point([0.0, 0.0])]).shifted_s(-0.5)
+        point_rows(sc.f, [sc.domain.point([0.0, 0.0])]).shifted_jet(-0.5)
+
+
+@pytest.mark.parametrize("m,n", [(2, 2), (2, 3), (3, 2), (3, 3)])
+def test_shifted_jet_value_is_the_shift_deficit_bit_for_bit(m, n):
+    # the shifted tensor has one value formula, on general (non-diagonal)
+    # metrics too, where the value of g_M and P combined as (1-nu) g_M -
+    # (1+nu) P rounds differently on about half of the elements
+    rng = np.random.default_rng(10 * m + n)
+    f = quadratic_map(rng, polynomial_chart(rng, m, 0.05), polynomial_chart(rng, n, 0.05))
+    blk = graph_block(f, rng.uniform(-0.5, 0.5, size=(50, m)))
+    for c in (0.5, 2.0, 3.7):
+        value = blk.shifted_jet(c)[0]
+        assert value.tobytes() == shift_deficit(blk.s, blk.g, c).tobytes()
 
 
 @pytest.mark.parametrize("c", [-1.0, -0.5, 0.0, float("nan")])

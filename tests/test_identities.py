@@ -9,7 +9,6 @@ from graphgeo.errors import InvalidParameterError, PreconditionError
 from graphgeo.graph_map import MapJet, SmoothMap
 from graphgeo.identities import (
     _frame_terms,
-    _stencil_block,
     decomposition_sides,
     elliptic_equation_residual,
     extremum_derivative_probe,
@@ -305,19 +304,19 @@ def test_stacked_checks_equal_their_one_row_evaluations(rows):
                      [max_point_term_values(r, 0.7, 1.3)[0] for r in alone])
 
     # the residuals' formulas hold for minimal maps; their bits do not care,
-    # nor whether the checks share one stencil block
+    # nor whether the checks share one neighbour block (d's, built by its
+    # first check and read by the later ones) or build their own
     assert same_bits(elliptic_equation_residual(d, 1.5, minimal_tol=np.inf),
                      [elliptic_equation_residual(r, 1.5, minimal_tol=np.inf)[0]
                       for r in alone])
-    stencil = _stencil_block(d, 1e-3, 2 * d.m * d.m)
     assert same_bits(elliptic_equation_residual(d, 1.5, minimal_tol=np.inf),
-                     elliptic_equation_residual(d, 1.5, minimal_tol=np.inf, stencil=stencil))
+                     elliptic_equation_residual(d.take(slice(None)), 1.5, minimal_tol=np.inf))
     if d.m == d.n == 2:
         assert same_bits(log_jacobian_residual_2d(d, minimal_tol=np.inf),
                          [log_jacobian_residual_2d(r, minimal_tol=np.inf)[0]
                           for r in alone])
         assert same_bits(log_jacobian_residual_2d(d, minimal_tol=np.inf),
-                         log_jacobian_residual_2d(d, minimal_tol=np.inf, stencil=stencil))
+                         log_jacobian_residual_2d(d.take(slice(None)), minimal_tol=np.inf))
 
     # the null probe's reaction values: (v, v) on projected Gram tensors
     theta = rng.normal(size=(len(d), 5, d.m, d.m))
@@ -376,17 +375,22 @@ def piecewise_map() -> SmoothMap:
 
 
 def test_shared_stencil_block_gives_each_check_its_own_bits():
-    # the suite builds the stencil block of its elliptic rows once for both
-    # checks; the elliptic check takes the rows of those whose field is not
-    # parallel (here 1 and 3)
+    # the checks on a stack of rows share its neighbour block, built once by
+    # the first of them; the elliptic check takes the stencils of the rows
+    # whose field is not parallel (here 1 and 3), with the bits those rows
+    # get from a block of their own
     d = point_rows(piecewise_map(), [[-0.5, 0.2], [0.6, 0.3], [-0.3, -0.4], [0.4, -0.8]])
-    stencil = _stencil_block(d, 1e-3, 8)
-    lap = shifted_tensor_laplacian(d, 2.0, 1e-3, stencil=stencil)
-    assert same_bits(lap, shifted_tensor_laplacian(d, 2.0, 1e-3))
+    log_jacobian = log_jacobian_residual_2d(d)
+    near = d.neighbours(1e-3)
+    assert len(near.coords) == 4 * (4 + 8)
+    lap = shifted_tensor_laplacian(d, 2.0, 1e-3)
+    assert d.neighbours(1e-3) is near
+    assert same_bits(lap, shifted_tensor_laplacian(d.take(slice(None)), 2.0, 1e-3))
+    assert same_bits(lap[[1, 3]], shifted_tensor_laplacian(d.take([1, 3]), 2.0, 1e-3))
     assert np.all(lap[[0, 2]] == 0.0) and np.all(np.abs(lap[[1, 3]]).max(axis=(1, 2)) > 0.0)
-    assert same_bits(elliptic_equation_residual(d, 2.0, stencil=stencil),
-                     elliptic_equation_residual(d, 2.0))
-    assert same_bits(log_jacobian_residual_2d(d, stencil=stencil), log_jacobian_residual_2d(d))
+    assert same_bits(elliptic_equation_residual(d, 2.0),
+                     elliptic_equation_residual(d.take(slice(None)), 2.0))
+    assert same_bits(log_jacobian, log_jacobian_residual_2d(d.take(slice(None))))
 
 
 # ---------------------------------------------------------------------------
