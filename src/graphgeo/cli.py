@@ -11,8 +11,9 @@ Exit codes: 0 success (for ``check-theorem``: a dichotomy verdict), 1 failed
 checks or a violated hypothesis gate, 2 unknown scenario, bad
 configuration (a non-positive ``--sigma`` or ``--kappa-margin``, a
 ``--kappa-margin`` too small to move ``1 + margin`` off 1, or one whose
-``kappa^4`` overflows, an ``--h`` whose square underflows, and a null
-``h``, ``c`` or ``kappa_margin`` in a config file, among it),
+``kappa^4`` overflows, a ``--sigma`` whose condition-4 bound overflows, an
+``--h`` whose square underflows, and a null ``h``, ``c`` or
+``kappa_margin`` in a config file, among it),
 an ``--output`` or a stdout that cannot be written (every command, ``list``
 included), out of memory or a missing ``ziggurat.bin``, 3 out-of-chart
 sampling, 4 indeterminate classification.  Every non-zero exit prints one
@@ -208,12 +209,8 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         cfg = cfg._replace(**data)
     # command line wins over the config file
-    overrides = {}
-    for key in ("scenario", "grid", "seed", "h", "c", "sigma", "kappa_margin",
-                "output", "format", "threads"):
-        val = getattr(args, key, None)
-        if val is not None:
-            overrides[key] = val
+    overrides = {key: getattr(args, key) for key in RunConfig._fields
+                 if getattr(args, key, None) is not None}
     if getattr(args, "tol", None):
         overrides["tolerances"] = {**cfg.tolerances, **dict(args.tol)}
     cfg = cfg._replace(**overrides)
@@ -248,20 +245,13 @@ def _gate(cfg: RunConfig, scenario: scen.Scenario) -> tuple[GridSweep, dict]:
     sweep = sweep_geometry(scenario.f, grid, seed=cfg.seed)
     hyp = evaluate_hypotheses(sweep, scenario.sigma, cfg.kappa_margin, cfg.tolerances)
     cls = classify(sweep, hyp, cfg.tolerances)
+    config = cfg._replace(
+        scenario=scenario.name, grid=list(shape),
+        box=[list(map(float, b)) for b in scenario.sample_box], sigma=scenario.sigma,
+        tolerances=dict(sorted(cfg.tolerances.items())))._asdict()
+    del config["output"], config["match"]
     return sweep, {
-        "config": {
-            "scenario": scenario.name,
-            "grid": list(shape),
-            "box": [list(map(float, b)) for b in scenario.sample_box],
-            "seed": cfg.seed,
-            "h": cfg.h,
-            "c": cfg.c,
-            "sigma": scenario.sigma,
-            "kappa_margin": cfg.kappa_margin,
-            "tolerances": dict(sorted(cfg.tolerances.items())),
-            "format": cfg.format,
-            "threads": cfg.threads,
-        },
+        "config": config,
         "hypotheses": {**hyp._asdict(), "margins": dict(hyp.margins)},
         "classification": cls._asdict(),
     }

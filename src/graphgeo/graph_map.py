@@ -315,11 +315,12 @@ def pullback_metric_at(f: SmoothMap, p: ChartPoint) -> Array:
     return _at(f, p)[1][0]
 
 
-def induced_metric_jet(f: SmoothMap, p: ChartPoint, order: int = 2) -> MetricJet:
-    """Jet of the graph-induced metric ``g_M + f*(g_N)`` at ``p``."""
+def induced_metric_jet(f: SmoothMap, p: ChartPoint) -> MetricJet:
+    """Jet of the graph-induced metric ``g_M + f*(g_N)`` at ``p``, to second
+    derivatives."""
     jets = graph_jets(f, p.coords[None])
-    jet = induced_jet(jets.gm, pullback_metric_jet(jets.f, jets.gn, order=order))
-    return MetricJet(*(None if a is None else a[0] for a in jet))
+    jet = induced_jet(jets.gm, pullback_metric_jet(jets.f, jets.gn))
+    return MetricJet(*(a[0] for a in jet))
 
 
 def singular_values_at(f: SmoothMap, p: ChartPoint) -> GraphFrameData:

@@ -165,13 +165,19 @@ def row_margins(rows, sigma: float, kappa_sq: float) -> RowMargins:
     Condition 4 compares ``|A|^2`` against ``kappa^2 sigma / (kappa^4 - 1)``
     times the trace of the deficit tensor.  Where ``kappa^2 <= 1`` there is
     no such bound, its columns are NaN, and the pullback bound fails anyway.
+    A ``kappa^4`` or a bound that overflows raises
+    :class:`InvalidParameterError`.
     """
     try:
         coeff = kappa_sq * sigma / (kappa_sq ** 2 - 1.0) if kappa_sq > 1.0 else np.nan
     except OverflowError:
         raise InvalidParameterError(
             f"kappa^2 = {kappa_sq:.6g} is too large: kappa^4 overflows") from None
-    bound = coeff * rows.trace_s
+    with np.errstate(over="ignore", invalid="ignore"):
+        bound = coeff * rows.trace_s
+    if np.isinf(coeff) or np.isinf(bound).any():
+        raise InvalidParameterError(
+            f"sigma = {sigma:.6g} is too large: the condition-4 bound overflows")
     return RowMargins(rows.trace_s, kappa_sq - rows.lambdas[:, -1] ** 2,
                       bound, bound - rows.a_norm_sq)
 

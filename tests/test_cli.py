@@ -615,6 +615,8 @@ def test_out_of_memory_exits_2_with_one_line(command, capsys, monkeypatch):
     ["--kappa-margin", "1e-20"], ["--kappa-margin", "5e-17"],
     # a step whose square underflows: the second differences divide 0 by 0
     ["--h", "1e-170"],
+    # a pinching level whose condition-4 bound overflows: inf * 0, and inf
+    ["--sigma", "1e308"], ["--scenario", "scaled-sphere-0.5", "--sigma", "3e306"],
 ])
 @pytest.mark.parametrize("command", ["check-theorem", "verify-identities", "report"])
 def test_non_finite_and_unknown_settings_rejected(command, extra, capsys):
@@ -623,6 +625,17 @@ def test_non_finite_and_unknown_settings_rejected(command, extra, capsys):
     assert code == 2
     assert len(err.strip().splitlines()) == 1
     assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("scenario,sigma", [("identity-s2", "1e308"),
+                                            ("scaled-sphere-0.5", "3e306")])
+@pytest.mark.parametrize("command", ["check-theorem", "verify-identities", "report"])
+def test_sigma_whose_condition4_bound_overflows_names_sigma(command, scenario, sigma,
+                                                             capsys):
+    # the suite's null probe refuses it too, below lambda0^2 = 1 as well
+    assert run([command, "--scenario", scenario, "--grid", "3x3", "--sigma", sigma]) == 2
+    assert capsys.readouterr().err == (
+        f"error: sigma = {float(sigma):.6g} is too large: the condition-4 bound overflows\n")
 
 
 @pytest.mark.parametrize("margin", ["1e-20", "5e-17", "1.1102230246251565e-16"])

@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +11,7 @@ from graphgeo.draws import Stream
 from graphgeo.errors import InvalidParameterError, PreconditionError
 from graphgeo.graph_map import MapJet, SmoothMap
 from graphgeo.identities import (
+    DEFAULT_IDENTITY_TOLERANCES,
     _frame_terms,
     decomposition_sides,
     elliptic_equation_residual,
@@ -642,3 +646,49 @@ def test_nan_hessian_fails_the_normal_estimate():
         assert not reports[name].skipped, name
         assert np.isnan(reports[name].max_residual), name
         assert not reports[name].passed, name
+
+
+#: The suite's records in order, each with the tolerance key it runs under.
+SUITE = (
+    ("frame-formulas", "frame"),
+    ("s-eigenvalue-formula", "s_eigenvalue"),
+    ("normal-estimate", "normal_estimate"),
+    ("curvature-decomposition", "decomposition"),
+    ("curvature-decomposition-traced", "decomposition"),
+    ("decomposition-forms-gap", "decomposition_gap"),
+    ("elliptic-equation", "elliptic"),
+    ("log-jacobian-2d", "log_jacobian"),
+    ("minimality-relations-2d", "minimality_relations"),
+    ("jacobian-consistency-2d", "jacobian_consistency"),
+    ("extremum-probe", "extremum"),
+    ("null-eigenvector-probe", "null_probe"),
+)
+
+
+@pytest.mark.parametrize("name", list(registry()))
+def test_every_suite_returns_the_same_records_in_order(name):
+    assert [r.name for r in run_identity_suite(get(name), seed=0)] == [n for n, _ in SUITE]
+
+
+@pytest.mark.parametrize("key", list(DEFAULT_IDENTITY_TOLERANCES))
+@pytest.mark.parametrize("name", ["holo-w2", "identity-s3"])
+def test_a_tolerance_override_reaches_exactly_its_records(name, key):
+    assert {k for _, k in SUITE} == set(DEFAULT_IDENTITY_TOLERANCES)
+    base = run_identity_suite(get(name), seed=0)
+    over = run_identity_suite(get(name), seed=0, tolerances={key: 0.123})
+    # a 2-d record that does not run carries a pinned tolerance, left out here
+    ran = [(b, o, k) for b, o, (_, k) in zip(base, over, SUITE)
+           if b.skipped_reason != "dimensions are not 2x2"]
+    assert len(ran) == (12 if name == "holo-w2" else 9)
+    for b, o, k in ran:
+        assert b.tolerance == DEFAULT_IDENTITY_TOLERANCES[k], b.name
+        assert o.tolerance == (0.123 if k == key else b.tolerance), b.name
+        assert (o.max_residual, o.skipped_reason) == (b.max_residual, b.skipped_reason)
+
+
+def test_no_record_name_is_written_twice_in_the_package():
+    import graphgeo
+    literals = [node.value for path in Path(graphgeo.__file__).parent.glob("*.py")
+                for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                if isinstance(node, ast.Constant) and isinstance(node.value, str)]
+    assert {name: literals.count(name) for name, _ in SUITE} == {name: 1 for name, _ in SUITE}
