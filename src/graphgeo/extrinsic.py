@@ -233,6 +233,22 @@ class GraphBlock(Frozen):
         return self.curv_g2.ricci[1]
 
     @cached_property
+    def reaction_traces(self) -> Array:
+        """The frame sums of :func:`graphgeo.identities.reaction_term_apply`
+        as ``g^-1`` traces, ``(B, 4, m, m)``: ``g^ik A_ij . G A_kl`` for the
+        domain and target parts of ``A`` (``G`` their metric), ``g^ik R_M[i, .,
+        k, .]`` and ``df^T (H^ac R_N[a, ., c, .]) df``, ``H = df g^-1 df^T``."""
+        ginv, d1, a, gm, gn = (np.ascontiguousarray(x) for x in
+                               (self.ginv, self.d1, self.ext.a_coord, self.gm, self.gn))
+        m, d1_t = ginv.shape[-1], np.swapaxes(d1, -1, -2)
+        split = [np.einsum("...ijc,...ikc->...jk",
+                           np.einsum("...pi,...ijc->...pjc", ginv, x @ G), x)
+                 for x, G in ((a[..., :m], gm[:, None]), (a[..., m:], gn[:, None]))]
+        r_n = np.einsum("...ac,...abcd->...bd", d1 @ ginv @ d1_t, self.riem_n)
+        return np.stack([*split, np.einsum("...ik,...ijkl->...jl", ginv, self.riem_m),
+                         d1_t @ r_n @ d1], axis=1)
+
+    @cached_property
     def verified_frames(self) -> tuple[GraphFrameData, Array]:
         """Adapted frames and their residual (see :func:`verified_frame_block`)."""
         return verified_frame_block(self.jets, self.pullback[0])

@@ -162,17 +162,17 @@ def pullback_metric_d2(fjet: MapJet, hjet: MetricJet) -> Array:
     h, dh, d2h = hjet.g, hjet.dg, hjet.d2g
     if d3 is None:
         raise CapabilityError("second pullback derivatives need order-3 map jets")
-    return (np.einsum("...alki,...bj,...ab->...lkij", d3, d1, h)
-            + np.einsum("...aki,...blj,...ab->...lkij", d2, d2, h)
-            + np.einsum("...aki,...bj,...cab,...cl->...lkij", d2, d1, dh, d1)
-            + np.einsum("...ali,...bkj,...ab->...lkij", d2, d2, h)
-            + np.einsum("...ai,...blkj,...ab->...lkij", d1, d3, h)
-            + np.einsum("...ai,...bkj,...cab,...cl->...lkij", d1, d2, dh, d1)
-            + np.einsum("...ali,...bj,...cab,...ck->...lkij", d2, d1, dh, d1)
-            + np.einsum("...ai,...blj,...cab,...ck->...lkij", d1, d2, dh, d1)
-            + np.einsum("...ai,...bj,...dcab,...dl,...ck->...lkij",
-                        d1, d1, d2h, d1, d1)
-            + np.einsum("...ai,...bj,...cab,...clk->...lkij", d1, d1, dh, d2))
+    # d_k (h_ab o f) and d_l d_k (h_ab o f) first, as for dP; the product
+    # rule's terms pair up under i <-> j, but for the one with d_l d_k (h o f)
+    dh_f = np.einsum("...cab,...ck->...kab", dh, d1)
+    d2h_f = (np.einsum("...lcab,...ck->...lkab", np.einsum("...dcab,...dl->...lcab", d2h, d1), d1)
+             + np.einsum("...cab,...clk->...lkab", dh, d2))
+    right = (np.einsum("...ai,...blkj,...ab->...lkij", d1, d3, h)
+             + np.einsum("...ali,...bkj,...ab->...lkij", d2, d2, h)
+             + np.einsum("...ai,...bkj,...lab->...lkij", d1, d2, dh_f)
+             + np.einsum("...ai,...blj,...kab->...lkij", d1, d2, dh_f))
+    return right + np.swapaxes(right, -1, -2) + np.einsum("...ai,...bj,...lkab->...lkij",
+                                                          d1, d1, d2h_f)
 
 
 def induced_jet(gm: MetricJet, pullback: tuple) -> MetricJet:

@@ -67,10 +67,11 @@ class PointData:
 
     ``d.x`` stacks the rows of the block's column ``x`` (``g``, ``s``,
     ``trace_s``, ``ginv``, ``gamma_g``, ``dgamma_g``, ``riem_m``, ``riem_n``,
-    ``ric_m``, ``ric_g_op``, ``coords``, ``d1``, ``gm``, ``gn``), of its
-    adapted frames (``lambdas``, ``rank``, ``e``, ``normal``) or of its
-    second fundamental form (``a_frame``, ``a_coord``, ``a_norm_sq``,
-    ``h_norm``).  The block computes each column once for all its points.
+    ``ric_m``, ``ric_g_op``, ``reaction_traces``, ``coords``, ``d1``, ``gm``,
+    ``gn``), of its adapted frames (``lambdas``, ``rank``, ``e``, ``normal``)
+    or of its second fundamental form (``a_frame``, ``a_coord``,
+    ``a_norm_sq``, ``h_norm``).  The block computes each column once for all
+    its points.
     """
 
     def __init__(self, blk: GraphBlock, rows):
@@ -258,33 +259,23 @@ def reaction_term_apply(d: PointData, c: float, theta: Array, v: Array,
     chart vectors.  The Ricci operator is the one of the induced metric.
     Their first axis is the row of ``d``, and they broadcast over further
     leading axes: one value per element, rounded as a single evaluation is.
+
+    The value is ``-theta(Ric v, w) - theta(Ric w, v) + v . q . w``, where
+    ``q`` sums over the adapted frame ``-2 (s_prod - nu g_prod)(A(e_k, .),
+    A(e_k, .)) - 4/(1+c) (R_N(df e_k, df ., df e_k, df .) - c R_M(e_k, ., e_k,
+    .))``, ``nu = (1-c)/(1+c)``.  The frame is g-orthonormal, so these sums are
+    traces with ``g^-1``, taken once per row (:attr:`GraphBlock.reaction_traces`).
     """
     if c <= -1.0:
         raise InvalidParameterError(f"reaction term needs c > -1, got {c}")
     theta, v, w = (np.asarray(x, dtype=float) for x in (theta, v, w))
-    k = v.ndim - 2
-
-    ric_g_op = _expand(d.ric_g_op, k)
-    ric_v, ric_w = matvec(ric_g_op, v), matvec(ric_g_op, w)
-    value = -quadratic_form(ric_v, theta, w) - quadratic_form(ric_w, theta, v)
-
-    e = _expand(d.e, k)
     nu = (1.0 - c) / (1.0 + c)
-    a_coord = _expand(d.a_coord, k)
-    a_v = np.einsum("...ijc,...ik,...j->...kc", a_coord, e, v)    # A(e_k, v)
-    a_w = np.einsum("...ijc,...ik,...j->...kc", a_coord, e, w)
-    # the shifted split form s_prod - ((1-c)/(1+c)) g_prod on each pair,
-    # subtracted one at a time to keep the rounding of a running sum
-    gm, gn = (_expand(x, k + 1) for x in (d.gm, d.gn))
-    for term in np.moveaxis(product_form(gm, -gn, a_v, a_w)
-                            - nu * product_form(gm, gn, a_v, a_w), -1, 0):
-        value -= 2.0 * term
-
-    # frame vector e_k on the last axis, summed over k as a running sum
-    e_t = np.swapaxes(e, -1, -2)
-    fRN, RM = _curvatures(d, e_t, v[..., None, :], e_t, w[..., None, :])
-    value -= 4.0 / (1.0 + c) * sum(np.moveaxis(fRN - c * RM, -1, 0))
-    return value
+    a_m, a_n, r_m, r_n = np.moveaxis(d.reaction_traces, 1, 0)
+    q = -2.0 * ((1.0 - nu) * a_m - (1.0 + nu) * a_n) - 4.0 / (1.0 + c) * (r_n - c * r_m)
+    ric_g_op, q = (_expand(x, v.ndim - 2) for x in (d.ric_g_op, q))
+    ric_v, ric_w = matvec(ric_g_op, v), matvec(ric_g_op, w)
+    return (-quadratic_form(ric_v, theta, w) - quadratic_form(ric_w, theta, v)
+            + quadratic_form(v, q, w))
 
 
 # ---------------------------------------------------------------------------
@@ -302,13 +293,13 @@ def _stencil_steps(m: int) -> Array:
     return np.array(axis + corner)
 
 
-def _neighbour_values(values: Array, m: int) -> tuple[Array, Array]:
+def _neighbour_values(values: Array, m: int, stencil: bool) -> Array:
     """Values of a :meth:`PointData.neighbours` block as ``(row, neighbour,
-    ...)``, the probes' and the stencil's, each row's neighbours laid out
-    as a block of their own."""
+    ...)``, the stencil's or the probes', each row's neighbours laid out as
+    a block of their own."""
     values = values.reshape(-1, 2 * m + 2 * m * m, *values.shape[1:])
-    return tuple(np.moveaxis(np.ascontiguousarray(np.moveaxis(part, 1, -1)), -1, 1)
-                 for part in (values[:, :2 * m], values[:, 2 * m:]))
+    part = values[:, 2 * m:] if stencil else values[:, :2 * m]
+    return np.moveaxis(np.ascontiguousarray(np.moveaxis(part, 1, -1)), -1, 1)
 
 
 def _fd_partials(f0: Array, vals: Array, m: int, h: float) -> tuple[Array, Array]:
@@ -377,17 +368,18 @@ def shifted_tensor_laplacian(d: PointData, c: float, h: float) -> Array:
     and at its axis neighbours at step 0.05, not at an isolated critical
     point alone), else from its stencil at step ``h``."""
     near = d.neighbours(h)
-    probes, stencils = zip(*(_neighbour_values(x, d.m)
-                             for x in (*near.shifted_jet(c), near.gamma_g)))
-    phi, dphi, gamma = (np.concatenate([_expand(at_p, 1), at_probes], axis=1)
-                        for at_p, at_probes in zip((*d.shifted_jet(c), d.gamma_g), probes))
+    shifted = near.shifted_jet(c)
+    phi, dphi, gamma = (np.concatenate([_expand(at_p, 1), _neighbour_values(x, d.m, False)], 1)
+                        for at_p, x in zip((*d.shifted_jet(c), d.gamma_g),
+                                           (*shifted, near.gamma_g)))
     nabla = _covariant_derivative(phi, dphi, gamma)
     rough = ~np.all(np.abs(nabla).max(axis=(2, 3, 4))
                     < PARALLEL_TOL * (1.0 + np.abs(phi).max(axis=(2, 3))), axis=1)
     lap = np.zeros((len(d), d.m, d.m))
     if rough.any():
         sub = d.take(rough)
-        lap[rough] = rough_laplacian_fd(sub, sub.shifted_jet(c)[0], stencils[0][rough], h)
+        lap[rough] = rough_laplacian_fd(sub, sub.shifted_jet(c)[0],
+                                        _neighbour_values(shifted[0], d.m, True)[rough], h)
     return lap
 
 
@@ -399,11 +391,9 @@ def elliptic_equation_residual(d: PointData, c: float, h: float = 1e-3,
     _require_minimal(d, minimal_tol)
     lap = shifted_tensor_laplacian(d, c, h)
     e_t = np.swapaxes(d.e, -1, -2)
-    i, j = np.triu_indices(d.m)
-    psi = np.empty((len(d), d.m, d.m))
-    psi[:, i, j] = psi[:, j, i] = reaction_term_apply(
-        d, c, _expand(d.shifted_jet(c)[0], 1), np.ascontiguousarray(e_t[:, i]),
-        np.ascontiguousarray(e_t[:, j]))
+    frame = np.ascontiguousarray(e_t)       # psi[:, i, j] = Psi(Phi)(e_i, e_j)
+    psi = reaction_term_apply(d, c, _expand(d.shifted_jet(c)[0], 2), frame[:, :, None],
+                              frame[:, None])
     return np.abs(e_t @ lap @ d.e + psi).max(axis=(1, 2))
 
 
@@ -452,7 +442,7 @@ def log_jacobian_residual_2d(d: PointData, h: float = 1e-3,
     near = d.neighbours(h)
     lhs = scalar_laplacian_fd(
         d, np.log(projection_jacobian(d.gm, d.g)),
-        _neighbour_values(np.log(projection_jacobian(near.gm, near.g)), d.m)[1], h)
+        _neighbour_values(np.log(projection_jacobian(near.gm, near.g)), d.m, True), h)
 
     l1, l2 = d.lambdas.T
     comp = _normal_components_2d(d)
@@ -486,25 +476,36 @@ def _skip_reason(d: PointData, r: int, sigma: float, kappa_sq: float | None,
                  margins: RowMargins | None, rng: Stream) -> str | None:
     """Why the null probe does not run at row ``r``, or None if it does: the
     curvature separation, then, unless ``margins`` is None (``lambda0_sq <
-    1``), the gate's other hypotheses at row ``r`` of ``margins``."""
+    1``), the gate's other hypotheses at row ``r`` of ``margins``.
+
+    Each side draws its 4 planes at once and tests them together, each with
+    the bits of a plane alone; a violation at plane ``k`` rewinds the stream
+    (``rng.bit_generator.state``) and draws planes 0 to ``k`` again, so that
+    it ends where drawing one plane at a time ends."""
     slack = DEFAULT_TOLERANCES["gate_slack"]
-    # planes are drawn one at a time, the first violation ends the draws;
     # target planes are images under df, probed where df has rank two
     target = d.n >= 2 and d.rank[r] >= 2
     for side in ("domain", "target")[:1 + target]:
         g, riem = (d.gm[r], d.riem_m[r]) if side == "domain" else (d.gn[r], d.riem_n[r])
-        for _ in range(4):
-            u, v = rng.normal(size=d.m), rng.normal(size=d.m)
-            if side == "target":
-                u, v = d.d1[r] @ u, d.d1[r] @ v
-            uu, vv = u @ g @ u, v @ g @ v
-            area2 = uu * vv - (u @ g @ v) ** 2
-            if area2 < (1e-8 * uu * vv if side == "domain" else 1e-8 * max(uu * vv, 1e-300)):
-                continue
-            sec = float(curvature_form(riem, u, v, u, v)) / area2
-            if sec < sigma - slack if side == "domain" else sec > sigma + slack:
-                return (f"{side} sectional curvature {sec:.6g} "
-                        f"{'below' if side == 'domain' else 'above'} {sigma:.6g}")
+        start, planes = rng.bit_generator.state, rng.normal(size=(4, 2, d.m))
+        if side == "target":
+            planes = (d.d1[r] @ planes[..., None])[..., 0]
+        u, v = planes[:, 0], planes[:, 1]
+        # per plane, the (1, m) @ (m, m) @ (m, 1) products of a plane alone
+        uu, vv, uv = ((x[:, None] @ g @ y[..., None])[:, 0, 0]
+                      for x, y in ((u, u), (v, v), (u, v)))
+        area2 = uu * vv - powers(uv, 2)
+        # np.maximum keeps a NaN, as Python's max(nan, 1e-300) does
+        flat = area2 < (1e-8 * uu * vv if side == "domain"
+                        else 1e-8 * np.maximum(uu * vv, 1e-300))
+        sec = curvature_form(riem, u, v, u, v) / np.where(flat, 1.0, area2)
+        bad = ~flat & ((sec < sigma - slack) if side == "domain" else (sec > sigma + slack))
+        if bad.any():
+            k = int(np.argmax(bad))
+            rng.bit_generator.state = start
+            rng.normal(size=(k + 1, 2, d.m))
+            return (f"{side} sectional curvature {sec[k]:.6g} "
+                    f"{'below' if side == 'domain' else 'above'} {sigma:.6g}")
     if margins is None:
         return None
     if not margins.trace[r] >= -slack:

@@ -69,6 +69,20 @@ g^-1``), R products of two Gammas and Ric one more ``g^-1``, with at most
 ``2 + 2 m`` terms per sum, so each entry errs by at most ``K eps cond(g)
 S``, with ``S`` the entry's formula over absolute values.  The largest
 errors are 0.55 such units for Gamma, 0.15 for R and 0.05 for Ric.
+
+The reaction term of the null-eigenvector probe and the elliptic check,
+``-theta(Ric v, w) - theta(Ric w, v) + v . q(c) . w``, is checked on the
+quadratic maps above (three draws of ``theta``, ``v``, ``w`` per point, ``c``
+in {0.5, 2, 3.7}) against its frame-free formula in mpmath at 40 digits,
+from the same float64 columns and the exact inverse of ``g``: every frame
+sum ``sum_k X(e_k, ., e_k, .)`` is the trace ``g^ik X_i.k.``.  The engine
+forms ``q`` from such traces (``GraphBlock.reaction_traces``) by pairwise
+contractions; for m = n = 3 the longest chain, ``H = df g^-1 df^T``
+contracted with ``R_N`` and pulled back through ``df``, then read on
+``(v, w)``, adds at most ``m^2 + n^2 + 2 n + m^2 + 8 = 41`` terms and factors,
+and ``g^-1`` errs by a few ``eps cond(g) |g^-1|``.  So the error is at most
+``K eps cond(g) S`` with ``K = 64`` and ``S`` the formula over absolute
+values.  The largest error is 0.0050 such units, 7.3e-7 of ``gate_slack``.
 """
 
 from itertools import product
@@ -79,11 +93,13 @@ import pytest
 
 from graphgeo.chart_manifold import Curvature
 from graphgeo.extrinsic import graph_block
+from graphgeo.identities import point_rows, reaction_term_apply
 from graphgeo.theorem_gate import sweep_geometry
 from test_block_partition import polynomial_chart, quadratic_map
 
 EPS = np.finfo(float).eps
 K = 32
+K_REACTION = 64
 DIGITS = 40
 
 
@@ -220,3 +236,64 @@ def test_curvature_side_matches_index_loop_oracle(m):
                 for idx, value in exact.items():
                     err = abs(float(mpmath.mpf(got[idx]) - value))
                     assert err <= scale * total[idx], (name, r, idx, err, scale * total[idx])
+
+
+def exact_reaction_term(g, a, gm, gn, d1, riem_m, riem_n, ric, c, theta, v, w):
+    """The reaction term at one row in mpmath at the working precision, from
+    the float64 columns as given, each frame sum a trace with the exact
+    ``g^-1``; ``A`` on chart slots, ``a[i, j]``, splits into its domain and
+    target parts, weighed by ``1 - nu`` and ``-(1 + nu)``."""
+    m, n = len(g), len(gn)
+    mp = np.vectorize(mpmath.mpf, otypes=[object])
+    a, gm, gn, d1, riem_m, riem_n, ric, theta, v, w = map(
+        mp, (a, gm, gn, d1, riem_m, riem_n, ric, theta, v, w))
+    c = mpmath.mpf(c)
+    nu = (1 - c) / (1 + c)
+    inv = mpmath.matrix(g.tolist()) ** -1
+    gi = np.array([[inv[i, k] for k in range(m)] for i in range(m)], dtype=object)
+    value = -(ric @ v) @ theta @ w - (ric @ w) @ theta @ v
+    a_v, a_w = a.transpose(0, 2, 1) @ v, a.transpose(0, 2, 1) @ w      # A(d_i, v)
+    for part, G, weight in ((slice(None, m), gm, 1 - nu), (slice(m, None), gn, -(1 + nu))):
+        value -= 2 * weight * sum(gi[i, k] * (a_v[i, part] @ G @ a_w[k, part])
+                                  for i in range(m) for k in range(m))
+    H, V, W = d1 @ gi @ d1.T, d1 @ v, d1 @ w
+    r_n = sum(H[p, q] * riem_n[p, b, q, e] * V[b] * W[e]
+              for p, b, q, e in product(range(n), repeat=4))
+    r_m = sum(gi[i, k] * riem_m[i, j, k, l] * v[j] * w[l]
+              for i, j, k, l in product(range(m), repeat=4))
+    return value - 4 / (1 + c) * (r_n - c * r_m)
+
+
+def reaction_absolute_sum(g, a, gm, gn, d1, riem_m, riem_n, ric, c, theta, v, w):
+    """The formula of :func:`exact_reaction_term` over absolute values."""
+    m = len(g)
+    gi, a, gm, gn, d1, riem_m, riem_n, ric, theta, v, w = map(np.abs, (
+        np.linalg.inv(g), a, gm, gn, d1, riem_m, riem_n, ric, theta, v, w))
+    nu = abs((1 - c) / (1 + c))
+    total = (ric @ v) @ theta @ w + (ric @ w) @ theta @ v
+    for part, G in ((slice(None, m), gm), (slice(m, None), gn)):
+        total += 2 * (1 + nu) * np.einsum("ik,ijc,cd,kld,j,l->", gi, a[..., part], G,
+                                          a[..., part], v, w)
+    r_n = np.einsum("pq,pbqe,b,e->", d1 @ gi @ d1.T, riem_n, d1 @ v, d1 @ w)
+    return total + 4 / (1 + c) * (r_n + c * np.einsum("ik,ijkl,j,l->", gi, riem_m, v, w))
+
+
+@pytest.mark.parametrize("m,n", list(product([2, 3], repeat=2)))
+def test_reaction_term_matches_frame_free_oracle(m, n):
+    f, coords = oracle_case(m, n)
+    d = point_rows(f, coords)
+    rng = np.random.default_rng(90 + 10 * m + n)
+    theta = rng.normal(size=(len(d), 3, m, m))
+    theta = theta + np.swapaxes(theta, -1, -2)
+    v, w = rng.normal(size=(2, len(d), 3, m))
+    with mpmath.workdps(DIGITS):
+        for r in range(len(d)):
+            c = (0.5, 2.0, 3.7)[r % 3]
+            got = reaction_term_apply(d.take([r]), c, theta[r:r + 1], v[r:r + 1], w[r:r + 1])[0]
+            cols = (d.g[r], d.a_coord[r], d.gm[r], d.gn[r], d.d1[r], d.riem_m[r], d.riem_n[r],
+                    d.ric_g_op[r], c)
+            bound = K_REACTION * EPS * np.linalg.cond(d.g[r])
+            for t in range(3):
+                draw = (theta[r, t], v[r, t], w[r, t])
+                err = abs(float(mpmath.mpf(got[t]) - exact_reaction_term(*cols, *draw)))
+                assert err <= bound * reaction_absolute_sum(*cols, *draw), (r, t, err)

@@ -6,12 +6,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphgeo.chart_manifold import curvature_form, matvec, powers, ricci_from_jet
+from graphgeo.chart_manifold import (
+    curvature_form,
+    matvec,
+    powers,
+    quadratic_form,
+    ricci_from_jet,
+    sphere_chart,
+)
 from graphgeo.draws import Stream
 from graphgeo.errors import InvalidParameterError, PreconditionError
 from graphgeo.graph_map import MapJet, SmoothMap
 from graphgeo.identities import (
     DEFAULT_IDENTITY_TOLERANCES,
+    _expand,
     _frame_terms,
     decomposition_sides,
     elliptic_equation_residual,
@@ -26,6 +34,7 @@ from graphgeo.identities import (
     run_identity_suite,
     shifted_tensor_laplacian,
 )
+from graphgeo.product_space import product_form
 from graphgeo.scenarios import get, registry
 from graphgeo.theorem_gate import DEFAULT_TOLERANCES, STRICT_MARGIN, kappa_level, row_margins
 from test_block_partition import polynomial_chart, quadratic_map
@@ -166,6 +175,64 @@ def test_reaction_term_constant_map_oracle():
                   + 4.0 * c / (1.0 + c) * float(e1 @ ric_m @ e1))
         (val,) = reaction_term_apply(d, c, theta, e1[None], e1[None])
         assert abs(val - oracle) < 1e-12
+
+
+def frame_sum_reaction_term(d, c, theta, v, w, absolute=False):
+    """The reaction term summed over the adapted frame ``e_k`` term by term,
+    as :func:`reaction_term_apply` first computed it: ``A(e_k, v)`` by a
+    3-operand einsum, ``R(e_k, v, e_k, w)`` by 5-operand ones, one running
+    sum per frame vector.  With ``absolute``, the same sums over the
+    absolute values of every factor, which bound both forms' terms."""
+    ab = np.abs if absolute else (lambda x: x)
+    sign = 1.0 if absolute else -1.0
+    theta, v, w = ab(theta), ab(v), ab(w)
+    k = v.ndim - 2
+    ric, e, a, gm, gn = (ab(_expand(getattr(d, x), k)) for x in ("ric_g_op", "e", "a_coord",
+                                                                  "gm", "gn"))
+    value = sign * (quadratic_form(matvec(ric, v), theta, w)
+                    + quadratic_form(matvec(ric, w), theta, v))
+    nu = (1.0 - c) / (1.0 + c)
+    a_v = np.einsum("...ijc,...ik,...j->...kc", a, e, v)    # A(e_k, v)
+    a_w = np.einsum("...ijc,...ik,...j->...kc", a, e, w)
+    gm, gn = gm[..., None, :, :], gn[..., None, :, :]
+    # the shifted split form s_prod - nu g_prod, bounded by (1 + |nu|) g_prod
+    split = ((1.0 + abs(nu)) * product_form(gm, gn, a_v, a_w) if absolute
+             else product_form(gm, -gn, a_v, a_w) - nu * product_form(gm, gn, a_v, a_w))
+    for term in np.moveaxis(split, -1, 0):
+        value += 2.0 * sign * term
+    e_t = np.swapaxes(e, -1, -2)
+    d1, riem_n, riem_m = (ab(_expand(getattr(d, x), k + 1)) for x in ("d1", "riem_n", "riem_m"))
+    pushed = [matvec(d1, x) for x in (e_t, v[..., None, :], e_t, w[..., None, :])]
+    curv = (curvature_form(riem_n, *pushed)
+            + sign * c * curvature_form(riem_m, e_t, v[..., None, :], e_t, w[..., None, :]))
+    return value + sign * 4.0 / (1.0 + c) * sum(np.moveaxis(curv, -1, 0))
+
+
+@pytest.mark.parametrize("c", [0.5, 2.0, 3.7])
+@pytest.mark.parametrize("m,n", [(2, 2), (2, 3), (3, 2), (3, 3)])
+def test_reaction_term_per_row_form_matches_the_frame_sums(m, n, c):
+    # Both forms add products of the same float64 entries.  The frame sums
+    # read e, the per-row form g^-1 = e e^T (GraphBlock.reaction_traces):
+    # * each form's rounding is Higham's bound for a sum of products, at most
+    #   (terms + factors) eps times the sum over absolute values S (the
+    #   absolute frame sums); the longest chain, R_N on pushed vectors, has
+    #   n^4 + 4 + 2 m terms and factors, 91 for m = n = 3;
+    # * np.linalg.inv errs by a few eps cond(g) |g^-1| per entry;
+    # * e^T g e = I + E with |E| <= the frame residual delta, so e e^T =
+    #   g^-1 + e E e^-1 g^-1, within delta cond(g) |g^-1| per entry.
+    # So the forms differ by at most (K eps + delta) cond(g) S with K = 128;
+    # the largest gap on these cases is 0.0039 of that bound (0.93 eps S).
+    rng = np.random.default_rng(80 + 10 * m + n)
+    f = quadratic_map(rng, polynomial_chart(rng, m, 0.05), polynomial_chart(rng, n, 0.05))
+    d = point_rows(f, rng.uniform(-0.5, 0.5, size=(6, m)))
+    theta = rng.normal(size=(6, 5, m, m))
+    theta = theta + np.swapaxes(theta, -1, -2)
+    v, w = rng.normal(size=(2, 6, 5, m))
+    got = reaction_term_apply(d, c, theta, v, w)
+    err = np.abs(got - frame_sum_reaction_term(d, c, theta, v, w))
+    scale = (128 * np.finfo(float).eps + d.blk.frame_residual) * np.linalg.cond(d.g)
+    bound = scale[:, None] * frame_sum_reaction_term(d, c, theta, v, w, absolute=True)
+    assert np.all(err <= bound), np.max(err / bound)
 
 
 # ---------------------------------------------------------------------------
@@ -554,6 +621,59 @@ def test_null_probe_kappa_sq_overflow_is_a_bad_parameter():
     d = point_rows(sc.f, sc.random_points(3, Stream(5)))
     with pytest.raises(InvalidParameterError, match="kappa"):
         null_eigenvector_probe(d, 1.0, 4.0, kappa_sq=1e200, rng=Stream(6))
+
+
+def separation_one_plane_at_a_time(d, r, sigma, rng):
+    """The null probe's curvature separation at row ``r`` as first written:
+    each plane drawn, pushed forward and tested alone, the first violation
+    ending the draws.  The skip reason (or None) and where the draws ended,
+    ``(side, plane)``."""
+    slack = DEFAULT_TOLERANCES["gate_slack"]
+    target = d.n >= 2 and d.rank[r] >= 2
+    for side in ("domain", "target")[:1 + target]:
+        g, riem = (d.gm[r], d.riem_m[r]) if side == "domain" else (d.gn[r], d.riem_n[r])
+        for k in range(4):
+            u, v = rng.normal(size=d.m), rng.normal(size=d.m)
+            if side == "target":
+                u, v = d.d1[r] @ u, d.d1[r] @ v
+            uu, vv = u @ g @ u, v @ g @ v
+            area2 = uu * vv - (u @ g @ v) ** 2
+            if area2 < (1e-8 * uu * vv if side == "domain" else 1e-8 * max(uu * vv, 1e-300)):
+                continue
+            sec = float(curvature_form(riem, u, v, u, v)) / area2
+            if sec < sigma - slack if side == "domain" else sec > sigma + slack:
+                return (f"{side} sectional curvature {sec:.6g} "
+                        f"{'below' if side == 'domain' else 'above'} {sigma:.6g}"), (side, k)
+    return None, None
+
+
+@pytest.mark.parametrize("make_rng", [Stream, np.random.default_rng])
+def test_null_probe_leaves_the_stream_where_one_plane_at_a_time_would(make_rng):
+    # the probe draws each side's 4 planes at once and rewinds to the end of
+    # the first violating plane: rows that skip at every plane of either
+    # side, and rows that run, leave the same reasons and the same stream as
+    # planes drawn one at a time.  The domain curvature of the polynomial
+    # chart straddles sigma = 0.02; the sphere of radius 0.5 (curvature 4)
+    # passes sigma = 0.15, so the polynomial target's planes decide; at
+    # sigma = 3.9 both sides pass and the rows run.
+    rng = np.random.default_rng(90)
+    ended = set()
+    for domain, sigmas in ((polynomial_chart(rng, 3, 0.3), [0.02]),
+                           (sphere_chart(3, 0.5), [0.15, 3.9])):
+        f = quadratic_map(rng, domain, polynomial_chart(rng, 3, 0.3))
+        d = point_rows(f, rng.uniform(-0.5, 0.5, size=(12, 3)))
+        for sigma in sigmas:
+            for seed in range(3):
+                probe, reference = make_rng(seed), make_rng(seed)
+                results = null_eigenvector_probe(d, sigma, 0.5, rng=probe)
+                for r, res in enumerate(results):
+                    reason, end = separation_one_plane_at_a_time(d, r, sigma, reference)
+                    assert res.reason == (reason or ""), (r, res.reason, reason)
+                    if reason is None:
+                        reference.normal(size=(20, d.m + d.m * d.m))
+                    ended.add(end or "ran")
+                assert same_bits(probe.normal(size=8), reference.normal(size=8))
+    assert ended == {(side, k) for side in ("domain", "target") for k in range(4)} | {"ran"}
 
 
 # ---------------------------------------------------------------------------
