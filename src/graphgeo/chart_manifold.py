@@ -378,6 +378,26 @@ def sectional_curvature(man: ChartManifold, p: ChartPoint,
     return float(sec)
 
 
+def sectional_range(riem: Array, basis: Array) -> Array:
+    """``(..., 2)``: the least and greatest eigenvalue (``np.linalg.eigvalsh``)
+    of ``R(b_i, b_j, b_k, b_l)`` over the pairs ``i < j``, ``k < l`` of a
+    g-orthonormal ``basis`` ``(..., d, r)``.  For r = 2 or 3 every 2-vector is
+    a plane: these are the span's sectional-curvature range.  For r >= 4 they
+    enclose it.  Fewer than 2 vectors, or a non-finite tensor, give NaN ends;
+    a zero end is ``0.0``, not ``-0.0``.  Broadcasts over leading axes."""
+    *lead, d, r = basis.shape
+    if r < 2:
+        return np.full((*lead, 2), np.nan)
+    i, j = np.triu_indices(r, 1)
+    # U[pq, a] = b_p,i(a) b_q,j(a), so that U^T R U holds R(b_i, b_j, b_k, b_l)
+    U = (basis[..., :, None, i] * basis[..., None, :, j]).reshape(*lead, d * d, -1)
+    flat = np.ascontiguousarray(riem).reshape(*riem.shape[:-4], d * d, d * d)
+    op = np.swapaxes(U, -1, -2) @ flat @ U
+    finite = np.isfinite(op).all(axis=(-2, -1))
+    vals = np.linalg.eigvalsh(np.where(finite[..., None, None], op, 0.0))
+    return np.where(finite[..., None], vals[..., [0, -1]], np.nan) + 0.0
+
+
 # ---------------------------------------------------------------------------
 # Generalized symmetric eigenproblem
 # ---------------------------------------------------------------------------

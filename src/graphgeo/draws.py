@@ -321,23 +321,10 @@ class Stream:
     (:func:`_pcg_raws`), each with its ziggurat candidate: ``normal`` takes
     those accepted outright and runs the wedge and tail rules on the others.
     ``integers`` takes 32-bit halves as PCG64's ``next_uint32``: a raw's
-    upper half waits for the next ``integers``, whatever comes between.
-    ``bit_generator.state`` gets and sets the position, as numpy's does: a
-    snapshot of the slots, whose arrays are replaced, never changed."""
+    upper half waits for the next ``integers``, whatever comes between."""
 
     ROWS, COLS = 32, 64
     __slots__ = ("_u", "_inc", "_raws", "_values", "_rejects", "_pos", "_half")
-
-    bit_generator = property(lambda self: self)
-
-    @property
-    def state(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    @state.setter
-    def state(self, state: tuple) -> None:
-        for name, value in zip(self.__slots__, state):
-            setattr(self, name, value)
 
     def __init__(self, seed: int):
         s_hi, s_lo, q_hi, q_lo = _pcg_seeds(seed)()

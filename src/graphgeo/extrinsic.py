@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .chart_manifold import ChartPoint, Curvature, MetricJet
+from .chart_manifold import ChartPoint, Curvature, MetricJet, sectional_range
 from .graph_map import (
     GraphFrameData,
     GraphJets,
@@ -247,6 +247,23 @@ class GraphBlock(Frozen):
         r_n = np.einsum("...ac,...abcd->...bd", d1 @ ginv @ d1_t, self.riem_n)
         return np.stack([*split, np.einsum("...ik,...ijkl->...jl", ginv, self.riem_m),
                          d1_t @ r_n @ d1], axis=1)
+
+    @cached_property
+    def sec_range_m(self) -> Array:
+        """``(B, 2)``: the domain's least and greatest sectional curvature,
+        the :func:`sectional_range` of ``R_M`` on the frame ``alpha``."""
+        return sectional_range(self.riem_m, self.frames.alpha)
+
+    @cached_property
+    def sec_range_n(self) -> Array:
+        """``(B, 2)``: the same for the target's planes in the image of df, on
+        the last ``rank`` columns of ``beta``; NaN where the rank is below 2."""
+        beta, rank = self.frames.beta, self.frames.rank
+        out = np.full((len(rank), 2), np.nan)
+        for r in set(rank[rank >= 2].tolist()):     # np.unique imports numpy.ma, ~10 ms
+            rows = rank == r
+            out[rows] = sectional_range(self.riem_n[rows], beta[rows, :, -r:])
+        return out
 
     @cached_property
     def verified_frames(self) -> tuple[GraphFrameData, Array]:

@@ -10,7 +10,8 @@ Every operation evaluates a stack of rows of a :class:`GraphBlock`
 (:class:`PointData`; a point is the stack ``rows=[i]``) in one call, one
 value per row, each with the bits of a single-point evaluation.  Every
 row's parallel-field probes and stencil are one block, which the suite's
-elliptic and 2-d checks share (:meth:`PointData.neighbours`).
+elliptic and 2-d checks share (:meth:`PointData.neighbours`).  The null
+probe reads the block's sectional-curvature ranges; it draws no planes.
 
 :func:`run_identity_suite` is one ordered table of checks, each a record
 name, its tolerance key, what it needs (a minimal map, dimensions 2x2 or
@@ -67,11 +68,11 @@ class PointData:
 
     ``d.x`` stacks the rows of the block's column ``x`` (``g``, ``s``,
     ``trace_s``, ``ginv``, ``gamma_g``, ``dgamma_g``, ``riem_m``, ``riem_n``,
-    ``ric_m``, ``ric_g_op``, ``reaction_traces``, ``coords``, ``d1``, ``gm``,
-    ``gn``), of its adapted frames (``lambdas``, ``rank``, ``e``, ``normal``)
-    or of its second fundamental form (``a_frame``, ``a_coord``,
-    ``a_norm_sq``, ``h_norm``).  The block computes each column once for all
-    its points.
+    ``ric_m``, ``ric_g_op``, ``reaction_traces``, ``sec_range_m``,
+    ``sec_range_n``, ``coords``, ``d1``, ``gm``, ``gn``), of its adapted
+    frames (``lambdas``, ``rank``, ``e``, ``normal``) or of its second
+    fundamental form (``a_frame``, ``a_coord``, ``a_norm_sq``, ``h_norm``).
+    The block computes each column once for all its points.
     """
 
     def __init__(self, blk: GraphBlock, rows):
@@ -473,39 +474,17 @@ class NullProbeResult(NamedTuple):
 
 
 def _skip_reason(d: PointData, r: int, sigma: float, kappa_sq: float | None,
-                 margins: RowMargins | None, rng: Stream) -> str | None:
-    """Why the null probe does not run at row ``r``, or None if it does: the
-    curvature separation, then, unless ``margins`` is None (``lambda0_sq <
-    1``), the gate's other hypotheses at row ``r`` of ``margins``.
-
-    Each side draws its 4 planes at once and tests them together, each with
-    the bits of a plane alone; a violation at plane ``k`` rewinds the stream
-    (``rng.bit_generator.state``) and draws planes 0 to ``k`` again, so that
-    it ends where drawing one plane at a time ends."""
+                 margins: RowMargins | None) -> str | None:
+    """Why the null probe does not run at row ``r``, or None if it does:
+    ``sec_N <= sigma <= sec_M`` on the ends of ``sec_range_m`` and ``sec_range_n``
+    (a NaN end skips nothing), then, unless ``margins`` is None (``lambda0_sq <
+    1``), the gate's other hypotheses at row ``r``; each within the gate's slack."""
     slack = DEFAULT_TOLERANCES["gate_slack"]
-    # target planes are images under df, probed where df has rank two
-    target = d.n >= 2 and d.rank[r] >= 2
-    for side in ("domain", "target")[:1 + target]:
-        g, riem = (d.gm[r], d.riem_m[r]) if side == "domain" else (d.gn[r], d.riem_n[r])
-        start, planes = rng.bit_generator.state, rng.normal(size=(4, 2, d.m))
-        if side == "target":
-            planes = (d.d1[r] @ planes[..., None])[..., 0]
-        u, v = planes[:, 0], planes[:, 1]
-        # per plane, the (1, m) @ (m, m) @ (m, 1) products of a plane alone
-        uu, vv, uv = ((x[:, None] @ g @ y[..., None])[:, 0, 0]
-                      for x, y in ((u, u), (v, v), (u, v)))
-        area2 = uu * vv - powers(uv, 2)
-        # np.maximum keeps a NaN, as Python's max(nan, 1e-300) does
-        flat = area2 < (1e-8 * uu * vv if side == "domain"
-                        else 1e-8 * np.maximum(uu * vv, 1e-300))
-        sec = curvature_form(riem, u, v, u, v) / np.where(flat, 1.0, area2)
-        bad = ~flat & ((sec < sigma - slack) if side == "domain" else (sec > sigma + slack))
-        if bad.any():
-            k = int(np.argmax(bad))
-            rng.bit_generator.state = start
-            rng.normal(size=(k + 1, 2, d.m))
-            return (f"{side} sectional curvature {sec[k]:.6g} "
-                    f"{'below' if side == 'domain' else 'above'} {sigma:.6g}")
+    low, high = d.sec_range_m[r, 0], d.sec_range_n[r, 1]
+    if low < sigma - slack:
+        return f"domain sectional curvature {low:.6g} below {sigma:.6g}"
+    if high > sigma + slack:
+        return f"target sectional curvature {high:.6g} above {sigma:.6g}"
     if margins is None:
         return None
     if not margins.trace[r] >= -slack:
@@ -530,9 +509,9 @@ def null_eigenvector_probe(d: PointData, sigma: float, lambda0_sq: float,
     ``lambda0_sq`` is non-negative on (v, v).
 
     A row whose preconditions (the two branches of the rigidity argument,
-    see :func:`_skip_reason`) fail is skipped.  The rows are checked, and
-    their draws taken, in turn; the reaction term then runs once.  A row
-    passes where its least value is at least minus the suite's
+    see :func:`_skip_reason`) fail is skipped and draws nothing; the others
+    draw ``(20, m + m^2)`` normals each, in turn, and the reaction term runs
+    once.  A row passes where its least value is at least minus the suite's
     ``null_probe`` tolerance.
     """
     rng = rng or Stream(0)
@@ -548,15 +527,10 @@ def null_eigenvector_probe(d: PointData, sigma: float, lambda0_sq: float,
     elif margins is None:
         raise PreconditionError("kappa_sq is required when lambda0_sq >= 1")
     m = d.m
-    reasons, draws = [], []
-    for r in range(len(d)):
-        reasons.append(_skip_reason(d, r, sigma, kappa_sq, margins, rng))
-        if reasons[-1] is None:
-            # each row holds one draw's v, then its Gram factor W
-            draws.append(rng.normal(size=(n_draws, m + m * m)))
-
+    reasons = [_skip_reason(d, r, sigma, kappa_sq, margins) for r in range(len(d))]
     ran = d.take([r for r, reason in enumerate(reasons) if reason is None])
-    draws = np.reshape(draws, (len(ran), n_draws, m + m * m))
+    # each draw holds its v, then its Gram factor W
+    draws = rng.normal(size=(len(ran), n_draws, m + m * m))
     g = _expand(ran.g, 1)
     v = draws[..., :m]
     v = v / np.sqrt(quadratic_form(v, g, v))[..., None]

@@ -1,16 +1,22 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphgeo.chart_manifold import (
     MetricJet,
     christoffel_at,
     christoffel_from_jet,
     constant_metric_chart,
+    curvature_form,
+    quadratic_form,
     ricci_at,
     riemann_at,
     riemann_from_jet,
     sectional_curvature,
+    sectional_from_data,
+    sectional_range,
     sphere_chart,
     sym_eigen,
 )
@@ -19,6 +25,7 @@ from graphgeo.errors import (
     DegeneratePlaneError,
     OutOfChartError,
 )
+from test_block_partition import polynomial_chart
 
 
 def random_point(man, rng, halfwidth=2.0):
@@ -133,6 +140,98 @@ def test_degenerate_plane_raises():
     p = s2.point([0.1, 0.1])
     with pytest.raises(DegeneratePlaneError):
         sectional_curvature(s2, p, [1.0, 2.0], [2.0, 4.0])
+
+
+def range_case(seed: int, m: int, rows: int = 4):
+    """Curvature tensors, metrics and a g-orthonormal basis (the eigenbasis of
+    a random symmetric form) at ``rows`` points of a non-diagonal polynomial
+    chart of dimension ``m``."""
+    rng = np.random.default_rng(seed)
+    jet = polynomial_chart(rng, m, 0.05).jet(rng.uniform(-1.0, 1.0, size=(rows, m)))
+    phi = rng.normal(size=(rows, m, m))
+    basis = sym_eigen(phi + np.swapaxes(phi, -1, -2), jet.g)[1]
+    return rng, riemann_from_jet(jet), jet.g, basis
+
+
+def random_plane_curvatures(rng, riem, g, planes: int = 200):
+    """The sectional curvatures of ``planes`` random planes per row, each
+    spanned by a g-orthonormal pair, so that no area cancels."""
+    g = g[:, None]
+    u, v = rng.normal(size=(2, len(riem), planes, g.shape[-1]))
+    u = u / np.sqrt(quadratic_form(u, g, u))[..., None]
+    v = v - quadratic_form(u, g, v)[..., None] * u
+    v = v / np.sqrt(quadratic_form(v, g, v))[..., None]
+    sec, spans = sectional_from_data(riem[:, None], g, u, v)
+    assert spans.all()
+    return sec
+
+
+def operator_on_pairs(riem: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """``R(b_i, b_j, b_k, b_l)`` over the pairs ``i < j`` (rows) and ``k < l``
+    (columns) of the basis columns, one curvature form per entry."""
+    r = basis.shape[-1]
+    pairs = [(i, j) for i in range(r) for j in range(i + 1, r)]
+    b = np.swapaxes(basis, -1, -2)
+    return np.stack([np.stack([curvature_form(riem, b[..., i, :], b[..., j, :], b[..., k, :],
+                                              b[..., l, :]) for k, l in pairs], axis=-1)
+                     for i, j in pairs], axis=-2)
+
+
+def plane_of(omega: np.ndarray, basis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Two vectors spanning the plane of the decomposable 2-vector ``omega``
+    (coefficients over the pairs ``i < j`` of the basis columns): the
+    leading singular vectors of its antisymmetric matrix."""
+    r = basis.shape[-1]
+    i, j = np.triu_indices(r, 1)
+    w = np.zeros((r, r))
+    w[i, j], w[j, i] = omega, -omega
+    u = np.linalg.svd(w)[0]
+    return basis @ u[:, 0], basis @ u[:, 1]
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), m=st.sampled_from([2, 3]))
+def test_sectional_range_holds_every_plane_and_attains_its_ends(seed, m):
+    # in dimensions 2 and 3 every 2-vector is a plane: the range contains
+    # every random plane's curvature, and the planes of the extreme
+    # eigenvectors reach its ends
+    rng, riem, g, basis = range_case(seed, m)
+    low, high = sectional_range(riem, basis).T
+    vals, vecs = np.linalg.eigh(operator_on_pairs(riem, basis))
+    scale = np.maximum(np.abs(vals).max(axis=-1), 1e-300)
+    sec = random_plane_curvatures(rng, riem, g)
+    assert np.all(sec >= (low - 1e-12 * scale)[:, None])
+    assert np.all(sec <= (high + 1e-12 * scale)[:, None])
+    for r in range(len(g)):
+        for end, k in ((low[r], 0), (high[r], -1)):
+            u, v = plane_of(vecs[r, :, k], basis[r])
+            attained, spans = sectional_from_data(riem[r], g[r], u, v)
+            assert spans and abs(attained - end) <= 1e-12 * scale[r], (r, k, attained, end)
+
+
+def test_sectional_range_encloses_the_planes_of_a_4d_chart():
+    # six 2-vectors, not all of them planes: the ends enclose the range
+    rng, riem, g, basis = range_case(44, 4, rows=6)
+    low, high = sectional_range(riem, basis).T
+    sec = random_plane_curvatures(rng, riem, g, planes=2000)
+    scale = np.maximum(np.abs(low), np.abs(high))
+    assert np.all(sec >= (low - 1e-12 * scale)[:, None])
+    assert np.all(sec <= (high + 1e-12 * scale)[:, None])
+
+
+def test_sectional_range_of_round_and_flat_metrics():
+    # a sphere of radius 2 has every curvature 1/4; a flat chart 0.0, never
+    # -0.0; one vector spans no plane, and a NaN tensor gives NaN ends
+    for dim in (2, 3):
+        sphere = sphere_chart(dim, 2.0)
+        jet = sphere.jet(np.array([[0.3, -0.2, 0.1][:dim]]))
+        basis = sym_eigen(np.zeros_like(jet.g), jet.g)[1]
+        ends = sectional_range(riemann_from_jet(jet), basis)
+        assert ends.shape == (1, 2) and np.all(np.abs(ends - 0.25) < 1e-14)
+        flat = np.zeros((1, dim, dim, dim, dim))
+        assert sectional_range(-flat, basis).tobytes() == bytes(16)
+        assert np.isnan(sectional_range(flat, basis[..., :1])).all()
+        assert np.isnan(sectional_range(np.full_like(flat, np.nan), basis)).all()
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphgeo.chart_manifold import (
+    ChartManifold,
+    MetricJet,
+    constant_metric_chart,
     curvature_form,
     matvec,
     powers,
@@ -623,57 +626,93 @@ def test_null_probe_kappa_sq_overflow_is_a_bad_parameter():
         null_eigenvector_probe(d, 1.0, 4.0, kappa_sq=1e200, rng=Stream(6))
 
 
-def separation_one_plane_at_a_time(d, r, sigma, rng):
-    """The null probe's curvature separation at row ``r`` as first written:
-    each plane drawn, pushed forward and tested alone, the first violation
-    ending the draws.  The skip reason (or None) and where the draws ended,
-    ``(side, plane)``."""
-    slack = DEFAULT_TOLERANCES["gate_slack"]
-    target = d.n >= 2 and d.rank[r] >= 2
-    for side in ("domain", "target")[:1 + target]:
-        g, riem = (d.gm[r], d.riem_m[r]) if side == "domain" else (d.gn[r], d.riem_n[r])
-        for k in range(4):
-            u, v = rng.normal(size=d.m), rng.normal(size=d.m)
-            if side == "target":
-                u, v = d.d1[r] @ u, d.d1[r] @ v
-            uu, vv = u @ g @ u, v @ g @ v
-            area2 = uu * vv - (u @ g @ v) ** 2
-            if area2 < (1e-8 * uu * vv if side == "domain" else 1e-8 * max(uu * vv, 1e-300)):
-                continue
-            sec = float(curvature_form(riem, u, v, u, v)) / area2
-            if sec < sigma - slack if side == "domain" else sec > sigma + slack:
-                return (f"{side} sectional curvature {sec:.6g} "
-                        f"{'below' if side == 'domain' else 'above'} {sigma:.6g}"), (side, k)
-    return None, None
+def probe_case(rng, domain, target=None):
+    """A quadratic map from ``domain`` into ``target`` (by default a
+    non-diagonal polynomial 3-d chart), and 12 sample rows of it."""
+    f = quadratic_map(rng, domain, target or polynomial_chart(rng, 3, 0.3))
+    return point_rows(f, rng.uniform(-0.5, 0.5, size=(12, 3)))
+
+
+def perturbed_sphere(rng, eps: float) -> ChartManifold:
+    """The unit 3-sphere's stereographic metric plus ``eps`` times a
+    non-diagonal polynomial one: a general metric whose sectional curvatures
+    stay positive near the origin."""
+    sphere, poly = sphere_chart(3), polynomial_chart(rng, 3, 0.3)
+
+    def jet(x):
+        return MetricJet(*(a + eps * b for a, b in zip(sphere.metric_jet(x), poly.metric_jet(x))))
+
+    return ChartManifold(3, jet, poly.chart_box)
+
+
+@pytest.mark.parametrize("side", ["domain", "target"])
+def test_null_probe_skips_on_the_exact_end_of_the_curvature_range(side):
+    # sigma a hair inside row 0's exact range, past the gate's slack: four
+    # random planes almost never come that close to an end, the range does.
+    # On the domain side the flat target passes; on the target side the
+    # sphere of radius 0.5 (curvature 4) passes, so the polynomial target's
+    # planes decide
+    rng = np.random.default_rng(90)
+    if side == "domain":
+        d = probe_case(rng, perturbed_sphere(rng, 0.1), constant_metric_chart(3))
+        end = d.sec_range_m[0, 0]
+        assert end > 0.0
+    else:
+        d = probe_case(rng, sphere_chart(3, 0.5))
+        end = d.sec_range_n[0, 1]
+        assert d.sec_range_m[0, 0] > 3.9 and 0.1 < end < 3.9
+    slack, inside = DEFAULT_TOLERANCES["gate_slack"], 1e-4
+    sigma, text = (end + slack + inside, "below") if side == "domain" \
+        else (end - slack - inside, "above")
+    for seed in range(5):
+        (res,) = null_eigenvector_probe(d.take([0]), sigma, 0.5, rng=Stream(seed))
+        assert res.status == "skipped" and res.draws == 0
+        assert res.reason == f"{side} sectional curvature {end:.6g} {text} {sigma:.6g}"
 
 
 @pytest.mark.parametrize("make_rng", [Stream, np.random.default_rng])
-def test_null_probe_leaves_the_stream_where_one_plane_at_a_time_would(make_rng):
-    # the probe draws each side's 4 planes at once and rewinds to the end of
-    # the first violating plane: rows that skip at every plane of either
-    # side, and rows that run, leave the same reasons and the same stream as
-    # planes drawn one at a time.  The domain curvature of the polynomial
-    # chart straddles sigma = 0.02; the sphere of radius 0.5 (curvature 4)
-    # passes sigma = 0.15, so the polynomial target's planes decide; at
-    # sigma = 3.9 both sides pass and the rows run.
+def test_null_probe_draws_only_for_the_rows_that_run(make_rng):
+    # a skipped row draws nothing; each row that runs draws (20, m + m^2)
+    # normals, in turn.  At sigma between the rows' greatest target
+    # curvatures some rows skip and the others run
     rng = np.random.default_rng(90)
-    ended = set()
-    for domain, sigmas in ((polynomial_chart(rng, 3, 0.3), [0.02]),
-                           (sphere_chart(3, 0.5), [0.15, 3.9])):
-        f = quadratic_map(rng, domain, polynomial_chart(rng, 3, 0.3))
-        d = point_rows(f, rng.uniform(-0.5, 0.5, size=(12, 3)))
-        for sigma in sigmas:
-            for seed in range(3):
-                probe, reference = make_rng(seed), make_rng(seed)
-                results = null_eigenvector_probe(d, sigma, 0.5, rng=probe)
-                for r, res in enumerate(results):
-                    reason, end = separation_one_plane_at_a_time(d, r, sigma, reference)
-                    assert res.reason == (reason or ""), (r, res.reason, reason)
-                    if reason is None:
-                        reference.normal(size=(20, d.m + d.m * d.m))
-                    ended.add(end or "ran")
-                assert same_bits(probe.normal(size=8), reference.normal(size=8))
-    assert ended == {(side, k) for side in ("domain", "target") for k in range(4)} | {"ran"}
+    d = probe_case(rng, sphere_chart(3, 0.5))
+    high = d.sec_range_n[:, 1]
+    sigma = float(np.median(high))
+    skips = high > sigma + DEFAULT_TOLERANCES["gate_slack"]
+    assert skips.any() and not skips.all()
+    for seed in range(3):
+        probe, reference = make_rng(seed), make_rng(seed)
+        results = null_eigenvector_probe(d, sigma, 0.5, rng=probe)
+        assert [res.status == "skipped" for res in results] == skips.tolist()
+        for res in results:
+            assert res.draws == (0 if res.status == "skipped" else 20)
+        reference.normal(size=(int(np.sum(~skips)), 20, d.m + d.m * d.m))
+        assert same_bits(probe.normal(size=8), reference.normal(size=8))
+
+
+def test_null_probe_runs_a_row_whose_curvature_is_nan():
+    # a NaN second metric derivative at row 1 makes that row's curvature
+    # range NaN: the separation skips nothing there, and the reaction term,
+    # NaN as well, fails the row.  sigma lies above the other rows' least
+    # domain curvature, so they skip
+    rng = np.random.default_rng(91)
+    chart = polynomial_chart(rng, 3, 0.3)
+
+    def jet(x):
+        g, dg, d2g = chart.metric_jet(x)
+        d2g[1] = np.nan
+        return MetricJet(g, dg, d2g)
+
+    domain = chart._replace(metric_jet=jet)
+    f = quadratic_map(rng, domain, constant_metric_chart(3))
+    d = point_rows(f, rng.uniform(-0.5, 0.5, size=(4, 3)))
+    assert np.isnan(d.sec_range_m[1]).all() and np.isfinite(d.sec_range_m[[0, 2, 3]]).all()
+    assert np.array_equal(d.sec_range_n, np.zeros((4, 2)))
+    sigma = float(np.max(d.sec_range_m[[0, 2, 3], 0])) + 1.0
+    results = null_eigenvector_probe(d, sigma, 0.5, rng=Stream(0))
+    assert [res.status for res in results] == ["skipped", "fail", "skipped", "skipped"]
+    assert np.isnan(results[1].min_value)
 
 
 # ---------------------------------------------------------------------------
