@@ -73,7 +73,6 @@ class _ChartFields(NamedTuple):
     metric_jet: Callable[[Array], MetricJet]
     chart_box: Array
     name: str = "chart"
-    margin: float = DEFAULT_MARGIN
 
 
 class ChartManifold(_ChartFields):
@@ -88,12 +87,12 @@ class ChartManifold(_ChartFields):
 
     __slots__ = ()
 
-    def __new__(cls, dim, metric_jet, chart_box, name="chart", margin=DEFAULT_MARGIN):
+    def __new__(cls, dim, metric_jet, chart_box, name="chart"):
         box = np.array(chart_box, dtype=float)
         if box.shape != (dim, 2):
             raise ValueError(f"chart_box must have shape ({dim}, 2)")
         box.flags.writeable = False
-        return super().__new__(cls, dim, metric_jet, box, name, margin)
+        return super().__new__(cls, dim, metric_jet, box, name)
 
     @classmethod
     def _make(cls, fields) -> "ChartManifold":
@@ -115,9 +114,9 @@ class ChartManifold(_ChartFields):
         return np.all((coords > lo) & (coords < hi), axis=-1)
 
     def sample_box(self) -> Array:
-        """The chart box shrunk by the boundary margin."""
+        """The chart box shrunk by :data:`DEFAULT_MARGIN` of its width on each side."""
         lo, hi = self.chart_box[:, 0], self.chart_box[:, 1]
-        w = (hi - lo) * self.margin
+        w = (hi - lo) * DEFAULT_MARGIN
         return np.stack([lo + w, hi - w], axis=1)
 
     def jet(self, coords: Array) -> MetricJet:
@@ -155,9 +154,9 @@ def powers(a: Array, k: int) -> Array:
 # Built-in charts
 # ---------------------------------------------------------------------------
 
-def sphere_chart(dim: int, radius: float = 1.0, box_halfwidth: float = 20.0,
-                 name: str | None = None) -> ChartManifold:
-    """Round sphere of the given radius in stereographic coordinates.
+def sphere_chart(dim: int, radius: float = 1.0) -> ChartManifold:
+    """Round sphere of the given radius in stereographic coordinates, on the
+    chart box ``[-20, 20]^dim``.
 
     The metric is conformally flat, ``g_ij = u(x) delta_ij`` with
     ``u = 4 r^4 / (r^2 + |x|^2)^2``, which has closed-form derivatives of
@@ -180,13 +179,12 @@ def sphere_chart(dim: int, radius: float = 1.0, box_halfwidth: float = 20.0,
         d2g = d2u[:, :, :, None, None] * eye
         return MetricJet(g, dg, d2g)
 
-    box = np.array([[-box_halfwidth, box_halfwidth]] * dim)
-    return ChartManifold(dim, jet, box, name or f"S{dim}(r={radius:g})")
+    return ChartManifold(dim, jet, [[-20.0, 20.0]] * dim, f"S{dim}(r={radius:g})")
 
 
-def constant_metric_chart(dim: int, matrix=None, box_halfwidth: float = 50.0,
-                          name: str = "flat") -> ChartManifold:
-    """Chart with a constant (flat) metric: tori, circles, Euclidean space."""
+def constant_metric_chart(dim: int, matrix=None, name: str = "flat") -> ChartManifold:
+    """Chart with a constant (flat) metric on the chart box ``[-50, 50]^dim``:
+    tori, circles, Euclidean space."""
     g0 = np.eye(dim) if matrix is None else np.array(matrix, dtype=float)
     if g0.shape != (dim, dim):
         raise ValueError("metric matrix has wrong shape")
@@ -196,8 +194,7 @@ def constant_metric_chart(dim: int, matrix=None, box_halfwidth: float = 50.0,
         return MetricJet(np.repeat(g0[None], b, axis=0), np.zeros((b, dim, dim, dim)),
                          np.zeros((b, dim, dim, dim, dim)))
 
-    box = np.array([[-box_halfwidth, box_halfwidth]] * dim)
-    return ChartManifold(dim, jet, box, name)
+    return ChartManifold(dim, jet, [[-50.0, 50.0]] * dim, name)
 
 
 # ---------------------------------------------------------------------------

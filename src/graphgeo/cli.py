@@ -17,7 +17,9 @@ configuration (a non-positive ``--sigma`` or ``--kappa-margin``, a
 an ``--output`` or a stdout that cannot be written (every command, ``list``
 included), out of memory or a missing ``ziggurat.bin``, 3 out-of-chart
 sampling, 4 indeterminate classification.  Every non-zero exit prints one
-``error:`` line to stderr.
+``error:`` line to stderr, argparse's errors (a malformed flag value, an
+unknown flag, a missing command) included: they exit 2 like any other bad
+configuration.
 
 ``--sigma`` and the config ``box`` replace the scenario's pinching level
 and sample box once, for the gate and the identity suite alike.
@@ -157,9 +159,17 @@ def _parse_tol(text: str) -> tuple[str, float]:
     return name, float(value)
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors raise ``ValueError``, so that
+    :func:`main` reports them as bad configuration, in one line."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 @functools.cache     # built once per process; each parse fills a new namespace
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="graphgeo",
         description="Numerical geometry of graphs of maps between "
                     "Riemannian manifolds.")
@@ -400,9 +410,8 @@ def cmd_check_theorem(cfg: RunConfig) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         if args.command == "list":
             return cmd_list(args.match)
         cfg = _load_config(args)

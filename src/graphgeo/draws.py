@@ -391,14 +391,12 @@ class Stream:
 
     def uniform(self, low, high):
         """``low + (high - low) * u`` for uniform doubles ``u``, ``high >= low``
-        as numpy requires: a float for int or float bounds, an array over the
-        broadcast bounds otherwise."""
-        if isinstance(low, (int, float)) and isinstance(high, (int, float)):
-            return float(low) + (float(high) - float(low)) * _uniform(self._raw())
+        as numpy requires, over the broadcast bounds: a float for scalar bounds."""
         low = np.asarray(low, dtype=float)
         span = np.asarray(high, dtype=float) - low
         u = np.array([_uniform(self._raw()) for _ in range(span.size)]).reshape(span.shape)
-        return low + span * u
+        out = low + span * u
+        return out if out.ndim else float(out)
 
     def _u32(self) -> int:
         if self._half is None:

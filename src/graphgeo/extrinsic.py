@@ -24,7 +24,6 @@ from .graph_map import (
     GraphJets,
     SmoothMap,
     graph_jets,
-    induced_jet,
     pullback_metric_d2,
     pullback_metric_jet,
     shift_deficit,
@@ -158,14 +157,15 @@ class GraphBlock(Frozen):
     gn = property(lambda self: self.jets.gn.g)
 
     @cached_property
-    def pullback(self) -> tuple:
+    def pullback(self) -> tuple[Array, Array]:
         """Pullback metric ``f*(g_N)`` with its first chart derivatives."""
-        return pullback_metric_jet(self.jets.f, self.jets.gn, order=1)
+        return pullback_metric_jet(self.jets.f, self.jets.gn)
 
     @cached_property
     def induced(self) -> MetricJet:
         """First-order jet of the induced metric ``g = g_M + f*(g_N)``."""
-        return induced_jet(self.jets.gm, self.pullback)
+        (P, dP), gm = self.pullback, self.jets.gm
+        return MetricJet(gm.g + P, gm.dg + dP, None)
 
     @property
     def g(self) -> Array:

@@ -129,21 +129,15 @@ class GraphFrameData(NamedTuple):
 # Pullback metric and its exact derivatives
 # ---------------------------------------------------------------------------
 
-def pullback_metric_jet(fjet: MapJet, hjet: MetricJet,
-                        order: int = 2) -> tuple[Array, Array | None, Array | None]:
-    """Pullback metric with exact first (and second) chart derivatives.
-
-    Second derivatives consume the order-3 jet of the map and the order-2
-    jet of the target metric; pass ``order=1`` when only first derivatives
-    are needed.  Broadcasts over leading axes.
+def pullback_metric_jet(fjet: MapJet, hjet: MetricJet) -> tuple[Array, Array]:
+    """``(P, dP)``: the pullback metric and its exact first chart derivatives
+    (second derivatives: :func:`pullback_metric_d2`).  Broadcasts over
+    leading axes.
     """
     d1, d2 = fjet.d1, fjet.d2
     h, dh = hjet.g, hjet.dg
 
     P = np.einsum("...ai,...bj,...ab->...ij", d1, d1, h)
-    if order < 1:
-        return P, None, None
-
     # dP[k, i, j] = d_k P_ij; the last term contracts the chain rule's
     # dh_f[k, a, b] = d_k (h_ab o f) first: one 4-operand einsum would loop
     # over all six indices at once
@@ -151,13 +145,12 @@ def pullback_metric_jet(fjet: MapJet, hjet: MetricJet,
     dP = (np.einsum("...aki,...bj,...ab->...kij", d2, d1, h)
           + np.einsum("...ai,...bkj,...ab->...kij", d1, d2, h)
           + np.einsum("...ai,...bj,...kab->...kij", d1, d1, dh_f))
-    if order < 2:
-        return P, dP, None
-    return P, dP, pullback_metric_d2(fjet, hjet)
+    return P, dP
 
 
 def pullback_metric_d2(fjet: MapJet, hjet: MetricJet) -> Array:
-    """``d2P[l, k, i, j] = d_l d_k P_ij``: order 2 of :func:`pullback_metric_jet`."""
+    """``d2P[l, k, i, j] = d_l d_k P_ij``, from the order-3 jet of the map and
+    the order-2 jet of the target metric."""
     d1, d2, d3 = fjet.d1, fjet.d2, fjet.d3
     h, dh, d2h = hjet.g, hjet.dg, hjet.d2g
     if d3 is None:
@@ -173,14 +166,6 @@ def pullback_metric_d2(fjet: MapJet, hjet: MetricJet) -> Array:
              + np.einsum("...ai,...blj,...kab->...lkij", d1, d2, dh_f))
     return right + np.swapaxes(right, -1, -2) + np.einsum("...ai,...bj,...lkab->...lkij",
                                                           d1, d1, d2h_f)
-
-
-def induced_jet(gm: MetricJet, pullback: tuple) -> MetricJet:
-    """Jet of ``g_M + f*(g_N)`` from the domain jet and a pullback jet."""
-    P, dP, d2P = pullback
-    return MetricJet(gm.g + P,
-                     gm.dg + dP if dP is not None else None,
-                     gm.d2g + d2P if d2P is not None else None)
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +292,7 @@ def verified_frame_block(jets: GraphJets, P: Array) -> tuple[GraphFrameData, Arr
 def _at(f: SmoothMap, p: ChartPoint) -> tuple[GraphJets, Array]:
     """The graph jets at ``p`` as a block of one, and their pullback metric."""
     jets = graph_jets(f, p.coords[None])
-    return jets, pullback_metric_jet(jets.f, jets.gn, order=0)[0]
+    return jets, pullback_metric_jet(jets.f, jets.gn)[0]
 
 
 def pullback_metric_at(f: SmoothMap, p: ChartPoint) -> Array:
@@ -319,7 +304,8 @@ def induced_metric_jet(f: SmoothMap, p: ChartPoint) -> MetricJet:
     """Jet of the graph-induced metric ``g_M + f*(g_N)`` at ``p``, to second
     derivatives."""
     jets = graph_jets(f, p.coords[None])
-    jet = induced_jet(jets.gm, pullback_metric_jet(jets.f, jets.gn))
+    gm, (P, dP) = jets.gm, pullback_metric_jet(jets.f, jets.gn)
+    jet = (gm.g + P, gm.dg + dP, gm.d2g + pullback_metric_d2(jets.f, jets.gn))
     return MetricJet(*(a[0] for a in jet))
 
 

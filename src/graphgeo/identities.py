@@ -10,8 +10,11 @@ Every operation evaluates a stack of rows of a :class:`GraphBlock`
 (:class:`PointData`; a point is the stack ``rows=[i]``) in one call, one
 value per row, each with the bits of a single-point evaluation.  Every
 row's parallel-field probes and stencil are one block, which the suite's
-elliptic and 2-d checks share (:meth:`PointData.neighbours`).  The null
-probe reads the block's sectional-curvature ranges; it draws no planes.
+elliptic and 2-d checks share (:meth:`PointData.neighbours`).  Sectional
+curvatures have one formula, :func:`graphgeo.chart_manifold.sectional_range`:
+the null probe reads the block's ranges (it draws no planes), and the 2-d
+log-Jacobian equation reads ``sec_M`` from the domain's range and ``sec_N``
+from the range of the whole target plane.
 
 :func:`run_identity_suite` is one ordered table of checks, each a record
 name, its tolerance key, what it needs (a minimal map, dimensions 2x2 or
@@ -25,7 +28,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .chart_manifold import curvature_form, matvec, powers, quadratic_form, sym_eigen
+from .chart_manifold import (curvature_form, matvec, powers, quadratic_form, sectional_range,
+                             sym_eigen)
 from .draws import Stream
 from .errors import InvalidParameterError, PreconditionError
 from .extrinsic import MINIMAL_TOL, GraphBlock, graph_block, graph_blocks
@@ -38,6 +42,9 @@ Array = np.ndarray
 #: Covariant-derivative norm below which a tensor field counts as parallel
 #: and its rough Laplacian is taken to vanish identically.
 PARALLEL_TOL = 1e-10
+
+#: Random sample points of :func:`run_identity_suite`.
+SUITE_POINTS = 12
 
 
 # ---------------------------------------------------------------------------
@@ -137,7 +144,7 @@ def _require_minimal(d: PointData, minimal_tol: float) -> None:
 # Normal estimate for the split-signature form
 # ---------------------------------------------------------------------------
 
-def normal_estimate_check(d: PointData, c, rng: Stream | None = None) -> Array:
+def normal_estimate_check(d: PointData, c, rng: Stream) -> Array:
     """Worst slack of the normal-cone estimate ``((c-1)/(1+c)) |eta|^2 -
     s_prod(eta, eta) >= 0`` (for ``c >= lambda_max^2``) over the adapted
     normal frame vectors, 20 random normal combinations (drawn row by row,
@@ -152,7 +159,6 @@ def normal_estimate_check(d: PointData, c, rng: Stream | None = None) -> Array:
     if np.any(c < lam_max_sq - 1e-12 * (1.0 + lam_max_sq)):
         raise PreconditionError(f"estimate needs c >= lambda_max^2 = "
                                 f"{np.max(lam_max_sq):.6g}, got {np.min(c):.6g}")
-    rng = rng or Stream(0)
     bound = (c - 1.0) / (1.0 + c)
 
     # the normal frame vectors, random mixtures of them (summed column by
@@ -435,7 +441,10 @@ def log_jacobian_residual_2d(d: PointData, h: float = 1e-3,
     projection Jacobian of a minimal map: the Laplace-Beltrami value (FD
     partials of the exact Jacobian field on the rows' stencils at step
     ``h``) against the normal components of the second fundamental form
-    and the sectional curvatures."""
+    and the sectional curvatures: ``sec_M`` from :attr:`GraphBlock.sec_range_m`,
+    ``sec_N`` from :func:`sectional_range` on the whole target plane (the
+    frame ``beta``), defined at every rank, where ``sec_range_n`` is NaN
+    below rank 2."""
     if d.m != 2 or d.n != 2:
         raise PreconditionError("identity needs dim M = dim N = 2")
     _require_minimal(d, minimal_tol)
@@ -450,9 +459,7 @@ def log_jacobian_residual_2d(d: PointData, h: float = 1e-3,
     c = comp.reshape(len(d), 8)          # comp[:, g, i, j] is c[:, 4 g + 2 i + j]
     # the squares of single values, rounded as libm pow rounds them
     l1s, l2s, c2 = (powers(x.ravel(), 2).reshape(x.shape) for x in (l1, l2, c))
-    gm, gn = d.gm, d.gn
-    sec_m = d.riem_m[:, 0, 1, 0, 1] / (gm[:, 0, 0] * gm[:, 1, 1] - powers(gm[:, 0, 1], 2))
-    sec_n = d.riem_n[:, 0, 1, 0, 1] / (gn[:, 0, 0] * gn[:, 1, 1] - powers(gn[:, 0, 1], 2))
+    sec_m, sec_n = d.sec_range_m[:, 0], sectional_range(d.riem_n, d.beta)[:, 0]
     rhs = (-np.sum(comp ** 2, axis=(1, 2, 3))
            - l1s * (c2[:, 0] + c2[:, 1]) - l2s * (c2[:, 5] + c2[:, 7])
            - 2.0 * l1 * l2 * (c[:, 4] * c[:, 2] + c[:, 5] * c[:, 3])
@@ -470,10 +477,9 @@ class NullProbeResult(NamedTuple):
     reason: str
     min_value: float
     draws: int
-    max_ric_term: float
 
 
-def _skip_reason(d: PointData, r: int, sigma: float, kappa_sq: float | None,
+def _skip_reason(d: PointData, r: int, sigma: float, kappa_sq: float,
                  margins: RowMargins | None) -> str | None:
     """Why the null probe does not run at row ``r``, or None if it does:
     ``sec_N <= sigma <= sec_M`` on the ends of ``sec_range_m`` and ``sec_range_n``
@@ -499,8 +505,7 @@ def _skip_reason(d: PointData, r: int, sigma: float, kappa_sq: float | None,
 
 
 def null_eigenvector_probe(d: PointData, sigma: float, lambda0_sq: float,
-                           kappa_sq: float | None = None,
-                           rng: Stream | None = None) -> list[NullProbeResult]:
+                           kappa_sq: float, rng: Stream) -> list[NullProbeResult]:
     """Probe the null-eigenvector condition of the reaction term at each row.
 
     Draws random positive semi-definite tensors with a prescribed unit null
@@ -514,18 +519,15 @@ def null_eigenvector_probe(d: PointData, sigma: float, lambda0_sq: float,
     once.  A row passes where its least value is at least minus the suite's
     ``null_probe`` tolerance.
     """
-    rng = rng or Stream(0)
     n_draws = 20
     if sigma <= 0.0:
         return [NullProbeResult("skipped", "needs a positive pinching level",
-                                np.inf, 0, 0.0)] * len(d)
-    # taken wherever kappa_sq is given, so that a bound that overflows is
-    # refused on both branches; the skips read them where lambda0_sq >= 1
-    margins = None if kappa_sq is None else row_margins(d, sigma, kappa_sq)
+                                np.inf, 0)] * len(d)
+    # taken on both branches, so that a bound that overflows is refused on
+    # both; the skips read them where lambda0_sq >= 1
+    margins = row_margins(d, sigma, kappa_sq)
     if lambda0_sq < 1.0:
         margins = None
-    elif margins is None:
-        raise PreconditionError("kappa_sq is required when lambda0_sq >= 1")
     m = d.m
     reasons = [_skip_reason(d, r, sigma, kappa_sq, margins) for r in range(len(d))]
     ran = d.take([r for r, reason in enumerate(reasons) if reason is None])
@@ -540,17 +542,14 @@ def null_eigenvector_probe(d: PointData, sigma: float, lambda0_sq: float,
     theta = 0.5 * (theta + np.swapaxes(theta, -1, -2))
     scale = 1.0 + np.abs(theta).max(axis=(-2, -1))
 
-    ric_terms = np.abs(quadratic_form(matvec(_expand(ran.ric_g_op, 1), v), theta, v)) / scale
     values = reaction_term_apply(ran, lambda0_sq, theta, v, v) / scale
-    per_row = iter(zip(np.min(values, axis=-1, initial=np.inf).tolist(),
-                       np.max(ric_terms, axis=-1, initial=0.0).tolist()))
+    per_row = iter(np.min(values, axis=-1, initial=np.inf).tolist())
     results = []
     for reason in reasons:
-        low, ric = (np.inf, 0.0) if reason else next(per_row)
+        low = np.inf if reason else next(per_row)
         status = ("skipped" if reason
                   else "pass" if low >= -DEFAULT_IDENTITY_TOLERANCES["null_probe"] else "fail")
-        results.append(NullProbeResult(status, reason or "", low,
-                                       0 if reason else n_draws, ric))
+        results.append(NullProbeResult(status, reason or "", low, 0 if reason else n_draws))
     return results
 
 
@@ -695,9 +694,9 @@ def _worst(values) -> float:
 def run_identity_suite(scenario, seed: int = 0, h: float = 1e-3,
                        c: float = 2.0,
                        tolerances: dict[str, float] | None = None,
-                       n_points: int = 12,
                        kappa_margin: float = 0.01) -> list[IdentityReport]:
-    """Run the identity checks on the scenario, one record per check.
+    """Run the identity checks on the scenario's :data:`SUITE_POINTS` random
+    sample points, one record per check.
 
     The checks form one ordered table of ``(name, tolerance key, needs,
     run)``.  ``needs`` is ``""``, ``"minimal"`` or ``"2x2"``: a 2x2 check on
@@ -718,25 +717,25 @@ def run_identity_suite(scenario, seed: int = 0, h: float = 1e-3,
     tol = {**DEFAULT_IDENTITY_TOLERANCES, **(tolerances or {})}
     f, m = scenario.f, scenario.f.domain.dim
     rng = Stream(seed)
-    d = point_rows(f, scenario.random_points(n_points, rng))
+    d = point_rows(f, scenario.random_points(SUITE_POINTS, rng))
     blk, lambdas = d.blk, d.blk.frames.lambdas
     sub = d.take(slice(0, 3))   # its neighbour block is shared by the checks on it
 
     def s_eigenvalues():
         pred = np.sort((1.0 - lambdas ** 2) / (1.0 + lambdas ** 2), axis=-1)
-        return n_points, np.abs(sym_eigen(blk.s, blk.g)[0] - pred), {"seed": seed}
+        return SUITE_POINTS, np.abs(sym_eigen(blk.s, blk.g)[0] - pred), {"seed": seed}
 
     def normal_estimate():
         lam2 = powers(lambdas[:, -1], 2)
         worst = float(np.min(normal_estimate_check(
             d, np.stack([lam2, lam2 + 1.0], axis=-1), rng=rng)))
-        return 2 * n_points, [-worst], {"worst_slack": worst}
+        return 2 * SUITE_POINTS, [-worst], {"worst_slack": worst}
 
     @cache
     def sides():
         # each tuple draws its point, c, sigma and direction in turn
         at, cc, sg, ll = np.array([
-            (rng.integers(0, n_points), rng.uniform(0.05, 10.0), rng.uniform(-2.0, 2.0),
+            (rng.integers(0, SUITE_POINTS), rng.uniform(0.05, 10.0), rng.uniform(-2.0, 2.0),
              rng.integers(0, m)) for _ in range(15)]).reshape(-1, 4).T
         return decomposition_sides(d.take(at.astype(np.intp)), cc, sg, ll.astype(np.intp))
 
@@ -763,7 +762,8 @@ def run_identity_suite(scenario, seed: int = 0, h: float = 1e-3,
                 {"lambda0_sq": lam0_sq, "points_skipped": len(probes) - len(ran)})
 
     checks = (
-        ("frame-formulas", "frame", "", lambda: (n_points, blk.frame_residual, {"seed": seed})),
+        ("frame-formulas", "frame", "",
+         lambda: (SUITE_POINTS, blk.frame_residual, {"seed": seed})),
         ("s-eigenvalue-formula", "s_eigenvalue", "", s_eigenvalues),
         ("normal-estimate", "normal_estimate", "", normal_estimate),
         ("curvature-decomposition", "decomposition", "", gap(0, 1)),

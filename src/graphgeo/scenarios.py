@@ -44,21 +44,20 @@ class Scenario(NamedTuple):
     def target(self) -> ChartManifold:
         return self.f.target
 
-    def grid_points(self, shape: tuple[int, ...] | None = None,
-                    box: Array | None = None) -> Array:
+    def grid_points(self, shape: tuple[int, ...] | None = None) -> Array:
         """Deterministic rectangular grid over the sample box: an ``(N, m)``
-        array of chart coordinates, the last axis varying fastest."""
-        shape = shape or self.grid_shape
-        box = self.sample_box if box is None else np.asarray(box, dtype=float)
+        array of chart coordinates, the last axis varying fastest.  Another
+        box: ``sc._replace(sample_box=box).grid_points(shape)``."""
+        shape, box = shape or self.grid_shape, self.sample_box
         axes = [np.linspace(box[i, 0], box[i, 1], shape[i])
                 for i in range(self.domain.dim)]
         return np.stack(np.meshgrid(*axes, indexing="ij"),
                         axis=-1).reshape(-1, self.domain.dim)
 
-    def random_points(self, count: int, rng: Stream,
-                      box: Array | None = None) -> list[ChartPoint]:
-        box = self.sample_box if box is None else np.asarray(box, dtype=float)
-        lo, hi = box[:, 0], box[:, 1]
+    def random_points(self, count: int, rng: Stream) -> list[ChartPoint]:
+        """``count`` uniform points of the sample box, one ``rng.uniform``
+        draw each."""
+        lo, hi = self.sample_box[:, 0], self.sample_box[:, 1]
         return [self.domain.point(rng.uniform(lo, hi)) for _ in range(count)]
 
 

@@ -256,12 +256,12 @@ def test_criterion_10_null_eigenvector_probes(capsys):
                              ("constant-s3", None, 6),
                              ("conformal-shrink",
                               np.array([[-0.6, 0.6], [-0.6, 0.6]]), 10)):
-        sc = get(name)
-        rows = point_rows(sc.f, sc.random_points(n_pts, rng, box=box))
+        sc = get(name) if box is None else get(name)._replace(sample_box=box)
+        rows = point_rows(sc.f, sc.random_points(n_pts, rng))
         lam0_sq = float(powers(rows.lambdas[:, -1], 2).max())
         assert lam0_sq < 1.0
         for res in null_eigenvector_probe(rows, sigma=1.0, lambda0_sq=lam0_sq,
-                                          rng=rng):
+                                          kappa_sq=1.01, rng=rng):
             assert res.status != "skipped", res.reason
             draws += res.draws
             worst = min(worst, res.min_value)

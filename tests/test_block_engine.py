@@ -441,7 +441,7 @@ def test_block_names_first_point_outside_the_domain():
 def test_block_jets_raise_for_the_first_offending_point_in_order():
     from graphgeo.chart_manifold import sphere_chart
     from graphgeo.errors import OutOfChartError
-    small = sphere_chart(2, 1.0, box_halfwidth=2.0)
+    small = sphere_chart(2, 1.0)._replace(chart_box=[[-2.0, 2.0]] * 2)
     f = linear_map(sphere_chart(2, 1.0), small, 5.0 * np.eye(2), name="5x")
     # the image of the first point leaves the target before the second
     # point leaves the domain

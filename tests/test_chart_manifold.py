@@ -67,7 +67,7 @@ def test_degenerate_metric_raises():
 
 
 def test_out_of_chart_raises():
-    s2 = sphere_chart(2, 1.0, box_halfwidth=5.0)
+    s2 = sphere_chart(2, 1.0)._replace(chart_box=[[-5.0, 5.0]] * 2)
     with pytest.raises(OutOfChartError):
         s2.jet(np.array([[10.0, 0.0]]))
 

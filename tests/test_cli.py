@@ -124,6 +124,45 @@ def test_unknown_or_missing_scenario_prints_its_message(argv, message, capsys):
     assert captured.err.splitlines() == [f"error: {message}"]
 
 
+ARGPARSE_ERRORS = [
+    (["report", "--scenario", "holo-w2", "--grid", "20x"],
+     "argument --grid: bad grid syntax '20x'"),
+    (["verify-identities", "--scenario", "holo-w2", "--seed", "1.5"],
+     "argument --seed: invalid int value: '1.5'"),
+    (["report", "--scenario", "holo-w2", "--tol", "gate_slack"],
+     "argument --tol: expected name=value, got 'gate_slack'"),
+    (["check-theorem", "--scenario", "holo-w2", "--bogus", "1"],
+     "unrecognized arguments: --bogus 1"),
+    ([], "the following arguments are required: command"),
+]
+
+
+@pytest.mark.parametrize("argv,message", ARGPARSE_ERRORS,
+                         ids=["grid", "seed", "tol", "unknown-flag", "no-command"])
+def test_argparse_errors_print_one_line_and_exit_2(argv, message, capsys):
+    # a bad configuration like any other: no usage text, no program prefix
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: {message}"]
+
+
+def test_argparse_error_prints_one_line_in_a_fresh_process():
+    proc = cli_process(["check-theorem", "--scenario", "holo-w2", "--bogus", "1"],
+                       subprocess.PIPE)
+    out, err = proc.communicate(timeout=60)
+    assert (proc.returncode, out) == (2, "")
+    assert err.splitlines() == ["error: unrecognized arguments: --bogus 1"]
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["report", "--help"]])
+def test_help_still_exits_0(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: graphgeo")
+
+
 def test_report_out_of_chart_exit_3(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"scenario": "identity-s2",
@@ -1063,7 +1102,7 @@ def test_null_pattern_change_at_a_piece_boundary(switch, at):
 @pytest.fixture(scope="module")
 def holo_table_120():
     sc = scen.get("holo-w2")
-    sweep = sweep_geometry(sc.f, sc.grid_points((120, 120), sc.sample_box), seed=0)
+    sweep = sweep_geometry(sc.f, sc.grid_points((120, 120)), seed=0)
     return _point_table(sweep)
 
 

@@ -161,7 +161,7 @@ def test_rank_deficient_frames_read_zero_singular_values_at_roundoff():
 
 def test_image_outside_target_chart_raises():
     from graphgeo.errors import OutOfChartError
-    s2_small = sphere_chart(2, 1.0, box_halfwidth=2.0)
+    s2_small = sphere_chart(2, 1.0)._replace(chart_box=[[-2.0, 2.0]] * 2)
     f = linear_map(sphere_chart(2, 1.0), s2_small, 5.0 * np.eye(2), name="5x")
     with pytest.raises(OutOfChartError):
         f.jet(np.array([[1.0, 1.0]]))

@@ -15,6 +15,7 @@ from graphgeo.chart_manifold import (
     powers,
     quadratic_form,
     ricci_from_jet,
+    sectional_range,
     sphere_chart,
 )
 from graphgeo.draws import Stream
@@ -148,7 +149,7 @@ def test_normal_estimate_precondition():
     sc = get("holo-w2")
     p = sc.domain.point([1.0, 0.0])   # stretch 2 here
     with pytest.raises(PreconditionError):
-        normal_estimate_check(row(sc.f, p), 1.0)
+        normal_estimate_check(row(sc.f, p), 1.0, rng=np.random.default_rng(0))
 
 
 # ---------------------------------------------------------------------------
@@ -399,9 +400,9 @@ def test_stacked_checks_equal_their_one_row_evaluations(rows):
     assert same_bits(reaction_term_apply(d, 0.8, theta, v, v),
                      [reaction_term_apply(r, 0.8, theta[i:i + 1], v[i:i + 1], v[i:i + 1])[0]
                       for i, r in enumerate(alone)])
-    stacked = null_eigenvector_probe(d, 0.5, 0.8, rng=np.random.default_rng(seed))
+    stacked = null_eigenvector_probe(d, 0.5, 0.8, 1.01, rng=np.random.default_rng(seed))
     one_rng = np.random.default_rng(seed)
-    assert stacked == [null_eigenvector_probe(r, 0.5, 0.8, rng=one_rng)[0] for r in alone]
+    assert stacked == [null_eigenvector_probe(r, 0.5, 0.8, 1.01, rng=one_rng)[0] for r in alone]
 
 
 # ---------------------------------------------------------------------------
@@ -483,6 +484,20 @@ def test_log_jacobian_constant_map_trivial():
     assert log_jacobian_residual_2d(row(sc.f, sc.domain.point([0.5, 0.1])))[0] < 1e-10
 
 
+@pytest.mark.parametrize("name,x", [("holo-w2", [0.0, 0.0]), ("constant-s2", [0.5, 0.1])])
+def test_log_jacobian_reads_the_target_plane_at_rank_0(name, x):
+    # df = 0: sec_range_n (the image of df) is NaN there, but the equation's
+    # sec_N is the curvature of the whole target plane, finite at any rank
+    sc = get(name)
+    d = row(sc.f, sc.domain.point(x))
+    assert d.rank[0] == 0 and np.isnan(d.sec_range_n).all()
+    gn = d.gn[0]
+    sec_n = d.riem_n[0, 0, 1, 0, 1] / (gn[0, 0] * gn[1, 1] - gn[0, 1] ** 2)
+    assert np.allclose(sectional_range(d.riem_n, d.beta)[0], sec_n, rtol=1e-14, atol=0.0)
+    (res,) = log_jacobian_residual_2d(d)
+    assert np.isfinite(res) and res <= DEFAULT_IDENTITY_TOLERANCES["log_jacobian"]
+
+
 def test_log_jacobian_w2_sweep():
     sc = get("holo-w2")
     rng = np.random.default_rng(32)
@@ -519,14 +534,13 @@ def test_null_probe_identity_branch_at_least_one():
     for res in results:
         assert res.status == "pass"
         assert res.min_value > -1e-10
-        assert res.max_ric_term < 1e-12
 
 
 def test_null_probe_constant_branch_below_one():
     sc = get("constant-s3")
     rng = np.random.default_rng(34)
     d = point_rows(sc.f, sc.random_points(5, rng))
-    for res in null_eigenvector_probe(d, sigma=1.0, lambda0_sq=0.0, rng=rng):
+    for res in null_eigenvector_probe(d, sigma=1.0, lambda0_sq=0.0, kappa_sq=1.01, rng=rng):
         assert res.status == "pass"
         assert res.min_value > -1e-10
 
@@ -537,10 +551,11 @@ def test_null_probe_strictly_length_decreasing_branch():
     sc = get("conformal-shrink")
     box = np.array([[-0.6, 0.6], [-0.6, 0.6]])
     rng = np.random.default_rng(35)
-    rows = point_rows(sc.f, sc.random_points(8, rng, box=box))
+    rows = point_rows(sc.f, sc._replace(sample_box=box).random_points(8, rng))
     lam0_sq = float(powers(rows.lambdas[:, -1], 2).max())
     assert lam0_sq < 1.0
-    for res in null_eigenvector_probe(rows, sigma=1.0, lambda0_sq=lam0_sq, rng=rng):
+    for res in null_eigenvector_probe(rows, sigma=1.0, lambda0_sq=lam0_sq, kappa_sq=1.01,
+                                      rng=rng):
         assert res.status == "pass"
         assert res.min_value > -1e-10
 
@@ -665,7 +680,7 @@ def test_null_probe_skips_on_the_exact_end_of_the_curvature_range(side):
     sigma, text = (end + slack + inside, "below") if side == "domain" \
         else (end - slack - inside, "above")
     for seed in range(5):
-        (res,) = null_eigenvector_probe(d.take([0]), sigma, 0.5, rng=Stream(seed))
+        (res,) = null_eigenvector_probe(d.take([0]), sigma, 0.5, 1.01, rng=Stream(seed))
         assert res.status == "skipped" and res.draws == 0
         assert res.reason == f"{side} sectional curvature {end:.6g} {text} {sigma:.6g}"
 
@@ -683,7 +698,7 @@ def test_null_probe_draws_only_for_the_rows_that_run(make_rng):
     assert skips.any() and not skips.all()
     for seed in range(3):
         probe, reference = make_rng(seed), make_rng(seed)
-        results = null_eigenvector_probe(d, sigma, 0.5, rng=probe)
+        results = null_eigenvector_probe(d, sigma, 0.5, 1.01, rng=probe)
         assert [res.status == "skipped" for res in results] == skips.tolist()
         for res in results:
             assert res.draws == (0 if res.status == "skipped" else 20)
@@ -710,7 +725,7 @@ def test_null_probe_runs_a_row_whose_curvature_is_nan():
     assert np.isnan(d.sec_range_m[1]).all() and np.isfinite(d.sec_range_m[[0, 2, 3]]).all()
     assert np.array_equal(d.sec_range_n, np.zeros((4, 2)))
     sigma = float(np.max(d.sec_range_m[[0, 2, 3], 0])) + 1.0
-    results = null_eigenvector_probe(d, sigma, 0.5, rng=Stream(0))
+    results = null_eigenvector_probe(d, sigma, 0.5, 1.01, rng=Stream(0))
     assert [res.status for res in results] == ["skipped", "fail", "skipped", "skipped"]
     assert np.isnan(results[1].min_value)
 
@@ -735,7 +750,7 @@ def test_extremum_probe_boundary_is_inconclusive():
     # so its maximum sits on the sampling boundary
     sc = get("conformal-shrink")
     box = np.array([[0.3, 1.0], [0.3, 1.0]])
-    grid = sc.grid_points((6, 6), box)
+    grid = sc._replace(sample_box=box).grid_points((6, 6))
     res = extremum_derivative_probe(sc.f, grid, box)
     assert res.status == "inconclusive"
     assert "boundary" in res.reason

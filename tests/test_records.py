@@ -8,6 +8,7 @@ each is still immutable and copied with changes by ``_replace``.  All of it
 is deterministic: no timing.
 """
 
+import ast
 import dataclasses
 import importlib
 import inspect
@@ -62,6 +63,28 @@ def test_named_tuple_annotations_are_not_strings():
     for cls in records:
         assert not any(isinstance(a, (str, typing.ForwardRef))
                        for a in cls.__annotations__.values()), cls
+
+
+#: Defaulted parameters of the functions, methods and lambdas in ``src/``.
+MAX_DEFAULTED_PARAMETERS = 30
+
+
+def test_no_new_defaulted_parameters():
+    # module:function(parameter) for every parameter with a default, by ast
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                a = node.args
+                positional = a.posonlyargs + a.args
+                names = [x.arg for x in positional[len(positional) - len(a.defaults):]]
+                names += [x.arg for x, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+                found += [f"{path.stem}:{getattr(node, 'name', 'lambda')}({name})"
+                          for name in names]
+    assert len(found) <= MAX_DEFAULTED_PARAMETERS, (
+        f"{len(found)} defaulted parameters in src/, more than {MAX_DEFAULTED_PARAMETERS}: "
+        "a setting that no caller sets is a constant, and a test that needs another "
+        "value derives it with _replace; " + ", ".join(found))
 
 
 def fresh_process(code: str, *args: str) -> str:
@@ -133,7 +156,7 @@ def formerly_frozen_records():
         "ExpectedProperties": sc.expected, "Scenario": sc,
         "Table": Table({"x": np.zeros(2)}), "ExtrinsicData": blk.ext,
         "GraphBlock": blk,
-        "NullProbeResult": NullProbeResult("pass", "", 0.0, 20, 0.0),
+        "NullProbeResult": NullProbeResult("pass", "", 0.0, 20),
         "ExtremumProbeResult": ExtremumProbeResult("pass", "", None, 1.0, 0.0, 0.0,
                                                    1.0, 1.0),
         "IdentityReport": IdentityReport("frame-formulas", 1, 0.0, 1e-8),

@@ -283,7 +283,7 @@ def test_conformal_shrink_gate_passes_on_shrinking_subbox():
     # the dichotomy matches the local data)
     sc = get("conformal-shrink")
     box = np.array([[-0.6, 0.6], [-0.6, 0.6]])
-    grid = sc.grid_points((8, 8), box)
+    grid = sc._replace(sample_box=box).grid_points((8, 8))
     cls = classify_at(sc, grid, sc.sigma, seed=7)
     assert cls.verdict == "indeterminate"
 
