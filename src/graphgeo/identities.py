@@ -14,7 +14,8 @@ elliptic and 2-d checks share (:meth:`PointData.neighbours`).  Sectional
 curvatures have one formula, :func:`graphgeo.chart_manifold.sectional_range`:
 the null probe reads the block's ranges (it draws no planes), and the 2-d
 log-Jacobian equation reads ``sec_M`` from the domain's range and ``sec_N``
-from the range of the whole target plane.
+from the range of the whole target plane.  The null probe skips rows by the
+gate's hypothesis table and rule (:mod:`graphgeo.theorem_gate`).
 
 :func:`run_identity_suite` is one ordered table of checks, each a record
 name, its tolerance key, what it needs (a minimal map, dimensions 2x2 or
@@ -35,7 +36,7 @@ from .errors import InvalidParameterError, PreconditionError
 from .extrinsic import MINIMAL_TOL, GraphBlock, graph_block, graph_blocks
 from .graph_map import SmoothMap, shift_deficit
 from .product_space import product_form
-from .theorem_gate import DEFAULT_TOLERANCES, STRICT_MARGIN, RowMargins, kappa_level, row_margins
+from .theorem_gate import DEFAULT_TOLERANCES, HYPOTHESES, holds, kappa_level, row_margins
 
 Array = np.ndarray
 
@@ -479,29 +480,14 @@ class NullProbeResult(NamedTuple):
     draws: int
 
 
-def _skip_reason(d: PointData, r: int, sigma: float, kappa_sq: float,
-                 margins: RowMargins | None) -> str | None:
-    """Why the null probe does not run at row ``r``, or None if it does:
-    ``sec_N <= sigma <= sec_M`` on the ends of ``sec_range_m`` and ``sec_range_n``
-    (a NaN end skips nothing), then, unless ``margins`` is None (``lambda0_sq <
-    1``), the gate's other hypotheses at row ``r``; each within the gate's slack."""
-    slack = DEFAULT_TOLERANCES["gate_slack"]
-    low, high = d.sec_range_m[r, 0], d.sec_range_n[r, 1]
-    if low < sigma - slack:
-        return f"domain sectional curvature {low:.6g} below {sigma:.6g}"
-    if high > sigma + slack:
-        return f"target sectional curvature {high:.6g} above {sigma:.6g}"
-    if margins is None:
-        return None
-    if not margins.trace[r] >= -slack:
-        return f"trace condition fails ({margins.trace[r]:.6g} < 0)"
-    if not (kappa_sq > 1.0 + STRICT_MARGIN and margins.pullback[r] >= STRICT_MARGIN):
-        return (f"pullback bound fails (lambda^2 = {float(d.lambdas[r, -1] ** 2):.6g},"
-                f" kappa^2 = {kappa_sq:.6g})")
-    if not margins.condition4[r] >= -slack:
-        return (f"second-fundamental-form bound fails"
-                f" ({d.a_norm_sq[r]:.6g} > {margins.sff_bound[r]:.6g})")
-    return None
+#: Why the null probe skips a row, by the first margin that fails its hypothesis.
+_SKIP_TEXT = {
+    "pinching_domain": "domain sectional curvature {low:.6g} below {sigma:.6g}",
+    "pinching_target": "target sectional curvature {high:.6g} above {sigma:.6g}",
+    "trace": "trace condition fails ({trace:.6g} < 0)",
+    "kappa_strict": "pullback bound fails (lambda^2 = {lam_sq:.6g}, kappa^2 = {kappa_sq:.6g})",
+    "condition4": "second-fundamental-form bound fails ({a_sq:.6g} > {sff_bound:.6g})",
+}
 
 
 def null_eigenvector_probe(d: PointData, sigma: float, lambda0_sq: float,
@@ -513,8 +499,12 @@ def null_eigenvector_probe(d: PointData, sigma: float, lambda0_sq: float,
     g-orthogonal complement of v) and checks that the reaction term at shift
     ``lambda0_sq`` is non-negative on (v, v).
 
-    A row whose preconditions (the two branches of the rigidity argument,
-    see :func:`_skip_reason`) fail is skipped and draws nothing; the others
+    A row is skipped, and draws nothing, at its first margin in the order of
+    :data:`~graphgeo.theorem_gate.HYPOTHESES` that is not NaN and fails
+    :func:`~graphgeo.theorem_gate.holds` at the default tolerances: the
+    pinching on the ends of ``sec_range_m`` / ``sec_range_n``, then, where
+    ``lambda0_sq >= 1``, trace, kappa and condition 4 (the two branches of
+    the rigidity argument).  The others
     draw ``(20, m + m^2)`` normals each, in turn, and the reaction term runs
     once.  A row passes where its least value is at least minus the suite's
     ``null_probe`` tolerance.
@@ -524,12 +514,19 @@ def null_eigenvector_probe(d: PointData, sigma: float, lambda0_sq: float,
         return [NullProbeResult("skipped", "needs a positive pinching level",
                                 np.inf, 0)] * len(d)
     # taken on both branches, so that a bound that overflows is refused on
-    # both; the skips read them where lambda0_sq >= 1
-    margins = row_margins(d, sigma, kappa_sq)
-    if lambda0_sq < 1.0:
-        margins = None
+    # both; below lambda0_sq = 1 the skips read only the pinching margins
+    low, high = d.sec_range_m[:, 0], d.sec_range_n[:, 1]
+    margins = row_margins(d, sigma, kappa_sq, low, high)
+    names = ("pinching", "trace", "kappa", "condition4") if lambda0_sq >= 1.0 else ("pinching",)
+    fails = [(key, ~np.isnan(margins[key])
+              & ~holds(key, margins[key], kappa_sq, DEFAULT_TOLERANCES))
+             for name, keys in HYPOTHESES if name in names for key in keys]
+    reasons = [next((_SKIP_TEXT[key].format(
+        sigma=sigma, kappa_sq=kappa_sq, low=low[r], high=high[r], trace=d.trace_s[r],
+        lam_sq=float(d.lambdas[r, -1] ** 2), a_sq=d.a_norm_sq[r],
+        sff_bound=margins["sff_bound"][r]) for key, fail in fails if fail[r]), None)
+        for r in range(len(d))]
     m = d.m
-    reasons = [_skip_reason(d, r, sigma, kappa_sq, margins) for r in range(len(d))]
     ran = d.take([r for r, reason in enumerate(reasons) if reason is None])
     # each draw holds its v, then its Gram factor W
     draws = rng.normal(size=(len(ran), n_draws, m + m * m))

@@ -2,9 +2,10 @@
 
 The gate sweeps a sample grid, measures per-point geometry (singular values,
 trace of the deficit tensor, second-fundamental-form norms, sectional
-curvature ranges), evaluates every hypothesis with explicit worst-case
-margins, and classifies the map against the constant / totally-geodesic
-dichotomy.  All maxima are taken over the sample grid of the chart box, so
+curvature ranges), evaluates every hypothesis of the table
+:data:`HYPOTHESES` on its worst-case margins, each decided by :func:`holds`
+(the null-eigenvector probe skips its rows by the same rule), and
+classifies the map against the constant / totally-geodesic dichotomy.  All maxima are taken over the sample grid of the chart box, so
 every verdict is box-local; no global claim is made.
 """
 
@@ -145,28 +146,45 @@ def kappa_level(lambda0_sq: float, margin: float) -> float:
     return float(np.maximum(1.0 + margin, (1.0 + margin) * lambda0_sq))
 
 
-class RowMargins(NamedTuple):
-    """Per-row margins of three hypotheses, one array each.  A row meets the
-    trace condition and condition 4 when its margin is at least minus the
-    gate's slack, and the strict pullback bound when ``kappa^2 > 1 +
-    STRICT_MARGIN`` and its margin is at least :data:`STRICT_MARGIN`."""
+#: The rigidity hypotheses in the order the gate reports them, each with the
+#: keys of the margins it reads; :func:`holds` decides each margin.
+HYPOTHESES: tuple[tuple[str, tuple[str, ...]], ...] = (
+    ("minimal", ("max_h_norm",)),
+    ("pinching", ("pinching_domain", "pinching_target")),
+    ("trace", ("trace",)),
+    ("kappa", ("kappa_strict",)),
+    ("condition4", ("condition4",)),
+)
 
-    trace: Array         # tr(s)
-    pullback: Array      # kappa^2 - lambda_max^2
-    sff_bound: Array     # kappa^2 sigma / (kappa^4 - 1) tr(s)
-    condition4: Array    # sff_bound - |A|^2
+
+def holds(key: str, margin, kappa_sq: float, tol: Mapping[str, float]):
+    """Whether the margin (a value or a column) under ``key`` meets its
+    hypothesis: ``|H|`` below ``minimality``; the strict pullback bound
+    ``kappa^2 > 1 + STRICT_MARGIN`` with a margin of at least
+    :data:`STRICT_MARGIN`; every other margin at least minus ``gate_slack``.
+    A NaN margin fails; a ``None`` one (no target plane anywhere) holds."""
+    if margin is None:
+        return True
+    if key == "max_h_norm":
+        return margin < tol["minimality"]
+    if key == "kappa_strict":
+        return (kappa_sq > 1.0 + STRICT_MARGIN) & (margin >= STRICT_MARGIN)
+    return margin >= -tol["gate_slack"]
 
 
-def row_margins(rows, sigma: float, kappa_sq: float) -> RowMargins:
-    """The hypothesis margins of each row of ``rows`` (a :class:`GridSweep`
-    or any stack with ``trace_s``, ``lambdas`` and ``a_norm_sq`` columns) at
-    the pinching level ``sigma`` and the pullback bound ``kappa_sq``.
+def row_margins(rows, sigma: float, kappa_sq: float, sec_low: Array,
+                sec_high: Array) -> dict[str, Array]:
+    """One column per margin key of :data:`HYPOTHESES`, and ``sff_bound``,
+    over the rows of ``rows`` (a :class:`GridSweep` or any stack with
+    ``h_norm``, ``trace_s``, ``lambdas`` and ``a_norm_sq`` columns) whose
+    least domain and greatest target sectional curvatures are ``sec_low`` and
+    ``sec_high``, at the pinching level ``sigma`` and the pullback bound
+    ``kappa_sq``.
 
-    Condition 4 compares ``|A|^2`` against ``kappa^2 sigma / (kappa^4 - 1)``
-    times the trace of the deficit tensor.  Where ``kappa^2 <= 1`` there is
-    no such bound, its columns are NaN, and the pullback bound fails anyway.
-    A ``kappa^4`` or a bound that overflows raises
-    :class:`InvalidParameterError`.
+    Condition 4 compares ``|A|^2`` against ``sff_bound = kappa^2 sigma /
+    (kappa^4 - 1) tr(s)``.  Where ``kappa^2 <= 1`` there is no such bound,
+    its columns are NaN, and the pullback bound fails anyway.  A ``kappa^4``
+    or a bound that overflows raises :class:`InvalidParameterError`.
     """
     try:
         coeff = kappa_sq * sigma / (kappa_sq ** 2 - 1.0) if kappa_sq > 1.0 else np.nan
@@ -178,8 +196,10 @@ def row_margins(rows, sigma: float, kappa_sq: float) -> RowMargins:
     if np.isinf(coeff) or np.isinf(bound).any():
         raise InvalidParameterError(
             f"sigma = {sigma:.6g} is too large: the condition-4 bound overflows")
-    return RowMargins(rows.trace_s, kappa_sq - rows.lambdas[:, -1] ** 2,
-                      bound, bound - rows.a_norm_sq)
+    return {"max_h_norm": rows.h_norm, "pinching_domain": sec_low - sigma,
+            "pinching_target": sigma - sec_high, "trace": rows.trace_s,
+            "kappa_strict": kappa_sq - rows.lambdas[:, -1] ** 2,
+            "condition4": bound - rows.a_norm_sq, "sff_bound": bound}
 
 
 class TraceChainReport(NamedTuple):
@@ -216,7 +236,7 @@ class HypothesisReport(NamedTuple):
     sigma: float
     kappa_sq: float
     lambda0_sq: float
-    minimal_ok: bool
+    minimal_ok: bool             # one flag per row of HYPOTHESES, in its order
     pinching_ok: bool
     trace_ok: bool
     kappa_ok: bool
@@ -226,53 +246,32 @@ class HypothesisReport(NamedTuple):
 
     @property
     def all_ok(self) -> bool:
-        return (self.minimal_ok and self.pinching_ok and self.trace_ok
-                and self.kappa_ok and self.condition4_ok)
+        return not self.failing()
 
     def failing(self) -> list[str]:
-        return [name for name, ok in [
-            ("minimal", self.minimal_ok), ("pinching", self.pinching_ok),
-            ("trace", self.trace_ok), ("kappa", self.kappa_ok),
-            ("condition4", self.condition4_ok)] if not ok]
+        return [name for name, _ in HYPOTHESES if not getattr(self, f"{name}_ok")]
 
 
 def evaluate_hypotheses(sweep: GridSweep, sigma: float,
                         kappa_margin: float = 0.01,
                         tolerances: dict[str, float] | None = None) -> HypothesisReport:
+    """Each hypothesis of :data:`HYPOTHESES` on the worst of its margins over
+    the sweep: the greatest ``|H|``, the least of the others.  Target planes
+    lie in the image of df, so the target pinching margin is taken over the
+    ``has_sec_n`` rows, and is None (and holds) where there are none."""
     tol = {**DEFAULT_TOLERANCES, **(tolerances or {})}
-    slack = tol["gate_slack"]
-
-    # target planes are sampled inside the image of the differential;
-    # points where the image is less than two-dimensional count vacuously
-    dom = float(np.min(sweep.sec_m_min - sigma))
-    has = sweep.has_sec_n
-    tgt = float(np.min(sigma - sweep.sec_n_max[has])) if has.any() else None
     lambda0_sq = float(np.max(sweep.lambdas[:, -1] ** 2))
     kappa_sq = kappa_level(lambda0_sq, kappa_margin)
     if kappa_sq <= 1.0:
         raise ValueError("the bound needs kappa^2 > 1")
-    rows = row_margins(sweep, sigma, kappa_sq)
-    trace, kappa_worst, cond4 = (float(np.min(x)) for x in
-                                 (rows.trace, rows.pullback, rows.condition4))
-    h_max = float(np.max(sweep.h_norm))
-
+    columns = row_margins(sweep, sigma, kappa_sq, sweep.sec_m_min, sweep.sec_n_max)
+    columns["pinching_target"] = columns["pinching_target"][sweep.has_sec_n]
+    margins = {key: float((np.max if key == "max_h_norm" else np.min)(columns[key]))
+                    if len(columns[key]) else None for _, keys in HYPOTHESES for key in keys}
     return HypothesisReport(
-        sigma=sigma,
-        kappa_sq=kappa_sq,
-        lambda0_sq=lambda0_sq,
-        minimal_ok=h_max < tol["minimality"],
-        pinching_ok=dom >= -slack and (tgt is None or tgt >= -slack),
-        trace_ok=trace >= -slack,
-        kappa_ok=kappa_sq > 1.0 + STRICT_MARGIN and kappa_worst >= STRICT_MARGIN,
-        condition4_ok=cond4 >= -slack,
-        margins={
-            "max_h_norm": h_max,
-            "pinching_domain": dom,
-            "pinching_target": tgt,
-            "trace": trace,
-            "kappa_strict": kappa_worst,
-            "condition4": cond4,
-        })
+        sigma, kappa_sq, lambda0_sq, margins=margins,
+        **{f"{name}_ok": all(holds(key, margins[key], kappa_sq, tol) for key in keys)
+           for name, keys in HYPOTHESES})
 
 
 class Classification(NamedTuple):

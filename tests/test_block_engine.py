@@ -396,17 +396,31 @@ def test_nan_differential_raises_in_sweep():
         sweep_geometry(f, grid)
 
 
-def test_nan_trace_never_passes_the_gate():
-    sc = get("constant-s2")
+#: Each sweep column the gate reads: the hypotheses and the margins it enters.
+GATE_COLUMNS = {
+    "h_norm": (["minimal"], ["max_h_norm"]),
+    "sec_m_min": (["pinching"], ["pinching_domain"]),
+    "sec_n_max": (["pinching"], ["pinching_target"]),
+    "trace_s": (["trace", "condition4"], ["trace", "condition4"]),
+    "lambdas": (["kappa", "condition4"], ["kappa_strict", "condition4"]),
+    "a_norm_sq": (["condition4"], ["condition4"]),
+}
+
+
+@pytest.mark.parametrize("column", list(GATE_COLUMNS))
+def test_nan_never_passes_the_gate(column):
+    # a NaN at one row of a column fails every hypothesis that reads it; the
+    # isometry has target planes at every row, so sec_n_max is read there
+    sc = get("identity-s2")
     sweep = sweep_geometry(sc.f, sc.grid_points((6, 6)), seed=0)
-    assert evaluate_hypotheses(sweep, sc.sigma).trace_ok
-    trace = sweep.trace_s.copy()
-    trace[7] = np.nan
-    hyp = evaluate_hypotheses(sweep._replace(trace_s=trace),
-                              sc.sigma)
-    assert not hyp.trace_ok
+    assert sweep.has_sec_n[7] and evaluate_hypotheses(sweep, sc.sigma).all_ok
+    failing, keys = GATE_COLUMNS[column]
+    values = getattr(sweep, column).copy()
+    values[7, ...] = np.nan
+    hyp = evaluate_hypotheses(sweep._replace(**{column: values}), sc.sigma)
+    assert hyp.failing() == failing
     assert not hyp.all_ok
-    assert np.isnan(hyp.margins["trace"])
+    assert all(np.isnan(hyp.margins[key]) for key in keys)
 
 
 def test_one_dimensional_domain_is_rejected():

@@ -22,6 +22,7 @@ from graphgeo.draws import Stream
 from graphgeo.identities import DEFAULT_IDENTITY_TOLERANCES
 from graphgeo.theorem_gate import (
     DEFAULT_TOLERANCES,
+    HYPOTHESES,
     Classification,
     GridSweep,
     HypothesisReport,
@@ -557,6 +558,40 @@ def test_gate_sections_are_the_records_fields(argv, fmt, capsys):
                 keys[section].append(key)
     assert keys == {"hypotheses": list(HypothesisReport._fields),
                     "classification": list(Classification._fields)}
+    # one flag per row of the hypothesis table, in its order, and the
+    # table's margin keys are the artifact's
+    assert [f"{name}_ok" for name, _ in HYPOTHESES] == [
+        field for field in HypothesisReport._fields if field.endswith("_ok")]
+    if fmt == "json":
+        assert [key for _, keys in HYPOTHESES for key in keys] == list(
+            doc["hypotheses"]["margins"])
+
+
+def test_kappa_level_at_the_strict_margin_fails_the_gate(capsys):
+    # lambda = 0, so kappa^2 = 1 + 1e-10: its margin over every pullback
+    # value passes, and only the scalar rule kappa^2 > 1 + STRICT_MARGIN
+    # fails it
+    assert run(["check-theorem", "--scenario", "constant-s2",
+                "--kappa-margin", "1e-10"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    hyp = doc["hypotheses"]
+    assert hyp["kappa_sq"] == 1.0 + 1e-10 and hyp["lambda0_sq"] == 0.0
+    assert hyp["margins"]["kappa_strict"] > 1.0
+    assert not hyp["kappa_ok"]
+    assert doc["classification"]["evidence"]["failing"] == ["kappa"]
+
+
+def test_minimality_tolerance_changes_only_the_gate(capsys):
+    # --tol minimality fails the gate's minimal flag; the suite's checks that
+    # need a minimal map still run on their own tolerance
+    assert run(["report", "--scenario", "holo-w2", "--grid", "6x6",
+                "--tol", "minimality=1e-30"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert not doc["hypotheses"]["minimal_ok"]
+    assert "minimal" in doc["classification"]["evidence"]["failing"]
+    records = {rec["name"]: rec for rec in doc["identities"]}
+    for name in ("elliptic-equation", "extremum-probe"):
+        assert records[name]["pass"] and records[name]["skipped_reason"] is None
 
 
 def test_check_theorem_cli_overrides_config(tmp_path, capsys):

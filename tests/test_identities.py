@@ -604,11 +604,11 @@ def test_null_probe_skip_reasons_follow_the_gate_row_margins(name, kappa_sq):
     d = point_rows(sc.f, sc.random_points(40, Stream(3)))
     lam0_sq = float(np.max(d.lambdas[:, -1] ** 2))
     kappa_sq = kappa_sq or kappa_level(lam0_sq, 0.01)     # None: the suite's level
-    rows = row_margins(d, sc.sigma, kappa_sq)
+    rows = row_margins(d, sc.sigma, kappa_sq, d.sec_range_m[:, 0], d.sec_range_n[:, 1])
     slack = DEFAULT_TOLERANCES["gate_slack"]
-    fails = np.stack([rows.trace < -slack,
-                      (rows.pullback < STRICT_MARGIN) | (kappa_sq <= 1.0 + STRICT_MARGIN),
-                      rows.condition4 < -slack], axis=-1)
+    fails = np.stack([rows["trace"] < -slack,
+                      (rows["kappa_strict"] < STRICT_MARGIN) | (kappa_sq <= 1.0 + STRICT_MARGIN),
+                      rows["condition4"] < -slack], axis=-1)
     results = null_eigenvector_probe(d, sc.sigma, lam0_sq, kappa_sq, rng=Stream(4))
     assert len(results) == len(d)
     reasons = []
@@ -622,7 +622,7 @@ def test_null_probe_skip_reasons_follow_the_gate_row_margins(name, kappa_sq):
         assert res.status == "skipped" and res.reason.startswith(reasons[-1]), (r, res.reason)
         if reasons[-1] == PRECONDITIONS[2]:
             assert res.reason.endswith(
-                f" ({d.a_norm_sq[r]:.6g} > {rows.sff_bound[r]:.6g})")
+                f" ({d.a_norm_sq[r]:.6g} > {rows['sff_bound'][r]:.6g})")
     # every case reaches a precondition past the trace condition
     assert set(reasons) - {PRECONDITIONS[0]}
 
@@ -728,6 +728,26 @@ def test_null_probe_runs_a_row_whose_curvature_is_nan():
     results = null_eigenvector_probe(d, sigma, 0.5, 1.01, rng=Stream(0))
     assert [res.status for res in results] == ["skipped", "fail", "skipped", "skipped"]
     assert np.isnan(results[1].min_value)
+
+
+def test_null_probe_runs_a_row_whose_sff_is_nan():
+    # a NaN second map derivative at row 1 makes |A|^2, and so the row's
+    # condition-4 margin, NaN: a NaN margin skips nothing, so the row runs,
+    # and its NaN value fails
+    sc = get("identity-s2")
+
+    def jet(x):
+        j = sc.f.jet_fn(x)
+        d2 = j.d2.copy()
+        d2[1] = np.nan
+        return MapJet(j.value, j.d1, d2, j.d3)
+
+    f = SmoothMap(sc.domain, sc.target, jet, "nan-d2")
+    d = point_rows(f, np.array([[0.1, 0.2], [0.3, -0.1], [0.0, 0.4]]))
+    assert np.isnan(d.a_norm_sq).tolist() == [False, True, False]
+    results = null_eigenvector_probe(d, 1.0, 1.0, 1.01, rng=Stream(0))
+    assert [res.status for res in results] == ["pass", "fail", "pass"]
+    assert np.isnan(results[1].min_value) and results[1].draws == 20
 
 
 # ---------------------------------------------------------------------------

@@ -48,7 +48,8 @@ def pinching(sweep, sigma):
 
 def condition4_margin(sweep, sigma, kappa_sq):
     """Worst margin of the second-fundamental-form bound over the sweep."""
-    return float(np.min(row_margins(sweep, sigma, kappa_sq).condition4))
+    return float(np.min(row_margins(sweep, sigma, kappa_sq, sweep.sec_m_min,
+                                    sweep.sec_n_max)["condition4"]))
 
 
 def sweep_of(name, shape=None, seed=0):
