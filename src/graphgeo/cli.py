@@ -79,6 +79,7 @@ class RunConfig(NamedTuple):
     match: str | None = None
 
     def validate(self) -> None:
+        """Raise ``ValueError`` on a bad value; ``DEFAULT_TOLERANCES`` names every tolerance."""
         for name in ("scenario", "output", "format", "match"):
             value = getattr(self, name)
             if value is not None and not isinstance(value, str):
@@ -121,9 +122,6 @@ class RunConfig(NamedTuple):
         if not isinstance(self.tolerances, Mapping):
             raise ValueError("tolerances must be a mapping of names to values")
         unknown = sorted(set(self.tolerances) - set(DEFAULT_TOLERANCES))
-        if unknown:     # the identity suite is imported only to look these up
-            from .identities import DEFAULT_IDENTITY_TOLERANCES
-            unknown = [name for name in unknown if name not in DEFAULT_IDENTITY_TOLERANCES]
         if unknown:
             raise ValueError(f"unknown tolerance names: {', '.join(map(repr, unknown))}")
         if not all(_finite_number(v) and v > 0.0 for v in self.tolerances.values()):

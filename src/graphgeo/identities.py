@@ -490,8 +490,8 @@ _SKIP_TEXT = {
 }
 
 
-def null_eigenvector_probe(d: PointData, sigma: float, lambda0_sq: float,
-                           kappa_sq: float, rng: Stream) -> list[NullProbeResult]:
+def null_eigenvector_probe(d: PointData, sigma: float, lambda0_sq: float, kappa_sq: float,
+                           tol: dict[str, float], rng: Stream) -> list[NullProbeResult]:
     """Probe the null-eigenvector condition of the reaction term at each row.
 
     Draws random positive semi-definite tensors with a prescribed unit null
@@ -501,13 +501,13 @@ def null_eigenvector_probe(d: PointData, sigma: float, lambda0_sq: float,
 
     A row is skipped, and draws nothing, at its first margin in the order of
     :data:`~graphgeo.theorem_gate.HYPOTHESES` that is not NaN and fails
-    :func:`~graphgeo.theorem_gate.holds` at the default tolerances: the
+    :func:`~graphgeo.theorem_gate.holds` at the run's tolerances ``tol`` (a
+    full :data:`~graphgeo.theorem_gate.DEFAULT_TOLERANCES` table): the
     pinching on the ends of ``sec_range_m`` / ``sec_range_n``, then, where
     ``lambda0_sq >= 1``, trace, kappa and condition 4 (the two branches of
-    the rigidity argument).  The others
-    draw ``(20, m + m^2)`` normals each, in turn, and the reaction term runs
-    once.  A row passes where its least value is at least minus the suite's
-    ``null_probe`` tolerance.
+    the rigidity argument).  The others draw ``(20, m + m^2)`` normals
+    each, in turn, and the reaction term runs once.  A row passes where its
+    least value is at least ``-tol["null_probe"]``.
     """
     n_draws = 20
     if sigma <= 0.0:
@@ -519,7 +519,7 @@ def null_eigenvector_probe(d: PointData, sigma: float, lambda0_sq: float,
     margins = row_margins(d, sigma, kappa_sq, low, high)
     names = ("pinching", "trace", "kappa", "condition4") if lambda0_sq >= 1.0 else ("pinching",)
     fails = [(key, ~np.isnan(margins[key])
-              & ~holds(key, margins[key], kappa_sq, DEFAULT_TOLERANCES))
+              & ~holds(key, margins[key], kappa_sq, tol))
              for name, keys in HYPOTHESES if name in names for key in keys]
     reasons = [next((_SKIP_TEXT[key].format(
         sigma=sigma, kappa_sq=kappa_sq, low=low[r], high=high[r], trace=d.trace_s[r],
@@ -544,8 +544,7 @@ def null_eigenvector_probe(d: PointData, sigma: float, lambda0_sq: float,
     results = []
     for reason in reasons:
         low = np.inf if reason else next(per_row)
-        status = ("skipped" if reason
-                  else "pass" if low >= -DEFAULT_IDENTITY_TOLERANCES["null_probe"] else "fail")
+        status = "skipped" if reason else "pass" if low >= -tol["null_probe"] else "fail"
         results.append(NullProbeResult(status, reason or "", low, 0 if reason else n_draws))
     return results
 
@@ -667,21 +666,6 @@ class IdentityReport(NamedTuple):
                 f" (tolerance {self.tolerance:.1e}, {self.points_checked} checks)")
 
 
-DEFAULT_IDENTITY_TOLERANCES: dict[str, float] = {
-    "frame": 1e-8,
-    "s_eigenvalue": 1e-8,
-    "normal_estimate": 1e-10,
-    "decomposition": 1e-6,
-    "decomposition_gap": 1e-8,
-    "elliptic": 1e-4,
-    "minimality_relations": 1e-6,
-    "log_jacobian": 1e-4,
-    "jacobian_consistency": 1e-10,
-    "extremum": 1.0,        # normalized: max of gradient and Laplacian ratios
-    "null_probe": 1e-10,
-}
-
-
 def _worst(values) -> float:
     """Largest value and 0.0 (a zero of either sign gives 0.0); NaN if any
     value is NaN."""
@@ -695,14 +679,15 @@ def run_identity_suite(scenario, seed: int = 0, h: float = 1e-3,
     """Run the identity checks on the scenario's :data:`SUITE_POINTS` random
     sample points, one record per check.
 
+    ``tolerances`` overrides the gate's table :data:`~graphgeo.theorem_gate.DEFAULT_TOLERANCES`.
     The checks form one ordered table of ``(name, tolerance key, needs,
     run)``.  ``needs`` is ``""``, ``"minimal"`` or ``"2x2"``: a 2x2 check on
     other dimensions is skipped, and a check for minimal maps is skipped on
-    a non-minimal scenario, or fails with a NaN residual where the mean
-    curvature is NaN (minimality is then undecided).  ``run()`` returns the
-    check count, the per-row residuals or a skip reason, and the
-    parameters; the worst residual is the record's.  A NaN residual never
-    passes.
+    a non-minimal scenario (by the gate's rule, on the largest ``|H|``), or
+    fails with a NaN residual where the mean curvature is NaN (minimality is
+    then undecided).  ``run()`` returns the check count, the per-row
+    residuals or a skip reason, and the parameters; the worst residual is
+    the record's.  A NaN residual never passes.
 
     The sample points are one :class:`GraphBlock`; each check evaluates all
     its rows (or tuples) in one call.  The checks run in table order, which
@@ -711,7 +696,8 @@ def run_identity_suite(scenario, seed: int = 0, h: float = 1e-3,
     null-eigenvector probe's, which takes the gate's ``kappa^2`` at
     ``kappa_margin`` (see :func:`graphgeo.theorem_gate.kappa_level`).
     """
-    tol = {**DEFAULT_IDENTITY_TOLERANCES, **(tolerances or {})}
+    tol = {**DEFAULT_TOLERANCES, **(tolerances or {})}
+    min_tol = tol["minimality"]
     f, m = scenario.f, scenario.f.domain.dim
     rng = Stream(seed)
     d = point_rows(f, scenario.random_points(SUITE_POINTS, rng))
@@ -741,7 +727,10 @@ def run_identity_suite(scenario, seed: int = 0, h: float = 1e-3,
 
     def extremum():
         grid = scenario.grid_points((7 if m == 2 else 5,) * m)
-        probe = extremum_derivative_probe(f, grid, scenario.sample_box, h=h)
+        try:
+            probe = extremum_derivative_probe(f, grid, scenario.sample_box, h, min_tol)
+        except PreconditionError as exc:    # |H| reaches min_tol on the grid only
+            return 0, str(exc), {}
         if probe.status == "inconclusive":
             return len(grid), probe.reason, {}
         return (len(grid), [probe.grad_norm / probe.grad_tol, probe.lap_value / probe.lap_tol],
@@ -749,9 +738,8 @@ def run_identity_suite(scenario, seed: int = 0, h: float = 1e-3,
                  "grad_norm": probe.grad_norm, "lap_value": probe.lap_value})
 
     def null_probe():
-        lam0_sq = float(np.max(lambdas[:, -1] ** 2))
-        probes = null_eigenvector_probe(d.take(slice(0, 6)), scenario.sigma, lam0_sq,
-                                        kappa_level(lam0_sq, kappa_margin), rng=rng)
+        probes = null_eigenvector_probe(d.take(slice(0, 6)), scenario.sigma, lam0_sq, kappa_sq,
+                                        tol, rng=rng)
         ran = [pr.min_value for pr in probes if pr.status != "skipped"]
         if not ran:
             return 0, f"hypotheses fail at all probe points: {probes[-1].reason}", {}
@@ -767,9 +755,9 @@ def run_identity_suite(scenario, seed: int = 0, h: float = 1e-3,
         ("curvature-decomposition-traced", "decomposition", "", gap(0, 2)),
         ("decomposition-forms-gap", "decomposition_gap", "", gap(1, 2)),
         ("elliptic-equation", "elliptic", "minimal",
-         lambda: (len(sub), elliptic_equation_residual(sub, c, h=h), {"c": c, "h": h})),
+         lambda: (len(sub), elliptic_equation_residual(sub, c, h, min_tol), {"c": c, "h": h})),
         ("log-jacobian-2d", "log_jacobian", "2x2",
-         lambda: (len(sub), log_jacobian_residual_2d(sub, h=h), {"h": h})),
+         lambda: (len(sub), log_jacobian_residual_2d(sub, h, min_tol), {"h": h})),
         ("minimality-relations-2d", "minimality_relations", "2x2",
          lambda: (len(sub), minimality_relations_residual_2d(sub), {})),
         ("jacobian-consistency-2d", "jacobian_consistency", "2x2",
@@ -777,7 +765,9 @@ def run_identity_suite(scenario, seed: int = 0, h: float = 1e-3,
         ("extremum-probe", "extremum", "minimal", extremum),
         ("null-eigenvector-probe", "null_probe", "", null_probe),
     )
-    minimal = bool(np.all(blk.ext.h_norm < MINIMAL_TOL))
+    lam0_sq = float(np.max(lambdas[:, -1] ** 2))
+    kappa_sq = kappa_level(lam0_sq, kappa_margin)
+    minimal = bool(holds("max_h_norm", np.max(blk.ext.h_norm), kappa_sq, tol))
     nan_h = bool(np.isnan(blk.ext.h_norm).any())
     two_dim = m == f.target.dim == 2
     reports = []

@@ -34,6 +34,17 @@ DEFAULT_TOLERANCES: dict[str, float] = {
     "classify_isometric": 1e-8,    # |lambda - 1| and |A| for the geodesic verdict
     "sec_witness": 1e-6,           # curvature witnesses for conclusion checks
     "induced_metric_factor": 1e-8, # |g - 2 g_M| residual in the geodesic verdict
+    "frame": 1e-8,                 # from here on, one key per identity check
+    "s_eigenvalue": 1e-8,
+    "normal_estimate": 1e-10,
+    "decomposition": 1e-6,
+    "decomposition_gap": 1e-8,
+    "elliptic": 1e-4,
+    "minimality_relations": 1e-6,
+    "log_jacobian": 1e-4,
+    "jacobian_consistency": 1e-10,
+    "extremum": 1.0,               # normalized: max of gradient and Laplacian ratios
+    "null_probe": 1e-10,
 }
 
 

@@ -30,6 +30,7 @@ from graphgeo.identities import (
 )
 from graphgeo.scenarios import get, registry
 from graphgeo.theorem_gate import (
+    DEFAULT_TOLERANCES,
     classify,
     evaluate_hypotheses,
     sweep_geometry,
@@ -245,7 +246,7 @@ def test_criterion_10_null_eigenvector_probes(capsys):
         sc = get(name)
         for res in null_eigenvector_probe(point_rows(sc.f, sc.random_points(n_pts, rng)),
                                           sigma=1.0, lambda0_sq=1.0, kappa_sq=1.01,
-                                          rng=rng):
+                                          tol=DEFAULT_TOLERANCES, rng=rng):
             assert res.status != "skipped", res.reason
             draws += res.draws
             worst = min(worst, res.min_value)
@@ -261,7 +262,7 @@ def test_criterion_10_null_eigenvector_probes(capsys):
         lam0_sq = float(powers(rows.lambdas[:, -1], 2).max())
         assert lam0_sq < 1.0
         for res in null_eigenvector_probe(rows, sigma=1.0, lambda0_sq=lam0_sq,
-                                          kappa_sq=1.01, rng=rng):
+                                          kappa_sq=1.01, tol=DEFAULT_TOLERANCES, rng=rng):
             assert res.status != "skipped", res.reason
             draws += res.draws
             worst = min(worst, res.min_value)

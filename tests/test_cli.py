@@ -19,7 +19,6 @@ from graphgeo import cli, reporting
 from graphgeo import scenarios as scen
 from graphgeo.cli import _point_table, main
 from graphgeo.draws import Stream
-from graphgeo.identities import DEFAULT_IDENTITY_TOLERANCES
 from graphgeo.theorem_gate import (
     DEFAULT_TOLERANCES,
     HYPOTHESES,
@@ -581,17 +580,45 @@ def test_kappa_level_at_the_strict_margin_fails_the_gate(capsys):
     assert doc["classification"]["evidence"]["failing"] == ["kappa"]
 
 
-def test_minimality_tolerance_changes_only_the_gate(capsys):
-    # --tol minimality fails the gate's minimal flag; the suite's checks that
-    # need a minimal map still run on their own tolerance
-    assert run(["report", "--scenario", "holo-w2", "--grid", "6x6",
-                "--tol", "minimality=1e-30"]) == 0
+#: The suite's checks that need a minimal map (the 2x2 ones on a 2x2 scenario).
+NEEDS_MINIMAL = ("elliptic-equation", "log-jacobian-2d", "minimality-relations-2d",
+                 "jacobian-consistency-2d", "extremum-probe")
+
+
+def test_minimality_tolerance_moves_the_gate_and_the_suite_together(capsys):
+    # one tolerance table per run: --tol minimality fails the gate's minimal
+    # flag, and the suite skips the checks that need a minimal map, in the
+    # same artifact and in verify-identities
+    report = ["report", "--scenario", "holo-w2", "--grid", "6x6"]
+    assert run(report) == 0
+    records = {rec["name"]: rec for rec in json.loads(capsys.readouterr().out)["identities"]}
+    for name in NEEDS_MINIMAL:
+        assert records[name]["pass"] and records[name]["skipped_reason"] is None, name
+    assert run([*report, "--tol", "minimality=1e-30"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert not doc["hypotheses"]["minimal_ok"]
     assert "minimal" in doc["classification"]["evidence"]["failing"]
     records = {rec["name"]: rec for rec in doc["identities"]}
-    for name in ("elliptic-equation", "extremum-probe"):
-        assert records[name]["pass"] and records[name]["skipped_reason"] is None
+    for name in NEEDS_MINIMAL:
+        assert records[name]["skipped_reason"] == "non-minimal scenario", name
+    assert run(["verify-identities", "--scenario", "holo-w2", "--tol", "minimality=1e-30"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    for name in NEEDS_MINIMAL:
+        assert f"[skip] {name}: non-minimal scenario" in lines
+
+
+def test_gate_slack_reaches_the_null_probe(tmp_path, capsys):
+    # holo-w3's trace margins are about -1.4 at the probe points: a slack of
+    # 100 lets the gate's rule pass them, so the probe runs on every row
+    out = tmp_path / "ids.json"
+    args = ["verify-identities", "--scenario", "holo-w3", "--output", str(out)]
+    assert run(args) == 0
+    assert "[skip] null-eigenvector-probe: hypotheses fail" in capsys.readouterr().out
+    assert run([*args, "--tol", "gate_slack=100"]) == 1
+    capsys.readouterr()
+    (probe,) = [r for r in json.loads(out.read_text())["identities"]
+                if r["name"] == "null-eigenvector-probe"]
+    assert probe["skipped_reason"] is None
 
 
 def test_check_theorem_cli_overrides_config(tmp_path, capsys):
@@ -805,8 +832,7 @@ def _bad_values():
         "kappa_margin": st.floats(max_value=0.0),
         "tolerances": st.one_of(text, st.lists(st.integers(), max_size=2),
                                 st.dictionaries(text.filter(
-                                    lambda k: k not in DEFAULT_TOLERANCES
-                                    and k not in DEFAULT_IDENTITY_TOLERANCES),
+                                    lambda k: k not in DEFAULT_TOLERANCES),
                                     st.floats(min_value=1e-3, max_value=1.0),
                                     min_size=1, max_size=2),
                                 st.dictionaries(st.sampled_from(["gate_slack", "frame"]),

@@ -22,7 +22,6 @@ from graphgeo.draws import Stream
 from graphgeo.errors import InvalidParameterError, PreconditionError
 from graphgeo.graph_map import MapJet, SmoothMap
 from graphgeo.identities import (
-    DEFAULT_IDENTITY_TOLERANCES,
     _expand,
     _frame_terms,
     decomposition_sides,
@@ -400,9 +399,11 @@ def test_stacked_checks_equal_their_one_row_evaluations(rows):
     assert same_bits(reaction_term_apply(d, 0.8, theta, v, v),
                      [reaction_term_apply(r, 0.8, theta[i:i + 1], v[i:i + 1], v[i:i + 1])[0]
                       for i, r in enumerate(alone)])
-    stacked = null_eigenvector_probe(d, 0.5, 0.8, 1.01, rng=np.random.default_rng(seed))
+    stacked = null_eigenvector_probe(d, 0.5, 0.8, 1.01, DEFAULT_TOLERANCES,
+                                     rng=np.random.default_rng(seed))
     one_rng = np.random.default_rng(seed)
-    assert stacked == [null_eigenvector_probe(r, 0.5, 0.8, 1.01, rng=one_rng)[0] for r in alone]
+    assert stacked == [null_eigenvector_probe(r, 0.5, 0.8, 1.01, DEFAULT_TOLERANCES, rng=one_rng)[0]
+                       for r in alone]
 
 
 # ---------------------------------------------------------------------------
@@ -495,7 +496,7 @@ def test_log_jacobian_reads_the_target_plane_at_rank_0(name, x):
     sec_n = d.riem_n[0, 0, 1, 0, 1] / (gn[0, 0] * gn[1, 1] - gn[0, 1] ** 2)
     assert np.allclose(sectional_range(d.riem_n, d.beta)[0], sec_n, rtol=1e-14, atol=0.0)
     (res,) = log_jacobian_residual_2d(d)
-    assert np.isfinite(res) and res <= DEFAULT_IDENTITY_TOLERANCES["log_jacobian"]
+    assert np.isfinite(res) and res <= DEFAULT_TOLERANCES["log_jacobian"]
 
 
 def test_log_jacobian_w2_sweep():
@@ -529,18 +530,35 @@ def test_null_probe_identity_branch_at_least_one():
     sc = get("identity-s2")
     rng = np.random.default_rng(33)
     d = point_rows(sc.f, sc.random_points(5, rng))
-    results = null_eigenvector_probe(d, sigma=1.0, lambda0_sq=1.0, kappa_sq=1.01, rng=rng)
+    results = null_eigenvector_probe(d, sigma=1.0, lambda0_sq=1.0, kappa_sq=1.01,
+                                     tol=DEFAULT_TOLERANCES, rng=rng)
     assert len(results) == 5
     for res in results:
         assert res.status == "pass"
         assert res.min_value > -1e-10
 
 
+def test_null_probe_passes_by_the_runs_tolerance():
+    # on the round sphere's identity the reaction term at a shift 2e-6 below
+    # one is about -1e-6 on (v, v): it fails at the default null_probe
+    # tolerance and passes at 1e-5
+    sc = get("identity-s2")
+    d = row(sc.f, sc.domain.point([0.3, -0.2]))
+    loose = {**DEFAULT_TOLERANCES, "null_probe": 1e-5}
+    (strict,) = null_eigenvector_probe(d, 1.0, 1.0 - 2e-6, 1.01, DEFAULT_TOLERANCES,
+                                       rng=Stream(0))
+    (passed,) = null_eigenvector_probe(d, 1.0, 1.0 - 2e-6, 1.01, loose, rng=Stream(0))
+    assert -2e-6 < strict.min_value < -5e-7
+    assert passed.min_value == strict.min_value
+    assert (strict.status, passed.status) == ("fail", "pass")
+
+
 def test_null_probe_constant_branch_below_one():
     sc = get("constant-s3")
     rng = np.random.default_rng(34)
     d = point_rows(sc.f, sc.random_points(5, rng))
-    for res in null_eigenvector_probe(d, sigma=1.0, lambda0_sq=0.0, kappa_sq=1.01, rng=rng):
+    for res in null_eigenvector_probe(d, sigma=1.0, lambda0_sq=0.0, kappa_sq=1.01,
+                                      tol=DEFAULT_TOLERANCES, rng=rng):
         assert res.status == "pass"
         assert res.min_value > -1e-10
 
@@ -555,7 +573,7 @@ def test_null_probe_strictly_length_decreasing_branch():
     lam0_sq = float(powers(rows.lambdas[:, -1], 2).max())
     assert lam0_sq < 1.0
     for res in null_eigenvector_probe(rows, sigma=1.0, lambda0_sq=lam0_sq, kappa_sq=1.01,
-                                      rng=rng):
+                                      tol=DEFAULT_TOLERANCES, rng=rng):
         assert res.status == "pass"
         assert res.min_value > -1e-10
 
@@ -568,10 +586,11 @@ def test_null_probe_stack_equals_its_rows_probed_in_turn(name, lambda0_sq):
     sc = get(name)
     d = point_rows(sc.f, sc.random_points(6, np.random.default_rng(37)))
     stacked = null_eigenvector_probe(d, sc.sigma, lambda0_sq, kappa_sq=1.01,
-                                     rng=np.random.default_rng(38))
+                                     tol=DEFAULT_TOLERANCES, rng=np.random.default_rng(38))
     rng = np.random.default_rng(38)
-    assert stacked == [null_eigenvector_probe(d.take([i]), sc.sigma, lambda0_sq,
-                                              kappa_sq=1.01, rng=rng)[0] for i in range(6)]
+    assert stacked == [null_eigenvector_probe(d.take([i]), sc.sigma, lambda0_sq, kappa_sq=1.01,
+                                              tol=DEFAULT_TOLERANCES, rng=rng)[0]
+                       for i in range(6)]
     assert sum(res.status != "skipped" for res in stacked) >= 2
 
 
@@ -579,13 +598,15 @@ def test_null_probe_skips_on_violated_hypotheses():
     rng = np.random.default_rng(36)
     sc = get("holo-w2")
     (res,) = null_eigenvector_probe(row(sc.f, sc.domain.point([1.0, 0.2])),
-                                    sigma=1.0, lambda0_sq=4.7, kappa_sq=5.0, rng=rng)
+                                    sigma=1.0, lambda0_sq=4.7, kappa_sq=5.0,
+                                    tol=DEFAULT_TOLERANCES, rng=rng)
     assert res.status == "skipped"
     assert "trace" in res.reason
 
     sc = get("torus-linear")
     (res,) = null_eigenvector_probe(row(sc.f, sc.domain.point([0.3, 0.3])),
-                                    sigma=1.0, lambda0_sq=6.9, kappa_sq=7.5, rng=rng)
+                                    sigma=1.0, lambda0_sq=6.9, kappa_sq=7.5,
+                                    tol=DEFAULT_TOLERANCES, rng=rng)
     assert res.status == "skipped"
     assert "curvature" in res.reason
 
@@ -609,7 +630,8 @@ def test_null_probe_skip_reasons_follow_the_gate_row_margins(name, kappa_sq):
     fails = np.stack([rows["trace"] < -slack,
                       (rows["kappa_strict"] < STRICT_MARGIN) | (kappa_sq <= 1.0 + STRICT_MARGIN),
                       rows["condition4"] < -slack], axis=-1)
-    results = null_eigenvector_probe(d, sc.sigma, lam0_sq, kappa_sq, rng=Stream(4))
+    results = null_eigenvector_probe(d, sc.sigma, lam0_sq, kappa_sq, DEFAULT_TOLERANCES,
+                                     rng=Stream(4))
     assert len(results) == len(d)
     reasons = []
     for r, res in enumerate(results):
@@ -638,7 +660,7 @@ def test_null_probe_kappa_sq_overflow_is_a_bad_parameter():
     sc = get("holo-w2")
     d = point_rows(sc.f, sc.random_points(3, Stream(5)))
     with pytest.raises(InvalidParameterError, match="kappa"):
-        null_eigenvector_probe(d, 1.0, 4.0, kappa_sq=1e200, rng=Stream(6))
+        null_eigenvector_probe(d, 1.0, 4.0, kappa_sq=1e200, tol=DEFAULT_TOLERANCES, rng=Stream(6))
 
 
 def probe_case(rng, domain, target=None):
@@ -680,7 +702,8 @@ def test_null_probe_skips_on_the_exact_end_of_the_curvature_range(side):
     sigma, text = (end + slack + inside, "below") if side == "domain" \
         else (end - slack - inside, "above")
     for seed in range(5):
-        (res,) = null_eigenvector_probe(d.take([0]), sigma, 0.5, 1.01, rng=Stream(seed))
+        (res,) = null_eigenvector_probe(d.take([0]), sigma, 0.5, 1.01, DEFAULT_TOLERANCES,
+                                        rng=Stream(seed))
         assert res.status == "skipped" and res.draws == 0
         assert res.reason == f"{side} sectional curvature {end:.6g} {text} {sigma:.6g}"
 
@@ -698,7 +721,7 @@ def test_null_probe_draws_only_for_the_rows_that_run(make_rng):
     assert skips.any() and not skips.all()
     for seed in range(3):
         probe, reference = make_rng(seed), make_rng(seed)
-        results = null_eigenvector_probe(d, sigma, 0.5, 1.01, rng=probe)
+        results = null_eigenvector_probe(d, sigma, 0.5, 1.01, DEFAULT_TOLERANCES, rng=probe)
         assert [res.status == "skipped" for res in results] == skips.tolist()
         for res in results:
             assert res.draws == (0 if res.status == "skipped" else 20)
@@ -725,7 +748,7 @@ def test_null_probe_runs_a_row_whose_curvature_is_nan():
     assert np.isnan(d.sec_range_m[1]).all() and np.isfinite(d.sec_range_m[[0, 2, 3]]).all()
     assert np.array_equal(d.sec_range_n, np.zeros((4, 2)))
     sigma = float(np.max(d.sec_range_m[[0, 2, 3], 0])) + 1.0
-    results = null_eigenvector_probe(d, sigma, 0.5, 1.01, rng=Stream(0))
+    results = null_eigenvector_probe(d, sigma, 0.5, 1.01, DEFAULT_TOLERANCES, rng=Stream(0))
     assert [res.status for res in results] == ["skipped", "fail", "skipped", "skipped"]
     assert np.isnan(results[1].min_value)
 
@@ -745,7 +768,7 @@ def test_null_probe_runs_a_row_whose_sff_is_nan():
     f = SmoothMap(sc.domain, sc.target, jet, "nan-d2")
     d = point_rows(f, np.array([[0.1, 0.2], [0.3, -0.1], [0.0, 0.4]]))
     assert np.isnan(d.a_norm_sq).tolist() == [False, True, False]
-    results = null_eigenvector_probe(d, 1.0, 1.0, 1.01, rng=Stream(0))
+    results = null_eigenvector_probe(d, 1.0, 1.0, 1.01, DEFAULT_TOLERANCES, rng=Stream(0))
     assert [res.status for res in results] == ["pass", "fail", "pass"]
     assert np.isnan(results[1].min_value) and results[1].draws == 20
 
@@ -864,10 +887,18 @@ def test_every_suite_returns_the_same_records_in_order(name):
     assert [r.name for r in run_identity_suite(get(name), seed=0)] == [n for n, _ in SUITE]
 
 
-@pytest.mark.parametrize("key", list(DEFAULT_IDENTITY_TOLERANCES))
+#: The gate's tolerance keys (graphgeo.theorem_gate).
+GATE_KEYS = {"minimality", "gate_slack", "classify_constant", "classify_isometric",
+             "sec_witness", "induced_metric_factor"}
+
+
+@pytest.mark.parametrize("key", list(dict.fromkeys(k for _, k in SUITE)))
 @pytest.mark.parametrize("name", ["holo-w2", "identity-s3"])
 def test_a_tolerance_override_reaches_exactly_its_records(name, key):
-    assert {k for _, k in SUITE} == set(DEFAULT_IDENTITY_TOLERANCES)
+    # one table: the suite's keys and the gate's are disjoint and make it up
+    suite_keys = {k for _, k in SUITE}
+    assert suite_keys.isdisjoint(GATE_KEYS)
+    assert suite_keys | GATE_KEYS == set(DEFAULT_TOLERANCES)
     base = run_identity_suite(get(name), seed=0)
     over = run_identity_suite(get(name), seed=0, tolerances={key: 0.123})
     # a 2-d record that does not run carries a pinned tolerance, left out here
@@ -875,9 +906,19 @@ def test_a_tolerance_override_reaches_exactly_its_records(name, key):
            if b.skipped_reason != "dimensions are not 2x2"]
     assert len(ran) == (12 if name == "holo-w2" else 9)
     for b, o, k in ran:
-        assert b.tolerance == DEFAULT_IDENTITY_TOLERANCES[k], b.name
+        assert b.tolerance == DEFAULT_TOLERANCES[k], b.name
         assert o.tolerance == (0.123 if k == key else b.tolerance), b.name
         assert (o.max_residual, o.skipped_reason) == (b.max_residual, b.skipped_reason)
+
+
+def test_a_map_minimal_only_at_the_sample_points_skips_the_extremum_probe():
+    # proj-s3-s1's |H| reaches 0.63 at the suite's points and 0.87 on the
+    # extremum grid: at minimality 0.7 the suite counts the map as minimal,
+    # and the probe, which finds it is not on its grid, is skipped
+    reports = {r.name: r for r in run_identity_suite(get("proj-s3-s1"), seed=0,
+                                                     tolerances={"minimality": 0.7})}
+    assert not reports["elliptic-equation"].skipped
+    assert reports["extremum-probe"].skipped_reason == "probe needs a minimal scenario"
 
 
 def test_no_record_name_is_written_twice_in_the_package():

@@ -115,15 +115,18 @@ def test_list_leaves_numpy_random_and_the_identity_suite_unloaded():
                          "assert graphgeo.cli.main(['list', '--match', 'holo']) == 0") == "[] False"
 
 
-@pytest.mark.parametrize("scenario", ["identity-s2", "identity-s3"])
-def test_check_theorem_leaves_numpy_random_unloaded(scenario):
+@pytest.mark.parametrize("args", [["identity-s2"], ["identity-s3"],
+                                  ["identity-s2", "--tol", "elliptic=1e-3"]],
+                         ids=["identity-s2", "identity-s3", "identity-s2-tol-elliptic"])
+def test_check_theorem_leaves_numpy_random_unloaded(args):
     # the gate's plane stream is computed without numpy.random, whose import
     # costs every gate process ~6 MB of peak memory, OpenSSL among it; and
-    # the gate never runs the identity suite
+    # the gate never runs the identity suite, nor imports it to check the
+    # name of an identity tolerance
     assert fresh_process(
         "import graphgeo.cli\n"
-        "assert graphgeo.cli.main(['check-theorem', '--scenario', sys.argv[1],"
-        " '--output', os.devnull]) == 0", scenario) == "[] False"
+        "assert graphgeo.cli.main(['check-theorem', '--scenario', *sys.argv[1:],"
+        " '--output', os.devnull]) == 0", *args) == "[] False"
 
 
 RUNS = {f"{command}-{scenario}": f"assert graphgeo.cli.main([{command!r}, '--scenario',"

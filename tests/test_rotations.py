@@ -14,7 +14,7 @@ i^(#y) F^(k)``: no formula of graphgeo's jets is shared.
 import itertools
 
 import numpy as np
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from graphgeo.chart_manifold import sphere_chart
@@ -22,7 +22,7 @@ from graphgeo.draws import Stream
 from graphgeo.graph_map import MapJet, SmoothMap
 from graphgeo.identities import run_identity_suite
 from graphgeo.scenarios import get, jets_selftest
-from graphgeo.theorem_gate import DEFAULT_TOLERANCES, sweep_geometry
+from graphgeo.theorem_gate import DEFAULT_TOLERANCES, classify, evaluate_hypotheses, sweep_geometry
 
 
 def _real_jet(z, order: int):
@@ -74,6 +74,10 @@ def test_mobius_rotation_is_the_rotation_about_the_pole():
 @given(angle=st.floats(0.05, 1.0), phase_a=st.floats(-np.pi, np.pi),
        phase_b=st.floats(-np.pi, np.pi), halfwidth=st.floats(0.2, 1.0),
        grid=st.integers(3, 7), seed=st.integers(0, 2 ** 16))
+# at a step of 1e-4 this rotation's d2 truncation error, 1.05e-10, sits just
+# above the exact floor, and rounding at the half step bends its ratio to 3.4
+@example(angle=0.2736612373297583, phase_a=0.0, phase_b=0.5, halfwidth=0.25,
+         grid=3, seed=119)
 def test_every_rotation_is_an_isometric_totally_geodesic_graph(
         angle, phase_a, phase_b, halfwidth, grid, seed):
     a = np.cos(angle / 2) * np.exp(1j * phase_a)
@@ -87,7 +91,9 @@ def test_every_rotation_is_an_isometric_totally_geodesic_graph(
     assume(sc.target.contains(jet.value).all())
     assert np.abs(jet.d2).max() > 0.01        # the chart's Christoffels cancel d^2 f
 
-    bad = [c for c in jets_selftest(sc, h=1e-4, points=sc.random_points(3, Stream(seed)))
+    # the truncation error of F'' is about h^2 |F''''| / 6 with |F''''| = 24 |b|^3 |D|^-5:
+    # a step of 1e-3 keeps it far above the rounding of the half step, eps / h
+    bad = [c for c in jets_selftest(sc, h=1e-3, points=sc.random_points(3, Stream(seed)))
            if not c.ok]
     assert not bad, [(c.label, c.disc_h, c.ratio) for c in bad]
 
@@ -99,3 +105,33 @@ def test_every_rotation_is_an_isometric_totally_geodesic_graph(
     failed = [r.line() for r in run_identity_suite(sc, seed=seed)
               if not r.skipped and not r.passed]
     assert not failed
+
+
+def scaled(f: SmoothMap, t: float) -> SmoothMap:
+    """The map ``w -> t f(w)``: every jet of ``f`` scaled by ``t``."""
+    def jet(xy):
+        j = f.jet_fn(xy)
+        return MapJet(t * j.value, t * j.d1, t * j.d2, t * j.d3)
+
+    return SmoothMap(f.domain, f.target, jet, f"{t}*{f.name}")
+
+
+# w -> t R(w) is conformal with stretch t (1 + |R|^2) / (1 + t^2 |R|^2), which
+# is one only on the circle |R(w)|^2 = 1/t: not an isometry for t != 1
+@settings(max_examples=40, deadline=None)
+@given(angle=st.floats(0.05, 1.0), phase_a=st.floats(-np.pi, np.pi),
+       phase_b=st.floats(-np.pi, np.pi), halfwidth=st.floats(0.2, 1.0),
+       grid=st.integers(3, 7), seed=st.integers(0, 2 ** 16),
+       t=st.one_of(st.floats(0.5, 0.95), st.floats(1.05, 2.0)))
+def test_a_scaled_rotation_is_never_an_isometric_immersion(
+        angle, phase_a, phase_b, halfwidth, grid, seed, t):
+    a = np.cos(angle / 2) * np.exp(1j * phase_a)
+    b = np.sin(angle / 2) * np.exp(1j * phase_b)
+    sc = get("rotation-s2")._replace(name="scaled-mobius", f=scaled(mobius_rotation(a, b), t),
+                                     sample_box=np.array([[-halfwidth, halfwidth]] * 2))
+    points = sc.grid_points((grid, grid))
+    assume(sc.target.contains(sc.f.jet_fn(points).value).all())
+
+    sweep = sweep_geometry(sc.f, points, seed=seed)
+    verdict = classify(sweep, evaluate_hypotheses(sweep, sc.sigma)).verdict
+    assert verdict != "totally-geodesic-isometric-immersion"
