@@ -8,9 +8,9 @@ Its second fundamental tensor is computed in product-chart components,
 
 with the Christoffels of both factors (the product's Christoffels are
 their block sum) and of the induced metric, then contracted with the
-adapted orthonormal frame.  No normal projection is applied; the tangential
-residual is available as a diagnostic, since for a correct computation it
-must vanish identically.
+adapted orthonormal frame.  No normal projection is applied; for a correct
+computation the tangential part vanishes identically, which the tests check
+(the Gauss formula on every registry scenario).
 """
 
 from functools import cached_property
@@ -35,11 +35,6 @@ from .records import Frozen
 
 Array = np.ndarray
 
-#: Default mean-curvature threshold for calling a map minimal.  Two orders
-#: looser than the gate's totally-geodesic bound on |A|
-#: (``classify_isometric``): the mean curvature spends one more derivative.
-MINIMAL_TOL = 1e-6
-
 #: Elements per block of the grid engine's largest arrays: the fourth-order
 #: tensors of both metrics (``d2g``, ``dgamma``, ``riem``), ``m**4`` and
 #: ``n**4`` per row.  :func:`block_bounds` divides it by that row size; the
@@ -61,37 +56,22 @@ class ExtrinsicData(NamedTuple):
     ``a_frame[i, j]`` is ``A(e_i, e_j)`` in the adapted orthonormal frame and
     ``a_coord[i, j]`` is ``A`` on chart-basis slots, each a stacked product
     vector (domain components over target components), as is the mean
-    curvature.  ``gm`` and ``gn`` are the factor metrics.  For a block of
-    points every field carries a leading block axis.
+    curvature.  For a block of points every field carries a leading block
+    axis; the frames and the factor metrics are the :class:`GraphBlock`'s.
     """
 
-    frames: GraphFrameData
     a_frame: Array
     a_coord: Array
     mean_curvature: Array
     a_norm_sq: float | Array
     h_norm: float | Array
-    gm: Array
-    gn: Array
 
     def point(self, i: int) -> "ExtrinsicData":
         """The data of point ``i`` of a block."""
         return ExtrinsicData(
-            frames=self.frames.point(i), a_frame=self.a_frame[i],
-            a_coord=self.a_coord[i], mean_curvature=self.mean_curvature[i],
-            a_norm_sq=float(self.a_norm_sq[i]), h_norm=float(self.h_norm[i]),
-            gm=self.gm[i], gn=self.gn[i])
-
-    @property
-    def tangency_residual(self) -> float | Array:
-        """Gauss-formula diagnostic: the largest product inner product of an
-        ``A(e_i, e_j)`` with a tangent frame vector, which must vanish."""
-        # axes (i, j, tangent vector k) after any block axis
-        tang = product_form(self.gm[..., None, None, None, :, :],
-                            self.gn[..., None, None, None, :, :],
-                            self.a_frame[..., None, :],
-                            np.swapaxes(self.frames.tangent, -1, -2)[..., None, None, :, :])
-        return np.abs(tang).max(axis=(-3, -2, -1))
+            a_frame=self.a_frame[i], a_coord=self.a_coord[i],
+            mean_curvature=self.mean_curvature[i],
+            a_norm_sq=float(self.a_norm_sq[i]), h_norm=float(self.h_norm[i]))
 
 
 def second_fundamental_block(blk: "GraphBlock") -> ExtrinsicData:
@@ -131,9 +111,8 @@ def second_fundamental_block(blk: "GraphBlock") -> ExtrinsicData:
         flat = a.reshape(size, m * m, -1)
         a_norm_sq = a_norm_sq + np.sum((flat @ np.ascontiguousarray(g)) * flat, axis=(-2, -1))
     h_norm = np.sqrt(product_form(gm, gn, H, H))
-    return ExtrinsicData(frames=frames, a_frame=a_frame, a_coord=a_coord,
-                         mean_curvature=H, a_norm_sq=a_norm_sq, h_norm=h_norm,
-                         gm=gm, gn=gn)
+    return ExtrinsicData(a_frame=a_frame, a_coord=a_coord, mean_curvature=H,
+                         a_norm_sq=a_norm_sq, h_norm=h_norm)
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,7 @@ from .chart_manifold import (curvature_form, matvec, powers, quadratic_form, sec
                              sym_eigen)
 from .draws import Stream
 from .errors import InvalidParameterError, PreconditionError
-from .extrinsic import MINIMAL_TOL, GraphBlock, graph_block, graph_blocks
+from .extrinsic import GraphBlock, graph_block, graph_blocks
 from .graph_map import SmoothMap, shift_deficit
 from .product_space import product_form
 from .theorem_gate import DEFAULT_TOLERANCES, HYPOTHESES, holds, kappa_level, row_margins
@@ -392,7 +392,7 @@ def shifted_tensor_laplacian(d: PointData, c: float, h: float) -> Array:
 
 
 def elliptic_equation_residual(d: PointData, c: float, h: float = 1e-3,
-                               minimal_tol: float = MINIMAL_TOL) -> Array:
+                               minimal_tol: float = DEFAULT_TOLERANCES["minimality"]) -> Array:
     """Residual of ``Lap(Phi) + Psi(Phi) = 0`` on the adapted frame at each
     row.  The equation in this homogeneous form holds for minimal maps only,
     so a point with mean curvature above ``minimal_tol`` is rejected."""
@@ -437,7 +437,7 @@ def minimality_relations_residual_2d(d: PointData) -> Array:
 
 
 def log_jacobian_residual_2d(d: PointData, h: float = 1e-3,
-                             minimal_tol: float = MINIMAL_TOL) -> Array:
+                             minimal_tol: float = DEFAULT_TOLERANCES["minimality"]) -> Array:
     """Residual at each row of the 2x2-dimensional equation for ``ln`` of the
     projection Jacobian of a minimal map: the Laplace-Beltrami value (FD
     partials of the exact Jacobian field on the rows' stencils at step
@@ -564,9 +564,9 @@ class ExtremumProbeResult(NamedTuple):
     lap_tol: float
 
 
-def extremum_derivative_probe(f: SmoothMap, grid: Array,
-                              box: Array, h: float = 1e-3,
-                              minimal_tol: float = MINIMAL_TOL) -> ExtremumProbeResult:
+def extremum_derivative_probe(f: SmoothMap, grid: Array, box: Array, h: float = 1e-3,
+                              minimal_tol: float = DEFAULT_TOLERANCES["minimality"]
+                              ) -> ExtremumProbeResult:
     """Locate the maximum of the top eigenvalue of the shifted tensor over
     the rows of ``grid`` and check the first/second derivative criteria there.
     The shift ``c`` is the grid's largest ``lambda^2`` (1 where that is at
@@ -585,10 +585,10 @@ def extremum_derivative_probe(f: SmoothMap, grid: Array,
     box = np.asarray(box, dtype=float)
     # keep only the columns the probe reduces, one block alive at a time
     h_max, lam0_sq, tensors = [], [], []
-    for rows, blk in graph_blocks(f, grid):
+    for _, blk in graph_blocks(f, grid):
         h_max.append(np.max(blk.ext.h_norm))
         lam0_sq.append(np.max(blk.frames.lambdas[:, -1] ** 2))
-        tensors.append((rows, blk.s, blk.g))
+        tensors.append((blk.s, blk.g))
         del blk
     h_max = np.max(h_max)
     if np.isnan(h_max):
@@ -601,7 +601,7 @@ def extremum_derivative_probe(f: SmoothMap, grid: Array,
     c = lam0_sq if lam0_sq > 1e-12 else 1.0
 
     top = np.concatenate([sym_eigen(shift_deficit(s, g, c), g)[0][:, -1]
-                          for _, s, g in tensors])
+                          for s, g in tensors])
     best = float(top.max())
     near = np.nonzero(top >= best - 1e-12 * (1.0 + abs(best)))[0]
 
@@ -619,11 +619,8 @@ def extremum_derivative_probe(f: SmoothMap, grid: Array,
             "inconclusive", "maximum attained on the sampling-box boundary",
             grid[idx], c, np.nan, np.nan, grad_tol, lap_tol)
 
-    # the maximum's row with a neighbour from its block's slice: a block of
-    # two or more rows gives a row the bits it has in its grid block
-    rows = next(rows for rows, _, _ in tensors if idx < rows.stop)
-    pair = [idx, idx + 1 if idx + 1 < rows.stop else max(idx - 1, rows.start)]
-    d = PointData(graph_block(f, grid[pair]), [0])
+    # a block of two rows gives the row the bits it has in its grid block
+    d = PointData(graph_block(f, grid[[idx, idx]]), [0])
     v = sym_eigen(d.shifted_jet(c)[0], d.g)[1][..., -1]
     nabla = _covariant_derivative(*d.shifted_jet(c), d.gamma_g)
     grad_vec = np.einsum("...lij,...i,...j->...l", nabla, v, v)

@@ -18,7 +18,7 @@ import numpy as np
 from .chart_manifold import matvec, sectional_from_data
 from .draws import spawned_normals
 from .errors import DegeneratePlaneError, InvalidParameterError
-from .extrinsic import MINIMAL_TOL, GraphBlock, graph_blocks
+from .extrinsic import GraphBlock, graph_blocks
 from .graph_map import SmoothMap
 from .records import Frozen
 
@@ -28,7 +28,9 @@ Array = np.ndarray
 STRICT_MARGIN = 1e-9
 
 DEFAULT_TOLERANCES: dict[str, float] = {
-    "minimality": MINIMAL_TOL,
+    # max |H| for a minimal map: two orders looser than the totally-geodesic
+    # bound on |A| (classify_isometric), since H spends one more derivative
+    "minimality": 1e-6,
     "gate_slack": 1e-9,            # slack allowed on non-strict gate inequalities
     "classify_constant": 1e-8,     # max singular value for the constant verdict
     "classify_isometric": 1e-8,    # |lambda - 1| and |A| for the geodesic verdict

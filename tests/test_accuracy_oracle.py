@@ -97,6 +97,24 @@ at most ``||S||_F`` times as much, and LAPACK's symmetric eigensolver, which
 is backward stable, adds a few ``eps ||S||_F``.  So each end errs by at most
 ``K eps ||S||_F``, with ``K = 32`` covering ``d = 3``.  The largest error is
 0.059 such units, 2.7e-8 of ``gate_slack``.
+
+The second fundamental form on chart slots, ``a_coord``, is checked on the
+same quadratic maps and on holo-w2 (20 points each) against its formula in
+mpmath at 40 digits: the domain part ``Gamma_M - Gamma_g`` over the target
+part ``d2F + Gamma_N(dF, dF) - Gamma_g dF``, every Christoffel symbol from
+:func:`exact_curvature` with the exact inverse of its metric, and the
+induced jet ``g = g_M + dF^T h dF`` with its chain-rule derivative formed
+exactly, all from the same float64 jets.  Each Christoffel of the engine
+errs by at most ``K eps cond S`` in its own metric's condition number (see
+above); that of ``g`` also carries the rounding of the engine's float64
+``g`` and ``dg``, sums of products bounded by the same sums over absolute
+values.  The remaining contractions are float64 sums of at most ``n^2 + m +
+1`` products, which err by a small multiple of eps times their absolute sum
+(Higham).  So each entry errs by at most ``K eps kappa S_A``, with ``kappa``
+the largest condition number of ``g_M``, ``h`` and ``g``, and ``S_A`` the
+formula over absolute values, each Christoffel replaced by its absolute sum
+(:func:`absolute_sums`).  The largest error is 0.0086 such units, on
+holo-w2, and 1.1e-6 of ``gate_slack``.
 """
 
 from itertools import product
@@ -108,6 +126,7 @@ import pytest
 from graphgeo.chart_manifold import Curvature
 from graphgeo.extrinsic import graph_block
 from graphgeo.identities import point_rows, reaction_term_apply
+from graphgeo.scenarios import get
 from graphgeo.theorem_gate import sweep_geometry
 from test_block_partition import polynomial_chart, quadratic_map
 
@@ -361,3 +380,76 @@ def test_curvature_ranges_match_the_operator_oracle(m, n):
     assert len(err) >= 2 * 20
     worst = int(np.argmax(err / bound))
     assert err[worst] <= bound[worst], (worst, err[worst], bound[worst])
+
+
+def induced_jet(d1, d2, gm, dgm, h, dh):
+    """``g = g_M + dF^T h dF`` and ``dg[k] = d_k g`` by the chain rule, for
+    float or mpmath entries alike (over absolute values: the sums that bound
+    their rounding)."""
+    g = gm + np.einsum("ai,ab,bj->ij", d1, h, d1)
+    dg = dgm + (np.einsum("aki,bj,ab->kij", d2, d1, h) + np.einsum("ai,bkj,ab->kij", d1, d2, h)
+                + np.einsum("ai,bj,cab,ck->kij", d1, d1, dh, d1))
+    return g, dg
+
+
+def chart_slot_a(gam_m, gam_n, gam_g, d1, d2, sign=-1):
+    """``A`` on chart slots, ``a[i, j]``: the domain part ``Gamma_M - Gamma_g``
+    over the target part ``d2F + Gamma_N(dF, dF) - Gamma_g dF``; with
+    ``sign=1`` on absolute values, the same sums over absolute values."""
+    dom = np.einsum("kij->ijk", gam_m) + sign * np.einsum("kij->ijk", gam_g)
+    tgt = (np.einsum("aij->ija", d2) + np.einsum("abc,bi,cj->ija", gam_n, d1, d1)
+           + sign * np.einsum("kij,ak->ija", gam_g, d1))
+    return np.concatenate([dom, tgt], axis=-1)
+
+
+def exact_christoffel(g, dg):
+    """``Gamma[k, i, j]`` of :func:`exact_curvature`, which reads no ``d2g``
+    for it."""
+    zero = np.zeros((len(g),) * 4)
+    gam = exact_curvature(g, dg, zero)[0]
+    return np.array(list(gam.values()), dtype=object).reshape(zero.shape[1:])
+
+
+def a_coord_errors(f, coords):
+    """Per entry of each row's ``a_coord``, its error against the chart-slot
+    formula in mpmath at 40 digits, and its bound."""
+    blk = graph_block(f, coords)
+    jets = blk.jets
+    mp = np.vectorize(mpmath.mpf, otypes=[object])
+    errors, bounds = [], []
+    with mpmath.workdps(DIGITS):
+        for r in range(len(coords)):
+            d1, d2, gm, dgm, h, dh = (np.asarray(a[r]) for a in (
+                jets.f.d1, jets.f.d2, jets.gm.g, jets.gm.dg, jets.gn.g, jets.gn.dg))
+            g, dg = induced_jet(*map(mp, (d1, d2, gm, dgm, h, dh)))
+            exact = chart_slot_a(*(exact_christoffel(*jet) for jet in ((gm, dgm), (h, dh), (g, dg))),
+                                 *map(mp, (d1, d2)))
+            _, dg_abs = induced_jet(*map(np.abs, (d1, d2, gm, dgm, h, dh)))
+            total = chart_slot_a(*(absolute_sums(x, dx, np.zeros((len(x),) * 4))[0]
+                                   for x, dx in ((gm, dgm), (h, dh), (blk.g[r], dg_abs))),
+                                 abs(d1), abs(d2), sign=1)
+            kappa = max(map(np.linalg.cond, (gm, h, blk.g[r])))
+            got = blk.ext.a_coord[r]
+            for idx in np.ndindex(got.shape):
+                errors.append(abs(float(mpmath.mpf(got[idx]) - exact[idx])))
+                bounds.append(K * EPS * kappa * total[idx])
+    return np.array(errors), np.array(bounds)
+
+
+def a_coord_case(case):
+    """The map and 20 sample points of an ``oracle_case`` pair, or of holo-w2
+    over its sample box."""
+    if case != "holo-w2":
+        return oracle_case(*case)
+    sc = get(case)
+    rng = np.random.default_rng(95)
+    return sc.f, rng.uniform(*sc.sample_box.T, size=(20, 2))
+
+
+@pytest.mark.parametrize("case", [*product([2, 3], repeat=2), "holo-w2"],
+                         ids=lambda case: case if case == "holo-w2" else "%d-%d" % case)
+def test_a_coord_matches_the_chart_slot_oracle(case):
+    err, bound = a_coord_errors(*a_coord_case(case))
+    worst = int(np.argmax(err / bound))
+    assert err[worst] <= bound[worst], (worst, err[worst], bound[worst])
+

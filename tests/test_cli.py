@@ -270,55 +270,79 @@ def test_report_threads_do_not_change_results(tmp_path, capsys):
     assert a.read_text().replace('"threads": 1', '"threads": 3') == b.read_text()
 
 
-def _collect_numbers(obj, path=""):
-    out = {}
-    if isinstance(obj, dict):
-        for k, v in obj.items():
-            out.update(_collect_numbers(v, f"{path}.{k}" if path else k))
-    elif isinstance(obj, list):
-        for i, v in enumerate(obj):
-            out.update(_collect_numbers(v, f"{path}_{i}"))
-    elif isinstance(obj, float) and not isinstance(obj, bool):
-        out[path] = obj
-    return out
+def _cell_value(cell):
+    """A scalar CSV cell as its JSON value; an empty cell is null."""
+    if cell in ("true", "false"):
+        return cell == "true"
+    try:
+        return float(cell) if cell else None
+    except ValueError:
+        return cell
 
 
-def test_csv_and_json_numeric_round_trip(tmp_path, capsys):
+def _nested_cell(cell):
+    """A nested CSV cell: one line of compact JSON with ``;`` for ``,``."""
+    assert " " not in cell
+    return json.loads(cell.replace(";", ","))
+
+
+def _assert_same(csv_value, json_value, where):
+    """The same structure, and every number the same bit for bit."""
+    if isinstance(json_value, dict):
+        assert csv_value.keys() == json_value.keys(), where
+        for key, value in json_value.items():
+            _assert_same(csv_value[key], value, f"{where}.{key}")
+    elif isinstance(json_value, list):
+        assert len(csv_value) == len(json_value), where
+        for i, (a, b) in enumerate(zip(csv_value, json_value)):
+            _assert_same(a, b, f"{where}_{i}")
+    elif isinstance(json_value, (int, float)) and not isinstance(json_value, bool):
+        assert float(csv_value).hex() == float(json_value).hex(), (where, csv_value, json_value)
+    else:
+        assert csv_value == json_value, where
+
+
+@pytest.mark.parametrize("argv", [
+    ["report", "--scenario", "holo-w2", "--grid", "4x4"],
+    ["report", "--scenario", "constant-s2", "--grid", "4x4"],     # pinching_target is null
+    ["check-theorem", "--scenario", "identity-s3", "--grid", "3x3x3"],
+], ids=lambda argv: f"{argv[2]}-{argv[0]}")
+def test_csv_and_json_numeric_round_trip(argv, tmp_path, capsys):
     jpath, cpath = tmp_path / "r.json", tmp_path / "r.csv"
-    run(["report", "--scenario", "holo-w2", "--grid", "4x4",
-         "--output", str(jpath), "--format", "json"])
-    run(["report", "--scenario", "holo-w2", "--grid", "4x4",
-         "--output", str(cpath), "--format", "csv"])
+    run([*argv, "--output", str(jpath), "--format", "json"])
+    run([*argv, "--output", str(cpath), "--format", "csv"])
     capsys.readouterr()
-
     report = json.loads(jpath.read_text())
-    json_numbers = _collect_numbers(report)
+    cells = {}
+    for line in cpath.read_text().splitlines()[1:]:
+        section, name, field, value = line.split(",", 3)
+        cells[section, name, field] = value
 
-    csv_numbers = {}
-    lines = cpath.read_text().splitlines()[1:]
-    for line in lines:
-        section, name, fieldname, value = line.split(",", 3)
-        try:
-            csv_numbers[(section, name, fieldname)] = float(value)
-        except ValueError:
-            continue
-
-    # every per-point numeric value appears identically in both encodings
-    for idx, rec in enumerate(report["points"]):
-        for key in ("trace_s", "a_norm_sq", "h_norm", "sec_m_min"):
-            jval = rec[key]
-            cval = csv_numbers[("point", str(idx), key)]
-            if jval is None:
-                continue
-            assert np.isclose(cval, jval, rtol=1e-15, atol=0.0)
-        for i, x in enumerate(rec["x"]):
-            assert csv_numbers[("point", str(idx), f"x_{i}")] == x
-        for i, lam in enumerate(rec["lambda"]):
-            assert np.isclose(csv_numbers[("point", str(idx), f"lambda_{i}")],
-                              lam, rtol=1e-15, atol=0.0)
-    for entry in report["identities"]:
-        cval = csv_numbers[("identity", entry["name"], "max_residual")]
-        assert np.isclose(cval, entry["max_residual"], rtol=1e-15, atol=5e-324)
+    # every numeric leaf of every section appears identically in both encodings
+    _assert_same(_nested_cell(cells["config", "", "box"]), report["config"]["box"], "box")
+    assert ("points" in report) == (argv[0] == "report")
+    for idx, rec in enumerate(report.get("points", [])):
+        for key, value in rec.items():
+            row = ("point", str(idx))
+            got = ([_cell_value(cells[(*row, f"{key}_{i}")]) for i in range(len(value))]
+                   if isinstance(value, list) else _cell_value(cells[(*row, key)]))
+            _assert_same(got, value, f"points_{idx}.{key}")
+    for entry in report.get("identities", []):
+        for key in ("max_residual", "tolerance"):
+            _assert_same(_cell_value(cells["identity", entry["name"], key]), entry[key],
+                         f"{entry['name']}.{key}")
+    for key, value in report["hypotheses"].items():
+        if key == "margins":
+            for name, margin in value.items():
+                _assert_same(_cell_value(cells["hypotheses", "", f"margins.{name}"]), margin, name)
+        else:
+            _assert_same(_cell_value(cells["hypotheses", "", key]), value, key)
+    if argv[2] == "constant-s2":
+        assert report["hypotheses"]["margins"]["pinching_target"] is None
+    for key, value in report["classification"]["evidence"].items():
+        cell = cells["classification", "", f"evidence.{key}"]
+        _assert_same(_nested_cell(cell) if isinstance(value, (dict, list)) else _cell_value(cell),
+                     value, f"evidence.{key}")
 
 
 # ---------------------------------------------------------------------------

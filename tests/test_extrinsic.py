@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from graphgeo.extrinsic import MINIMAL_TOL, graph_block, second_fundamental_at
+from graphgeo.extrinsic import graph_block, second_fundamental_at
 from graphgeo.identities import point_rows
 from graphgeo.product_space import product_form
 from graphgeo.scenarios import get, registry
@@ -13,6 +13,8 @@ from graphgeo.theorem_gate import DEFAULT_TOLERANCES
 
 #: the gate's bound on |A| for the totally-geodesic verdict
 TOTALLY_GEODESIC_TOL = DEFAULT_TOLERANCES["classify_isometric"]
+#: the gate's bound on |H| for a minimal map
+MINIMAL_TOL = DEFAULT_TOLERANCES["minimality"]
 
 
 # ---------------------------------------------------------------------------
@@ -95,9 +97,12 @@ def test_normality_of_a_on_all_scenarios():
     # Gauss formula: A(e_i, e_j) is orthogonal to the graph tangent space
     rng = np.random.default_rng(22)
     for sc in registry().values():
-        for p in sc.random_points(10, rng):
-            ext = second_fundamental_at(sc.f, p)
-            assert ext.tangency_residual < 1e-6
+        blk = graph_block(sc.f, np.array([p.coords for p in sc.random_points(10, rng)]))
+        # axes (row, i, j, tangent vector k): G(A(e_i, e_j), t_k)
+        tang = product_form(blk.gm[:, None, None, None], blk.gn[:, None, None, None],
+                            blk.ext.a_frame[..., None, :],
+                            np.swapaxes(blk.frames.tangent, -1, -2)[:, None, None])
+        assert np.abs(tang).max() < 1e-6, sc.name
 
 
 def _random_orthonormal_frame(g, rng):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from graphgeo.errors import UnknownScenarioError
-from graphgeo.extrinsic import MINIMAL_TOL, graph_block
+from graphgeo.extrinsic import graph_block
 from graphgeo.graph_map import SmoothMap
 from graphgeo.scenarios import get, jets_selftest, registry
 from graphgeo.theorem_gate import DEFAULT_TOLERANCES
@@ -113,7 +113,7 @@ def test_expected_properties_reproduced():
         totally_geodesic = (np.sqrt(np.max(ext.a_norm_sq))
                             < DEFAULT_TOLERANCES["classify_isometric"])
         # total geodesy implies minimality regardless of the measured H
-        minimal = np.max(ext.h_norm) < MINIMAL_TOL or totally_geodesic
+        minimal = np.max(ext.h_norm) < DEFAULT_TOLERANCES["minimality"] or totally_geodesic
         exp = sc.expected
         if exp.minimal is not None:
             assert minimal == exp.minimal, name
