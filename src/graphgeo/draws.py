@@ -6,16 +6,16 @@ computed here with plain integer and array arithmetic instead: numpy's
 ``SeedSequence`` hash, its PCG64 generator and its ziggurat for the
 standard normal.  :func:`spawned_normals` gives the gate's sample planes,
 one spawned child stream per grid point; :class:`Stream` is
-``default_rng(seed)`` for the identity suite's sequential draws.
-PCG64 raws come by jump-ahead in place in a uint64 scratch array, and the plane
-stream takes the ziggurat's rejections as arrays, :data:`PIECE_ROWS` rows at a time.
+``default_rng(seed)`` for the identity suite's sequential uniforms and
+integers, which draw no normals.  PCG64 raws come by jump-ahead in place in
+a uint64 scratch array, and the plane stream takes the ziggurat's
+rejections as arrays, :data:`PIECE_ROWS` rows at a time.
 """
 
 import functools
 import math
 import operator
 import os
-from bisect import bisect_left
 from itertools import islice
 
 import numpy as np
@@ -315,28 +315,25 @@ def spawned_normals(seed: int, count: int, shape: tuple[int, ...]):
 
 
 class Stream:
-    """``numpy.random.default_rng(seed)``'s ``normal(size)``,
-    ``uniform(low, high)`` and ``integers(low, high)``, bit for bit, in any
-    order.  The PCG64 raws come ``ROWS`` runs of ``COLS`` at a time
-    (:func:`_pcg_raws`), each with its ziggurat candidate: ``normal`` takes
-    those accepted outright and runs the wedge and tail rules on the others.
-    ``integers`` takes 32-bit halves as PCG64's ``next_uint32``: a raw's
-    upper half waits for the next ``integers``, whatever comes between."""
+    """``numpy.random.default_rng(seed)``'s ``uniform(low, high)`` and
+    ``integers(low, high)``, bit for bit, in any order.  The PCG64 raws come
+    ``ROWS`` runs of ``COLS`` at a time (:func:`_pcg_raws`).  ``integers``
+    takes 32-bit halves as PCG64's ``next_uint32``: a raw's upper half waits
+    for the next ``integers``, whatever comes between."""
 
-    ROWS, COLS = 32, 64
-    __slots__ = ("_u", "_inc", "_raws", "_values", "_rejects", "_pos", "_half")
+    #: one run covers a suite's draws: 12 m sample coordinates, then 15
+    #: decomposition tuples of about three raws each
+    ROWS, COLS = 1, 128
+    __slots__ = ("_u", "_inc", "_raws", "_pos", "_half")
 
     def __init__(self, seed: int):
         s_hi, s_lo, q_hi, q_lo = _pcg_seeds(seed)()
         self._inc = (q_hi << 65 | q_lo << 1 | 1) & _MASK128
         self._u = (self._inc + (s_hi << 64 | s_lo)) & _MASK128
-        self._raws, self._values = np.empty(0, np.uint64), np.empty(0)
-        self._rejects, self._pos, self._half = [0], 0, None
+        self._raws, self._pos, self._half = [], 0, None
 
     def _refill(self) -> None:
-        """Append the next raws to those not yet taken, with the candidate
-        normals (``0.0 + z``) and the positions of those not accepted
-        outright, then a sentinel."""
+        """Take the next ``ROWS * COLS`` raws, all earlier ones being taken."""
         a, c = _advance(self.COLS)      # COLS steps, of u as of the state
         starts = []
         for _ in range(self.ROWS):
@@ -345,58 +342,25 @@ class Stream:
         limbs = np.array([[x >> shift & _MASK64 for x in xs] for xs in
                           (starts, [self._inc] * self.ROWS) for shift in (64, 0)], np.uint64)
         work = np.empty((4, self.COLS, self.ROWS), np.uint64)
-        raw = np.concatenate([self._raws[self._pos:], _pcg_raws(limbs, 0, work).ravel()])
-        z, accept = _candidates(raw)
-        self._raws, self._values, self._pos = raw, 0.0 + z, 0
-        self._rejects = np.flatnonzero(~accept).tolist() + [len(raw)]
+        self._raws, self._pos = _pcg_raws(limbs, 0, work).ravel().tolist(), 0
 
     def _raw(self) -> int:
         if self._pos == len(self._raws):
             self._refill()
         self._pos += 1
-        return self._raws.item(self._pos - 1)
-
-    def _rejected(self) -> float:
-        """The normal from the candidate at the current raw, which is not
-        accepted outright (see :func:`_ziggurat_walk`)."""
-        while True:
-            try:
-                z, self._pos = _ziggurat_walk(self._raws, self._pos)
-                return 0.0 + z
-            except IndexError:
-                self._refill()
-
-    def normal(self, size) -> Array:
-        """Standard normals of shape ``size``, as ``0.0 + 1.0 * z``: an exact
-        ``-0.0`` comes out ``0.0``."""
-        shape = tuple(size) if isinstance(size, (tuple, list)) else (operator.index(size),)
-        pos, need = self._pos, math.prod(shape)
-        if pos + need <= self._rejects[bisect_left(self._rejects, pos)]:
-            self._pos += need
-            return self._values[pos:self._pos].reshape(shape).copy()
-        out = []
-        while need:
-            if self._pos == len(self._raws):
-                self._refill()
-            pos = self._pos
-            reject = self._rejects[bisect_left(self._rejects, pos)]
-            if reject == pos:
-                out.append([self._rejected()])
-                need -= 1
-                continue
-            self._pos = min(pos + need, reject)
-            out.append(self._values[pos:self._pos])
-            need -= self._pos - pos
-        return np.concatenate(out).reshape(shape)
+        return self._raws[self._pos - 1]
 
     def uniform(self, low, high):
         """``low + (high - low) * u`` for uniform doubles ``u``, ``high >= low``
-        as numpy requires, over the broadcast bounds: a float for scalar bounds."""
+        as numpy requires, over the broadcast bounds: a float for scalar
+        bounds, computed on Python floats (the same IEEE arithmetic)."""
+        if np.ndim(low) == np.ndim(high) == 0:
+            low = float(low)
+            return low + (float(high) - low) * _uniform(self._raw())
         low = np.asarray(low, dtype=float)
         span = np.asarray(high, dtype=float) - low
         u = np.array([_uniform(self._raw()) for _ in range(span.size)]).reshape(span.shape)
-        out = low + span * u
-        return out if out.ndim else float(out)
+        return low + span * u
 
     def _u32(self) -> int:
         if self._half is None:

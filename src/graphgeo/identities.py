@@ -15,7 +15,10 @@ curvatures have one formula, :func:`graphgeo.chart_manifold.sectional_range`:
 the null probe reads the block's ranges (it draws no planes), and the 2-d
 log-Jacobian equation reads ``sec_M`` from the domain's range and ``sec_N``
 from the range of the whole target plane.  The null probe skips rows by the
-gate's hypothesis table and rule (:mod:`graphgeo.theorem_gate`).
+gate's hypothesis table and rule (:mod:`graphgeo.theorem_gate`).  The two
+checks that hold in every direction, the normal estimate and the null
+probe, sample none: each takes one generalized eigenvalue per row
+(:func:`graphgeo.chart_manifold.sym_eigen`).
 
 :func:`run_identity_suite` is one ordered table of checks, each a record
 name, its tolerance key, what it needs (a minimal map, dimensions 2x2 or
@@ -145,13 +148,25 @@ def _require_minimal(d: PointData, minimal_tol: float) -> None:
 # Normal estimate for the split-signature form
 # ---------------------------------------------------------------------------
 
-def normal_estimate_check(d: PointData, c, rng: Stream) -> Array:
+def _eigenvalues(phi: Array, g: Array) -> Array:
+    """Ascending eigenvalues of the symmetric part of ``phi`` relative to
+    ``g`` (:func:`sym_eigen`), per matrix of a stack; NaN for a pair with a
+    non-finite entry, which LAPACK may refuse to converge on."""
+    phi = 0.5 * (phi + np.swapaxes(phi, -1, -2))
+    finite = (np.isfinite(phi) & np.isfinite(g)).all(axis=(-2, -1))[..., None, None]
+    vals = sym_eigen(np.where(finite, phi, 0.0), np.where(finite, g, np.eye(g.shape[-1])))[0]
+    return np.where(finite[..., 0], vals, np.nan)
+
+
+def normal_estimate_check(d: PointData, c) -> Array:
     """Worst slack of the normal-cone estimate ``((c-1)/(1+c)) |eta|^2 -
-    s_prod(eta, eta) >= 0`` (for ``c >= lambda_max^2``) over the adapted
-    normal frame vectors, 20 random normal combinations (drawn row by row,
-    shift by shift) and the vectors ``A(e_i, e_j)``.  The shift
-    ``c`` is shared or per row (first axis; further axes: more shifts); the
-    result has its shape, and is NaN where a slack is.
+    s_prod(eta, eta) >= 0`` (for ``c >= lambda_max^2``) over the unit normals
+    ``eta`` of each row: ``bound - lambda_max(G_split, G_prod)``, with the
+    Gram matrices of the split form and of the product metric on the
+    adapted normal frame.  The vectors ``A(e_i, e_j)``, to which the rigidity
+    argument applies the estimate, are normal, so it covers them; a row where
+    they are not finite reads NaN.  The shift ``c`` is shared or per row
+    (first axis; further axes: more shifts); the result has its shape.
     """
     c = np.asarray(c, dtype=float)
     c = np.full(len(d), c) if c.ndim == 0 else c
@@ -162,18 +177,11 @@ def normal_estimate_check(d: PointData, c, rng: Stream) -> Array:
                                 f"{np.max(lam_max_sq):.6g}, got {np.min(c):.6g}")
     bound = (c - 1.0) / (1.0 + c)
 
-    # the normal frame vectors, random mixtures of them (summed column by
-    # column) and the vectors A(e_i, e_j), as rows of one stack per shift
-    xi = _expand(np.swapaxes(d.normal, -1, -2), k - 1)
-    coeff = rng.normal(size=(*c.shape, 20, d.n))
-    mixtures = sum(coeff[..., i, None] * xi[..., i, None, :] for i in range(d.n))
-    a = _expand(d.a_frame.reshape(len(d), d.m * d.m, -1), k - 1)
-    eta = np.concatenate([np.broadcast_to(x, (*c.shape, *x.shape[k:]))
-                          for x in (xi, mixtures, a)], axis=-2)
-    gm, gn = (_expand(x, k) for x in (d.gm, d.gn))
-    slacks = (bound[..., None] * product_form(gm, gn, eta, eta)
-              - product_form(gm, -gn, eta, eta))
-    return np.min(slacks, axis=-1)
+    xi = np.swapaxes(d.normal, -1, -2)          # the frame vectors, (row, n, m + n)
+    gm, gn, u, v = _expand(d.gm, 2), _expand(d.gn, 2), xi[:, :, None], xi[:, None]
+    top = _eigenvalues(product_form(gm, -gn, u, v), product_form(gm, gn, u, v))[:, -1]
+    top = np.where(np.isfinite(d.a_frame).all(axis=(1, 2, 3)), top, np.nan)
+    return bound - _expand(top, k - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -259,6 +267,17 @@ def decomposition_sides(d: PointData, c, sigma, l) -> tuple[Array, Array, Array]
 # The reaction term
 # ---------------------------------------------------------------------------
 
+def reaction_form(d: PointData, c: float) -> Array:
+    """The form ``q`` of :func:`reaction_term_apply` at each row, in chart
+    components: its frame sums over the adapted frame, taken as traces with
+    ``g^-1`` (:attr:`GraphBlock.reaction_traces`)."""
+    if c <= -1.0:
+        raise InvalidParameterError(f"reaction term needs c > -1, got {c}")
+    nu = (1.0 - c) / (1.0 + c)
+    a_m, a_n, r_m, r_n = np.moveaxis(d.reaction_traces, 1, 0)
+    return -2.0 * ((1.0 - nu) * a_m - (1.0 + nu) * a_n) - 4.0 / (1.0 + c) * (r_n - c * r_m)
+
+
 def reaction_term_apply(d: PointData, c: float, theta: Array, v: Array,
                         w: Array) -> Array:
     """Value of the fiberwise reaction term on ``theta`` at ``(v, w)``.
@@ -271,15 +290,11 @@ def reaction_term_apply(d: PointData, c: float, theta: Array, v: Array,
     The value is ``-theta(Ric v, w) - theta(Ric w, v) + v . q . w``, where
     ``q`` sums over the adapted frame ``-2 (s_prod - nu g_prod)(A(e_k, .),
     A(e_k, .)) - 4/(1+c) (R_N(df e_k, df ., df e_k, df .) - c R_M(e_k, ., e_k,
-    .))``, ``nu = (1-c)/(1+c)``.  The frame is g-orthonormal, so these sums are
-    traces with ``g^-1``, taken once per row (:attr:`GraphBlock.reaction_traces`).
+    .))``, ``nu = (1-c)/(1+c)`` (:func:`reaction_form`).  The frame is
+    g-orthonormal, so these sums are traces with ``g^-1``, taken once per row.
     """
-    if c <= -1.0:
-        raise InvalidParameterError(f"reaction term needs c > -1, got {c}")
+    q = reaction_form(d, c)
     theta, v, w = (np.asarray(x, dtype=float) for x in (theta, v, w))
-    nu = (1.0 - c) / (1.0 + c)
-    a_m, a_n, r_m, r_n = np.moveaxis(d.reaction_traces, 1, 0)
-    q = -2.0 * ((1.0 - nu) * a_m - (1.0 + nu) * a_n) - 4.0 / (1.0 + c) * (r_n - c * r_m)
     ric_g_op, q = (_expand(x, v.ndim - 2) for x in (d.ric_g_op, q))
     ric_v, ric_w = matvec(ric_g_op, v), matvec(ric_g_op, w)
     return (-quadratic_form(ric_v, theta, w) - quadratic_form(ric_w, theta, v)
@@ -477,7 +492,6 @@ class NullProbeResult(NamedTuple):
     status: str                # "pass", "fail" or "skipped"
     reason: str
     min_value: float
-    draws: int
 
 
 #: Why the null probe skips a row, by the first margin that fails its hypothesis.
@@ -491,28 +505,26 @@ _SKIP_TEXT = {
 
 
 def null_eigenvector_probe(d: PointData, sigma: float, lambda0_sq: float, kappa_sq: float,
-                           tol: dict[str, float], rng: Stream) -> list[NullProbeResult]:
-    """Probe the null-eigenvector condition of the reaction term at each row.
+                           tol: dict[str, float]) -> list[NullProbeResult]:
+    """Check the null-eigenvector condition of the reaction term at each row.
 
-    Draws random positive semi-definite tensors with a prescribed unit null
-    direction v (built by projecting a random Gram matrix onto the
-    g-orthogonal complement of v) and checks that the reaction term at shift
-    ``lambda0_sq`` is non-negative on (v, v).
+    For a positive semi-definite ``theta`` with ``theta v = 0`` the Ricci
+    terms of the reaction term vanish on ``(v, v)``, which leaves ``q(v,
+    v)`` at shift ``lambda0_sq`` (:func:`reaction_form`).  Its least value
+    over the g-unit ``v`` is ``lambda_min(q, g)``, one eigenvalue per row.
 
-    A row is skipped, and draws nothing, at its first margin in the order of
+    A row is skipped at its first margin in the order of
     :data:`~graphgeo.theorem_gate.HYPOTHESES` that is not NaN and fails
     :func:`~graphgeo.theorem_gate.holds` at the run's tolerances ``tol`` (a
     full :data:`~graphgeo.theorem_gate.DEFAULT_TOLERANCES` table): the
     pinching on the ends of ``sec_range_m`` / ``sec_range_n``, then, where
     ``lambda0_sq >= 1``, trace, kappa and condition 4 (the two branches of
-    the rigidity argument).  The others draw ``(20, m + m^2)`` normals
-    each, in turn, and the reaction term runs once.  A row passes where its
-    least value is at least ``-tol["null_probe"]``.
+    the rigidity argument).  The others are solved together, and a row
+    passes where its least value is at least ``-tol["null_probe"]``; a NaN
+    value fails.
     """
-    n_draws = 20
     if sigma <= 0.0:
-        return [NullProbeResult("skipped", "needs a positive pinching level",
-                                np.inf, 0)] * len(d)
+        return [NullProbeResult("skipped", "needs a positive pinching level", np.inf)] * len(d)
     # taken on both branches, so that a bound that overflows is refused on
     # both; below lambda0_sq = 1 the skips read only the pinching margins
     low, high = d.sec_range_m[:, 0], d.sec_range_n[:, 1]
@@ -526,26 +538,13 @@ def null_eigenvector_probe(d: PointData, sigma: float, lambda0_sq: float, kappa_
         lam_sq=float(d.lambdas[r, -1] ** 2), a_sq=d.a_norm_sq[r],
         sff_bound=margins["sff_bound"][r]) for key, fail in fails if fail[r]), None)
         for r in range(len(d))]
-    m = d.m
     ran = d.take([r for r, reason in enumerate(reasons) if reason is None])
-    # each draw holds its v, then its Gram factor W
-    draws = rng.normal(size=(len(ran), n_draws, m + m * m))
-    g = _expand(ran.g, 1)
-    v = draws[..., :m]
-    v = v / np.sqrt(quadratic_form(v, g, v))[..., None]
-    proj = np.eye(m) - v[..., :, None] * matvec(g, v)[..., None, :]  # kills v, g-orthogonally
-    W = draws[..., m:].reshape(len(ran), n_draws, m, m)
-    theta = np.swapaxes(proj, -1, -2) @ (np.swapaxes(W, -1, -2) @ W) @ proj
-    theta = 0.5 * (theta + np.swapaxes(theta, -1, -2))
-    scale = 1.0 + np.abs(theta).max(axis=(-2, -1))
-
-    values = reaction_term_apply(ran, lambda0_sq, theta, v, v) / scale
-    per_row = iter(np.min(values, axis=-1, initial=np.inf).tolist())
+    per_row = iter(_eigenvalues(reaction_form(ran, lambda0_sq), ran.g)[:, 0].tolist())
     results = []
     for reason in reasons:
         low = np.inf if reason else next(per_row)
         status = "skipped" if reason else "pass" if low >= -tol["null_probe"] else "fail"
-        results.append(NullProbeResult(status, reason or "", low, 0 if reason else n_draws))
+        results.append(NullProbeResult(status, reason or "", low))
     return results
 
 
@@ -687,11 +686,11 @@ def run_identity_suite(scenario, seed: int = 0, h: float = 1e-3,
     the record's.  A NaN residual never passes.
 
     The sample points are one :class:`GraphBlock`; each check evaluates all
-    its rows (or tuples) in one call.  The checks run in table order, which
-    is also the order of their draws: the normal estimate's, the
-    decomposition tuples (drawn by the first decomposition check), then the
-    null-eigenvector probe's, which takes the gate's ``kappa^2`` at
-    ``kappa_margin`` (see :func:`graphgeo.theorem_gate.kappa_level`).
+    its rows (or tuples) in one call.  The checks run in table order.  The
+    stream draws the sample points, then the decomposition tuples (drawn by
+    the first decomposition check); nothing else draws.  The
+    null-eigenvector probe takes the gate's ``kappa^2`` at ``kappa_margin``
+    (see :func:`graphgeo.theorem_gate.kappa_level`).
     """
     tol = {**DEFAULT_TOLERANCES, **(tolerances or {})}
     min_tol = tol["minimality"]
@@ -707,8 +706,7 @@ def run_identity_suite(scenario, seed: int = 0, h: float = 1e-3,
 
     def normal_estimate():
         lam2 = powers(lambdas[:, -1], 2)
-        worst = float(np.min(normal_estimate_check(
-            d, np.stack([lam2, lam2 + 1.0], axis=-1), rng=rng)))
+        worst = float(np.min(normal_estimate_check(d, np.stack([lam2, lam2 + 1.0], axis=-1))))
         return 2 * SUITE_POINTS, [-worst], {"worst_slack": worst}
 
     @cache
@@ -736,7 +734,7 @@ def run_identity_suite(scenario, seed: int = 0, h: float = 1e-3,
 
     def null_probe():
         probes = null_eigenvector_probe(d.take(slice(0, 6)), scenario.sigma, lam0_sq, kappa_sq,
-                                        tol, rng=rng)
+                                        tol)
         ran = [pr.min_value for pr in probes if pr.status != "skipped"]
         if not ran:
             return 0, f"hypotheses fail at all probe points: {probes[-1].reason}", {}

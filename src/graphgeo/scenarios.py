@@ -55,10 +55,11 @@ class Scenario(NamedTuple):
                         axis=-1).reshape(-1, self.domain.dim)
 
     def random_points(self, count: int, rng: Stream) -> list[ChartPoint]:
-        """``count`` uniform points of the sample box, one ``rng.uniform``
-        draw each."""
+        """``count`` uniform points of the sample box, drawn as one
+        ``(count, m)`` ``rng.uniform``: point by point, axis by axis."""
         lo, hi = self.sample_box[:, 0], self.sample_box[:, 1]
-        return [self.domain.point(rng.uniform(lo, hi)) for _ in range(count)]
+        coords = rng.uniform(np.broadcast_to(lo, (count, len(lo))), hi)
+        return [self.domain.point(x) for x in coords]
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
-"""The sequential stream equals ``numpy.random.default_rng(seed)`` bit for bit.
+"""The draws equal ``numpy.random`` bit for bit.
 
-``graphgeo.draws.Stream`` computes numpy's PCG64, ziggurat, uniform and
-Lemire draws itself so that no command loads ``numpy.random``; these tests
-compare it with numpy's own generator, which only the tests import.
+``graphgeo.draws.Stream`` computes numpy's PCG64, uniform and Lemire draws
+itself, and ``graphgeo.draws.spawned_normals`` its ziggurat on spawned child
+streams, so that no command loads ``numpy.random``; these tests compare them
+with numpy's own generators, which only the tests import.
 """
 
 import math
@@ -17,7 +18,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from graphgeo.cli import main
-from graphgeo.draws import Stream
+from graphgeo.draws import Stream, spawned_normals
+from graphgeo.scenarios import get, registry
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 BUFFER = Stream.ROWS * Stream.COLS
@@ -27,10 +29,7 @@ bounds = st.floats(-1e3, 1e3, allow_nan=False)
 widths = st.floats(0.0, 1e3)
 arrays = st.integers(0, 4).flatmap(lambda n: st.tuples(
     *[st.lists(floats, min_size=n, max_size=n).map(np.array) for floats in (bounds, widths)]))
-shapes = st.one_of(st.integers(0, 40), st.lists(st.integers(0, 7), max_size=3).map(tuple),
-                   st.sampled_from([300, (12, 2, 20, 3), (20, 12)]))
 calls = st.one_of(
-    st.tuples(st.just("normal"), shapes),
     st.tuples(st.just("uniform"), bounds, widths),
     arrays.map(lambda lo_width: ("uniform", *lo_width)),
     st.tuples(st.just("uniform"), bounds, arrays.map(lambda lo_width: lo_width[1])),
@@ -38,13 +37,14 @@ calls = st.one_of(
               st.sampled_from([1, 2, 3, 12, 1000, 2 ** 31 + 7, 2 ** 32 - 1])))
 
 
-def call(rng, name, *args):
-    """``rng.normal(size=shape)``, ``rng.uniform(low, low + width)`` or
-    ``rng.integers(low, low + span)``."""
-    if name == "normal":
-        return rng.normal(size=args[0])
-    low, width = args
+def call(rng, name, low, width):
+    """``rng.uniform(low, low + width)`` or ``rng.integers(low, low + width)``."""
     return (rng.uniform if name == "uniform" else rng.integers)(low, low + width)
+
+
+def uniforms(size: int) -> tuple:
+    """A call of ``size`` uniforms in ``[0, 1)``."""
+    return ("uniform", np.zeros(size), np.ones(size))
 
 
 def assert_same(got, want):
@@ -60,15 +60,14 @@ def assert_stream_equals_numpy(seed, sequence):
     for name, *args in sequence:
         assert_same(call(ours, name, *args), call(numpy_rng, name, *args))
     # and the streams continue alike
-    assert_same(ours.normal(size=5), numpy_rng.normal(size=5))
+    assert_same(call(ours, *uniforms(5)), call(numpy_rng, *uniforms(5)))
     assert ours.integers(0, 1000) == numpy_rng.integers(0, 1000)
 
 
 @settings(max_examples=150, deadline=None)
 @given(seed=st.integers(0, 2 ** 130), sequence=st.lists(calls, max_size=40))
-@example(seed=0, sequence=[("integers", 0, 12), ("normal", 3), ("uniform", 0.05, 9.95),
-                           ("integers", 0, 3)])
-@example(seed=7, sequence=[("normal", 0), ("uniform", 1.0, np.array([])), ("integers", 4, 1)])
+@example(seed=0, sequence=[("integers", 0, 12), ("uniform", 0.05, 9.95), ("integers", 0, 3)])
+@example(seed=7, sequence=[("uniform", 1.0, np.array([])), ("integers", 4, 1)])
 # about half of these take Lemire's rejection step, some of them twice
 @example(seed=1, sequence=[("integers", 0, 2 ** 31 + 7)] * 8)
 def test_stream_equals_default_rng(seed, sequence):
@@ -79,30 +78,58 @@ def test_stream_equals_default_rng(seed, sequence):
 @pytest.mark.parametrize("seed", [0, 2 ** 32 + 1, 2 ** 64 + 3, 2 ** 128 + 1])
 def test_stream_equals_default_rng_at_seeds_of_one_to_five_words(seed):
     lo, width = np.array([-1.0, 0.5, 2.0]), np.array([2.0, 0.25, 7.0])
-    sequence = [("uniform", lo, width)] * 12 + [("normal", (12, 2, 20, 3))]
+    sequence = [("uniform", lo, width)] * 12 + [uniforms(1440)]
     sequence += [call for _ in range(15) for call in (
         ("integers", 0, 12), ("uniform", 0.05, 9.95), ("uniform", -2.0, 4.0),
         ("integers", 0, 3))]
-    sequence += [("normal", 3)] * 48 + [("normal", (20, 12))] * 6
+    sequence += [uniforms(3)] * 48 + [uniforms(240)] * 6
     assert_stream_equals_numpy(seed, sequence)
 
 
-def test_stream_normals_take_the_ziggurat_tail_and_wedges(monkeypatch):
-    # about one draw in 3 800 enters the layer-0 tail and one in 70 a wedge
+def test_scalar_uniforms_equal_numpys_float64_arithmetic():
+    # the scalar path computes low + (high - low) * u on Python floats
+    rng = np.random.default_rng(17)
+    lows = rng.uniform(-1e3, 1e3, size=20000).tolist()
+    highs = (np.array(lows) + rng.uniform(0.0, 1e3, size=20000)).tolist()
+    ours, numpy_rng = Stream(18), np.random.default_rng(18)
+    for low, high in zip(lows, highs):
+        assert_same(ours.uniform(low, high), numpy_rng.uniform(low, high))
+
+
+@pytest.mark.parametrize("name", sorted(registry()))
+@pytest.mark.parametrize("count", [0, 1, 12])
+def test_random_points_equal_one_uniform_draw_per_point(name, count):
+    # one (count, m) draw takes the raws of count draws of m, in turn
+    sc = get(name)
+    lo, hi = sc.sample_box[:, 0], sc.sample_box[:, 1]
+    for make_rng in (Stream, np.random.default_rng):
+        rng = make_rng(4)
+        want = [rng.uniform(lo, hi) for _ in range(count)]
+        got = sc.random_points(count, make_rng(4))
+        assert len(got) == count
+        for p, coords in zip(got, want):
+            assert_same(p.coords, coords)
+
+
+def test_spawned_normals_take_the_ziggurat_tail_and_wedges(monkeypatch):
+    # a row whose candidate enters the layer-0 tail is walked one raw at a
+    # time from there, wedges included: 10 tail attempts and 8 wedges here
+    count, shape = 1024, (4, 2, 3)
     log1p, exp, tails, wedges = math.log1p, math.exp, [], []
     monkeypatch.setattr(math, "log1p", lambda v: tails.append(v) or log1p(v))
     monkeypatch.setattr(math, "exp", lambda v: wedges.append(v) or exp(v))
-    got = [Stream(seed).normal(size=(50, 1000)) for seed in (0, 1)]
+    got = spawned_normals(5, count, shape)(slice(0, count))
     monkeypatch.undo()
-    assert len(tails) >= 2 * 20 and len(wedges) >= 1000
-    for seed, ours in zip((0, 1), got):
-        assert_same(ours, np.random.default_rng(seed).normal(size=(50, 1000)))
+    assert len(tails) >= 2 * 10 and len(wedges) >= 8
+    want = np.array([np.random.default_rng(child).standard_normal(size=shape)
+                     for child in np.random.SeedSequence(5).spawn(count)])
+    assert got.tobytes() == want.tobytes()
 
 
 def test_integers_carry_the_upper_half_across_other_draws():
     ours, numpy_rng = Stream(11), np.random.default_rng(11)
     assert ours.integers(0, 12) == numpy_rng.integers(0, 12)
-    assert_same(ours.normal(size=4), numpy_rng.normal(size=4))
+    assert_same(call(ours, *uniforms(4)), call(numpy_rng, *uniforms(4)))
     assert_same(ours.uniform(-3.0, 3.0), numpy_rng.uniform(-3.0, 3.0))
     pos = ours._pos
     # the upper half of the first raw: no raw is drawn
@@ -118,12 +145,12 @@ def test_integers_of_one_value_draw_nothing():
     pos, half = ours._pos, ours._half
     assert ours.integers(4, 5) == numpy_rng.integers(4, 5) == 4
     assert (ours._pos, ours._half) == (pos, half)
-    assert_same(ours.normal(size=3), numpy_rng.normal(size=3))
+    assert_same(call(ours, *uniforms(3)), call(numpy_rng, *uniforms(3)))
     assert ours.integers(0, 5) == numpy_rng.integers(0, 5)
 
 
-@pytest.mark.parametrize("name, args", [("normal", (300,)), ("uniform", (np.zeros(5), np.ones(5))),
-                                        ("integers", (0, 7))], ids=["normal", "uniform", "integers"])
+@pytest.mark.parametrize("name, args", [("uniform", (np.zeros(5), np.ones(5))),
+                                        ("integers", (0, 7))], ids=["uniform", "integers"])
 def test_a_buffer_refill_in_the_middle_of_a_request(name, args):
     ours, numpy_rng = Stream(2 ** 40), np.random.default_rng(2 ** 40)
     for rng in (ours, numpy_rng):
@@ -132,7 +159,7 @@ def test_a_buffer_refill_in_the_middle_of_a_request(name, args):
     for _ in range(5):
         assert_same(call(ours, name, *args), call(numpy_rng, name, *args))
     assert ours._pos < BUFFER - 2
-    assert_same(ours.normal(size=7), numpy_rng.normal(size=7))
+    assert_same(call(ours, *uniforms(7)), call(numpy_rng, *uniforms(7)))
 
 
 def test_a_negative_seed_is_refused():
@@ -143,8 +170,11 @@ def test_a_negative_seed_is_refused():
                      "--output", os.devnull]) == 2
 
 
-@pytest.mark.parametrize("command", ["verify-identities", "check-theorem"])
-def test_missing_ziggurat_tables_exit_2_with_one_line(command, tmp_path):
+# the gate's planes read the tables; the identity suite draws no normals
+@pytest.mark.parametrize("command, code", [("verify-identities", 0), ("report", 2),
+                                           ("check-theorem", 2)],
+                         ids=["verify-identities", "report", "check-theorem"])
+def test_missing_ziggurat_tables_exit_2_with_one_line(command, code, tmp_path):
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     proc = subprocess.run(
         [sys.executable, "-c",
@@ -154,18 +184,22 @@ def test_missing_ziggurat_tables_exit_2_with_one_line(command, tmp_path):
          " '--output', os.devnull]))",
          command, str(tmp_path / "ziggurat.bin")],
         env=env, capture_output=True, text=True)
-    assert proc.returncode == 2
-    assert proc.stdout == ""
+    assert proc.returncode == code
     lines = proc.stderr.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error: cannot read the ziggurat tables")
+    if code:
+        assert proc.stdout == ""
+        assert len(lines) == 1 and lines[0].startswith("error: cannot read the ziggurat tables")
+    else:
+        assert len(proc.stdout.splitlines()) == 12
+        assert not any("ziggurat" in line for line in lines)
 
 
 @pytest.mark.parametrize("rows, cols", [(1, 1), (1, 3), (2, 5)])
 def test_tiny_buffers_give_the_same_stream(rows, cols, monkeypatch):
-    # a buffer of a few raws ends inside most requests and inside the
-    # wedge and tail walks, which then draw the next raws and walk again
+    # a buffer of a few raws ends inside most requests, which then draw the
+    # next raws
     monkeypatch.setattr(Stream, "ROWS", rows)
     monkeypatch.setattr(Stream, "COLS", cols)
-    sequence = [("normal", (40, 50)), ("uniform", np.zeros(7), np.ones(7)),
-                ("integers", 0, 12), ("normal", 3), ("integers", 0, 5), ("uniform", -1.0, 2.0)]
+    sequence = [uniforms(200), ("uniform", np.zeros(7), np.ones(7)),
+                ("integers", 0, 12), uniforms(3), ("integers", 0, 5), ("uniform", -1.0, 2.0)]
     assert_stream_equals_numpy(5, sequence * 4)

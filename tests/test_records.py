@@ -159,7 +159,7 @@ def formerly_frozen_records():
         "ExpectedProperties": sc.expected, "Scenario": sc,
         "Table": Table({"x": np.zeros(2)}), "ExtrinsicData": blk.ext,
         "GraphBlock": blk,
-        "NullProbeResult": NullProbeResult("pass", "", 0.0, 20),
+        "NullProbeResult": NullProbeResult("pass", "", 0.0),
         "ExtremumProbeResult": ExtremumProbeResult("pass", "", None, 1.0, 0.0, 0.0,
                                                    1.0, 1.0),
         "IdentityReport": IdentityReport("frame-formulas", 1, 0.0, 1e-8),
