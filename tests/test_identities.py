@@ -740,10 +740,12 @@ def test_null_probe_skips_on_the_exact_end_of_the_curvature_range(side):
     assert res.reason == f"{side} sectional curvature {end:.6g} {text} {sigma:.6g}"
 
 
-def test_null_probe_solves_only_for_the_rows_that_run(monkeypatch):
+@pytest.mark.parametrize("make_rng", [Stream, np.random.default_rng])
+def test_null_probe_draws_only_for_the_rows_that_run(make_rng, monkeypatch):
     # a skipped row computes nothing; the rows that run take one eigenvalue
-    # problem, together.  At sigma between the rows' greatest target
-    # curvatures some rows skip and the others run
+    # problem, together, and no row draws: a stream the caller holds and
+    # numpy's global state go on where they stood.  At sigma between the
+    # rows' greatest target curvatures some rows skip and the others run
     rng = np.random.default_rng(90)
     d = probe_case(rng, sphere_chart(3, 0.5))
     high = d.sec_range_n[:, 1]
@@ -753,11 +755,20 @@ def test_null_probe_solves_only_for_the_rows_that_run(monkeypatch):
     solved = []
     monkeypatch.setattr(identities, "sym_eigen",
                         lambda phi, g: solved.append(len(phi)) or sym_eigen(phi, g))
-    results = null_eigenvector_probe(d, sigma, 0.5, 1.01, DEFAULT_TOLERANCES)
-    assert solved == [int(np.sum(~skips))]
-    assert [res.status == "skipped" for res in results] == skips.tolist()
-    for res, skip in zip(results, skips):
-        assert (res.min_value == np.inf) == skip
+    for seed in range(3):
+        held, reference = make_rng(seed), make_rng(seed)
+        held.uniform(0.0, np.ones(5)), reference.uniform(0.0, np.ones(5))
+        global_state = np.random.get_state()
+        results = null_eigenvector_probe(d, sigma, 0.5, 1.01, DEFAULT_TOLERANCES)
+        assert solved == [int(np.sum(~skips))]
+        solved.clear()
+        assert [res.status == "skipped" for res in results] == skips.tolist()
+        for res, skip in zip(results, skips):
+            assert (res.min_value == np.inf) == skip
+        assert same_bits(held.uniform(0.0, np.ones(8)), reference.uniform(0.0, np.ones(8)))
+        after = np.random.get_state()
+        assert global_state[0] == after[0] and same_bits(global_state[1], after[1])
+        assert global_state[2:] == after[2:]
 
 
 def test_null_probe_runs_a_row_whose_curvature_is_nan():
