@@ -7,9 +7,10 @@ computed here with plain integer and array arithmetic instead: numpy's
 standard normal.  :func:`spawned_normals` gives the gate's sample planes,
 one spawned child stream per grid point; :class:`Stream` is
 ``default_rng(seed)`` for the identity suite's sequential uniforms and
-integers, which draw no normals.  PCG64 raws come by jump-ahead in place in
-a uint64 scratch array, and the plane stream takes the ziggurat's
-rejections as arrays, :data:`PIECE_ROWS` rows at a time.
+integers, which draw no normals.  ``Stream`` steps its PCG64 one raw at a
+time on Python integers.  Only the plane stream jumps ahead: it computes
+each row's raws in place in a uint64 scratch array, and takes the
+ziggurat's rejections as arrays, :data:`PIECE_ROWS` rows at a time.
 """
 
 import functools
@@ -129,14 +130,6 @@ def _ziggurat() -> tuple[Array, Array, Array]:
 def _ziggurat_lists() -> tuple[list, list, list]:
     """The tables of :func:`_ziggurat` as lists, for one draw at a time."""
     return tuple(table.tolist() for table in _ziggurat())
-
-
-@functools.cache
-def _advance(steps: int) -> tuple[int, int]:
-    """``(a, c)``: ``steps`` PCG64 steps take a state ``s`` to ``a s + c inc``
-    (mod 2**128), ``a = mult**steps`` and ``c`` the sum of the powers below."""
-    power = _PCG_MULT ** steps
-    return power & _MASK128, (power - 1) // (_PCG_MULT - 1) & _MASK128
 
 
 @functools.cache
@@ -316,39 +309,25 @@ def spawned_normals(seed: int, count: int, shape: tuple[int, ...]):
 
 class Stream:
     """``numpy.random.default_rng(seed)``'s ``uniform(low, high)`` and
-    ``integers(low, high)``, bit for bit, in any order.  The PCG64 raws come
-    ``ROWS`` runs of ``COLS`` at a time (:func:`_pcg_raws`).  ``integers``
-    takes 32-bit halves as PCG64's ``next_uint32``: a raw's upper half waits
-    for the next ``integers``, whatever comes between."""
+    ``integers(low, high)``, bit for bit, in any order: PCG64 seeded as by
+    ``srandom`` and stepped one raw at a time on Python integers (a suite
+    draws under a hundred raws; jump-ahead serves the plane stream only).
+    ``integers`` takes 32-bit halves as PCG64's ``next_uint32``: a raw's
+    upper half waits for the next ``integers``, whatever comes between."""
 
-    #: one run covers a suite's draws: 12 m sample coordinates, then 15
-    #: decomposition tuples of about three raws each
-    ROWS, COLS = 1, 128
-    __slots__ = ("_u", "_inc", "_raws", "_pos", "_half")
+    __slots__ = ("_state", "_inc", "_half")
 
     def __init__(self, seed: int):
         s_hi, s_lo, q_hi, q_lo = _pcg_seeds(seed)()
         self._inc = (q_hi << 65 | q_lo << 1 | 1) & _MASK128
-        self._u = (self._inc + (s_hi << 64 | s_lo)) & _MASK128
-        self._raws, self._pos, self._half = [], 0, None
-
-    def _refill(self) -> None:
-        """Take the next ``ROWS * COLS`` raws, all earlier ones being taken."""
-        a, c = _advance(self.COLS)      # COLS steps, of u as of the state
-        starts = []
-        for _ in range(self.ROWS):
-            starts.append(self._u)
-            self._u = (a * self._u + c * self._inc) & _MASK128
-        limbs = np.array([[x >> shift & _MASK64 for x in xs] for xs in
-                          (starts, [self._inc] * self.ROWS) for shift in (64, 0)], np.uint64)
-        work = np.empty((4, self.COLS, self.ROWS), np.uint64)
-        self._raws, self._pos = _pcg_raws(limbs, 0, work).ravel().tolist(), 0
+        self._state = ((self._inc + (s_hi << 64 | s_lo)) * _PCG_MULT + self._inc) & _MASK128
+        self._half = None
 
     def _raw(self) -> int:
-        if self._pos == len(self._raws):
-            self._refill()
-        self._pos += 1
-        return self._raws[self._pos - 1]
+        """The next raw output: one LCG step, then XSL-RR of the new state."""
+        state = self._state = (self._state * _PCG_MULT + self._inc) & _MASK128
+        rot, x = state >> 122, (state >> 64 ^ state) & _MASK64
+        return (x >> rot | x << (64 - rot)) & _MASK64
 
     def uniform(self, low, high):
         """``low + (high - low) * u`` for uniform doubles ``u``, ``high >= low``

@@ -247,7 +247,7 @@ class GraphBlock(Frozen):
     @cached_property
     def verified_frames(self) -> tuple[GraphFrameData, Array]:
         """Adapted frames and their residual (see :func:`verified_frame_block`)."""
-        return verified_frame_block(self.jets, self.pullback[0])
+        return verified_frame_block(self.jets, self.g)
 
     frames = property(lambda self: self.verified_frames[0])
     frame_residual = property(lambda self: self.verified_frames[1])

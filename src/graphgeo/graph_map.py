@@ -189,9 +189,11 @@ def frame_block(d1: Array, gm: Array, h: Array) -> GraphFrameData:
     * ``e_i = alpha_i / sqrt(1 + lambda_i^2)``  (domain, induced metric),
     * ``(e_i, df(e_i)) = (alpha_i (+) lambda_i beta_{n-m+i}) / sqrt(1+lambda_i^2)``
       (graph tangent space, product metric),
-    * ``xi_i = beta_i`` or
-      ``(-lambda_{i+m-n} alpha_{i+m-n} (+) beta_i) / sqrt(1+lambda_{i+m-n}^2)``
-      (graph normal space, product metric).
+    * ``xi_k = (-lambda_i alpha_i (+) beta_k) / sqrt(1+lambda_i^2)``,
+      ``i = k + m - n``, or ``beta_k`` if ``k < n - m`` (graph normal space).
+
+    Every pair takes these formulas, whatever the ``rank`` (an output only):
+    a zero singular value gives ``(e_i, 0)`` and ``(0, beta_k)`` to roundoff.
 
     A decomposition that fails (a NaN in the differential or in a metric)
     raises :class:`FrameConstructionError`; a metric that is not positive
@@ -216,27 +218,23 @@ def frame_block(d1: Array, gm: Array, h: Array) -> GraphFrameData:
     scale = 1.0 / np.sqrt(1.0 + lam ** 2)
     e = block_innermost(alpha * scale[:, None, :])
 
-    i, k, paired = _pairs(m, n, rank)
-    paired = paired[:, None, :]
+    i, k = _pairs(m, n)
     fiber = np.zeros((size, n, m))
-    fiber[:, :, i] = np.where(paired, lam[:, None, i] * beta[:, :, k], 0.0)
+    fiber[:, :, i] = lam[:, None, i] * beta[:, :, k]
     normal_m = np.zeros((size, m, n))
-    normal_m[:, :, k] = np.where(
-        paired, (-scale[:, i] * lam[:, i])[:, None, :] * alpha[:, :, i], 0.0)
+    normal_m[:, :, k] = (-scale[:, i] * lam[:, i])[:, None, :] * alpha[:, :, i]
     normal_n = beta.copy()
-    normal_n[:, :, k] = np.where(paired, scale[:, None, i] * beta[:, :, k],
-                                 beta[:, :, k])
+    normal_n[:, :, k] = scale[:, None, i] * beta[:, :, k]
     tangent = np.concatenate([e, fiber * scale[:, None, :]], axis=1)
     normal = np.concatenate([normal_m, normal_n], axis=1)
     return GraphFrameData(lam, rank, alpha, beta, e, tangent, normal)
 
 
-def _pairs(m: int, n: int, rank: Array) -> tuple[Array, Array, Array]:
-    """Tangent slots ``i`` that can pair with normal slots ``k = i + n - m``,
-    and per point which pairs are in use: those of the ``rank`` positive
-    singular values, ``i >= m - rank``."""
+def _pairs(m: int, n: int) -> tuple[Array, Array]:
+    """Tangent slots ``i`` and the normal slots ``k = i + n - m`` they pair
+    with: ``df(alpha_i) = lambda_i beta_k``."""
     i = np.arange(max(m - n, 0), m)
-    return i, i + n - m, i >= (m - rank)[:, None]
+    return i, i + n - m
 
 
 def frame_residual_block(frames: GraphFrameData, gm: Array, h: Array,
@@ -245,21 +243,21 @@ def frame_residual_block(frames: GraphFrameData, gm: Array, h: Array,
 
     Checks, against direct block evaluation of the split-signature form:
     the diagonal values ``(1-lambda_i^2)/(1+lambda_i^2)`` on the tangent
-    frame, the two-case values on the normal frame, the paired off-diagonal
-    values ``-2 lambda/(1+lambda^2)``, and orthonormality of both frames in
+    frame, their negatives on the paired normal slots and ``-1`` on the
+    others, the paired off-diagonal values ``-2 lambda/(1+lambda^2)`` (every
+    pair, as in :func:`frame_block`), and orthonormality of both frames in
     the product metric and of ``e`` in the induced metric ``g``.  A NaN
     anywhere gives a NaN residual.
     """
     m, n = gm.shape[-1], h.shape[-1]
     lam = frames.lambdas
     sdiag = (1.0 - lam ** 2) / (1.0 + lam ** 2)
-    i, k, paired = _pairs(m, n, frames.rank)
+    i, k = _pairs(m, n)
     expected = np.zeros((len(lam), m + n, m + n))
     expected[:, np.arange(m), np.arange(m)] = sdiag
     expected[:, np.arange(m, m + n), np.arange(m, m + n)] = -1.0
-    expected[:, m + k, m + k] = np.where(paired, -sdiag[:, i], -1.0)
-    expected[:, i, m + k] = expected[:, m + k, i] = np.where(
-        paired, -2.0 * lam[:, i] / (1.0 + lam[:, i] ** 2), 0.0)
+    expected[:, m + k, m + k] = -sdiag[:, i]
+    expected[:, i, m + k] = expected[:, m + k, i] = -2.0 * lam[:, i] / (1.0 + lam[:, i] ** 2)
 
     F = np.concatenate([frames.tangent, frames.normal], axis=-1)
     Ft, e = np.swapaxes(F, -1, -2), frames.e
@@ -269,13 +267,13 @@ def frame_residual_block(frames: GraphFrameData, gm: Array, h: Array,
     return np.max([np.abs(gap).max(axis=(-2, -1)) for gap in gaps], axis=0)
 
 
-def verified_frame_block(jets: GraphJets, P: Array) -> tuple[GraphFrameData, Array]:
-    """:func:`frame_block` for the graph jets ``jets`` with pullback metric
-    ``P``, and its residual per point, raising :class:`FrameConstructionError`
+def verified_frame_block(jets: GraphJets, g: Array) -> tuple[GraphFrameData, Array]:
+    """:func:`frame_block` for the graph jets ``jets`` with induced metric
+    ``g``, and its residual per point, raising :class:`FrameConstructionError`
     at the first point whose residual is not within :data:`FRAME_VERIFY_TOL`."""
     gm, h = jets.gm.g, jets.gn.g
     frames = frame_block(jets.f.d1, gm, h)
-    res = frame_residual_block(frames, gm, h, gm + P)
+    res = frame_residual_block(frames, gm, h, g)
     bad = ~(res <= FRAME_VERIFY_TOL)
     if bad.any():
         k = int(np.argmax(bad))
@@ -320,7 +318,8 @@ def adapted_frames_at(f: SmoothMap, p: ChartPoint) -> GraphFrameData:
     """Complete adapted frames of the graph at ``p`` (see :func:`frame_block`),
     verified by :func:`verified_frame_block`: a residual above
     :data:`FRAME_VERIFY_TOL`, or a NaN, raises :class:`FrameConstructionError`."""
-    return verified_frame_block(*_at(f, p))[0].point(0)
+    jets, P = _at(f, p)
+    return verified_frame_block(jets, jets.gm.g + P)[0].point(0)
 
 
 def frame_formula_residual(f: SmoothMap, p: ChartPoint,

@@ -22,7 +22,6 @@ from graphgeo.draws import Stream, spawned_normals
 from graphgeo.scenarios import get, registry
 
 SRC = Path(__file__).resolve().parents[1] / "src"
-BUFFER = Stream.ROWS * Stream.COLS
 
 # numpy refuses high < low, and a range of -0.0
 bounds = st.floats(-1e3, 1e3, allow_nan=False)
@@ -70,6 +69,11 @@ def assert_stream_equals_numpy(seed, sequence):
 @example(seed=7, sequence=[("uniform", 1.0, np.array([])), ("integers", 4, 1)])
 # about half of these take Lemire's rejection step, some of them twice
 @example(seed=1, sequence=[("integers", 0, 2 ** 31 + 7)] * 8)
+# a long run of raws, then requests of several raws and carried halves
+@example(seed=2 ** 40, sequence=[uniforms(126)] + [uniforms(5), ("integers", 0, 7)] * 5)
+@example(seed=5, sequence=[uniforms(200), ("uniform", np.zeros(7), np.ones(7)),
+                           ("integers", 0, 12), uniforms(3), ("integers", 0, 5),
+                           ("uniform", -1.0, 2.0)] * 4)
 def test_stream_equals_default_rng(seed, sequence):
     assert_stream_equals_numpy(seed, sequence)
 
@@ -126,40 +130,41 @@ def test_spawned_normals_take_the_ziggurat_tail_and_wedges(monkeypatch):
     assert got.tobytes() == want.tobytes()
 
 
-def test_integers_carry_the_upper_half_across_other_draws():
+def counting_raws(monkeypatch) -> list:
+    """Make every ``Stream`` record its raws in the list returned."""
+    raw, drawn = Stream._raw, []
+
+    def counted(self) -> int:
+        drawn.append(raw(self))
+        return drawn[-1]
+
+    monkeypatch.setattr(Stream, "_raw", counted)
+    return drawn
+
+
+def test_integers_carry_the_upper_half_across_other_draws(monkeypatch):
+    drawn = counting_raws(monkeypatch)
     ours, numpy_rng = Stream(11), np.random.default_rng(11)
     assert ours.integers(0, 12) == numpy_rng.integers(0, 12)
     assert_same(call(ours, *uniforms(4)), call(numpy_rng, *uniforms(4)))
     assert_same(ours.uniform(-3.0, 3.0), numpy_rng.uniform(-3.0, 3.0))
-    pos = ours._pos
+    pos = len(drawn)
     # the upper half of the first raw: no raw is drawn
     assert ours.integers(0, 12) == numpy_rng.integers(0, 12)
-    assert ours._pos == pos
+    assert len(drawn) == pos
     assert ours.integers(0, 12) == numpy_rng.integers(0, 12)
-    assert ours._pos == pos + 1
+    assert len(drawn) == pos + 1
 
 
-def test_integers_of_one_value_draw_nothing():
+def test_integers_of_one_value_draw_nothing(monkeypatch):
+    drawn = counting_raws(monkeypatch)
     ours, numpy_rng = Stream(3), np.random.default_rng(3)
     assert ours.integers(0, 5) == numpy_rng.integers(0, 5)     # leaves a half
-    pos, half = ours._pos, ours._half
+    pos, half = len(drawn), ours._half
     assert ours.integers(4, 5) == numpy_rng.integers(4, 5) == 4
-    assert (ours._pos, ours._half) == (pos, half)
+    assert (len(drawn), ours._half) == (pos, half)
     assert_same(call(ours, *uniforms(3)), call(numpy_rng, *uniforms(3)))
     assert ours.integers(0, 5) == numpy_rng.integers(0, 5)
-
-
-@pytest.mark.parametrize("name, args", [("uniform", (np.zeros(5), np.ones(5))),
-                                        ("integers", (0, 7))], ids=["uniform", "integers"])
-def test_a_buffer_refill_in_the_middle_of_a_request(name, args):
-    ours, numpy_rng = Stream(2 ** 40), np.random.default_rng(2 ** 40)
-    for rng in (ours, numpy_rng):
-        rng.uniform(np.zeros(BUFFER - 2), np.ones(BUFFER - 2))
-    assert ours._pos == BUFFER - 2
-    for _ in range(5):
-        assert_same(call(ours, name, *args), call(numpy_rng, name, *args))
-    assert ours._pos < BUFFER - 2
-    assert_same(call(ours, *uniforms(7)), call(numpy_rng, *uniforms(7)))
 
 
 def test_a_negative_seed_is_refused():
@@ -192,14 +197,3 @@ def test_missing_ziggurat_tables_exit_2_with_one_line(command, code, tmp_path):
     else:
         assert len(proc.stdout.splitlines()) == 12
         assert not any("ziggurat" in line for line in lines)
-
-
-@pytest.mark.parametrize("rows, cols", [(1, 1), (1, 3), (2, 5)])
-def test_tiny_buffers_give_the_same_stream(rows, cols, monkeypatch):
-    # a buffer of a few raws ends inside most requests, which then draw the
-    # next raws
-    monkeypatch.setattr(Stream, "ROWS", rows)
-    monkeypatch.setattr(Stream, "COLS", cols)
-    sequence = [uniforms(200), ("uniform", np.zeros(7), np.ones(7)),
-                ("integers", 0, 12), uniforms(3), ("integers", 0, 5), ("uniform", -1.0, 2.0)]
-    assert_stream_equals_numpy(5, sequence * 4)
