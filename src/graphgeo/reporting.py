@@ -11,20 +11,16 @@ there is no mode that collects the text and returns it.  No copy of the
 whole text is built on the way to a file or stdout.
 
 A :class:`Table` of float columns (a report's per-point records) has one
-write path: it is formatted in pieces of :data:`ROWS_PER_PIECE` records;
-there is no one ``%`` over the whole table.  Every record whose cells are
-null in the same places shares one ``%``-template, built once per pattern
-for the whole table, with a ``%s`` slot per number and a literal ``null``
-(in CSV: ``null`` for NaN or inf, an empty cell for None) for the others;
-one ``%`` per piece fills the slots of its records.
-
-A point table repeats most of its numbers (a grid coordinate in every row
-of its line, a constant curvature at every point), so each distinct bit
-pattern of a piece is formatted ``%.17g`` once and its text fills every
-slot where it occurs.  The texts of the last piece are kept for the next
-one, so the cache holds at most one piece of slots (``ROWS_PER_PIECE``
-times the numbers of a record) and encoding memory does not grow with the
-table.  The CSV record-index slots are ``%d`` and stay out of the cache.
+write path.  Each encoding builds one ``%``-template of a record for the
+whole table, with a ``%s`` slot per number (in CSV also a ``%d`` slot for
+the record index on each row), and fills ``len(piece)`` copies of it with
+one ``%`` per piece of :data:`ROWS_PER_PIECE` records.  A slot's text is
+``%.17g`` of a finite number, ``null`` for NaN or inf, and for a cell
+under a null mask ``null`` in JSON or an empty cell in CSV.  A point table
+repeats most of its numbers (a grid coordinate in every row of its line, a
+constant curvature at every point), so each distinct bit pattern of a
+piece is formatted once.  Encoding memory is one piece's texts and does
+not grow with the table.
 """
 
 from __future__ import annotations
@@ -50,8 +46,8 @@ class Table(Frozen):
     a number of a 1-d column, a list of a 2-d column's row.  ``null`` maps
     keys of 1-d columns to boolean masks: where a key's mask is set, its
     records hold None.  A table serializes exactly as the list of its
-    records, by one ``%``-template per pattern of null cells, a piece of
-    rows at a time.  Any other column raises TypeError.
+    records, by one ``%``-template of a record, a piece of rows at a time.
+    Any other column raises TypeError.
     """
 
     __slots__ = ("columns", "null")      # dict[str, Array], dict[str, Array]
@@ -129,107 +125,55 @@ def _emit_items(brackets: str, items: list, indent: int, write) -> None:
 
 
 def _emit_table(table: Table, indent: int, write) -> None:
-    """The list of ``table``'s records, in pieces (see :func:`_pieces`)."""
+    """The list of ``table``'s records: one ``%``-template of a record, with
+    a ``%s`` slot per number, filled a piece at a time from
+    :func:`_piece_texts`."""
     if not len(table):
         write("[]")
         return
-    widths, columns, state = _slots(table)
-    keys = [json.dumps(str(k)).replace("%", "%%") for k in table.columns]
-    write("[\n")
-    for piece in _pieces(columns, state,
-                         lambda p: _json_record(keys, widths, p, indent + 2), ",\n"):
-        write(piece)
+    outer, pad = " " * (indent + 2), " " * (indent + 4)
+    item = "\n" + " " * (indent + 6)
+    fields = []
+    for key, col in table.columns.items():
+        if col.ndim == 1:
+            cell = "%s"
+        elif col.shape[1]:
+            cell = "[" + ",".join([item + "%s"] * col.shape[1]) + "\n" + pad + "]"
+        else:
+            cell = "[]"
+        fields.append(pad + json.dumps(str(key)).replace("%", "%%") + ": " + cell)
+    record = f"{outer}{{\n" + ",\n".join(fields) + f"\n{outer}}}"
+    lead = "[\n"
+    for texts in _piece_texts(table, "null"):
+        write(lead + (",\n".join([record] * len(texts)) % tuple(texts.ravel().tolist())))
+        lead = ",\n"
     write("\n" + " " * indent + "]")
 
 
-def _slots(table: Table):
-    """The width of each column's rows (None for a number), ``table``'s
-    cells as one 2-d float array per column (a view of the column), and the
-    state of every slot of the (non-empty) table, one column per number: 0
-    for a finite number, 1 for NaN or inf, 2 for None.
-    """
-    widths, columns, states = [], [], []
-    for key, col in table.columns.items():
-        null = table.null.get(key)
-        widths.append(col.shape[1] if col.ndim == 2 else None)
-        cells = col.reshape(len(col), -1).astype(float, copy=False)
-        none = False if null is None else np.asarray(null, dtype=bool)[:, None]
-        columns.append(cells)
-        states.append(np.where(none, 2, ~np.isfinite(cells)).astype(np.int8))
-    return widths, columns, np.hstack(states)
-
-
-def _pieces(columns: list[np.ndarray], state: np.ndarray, template, sep: str,
-            args=lambda rows, texts: texts):
-    """The records joined by ``sep``, in pieces of :data:`ROWS_PER_PIECE`
-    records that concatenate to the whole.  Record ``i`` takes
-    ``template(pattern)`` of its row of slot states, built once per pattern
-    for the whole table (there are usually one or two) with a ``%s`` slot
-    for each finite number.  One ``%`` per piece fills its templates' slots
-    in order from the array ``args(rows, texts)``: ``texts`` holds that
-    slice of rows' finite numbers as texts (see :class:`_Texts`)."""
-    # with no number slot there is one pattern: a void view of no bytes a
-    # row would hold no rows
-    patterns = (state.view(f"V{state.shape[1]}").ravel() if state.shape[1]
-                else np.zeros(len(state), dtype=np.int8))
-    _, first, which = np.unique(patterns, return_index=True, return_inverse=True)
-    templates = [template(state[i].tolist()) for i in first.tolist()]
-    cache = _Texts()
-    for start in range(0, len(state), ROWS_PER_PIECE):
+def _piece_texts(table: Table, masked: str):
+    """The texts of the number slots of (non-empty) ``table``, a piece of
+    :data:`ROWS_PER_PIECE` records at a time: an object array with a row
+    per record and a text per slot, its columns' numbers in order.  A slot
+    holds ``masked`` (a text without ``%`` or newline) where its null mask
+    is set, ``null`` for NaN or inf, and ``%.17g`` of a finite number,
+    formatted once for each distinct bit pattern of the piece (so -0.0 and
+    0.0 apart)."""
+    columns = [(col.reshape(len(col), -1), table.null.get(key))
+               for key, col in table.columns.items()]
+    for start in range(0, len(table), ROWS_PER_PIECE):
         rows = slice(start, start + ROWS_PER_PIECE)
-        cells = np.hstack([col[rows] for col in columns])
-        texts = cache(cells[state[rows] == 0])
-        text = sep.join([templates[i] for i in which[rows].tolist()])
-        yield (sep + text if start else text) % tuple(args(rows, texts).tolist())
-
-
-class _Texts:
-    """Formats the finite numbers of one piece after another to their
-    ``%.17g`` texts, each distinct bit pattern (so -0.0 and 0.0 apart) once
-    a piece.  It keeps the sorted distinct patterns of the last piece it
-    formatted, with their texts, for the next: a cache of at most one piece
-    of slots."""
-
-    def __init__(self):
-        self.bits = np.empty(0, dtype=np.uint64)
-        self.texts = np.empty(0, dtype=object)
-
-    def __call__(self, values: np.ndarray) -> np.ndarray:
-        """The text of every number of ``values`` (1-d, finite) as an
-        object array."""
-        bits, which = np.unique(values.view(np.uint64), return_inverse=True)
-        # known: held by the cache at the pattern's sorted place
-        at = np.searchsorted(self.bits, bits)
-        known = at < len(self.bits)
-        known[known] = self.bits[at[known]] == bits[known]
-        texts = np.empty(len(bits), dtype=object)
-        texts[known] = self.texts[at[known]]
-        fresh = bits[~known].view(float).tolist()
-        if fresh:
-            texts[~known] = ("\n".join(["%.17g"] * len(fresh))
-                             % tuple(fresh)).split("\n")
-        self.bits, self.texts = bits, texts
-        return texts[which]
-
-
-def _json_record(keys: list[str], widths: list, pattern: list[int], indent: int) -> str:
-    """The ``%``-template of one record at ``indent``: a ``%s`` slot per
-    finite number, ``null`` for the others."""
-    slot = iter("null" if s else "%s" for s in pattern)
-    pad = " " * (indent + 2)
-    item = "\n" + " " * (indent + 4)
-    fields = []
-    for key, width in zip(keys, widths):
-        if width is None:
-            cell = next(slot)
-        elif width:
-            cell = ("[" + ",".join(item + next(slot) for _ in range(width))
-                    + "\n" + pad + "]")
-        else:
-            cell = "[]"
-        fields.append(f"{pad}{key}: {cell}")
-    outer = " " * indent
-    return f"{outer}{{\n" + ",\n".join(fields) + f"\n{outer}}}"
+        values = np.hstack([col[rows] for col, _ in columns]).astype(float, copy=False)
+        none = np.hstack([np.zeros(col[rows].shape, dtype=bool) if null is None
+                          else np.asarray(null, dtype=bool)[rows, None]
+                          for col, null in columns])
+        finite = np.isfinite(values) & ~none
+        bits, which = np.unique(values[finite].view(np.uint64), return_inverse=True)
+        # the texts of the distinct numbers, then null and masked, and the
+        # place of every slot's text among them
+        texts = ("%.17g\n" * len(bits) + "null\n" + masked) % tuple(bits.view(float).tolist())
+        at = np.where(none, len(bits) + 1, len(bits))
+        at[finite] = which
+        yield np.array(texts.split("\n"), dtype=object)[at]
 
 
 def _compact(obj: Any) -> str:
@@ -267,36 +211,23 @@ def _csv_cell(value: Any) -> str:
 
 def _csv_table(section: str, table: Table, write) -> None:
     """Write the CSV rows of ``table``'s records under ``section``, each
-    named by its record's index, in pieces (see :func:`_pieces`)."""
+    named by its record's index: one ``%``-template of a record, with a
+    ``%d`` slot for the index and a ``%s`` slot for the number on each of
+    its rows, filled a piece at a time from :func:`_piece_texts`."""
     if not len(table):
         return
-    widths, columns, state = _slots(table)
-    keys = [str(k).replace("%", "%%") for k in table.columns]
+    names = [name for key, col in table.columns.items()
+             for name in ([str(key)] if col.ndim == 1
+                          else [f"{key}_{i}" for i in range(col.shape[1])])]
     section = section.replace("%", "%%")
-
-    def args(rows: slice, texts: np.ndarray) -> np.ndarray:
-        # every row's slot is preceded by the record index (a %d slot)
-        finite = state[rows] == 0
-        slots = np.empty((*finite.shape, 2), dtype=object)
-        slots[..., 0] = np.arange(rows.start, rows.start + len(finite))[:, None]
-        slots[..., 1][finite] = texts
-        return slots[np.stack([np.ones_like(finite), finite], axis=-1)]
-
-    for piece in _pieces(columns, state,
-                         lambda p: _csv_record(section, keys, widths, p), "", args):
-        write(piece)
-
-
-def _csv_record(section: str, keys: list[str], widths: list, pattern: list[int]) -> str:
-    """The ``%``-template of one record's CSV rows, each ended by a newline
-    (none for a record of no number): a ``%d`` slot for the record index,
-    then a ``%s`` slot per finite number, ``null`` for NaN or inf and an
-    empty cell for None."""
-    slot = iter(pattern)
-    return "".join(
-        f"{section},%d,{name}," + ("%s", "null", "")[next(slot)] + "\n"
-        for key, width in zip(keys, widths)
-        for name in ([key] if width is None else [f"{key}_{i}" for i in range(width)]))
+    record = "".join(f"{section},%d,{name.replace('%', '%%')},%s\n" for name in names)
+    start = 0
+    for texts in _piece_texts(table, ""):
+        args = np.empty((*texts.shape, 2), dtype=object)
+        args[..., 0] = np.arange(start, start + len(texts), dtype=object)[:, None]
+        args[..., 1] = texts
+        write((record * len(texts)) % tuple(args.ravel().tolist()))
+        start += len(texts)
 
 
 def report_to_csv(report: dict, out: TextIO) -> None:

@@ -5,8 +5,10 @@ trace of the deficit tensor, second-fundamental-form norms, sectional
 curvature ranges), evaluates every hypothesis of the table
 :data:`HYPOTHESES` on its worst-case margins, each decided by :func:`holds`
 (the null-eigenvector probe skips its rows by the same rule), and
-classifies the map against the constant / totally-geodesic dichotomy.  All maxima are taken over the sample grid of the chart box, so
-every verdict is box-local; no global claim is made.
+classifies the map against the constant / totally-geodesic dichotomy.
+
+All maxima are taken over the sample grid of the chart box, so every
+verdict is box-local; no global claim is made.
 """
 
 from collections.abc import Mapping
