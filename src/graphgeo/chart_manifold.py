@@ -68,37 +68,26 @@ class MetricJet(NamedTuple):
     d2g: Array
 
 
-class _ChartFields(NamedTuple):
-    dim: int
-    metric_jet: Callable[[Array], MetricJet]
-    chart_box: Array
-    name: str = "chart"
-
-
-class ChartManifold(_ChartFields):
+class ChartManifold(Frozen):
     """A Riemannian manifold seen through one coordinate chart.
 
     ``metric_jet`` maps a coordinate block of shape ``(B, dim)`` to one
     :class:`MetricJet` of ``B`` stacked jets (a point is the block
-    ``x[None]``) and must be smooth on ``chart_box`` (an array of shape
-    ``(dim, 2)`` with the low/high bounds per axis; stored as a read-only
-    copy).
+    ``x[None]``) and must be smooth on ``chart_box``, an array of shape
+    ``(dim, 2)`` with the low/high bounds per axis.  The constructor, and so
+    ``_replace``, stores the box as a read-only float copy and checks its
+    shape.
     """
 
-    __slots__ = ()
+    __slots__ = ("dim", "metric_jet", "chart_box", "name")
 
-    def __new__(cls, dim, metric_jet, chart_box, name="chart"):
+    def __init__(self, dim: int, metric_jet: Callable[[Array], MetricJet], chart_box,
+                 name: str = "chart"):
         box = np.array(chart_box, dtype=float)
         if box.shape != (dim, 2):
             raise ValueError(f"chart_box must have shape ({dim}, 2)")
         box.flags.writeable = False
-        return super().__new__(cls, dim, metric_jet, box, name)
-
-    @classmethod
-    def _make(cls, fields) -> "ChartManifold":
-        """The chart of ``fields``, validated as by the constructor (and so
-        by ``_replace``)."""
-        return cls(*fields)
+        super().__init__(dim, metric_jet, box, name)
 
     def point(self, coords) -> ChartPoint:
         p = ChartPoint(np.asarray(coords, dtype=float))
@@ -273,8 +262,7 @@ def christoffel_derivative_from_jet(jet: MetricJet | Curvature) -> Array:
     curv = _curvature(jet)
     ginv, dg, d2g = curv.ginv, curv.jet.dg, curv.jet.d2g
     T = _christoffel_numerator(dg)
-    # dT[a, i, j, l] = d_a T[i, j, l]
-    dT = d2g + np.swapaxes(d2g, -3, -2) - np.moveaxis(d2g, -3, -1)
+    dT = _christoffel_numerator(d2g)        # dT[a, i, j, l] = d_a T[i, j, l]
     # dginv[k, m, s] = d_k g^{ms}
     dginv = -np.einsum("...ma,...kab,...bs->...kms", ginv, dg, ginv)
     return 0.5 * (np.einsum("...akl,...ijl->...akij", dginv, T)

@@ -26,7 +26,6 @@ nothing) and the call that runs it; one loop turns every check into its
 :class:`IdentityReport`, run, skipped or failed.
 """
 
-from functools import cache
 from itertools import combinations
 from typing import NamedTuple
 
@@ -687,8 +686,8 @@ def run_identity_suite(scenario, seed: int = 0, h: float = 1e-3,
 
     The sample points are one :class:`GraphBlock`; each check evaluates all
     its rows (or tuples) in one call.  The checks run in table order.  The
-    stream draws the sample points, then the decomposition tuples (drawn by
-    the first decomposition check); nothing else draws.  The
+    stream draws the sample points and, right after them, the decomposition
+    tuples; nothing else draws.  The
     null-eigenvector probe takes the gate's ``kappa^2`` at ``kappa_margin``
     (see :func:`graphgeo.theorem_gate.kappa_level`).
     """
@@ -697,6 +696,11 @@ def run_identity_suite(scenario, seed: int = 0, h: float = 1e-3,
     f, m = scenario.f, scenario.f.domain.dim
     rng = Stream(seed)
     d = point_rows(f, scenario.random_points(SUITE_POINTS, rng))
+    # each decomposition tuple draws its point, c, sigma and direction in turn
+    at, cc, sg, ll = np.array([
+        (rng.integers(0, SUITE_POINTS), rng.uniform(0.05, 10.0), rng.uniform(-2.0, 2.0),
+         rng.integers(0, m)) for _ in range(15)]).reshape(-1, 4).T
+    sides = decomposition_sides(d.take(at.astype(np.intp)), cc, sg, ll.astype(np.intp))
     blk, lambdas = d.blk, d.blk.frames.lambdas
     sub = d.take(slice(0, 3))   # its neighbour block is shared by the checks on it
 
@@ -709,16 +713,8 @@ def run_identity_suite(scenario, seed: int = 0, h: float = 1e-3,
         worst = float(np.min(normal_estimate_check(d, np.stack([lam2, lam2 + 1.0], axis=-1))))
         return 2 * SUITE_POINTS, [-worst], {"worst_slack": worst}
 
-    @cache
-    def sides():
-        # each tuple draws its point, c, sigma and direction in turn
-        at, cc, sg, ll = np.array([
-            (rng.integers(0, SUITE_POINTS), rng.uniform(0.05, 10.0), rng.uniform(-2.0, 2.0),
-             rng.integers(0, m)) for _ in range(15)]).reshape(-1, 4).T
-        return decomposition_sides(d.take(at.astype(np.intp)), cc, sg, ll.astype(np.intp))
-
     def gap(a: int, b: int):
-        return lambda: (15, np.abs(sides()[a] - sides()[b]), {"seed": seed})
+        return lambda: (15, np.abs(sides[a] - sides[b]), {"seed": seed})
 
     def extremum():
         grid = scenario.grid_points((7 if m == 2 else 5,) * m)

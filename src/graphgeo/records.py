@@ -2,8 +2,9 @@
 
 Most records in graphgeo are ``typing.NamedTuple`` classes: immutable,
 cheap to define at import, and copied with changes by ``_replace``.  A
-record that defines its own ``len``, must not serialize as a list, or
-keeps computed columns derives from :class:`Frozen` instead.
+record that validates its fields (in ``__init__``, which ``_replace``
+calls), defines its own ``len``, must not serialize as a list, or keeps
+computed columns derives from :class:`Frozen` instead.
 
 The modules that define NamedTuple records do without ``from __future__
 import annotations``: typing compiles every string annotation of a field

@@ -1112,14 +1112,27 @@ def streamed(fmt: str, payload: dict) -> tuple[bytes, bytes]:
     return to_file, raw.getvalue()
 
 
+def assert_same_text(got, want):
+    """``got == want`` for two texts (or byte strings) of any size.  A
+    mismatch fails at once with both lengths, the first differing offset and
+    ~60 characters around it: pytest's own diff of two multi-MB texts takes
+    minutes."""
+    if got != want:
+        at = len(os.path.commonprefix([got, want]))
+        around = slice(max(at - 30, 0), at + 30)
+        raise AssertionError(f"lengths {len(got)} and {len(want)}, first difference at "
+                             f"offset {at}: {got[around]!r} != {want[around]!r}")
+
+
 def assert_streams_as_point_records(sweep):
     table, records = _point_table(sweep), point_records(sweep)
     for fmt, collect in (("json", lambda doc: json_text(doc) + "\n"),
                          ("csv", csv_text)):
         doc = {"config": {"scenario": "s"}, "points": table, "runtime_seconds": None}
         text = collect(doc)
-        assert text == collect({**doc, "points": records})
-        assert streamed(fmt, doc) == (text.encode(), text.encode())
+        assert_same_text(text, collect({**doc, "points": records}))
+        for out in streamed(fmt, doc):
+            assert_same_text(out, text.encode())
 
 
 def sweep_of(cells: dict, has_sec_n: np.ndarray) -> GridSweep:

@@ -1,5 +1,6 @@
 """``tools/compare.py``'s leaf differ on synthetic documents: a one-ulp
-move is reported with its size, and equal documents print nothing."""
+move is reported with its size, and equal documents print nothing.  The
+matrix's error cases run on this tree and fail as documented."""
 
 import importlib.util
 import json
@@ -67,3 +68,14 @@ def test_exit_code_and_stderr_changes_are_hard_and_stdout_moves_are_not():
     assert moves == ["stdout line 1: '[PASS] a' -> '[FAIL] a'"]
     assert compare.TIMING.sub(r"\1: <time>", "runtime: 0.03s\nserialize: 1.20s\n") == \
         "runtime: <time>\nserialize: <time>\n"
+
+
+def test_the_error_cases_fail_with_their_exit_code_and_one_stderr_line(tmp_path):
+    # run on this tree, each error case of the matrix is an error: one that
+    # started to succeed would still compare equal between two trees
+    assert compare.matrix(["holo-w2"], [0])[-len(compare.ERRORS):] == compare.ERRORS
+    for i, argv in enumerate(compare.ERRORS):
+        result = compare.run(compare.ROOT, argv, tmp_path / str(i))
+        assert result["exit"] == (3 if "--h" in argv else 2), argv
+        assert result["stderr"].startswith("error: ") and result["stderr"].count("\n") == 1
+        assert result["artifact"] is None and result["stdout"] == ""

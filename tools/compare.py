@@ -2,7 +2,7 @@
 
 Usage::
 
-    python tools/compare.py --base REV [--expect REGEX] [--seeds 0,7,12001]
+    python tools/compare.py --base REV [--expect REGEX] [--seeds 0,7,12001,1099511627776]
 
 The base tree is a ``git archive`` of ``REV``; the other tree is this
 checkout, uncommitted changes included.  Both run one fixed matrix of CLI
@@ -10,13 +10,19 @@ calls, each in a fresh process without bytecode (``PYTHONDONTWRITEBYTECODE=1``)
 and in a directory of its own:
 
 * the 12 scenarios of ``graphgeo list`` × {``report`` JSON, ``report`` CSV,
-  ``verify-identities``, ``check-theorem``} × the seeds (default 0, 7 and
-  12001), each with ``--output``;
+  ``verify-identities``, ``check-theorem``} × the seeds (default 0, 7, 12001
+  and 2**40), each with ``--output``;
 * at seed 0, ``list``, holo-w2 ``report`` at 60x60 and at 300x300, each in
-  JSON and in CSV, identity-s3 and proj-s3-s1 ``check-theorem`` at
-  12x12x12, and three ``--tol`` runs of ``verify-identities``: holo-w2
-  ``minimality=1e-30``, holo-w3 ``gate_slack=100`` and proj-s3-s1
-  ``minimality=0.7``.
+  JSON and in CSV, identity-s3 ``check-theorem`` at 12x12x12 and at
+  30x30x30, proj-s3-s1 ``check-theorem`` at 12x12x12, and three ``--tol``
+  runs of ``verify-identities``: holo-w2 ``minimality=1e-30``, holo-w3
+  ``gate_slack=100`` and proj-s3-s1 ``minimality=0.7``;
+* with seed 0, the CLI's error cases (:data:`ERRORS`): a malformed
+  ``--grid``, an unknown flag, an unknown scenario, ``verify-identities
+  --h 30`` (out of chart, exit 3), ``--sigma 1e308`` and ``--kappa-margin
+  1e200`` on ``check-theorem`` and ``verify-identities``, and a config file
+  with ``"h": null``.  Each writes no artifact: its exit code and its one
+  stderr line are what is compared.
 
 For every call it compares the exit code, stdout, stderr (with the
 ``name: X.XXs`` timings masked) and the artifact's bytes.  Where a JSON or
@@ -73,6 +79,8 @@ FIXED = [("report", "--scenario", "holo-w2", "--grid", "60x60", "--output", "out
           "--output", "out.csv"),
          ("check-theorem", "--scenario", "identity-s3", "--grid", "12x12x12",
           "--output", "out.json"),
+         ("check-theorem", "--scenario", "identity-s3", "--grid", "30x30x30",
+          "--output", "out.json"),
          ("check-theorem", "--scenario", "proj-s3-s1", "--grid", "12x12x12",
           "--output", "out.json"),
          ("verify-identities", "--scenario", "holo-w2", "--tol", "minimality=1e-30",
@@ -81,6 +89,19 @@ FIXED = [("report", "--scenario", "holo-w2", "--grid", "60x60", "--output", "out
           "--output", "out.json"),
          ("verify-identities", "--scenario", "proj-s3-s1", "--tol", "minimality=0.7",
           "--output", "out.json")]
+
+# the error cases of the seed-0 part, each exiting 2 (or 3, out of chart)
+# with one stderr line; a call names the config files of FILES it reads
+ERRORS = [("report", "--scenario", "holo-w2", "--grid", "20x"),
+          ("check-theorem", "--scenario", "holo-w2", "--bogus", "1"),
+          ("check-theorem", "--scenario", "nope"),
+          ("verify-identities", "--scenario", "identity-s3", "--h", "30"),
+          ("check-theorem", "--scenario", "identity-s2", "--sigma", "1e308"),
+          ("verify-identities", "--scenario", "identity-s2", "--sigma", "1e308"),
+          ("check-theorem", "--scenario", "identity-s2", "--kappa-margin", "1e200"),
+          ("verify-identities", "--scenario", "identity-s3", "--kappa-margin", "1e200"),
+          ("check-theorem", "--scenario", "identity-s2", "--config", "null-h.json")]
+FILES = {"null-h.json": '{"h": null}\n'}
 
 
 def matrix(scenarios: list[str], seeds: list[int]) -> list[tuple[str, ...]]:
@@ -95,7 +116,7 @@ def matrix(scenarios: list[str], seeds: list[int]) -> list[tuple[str, ...]]:
                       ("verify-identities", *base, "--output", "out.json"),
                       ("check-theorem", *base, "--output", "out.json")]
     if 0 in seeds:
-        calls += [(*call, "--seed", "0") for call in FIXED]
+        calls += [(*call, "--seed", "0") for call in FIXED] + ERRORS
     return calls
 
 
@@ -103,6 +124,8 @@ def run(tree: Path, argv: tuple[str, ...], workdir: Path) -> dict:
     """One call in a fresh process: exit code, stdout, masked stderr and the
     artifact's bytes (None when there is none)."""
     workdir.mkdir(parents=True)
+    for name in FILES.keys() & set(argv):
+        (workdir / name).write_text(FILES[name], encoding="utf-8")
     env = {**os.environ, "PYTHONPATH": str(tree / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
     try:
         proc = subprocess.run([sys.executable, "-c", RUNNER, str(tree / "src"), *argv],
@@ -238,9 +261,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--base", required=True, help="git revision to compare against")
     parser.add_argument("--expect", type=re.compile, default=None,
                         help="regex of the '<call> <where>' lines that may move")
-    parser.add_argument("--seeds", default="0,7,12001",
+    parser.add_argument("--seeds", default=f"0,7,12001,{2 ** 40}",
                         type=lambda text: [int(s) for s in text.split(",")],
-                        help="comma-separated seeds of the matrix (default 0,7,12001)")
+                        help="comma-separated seeds of the matrix (default 0,7,12001,2**40)")
     args = parser.parse_args(argv)
 
     scratch = Path(tempfile.mkdtemp(prefix="graphgeo-compare-"))
